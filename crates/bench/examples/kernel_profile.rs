@@ -3,6 +3,10 @@
 //! changes can be attributed (fewer iterations vs cheaper iterations) without
 //! waiting for the full criterion run.
 //!
+//! Two models are solved: the Portfolio SAA of the `lp_backend` bench and
+//! (revised backend only) a 2 000-tuple Galaxy model on which the search
+//! restarts its LP on ever smaller cores.
+//!
 //! The first four stdout fields (`status= obj= nodes= lp_iters=`) are
 //! byte-stable across runs of the same build — CI diffs them between solver
 //! backends and between traced/untraced runs. Everything that varies
@@ -12,20 +16,32 @@
 
 use spq_core::saa::formulate_saa;
 use spq_core::{Instance, SpqEngine, SpqOptions};
-use spq_solver::{solve_full, SolverOptions};
+use spq_solver::{solve_full, Model, SolverBackend, SolverOptions};
 use spq_workloads::{build_workload, WorkloadKind};
 
-fn main() {
-    let workload = build_workload(WorkloadKind::Portfolio, 120, 9);
+/// The SAA model of one query of a workload with `m` optimization scenarios.
+fn saa_model(kind: WorkloadKind, scale: usize, query: usize, m: usize) -> Model {
+    let workload = build_workload(kind, scale, 9);
     let engine = SpqEngine::new(SpqOptions::for_tests());
     let silp = engine
-        .compile(&workload.relation, workload.query(1))
+        .compile(&workload.relation, workload.query(query))
         .unwrap();
     let instance = Instance::new(&workload.relation, silp, SpqOptions::for_tests()).unwrap();
-    let formulation = {
-        let _span = spq_obs::span("formulate");
-        formulate_saa(&instance, 10).unwrap()
-    };
+    let _span = spq_obs::span("formulate");
+    formulate_saa(&instance, m).unwrap().model
+}
+
+fn main() {
+    let mut models = vec![saa_model(WorkloadKind::Portfolio, 120, 1, 10)];
+    // The restart model: 2 000 Galaxy tuples under two scenarios have the
+    // shape of a CSA (2 002 columns, COUNT between 5 and 10, two dense real
+    // rows), so incumbents pin most columns and the search moves through
+    // four ever smaller cores. The dense tableau would spend minutes on
+    // 2 000 bound rows and, exposing no reduced costs, never leaves the
+    // whole LP anyway.
+    if SolverOptions::default().backend == SolverBackend::Revised {
+        models.push(saa_model(WorkloadKind::Galaxy, 2000, 2, 2));
+    }
     let options = SolverOptions {
         time_limit: Some(std::time::Duration::from_secs(60)),
         ..Default::default()
@@ -35,21 +51,23 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(3);
     let total = std::time::Instant::now();
-    for _ in 0..reps {
-        let t = std::time::Instant::now();
-        let res = {
-            let _span = spq_obs::span("solve_rep");
-            solve_full(&formulation.model, &options).unwrap()
-        };
-        println!(
-            "status={:?} obj={:?} nodes={} lp_iters={} elapsed={:?} wall={:?}",
-            res.status,
-            res.solution.as_ref().map(|s| s.objective),
-            res.nodes,
-            res.lp_iterations,
-            res.elapsed,
-            t.elapsed()
-        );
+    for model in &models {
+        for _ in 0..reps {
+            let t = std::time::Instant::now();
+            let res = {
+                let _span = spq_obs::span("solve_rep");
+                solve_full(model, &options).unwrap()
+            };
+            println!(
+                "status={:?} obj={:?} nodes={} lp_iters={} elapsed={:?} wall={:?}",
+                res.status,
+                res.solution.as_ref().map(|s| s.objective),
+                res.nodes,
+                res.lp_iterations,
+                res.elapsed,
+                t.elapsed()
+            );
+        }
     }
     // Machine-readable total for overhead gates (stderr keeps stdout diffable).
     eprintln!("total_wall_secs={:.6}", total.elapsed().as_secs_f64());

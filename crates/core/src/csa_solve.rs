@@ -200,7 +200,10 @@ pub fn csa_solve(
             // relaxation is optimal returns no basis, and the incumbent
             // must survive for the next re-solve.
             solver_opts.warm_start = basis.clone();
-            let res = solve_full(&formulation.model, &solver_opts)?;
+            let res = {
+                let _span = spq_obs::span("milp");
+                solve_full(&formulation.model, &solver_opts)?
+            };
             problems_solved += 1;
             solver_nodes += res.nodes;
             lp_pivots += res.lp_iterations;

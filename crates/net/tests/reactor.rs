@@ -15,6 +15,8 @@ struct Echo {
     /// Bytes of padding appended to each echo (drives write-cap tests).
     pad: usize,
     opened: AtomicUsize,
+    /// Lines answered so far.
+    lines: AtomicUsize,
     closed: AtomicUsize,
     close_reasons: Mutex<Vec<(ConnId, CloseReason)>>,
 }
@@ -24,6 +26,7 @@ impl Echo {
         Arc::new(Echo {
             pad,
             opened: AtomicUsize::new(0),
+            lines: AtomicUsize::new(0),
             closed: AtomicUsize::new(0),
             close_reasons: Mutex::new(Vec::new()),
         })
@@ -39,6 +42,7 @@ impl Handler for Echo {
         let mut reply = String::from(line);
         reply.extend(std::iter::repeat_n('x', self.pad));
         reactor.send(conn, &reply);
+        self.lines.fetch_add(1, Ordering::SeqCst);
     }
 
     fn on_close(&self, conn: ConnId, reason: CloseReason) {
@@ -225,9 +229,9 @@ fn shutdown_drains_pending_responses() {
         .unwrap();
     let mut client = BufReader::new(stream);
     client.get_mut().write_all(b"parting words\n").unwrap();
-    wait_until("line handled", || {
-        handler.opened.load(Ordering::SeqCst) == 1
-    });
+    // An open connection is not yet a handled line: shutting down with the
+    // request still unread resets the socket instead of answering it.
+    wait_until("line handled", || handler.lines.load(Ordering::SeqCst) == 1);
 
     // Shut down immediately; the queued echo must still arrive, then EOF.
     reactor.shutdown();

@@ -6,6 +6,14 @@
 //! nonzeros of the constraints and which re-solves each child node from its
 //! parent's basis, or the dense two-phase tableau ([`crate::simplex`]) kept
 //! as a cross-check and fallback.
+//!
+//! The tree is searched over the *live core* of the LP: once the root is
+//! solved, and again whenever the incumbent improves, columns are fixed by
+//! the root's reduced costs against the cutoff, and when at least half of
+//! the current core is pinned the LP is rebuilt over the columns left free
+//! ([`LpProblem::restrict`]) and the open nodes move onto it. A node then
+//! costs what the core costs — tens of columns on SAA/CSA models whose first
+//! incumbent pins ~96 % of them — instead of what the model costs.
 
 use crate::backend::{Relaxation, RelaxationContext, SolverModel};
 use crate::basis::{Basis, VarStatus};
@@ -15,7 +23,7 @@ use crate::model::{Direction, Model, Sense, Solution};
 use crate::simplex::{LpStatus, PricingRule};
 use crate::standard_form::{LpProblem, LpRow, BOUND_INFINITY};
 use crate::Result;
-use spq_obs::metrics::{Counter, Named};
+use spq_obs::metrics::{Counter, Histogram, Named};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -29,6 +37,11 @@ static NODES_LP_INFEASIBLE: Named<Counter> =
 static NODES_INTEGRAL: Named<Counter> = Named::new("spq_solver_nodes_integral", Counter::new());
 static NODES_BRANCHED: Named<Counter> = Named::new("spq_solver_nodes_branched", Counter::new());
 static RC_TIGHTENINGS: Named<Counter> = Named::new("spq_solver_rc_tightenings", Counter::new());
+// Core reduction: how often the search restarted its LP on a smaller core
+// (open nodes carried over), and the number of columns of every core
+// searched (the whole LP included).
+static CORE_RESTARTS: Named<Counter> = Named::new("spq_solver_core_restarts", Counter::new());
+static CORE_COLUMNS: Named<Histogram> = Named::new("spq_solver_core_columns", Histogram::new());
 // Speculation accounting: a "hit" consumed a worker's pre-solved
 // relaxation; a "miss" solved inline on the main thread (serial runs are
 // therefore all misses).
@@ -279,19 +292,242 @@ pub struct BranchBoundSolver {
 /// reduced-cost bound tightening (dual degeneracy noise).
 const RC_EPS: f64 = 1e-9;
 
+/// Share of the current core's columns that must be pinned (`lower ==
+/// upper`) before the search moves onto the LP restricted to the others.
+/// The move costs one pass over the core LP, one backend preparation and a
+/// renumbering of the open nodes, so it has to buy a clearly smaller LP; on
+/// the SAA/CSA models this solver exists for, the first incumbent pins
+/// ~0.96 of the columns, far above any threshold, and one half keeps the
+/// number of moves below `log2(columns)`.
+const CORE_REDUCTION_SHARE: f64 = 0.5;
+
+/// Factor that turns the model's objective into a minimization.
+fn objective_sign(model: &Model) -> f64 {
+    match model.direction {
+        Direction::Minimize => 1.0,
+        Direction::Maximize => -1.0,
+    }
+}
+
+/// True when a column can no longer move.
+fn pinned(lower: f64, upper: f64) -> bool {
+    lower == upper && lower.is_finite()
+}
+
+/// One column's bounds at a node, where they differ from the core's box.
+#[derive(Clone, Copy)]
 struct NodeDelta {
     var: usize,
     lower: f64,
     upper: f64,
 }
 
+#[derive(Clone)]
 struct Node {
-    deltas: Vec<NodeDelta>,
+    /// Every bound the parent's subtree tightened, at most one entry per
+    /// column, shared with the sibling.
+    inherited: Arc<[NodeDelta]>,
+    /// The branching bound that tells this node from its sibling.
+    branch: Option<NodeDelta>,
     /// LP bound inherited from the parent (minimization sense).
     parent_bound: f64,
     /// Parent's optimal basis (revised backend): the child re-solves from it
     /// instead of from scratch.
-    warm: Option<Basis>,
+    warm: Option<Arc<Basis>>,
+}
+
+impl Node {
+    fn root(warm: Option<Arc<Basis>>) -> Node {
+        Node {
+            inherited: Arc::from([]),
+            branch: None,
+            parent_bound: f64::NEG_INFINITY,
+            warm,
+        }
+    }
+
+    /// The node's bound box inside `base`'s, or `None` when a domain is
+    /// empty.
+    fn bounds(&self, base: &LpProblem) -> Option<(Vec<f64>, Vec<f64>)> {
+        let mut lower = base.lower.clone();
+        let mut upper = base.upper.clone();
+        for d in self.inherited.iter().chain(&self.branch) {
+            lower[d.var] = lower[d.var].max(d.lower);
+            upper[d.var] = upper[d.var].min(d.upper);
+            if lower[d.var] > upper[d.var] + 1e-12 {
+                return None;
+            }
+        }
+        Some((lower, upper))
+    }
+
+    /// The same node over the next core. `None` when a folded column's value
+    /// lies outside the node's bounds: nothing better than the incumbent is
+    /// left in its subtree.
+    fn remapped(&self, map: &CoreMap) -> Option<Node> {
+        let mut inherited = Vec::with_capacity(self.inherited.len());
+        for d in self.inherited.iter() {
+            inherited.extend(map.delta(d)?);
+        }
+        let branch = match &self.branch {
+            Some(d) => map.delta(d)?,
+            None => None,
+        };
+        Some(Node {
+            inherited: inherited.into(),
+            branch,
+            parent_bound: self.parent_bound,
+            warm: self.warm.as_ref().map(|b| Arc::new(map.basis(b))),
+        })
+    }
+}
+
+/// A move from one core to the next, smaller one: the tightened box the
+/// fixings left of the old core, and how its columns are renumbered once
+/// those the box pins are folded away.
+struct CoreMap {
+    /// Old core columns that stay, in their new order.
+    keep: Vec<usize>,
+    /// New index of each old core column; `None` for a folded one.
+    new_index: Vec<Option<usize>>,
+    /// The box over the old core's columns; a folded column sits at `lower`.
+    lower: Vec<f64>,
+    upper: Vec<f64>,
+}
+
+impl CoreMap {
+    /// Fold the columns the box `lower`/`upper` pins.
+    fn folding(lower: Vec<f64>, upper: Vec<f64>) -> CoreMap {
+        let mut keep = Vec::new();
+        let new_index = (0..lower.len())
+            .map(|k| {
+                (!pinned(lower[k], upper[k])).then(|| {
+                    keep.push(k);
+                    keep.len() - 1
+                })
+            })
+            .collect();
+        CoreMap {
+            keep,
+            new_index,
+            lower,
+            upper,
+        }
+    }
+
+    /// A node's bound over the next core: `None` when it contradicts the
+    /// value of a folded column, `Some(None)` when that value satisfies it.
+    fn delta(&self, d: &NodeDelta) -> Option<Option<NodeDelta>> {
+        match self.new_index[d.var] {
+            Some(var) => Some(Some(NodeDelta { var, ..*d })),
+            None => {
+                let v = self.lower[d.var];
+                (d.lower - 1e-9 <= v && v <= d.upper + 1e-9).then_some(None)
+            }
+        }
+    }
+
+    /// A basis of the old core LP without the folded columns. They are
+    /// nonbasic in the root's basis; a node's basis that loses a basic
+    /// column no longer fits and the simplex starts that node cold.
+    fn basis(&self, basis: &Basis) -> Basis {
+        let live = self.keep.iter().map(|&k| basis.statuses[k]);
+        let logicals = basis.statuses[self.new_index.len()..].iter().copied();
+        Basis {
+            statuses: live.chain(logicals).collect(),
+        }
+    }
+}
+
+/// The live core of the LP relaxation: the columns the search can still
+/// move. Columns pinned by globally valid fixings are folded into the rows'
+/// right-hand sides and an objective offset, so every per-node pass is
+/// sized by the core and not by the model.
+struct Core {
+    /// The LP over the core columns; its bounds are the box every node's
+    /// bounds are relative to.
+    lp: LpProblem,
+    /// Model column behind each core column.
+    cols: Vec<usize>,
+    /// Core columns that must take integer values.
+    int_cols: Vec<usize>,
+    /// Objective contribution of the folded columns (minimization sense).
+    offset: f64,
+    /// A model-shaped assignment holding the value of every folded column.
+    folded: Vec<f64>,
+}
+
+impl Core {
+    /// The whole LP: nothing folded yet.
+    fn full(lp: LpProblem, model: &Model) -> Core {
+        let n = lp.num_vars();
+        Core::over(lp, (0..n).collect(), 0.0, vec![0.0; n], model)
+    }
+
+    fn over(lp: LpProblem, cols: Vec<usize>, offset: f64, folded: Vec<f64>, model: &Model) -> Core {
+        let vars = model.variables();
+        let int_cols = (0..cols.len())
+            .filter(|&k| vars[cols[k]].is_integral())
+            .collect();
+        Core {
+            lp,
+            cols,
+            int_cols,
+            offset,
+            folded,
+        }
+    }
+
+    /// Tighten the box to the map's and fold the columns it pins out of the
+    /// LP.
+    fn restricted(mut self, map: CoreMap, model: &Model) -> Core {
+        for (k, &col) in self.cols.iter().enumerate() {
+            if map.new_index[k].is_none() {
+                self.folded[col] = map.lower[k];
+            }
+        }
+        self.lp.lower = map.lower;
+        self.lp.upper = map.upper;
+        let (lp, offset) = self.lp.restrict(&map.keep);
+        let cols = map.keep.iter().map(|&k| self.cols[k]).collect();
+        Core::over(lp, cols, self.offset + offset, self.folded, model)
+    }
+
+    /// Round integer columns to the nearest integer and clamp everything to
+    /// the model's bounds.
+    fn snap(&self, values: &[f64], model: &Model) -> Vec<f64> {
+        let vars = model.variables();
+        values
+            .iter()
+            .zip(&self.cols)
+            .map(|(&x, &col)| {
+                let v = &vars[col];
+                let x = if v.is_integral() { x.round() } else { x };
+                x.clamp(v.lower, v.upper)
+            })
+            .collect()
+    }
+
+    /// Minimization-sense objective of a core assignment.
+    fn objective(&self, values: &[f64]) -> f64 {
+        let live: f64 = self
+            .lp
+            .objective
+            .iter()
+            .zip(values)
+            .map(|(c, x)| c * x)
+            .sum();
+        self.offset + live
+    }
+
+    /// The model-shaped assignment behind a core assignment.
+    fn expand(&self, values: &[f64]) -> Vec<f64> {
+        let mut full = self.folded.clone();
+        for (&col, &x) in self.cols.iter().zip(values) {
+            full[col] = x;
+        }
+        full
+    }
 }
 
 /// Lifecycle of one node's speculative LP solve.
@@ -365,10 +601,13 @@ impl SpecQueue {
     }
 
     /// Wake every worker and tell them to exit once their current solve (if
-    /// any) finishes.
-    fn shutdown(&self) {
-        self.inner.lock().unwrap().shutdown = true;
+    /// any) finishes. Returns the nodes still queued, bottom of the stack
+    /// first.
+    fn shutdown(&self) -> Vec<Node> {
+        let mut inner = self.inner.lock().unwrap();
+        inner.shutdown = true;
         self.work.notify_all();
+        inner.stack.drain(..).map(|job| job.node.clone()).collect()
     }
 
     /// Obtain a popped job's relaxation on the main thread: solve inline if
@@ -443,27 +682,69 @@ impl SpecQueue {
     }
 }
 
-/// Everything the search loop accumulates; [`BranchBoundSolver::solve`]
-/// assembles the public [`MilpResult`] from it.
-struct SearchOutcome {
+/// What the search accumulates; [`BranchBoundSolver::solve`] assembles the
+/// public [`MilpResult`] from it.
+struct SearchState {
+    /// Incumbent, as a model-shaped assignment.
     best_solution: Option<Vec<f64>>,
+    /// Its objective (minimization sense); the cutoff derives from it.
+    best_obj: f64,
     nodes_processed: usize,
     lp_iterations: usize,
-    best_bound: Option<f64>,
     hit_limit: bool,
-    root_infeasible: bool,
-    root_unbounded: bool,
+    /// Bound and basis of the root, the only full-shape LP solved. `None`
+    /// until that relaxation is bounded, so an early deadline reports "no
+    /// bound" instead of -inf.
+    best_bound: Option<f64>,
     root_basis: Option<Basis>,
+    root_unbounded: bool,
+    /// The root relaxation over the current core's columns.
+    root: Option<RootLp>,
+}
+
+impl SearchState {
+    fn improved_by(&self, obj: f64) -> bool {
+        obj < self.best_obj - 1e-12
+    }
+
+    fn accept(&mut self, obj: f64, solution: Vec<f64>) {
+        self.best_obj = obj;
+        self.best_solution = Some(solution);
+    }
+}
+
+/// The optimal root relaxation: what globally valid reduced-cost fixing
+/// needs whenever the cutoff moves. Folding a column (nonbasic at the root)
+/// out of the LP changes neither the bound nor the other columns' reduced
+/// costs, so the root is never solved again.
+struct RootLp {
+    /// LP bound (minimization sense).
+    bound: f64,
+    reduced: Vec<f64>,
+    basis: Option<Arc<Basis>>,
+}
+
+impl RootLp {
+    fn remapped(&self, map: &CoreMap) -> RootLp {
+        RootLp {
+            bound: self.bound,
+            reduced: if self.reduced.is_empty() {
+                Vec::new()
+            } else {
+                map.keep.iter().map(|&k| self.reduced[k]).collect()
+            },
+            basis: self.basis.as_ref().map(|b| Arc::new(map.basis(b))),
+        }
+    }
 }
 
 /// Borrowed context shared by the search loop and the speculative workers.
 struct SearchCtx<'a> {
     model: &'a Model,
-    base: &'a LpProblem,
+    core: &'a Core,
     queue: &'a SpecQueue,
     lp_model: &'a dyn SolverModel,
     relax_ctx: &'a RelaxationContext,
-    int_vars: &'a [usize],
     stop: &'a Deadline,
     sign: f64,
 }
@@ -485,13 +766,9 @@ impl BranchBoundSolver {
             .deadline
             .clone()
             .tightened_by(self.options.time_limit);
-        let minimize = model.direction == Direction::Minimize;
-        let sign = if minimize { 1.0 } else { -1.0 };
+        let sign = objective_sign(model);
 
-        // Base LP (minimization form). The revised backend prepares its
-        // sparse matrix once — building it is linear in the model's own
-        // size, so it can safely precede the memory guard — and every node
-        // then re-solves with its own bounds (and its parent's basis).
+        // Base LP (minimization form).
         let mut base = self.build_lp(model, sign);
 
         // Presolve: activity-based bound tightening on the root box (and
@@ -520,11 +797,100 @@ impl BranchBoundSolver {
                 basis: None,
             });
         }
-        // Prepare the selected backend's model once; every node re-solves it
-        // under its own bounds.
-        let lp_model = crate::backend::backend_for(self.options.backend).prepare(&base)?;
+
+        let relax_ctx = RelaxationContext {
+            bland_after: self.options.bland_after,
+            pricing: self.options.pricing,
+            deadline: stop.clone(),
+        };
+        let mut st = SearchState {
+            best_solution: None,
+            best_obj: f64::INFINITY,
+            nodes_processed: 0,
+            lp_iterations: 0,
+            hit_limit: false,
+            best_bound: None,
+            root_basis: None,
+            root_unbounded: false,
+            root: None,
+        };
+        // The search starts on the whole LP. Each time fixings pin enough of
+        // the current core it moves, open nodes and all, onto the LP over
+        // the columns left free; a move at least halves the core, so there
+        // are at most log2(columns) of them.
+        let mut core = Core::full(base, model);
+        let mut open = vec![Node::root(self.options.warm_start.clone().map(Arc::new))];
+        while !open.is_empty() {
+            let Some((map, rest)) =
+                self.search_core(model, &core, open, &relax_ctx, &stop, &mut st)?
+            else {
+                break;
+            };
+            CORE_RESTARTS.inc();
+            open = rest.iter().filter_map(|node| node.remapped(&map)).collect();
+            st.root = st.root.map(|root| root.remapped(&map));
+            core = core.restricted(map, model);
+        }
+
+        let elapsed = start.elapsed();
+        if st.root_unbounded {
+            return Ok(MilpResult {
+                status: SolveStatus::Unbounded,
+                solution: None,
+                nodes: st.nodes_processed,
+                lp_iterations: st.lp_iterations,
+                best_bound: None,
+                elapsed,
+                basis: None,
+            });
+        }
+
+        let status = match (&st.best_solution, st.hit_limit) {
+            (Some(_), false) => SolveStatus::Optimal,
+            (Some(_), true) => SolveStatus::FeasibleLimit,
+            // Exhausted the tree without an incumbent.
+            (None, false) => SolveStatus::Infeasible,
+            (None, true) => SolveStatus::NoSolutionLimit,
+        };
+        let solution = st.best_solution.map(|values| Solution {
+            objective: model.objective_value(&values),
+            values,
+            lp_pivots: st.lp_iterations,
+        });
+        Ok(MilpResult {
+            status,
+            solution,
+            nodes: st.nodes_processed,
+            lp_iterations: st.lp_iterations,
+            best_bound: st.best_bound.map(|b| sign * b),
+            elapsed,
+            basis: st.root_basis,
+        })
+    }
+
+    /// Search the `open` nodes (bottom of the DFS stack first) over one
+    /// core: prepare the selected backend's model for the core LP once —
+    /// every node re-solves it under its own bounds (and its parent's
+    /// basis) — and walk the tree until it is exhausted, a limit fires, or
+    /// a [`CoreMap`] ends the stay on this core; the nodes still open then
+    /// come back with it.
+    fn search_core(
+        &self,
+        model: &Model,
+        core: &Core,
+        open: Vec<Node>,
+        relax_ctx: &RelaxationContext,
+        stop: &Deadline,
+        st: &mut SearchState,
+    ) -> Result<Option<(CoreMap, Vec<Node>)>> {
+        CORE_COLUMNS.record(core.cols.len() as u64);
+        #[cfg(test)]
+        tests::PROBE.with(|p| p.borrow_mut().cores.push(core.cols.len()));
+        let lp_model = crate::backend::backend_for(self.options.backend).prepare(&core.lp)?;
         // Backend-aware memory guard: without it, oversized models abort the
-        // whole process inside the allocator.
+        // whole process inside the allocator. Preparing is linear in the
+        // model's own size, so it can safely precede the guard; only the
+        // whole LP can trip it, every later one being a restriction of it.
         if let Some(cap) = self.options.max_solver_bytes {
             let bytes = lp_model.estimated_bytes();
             if bytes > cap {
@@ -532,38 +898,21 @@ impl BranchBoundSolver {
                 return Err(SolverError::ModelTooLarge { rows, cols, bytes });
             }
         }
-        let int_vars: Vec<usize> = model
-            .variables()
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.is_integral())
-            .map(|(i, _)| i)
-            .collect();
-
-        let relax_ctx = RelaxationContext {
-            bland_after: self.options.bland_after,
-            pricing: self.options.pricing,
-            deadline: stop.clone(),
-        };
         let queue = SpecQueue::new();
-        queue.push(Node {
-            deltas: Vec::new(),
-            parent_bound: f64::NEG_INFINITY,
-            warm: self.options.warm_start.clone(),
-        });
+        for node in open {
+            queue.push(node);
+        }
         let cx = SearchCtx {
             model,
-            base: &base,
+            core,
             queue: &queue,
             lp_model: lp_model.as_ref(),
-            relax_ctx: &relax_ctx,
-            int_vars: &int_vars,
-            stop: &stop,
-            sign,
+            relax_ctx,
+            stop,
+            sign: objective_sign(model),
         };
-
         let threads = self.options.threads.max(1);
-        let out = if threads > 1 {
+        let (next, rest) = if threads > 1 {
             // Speculative parallelism: the main thread walks the exact serial
             // node order while workers pre-solve queued relaxations. Worker
             // results are consumed only for nodes the main thread would have
@@ -574,128 +923,66 @@ impl BranchBoundSolver {
                         cx.queue.worker(|node| Self::speculative_solve(&cx, node));
                     });
                 }
-                let out = self.search(&cx);
-                cx.queue.shutdown();
-                out
+                let next = self.search(&cx, st);
+                (next, cx.queue.shutdown())
             })
         } else {
-            self.search(&cx)
-        }?;
-
-        let elapsed = start.elapsed();
-        if out.root_unbounded {
-            return Ok(MilpResult {
-                status: SolveStatus::Unbounded,
-                solution: None,
-                nodes: out.nodes_processed,
-                lp_iterations: out.lp_iterations,
-                best_bound: None,
-                elapsed,
-                basis: None,
-            });
-        }
-
-        let status = match (&out.best_solution, out.hit_limit) {
-            (Some(_), false) => SolveStatus::Optimal,
-            (Some(_), true) => SolveStatus::FeasibleLimit,
-            (None, false) => {
-                // Exhausted the tree without an incumbent.
-                let _ = out.root_infeasible;
-                SolveStatus::Infeasible
-            }
-            (None, true) => SolveStatus::NoSolutionLimit,
+            (self.search(&cx, st), queue.shutdown())
         };
-        let solution = out.best_solution.map(|values| Solution {
-            objective: model.objective_value(&values),
-            values,
-            lp_pivots: out.lp_iterations,
-        });
-        Ok(MilpResult {
-            status,
-            solution,
-            nodes: out.nodes_processed,
-            lp_iterations: out.lp_iterations,
-            best_bound: out.best_bound.map(|b| sign * b),
-            elapsed,
-            basis: out.root_basis,
-        })
+        Ok(next?.map(|map| (map, rest)))
     }
 
     /// A worker's view of one node: rebuild its bound box and solve the
     /// relaxation exactly as the main thread would, so the result is
     /// interchangeable with an inline solve.
     fn speculative_solve(cx: &SearchCtx<'_>, node: &Node) -> Result<Relaxation> {
-        let mut lower = cx.base.lower.clone();
-        let mut upper = cx.base.upper.clone();
-        for d in &node.deltas {
-            lower[d.var] = lower[d.var].max(d.lower);
-            upper[d.var] = upper[d.var].min(d.upper);
-            if lower[d.var] > upper[d.var] + 1e-12 {
-                // The main thread prunes crossed domains before resolving, so
-                // this placeholder is never consumed.
-                return Ok(Relaxation {
-                    status: LpStatus::Infeasible,
-                    values: Vec::new(),
-                    objective: f64::INFINITY,
-                    iterations: 0,
-                    reduced: Vec::new(),
-                    basis: None,
-                });
+        match node.bounds(&cx.core.lp) {
+            Some((lower, upper)) => {
+                cx.lp_model
+                    .solve_relaxation(&lower, &upper, node.warm.as_deref(), cx.relax_ctx)
             }
+            // The main thread prunes empty domains before resolving, so this
+            // placeholder is never consumed.
+            None => Ok(Relaxation {
+                status: LpStatus::Infeasible,
+                values: Vec::new(),
+                objective: f64::INFINITY,
+                iterations: 0,
+                reduced: Vec::new(),
+                basis: None,
+            }),
         }
-        cx.lp_model
-            .solve_relaxation(&lower, &upper, node.warm.as_ref(), cx.relax_ctx)
     }
 
-    /// The branch-and-bound loop, shared by serial and speculative runs:
-    /// nodes are popped in serial DFS order and each relaxation is obtained
-    /// through [`SpecQueue::resolve`] (inline when no worker claimed it).
-    fn search(&self, cx: &SearchCtx<'_>) -> Result<SearchOutcome> {
-        let mut best_solution: Option<Vec<f64>> = None;
-        let mut best_obj = f64::INFINITY; // minimization-sense incumbent objective
-        let mut nodes_processed = 0usize;
-        let mut lp_iterations = 0usize;
-        // Dual bound proven so far; `None` until the root relaxation is
-        // bounded, so an early deadline reports "no bound" instead of -inf.
-        let mut best_bound: Option<f64> = None;
-        let mut hit_limit = false;
-        let mut root_infeasible = false;
-        let mut root_unbounded = false;
-        let mut root_basis: Option<Basis> = None;
+    /// The branch-and-bound loop over one core, shared by serial and
+    /// speculative runs: nodes are popped in serial DFS order and each
+    /// relaxation is obtained through [`SpecQueue::resolve`] (inline when no
+    /// worker claimed it). The core's box never changes under the loop, so
+    /// every relaxation is a pure function of (core LP, node bounds, warm
+    /// basis); fixings that shrink the box end the loop with the
+    /// [`CoreMap`] to the next core instead.
+    fn search(&self, cx: &SearchCtx<'_>, st: &mut SearchState) -> Result<Option<CoreMap>> {
+        let core = cx.core;
 
         while let Some(job) = cx.queue.pop() {
             let node = &job.node;
-            if nodes_processed >= self.options.max_nodes {
-                hit_limit = true;
-                break;
-            }
-            if cx.stop.expired() {
-                hit_limit = true;
+            if st.nodes_processed >= self.options.max_nodes || cx.stop.expired() {
+                st.hit_limit = true;
                 break;
             }
             // Prune by the parent's bound before paying for an LP solve.
-            if node.parent_bound >= best_obj - self.gap_slack(best_obj) {
+            if node.parent_bound >= st.best_obj - self.gap_slack(st.best_obj) {
                 NODES_PRUNED_BOUND.inc();
                 continue;
             }
-            nodes_processed += 1;
+            st.nodes_processed += 1;
+            let is_root = st.nodes_processed == 1;
 
             // Apply the node's bound changes.
-            let mut lower = cx.base.lower.clone();
-            let mut upper = cx.base.upper.clone();
-            let mut domain_ok = true;
-            for d in &node.deltas {
-                lower[d.var] = lower[d.var].max(d.lower);
-                upper[d.var] = upper[d.var].min(d.upper);
-                if lower[d.var] > upper[d.var] + 1e-12 {
-                    domain_ok = false;
-                    break;
-                }
-            }
-            if !domain_ok {
+            let Some((mut lower, mut upper)) = node.bounds(&core.lp) else {
                 NODES_PRUNED_DOMAIN.inc();
                 continue;
-            }
+            };
 
             // A numerical failure (e.g. the simplex iteration budget being
             // exhausted on a degenerate relaxation) abandons this node rather
@@ -703,33 +990,30 @@ impl BranchBoundSolver {
             // keeps the incumbent valid and only weakens the optimality claim.
             let relax = match cx.queue.resolve(&job, || {
                 cx.lp_model
-                    .solve_relaxation(&lower, &upper, node.warm.as_ref(), cx.relax_ctx)
+                    .solve_relaxation(&lower, &upper, node.warm.as_deref(), cx.relax_ctx)
             }) {
                 Ok(r) => r,
                 Err(SolverError::Numerical(_)) => {
-                    hit_limit = true;
+                    st.hit_limit = true;
                     continue;
                 }
                 // Deadline or cancellation fired mid-LP: stop the search and
                 // fall through to return the best incumbent found so far.
                 Err(SolverError::Cancelled) => {
-                    hit_limit = true;
+                    st.hit_limit = true;
                     break;
                 }
                 Err(e) => return Err(e),
             };
-            lp_iterations += relax.iterations;
+            st.lp_iterations += relax.iterations;
             match relax.status {
                 LpStatus::Infeasible => {
                     NODES_LP_INFEASIBLE.inc();
-                    if nodes_processed == 1 {
-                        root_infeasible = true;
-                    }
                     continue;
                 }
                 LpStatus::Unbounded => {
-                    if nodes_processed == 1 {
-                        root_unbounded = true;
+                    if is_root {
+                        st.root_unbounded = true;
                         break;
                     }
                     // A child cannot be unbounded if the root was bounded;
@@ -738,12 +1022,12 @@ impl BranchBoundSolver {
                 }
                 LpStatus::Optimal => {}
             }
-            let node_bound = relax.objective;
-            if nodes_processed == 1 {
-                best_bound = Some(node_bound);
-                root_basis = relax.basis.clone();
+            let node_bound = core.offset + relax.objective;
+            if is_root {
+                st.best_bound = Some(node_bound);
+                st.root_basis = relax.basis.clone();
             }
-            if node_bound >= best_obj - self.gap_slack(best_obj) {
+            if node_bound >= st.best_obj - self.gap_slack(st.best_obj) {
                 NODES_PRUNED_BOUND.inc();
                 continue; // dominated
             }
@@ -751,7 +1035,7 @@ impl BranchBoundSolver {
             // Find the most fractional integer variable.
             let mut branch_var: Option<usize> = None;
             let mut best_frac = self.options.int_tol;
-            for &vi in cx.int_vars {
+            for &vi in &core.int_cols {
                 let x = relax.values[vi];
                 let frac = (x - x.round()).abs();
                 if frac > best_frac {
@@ -760,144 +1044,192 @@ impl BranchBoundSolver {
                 }
             }
 
+            let had_obj = st.best_obj;
             match branch_var {
                 None => {
                     NODES_INTEGRAL.inc();
                     // Integral LP optimum: candidate incumbent. Round to clean
                     // integer values and re-check feasibility on the original
                     // model (including indicator semantics).
-                    let candidate = self.snap(&relax.values, cx.model);
+                    let candidate = core.expand(&core.snap(&relax.values, cx.model));
                     if cx.model.is_feasible(&candidate, 1e-6) {
                         let obj = cx.sign * cx.model.objective_value(&candidate);
-                        if obj < best_obj - 1e-12 {
-                            best_obj = obj;
-                            best_solution = Some(candidate);
+                        if st.improved_by(obj) {
+                            st.accept(obj, candidate);
                         }
-                    } else {
+                    } else if st.improved_by(node_bound) {
                         // Numerical corner case: accept the raw LP point if it
                         // is feasible for the *linearized* model.
-                        let obj = relax.objective;
-                        if obj < best_obj - 1e-12 {
-                            best_obj = obj;
-                            best_solution = Some(relax.values.clone());
-                        }
+                        st.accept(node_bound, core.expand(&relax.values));
                     }
                 }
                 Some(vi) => {
                     NODES_BRANCHED.inc();
-                    // Rounding heuristic to seed the incumbent early.
-                    let rounded = self.snap(&relax.values, cx.model);
-                    if cx.model.is_feasible(&rounded, 1e-6) {
-                        let obj = cx.sign * cx.model.objective_value(&rounded);
-                        if obj < best_obj - 1e-12 {
-                            best_obj = obj;
-                            best_solution = Some(rounded);
-                        }
-                    }
-                    // Reduced-cost bound tightening, valid for this node's
-                    // whole subtree: with LP bound `z` and incumbent cutoff
-                    // `c`, a column nonbasic at its lower bound with reduced
-                    // cost `d > 0` satisfies obj ≥ z + d·(x_j − l_j) over the
-                    // subtree, so x_j ≤ l_j + ⌊(c − z)/d⌋ in any improving
-                    // integer solution (symmetrically at upper bounds). Both
-                    // children inherit the tightened bounds; on knapsack-like
-                    // SAA models this collapses most of the tree.
-                    let cutoff = best_obj - self.gap_slack(best_obj);
-                    let mut tighten: Vec<NodeDelta> = Vec::new();
-                    if cutoff.is_finite() && !relax.reduced.is_empty() {
-                        if let Some(basis) = &relax.basis {
-                            let budget = cutoff - node_bound;
-                            for &vj in cx.int_vars {
-                                if vj == vi {
-                                    continue;
-                                }
-                                let d = relax.reduced[vj];
-                                match basis.statuses[vj] {
-                                    VarStatus::AtLower if d > RC_EPS => {
-                                        let room =
-                                            (budget / d + self.options.int_tol).floor().max(0.0);
-                                        let new_upper = lower[vj] + room;
-                                        if new_upper < upper[vj] - 0.5 {
-                                            tighten.push(NodeDelta {
-                                                var: vj,
-                                                lower: f64::NEG_INFINITY,
-                                                upper: new_upper,
-                                            });
-                                        }
-                                    }
-                                    VarStatus::AtUpper if d < -RC_EPS => {
-                                        let room =
-                                            (budget / -d + self.options.int_tol).floor().max(0.0);
-                                        let new_lower = upper[vj] - room;
-                                        if new_lower > lower[vj] + 0.5 {
-                                            tighten.push(NodeDelta {
-                                                var: vj,
-                                                lower: new_lower,
-                                                upper: f64::INFINITY,
-                                            });
-                                        }
-                                    }
-                                    _ => {}
-                                }
+                    // Rounding heuristic to seed the incumbent early. Its
+                    // objective costs one pass over the core; the model-sized
+                    // feasibility check only runs for a candidate that would
+                    // beat the incumbent.
+                    let rounded = core.snap(&relax.values, cx.model);
+                    if st.improved_by(core.objective(&rounded)) {
+                        let candidate = core.expand(&rounded);
+                        if cx.model.is_feasible(&candidate, 1e-6) {
+                            let obj = cx.sign * cx.model.objective_value(&candidate);
+                            if st.improved_by(obj) {
+                                st.accept(obj, candidate);
                             }
                         }
                     }
-                    if !tighten.is_empty() {
-                        RC_TIGHTENINGS.add(tighten.len() as u64);
+                    // Reduced-cost bound tightening, valid for this node's
+                    // whole subtree; both children inherit the tightened
+                    // bounds. On knapsack-like SAA models this collapses
+                    // most of the tree.
+                    let basis = relax.basis.map(Arc::new);
+                    let cutoff = st.best_obj - self.gap_slack(st.best_obj);
+                    if let (true, Some(basis)) = (cutoff.is_finite(), &basis) {
+                        let tightened = self.tighten_by_reduced_costs(
+                            &core.int_cols,
+                            &relax.reduced,
+                            basis,
+                            cutoff - node_bound,
+                            &mut lower,
+                            &mut upper,
+                        );
+                        RC_TIGHTENINGS.add(tightened as u64);
                     }
+                    // The children's shared bounds: one entry per column
+                    // (the branching one aside) whose bounds left the core's
+                    // box, however often they were tightened on the way down.
+                    let moved =
+                        |j: usize| lower[j] != core.lp.lower[j] || upper[j] != core.lp.upper[j];
+                    let inherited: Arc<[NodeDelta]> = (0..lower.len())
+                        .filter(|&j| j != vi && moved(j))
+                        .map(|j| NodeDelta {
+                            var: j,
+                            lower: lower[j],
+                            upper: upper[j],
+                        })
+                        .collect();
+                    #[cfg(test)]
+                    tests::PROBE.with(|p| p.borrow_mut().node_deltas(inherited.len() + 1));
                     let x = relax.values[vi];
-                    let floor = x.floor();
-                    let ceil = x.ceil();
                     // DFS: push the "down" child last so it is explored first
-                    // (for minimization of package cost, smaller multiplicities
-                    // tend to be feasible more often).
-                    let inherited = node.deltas.iter().chain(&tighten);
-                    let mut up = Vec::with_capacity(node.deltas.len() + tighten.len() + 1);
-                    up.extend(inherited.clone().map(|d| NodeDelta {
-                        var: d.var,
-                        lower: d.lower,
-                        upper: d.upper,
-                    }));
-                    up.push(NodeDelta {
-                        var: vi,
-                        lower: ceil,
-                        upper: f64::INFINITY,
-                    });
-                    let mut down = Vec::with_capacity(node.deltas.len() + tighten.len() + 1);
-                    down.extend(inherited.map(|d| NodeDelta {
-                        var: d.var,
-                        lower: d.lower,
-                        upper: d.upper,
-                    }));
-                    down.push(NodeDelta {
-                        var: vi,
-                        lower: f64::NEG_INFINITY,
-                        upper: floor,
-                    });
-                    cx.queue.push(Node {
-                        deltas: up,
-                        parent_bound: node_bound,
-                        warm: relax.basis.clone(),
-                    });
-                    cx.queue.push(Node {
-                        deltas: down,
-                        parent_bound: node_bound,
-                        warm: relax.basis,
-                    });
+                    // (for minimization of package cost, smaller
+                    // multiplicities tend to be feasible more often).
+                    let branches = [
+                        NodeDelta {
+                            var: vi,
+                            lower: x.ceil(),
+                            upper: upper[vi],
+                        },
+                        NodeDelta {
+                            var: vi,
+                            lower: lower[vi],
+                            upper: x.floor(),
+                        },
+                    ];
+                    for branch in branches {
+                        cx.queue.push(Node {
+                            inherited: inherited.clone(),
+                            branch: Some(branch),
+                            parent_bound: node_bound,
+                            warm: basis.clone(),
+                        });
+                    }
+                    if is_root {
+                        st.root = Some(RootLp {
+                            bound: node_bound,
+                            reduced: relax.reduced,
+                            basis,
+                        });
+                    }
+                }
+            }
+            // Core reduction: once the root is branched, and whenever the
+            // incumbent improves, fix columns from the root's reduced costs
+            // against the cutoff; with enough of them pinned, the open nodes
+            // move onto the LP over the others.
+            if is_root || st.best_obj < had_obj {
+                if let Some(map) = self.core_reduction(core, st) {
+                    return Ok(Some(map));
                 }
             }
         }
 
-        Ok(SearchOutcome {
-            best_solution,
-            nodes_processed,
-            lp_iterations,
-            best_bound,
-            hit_limit,
-            root_infeasible,
-            root_unbounded,
-            root_basis,
-        })
+        Ok(None)
+    }
+
+    /// Reduced-cost bound tightening over the subtree of an LP optimum with
+    /// bound `z` and reduced costs `d`: with incumbent cutoff `c`, a column
+    /// nonbasic at its lower bound with `d > 0` satisfies obj ≥ z + d·(x_j −
+    /// l_j) over the subtree, so x_j ≤ l_j + ⌊(c − z)/d⌋ in any improving
+    /// integer solution (symmetrically at upper bounds). `budget` is `c − z`;
+    /// `lower`/`upper` are the optimum's bound box and are tightened in
+    /// place. Returns how many bounds moved.
+    fn tighten_by_reduced_costs(
+        &self,
+        int_cols: &[usize],
+        reduced: &[f64],
+        basis: &Basis,
+        budget: f64,
+        lower: &mut [f64],
+        upper: &mut [f64],
+    ) -> usize {
+        if reduced.is_empty() {
+            return 0;
+        }
+        let mut tightened = 0;
+        for &vj in int_cols {
+            let d = reduced[vj];
+            match basis.statuses[vj] {
+                VarStatus::AtLower if d > RC_EPS => {
+                    let room = (budget / d + self.options.int_tol).floor().max(0.0);
+                    let new_upper = lower[vj] + room;
+                    if new_upper < upper[vj] - 0.5 {
+                        upper[vj] = new_upper;
+                        tightened += 1;
+                    }
+                }
+                VarStatus::AtUpper if d < -RC_EPS => {
+                    let room = (budget / -d + self.options.int_tol).floor().max(0.0);
+                    let new_lower = upper[vj] - room;
+                    if new_lower > lower[vj] + 0.5 {
+                        lower[vj] = new_lower;
+                        tightened += 1;
+                    }
+                }
+                _ => {}
+            }
+        }
+        tightened
+    }
+
+    /// Globally valid fixing: the root LP bounds every point of the core's
+    /// box, and every solution better than the incumbent lies in that box
+    /// (earlier reductions only removed points no better than *their*
+    /// cutoff), so tightening the box itself by the root's reduced costs
+    /// against the current cutoff loses no improving solution. Returns the
+    /// move onto the tightened box when it pins at least
+    /// [`CORE_REDUCTION_SHARE`] of the core (but leaves a column to search
+    /// over).
+    fn core_reduction(&self, core: &Core, st: &SearchState) -> Option<CoreMap> {
+        let root = st.root.as_ref()?;
+        let mut lower = core.lp.lower.clone();
+        let mut upper = core.lp.upper.clone();
+        let cutoff = st.best_obj - self.gap_slack(st.best_obj);
+        if let (true, Some(basis)) = (cutoff.is_finite(), &root.basis) {
+            self.tighten_by_reduced_costs(
+                &core.int_cols,
+                &root.reduced,
+                basis,
+                cutoff - root.bound,
+                &mut lower,
+                &mut upper,
+            );
+        }
+        let map = CoreMap::folding(lower, upper);
+        let n = map.new_index.len();
+        let fixed = n - map.keep.len();
+        (fixed < n && fixed as f64 >= CORE_REDUCTION_SHARE * n as f64).then_some(map)
     }
 
     fn gap_slack(&self, best_obj: f64) -> f64 {
@@ -906,19 +1238,6 @@ impl BranchBoundSolver {
         } else {
             0.0
         }
-    }
-
-    /// Round integer variables to the nearest integer and clamp everything to
-    /// its bounds.
-    fn snap(&self, values: &[f64], model: &Model) -> Vec<f64> {
-        values
-            .iter()
-            .zip(model.variables())
-            .map(|(&x, v)| {
-                let x = if v.is_integral() { x.round() } else { x };
-                x.clamp(v.lower, v.upper)
-            })
-            .collect()
     }
 
     /// Build the (minimization-sense) LP relaxation with indicator
@@ -940,121 +1259,21 @@ impl BranchBoundSolver {
         for ic in model.indicators() {
             let inner = &ic.constraint;
             let terms: Vec<(usize, f64)> = inner.terms.iter().map(|(v, co)| (v.0, *co)).collect();
-            // Bounds of the inner expression over the variable box.
-            let (lo, hi) = self.expr_bounds(&terms, &lower, &upper);
-            let y = ic.indicator.0;
-            match inner.sense {
-                Sense::Ge => {
-                    // active => sum >= rhs. Inactive must be relaxed:
-                    // sum >= rhs - M * (1 - active_ind).
-                    let m = (inner.rhs - lo).max(0.0).min(self.options.big_m_cap);
-                    let mut t = terms.clone();
-                    if ic.active_value {
-                        // sum + M*y >= rhs  would be wrong; we need
-                        // sum >= rhs - M*(1-y)  <=>  sum - M*y >= rhs - M.
-                        t.push((y, -m));
-                        rows.push(LpRow {
-                            terms: t,
-                            sense: Sense::Ge,
-                            rhs: inner.rhs - m,
-                        });
-                    } else {
-                        // active when y = 0: sum >= rhs - M*y  <=>  sum + M*y >= rhs.
-                        t.push((y, m));
-                        rows.push(LpRow {
-                            terms: t,
-                            sense: Sense::Ge,
-                            rhs: inner.rhs,
-                        });
-                    }
-                }
-                Sense::Le => {
-                    let m = (hi - inner.rhs).max(0.0).min(self.options.big_m_cap);
-                    let mut t = terms.clone();
-                    if ic.active_value {
-                        // sum <= rhs + M*(1-y)  <=>  sum + M*y <= rhs + M.
-                        t.push((y, m));
-                        rows.push(LpRow {
-                            terms: t,
-                            sense: Sense::Le,
-                            rhs: inner.rhs + m,
-                        });
-                    } else {
-                        // sum <= rhs + M*y.
-                        t.push((y, -m));
-                        rows.push(LpRow {
-                            terms: t,
-                            sense: Sense::Le,
-                            rhs: inner.rhs,
-                        });
-                    }
-                }
-                Sense::Eq => {
-                    // Model as the conjunction of <= and >=.
-                    for sense in [Sense::Le, Sense::Ge] {
-                        let sub = crate::model::Constraint {
-                            name: inner.name.clone(),
-                            terms: inner.terms.clone(),
-                            sense,
-                            rhs: inner.rhs,
-                        };
-                        let sub_ind = crate::model::IndicatorConstraint {
-                            indicator: ic.indicator,
-                            active_value: ic.active_value,
-                            constraint: sub,
-                        };
-                        // Inline the two cases by recursion-free duplication.
-                        let terms2: Vec<(usize, f64)> = sub_ind
-                            .constraint
-                            .terms
-                            .iter()
-                            .map(|(v, co)| (v.0, *co))
-                            .collect();
-                        let (lo2, hi2) = self.expr_bounds(&terms2, &lower, &upper);
-                        let y2 = sub_ind.indicator.0;
-                        let rhs2 = sub_ind.constraint.rhs;
-                        let mut t2 = terms2.clone();
-                        match sense {
-                            Sense::Ge => {
-                                let m = (rhs2 - lo2).max(0.0).min(self.options.big_m_cap);
-                                if sub_ind.active_value {
-                                    t2.push((y2, -m));
-                                    rows.push(LpRow {
-                                        terms: t2,
-                                        sense: Sense::Ge,
-                                        rhs: rhs2 - m,
-                                    });
-                                } else {
-                                    t2.push((y2, m));
-                                    rows.push(LpRow {
-                                        terms: t2,
-                                        sense: Sense::Ge,
-                                        rhs: rhs2,
-                                    });
-                                }
-                            }
-                            Sense::Le => {
-                                let m = (hi2 - rhs2).max(0.0).min(self.options.big_m_cap);
-                                if sub_ind.active_value {
-                                    t2.push((y2, m));
-                                    rows.push(LpRow {
-                                        terms: t2,
-                                        sense: Sense::Le,
-                                        rhs: rhs2 + m,
-                                    });
-                                } else {
-                                    t2.push((y2, -m));
-                                    rows.push(LpRow {
-                                        terms: t2,
-                                        sense: Sense::Le,
-                                        rhs: rhs2,
-                                    });
-                                }
-                            }
-                            Sense::Eq => unreachable!(),
-                        }
-                    }
-                }
+            // An equality is the conjunction of `<=` and `>=`.
+            let senses: &[Sense] = match inner.sense {
+                Sense::Eq => &[Sense::Le, Sense::Ge],
+                ref one => std::slice::from_ref(one),
+            };
+            for &sense in senses {
+                rows.push(self.indicator_row(
+                    &terms,
+                    sense,
+                    inner.rhs,
+                    ic.indicator.0,
+                    ic.active_value,
+                    &lower,
+                    &upper,
+                ));
             }
         }
         LpProblem {
@@ -1063,6 +1282,44 @@ impl BranchBoundSolver {
             upper,
             rows,
         }
+    }
+
+    /// The big-M row that enforces `terms sense rhs` (`sense` is `Ge` or
+    /// `Le`) while the binary column `y` equals `active_value` and relaxes
+    /// it over the whole variable box otherwise:
+    ///
+    /// * `Ge`, active on 1: `sum >= rhs - M(1 - y)`, i.e. `sum - M·y >= rhs - M`;
+    /// * `Ge`, active on 0: `sum >= rhs - M·y`, i.e. `sum + M·y >= rhs`;
+    /// * `Le`, active on 1: `sum <= rhs + M(1 - y)`, i.e. `sum + M·y <= rhs + M`;
+    /// * `Le`, active on 0: `sum <= rhs + M·y`, i.e. `sum - M·y <= rhs`.
+    #[allow(clippy::too_many_arguments)]
+    fn indicator_row(
+        &self,
+        terms: &[(usize, f64)],
+        sense: Sense,
+        rhs: f64,
+        y: usize,
+        active_value: bool,
+        lower: &[f64],
+        upper: &[f64],
+    ) -> LpRow {
+        // Bounds of the inner expression over the variable box.
+        let (lo, hi) = self.expr_bounds(terms, lower, upper);
+        // `M` covers the worst violation; `relax` is the direction in which
+        // it moves the right-hand side.
+        let (m, relax) = match sense {
+            Sense::Ge => ((rhs - lo).max(0.0).min(self.options.big_m_cap), -1.0),
+            Sense::Le => ((hi - rhs).max(0.0).min(self.options.big_m_cap), 1.0),
+            Sense::Eq => unreachable!("equality indicators are split into Le and Ge rows"),
+        };
+        let (y_coeff, rhs) = if active_value {
+            (relax * m, rhs + relax * m)
+        } else {
+            (-relax * m, rhs)
+        };
+        let mut terms = terms.to_vec();
+        terms.push((y, y_coeff));
+        LpRow { terms, sense, rhs }
     }
 
     /// Lower and upper bounds of a linear expression over the variable box,
@@ -1110,10 +1367,324 @@ pub fn solve_full(model: &Model, options: &SolverOptions) -> Result<MilpResult> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Model, Sense, VarType};
+    use crate::model::{Model, Sense, VarId, VarType};
 
     fn opts() -> SolverOptions {
         SolverOptions::default()
+    }
+
+    /// What the searches run on this thread did that no result reports.
+    #[derive(Default)]
+    pub(super) struct Probe {
+        /// Columns of every core searched, in order.
+        pub(super) cores: Vec<usize>,
+        /// Most bound deltas any pushed node held.
+        peak_node_deltas: usize,
+    }
+
+    impl Probe {
+        pub(super) fn node_deltas(&mut self, n: usize) {
+            self.peak_node_deltas = self.peak_node_deltas.max(n);
+        }
+    }
+
+    thread_local! {
+        pub(super) static PROBE: std::cell::RefCell<Probe> = std::cell::RefCell::default();
+    }
+
+    /// Solve on this thread and return what the probe saw of that solve.
+    fn probed(model: &Model, options: &SolverOptions) -> (MilpResult, Probe) {
+        PROBE.with(|p| p.take());
+        let res = solve_full(model, options).unwrap();
+        (res, PROBE.with(|p| p.take()))
+    }
+
+    /// Per-item pseudo-random values in [0, 1), stable under reordering.
+    fn unit(i: usize, salt: u32) -> f64 {
+        let h = (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (h.rotate_left(salt) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// A deterministic shuffle of `0..n`.
+    fn shuffled(n: usize) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..n).collect();
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for k in (1..n).rev() {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            order.swap(k, (state >> 33) as usize % (k + 1));
+        }
+        order
+    }
+
+    /// A Galaxy-shaped CSA model: one integer multiplicity per item, COUNT
+    /// between 5 and 10, one dense real `>=` row (a conservative summary of
+    /// the minimized attribute). Column `k` holds item `order[k]`, so any
+    /// permutation of `order` states the same problem.
+    fn galaxy_shaped_model(order: &[usize]) -> Model {
+        let mean = |i: usize| 14.0 + 8.0 * unit(i, 0);
+        let mut m = Model::minimize();
+        let vars: Vec<_> = order
+            .iter()
+            .map(|&i| m.add_var(format!("x{i}"), VarType::Integer, 0.0, 3.0, mean(i)))
+            .collect();
+        let count: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
+        m.add_constraint("count_lo", count.clone(), Sense::Ge, 5.0);
+        m.add_constraint("count_hi", count, Sense::Le, 10.0);
+        let summary = vars
+            .iter()
+            .zip(order)
+            .map(|(&v, &i)| (v, mean(i) - 0.5 - 2.5 * unit(i, 17)))
+            .collect();
+        m.add_constraint("summary", summary, Sense::Ge, 72.0);
+        m
+    }
+
+    fn revised() -> SolverOptions {
+        SolverOptions {
+            backend: SolverBackend::Revised,
+            ..opts()
+        }
+    }
+
+    /// The search moved onto ever smaller cores, each at most half the last.
+    fn assert_reduced(probe: &Probe, columns: usize) {
+        assert_eq!(probe.cores[0], columns, "the first core is the whole LP");
+        assert!(
+            probe.cores.len() > 1,
+            "no core reduction: {:?}",
+            probe.cores
+        );
+        for pair in probe.cores.windows(2) {
+            assert!(2 * pair[1] <= pair[0], "cores {:?}", probe.cores);
+        }
+    }
+
+    #[test]
+    fn optimum_is_invariant_under_column_permutation() {
+        // Metamorphic check of the search on the core: the same problem
+        // under another column order reduces through other cores and walks
+        // another tree, and must still reach the same optimum.
+        let n = 2000;
+        let identity: Vec<usize> = (0..n).collect();
+        let mut objectives = Vec::new();
+        for order in [identity, shuffled(n)] {
+            let model = galaxy_shaped_model(&order);
+            let (res, probe) = probed(&model, &revised());
+            assert_eq!(res.status, SolveStatus::Optimal);
+            assert_reduced(&probe, n);
+            let sol = res.solution.unwrap();
+            assert!(model.is_feasible(&sol.values, 1e-6));
+            objectives.push(sol.objective);
+        }
+        let (a, b) = (objectives[0], objectives[1]);
+        assert!(
+            (a - b).abs() <= 2.0 * opts().rel_gap * a.abs(),
+            "{a} vs {b}"
+        );
+        // The metric catalog's view of the same thing.
+        let counter = |name| spq_obs::metrics::counter_value(name).unwrap_or(0);
+        assert!(counter("spq_solver_core_restarts") > 0);
+        let cores = spq_obs::metrics::histogram("spq_solver_core_columns").unwrap();
+        assert!(cores.inner().count() > 0 && cores.inner().max() >= n as u64);
+    }
+
+    #[test]
+    fn node_deltas_never_outnumber_columns() {
+        // A 200-node dive on a 500-column knapsack whose near-equal ratios
+        // keep the tree alive. Each level re-tightens many of the same
+        // columns; a node must hold one merged entry per column, not one per
+        // tightening.
+        let mut m = Model::maximize();
+        let vars: Vec<_> = (0..500)
+            .map(|i| {
+                let w = 3.0 + 4.0 * unit(i, 5);
+                let v = w * (1.0 + 0.02 * unit(i, 23));
+                (m.add_var(format!("x{i}"), VarType::Integer, 0.0, 4.0, v), w)
+            })
+            .collect();
+        m.add_constraint("cap", vars, Sense::Le, 61.3);
+        let options = SolverOptions {
+            max_nodes: 200,
+            threads: 1,
+            ..revised()
+        };
+        let (res, probe) = probed(&m, &options);
+        assert_eq!(res.nodes, 200, "the dive must reach the node limit");
+        assert!(
+            probe.peak_node_deltas > 1,
+            "the dive never tightened a bound"
+        );
+        assert!(
+            probe.peak_node_deltas <= 500,
+            "a node held {} deltas on 500 columns",
+            probe.peak_node_deltas
+        );
+    }
+
+    #[test]
+    fn a_one_node_search_reports_the_full_root() {
+        // `max_nodes = 1` is how callers ask for the root relaxation alone:
+        // the bound and the basis are those of the whole LP even though the
+        // search would have left it for a smaller core right after the root.
+        let n = 400;
+        let order: Vec<usize> = (0..n).collect();
+        let mut model = galaxy_shaped_model(&order);
+        // More than half of the columns fixed by the model itself: the core
+        // reduction fires at the root, incumbent or not.
+        for i in 0..n {
+            if i % 5 != 0 {
+                model.set_bounds(VarId(i), 0.0, 0.0);
+            }
+        }
+        let (full, probe) = probed(&model, &revised());
+        assert_eq!(full.status, SolveStatus::Optimal);
+        assert_reduced(&probe, n);
+        let root_only = SolverOptions {
+            max_nodes: 1,
+            ..revised()
+        };
+        let (res, probe) = probed(&model, &root_only);
+        assert_eq!(res.nodes, 1);
+        assert_eq!(probe.cores[0], n);
+        assert!(!matches!(
+            res.status,
+            SolveStatus::Optimal | SolveStatus::Infeasible
+        ));
+        assert_eq!(
+            res.best_bound.map(f64::to_bits),
+            full.best_bound.map(f64::to_bits)
+        );
+        let basis = res.basis.expect("the root was solved");
+        assert_eq!(basis.num_cols(), n + model.num_constraints());
+        // And that basis warm-starts the next related solve.
+        let warm = SolverOptions {
+            warm_start: Some(basis),
+            ..revised()
+        };
+        let again = solve_full(&model, &warm).unwrap();
+        assert_eq!(again.status, SolveStatus::Optimal);
+        assert!(again.lp_iterations <= full.lp_iterations);
+        let (a, b) = (
+            full.solution.unwrap().objective,
+            again.solution.unwrap().objective,
+        );
+        assert!(
+            (a - b).abs() <= 2.0 * opts().rel_gap * a.abs(),
+            "{a} vs {b}"
+        );
+    }
+
+    #[test]
+    fn limits_hold_across_core_reductions() {
+        let n = 2000;
+        let order: Vec<usize> = (0..n).collect();
+        let model = galaxy_shaped_model(&order);
+        let (full, probe) = probed(&model, &revised());
+        assert_reduced(&probe, n);
+        let best = full.solution.unwrap().objective;
+        let check = |res: &MilpResult| match &res.solution {
+            Some(sol) => {
+                assert!(res.status.has_solution());
+                assert!(model.is_feasible(&sol.values, 1e-6));
+                assert!(sol.objective >= best - 2.0 * opts().rel_gap * best.abs());
+            }
+            None => assert_eq!(res.status, SolveStatus::NoSolutionLimit),
+        };
+
+        // The node budget spans the cores: one node short of the full
+        // search stops on the last core with the incumbent in hand.
+        let budget = SolverOptions {
+            max_nodes: full.nodes - 1,
+            ..revised()
+        };
+        let (res, probe) = probed(&model, &budget);
+        assert_reduced(&probe, n);
+        assert_eq!(res.nodes, full.nodes - 1);
+        assert_eq!(res.status, SolveStatus::FeasibleLimit);
+        check(&res);
+
+        // Time limits and cancellation, wherever they land in the search.
+        for micros in [0, 200, 1_000, 5_000, 20_000] {
+            let timed = SolverOptions {
+                time_limit: Some(Duration::from_micros(micros)),
+                ..revised()
+            };
+            let res = solve_full(&model, &timed).unwrap();
+            if res.status != SolveStatus::Optimal {
+                assert!(res.nodes < full.nodes, "time limit {micros} us ignored");
+            }
+            check(&res);
+
+            let token = crate::CancellationToken::new();
+            let cancelled = SolverOptions {
+                deadline: Deadline::none().with_token(token.clone()),
+                ..revised()
+            };
+            let canceller = std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_micros(micros));
+                token.cancel();
+            });
+            let res = solve_full(&model, &cancelled).unwrap();
+            canceller.join().unwrap();
+            check(&res);
+        }
+    }
+
+    #[test]
+    fn indicator_rows_are_pinned() {
+        // 2·x0 − x1 over x0 ∈ [0, 4], x1 ∈ [−2, 3] ranges over [−3, 10];
+        // against rhs 1.5 that is M = 4.5 for `>=` and M = 8.5 for `<=`.
+        let build = |sense: Sense, active_value: bool| {
+            let mut m = Model::minimize();
+            let x0 = m.add_var("x0", VarType::Integer, 0.0, 4.0, 1.0);
+            let x1 = m.add_var("x1", VarType::Continuous, -2.0, 3.0, 1.0);
+            let y = m.add_var("y", VarType::Binary, 0.0, 1.0, 0.0);
+            m.add_indicator(
+                "ind",
+                y,
+                active_value,
+                vec![(x0, 2.0), (x1, -1.0)],
+                sense,
+                1.5,
+            );
+            let rows = BranchBoundSolver::new(opts()).build_lp(&m, 1.0).rows;
+            rows.into_iter()
+                .map(|r| (r.terms, r.sense, r.rhs))
+                .collect::<Vec<_>>()
+        };
+        let row = |y_coeff: f64, sense: Sense, rhs: f64| {
+            (vec![(0, 2.0), (1, -1.0), (2, y_coeff)], sense, rhs)
+        };
+        assert_eq!(build(Sense::Ge, true), [row(-4.5, Sense::Ge, -3.0)]);
+        assert_eq!(build(Sense::Ge, false), [row(4.5, Sense::Ge, 1.5)]);
+        assert_eq!(build(Sense::Le, true), [row(8.5, Sense::Le, 10.0)]);
+        assert_eq!(build(Sense::Le, false), [row(-8.5, Sense::Le, 1.5)]);
+        assert_eq!(
+            build(Sense::Eq, true),
+            [row(8.5, Sense::Le, 10.0), row(-4.5, Sense::Ge, -3.0)]
+        );
+        assert_eq!(
+            build(Sense::Eq, false),
+            [row(-8.5, Sense::Le, 1.5), row(4.5, Sense::Ge, 1.5)]
+        );
+        // The cap bounds both the box the expression ranges over and `M`:
+        // x ∈ [−9, 9] counts as [−6, 6], so `<=` needs M = 2 and `>=` is cut
+        // from 10 to 6.
+        let capped = SolverOptions {
+            big_m_cap: 6.0,
+            ..opts()
+        };
+        let mut m = Model::minimize();
+        let x = m.add_var("x", VarType::Integer, -9.0, 9.0, 1.0);
+        let y = m.add_var("y", VarType::Binary, 0.0, 1.0, 0.0);
+        m.add_indicator("ind", y, true, vec![(x, 1.0)], Sense::Eq, 4.0);
+        let rows = BranchBoundSolver::new(capped).build_lp(&m, 1.0).rows;
+        assert_eq!(rows[0].terms, [(0, 1.0), (1, 2.0)]);
+        assert_eq!((rows[0].sense, rows[0].rhs), (Sense::Le, 6.0));
+        assert_eq!(rows[1].terms, [(0, 1.0), (1, -6.0)]);
+        assert_eq!((rows[1].sense, rows[1].rhs), (Sense::Ge, -2.0));
     }
 
     #[test]
@@ -1504,18 +2075,28 @@ mod tests {
         // The deterministic-parallelism contract: any thread count produces
         // the same objective, node count, and iteration count as serial,
         // because workers only pre-solve the exact relaxations the main
-        // thread consumes in serial DFS order.
-        let model = chained_model(60);
-        let serial = solve_full(
-            &model,
-            &SolverOptions {
-                threads: 1,
-                ..opts()
-            },
-        )
-        .unwrap();
-        for threads in [2, 4] {
-            let par = solve_full(&model, &SolverOptions { threads, ..opts() }).unwrap();
+        // thread consumes in serial DFS order — across core reductions too
+        // (the second model moves through four cores).
+        let order: Vec<usize> = (0..2000).collect();
+        for (model, options, thread_counts) in [
+            (chained_model(60), opts(), [2, 4]),
+            (galaxy_shaped_model(&order), revised(), [2, 8]),
+        ] {
+            bit_identical_at(&model, &options, thread_counts);
+        }
+    }
+
+    fn bit_identical_at(model: &Model, options: &SolverOptions, thread_counts: [usize; 2]) {
+        let at = |threads| {
+            let options = SolverOptions {
+                threads,
+                ..options.clone()
+            };
+            solve_full(model, &options).unwrap()
+        };
+        let serial = at(1);
+        for threads in thread_counts {
+            let par = at(threads);
             assert_eq!(par.status, serial.status, "threads {threads}");
             assert_eq!(par.nodes, serial.nodes, "threads {threads}");
             assert_eq!(par.lp_iterations, serial.lp_iterations, "threads {threads}");

@@ -17,10 +17,11 @@
 //! * [`branch_bound`] — branch-and-bound over the LP relaxation with big-M
 //!   linearization of indicator constraints, most-fractional branching, a
 //!   rounding incumbent heuristic, warm-started child nodes (each child
-//!   re-solves from its parent's basis), and node/time limits that return
-//!   the best incumbent found (mirroring the paper's use of a solver
-//!   wall-clock limit: "when the time limit expires, we interrupt CPLEX and
-//!   get the best solution found by the solver until then").
+//!   re-solves from its parent's basis), a search that moves onto the LP's
+//!   live core as reduced-cost fixing pins columns, and node/time limits
+//!   that return the best incumbent found (mirroring the paper's use of a
+//!   solver wall-clock limit: "when the time limit expires, we interrupt
+//!   CPLEX and get the best solution found by the solver until then").
 //!
 //! ```
 //! use spq_solver::{Model, Sense, VarType, SolverOptions};

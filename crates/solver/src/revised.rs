@@ -76,7 +76,8 @@ pub struct RevisedSolution {
     /// Simplex iterations (pivots and bound flips) performed.
     pub iterations: usize,
     /// Reduced costs of the structural columns at the optimum (0 for basic
-    /// columns; empty unless optimal). Minimization sense: a column nonbasic
+    /// columns and for columns fixed by `lower == upper`; empty unless
+    /// optimal). Minimization sense: a column nonbasic
     /// at its lower bound has `reduced ≥ 0` and moving it up by `t` costs at
     /// least `reduced·t`, which is what reduced-cost fixing exploits.
     pub reduced: Vec<f64>,
@@ -721,10 +722,12 @@ impl<'a> Simplex<'a> {
                     .zip(&self.x)
                     .map(|(c, v)| c * v)
                     .sum::<f64>();
-                // Reduced costs of the nonbasic structural columns (basic
-                // columns get 0): d = c − Aᵀ·B⁻ᵀc_B. One btran plus a pass
-                // over the structural nonzeros; callers use these for
-                // reduced-cost bound tightening in branch-and-bound.
+                // Reduced costs of the nonbasic structural columns that can
+                // still move (basic and fixed columns get 0): d = c −
+                // Aᵀ·B⁻ᵀc_B. One btran plus a pass over the nonzeros of the
+                // movable columns; callers use these for reduced-cost bound
+                // tightening in branch-and-bound, which has nothing left to
+                // tighten on a fixed column.
                 let m = self.rlp.m;
                 let mut y = vec![0.0f64; m];
                 for (i, &bv) in self.basic_vars.iter().enumerate() {
@@ -733,7 +736,7 @@ impl<'a> Simplex<'a> {
                 self.fact.btran(&mut y);
                 let reduced: Vec<f64> = (0..self.rlp.n_struct)
                     .map(|j| {
-                        if self.status[j] == VarStatus::Basic {
+                        if self.status[j] == VarStatus::Basic || self.lower[j] == self.upper[j] {
                             0.0
                         } else {
                             self.rlp.cost[j] - self.rlp.matrix.col_dot(j, &y)

@@ -2,9 +2,44 @@
 //! programs, branch-and-bound must match exhaustive enumeration.
 
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard};
+use stochastic_package_queries::obs::metrics::counter_value;
 use stochastic_package_queries::solver::{
-    solve_full, Model, Sense, SolveStatus, SolverOptions, VarType,
+    solve_full, Model, Sense, SolveStatus, SolverBackend, SolverOptions, VarType,
 };
+
+/// The tests of this file take turns, so that a move of the process-wide
+/// core-reduction counter belongs to the test that reads it.
+fn serial() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Best objective over every integer point of the box `0..=upper[i]` that
+/// the model itself accepts (maximization); `None` when there is none.
+fn brute_force_model(model: &Model, upper: &[u32]) -> Option<f64> {
+    let mut best: Option<f64> = None;
+    let mut point = vec![0.0; upper.len()];
+    loop {
+        if model.is_feasible(&point, 1e-9) {
+            let obj = model.objective_value(&point);
+            best = Some(best.map_or(obj, |b: f64| b.max(obj)));
+        }
+        // Advance the mixed-radix counter.
+        let mut i = 0;
+        loop {
+            if i == upper.len() {
+                return best;
+            }
+            if point[i] < f64::from(upper[i]) {
+                point[i] += 1.0;
+                break;
+            }
+            point[i] = 0.0;
+            i += 1;
+        }
+    }
+}
 
 /// Enumerate every integer point of the box and return the best feasible
 /// objective value (maximization).
@@ -65,6 +100,7 @@ proptest! {
         ),
         caps in proptest::collection::vec(2.0f64..15.0, 1..3),
     ) {
+        let _turn = serial();
         let n = values.len();
         let m = raw_weights.len().min(caps.len());
         let weights: Vec<Vec<f64>> = raw_weights
@@ -116,6 +152,7 @@ proptest! {
         ),
         rhs in -2.0f64..4.0,
     ) {
+        let _turn = serial();
         let n = values.len();
         let mut model = Model::maximize();
         let vars: Vec<_> = values
@@ -169,4 +206,93 @@ proptest! {
             prop_assert!(satisfied as f64 >= required);
         }
     }
+}
+
+/// The search on the live core is exact: on knapsacks with 1-3 real-weighted
+/// rows and 0-3 indicator rows (both activation values), small enough to
+/// enumerate yet with multiplicity bounds wide enough that the first
+/// incumbents pin most columns, branch-and-bound matches brute force while
+/// moving onto smaller cores.
+#[test]
+fn core_reducing_search_matches_brute_force() {
+    const MAX_ITEMS: usize = 9;
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+        fn cases(
+            values in proptest::collection::vec(0.5f64..10.0, 4..MAX_ITEMS + 1),
+            weight_rows in proptest::collection::vec(
+                proptest::collection::vec(0.5f64..5.0, MAX_ITEMS),
+                1..4,
+            ),
+            fill in proptest::collection::vec(0.15f64..0.5, 3),
+            indicator_rows in proptest::collection::vec(
+                proptest::collection::vec(-2.0f64..4.0, MAX_ITEMS),
+                0..4,
+            ),
+            rewards in proptest::collection::vec(0.5f64..6.0, 3),
+            rhs in 1.0f64..6.0,
+        ) {
+            let n = values.len();
+            // At most 3^9 * 2^3 = 157k points to enumerate.
+            let multiplicity = if n <= 7 { 3u32 } else { 2 };
+            let mut model = Model::maximize();
+            let items: Vec<_> = values
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| {
+                    model.add_var(format!("x{i}"), VarType::Integer, 0.0, f64::from(multiplicity), v)
+                })
+                .collect();
+            let mut upper = vec![multiplicity; n];
+            for (row, fill) in weight_rows.iter().zip(&fill) {
+                let total: f64 = row[..n].iter().sum::<f64>() * f64::from(multiplicity);
+                model.add_constraint(
+                    "cap",
+                    items.iter().zip(row).map(|(x, &w)| (*x, w)).collect(),
+                    Sense::Le,
+                    fill * total,
+                );
+            }
+            for (j, (row, reward)) in indicator_rows.iter().zip(&rewards).enumerate() {
+                // Active on 1: taking y earns the reward and imposes the row.
+                // Active on 0: leaving y at 0 avoids the charge and imposes it.
+                let active_value = j % 2 == 0;
+                let objective = if active_value { *reward } else { -*reward };
+                let y = model.add_var(format!("y{j}"), VarType::Binary, 0.0, 1.0, objective);
+                model.add_indicator(
+                    format!("ind{j}"),
+                    y,
+                    active_value,
+                    items.iter().zip(row).map(|(x, &a)| (*x, a)).collect(),
+                    Sense::Ge,
+                    rhs,
+                );
+                upper.push(1);
+            }
+            let expected = brute_force_model(&model, &upper).expect("x = 0, y inactive is feasible");
+
+            let options = SolverOptions {
+                backend: SolverBackend::Revised,
+                ..SolverOptions::with_time_limit_secs(20)
+            };
+            let result = solve_full(&model, &options).unwrap();
+            prop_assert_eq!(result.status, SolveStatus::Optimal);
+            let solution = result.solution.unwrap();
+            prop_assert!(model.is_feasible(&solution.values, 1e-6));
+            prop_assert!(
+                (solution.objective - expected).abs() <= 1e-6 * expected.abs().max(1.0),
+                "solver {} vs brute force {}",
+                solution.objective,
+                expected
+            );
+        }
+    }
+    let _turn = serial();
+    let reductions = || counter_value("spq_solver_core_restarts").unwrap_or(0);
+    let before = reductions();
+    cases();
+    assert!(
+        reductions() > before,
+        "no case moved the search onto a smaller core"
+    );
 }

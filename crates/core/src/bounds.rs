@@ -12,9 +12,19 @@
 //!   probabilistic constraint *supports* or *counteracts* the objective
 //!   (Definition 2), e.g. `ω̂ ≥ p·v` for a minimization objective
 //!   counteracted by `Pr(Σ ξ x ≥ v) ≥ p` with `v ≥ 0`.
+//!
+//! The certificate is **demand-driven**: [`certificate`] is the one place
+//! the bounds and `ε⁽q⁾` are combined, and it is called only where ε is
+//! read — the search loops' termination test when the user's ε is finite
+//! ([`within_epsilon`]), and callers that report ε. Its Table 1 input (the
+//! realized-value bounds `s̲, s̄`: 64 validation scenarios × every candidate
+//! tuple) is realized by the first call on an instance that needs it and
+//! memoized there; probability and deterministic-coefficient objectives
+//! never realize a cell for it.
 
 use crate::instance::Instance;
-use crate::silp::{ConstraintKind, Direction, SilpConstraint, SilpObjective};
+use crate::silp::{CoeffSource, ConstraintKind, Direction, SilpConstraint, SilpObjective};
+use crate::Result;
 use spq_solver::Sense;
 
 /// How a probabilistic constraint interacts with the objective
@@ -78,16 +88,18 @@ impl OmegaBounds {
     }
 }
 
-/// Compute bounds on the validation-optimal objective value `ω̂`.
-pub fn omega_bounds(instance: &Instance<'_>) -> OmegaBounds {
+/// Compute bounds on the validation-optimal objective value `ω̂`. Fails
+/// only when the realized-value bounds of a stochastic objective column
+/// cannot be sampled.
+pub fn omega_bounds(instance: &Instance<'_>) -> Result<OmegaBounds> {
     let silp = &instance.silp;
 
     // Probability objectives are fractions: trivially bounded by [0, 1].
     if silp.objective.is_probability() {
-        return OmegaBounds {
+        return Ok(OmegaBounds {
             lower: 0.0,
             upper: 1.0,
-        };
+        });
     }
 
     let (l_lo, l_hi) = instance.package_size_bounds();
@@ -96,7 +108,7 @@ pub fn omega_bounds(instance: &Instance<'_>) -> OmegaBounds {
     // --- Constraint-agnostic bounds (Table 1). -----------------------------
     let value_bounds = match &silp.objective {
         SilpObjective::Linear { coeff, .. } => match coeff {
-            crate::silp::CoeffSource::Stochastic(_) => instance.objective_value_bounds(),
+            CoeffSource::Stochastic(_) => instance.objective_value_bounds()?,
             other => {
                 // Deterministic coefficients: bound by their min/max.
                 instance.coefficients(other).ok().and_then(|c| {
@@ -159,7 +171,7 @@ pub fn omega_bounds(instance: &Instance<'_>) -> OmegaBounds {
                 // Symmetrically for maximization with Pr(Σ ξ x ≥ v) ≥ p,
                 // v ≤ 0 and values bounded below by s̲ ≤ 0:
                 // ω̂ ≥ v + (1 - p)·s̲·l̄.
-                if let Some((s_lo, s_hi)) = instance.objective_value_bounds() {
+                if let Some((s_lo, s_hi)) = instance.objective_value_bounds()? {
                     if l_hi.is_finite() {
                         match silp.objective.direction() {
                             Direction::Minimize
@@ -181,7 +193,27 @@ pub fn omega_bounds(instance: &Instance<'_>) -> OmegaBounds {
         }
     }
 
-    bounds
+    Ok(bounds)
+}
+
+/// The certificate `ε⁽q⁾` of Section 5.4 for a solution of `instance` whose
+/// validated objective estimate is `objective_estimate`: `+∞` when no bound
+/// applies.
+pub fn certificate(instance: &Instance<'_>, objective_estimate: f64) -> Result<f64> {
+    Ok(epsilon_upper_bound(
+        instance.silp.objective.direction(),
+        objective_estimate,
+        &omega_bounds(instance)?,
+    ))
+}
+
+/// The ε half of the paper's termination test: is a solution with this
+/// objective estimate `(1 + ε)`-approximate for the user's
+/// [`crate::SpqOptions::epsilon`]? A non-finite ε (the default) accepts
+/// every solution without computing the certificate.
+pub fn within_epsilon(instance: &Instance<'_>, objective_estimate: f64) -> Result<bool> {
+    let epsilon = instance.options.epsilon;
+    Ok(!epsilon.is_finite() || certificate(instance, objective_estimate)? <= epsilon)
 }
 
 /// Compute the certificate quantity `ε⁽q⁾` of Propositions 2–5 for a solution
@@ -240,7 +272,7 @@ pub fn epsilon_min(direction: Direction, bounds: &OmegaBounds) -> f64 {
 mod tests {
     use super::*;
     use crate::options::SpqOptions;
-    use crate::silp::{CoeffSource, Silp};
+    use crate::silp::Silp;
     use spq_mcdb::vg::NormalNoise;
     use spq_mcdb::RelationBuilder;
 
@@ -330,7 +362,7 @@ mod tests {
             objective: objective(Direction::Minimize, "flux"),
         };
         let inst = Instance::new(&rel, silp, SpqOptions::for_tests()).unwrap();
-        let b = omega_bounds(&inst);
+        let b = omega_bounds(&inst).unwrap();
         assert!(b.lower >= 36.0 - 1e-9, "lower bound {}", b.lower);
         assert!(b.upper.is_finite());
         // ε for a solution with value 45 is at most 45/36 - 1 = 0.25.
@@ -360,7 +392,7 @@ mod tests {
             },
         };
         let inst = Instance::new(&rel, silp, SpqOptions::for_tests()).unwrap();
-        let b = omega_bounds(&inst);
+        let b = omega_bounds(&inst).unwrap();
         assert_eq!(b.lower, 0.0);
         assert_eq!(b.upper, 1.0);
         // A solution achieving probability 0.8 has ε ≤ 1/0.8 - 1 = 0.25.
@@ -403,6 +435,158 @@ mod tests {
         assert!(epsilon_min(Direction::Minimize, &b).is_infinite());
     }
 
+    /// A four-tuple instance with a linear objective over the stochastic
+    /// column `v` (`N(means, 1)`), a `COUNT(*)` window `[count_lo, count_hi]`
+    /// and, optionally, `Pr(SUM(v) ≥ floor) ≥ 0.9`.
+    fn linear_instance<'a>(
+        rel: &'a spq_mcdb::Relation,
+        direction: Direction,
+        (count_lo, count_hi): (f64, f64),
+        floor: Option<f64>,
+        options: SpqOptions,
+    ) -> Instance<'a> {
+        let count = |sense, rhs| SilpConstraint {
+            name: "count".into(),
+            coeff: CoeffSource::Constant(1.0),
+            sense,
+            rhs,
+            kind: ConstraintKind::Deterministic,
+        };
+        let mut constraints = vec![count(Sense::Ge, count_lo), count(Sense::Le, count_hi)];
+        constraints.extend(floor.map(|v| constraint(Sense::Ge, v, 0.9, "v")));
+        let silp = Silp {
+            relation: "r".into(),
+            tuples: vec![0, 1, 2, 3],
+            repeat_bound: None,
+            constraints,
+            objective: objective(direction, "v"),
+        };
+        Instance::new(rel, silp, options).unwrap()
+    }
+
+    fn noisy(means: [f64; 4]) -> spq_mcdb::Relation {
+        RelationBuilder::new("r")
+            .stochastic("v", NormalNoise::around(means.to_vec(), 1.0))
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn certificate_combines_the_bounds_and_the_proposition_that_applies() {
+        let positive = noisy([10.0, 12.0, 9.0, 11.0]);
+        let negative = noisy([-10.0, -12.0, -9.0, -11.0]);
+        let opts = SpqOptions::for_tests;
+        // (instance, objective estimate, the proposition's formula over the
+        // instance's bounds).
+        type Formula = fn(f64, &OmegaBounds) -> f64;
+        let cases: [(Instance<'_>, f64, Formula); 5] = [
+            // Proposition 2: minimization, ω̲ = p·v = 36 > 0.
+            (
+                linear_instance(
+                    &positive,
+                    Direction::Minimize,
+                    (0.0, 10.0),
+                    Some(40.0),
+                    opts(),
+                ),
+                45.0,
+                |omega, b| omega / b.lower - 1.0,
+            ),
+            // Proposition 3: minimization, ω̲ = s̲·l̄ < 0.
+            (
+                linear_instance(&negative, Direction::Minimize, (0.0, 5.0), None, opts()),
+                -30.0,
+                |omega, b| b.lower / omega - 1.0,
+            ),
+            // Proposition 4: maximization, ω̄ = s̄·l̄ > 0.
+            (
+                linear_instance(&positive, Direction::Maximize, (0.0, 5.0), None, opts()),
+                20.0,
+                |omega, b| b.upper / omega - 1.0,
+            ),
+            // Proposition 5: maximization, ω̄ = s̄·l̲ < 0.
+            (
+                linear_instance(&negative, Direction::Maximize, (2.0, 5.0), None, opts()),
+                -25.0,
+                |omega, b| omega / b.upper - 1.0,
+            ),
+            // No bound applies: minimizing positive values with l̲ = 0 gives
+            // ω̲ = 0, which certifies nothing.
+            (
+                linear_instance(&positive, Direction::Minimize, (0.0, 5.0), None, opts()),
+                20.0,
+                |_, _| f64::INFINITY,
+            ),
+        ];
+        for (i, (inst, estimate, formula)) in cases.iter().enumerate() {
+            let bounds = omega_bounds(inst).unwrap();
+            let eps = certificate(inst, *estimate).unwrap();
+            let direction = inst.silp.objective.direction();
+            assert_eq!(
+                eps,
+                epsilon_upper_bound(direction, *estimate, &bounds),
+                "case {i}"
+            );
+            assert_eq!(eps, formula(*estimate, &bounds), "case {i}: {bounds:?}");
+            assert_eq!(eps.is_finite(), i < 4, "case {i}: {bounds:?}");
+            assert!(eps >= 0.0, "case {i}: {eps}");
+        }
+    }
+
+    #[test]
+    fn the_first_certificate_realizes_the_value_bounds_and_later_ones_are_memo_hits() {
+        let rel = noisy([10.0, 12.0, 9.0, 11.0]);
+        let cache = std::sync::Arc::new(spq_mcdb::ScenarioCache::new());
+        let opts = SpqOptions::for_tests().with_scenario_cache(cache.clone());
+        let inst = linear_instance(&rel, Direction::Maximize, (0.0, 5.0), None, opts.clone());
+        // Preparation realized nothing.
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
+        let first = certificate(&inst, 20.0).unwrap();
+        assert!(first.is_finite());
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        // The second call does not even consult the scenario cache.
+        assert_eq!(certificate(&inst, 20.0).unwrap(), first);
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        // within_epsilon reads ε only when the user's bound is finite.
+        let lax = linear_instance(&rel, Direction::Maximize, (0.0, 5.0), None, opts.clone());
+        assert!(within_epsilon(&lax, 20.0).unwrap());
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        let mut strict_opts = opts;
+        strict_opts.epsilon = first / 2.0;
+        let strict = linear_instance(&rel, Direction::Maximize, (0.0, 5.0), None, strict_opts);
+        assert!(!within_epsilon(&strict, 20.0).unwrap());
+        // A second instance over the same tuples shares the realized block.
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+    }
+
+    #[test]
+    fn a_failed_value_bounds_realization_is_the_certificates_typed_error() {
+        let rel = noisy([10.0, 12.0, 9.0, 11.0]);
+        let mut inst = linear_instance(
+            &rel,
+            Direction::Maximize,
+            (0.0, 5.0),
+            None,
+            SpqOptions::for_tests(),
+        );
+        // Realization itself cannot fail on a column preparation accepted,
+        // so break the instance after the fact: point the objective at a
+        // column the relation does not have.
+        let intact = std::mem::replace(
+            &mut inst.silp.objective,
+            objective(Direction::Maximize, "gone"),
+        );
+        let err = certificate(&inst, 20.0).unwrap_err();
+        assert!(
+            matches!(&err, crate::SpqError::Mcdb(spq_mcdb::McdbError::UnknownColumn(c)) if c == "gone"),
+            "unexpected error: {err:?}"
+        );
+        assert!(within_epsilon(&inst, 20.0).unwrap(), "ε = ∞ never reads it");
+        // The failure was not memoized.
+        inst.silp.objective = intact;
+        assert!(certificate(&inst, 20.0).unwrap().is_finite());
+    }
+
     #[test]
     fn table1_bounds_respect_value_signs() {
         // Maximization of gains that can be negative: the supporting
@@ -428,7 +612,7 @@ mod tests {
             objective: objective(Direction::Maximize, "gain"),
         };
         let inst = Instance::new(&rel, silp, SpqOptions::for_tests()).unwrap();
-        let b = omega_bounds(&inst);
+        let b = omega_bounds(&inst).unwrap();
         assert!(b.upper.is_finite());
         assert!(b.lower <= b.upper);
         // The supporting constraint (>= -10, v < 0) provides a finite lower

@@ -10,6 +10,7 @@
 //! iteration budget.
 
 use crate::alpha::{guess_alpha, AlphaHistory};
+use crate::bounds::within_epsilon;
 use crate::instance::Instance;
 use crate::saa::{build_model, probability_objective_block, ProbBlock};
 use crate::silp::{Direction, SilpConstraint};
@@ -154,11 +155,12 @@ pub fn csa_solve(
     }
     let mut validation_scenarios = 0usize;
 
-    // Feasible, within the user's ε bound, and every surplus nonnegative:
+    // Feasible, every surplus nonnegative, and within the user's ε bound:
     // the paper's termination test.
-    let accepts = |report: &ValidationReport| {
-        let eps_ok = report.epsilon_upper_bound <= opts.epsilon || !opts.epsilon.is_finite();
-        report.feasible && eps_ok && report.constraints.iter().all(|c| c.surplus >= 0.0)
+    let accepts = |report: &ValidationReport| -> Result<bool> {
+        Ok(report.feasible
+            && report.constraints.iter().all(|c| c.surplus >= 0.0)
+            && within_epsilon(instance, report.objective_estimate)?)
     };
 
     loop {
@@ -237,7 +239,7 @@ pub fn csa_solve(
             // give it its certificate with one deadline-exempt pass.
             report = validate_with(instance, &x, &opts.certificate_validation())?;
             validation_scenarios += report.scenarios_used;
-        } else if accepts(&report) && report.early_stopped {
+        } else if report.early_stopped && accepts(&report)? {
             // An accepted candidate terminates the search, so this confirm
             // IS the answer's certificate: run it deadline-exempt (one
             // bounded pass) so a deadline firing mid-confirm cannot leave
@@ -269,7 +271,7 @@ pub fn csa_solve(
 
         // Termination: feasible and (1 + ε)-approximate (already confirmed
         // at the full budget above when the adaptive pass stopped early).
-        if accepts(&report) {
+        if accepts(&report)? {
             return Ok(CsaSolveOutcome {
                 x,
                 validation: report,

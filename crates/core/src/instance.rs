@@ -13,8 +13,9 @@ use crate::silp::{CoeffSource, Silp, SilpObjective};
 use crate::Result;
 use spq_mcdb::{ExpectationEstimator, Relation, ScenarioGenerator, ScenarioMatrix};
 use spq_solver::Sense;
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A prepared problem instance: everything the Naïve and SummarySearch
 /// algorithms need to formulate, solve and validate.
@@ -40,8 +41,9 @@ pub struct Instance<'a> {
     multiplicity_floors: Vec<f64>,
     /// (min, max) realized value of the objective column over a sample of
     /// validation scenarios, restricted to candidate tuples; used for the
-    /// constraint-agnostic bounds of Table 1.
-    objective_value_bounds: Option<(f64, f64)>,
+    /// constraint-agnostic bounds of Table 1. Sampled on first read (see
+    /// [`Self::objective_value_bounds`]): only the ε certificate needs it.
+    objective_value_bounds: OnceLock<Option<(f64, f64)>>,
     /// Moment prefilter: for every referenced stochastic column whose
     /// candidate tuples are all provably scenario-invariant (zero-variance —
     /// see [`spq_mcdb::VgFunction::is_scenario_invariant`]), the single
@@ -52,7 +54,10 @@ pub struct Instance<'a> {
 
 impl<'a> Instance<'a> {
     /// Prepare an instance: validate column references, estimate
-    /// expectations, derive multiplicity bounds.
+    /// expectations, derive multiplicity bounds. No scenario block is
+    /// realized here (beyond a single-scenario probe of provably invariant
+    /// columns); the streams are drawn when an algorithm, the validator or
+    /// the ε certificate first asks for them.
     ///
     /// Preparation also **arms the deadline**: the relative
     /// [`SpqOptions::time_limit`] is folded into [`SpqOptions::deadline`]
@@ -150,7 +155,7 @@ impl<'a> Instance<'a> {
         let multiplicity_bounds = derive_multiplicity_bounds(&silp, &det_values, &options);
         let multiplicity_floors = vec![0.0; multiplicity_bounds.len()];
 
-        let mut instance = Instance {
+        Ok(Instance {
             relation,
             silp,
             options,
@@ -160,11 +165,9 @@ impl<'a> Instance<'a> {
             expectations,
             multiplicity_bounds,
             multiplicity_floors,
-            objective_value_bounds: None,
+            objective_value_bounds: OnceLock::new(),
             invariant_values,
-        };
-        instance.objective_value_bounds = instance.sample_objective_value_bounds()?;
-        Ok(instance)
+        })
     }
 
     /// Number of decision variables (candidate tuples).
@@ -229,11 +232,12 @@ impl<'a> Instance<'a> {
 
     /// The deterministic coefficient vector used in a DILP for a coefficient
     /// source: constants, deterministic values, or expectation estimates.
-    pub fn coefficients(&self, coeff: &CoeffSource) -> Result<Vec<f64>> {
+    /// Per-tuple sources are borrowed; only a constant is materialized.
+    pub fn coefficients(&self, coeff: &CoeffSource) -> Result<Cow<'_, [f64]>> {
         Ok(match coeff {
-            CoeffSource::Constant(c) => vec![*c; self.num_vars()],
-            CoeffSource::Deterministic(col) => self.deterministic(col)?.to_vec(),
-            CoeffSource::Stochastic(col) => self.expectations(col)?.to_vec(),
+            CoeffSource::Constant(c) => Cow::Owned(vec![*c; self.num_vars()]),
+            CoeffSource::Deterministic(col) => Cow::Borrowed(self.deterministic(col)?),
+            CoeffSource::Stochastic(col) => Cow::Borrowed(self.expectations(col)?),
         })
     }
 
@@ -374,8 +378,19 @@ impl<'a> Instance<'a> {
 
     /// (min, max) sampled value of the objective's stochastic column, if the
     /// objective is stochastic.
-    pub fn objective_value_bounds(&self) -> Option<(f64, f64)> {
-        self.objective_value_bounds
+    ///
+    /// The first call realizes 64 validation scenarios × every candidate
+    /// tuple (through the shared scenario cache when one is configured) and
+    /// memoizes the result; later calls are free (the memo depends only on
+    /// the candidate tuples and the objective column, which pinning or
+    /// capping multiplicities does not change). A failed realization is
+    /// returned as its typed error and not memoized.
+    pub fn objective_value_bounds(&self) -> Result<Option<(f64, f64)>> {
+        if let Some(bounds) = self.objective_value_bounds.get() {
+            return Ok(*bounds);
+        }
+        let sampled = self.sample_objective_value_bounds()?;
+        Ok(*self.objective_value_bounds.get_or_init(|| sampled))
     }
 
     /// Package-size bounds `(l̲, l̄)` implied by `COUNT(*)` constraints
@@ -424,10 +439,10 @@ impl<'a> Instance<'a> {
         // Sample a modest number of validation scenarios across all candidate
         // tuples to bound realized values (assumption A1 of Appendix B; the
         // paper likewise derives possibly loose bounds from min/max scenario
-        // values). At 10k+ candidates this block is the dominant preparation
-        // cost, so it goes through the shared scenario cache when one is
-        // configured: repeated or concurrent evaluations of the same query
-        // sample it once.
+        // values). At 10k+ candidates this block costs more than preparing
+        // the instance did, so it goes through the shared scenario cache when
+        // one is configured: repeated or concurrent evaluations of the same
+        // query sample it once.
         let samples = 64.min(self.options.validation_scenarios.max(1));
         let matrix = match &self.options.scenario_cache {
             Some(cache) => cache.sparse_matrix(
@@ -654,7 +669,7 @@ mod tests {
     fn objective_value_bounds_are_sampled_for_stochastic_objectives() {
         let rel = relation();
         let inst = Instance::new(&rel, silp(vec![count_le(3.0)]), SpqOptions::for_tests()).unwrap();
-        let (lo, hi) = inst.objective_value_bounds().unwrap();
+        let (lo, hi) = inst.objective_value_bounds().unwrap().unwrap();
         assert!(lo < hi);
         // Gains are N(1..4, 0.5); sampled bounds should be within a broad
         // plausible window.
@@ -715,13 +730,20 @@ mod tests {
         let opts = SpqOptions::for_tests().with_scenario_cache(cache.clone());
         let a = Instance::new(&rel, silp(vec![count_le(3.0)]), opts.clone()).unwrap();
         let b = Instance::new(&rel, silp(vec![count_le(3.0)]), opts).unwrap();
-        // Instance preparation itself shares the objective-bounds block.
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        // Preparation realizes nothing: not even the objective-bounds block.
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
         let ma = a.optimization_matrix("gain", 6).unwrap();
         let mb = b.optimization_matrix("gain", 6).unwrap();
         assert!(
             Arc::ptr_eq(&ma, &mb),
             "two instances over the same relation must share the block"
+        );
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        // The objective-bounds block is realized by its first reader and
+        // shared with the other instance.
+        assert_eq!(
+            a.objective_value_bounds().unwrap(),
+            b.objective_value_bounds().unwrap()
         );
         assert_eq!((cache.hits(), cache.misses()), (2, 2));
         // The uncached path produces bit-identical values.
@@ -789,7 +811,7 @@ mod tests {
             inst.tuple_moments("gain", 100).unwrap(),
             vec![(1.5, 0.0), (2.5, 0.0), (3.5, 0.0), (4.5, 0.0)]
         );
-        assert_eq!(inst.objective_value_bounds(), Some((1.5, 4.5)));
+        assert_eq!(inst.objective_value_bounds().unwrap(), Some((1.5, 4.5)));
     }
 
     #[test]
@@ -809,7 +831,7 @@ mod tests {
         )
         .unwrap();
         assert!(inst.is_scenario_free("gain"));
-        assert_eq!(inst.objective_value_bounds(), Some((1.0, 4.0)));
+        assert_eq!(inst.objective_value_bounds().unwrap(), Some((1.0, 4.0)));
 
         // A noisy column keeps drawing: not scenario-free, nonzero stds.
         let noisy = relation();

@@ -174,7 +174,6 @@ mod tests {
                 scenarios_evaluated: 1000,
             }],
             objective_estimate: 12.5,
-            epsilon_upper_bound: 0.2,
             scenarios_used: 1000,
             m_hat: 1000,
             early_stopped: false,

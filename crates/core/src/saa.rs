@@ -101,9 +101,9 @@ pub fn build_model(
     };
 
     // Decision variables with their objective coefficients.
-    let obj_coeffs: Vec<f64> = match &silp.objective {
+    let obj_coeffs = match &silp.objective {
         SilpObjective::Linear { coeff, .. } => instance.coefficients(coeff)?,
-        SilpObjective::Probability { .. } => vec![0.0; n],
+        SilpObjective::Probability { .. } => vec![0.0; n].into(),
     };
     let bounds = instance.multiplicity_bounds();
     let floors = instance.multiplicity_floors();
@@ -127,7 +127,7 @@ pub fn build_model(
                 let coeffs = instance.coefficients(&c.coeff)?;
                 let terms: Vec<(VarId, f64)> = x_vars
                     .iter()
-                    .zip(&coeffs)
+                    .zip(coeffs.iter())
                     .filter(|(_, &co)| co != 0.0)
                     .map(|(x, &co)| (*x, co))
                     .collect();

@@ -16,6 +16,7 @@
 //! across Z/M escalations), so re-solves of structurally identical models
 //! restart from the previous optimal vertex.
 
+use crate::bounds::within_epsilon;
 use crate::csa_solve::{csa_solve, realize_matrices};
 use crate::instance::Instance;
 use crate::package::{EvaluationResult, EvaluationStats, Package};
@@ -131,7 +132,7 @@ pub fn evaluate_summary_search(instance: &Instance<'_>) -> Result<EvaluationResu
             best = Some(package);
         }
 
-        if report.feasible && report.epsilon_upper_bound <= opts.epsilon {
+        if report.feasible && within_epsilon(instance, report.objective_estimate)? {
             // Feasible and (1 + ε)-approximate: done.
             break;
         } else if report.feasible && z < m {

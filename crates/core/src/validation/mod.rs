@@ -47,10 +47,9 @@
 
 mod engine;
 
-use crate::bounds::{epsilon_upper_bound, omega_bounds, OmegaBounds};
 use crate::error::SpqError;
 use crate::instance::Instance;
-use crate::silp::SilpObjective;
+use crate::silp::{CoeffSource, SilpObjective};
 use crate::Result;
 use serde::{Deserialize, Serialize};
 
@@ -232,8 +231,6 @@ pub struct ValidationReport {
     /// (expectations for linear objectives, satisfied fraction for
     /// probability objectives).
     pub objective_estimate: f64,
-    /// The certificate `ε⁽q⁾` of Section 5.4 (`+∞` when no bound applies).
-    pub epsilon_upper_bound: f64,
     /// Number of validation scenarios actually evaluated (the furthest any
     /// target was scored).
     pub scenarios_used: usize,
@@ -299,28 +296,32 @@ pub fn validate_with(
     }
     let scan = engine::scan(instance, x, options)?;
 
-    // Objective estimate.
+    // Objective estimate. A linear objective's terms are zero off the
+    // package's support, so only the support is summed — in ascending
+    // position order, the order the full-length dot product adds its
+    // non-zero terms in (from +0.0, which is also what that product gives
+    // an empty package).
     let objective_estimate = match &instance.silp.objective {
-        SilpObjective::Linear { coeff, .. } => {
-            let coeffs = instance.coefficients(coeff)?;
-            coeffs.iter().zip(x).map(|(c, v)| c * v).sum()
-        }
+        SilpObjective::Linear { coeff, .. } => match coeff {
+            CoeffSource::Constant(c) => x
+                .iter()
+                .filter(|&&v| v != 0.0)
+                .fold(0.0, |sum, v| sum + c * v),
+            per_tuple => instance
+                .coefficients(per_tuple)?
+                .iter()
+                .zip(x)
+                .filter(|(_, &v)| v != 0.0)
+                .fold(0.0, |sum, (c, v)| sum + c * v),
+        },
         SilpObjective::Probability { .. } => scan.objective_fraction.unwrap_or(0.0),
     };
-
-    let bounds: OmegaBounds = omega_bounds(instance);
-    let epsilon = epsilon_upper_bound(
-        instance.silp.objective.direction(),
-        objective_estimate,
-        &bounds,
-    );
 
     let feasible = scan.constraints.iter().all(|c| c.feasible);
     Ok(ValidationReport {
         feasible,
         constraints: scan.constraints,
         objective_estimate,
-        epsilon_upper_bound: epsilon,
         scenarios_used: scan.scenarios_used,
         m_hat: options.m_hat,
         early_stopped: scan.early_stopped,

@@ -21,12 +21,12 @@ use crate::protocol::{
     QueryRequest, QueryResponse, QueryStatus, ValidateRequest, ValidateResponse,
 };
 use crate::results::{Claim, ResultCache, ResultKey};
+use spq_core::bounds::certificate;
 use spq_core::validation::{validate_with, EarlyStop, ValidationOptions};
 use spq_core::{Algorithm, Instance, SpqEngine, SpqOptions};
 use spq_mcdb::{Relation, ScenarioCache};
 use spq_solver::{CancellationToken, Deadline};
 use spq_workloads::{build_workload, WorkloadKind};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -475,11 +475,6 @@ impl SpqService {
             return failure(QueryStatus::Timeout, "deadline expired while queued".into());
         }
 
-        let silp = match self.prepared.get_or_compile(&relation, &request.query) {
-            Ok((silp, _)) => silp,
-            Err(e) => return failure(QueryStatus::Error, e.to_string()),
-        };
-
         let mut options = self.config.base_options.clone();
         if let Some(seed) = request.seed {
             options.seed = seed;
@@ -504,32 +499,25 @@ impl SpqService {
             .validation_scenarios
             .unwrap_or(options.validation_scenarios);
 
-        let instance = match Instance::new(&relation, (*silp).clone(), options) {
+        let prepared = {
+            let _span = spq_obs::span("prepare");
+            self.prepared
+                .get_or_compile(&relation, &request.query)
+                .and_then(|(silp, _)| Instance::new(&relation, (*silp).clone(), options))
+        };
+        let instance = match prepared {
             Ok(instance) => instance,
             Err(e) => return failure(QueryStatus::Error, e.to_string()),
         };
-
-        // Map the wire package (relation tuple indices) onto candidate
-        // positions.
-        let mut x = vec![0.0f64; instance.num_vars()];
-        let pos_of: HashMap<usize, usize> = instance
-            .silp
-            .tuples
-            .iter()
-            .enumerate()
-            .map(|(pos, &tuple)| (tuple, pos))
-            .collect();
-        for &(tuple, mult) in &request.package {
-            match pos_of.get(&tuple) {
-                Some(&pos) => x[pos] += f64::from(mult),
-                None => {
-                    return failure(
-                        QueryStatus::Error,
-                        format!("tuple {tuple} is not a candidate of this query"),
-                    )
-                }
+        let x = match dense_package(&instance.silp.tuples, &request.package) {
+            Ok(x) => x,
+            Err(tuple) => {
+                return failure(
+                    QueryStatus::Error,
+                    format!("tuple {tuple} is not a candidate of this query"),
+                )
             }
-        }
+        };
 
         let vopts = ValidationOptions {
             m_hat,
@@ -542,8 +530,14 @@ impl SpqService {
             // Wire requests carry client timeouts: honor them strictly.
             honor_deadline: true,
         };
-        match validate_with(&instance, &x, &vopts) {
-            Ok(report) => {
+        // The wire reports ε, so this is one of the places the certificate
+        // is computed (a `query` op never is, at the default ε).
+        let certified = validate_with(&instance, &x, &vopts).and_then(|report| {
+            let epsilon = certificate(&instance, report.objective_estimate)?;
+            Ok((report, epsilon))
+        });
+        match certified {
+            Ok((report, epsilon)) => {
                 let status = if token.is_cancelled() {
                     QueryStatus::Cancelled
                 } else if report.interrupted && deadline.expired() {
@@ -551,7 +545,6 @@ impl SpqService {
                 } else {
                     QueryStatus::Ok
                 };
-                let epsilon = report.epsilon_upper_bound;
                 finish(ValidateResponse {
                     id: request.id.clone(),
                     status,
@@ -750,6 +743,33 @@ impl SpqService {
     }
 }
 
+/// Place a wire package (`(relation tuple index, multiplicity)` pairs) onto
+/// the candidate positions of `tuples`, or name the first package tuple that
+/// is not a candidate. Indexes the package's tens of tuples rather than the
+/// N candidates: one pass over `tuples`, a binary search in the package each.
+fn dense_package(tuples: &[usize], package: &[(usize, u32)]) -> Result<Vec<f64>, usize> {
+    let mut wanted: Vec<usize> = package.iter().map(|&(tuple, _)| tuple).collect();
+    wanted.sort_unstable();
+    wanted.dedup();
+    let mut position: Vec<Option<usize>> = vec![None; wanted.len()];
+    for (pos, tuple) in tuples.iter().enumerate() {
+        if let Ok(k) = wanted.binary_search(tuple) {
+            position[k] = Some(pos);
+        }
+    }
+    let mut x = vec![0.0f64; tuples.len()];
+    for &(tuple, mult) in package {
+        let k = wanted
+            .binary_search(&tuple)
+            .expect("every package tuple was indexed above");
+        match position[k] {
+            Some(pos) => x[pos] += f64::from(mult),
+            None => return Err(tuple),
+        }
+    }
+    Ok(x)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -917,6 +937,52 @@ mod tests {
         assert!(v.feasible);
         assert!(v.early_stopped);
         assert!(v.scenarios_used < 200_000);
+    }
+
+    #[test]
+    fn dense_package_places_a_wire_package_on_candidate_positions() {
+        // Candidates in any order; repeated package tuples accumulate.
+        assert_eq!(
+            dense_package(&[7, 3, 9, 4], &[(9, 2), (7, 1), (9, 1)]),
+            Ok(vec![1.0, 0.0, 3.0, 0.0])
+        );
+        assert_eq!(dense_package(&[7, 3], &[]), Ok(vec![0.0, 0.0]));
+        // The first non-candidate in request order is the one named.
+        assert_eq!(dense_package(&[7, 3, 9], &[(3, 1), (8, 1), (5, 1)]), Err(8));
+    }
+
+    #[test]
+    fn validate_op_realizes_only_the_blocks_something_reads() {
+        let service = service();
+        let cache = service.scenario_cache().clone();
+        let block_bytes = |scenarios: usize, tuples: usize| (scenarios * tuples * 8) as u64;
+
+        // Probability objective: ω̂ ∈ [0, 1] needs no sampled value bounds,
+        // so the op realizes its M̂ × support validation block and nothing
+        // else.
+        let mut probability = validate_request("p", vec![(0, 1), (2, 1)]);
+        probability.query = "SELECT PACKAGE(*) FROM stocks SUCH THAT SUM(price) <= 300 \
+                             MAXIMIZE PROBABILITY OF SUM(gain) >= 6"
+            .into();
+        let v = run_validate(&service, &probability);
+        assert_eq!(v.status, QueryStatus::Ok, "{:?}", v.error);
+        let objective = v.objective_estimate.unwrap();
+        assert!(objective > 0.0 && objective < 1.0, "objective {objective}");
+        assert_eq!(v.epsilon_upper_bound, Some(1.0 / objective - 1.0));
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        assert_eq!(cache.resident_bytes(), block_bytes(500, 2));
+
+        // Expectation objective over the same column and support: the
+        // validation block is shared, and the certificate adds Table 1's
+        // 64 × N block.
+        let v = run_validate(&service, &validate_request("l", vec![(0, 1), (2, 1)]));
+        assert_eq!(v.status, QueryStatus::Ok, "{:?}", v.error);
+        assert!(v.epsilon_upper_bound.is_some_and(f64::is_finite));
+        assert_eq!((cache.hits(), cache.misses()), (1, 2));
+        assert_eq!(
+            cache.resident_bytes(),
+            block_bytes(500, 2) + block_bytes(64, 4)
+        );
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!   growing server memory;
 //! * the relation catalog round-trips over the wire: `load_relation` →
 //!   query → `unload_relation`, tenant isolation, quota admission errors;
-//! * the `stats` op exposes catalog and reactor state.
+//! * the `stats` op exposes catalog and reactor state;
+//! * the ε certificate's wire contract: `validate` responses carry it,
+//!   `query` responses are byte-identical to the recorded ones.
 
 use spq_core::{Algorithm, SpqOptions};
 use spq_mcdb::vg::NormalNoise;
@@ -677,5 +679,129 @@ fn stats_expose_catalog_and_reactor_state_over_tcp() {
     assert_eq!(relations.len(), 1);
     assert!(acme_snap.get("resident_tuples").unwrap().as_u64().unwrap() >= 150);
     assert!(acme_snap.get("admits").unwrap().as_u64().unwrap() >= 1);
+    server.shutdown();
+}
+
+/// A response line with its clocks (`queue_ms`, `wall_ms`,
+/// `stats.wall_time_ms`) zeroed: everything left is deterministic.
+fn without_clocks(line: &str) -> String {
+    fn strip(value: spq_service::Json) -> spq_service::Json {
+        use spq_service::Json;
+        match value {
+            Json::Obj(pairs) => Json::Obj(
+                pairs
+                    .into_iter()
+                    .map(|(key, value)| {
+                        let clock = matches!(key.as_str(), "queue_ms" | "wall_ms" | "wall_time_ms");
+                        let value = if clock { Json::Num(0.0) } else { strip(value) };
+                        (key, value)
+                    })
+                    .collect(),
+            ),
+            other => other,
+        }
+    }
+    strip(spq_service::json::parse(line).expect("response json")).to_string()
+}
+
+fn validate_request(id: &str, relation: &str, query: &str, package: &[(usize, u32)]) -> String {
+    Request::Validate(ValidateRequest {
+        id: id.to_string(),
+        relation: relation.to_string(),
+        query: query.to_string(),
+        tenant: None,
+        package: package.to_vec(),
+        validation_scenarios: Some(500),
+        seed: Some(11),
+        timeout_ms: Some(60_000),
+        early_stop: None,
+        threads: None,
+    })
+    .to_line()
+}
+
+#[test]
+fn the_epsilon_certificate_wire_contract() {
+    let service = Arc::new(SpqService::new(test_service_config()));
+    let portfolio = build_workload(WorkloadKind::Portfolio, 400, 7);
+    let tpch = build_workload(WorkloadKind::Tpch, 300, 5);
+    service.register_relation("portfolio", portfolio.relation.clone());
+    service.register_relation("tpch", tpch.relation.clone());
+    let server = SpqServer::start(service.clone(), "127.0.0.1:0", ServerConfig::default())
+        .expect("server starts");
+    let mut client = Client::connect(server.local_addr());
+
+    // `query` ops never compute ε; their responses (clocks aside) are
+    // byte-identical to the ones recorded before the certificate became
+    // demand-driven.
+    let recorded = [
+        (
+            Algorithm::SummarySearch,
+            r#"{"id":"q","status":"ok","feasible":true,"objective":3.5989011129299016,"package":[[60,1],[61,1],[363,2]],"algorithm":"SummarySearch","prepared_cache":"miss","result_cache":"miss","queue_ms":0,"wall_ms":0,"stats":{"scenarios":20,"summaries":1,"outer_iterations":1,"problems_solved":2,"validations":2,"validation_scenarios":1000,"solver_nodes":88,"lp_pivots":88,"max_problem_coefficients":802,"wall_time_ms":0}}"#,
+        ),
+        (
+            Algorithm::SketchRefine,
+            r#"{"id":"q","status":"ok","feasible":true,"objective":4.478374305362429,"package":[[60,1],[61,3],[185,1],[363,2]],"algorithm":"SketchRefine","prepared_cache":"hit","result_cache":"miss","queue_ms":0,"wall_ms":0,"stats":{"scenarios":20,"summaries":1,"outer_iterations":2,"problems_solved":7,"validations":8,"validation_scenarios":4000,"solver_nodes":145,"lp_pivots":142,"max_problem_coefficients":126,"wall_time_ms":0}}"#,
+        ),
+    ];
+    for (algorithm, line) in recorded {
+        let mut request = portfolio_request("q", portfolio.query(1));
+        request.algorithm = Some(algorithm);
+        client.send(&Request::Query(request).to_line());
+        assert_eq!(without_clocks(&client.recv_line()), line, "{algorithm}");
+    }
+
+    // A `validate` op on the Portfolio query carries the finite ε an
+    // in-process certificate of the same instance computes.
+    let package = [(60, 1), (61, 1), (363, 2)];
+    client.send(&validate_request(
+        "v1",
+        "portfolio",
+        portfolio.query(1),
+        &package,
+    ));
+    let wire = ValidateResponse::parse_line(&client.recv_line()).expect("validate response");
+    assert_eq!(wire.status, QueryStatus::Ok, "{:?}", wire.error);
+    let engine = spq_core::SpqEngine::new(SpqOptions::for_tests().with_seed(11));
+    let silp = engine
+        .compile(&portfolio.relation, portfolio.query(1))
+        .unwrap();
+    let instance = engine.prepare(&portfolio.relation, silp).unwrap();
+    let mut x = vec![0.0; instance.num_vars()];
+    for (tuple, mult) in package {
+        let position = instance.silp.tuples.iter().position(|&t| t == tuple);
+        x[position.expect("a candidate")] = f64::from(mult);
+    }
+    let options = spq_core::ValidationOptions::full(500);
+    let report = spq_core::validate_with(&instance, &x, &options).unwrap();
+    assert_eq!(wire.objective_estimate, Some(report.objective_estimate));
+    let epsilon = spq_core::bounds::certificate(&instance, report.objective_estimate).unwrap();
+    assert_eq!(wire.epsilon_upper_bound, Some(epsilon));
+    // ...which is the value the eager computation used to put on the wire
+    // (Table 1's s̄·l̄ is loose on GBM gains, but finite).
+    assert_eq!(epsilon, 72087.87021672422);
+
+    // A probability objective is bounded by [0, 1]: ε = 1/objective − 1.
+    // Tuple 1 alone meets TPC-H Q1's revenue threshold in 0.686 of the
+    // scenarios.
+    client.send(&validate_request("v2", "tpch", tpch.query(1), &[(1, 1)]));
+    let wire = ValidateResponse::parse_line(&client.recv_line()).expect("validate response");
+    assert_eq!(wire.status, QueryStatus::Ok, "{:?}", wire.error);
+    assert_eq!(wire.objective_estimate, Some(0.686));
+    assert_eq!(wire.epsilon_upper_bound, Some(1.0 / 0.686 - 1.0));
+
+    // No bound applies to an empty package (ω = 0 certifies nothing under
+    // maximization): the response carries no ε.
+    client.send(&validate_request(
+        "v3",
+        "portfolio",
+        portfolio.query(1),
+        &[],
+    ));
+    let line = client.recv_line();
+    assert!(line.contains(r#""epsilon":null"#), "{line}");
+    let wire = ValidateResponse::parse_line(&line).expect("validate response");
+    assert_eq!(wire.status, QueryStatus::Ok, "{:?}", wire.error);
+    assert_eq!(wire.epsilon_upper_bound, None);
     server.shutdown();
 }

@@ -399,8 +399,8 @@ pub fn evaluate_sketch_refine(instance: &Instance<'_>) -> Result<EvaluationResul
 
     // Re-validate once on the full instance — full budget, no early stop,
     // deadline-exempt (it is the answer's certificate; cancellation still
-    // interrupts) — so the final report (objective estimate and ε
-    // certificate) is anchored to the original problem.
+    // interrupts) — so the final report and its objective estimate are
+    // anchored to the original problem.
     let mut x = vec![0.0f64; n];
     for (&pos, &mult) in &selection {
         x[pos] = mult;

@@ -246,6 +246,40 @@ fn engine_dispatches_sketch_refine_after_install() {
 /// intra-cluster jitter, so 10% is generous.
 const EPSILON: f64 = 0.10;
 
+#[test]
+fn default_epsilon_sketch_refine_never_realizes_an_objective_bounds_block() {
+    // Nothing reads the ε certificate at the default ε = ∞, so neither the
+    // full instance nor any sketch/refine sub-instance may realize Table 1's
+    // 64-scenario × every-candidate block of the (GBM) objective column.
+    spq_sketch::install();
+    let workload = spq_workloads::build_workload(spq_workloads::WorkloadKind::Portfolio, 2000, 11);
+    let n = workload.relation.len();
+    let cache = std::sync::Arc::new(spq_mcdb::ScenarioCache::new());
+    let options = SpqOptions {
+        validation_scenarios: 2000,
+        ..SpqOptions::for_tests()
+    }
+    .with_scenario_cache(cache.clone());
+    let engine = SpqEngine::new(options);
+    let silp = engine
+        .compile(&workload.relation, workload.query(1))
+        .unwrap();
+    assert_eq!(silp.num_vars(), n);
+    let result = engine
+        .evaluate_silp(&workload.relation, silp, Algorithm::SketchRefine)
+        .unwrap();
+    assert!(result.feasible, "stats: {:?}", result.stats);
+    let package = result.package.unwrap();
+    // Same answer as before the certificate became demand-driven...
+    assert_eq!(package.multiplicities, vec![(831, 3)]);
+    assert_eq!(package.objective_estimate, 3.229015683909182);
+    // ...from three fewer realized blocks (it was 11: the full instance, the
+    // sketch and the one refine sub-instance each sampled value bounds), and
+    // everything the run did realize is smaller than one 64 × N block.
+    assert_eq!(cache.misses(), 8);
+    assert!(cache.resident_bytes() < (64 * n * std::mem::size_of::<f64>()) as u64);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 

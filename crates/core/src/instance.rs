@@ -278,13 +278,26 @@ impl<'a> Instance<'a> {
     }
 
     /// Per-candidate `(mean, standard deviation)` moments of a stochastic
-    /// column over the first `m` validation scenarios. For columns the
-    /// moment prefilter proved scenario-invariant this costs no draws at
-    /// all — the moments are `(probed value, 0)` exactly; otherwise the
-    /// block engine realizes the window tuple-major and folds it.
+    /// column. No scenario is drawn when the moments are known exactly: for
+    /// columns the moment prefilter proved scenario-invariant they are
+    /// `(probed value, 0)`, and when the VG function has a closed-form mean
+    /// *and* standard deviation for every candidate they are those (which
+    /// also makes them independent of the seed). Otherwise they are
+    /// estimated over the first `m` validation scenarios: the block engine
+    /// realizes the window tuple-major and folds it.
     pub fn tuple_moments(&self, column: &str, m: usize) -> Result<Vec<(f64, f64)>> {
         if let Some(values) = self.invariant_values.get(column) {
             return Ok(values.iter().map(|&v| (v, 0.0)).collect());
+        }
+        let vg = &self.relation.stochastic_column(column)?.vg;
+        let closed_form: Option<Vec<(f64, f64)>> = self
+            .silp
+            .tuples
+            .iter()
+            .map(|&t| Some((vg.mean(t)?, vg.std_dev(t)?)))
+            .collect();
+        if let Some(moments) = closed_form {
+            return Ok(moments);
         }
         Ok(self
             .val_gen
@@ -338,12 +351,12 @@ impl<'a> Instance<'a> {
 
     /// Realize one validation-stream block (a scenario window of a
     /// stochastic column restricted to candidate positions) as a dense
-    /// matrix. This is the unit the blocked validator streams over: when
-    /// [`SpqOptions::scenario_cache`] is set the block is memoized there
-    /// (shared across re-validations of the same package), otherwise it is
-    /// generated for this call alone — bit-identically either way. The block
-    /// itself is realized serially; the validator parallelizes across
-    /// blocks.
+    /// matrix. The blocked validator asks for one position at a time — a
+    /// row — so that, when [`SpqOptions::scenario_cache`] is set, the row is
+    /// memoized under its tuple alone and shared by every package that
+    /// contains the tuple; without a cache it is generated for this call
+    /// alone — bit-identically either way. The block itself is realized
+    /// serially; the validator parallelizes across blocks.
     pub fn validation_matrix(
         &self,
         column: &str,

@@ -25,8 +25,11 @@ pub struct SketchOptions {
     /// deterministic attribute). Smaller values yield tighter, more numerous
     /// partitions.
     pub diameter_fraction: f64,
-    /// Number of optimization-stream scenarios sampled per tuple to estimate
-    /// the distributional features (mean and spread) used for partitioning.
+    /// Number of validation-stream scenarios sampled per tuple to estimate
+    /// the spread feature used for partitioning — the fallback for columns
+    /// whose VG function has no closed-form standard deviation
+    /// ([`spq_mcdb::VgFunction::std_dev`]). Where it has one, the feature is
+    /// exact, no scenario is drawn and this value is not read.
     pub feature_scenarios: usize,
     /// Relations with at most this many candidate tuples are solved directly
     /// with SummarySearch — partitioning overhead isn't worth it below this

@@ -1,13 +1,14 @@
 //! The blocked one-pass scan behind [`super::validate_with`].
 //!
-//! Each referenced stochastic column is realized once per scenario block and
-//! scored against every target (probabilistic constraint or probability
-//! objective) that reads it. Blocks fan out across `std::thread` workers in
-//! contiguous chunks; per-cell seeding makes the realized values — and the
-//! integer satisfaction counts derived from them — identical for every
-//! thread count and block size. Early-stop decisions happen only at stage
-//! boundaries, which depend on the options alone, so adaptive runs are
-//! deterministic too.
+//! Each referenced stochastic column is realized once per scenario block —
+//! one row per support tuple, so overlapping packages share rows through the
+//! scenario cache — and scored against every target (probabilistic
+//! constraint or probability objective) that reads it. Blocks fan out across
+//! `std::thread` workers in contiguous chunks; per-cell seeding makes the
+//! realized values — and the integer satisfaction counts derived from them —
+//! identical for every thread count and block size. Early-stop decisions
+//! happen only at stage boundaries, which depend on the options alone, so
+//! adaptive runs are deterministic too.
 
 use super::{required_successes, ConstraintValidation, EarlyStop, ValidationOptions};
 use crate::instance::Instance;
@@ -119,6 +120,7 @@ fn scan_blocks(
     let mut counts = vec![0usize; specs.len()];
     let mut done = 0usize;
     let mut interrupted = false;
+    let mut scores: Vec<f64> = Vec::new();
     for block in blocks {
         // The deadline is polled once per block, so a 10⁶-scenario
         // validation reacts to a cancel within one block's worth of work.
@@ -128,18 +130,26 @@ fn scan_blocks(
             interrupted = true;
             break;
         }
-        let matrix = instance.validation_matrix(column, support, block.clone())?;
-        for j in 0..matrix.num_scenarios() {
-            let row = matrix.scenario(j);
-            // One realized row, one dot product, every target scored on it.
-            let score: f64 = row.iter().zip(weights).map(|(s, w)| s * w).sum();
+        // One realized row per support tuple, keyed by the tuple alone, so
+        // every package that contains the tuple shares it. Rows are added in
+        // ascending support order: per scenario that is the addition order
+        // of a dot product over the whole support, bit for bit.
+        scores.clear();
+        scores.resize(block.len(), 0.0);
+        for (&position, &weight) in support.iter().zip(weights) {
+            let row = instance.validation_matrix(column, &[position], block.clone())?;
+            for (score, value) in scores.iter_mut().zip(row.raw_data()) {
+                *score += value * weight;
+            }
+        }
+        for &score in &scores {
             for (k, &(sense, rhs)) in specs.iter().enumerate() {
                 if sense.check(score, rhs, SCORE_TOL) {
                     counts[k] += 1;
                 }
             }
         }
-        done += matrix.num_scenarios();
+        done += block.len();
     }
     Ok(ColumnScan {
         counts,

@@ -21,11 +21,13 @@
 //!   every `(column, tuple, scenario)` cell seeds its own RNG, the counts —
 //!   and therefore every reported fraction — are **bit-identical at any
 //!   thread count and any block size**.
-//! * **Cache-backed.** When the evaluation carries a shared
-//!   [`spq_mcdb::ScenarioCache`], realized validation blocks are memoized
-//!   per `(relation, column, tuple set, scenario window)`, so re-validating
-//!   the same package (e.g. the service's `validate` op, or CSA-Solve
-//!   confirming a summary solution) touches the VG functions once.
+//! * **Cache-backed, per tuple.** When the evaluation carries a shared
+//!   [`spq_mcdb::ScenarioCache`], realized validation rows are memoized per
+//!   `(relation, column, tuple, scenario window)`: a tuple is drawn once for
+//!   every package that contains it, so re-validating a package (the
+//!   service's `validate` op, CSA-Solve confirming a summary solution) and
+//!   validating the overlapping packages of a search (SketchRefine's frozen
+//!   ∪ refined selections) touch the VG functions once per tuple.
 //! * **Adaptive `M̂`.** With an [`EarlyStop`] policy, validation escalates
 //!   through geometric stages (`initial_stage`, `2×`, `4×`, … up to `M̂`)
 //!   and stops counting a constraint as soon as its verdict is settled —

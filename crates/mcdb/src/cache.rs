@@ -14,6 +14,14 @@
 //! the query service relies on: eight clients issuing the same prepared
 //! query never realize the same scenarios twice.
 //!
+//! A block is whatever tuple slice its caller asks for. The search loops ask
+//! for their whole candidate set (one optimization matrix per instance); the
+//! blocked validator asks for **one tuple at a time**, so a realized
+//! validation row is keyed by its tuple alone and shared by every package
+//! that contains the tuple — overlapping packages (SketchRefine's frozen ∪
+//! refined selections, SummarySearch's successive candidates) neither re-draw
+//! nor re-store it.
+//!
 //! The cache is bounded by an approximate byte budget. Blocks that would
 //! push the cache past the budget are still generated and returned, just not
 //! retained — correctness never depends on residency.
@@ -47,12 +55,13 @@ static CACHE_MISSES: Named<Counter> = Named::new("spq_scenario_cache_misses", Co
 static CACHE_EVICTIONS: Named<Counter> = Named::new("spq_scenario_cache_evictions", Counter::new());
 
 /// Identity of one realized block.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct BlockKey {
     /// [`Relation::uid`] — clones share it, rebuilt relations do not.
     relation: u64,
-    /// Canonical stochastic column name.
-    column: String,
+    /// Stable tag of the canonical column name (`gain` and `Gain` resolve
+    /// to one column, hence one tag).
+    column: u64,
     /// Optimization vs validation stream.
     stream: Stream,
     /// Base seed of the generator.
@@ -175,14 +184,12 @@ impl ScenarioCache {
         tuples: &[usize],
         scenarios: std::ops::Range<usize>,
     ) -> Result<Arc<ScenarioMatrix>> {
-        // Canonicalize the column name so `gain` and `Gain` share a block;
-        // this also surfaces unknown-column errors before touching the map.
+        // Resolve the column first so `gain` and `Gain` share a block; this
+        // also surfaces unknown-column errors before touching the map.
         let sc = relation.stochastic_column(column)?;
-        let canon = sc.name.clone();
-        let column_tag = sc.tag;
         let key = BlockKey {
             relation: relation.uid(),
-            column: canon.clone(),
+            column: sc.tag,
             stream: generator.stream(),
             seed: generator.base_seed(),
             tuples_hash: hash_tuples(tuples),
@@ -191,7 +198,7 @@ impl ScenarioCache {
         };
         let slot = {
             let mut slots = self.slots.lock().expect("scenario cache poisoned");
-            slots.entry(key.clone()).or_default().clone()
+            slots.entry(key).or_default().clone()
         };
         // Per-key lock: a concurrent request for the same block waits here
         // for the single generation instead of redoing it.
@@ -207,7 +214,7 @@ impl ScenarioCache {
         // spilled by this process, an earlier one, or a pre-`clear` epoch.
         let store_key = self.store.as_ref().map(|_| StoreKey {
             relation_fingerprint: relation.fingerprint(),
-            column_tag,
+            column_tag: sc.tag,
             stream_tag: generator.stream().tag(),
             seed: generator.base_seed(),
             tuples_hash: key.tuples_hash,
@@ -222,10 +229,7 @@ impl ScenarioCache {
         let matrix = match stored {
             Some(m) => Arc::new(m),
             None => {
-                let m = Arc::new(
-                    generator
-                        .realize_sparse_matrix_range(relation, &canon, tuples, scenarios, 0)?,
-                );
+                let m = Arc::new(generator.realize_block(sc, tuples, scenarios, 0));
                 if let Some((store, sk)) = self.store.as_ref().zip(store_key.as_ref()) {
                     store.spill(sk, &m);
                 }

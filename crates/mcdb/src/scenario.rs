@@ -19,7 +19,13 @@
 use crate::relation::{Relation, StochasticColumn};
 use crate::seed::{cell_rng, column_prefix, Stream};
 use crate::Result;
+use spq_obs::metrics::{Counter, Named};
 use std::num::NonZeroUsize;
+
+// Every `(tuple, scenario)` cell a VG kernel was asked to draw, whoever asked
+// (an algorithm, the validator, the ε certificate, a feature fallback): the
+// exact work counter of this layer, independent of any cache above it.
+static CELLS_REALIZED: Named<Counter> = Named::new("spq_scenario_cells_realized", Counter::new());
 
 /// Number of `(tuple, scenario)` cells above which dense/sparse generation
 /// fans out across threads. Below this, thread spawn overhead dominates.
@@ -35,8 +41,12 @@ const TRANSPOSE_TILE: usize = 64;
 
 /// Transpose a flat tuple-major buffer (`flat[i * m + j]`) into the
 /// scenario-major layout of [`ScenarioMatrix`] (`data[j * n + i]`), tiled so
-/// both sides stay cache-resident.
-fn transpose_tuple_major(flat: &[f64], n: usize, m: usize) -> Vec<f64> {
+/// both sides stay cache-resident. A single row or a single column reads the
+/// same in both layouts, so the buffer is handed back as is.
+fn transpose_tuple_major(flat: Vec<f64>, n: usize, m: usize) -> Vec<f64> {
+    if n <= 1 || m <= 1 {
+        return flat;
+    }
     let mut data = vec![0.0f64; n * m];
     for i0 in (0..n).step_by(TRANSPOSE_TILE) {
         let i1 = (i0 + TRANSPOSE_TILE).min(n);
@@ -288,6 +298,7 @@ impl ScenarioGenerator {
         if m == 0 || tuples.is_empty() {
             return out;
         }
+        CELLS_REALIZED.add(out.len() as u64);
         let threads = threads.clamp(1, tuples.len());
         if threads == 1 {
             self.realize_tiles(sc, tuples, scenarios, &mut out);
@@ -330,7 +341,7 @@ impl ScenarioGenerator {
         let flat = self.realize_flat(sc, &tuples, 0..m, threads);
         Ok(ScenarioMatrix {
             n_tuples: n,
-            data: transpose_tuple_major(&flat, n, m),
+            data: transpose_tuple_major(flat, n, m),
         })
     }
 
@@ -365,7 +376,7 @@ impl ScenarioGenerator {
             return Ok(vec![Vec::new(); m]);
         }
         let flat = self.realize_flat(sc, tuples, scenarios, threads);
-        let data = transpose_tuple_major(&flat, tuples.len(), m);
+        let data = transpose_tuple_major(flat, tuples.len(), m);
         Ok(data.chunks(tuples.len()).map(|row| row.to_vec()).collect())
     }
 
@@ -399,6 +410,19 @@ impl ScenarioGenerator {
         scenarios: std::ops::Range<usize>,
         threads: usize,
     ) -> Result<ScenarioMatrix> {
+        let sc = relation.stochastic_column(column)?;
+        Ok(self.realize_block(sc, tuples, scenarios, threads))
+    }
+
+    /// [`Self::realize_sparse_matrix_range`] over an already resolved column
+    /// (the scenario cache resolves it once for its key).
+    pub(crate) fn realize_block(
+        &self,
+        sc: &StochasticColumn,
+        tuples: &[usize],
+        scenarios: std::ops::Range<usize>,
+        threads: usize,
+    ) -> ScenarioMatrix {
         let n = tuples.len();
         let m = scenarios.len();
         let threads = if threads == 0 {
@@ -406,12 +430,11 @@ impl ScenarioGenerator {
         } else {
             threads
         };
-        let sc = relation.stochastic_column(column)?;
         let flat = self.realize_flat(sc, tuples, scenarios, threads);
-        Ok(ScenarioMatrix {
+        ScenarioMatrix {
             n_tuples: n,
-            data: transpose_tuple_major(&flat, n, m),
-        })
+            data: transpose_tuple_major(flat, n, m),
+        }
     }
 
     /// Per-tuple empirical mean and standard deviation over the first `m`

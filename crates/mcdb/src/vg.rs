@@ -171,6 +171,14 @@ pub trait VgFunction: Send + Sync + fmt::Debug {
         None
     }
 
+    /// Analytic standard deviation of the attribute for `tuple`, when known
+    /// in closed form (`Some(0.0)` wherever [`Self::is_scenario_invariant`]
+    /// holds). When `None`, consumers that need a spread — SketchRefine's
+    /// partitioning features — estimate it from realized scenarios.
+    fn std_dev(&self, _tuple: usize) -> Option<f64> {
+        None
+    }
+
     /// True when every realization of `tuple` is **provably** identical
     /// across scenarios — the realized value does not depend on the RNG at
     /// all (e.g. [`Degenerate`], a [`NormalNoise`] tuple with zero sigma, a
@@ -254,6 +262,10 @@ impl VgFunction for Degenerate {
         Some(self.values[tuple])
     }
 
+    fn std_dev(&self, _tuple: usize) -> Option<f64> {
+        Some(0.0)
+    }
+
     fn is_scenario_invariant(&self, _tuple: usize) -> bool {
         true
     }
@@ -329,6 +341,10 @@ impl VgFunction for NormalNoise {
 
     fn mean(&self, tuple: usize) -> Option<f64> {
         Some(self.base[tuple])
+    }
+
+    fn std_dev(&self, tuple: usize) -> Option<f64> {
+        Some(self.sigma.get(tuple).abs())
     }
 
     fn is_scenario_invariant(&self, tuple: usize) -> bool {
@@ -426,6 +442,14 @@ impl VgFunction for ParetoNoise {
         }
     }
 
+    fn std_dev(&self, tuple: usize) -> Option<f64> {
+        // Finite only for shape > 2 (the Galaxy workload's shape 1 has
+        // neither a mean nor a variance).
+        let scale = self.scale.get(tuple);
+        let shape = self.shape.get(tuple);
+        (shape > 2.0).then(|| scale / (shape - 1.0) * (shape / (shape - 2.0)).sqrt())
+    }
+
     fn validate(&self) -> Result<()> {
         check_len("pareto-noise", self.base.len(), "scale", &self.scale)?;
         check_len("pareto-noise", self.base.len(), "shape", &self.shape)?;
@@ -506,6 +530,10 @@ impl VgFunction for UniformNoise {
         Some(self.base[tuple] + (self.lo + self.hi) / 2.0)
     }
 
+    fn std_dev(&self, _tuple: usize) -> Option<f64> {
+        Some((self.hi - self.lo).max(0.0) / 12f64.sqrt())
+    }
+
     fn is_scenario_invariant(&self, _tuple: usize) -> bool {
         // An empty interval realizes to `base + lo` in every scenario.
         self.hi <= self.lo
@@ -579,6 +607,10 @@ impl VgFunction for ExponentialNoise {
         Some(self.base[tuple])
     }
 
+    fn std_dev(&self, _tuple: usize) -> Option<f64> {
+        Some(1.0 / self.lambda)
+    }
+
     fn validate(&self) -> Result<()> {
         if self.lambda.is_nan() || self.lambda <= 0.0 {
             return Err(McdbError::InvalidVgParameter {
@@ -645,6 +677,10 @@ impl VgFunction for PoissonNoise {
 
     fn mean(&self, tuple: usize) -> Option<f64> {
         Some(self.base[tuple])
+    }
+
+    fn std_dev(&self, _tuple: usize) -> Option<f64> {
+        Some(self.lambda.sqrt())
     }
 
     fn validate(&self) -> Result<()> {
@@ -717,6 +753,11 @@ impl VgFunction for StudentTNoise {
         } else {
             None
         }
+    }
+
+    fn std_dev(&self, _tuple: usize) -> Option<f64> {
+        // The variance of t(ν) is ν / (ν − 2), infinite or undefined at ν ≤ 2.
+        (self.nu > 2.0).then(|| self.scale.abs() * (self.nu / (self.nu - 2.0)).sqrt())
     }
 
     fn validate(&self) -> Result<()> {
@@ -858,6 +899,16 @@ impl VgFunction for GeometricBrownianMotion {
         // whose mean is exp(mu)).
         let t = f64::from(self.horizon[tuple]);
         Some(self.price[tuple] * (self.mu[tuple] * t).exp() - self.price[tuple])
+    }
+
+    fn std_dev(&self, tuple: usize) -> Option<f64> {
+        // S_t is log-normal with log-variance sigma^2 * t, so
+        // sd(S_t) = E[S_t] * sqrt(exp(sigma^2 * t) - 1); subtracting the buy
+        // price shifts the gain without changing its spread.
+        let t = f64::from(self.horizon[tuple]);
+        let sigma = self.sigma[tuple];
+        let growth = self.price[tuple] * (self.mu[tuple] * t).exp();
+        Some(growth * (sigma * sigma * t).exp_m1().sqrt())
     }
 
     fn validate(&self) -> Result<()> {
@@ -1071,6 +1122,14 @@ impl VgFunction for DiscreteSources {
         Some(cands.iter().sum::<f64>() / cands.len() as f64)
     }
 
+    fn std_dev(&self, tuple: usize) -> Option<f64> {
+        // Only the single-source case is answered. The population sd of
+        // several sources is as cheap, but the partitions it induced on
+        // TPC-H were measured worse than the sampled ones (ROADMAP, oracle
+        // item), so those tuples keep `None`.
+        self.is_scenario_invariant(tuple).then_some(0.0)
+    }
+
     fn is_scenario_invariant(&self, tuple: usize) -> bool {
         // One candidate: the (still-consumed) source draw cannot change the
         // realized value.
@@ -1094,6 +1153,97 @@ mod tests {
             sum += vg.realize(tuple, &mut r);
         }
         sum / n as f64
+    }
+
+    fn empirical_sd(vg: &dyn VgFunction, tuple: usize, n: usize) -> f64 {
+        let values: Vec<f64> = (0..n)
+            .map(|j| {
+                let mut r = cell_rng(99, Stream::Validation, 1, vg.driver_group(tuple), j as u64);
+                vg.realize(tuple, &mut r)
+            })
+            .collect();
+        let mean = values.iter().sum::<f64>() / n as f64;
+        (values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n as f64).sqrt()
+    }
+
+    #[test]
+    fn closed_form_std_dev_matches_the_empirical_spread_of_every_family() {
+        let families: Vec<(Box<dyn VgFunction>, usize)> = vec![
+            (
+                Box::new(NormalNoise::around(vec![10.0, -4.0], vec![2.0, 0.5])),
+                1,
+            ),
+            (Box::new(UniformNoise::around(vec![3.0], -1.0, 3.0)), 0),
+            (Box::new(ExponentialNoise::around(vec![7.0], 0.25)), 0),
+            (Box::new(PoissonNoise::around(vec![7.0], 6.0)), 0),
+            (Box::new(PoissonNoise::around(vec![7.0], 90.0)), 0),
+            (Box::new(StudentTNoise::around(vec![3.0], 10.0, 1.5)), 0),
+            (Box::new(ParetoNoise::around(vec![1.0], 2.0, 12.0)), 0),
+            (
+                Box::new(GeometricBrownianMotion::new(
+                    vec![100.0, 40.0],
+                    vec![0.001, 0.0004],
+                    vec![0.01, 0.03],
+                    vec![5, 20],
+                    vec![0, 1],
+                )),
+                1,
+            ),
+        ];
+        for (vg, tuple) in &families {
+            vg.validate().unwrap();
+            let analytic = vg.std_dev(*tuple).expect("a closed form");
+            let empirical = empirical_sd(vg.as_ref(), *tuple, 20_000);
+            assert!(
+                (analytic - empirical).abs() <= 0.03 * analytic,
+                "{}: analytic {analytic} vs empirical {empirical}",
+                vg.name()
+            );
+        }
+    }
+
+    #[test]
+    fn std_dev_is_none_without_a_variance_and_zero_where_invariant() {
+        // Infinite or undefined variance: ν ≤ 2, α ≤ 2.
+        for nu in [0.5, 1.0, 2.0] {
+            assert_eq!(StudentTNoise::around(vec![3.0], nu, 1.0).std_dev(0), None);
+        }
+        for shape in [0.5, 1.0, 2.0] {
+            let pareto = ParetoNoise::around(vec![1.0], 1.0, shape);
+            assert_eq!(pareto.std_dev(0), None);
+        }
+        assert!(StudentTNoise::around(vec![3.0], 2.5, 1.0)
+            .std_dev(0)
+            .is_some());
+        assert!(ParetoNoise::around(vec![1.0], 1.0, 2.5)
+            .std_dev(0)
+            .is_some());
+
+        // Wherever a tuple is provably scenario-invariant its spread is
+        // exactly zero; the same models answer non-zero (or `None`) for
+        // their noisy tuples.
+        let sources =
+            DiscreteSources::from_candidates(vec![vec![1.0, 2.0, 3.0], vec![10.0]]).unwrap();
+        let families: Vec<Box<dyn VgFunction>> = vec![
+            Box::new(Degenerate::new(vec![1.0, 2.0])),
+            Box::new(NormalNoise::around(vec![5.0, 5.0], vec![0.0, 1.0])),
+            Box::new(UniformNoise::around(vec![5.0, 6.0], 2.0, 2.0)),
+            Box::new(sources),
+        ];
+        for vg in &families {
+            let mut invariant = 0;
+            for tuple in 0..vg.len() {
+                if vg.is_scenario_invariant(tuple) {
+                    assert_eq!(vg.std_dev(tuple), Some(0.0), "{} #{tuple}", vg.name());
+                    invariant += 1;
+                } else {
+                    assert_ne!(vg.std_dev(tuple), Some(0.0), "{} #{tuple}", vg.name());
+                }
+            }
+            assert!(invariant > 0, "{} has an invariant tuple", vg.name());
+        }
+        // A multi-source tuple keeps the sampled feature path.
+        assert_eq!(families[3].std_dev(0), None);
     }
 
     #[test]

@@ -958,8 +958,8 @@ mod tests {
         let block_bytes = |scenarios: usize, tuples: usize| (scenarios * tuples * 8) as u64;
 
         // Probability objective: ω̂ ∈ [0, 1] needs no sampled value bounds,
-        // so the op realizes its M̂ × support validation block and nothing
-        // else.
+        // so the op realizes its M̂ × support validation rows (one cached
+        // row per support tuple) and nothing else.
         let mut probability = validate_request("p", vec![(0, 1), (2, 1)]);
         probability.query = "SELECT PACKAGE(*) FROM stocks SUCH THAT SUM(price) <= 300 \
                              MAXIMIZE PROBABILITY OF SUM(gain) >= 6"
@@ -969,16 +969,16 @@ mod tests {
         let objective = v.objective_estimate.unwrap();
         assert!(objective > 0.0 && objective < 1.0, "objective {objective}");
         assert_eq!(v.epsilon_upper_bound, Some(1.0 / objective - 1.0));
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        assert_eq!((cache.hits(), cache.misses()), (0, 2));
         assert_eq!(cache.resident_bytes(), block_bytes(500, 2));
 
         // Expectation objective over the same column and support: the
-        // validation block is shared, and the certificate adds Table 1's
+        // validation rows are shared, and the certificate adds Table 1's
         // 64 × N block.
         let v = run_validate(&service, &validate_request("l", vec![(0, 1), (2, 1)]));
         assert_eq!(v.status, QueryStatus::Ok, "{:?}", v.error);
         assert!(v.epsilon_upper_bound.is_some_and(f64::is_finite));
-        assert_eq!((cache.hits(), cache.misses()), (1, 2));
+        assert_eq!((cache.hits(), cache.misses()), (2, 3));
         assert_eq!(
             cache.resident_bytes(),
             block_bytes(500, 2) + block_bytes(64, 4)

@@ -733,7 +733,9 @@ fn the_epsilon_certificate_wire_contract() {
 
     // `query` ops never compute ε; their responses (clocks aside) are
     // byte-identical to the ones recorded before the certificate became
-    // demand-driven.
+    // demand-driven. (The SketchRefine line was re-recorded once since, when
+    // partitioning features became closed-form on GBM columns: same package
+    // and objective, from 5 sub-problems instead of 7.)
     let recorded = [
         (
             Algorithm::SummarySearch,
@@ -741,7 +743,7 @@ fn the_epsilon_certificate_wire_contract() {
         ),
         (
             Algorithm::SketchRefine,
-            r#"{"id":"q","status":"ok","feasible":true,"objective":4.478374305362429,"package":[[60,1],[61,3],[185,1],[363,2]],"algorithm":"SketchRefine","prepared_cache":"hit","result_cache":"miss","queue_ms":0,"wall_ms":0,"stats":{"scenarios":20,"summaries":1,"outer_iterations":2,"problems_solved":7,"validations":8,"validation_scenarios":4000,"solver_nodes":145,"lp_pivots":142,"max_problem_coefficients":126,"wall_time_ms":0}}"#,
+            r#"{"id":"q","status":"ok","feasible":true,"objective":4.478374305362429,"package":[[60,1],[61,3],[185,1],[363,2]],"algorithm":"SketchRefine","prepared_cache":"hit","result_cache":"miss","queue_ms":0,"wall_ms":0,"stats":{"scenarios":20,"summaries":1,"outer_iterations":2,"problems_solved":5,"validations":6,"validation_scenarios":3000,"solver_nodes":95,"lp_pivots":95,"max_problem_coefficients":122,"wall_time_ms":0}}"#,
         ),
     ];
     for (algorithm, line) in recorded {

@@ -7,9 +7,14 @@
 //!
 //! * a **deterministic** column contributes its value,
 //! * a **stochastic** column contributes its expectation estimate (the
-//!   engine's precomputed `E(t_i.A)`) *and* an empirical standard deviation
-//!   over a handful of optimization-stream scenarios — two tuples only land
-//!   in the same partition when both their location and their spread agree.
+//!   engine's precomputed `E(t_i.A)`) *and* its standard deviation — two
+//!   tuples only land in the same partition when both their location and
+//!   their spread agree. The standard deviation is the VG function's closed
+//!   form where it has one (the parametric families with a finite variance:
+//!   no scenario is drawn and the features do not depend on the seed);
+//!   otherwise it is estimated over
+//!   [`spq_core::SketchOptions::feature_scenarios`] validation-stream
+//!   scenarios.
 //!
 //! Every dimension is min-max normalized to `[0, 1]` over the candidate set,
 //! so the partitioner's diameter budget is scale-free.
@@ -115,10 +120,10 @@ pub(crate) fn candidate_dimensions(instance: &Instance<'_>) -> Result<Vec<Vec<f6
     let m = instance.options.sketch.feature_scenarios.max(1);
     for col in &stoch {
         dims.push(instance.expectations(col)?.to_vec());
-        // Routed through the instance so the moment prefilter applies: a
-        // provably scenario-invariant column contributes its exact (value,
-        // 0) moments without any scenario draws, and noisy columns go
-        // through the columnar block engine.
+        // Routed through the instance, which answers without a draw when
+        // the column is provably scenario-invariant or its VG function has
+        // closed-form moments; only the rest go through the columnar block
+        // engine.
         let moments = instance.tuple_moments(col, m)?;
         dims.push(moments.into_iter().map(|(_, sd)| sd).collect());
     }

@@ -12,7 +12,7 @@ use spq_core::saa::formulate_saa;
 use spq_core::summary::{build_summaries, partition_scenarios, SummarySpec};
 use spq_core::{Instance, SpqEngine, SpqOptions};
 use spq_mcdb::ScenarioGenerator;
-use spq_solver::{solve_full, PricingRule, Sense, SolverBackend, SolverOptions};
+use spq_solver::{solve_full, Sense, SolverOptions};
 use spq_workloads::{build_workload, WorkloadKind};
 
 fn bench_scenario_generation(c: &mut Criterion) {
@@ -76,12 +76,11 @@ fn bench_formulation_size(c: &mut Criterion) {
     group.finish();
 }
 
-/// Head-to-head LP-backend comparison on a scenario-constraint MILP (the
-/// SAA of a Portfolio query): the dense tableau materializes every
-/// per-tuple multiplicity bound as a row, the revised simplex prices only
-/// the constraint nonzeros — this is the kernel behind the end-to-end
-/// speedups of `fig7_scaling`/`fig_sketch_scaling`.
-fn bench_backend_comparison(c: &mut Criterion) {
+/// The LP kernel on a scenario-constraint MILP (the SAA of a Portfolio
+/// query): the revised simplex prices only the constraint nonzeros — this
+/// is the kernel behind the end-to-end times of
+/// `fig7_scaling`/`fig_sketch_scaling`.
+fn bench_lp_kernel(c: &mut Criterion) {
     let workload = build_workload(WorkloadKind::Portfolio, 120, 9);
     let engine = SpqEngine::new(SpqOptions::for_tests());
     let silp = engine
@@ -91,33 +90,13 @@ fn bench_backend_comparison(c: &mut Criterion) {
     let formulation = formulate_saa(&instance, 10).unwrap();
     let mut group = c.benchmark_group("lp_backend");
     group.sample_size(10);
-    for backend in [SolverBackend::Revised, SolverBackend::Dense] {
-        let options = SolverOptions {
-            time_limit: Some(std::time::Duration::from_secs(30)),
-            backend,
-            ..Default::default()
-        };
-        group.bench_with_input(
-            BenchmarkId::new("saa_portfolio_120_m10", backend),
-            &backend,
-            |b, _| b.iter(|| solve_full(&formulation.model, &options).unwrap()),
-        );
-    }
-    // Pricing-rule sweep on the default (revised) backend: same workload,
-    // one row per entering-column rule.
-    for pricing in PricingRule::ALL {
-        let options = SolverOptions {
-            time_limit: Some(std::time::Duration::from_secs(30)),
-            backend: SolverBackend::Revised,
-            pricing,
-            ..Default::default()
-        };
-        group.bench_with_input(
-            BenchmarkId::new("saa_portfolio_120_m10_pricing", pricing),
-            &pricing,
-            |b, _| b.iter(|| solve_full(&formulation.model, &options).unwrap()),
-        );
-    }
+    let options = SolverOptions {
+        time_limit: Some(std::time::Duration::from_secs(30)),
+        ..Default::default()
+    };
+    group.bench_function(BenchmarkId::new("saa_portfolio_120_m10", "revised"), |b| {
+        b.iter(|| solve_full(&formulation.model, &options).unwrap())
+    });
     group.finish();
 }
 
@@ -170,7 +149,7 @@ criterion_group!(
     bench_summary_construction,
     bench_formulation_size,
     bench_solver,
-    bench_backend_comparison,
+    bench_lp_kernel,
     bench_validation
 );
 criterion_main!(kernels);

@@ -1,22 +1,22 @@
 //! Quick profiling harness for the `lp_backend` kernel workload: prints
-//! node/iteration counts and wall-clock for the configured backend so solver
-//! changes can be attributed (fewer iterations vs cheaper iterations) without
-//! waiting for the full criterion run.
+//! node/iteration counts and wall-clock so solver changes can be attributed
+//! (fewer iterations vs cheaper iterations) without waiting for the full
+//! criterion run.
 //!
-//! Two models are solved: the Portfolio SAA of the `lp_backend` bench and
-//! (revised backend only) a 2 000-tuple Galaxy model on which the search
-//! restarts its LP on ever smaller cores.
+//! Two models are solved: the Portfolio SAA of the `lp_backend` bench and a
+//! 2 000-tuple Galaxy model on which the search restarts its LP on ever
+//! smaller cores.
 //!
 //! The first four stdout fields (`status= obj= nodes= lp_iters=`) are
-//! byte-stable across runs of the same build — CI diffs them between solver
-//! backends and between traced/untraced runs. Everything that varies
+//! byte-stable across runs of the same build — CI diffs them between
+//! branch-and-bound thread counts and between traced/untraced runs. Everything that varies
 //! (wall-clock, the `total_wall_secs=` summary, solver counters) goes to
 //! stderr. Set `SPQ_TRACE=<path>` to also record phase spans (compile,
 //! formulate, one `solve_rep` per repetition) as chrome-tracing JSON.
 
 use spq_core::saa::formulate_saa;
 use spq_core::{Instance, SpqEngine, SpqOptions};
-use spq_solver::{solve_full, Model, SolverBackend, SolverOptions};
+use spq_solver::{solve_full, Model, SolverOptions};
 use spq_workloads::{build_workload, WorkloadKind};
 
 /// The SAA model of one query of a workload with `m` optimization scenarios.
@@ -32,16 +32,14 @@ fn saa_model(kind: WorkloadKind, scale: usize, query: usize, m: usize) -> Model 
 }
 
 fn main() {
-    let mut models = vec![saa_model(WorkloadKind::Portfolio, 120, 1, 10)];
     // The restart model: 2 000 Galaxy tuples under two scenarios have the
     // shape of a CSA (2 002 columns, COUNT between 5 and 10, two dense real
     // rows), so incumbents pin most columns and the search moves through
-    // four ever smaller cores. The dense tableau would spend minutes on
-    // 2 000 bound rows and, exposing no reduced costs, never leaves the
-    // whole LP anyway.
-    if SolverOptions::default().backend == SolverBackend::Revised {
-        models.push(saa_model(WorkloadKind::Galaxy, 2000, 2, 2));
-    }
+    // four ever smaller cores.
+    let models = [
+        saa_model(WorkloadKind::Portfolio, 120, 1, 10),
+        saa_model(WorkloadKind::Galaxy, 2000, 2, 2),
+    ];
     let options = SolverOptions {
         time_limit: Some(std::time::Duration::from_secs(60)),
         ..Default::default()

@@ -35,12 +35,9 @@ const M: usize = 20;
 
 fn main() {
     let mut config = HarnessConfig::from_args();
-    // The report path is this binary's only private flag.
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let out = args
-        .windows(2)
-        .find(|w| w[0] == "--out")
-        .map(|w| w[1].clone())
+    let out = config
+        .out
+        .clone()
         .unwrap_or_else(|| "BENCH_sketch_scaling.json".to_string());
     // Single-run cells by default (large-scale rows are expensive); an
     // explicit `--runs` flag is honored and the reported numbers become

@@ -11,21 +11,21 @@
 //! | Figure 7 | `fig7_scaling` | effect of the dataset size `N` (Galaxy workload) |
 //!
 //! Two subsystem harnesses ride along: `service_throughput` (concurrent
-//! query service, → `BENCH_service.json`) and `validation_throughput`
-//! (blocked one-pass out-of-sample validator, serial vs threaded vs
-//! adaptive early stop, → `BENCH_validate.json`).
+//! query service, → `BENCH_service.json`) and `scenario_throughput`
+//! (columnar scenario engine and its cache tiers, → `BENCH_scenario.json`).
 //!
 //! Criterion micro-benchmarks (`cargo bench -p spq-bench`) cover the kernels:
 //! scenario generation, summary construction, SAA vs CSA formulation size,
-//! and the MILP solver.
+//! the validator and the MILP solver.
 //!
 //! Because the MILP solver substitutes CPLEX, the default sizes are scaled
-//! down (hundreds of tuples, tens of scenarios). Every binary accepts
-//! `--scale`, `--runs`, `--queries`, `--validation`, `--algorithms` and
-//! `--solver` (LP backend: `revised` or `dense`) flags to scale up or select
+//! down (hundreds of tuples, tens of scenarios). Every figure binary accepts
+//! `--scale`, `--runs`, `--queries`, `--validation` and `--algorithms` flags
+//! (see [`HarnessConfig::parse`] for the full list) to scale up or select
 //! algorithms without recompiling; the `SPQ_ALGORITHMS` environment variable
 //! overrides the default algorithm set as well (the flag wins over the
-//! variable), and `SPQ_SOLVER_BACKEND` plays the same role for `--solver`.
+//! variable). An unknown flag or an unparsable value is fatal (exit code 2)
+//! rather than silently running a different experiment.
 //!
 //! Every binary also accepts `--trace <path>` (or the `SPQ_TRACE`
 //! environment variable) to record phase spans into a chrome-tracing JSON
@@ -34,7 +34,6 @@
 use serde::Serialize;
 use spq_core::{Algorithm, EvaluationResult, SpqEngine, SpqOptions};
 use spq_mcdb::StorageOptions;
-use spq_solver::SolverBackend;
 use spq_workloads::{build_workload, build_workload_with, WorkloadKind};
 use std::time::Duration;
 
@@ -73,8 +72,6 @@ pub struct HarnessConfig {
     pub queries: Vec<usize>,
     /// Which algorithms to compare.
     pub algorithms: Vec<Algorithm>,
-    /// LP backend for every MILP solve (`--solver revised|dense`).
-    pub solver_backend: SolverBackend,
     /// Dataset sizes for scaling harnesses (`--scale-list`); `None` lets the
     /// binary pick its default grid.
     pub scale_list: Option<Vec<usize>>,
@@ -88,6 +85,9 @@ pub struct HarnessConfig {
     /// tier's chunk-cache budget and makes every evaluation enforce
     /// [`SpqOptions::max_relation_bytes`].
     pub max_relation_bytes: Option<u64>,
+    /// Path of the JSON report (`--out`) for binaries that write one
+    /// (`fig_sketch_scaling`); `None` lets the binary pick its default.
+    pub out: Option<String>,
     /// Which flags were explicitly supplied (canonical spellings, e.g.
     /// `"--runs"`; `"--algorithms"` is also recorded when `SPQ_ALGORITHMS`
     /// supplied the set). Lets binaries apply their own defaults without
@@ -103,14 +103,12 @@ impl Default for HarnessConfig {
             validation: 2_000,
             queries: (1..=8).collect(),
             algorithms: vec![Algorithm::Naive, Algorithm::SummarySearch],
-            // Honor SPQ_SOLVER_BACKEND (which SolverOptions::default()
-            // resolves); the `--solver` flag overrides it.
-            solver_backend: spq_solver::SolverOptions::default().backend,
             scale_list: None,
             time_limit: Duration::from_secs(60),
             seed: 2020,
             storage: StorageTier::Memory,
             max_relation_bytes: None,
+            out: None,
             explicit_flags: Vec::new(),
         }
     }
@@ -131,17 +129,43 @@ pub fn parse_algorithms(text: &str) -> Vec<Algorithm> {
         .collect()
 }
 
+/// Parse one flag value, naming the flag in the error.
+fn value_of<T>(flag: &str, value: &str) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    value
+        .trim()
+        .parse()
+        .map_err(|e| format!("{flag}: invalid value `{value}` ({e})"))
+}
+
+/// Parse a non-empty comma-separated list of flag values.
+fn list_of<T>(flag: &str, value: &str) -> Result<Vec<T>, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    let list = value
+        .split(',')
+        .filter(|s| !s.trim().is_empty())
+        .map(|s| value_of(flag, s))
+        .collect::<Result<Vec<T>, String>>()?;
+    if list.is_empty() {
+        return Err(format!("{flag}: expected a comma-separated list"));
+    }
+    Ok(list)
+}
+
 impl HarnessConfig {
-    /// Parse a config from command-line arguments
-    /// (`--scale N --runs R --validation V --queries 1,2,3 --time-limit SECS
-    /// --algorithms naive,summarysearch,sketchrefine`). The `SPQ_ALGORITHMS`
-    /// environment variable supplies the algorithm set when the flag is
-    /// absent. SketchRefine is installed into the engine as a side effect so
-    /// every harness can dispatch it.
+    /// Parse a config from command-line arguments; see
+    /// [`HarnessConfig::parse`]. SketchRefine is installed into the engine
+    /// as a side effect so every harness can dispatch it.
     ///
-    /// An unrecognized `--solver` value is fatal (exit code 2): silently
-    /// falling back to the default backend would benchmark a different
-    /// solver than the one asked for.
+    /// A bad command line is fatal (exit code 2): silently falling back to
+    /// a default would benchmark a different experiment than the one asked
+    /// for.
     pub fn from_args() -> Self {
         match Self::parse(std::env::args().skip(1)) {
             Ok(config) => config,
@@ -153,8 +177,15 @@ impl HarnessConfig {
     }
 
     /// Argument parsing behind [`HarnessConfig::from_args`], separated so the
-    /// error path is testable. Returns `Err` on an unrecognized `--solver`
-    /// value; the message lists the registered backends.
+    /// error path is testable. Flags come in `--flag value` pairs:
+    /// `--scale N`, `--runs R`, `--validation V`, `--queries 1,2,3` (each
+    /// in `1..=8`), `--time-limit SECS`, `--seed S`,
+    /// `--algorithms naive,summarysearch,sketchrefine`, `--scale-list
+    /// N1,N2`, `--storage memory|disk`, `--max-relation-bytes B`, `--trace
+    /// PATH` and `--out PATH`. The `SPQ_ALGORITHMS` environment variable
+    /// supplies the algorithm set when the flag is absent. Returns `Err`,
+    /// naming the flag, on an unknown flag, a missing value or a value that
+    /// does not parse.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         spq_sketch::install();
         let mut config = HarnessConfig::default();
@@ -165,38 +196,27 @@ impl HarnessConfig {
                 config.explicit_flags.push("--algorithms".into());
             }
         }
-        let args: Vec<String> = args.into_iter().collect();
-        let mut i = 0;
-        while i + 1 < args.len() {
-            let value = &args[i + 1];
-            let mut seen = Some(args[i].clone());
-            match args[i].as_str() {
-                "--scale" => config.scale = value.parse().unwrap_or(config.scale),
-                "--runs" => config.runs = value.parse().unwrap_or(config.runs),
-                "--validation" => config.validation = value.parse().unwrap_or(config.validation),
-                "--seed" => config.seed = value.parse().unwrap_or(config.seed),
-                "--time-limit" => {
-                    config.time_limit =
-                        Duration::from_secs(value.parse().unwrap_or(config.time_limit.as_secs()))
-                }
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let Some(value) = args.next() else {
+                return Err(format!("{flag}: missing value"));
+            };
+            let mut seen = flag.clone();
+            match flag.as_str() {
+                "--scale" => config.scale = value_of(&flag, &value)?,
+                "--runs" => config.runs = value_of(&flag, &value)?,
+                "--validation" => config.validation = value_of(&flag, &value)?,
+                "--seed" => config.seed = value_of(&flag, &value)?,
+                "--time-limit" => config.time_limit = Duration::from_secs(value_of(&flag, &value)?),
                 "--queries" => {
-                    config.queries = value
-                        .split(',')
-                        .filter_map(|s| s.trim().parse().ok())
-                        .filter(|q| (1..=8).contains(q))
-                        .collect();
+                    config.queries = list_of(&flag, &value)?;
+                    if let Some(q) = config.queries.iter().find(|q| !(1..=8).contains(*q)) {
+                        return Err(format!("{flag}: query {q} is not in 1..=8"));
+                    }
                 }
                 "--algorithms" | "--algorithm" => {
-                    let parsed = parse_algorithms(value);
-                    if !parsed.is_empty() {
-                        config.algorithms = parsed;
-                    }
-                    seen = Some("--algorithms".into());
-                }
-                "--solver" => {
-                    config.solver_backend = value
-                        .parse::<SolverBackend>()
-                        .map_err(|e| format!("--solver: {e}"))?;
+                    config.algorithms = list_of(&flag, &value)?;
+                    seen = "--algorithms".into();
                 }
                 "--storage" => {
                     config.storage = match value.as_str() {
@@ -210,31 +230,14 @@ impl HarnessConfig {
                     };
                 }
                 "--max-relation-bytes" => {
-                    config.max_relation_bytes = Some(
-                        value
-                            .parse()
-                            .map_err(|e| format!("--max-relation-bytes: {e}"))?,
-                    );
+                    config.max_relation_bytes = Some(value_of(&flag, &value)?);
                 }
-                "--scale-list" => {
-                    let list: Vec<usize> = value
-                        .split(',')
-                        .filter_map(|s| s.trim().parse().ok())
-                        .collect();
-                    if !list.is_empty() {
-                        config.scale_list = Some(list);
-                    }
-                }
-                "--trace" => spq_obs::trace::enable(value.clone()),
-                _ => seen = None,
+                "--scale-list" => config.scale_list = Some(list_of(&flag, &value)?),
+                "--trace" => spq_obs::trace::enable(value),
+                "--out" => config.out = Some(value),
+                _ => return Err(format!("unknown flag `{flag}`")),
             }
-            if let Some(flag) = seen {
-                config.explicit_flags.push(flag);
-            }
-            i += 2;
-        }
-        if config.queries.is_empty() {
-            config.queries = (1..=8).collect();
+            config.explicit_flags.push(seen);
         }
         Ok(config)
     }
@@ -262,7 +265,7 @@ impl HarnessConfig {
             expectation_scenarios: self.validation.min(1000),
             initial_summaries,
             time_limit: Some(self.time_limit),
-            solver: solver_options(self.time_limit, self.solver_backend),
+            solver: solver_options(self.time_limit),
             max_relation_bytes: self.max_relation_bytes,
             ..Default::default()
         }
@@ -290,10 +293,9 @@ impl HarnessConfig {
     }
 }
 
-fn solver_options(limit: Duration, backend: SolverBackend) -> spq_solver::SolverOptions {
+fn solver_options(limit: Duration) -> spq_solver::SolverOptions {
     spq_solver::SolverOptions {
         time_limit: Some(limit.min(Duration::from_secs(30))),
-        backend,
         ..Default::default()
     }
 }
@@ -321,13 +323,11 @@ pub struct RunRecord {
     pub feasible: bool,
     /// Objective estimate of the returned package.
     pub objective: Option<f64>,
-    /// LP backend the run used (`revised` or `dense`).
-    pub solver: String,
     /// Total simplex pivots across every LP relaxation of the run — the
     /// work measure that exposes warm-start savings.
     pub lp_pivots: usize,
     /// Evaluation error, if the engine refused or failed the query outright
-    /// (e.g. the solver's tableau-memory guard on huge dense models).
+    /// (e.g. the solver's memory guard on a model too large to solve).
     pub error: Option<String>,
 }
 
@@ -385,7 +385,6 @@ pub fn run_query(
             seconds,
             feasible,
             objective,
-            solver: config.solver_backend.to_string(),
             lp_pivots,
             error,
         });
@@ -485,7 +484,6 @@ mod tests {
             seconds,
             feasible,
             objective: Some(objective),
-            solver: "revised".into(),
             lp_pivots: 100,
             error: None,
         };
@@ -535,19 +533,38 @@ mod tests {
     }
 
     #[test]
-    fn unknown_solver_value_is_a_hard_error_listing_backends() {
-        fn args(v: &[&str]) -> Vec<String> {
-            v.iter().map(|s| s.to_string()).collect()
+    fn unknown_flags_and_bad_values_are_hard_errors() {
+        fn parse(v: &[&str]) -> Result<HarnessConfig, String> {
+            HarnessConfig::parse(v.iter().map(|s| s.to_string()))
         }
-        let err = HarnessConfig::parse(args(&["--solver", "cplex"])).unwrap_err();
-        assert!(err.contains("--solver"), "{err}");
-        for name in spq_solver::backend::registered_names() {
-            assert!(err.contains(name), "`{err}` should list `{name}`");
+        for (args, flag) in [
+            (&["--sclae", "10"][..], "--sclae"),
+            (&["--scale", "abc"], "--scale"),
+            (&["--runs"], "--runs"),
+            (&["--queries", "1,9"], "--queries"),
+            (&["--scale-list", "10,x"], "--scale-list"),
+            (&["--algorithms", "naive,cplex"], "--algorithms"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains(flag), "{args:?}: `{err}` should name {flag}");
         }
-        let ok = HarnessConfig::parse(args(&["--solver", "dense", "--runs", "2"])).unwrap();
-        assert_eq!(ok.solver_backend, SolverBackend::Dense);
+        let ok = parse(&[
+            "--runs",
+            "2",
+            "--queries",
+            "1,3",
+            "--scale-list",
+            "10,20",
+            "--out",
+            "report.json",
+        ])
+        .unwrap();
         assert_eq!(ok.runs, 2);
-        assert!(ok.was_set("--solver"));
+        assert_eq!(ok.queries, [1, 3]);
+        assert_eq!(ok.scale_list, Some(vec![10, 20]));
+        assert_eq!(ok.out.as_deref(), Some("report.json"));
+        assert!(ok.was_set("--runs") && ok.was_set("--out"));
+        assert!(!ok.was_set("--scale"));
     }
 
     #[test]

@@ -241,35 +241,6 @@ impl<'a> Instance<'a> {
         })
     }
 
-    /// Realize one optimization scenario of a stochastic column, restricted
-    /// to candidate tuples.
-    pub fn optimization_scenario(&self, column: &str, scenario: usize) -> Result<Vec<f64>> {
-        let row = self.opt_gen.realize_sparse(
-            self.relation,
-            column,
-            &self.silp.tuples,
-            scenario..scenario + 1,
-        )?;
-        Ok(row.into_iter().next().unwrap_or_default())
-    }
-
-    /// Realize a single optimization-stream cell: the value of candidate
-    /// position `position` in scenario `scenario` (tuple-wise generation,
-    /// Section 5.5).
-    pub fn optimization_scenario_cell(
-        &self,
-        column: &str,
-        position: usize,
-        scenario: usize,
-    ) -> Result<f64> {
-        Ok(self.opt_gen.realize_cell(
-            self.relation,
-            column,
-            self.silp.tuples[position],
-            scenario,
-        )?)
-    }
-
     /// True when the moment prefilter proved `column` scenario-invariant
     /// over the candidate tuples: every scenario request for it is served by
     /// broadcasting one probed realization instead of drawing.
@@ -669,10 +640,7 @@ mod tests {
         let matrix = inst.optimization_matrix("gain", 5).unwrap();
         assert_eq!(matrix.num_scenarios(), 5);
         assert_eq!(matrix.num_tuples(), 2);
-        let row = inst.optimization_scenario("gain", 2).unwrap();
-        assert_eq!(row.len(), 2);
-        assert_eq!(row[0], matrix.value(2, 0));
-        assert_eq!(row[1], matrix.value(2, 1));
+        let row = vec![matrix.value(2, 0), matrix.value(2, 1)];
         // Validation rows differ from optimization rows (different stream).
         let val = inst.validation_rows("gain", &[0, 1], 2..3).unwrap();
         assert_ne!(val[0], row);

@@ -64,9 +64,7 @@ pub mod saa;
 pub mod silp;
 pub mod summary;
 pub mod summary_search;
-pub mod summary_stream;
 pub mod translate;
-pub mod validate;
 pub mod validation;
 
 pub use engine::{

@@ -115,12 +115,10 @@ pub struct SpqOptions {
     /// any feasible solution (feasibility-only termination).
     pub epsilon: f64,
     /// Options handed to the MILP solver for each (reduced) DILP. The
-    /// default resolves the solver environment knobs —
-    /// `SPQ_SOLVER_BACKEND` (LP backend), `SPQ_SOLVER_PRICING` (simplex
-    /// pricing rule), and `SPQ_SOLVER_THREADS` (speculative
-    /// branch-and-bound workers; results are bit-identical at any count) —
-    /// so services and harnesses inherit them without extra plumbing; an
-    /// unrecognized value of any of the three is a hard error.
+    /// default resolves the solver's one environment knob,
+    /// `SPQ_SOLVER_THREADS` (speculative branch-and-bound workers; results
+    /// are bit-identical at any count), so services and harnesses inherit
+    /// it without extra plumbing; an unrecognized value is a hard error.
     pub solver: SolverOptions,
     /// Total wall-clock budget for one query evaluation, relative to
     /// instance preparation. [`crate::Instance::new`] folds it into

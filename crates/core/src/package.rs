@@ -1,6 +1,6 @@
 //! Package results: the answer to a stochastic package query.
 
-use crate::validate::ValidationReport;
+use crate::validation::ValidationReport;
 use serde::{Deserialize, Serialize};
 use spq_mcdb::Relation;
 use std::fmt;
@@ -121,7 +121,7 @@ pub struct EvaluationStats {
     /// Total branch-and-bound nodes across all solves.
     pub solver_nodes: usize,
     /// Total simplex pivots across every LP relaxation of every solve —
-    /// the backend-independent work measure that makes warm-start savings
+    /// the machine-independent work measure that makes warm-start savings
     /// visible even when wall clock is noisy.
     pub lp_pivots: usize,
     /// Number of coefficients of the largest DILP formulated (the paper's
@@ -158,7 +158,7 @@ impl EvaluationResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::validate::ConstraintValidation;
+    use crate::validation::ConstraintValidation;
     use spq_mcdb::vg::Degenerate;
     use spq_mcdb::RelationBuilder;
 

@@ -6,7 +6,7 @@
 //! * **scenario-wise** generation — realize one whole column for one scenario
 //!   (used when building SAA formulations and summaries scenario by scenario);
 //! * **tuple-wise** generation — realize all `M` scenarios for one tuple
-//!   (used by the tuple-wise summarization strategy of Section 5.5);
+//!   (the per-cell path is the block kernel's conformance oracle);
 //! * **sparse** generation — realize values only for the tuples present in a
 //!   candidate package (used by out-of-sample validation, Section 3.2).
 //!

@@ -12,14 +12,8 @@
 //!      [--max-tenant-relations 8] [--max-tenant-tuples 2000000]
 //!      [--result-cache N]
 //!      [--default-timeout-ms 60000] [--validation 10000]
-//!      [--solver revised|dense] [--scenario-store DIR]
-//!      [--scenario-store-bytes N]
+//!      [--scenario-store DIR] [--scenario-store-bytes N]
 //! ```
-//!
-//! `--solver` selects the LP backend for every solve the server performs;
-//! an unrecognized name is fatal and lists the registered backends (the
-//! `SPQ_SOLVER_BACKEND` environment variable plays the same role when the
-//! flag is absent).
 //!
 //! `--scenario-store` (or the `SPQ_SCENARIO_STORE` environment variable)
 //! enables the persistent scenario store: realized scenario blocks are
@@ -43,7 +37,7 @@ fn usage() -> ! {
          \x20           [--read-buffer-bytes N] [--write-buffer-bytes N]\n\
          \x20           [--max-tenant-relations N] [--max-tenant-tuples N]\n\
          \x20           [--result-cache N] [--default-timeout-ms N]\n\
-         \x20           [--validation N] [--solver revised|dense]\n\
+         \x20           [--validation N]\n\
          \x20           [--scenario-store DIR] [--scenario-store-bytes N]"
     );
     std::process::exit(2);
@@ -63,7 +57,6 @@ fn main() {
     let mut result_cache_entries = spq_service::ResultCache::DEFAULT_CAPACITY;
     let mut default_timeout_ms = 60_000u64;
     let mut validation = 10_000usize;
-    let mut solver_backend: Option<spq_solver::SolverBackend> = None;
     // Flag overrides environment so scripted runs can pin the store.
     let mut scenario_store_dir: Option<std::path::PathBuf> = std::env::var_os("SPQ_SCENARIO_STORE")
         .filter(|v| !v.is_empty())
@@ -146,15 +139,6 @@ fn main() {
             "--validation" => {
                 validation = value("--validation").parse().unwrap_or_else(|_| usage())
             }
-            "--solver" => {
-                // Hard error on typos: silently falling back to the default
-                // would serve every query with a different solver than the
-                // operator asked for.
-                solver_backend = Some(value("--solver").parse().unwrap_or_else(|e| {
-                    eprintln!("--solver: {e}");
-                    std::process::exit(2);
-                }))
-            }
             "--scenario-store" => {
                 scenario_store_dir = Some(std::path::PathBuf::from(value("--scenario-store")))
             }
@@ -179,9 +163,6 @@ fn main() {
     // Budgets come from per-request deadlines; the base time limit would
     // only add a second, redundant clock.
     base_options.time_limit = None;
-    if let Some(backend) = solver_backend {
-        base_options.solver.backend = backend;
-    }
 
     if let Some(dir) = &scenario_store_dir {
         eprintln!("spqd: persistent scenario store at {}", dir.display());

@@ -4,8 +4,8 @@
 //!
 //! 1. **Partition** — embed every candidate tuple into a normalized
 //!    distributional feature space ([`crate::features`]) and group similar
-//!    tuples with the diameter-bounded greedy partitioner
-//!    ([`crate::partition`]).
+//!    tuples with the diameter-bounded hierarchical partitioner
+//!    ([`crate::hierarchy`]).
 //! 2. **Sketch** — solve the query with SummarySearch over a reduced relation
 //!    holding one medoid representative per partition, each allowed a
 //!    multiplicity of up to `partition size × per-tuple bound`. Because the
@@ -24,8 +24,7 @@
 //! feasibility guarantees as SummarySearch while each MILP it solves is
 //! `O(√N)` rather than `O(N)` variables wide.
 
-use crate::hierarchy::{partition_hierarchical, BlockFeatures};
-use crate::partition::Partitioning;
+use crate::hierarchy::{partition_hierarchical, BlockFeatures, Partitioning};
 use spq_core::package::{EvaluationResult, EvaluationStats, Package};
 use spq_core::silp::Direction;
 use spq_core::summary_search::evaluate_summary_search;
@@ -101,10 +100,7 @@ macro_rules! debug_trace {
 /// still get selected — the refine phase re-solves over the real members and
 /// out-of-sample validation keeps the optimism honest. For probability
 /// objectives (no per-tuple coefficient) the medoid is used as is.
-fn choose_representatives(
-    instance: &Instance<'_>,
-    parts: &crate::partition::Partitioning,
-) -> Result<Vec<usize>> {
+fn choose_representatives(instance: &Instance<'_>, parts: &Partitioning) -> Result<Vec<usize>> {
     use spq_core::silp::{CoeffSource, SilpObjective};
     let coeffs = match &instance.silp.objective {
         SilpObjective::Linear { coeff, .. } if !matches!(coeff, CoeffSource::Constant(_)) => {

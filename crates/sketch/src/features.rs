@@ -22,38 +22,6 @@
 use spq_core::silp::{CoeffSource, SilpObjective};
 use spq_core::{Instance, Result};
 
-/// Normalized per-candidate feature vectors, row-major.
-#[derive(Debug, Clone)]
-pub struct FeatureMatrix {
-    rows: usize,
-    dims: usize,
-    data: Vec<f64>,
-}
-
-impl FeatureMatrix {
-    /// Build from row-major data (normalized or not; the partitioner assumes
-    /// `[0, 1]` per dimension).
-    pub fn new(rows: usize, dims: usize, data: Vec<f64>) -> Self {
-        debug_assert_eq!(data.len(), rows * dims);
-        FeatureMatrix { rows, dims, data }
-    }
-
-    /// Number of candidate tuples.
-    pub fn num_rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of feature dimensions.
-    pub fn dims(&self) -> usize {
-        self.dims
-    }
-
-    /// Feature vector of candidate `i`.
-    pub fn row(&self, i: usize) -> &[f64] {
-        &self.data[i * self.dims..(i + 1) * self.dims]
-    }
-}
-
 /// The columns a SILP reads, deduplicated in declaration order.
 pub(crate) fn referenced_columns(instance: &Instance<'_>) -> (Vec<String>, Vec<String>) {
     let silp = &instance.silp;
@@ -104,10 +72,9 @@ pub(crate) fn normalize(dim: &mut [f64]) {
 }
 
 /// The normalized feature dimensions of an instance's candidates,
-/// column-major: one `[0, 1]`-normalized vector per feature dimension. This
-/// is the shared substrate of both the dense [`FeatureMatrix`] and the
-/// blockwise [`crate::hierarchy`] partitioner (which never transposes it
-/// into a row-major matrix).
+/// column-major: one `[0, 1]`-normalized vector per feature dimension, as
+/// the blockwise [`crate::hierarchy`] partitioner reads them (it never
+/// transposes them into a row-major matrix).
 pub(crate) fn candidate_dimensions(instance: &Instance<'_>) -> Result<Vec<Vec<f64>>> {
     let n = instance.num_vars();
     let (det, stoch) = referenced_columns(instance);
@@ -139,20 +106,6 @@ pub(crate) fn candidate_dimensions(instance: &Instance<'_>) -> Result<Vec<Vec<f6
         normalize(dim);
     }
     Ok(dims)
-}
-
-/// Extract the normalized feature matrix of an instance's candidate tuples.
-pub fn candidate_features(instance: &Instance<'_>) -> Result<FeatureMatrix> {
-    let n = instance.num_vars();
-    let dims = candidate_dimensions(instance)?;
-    let d = dims.len();
-    let mut data = vec![0.0f64; n * d];
-    for (k, dim) in dims.iter().enumerate() {
-        for (i, &v) in dim.iter().enumerate() {
-            data[i * d + k] = v;
-        }
-    }
-    Ok(FeatureMatrix::new(n, d, data))
 }
 
 #[cfg(test)]
@@ -199,24 +152,24 @@ mod tests {
     fn features_cover_price_mean_and_spread() {
         let rel = relation();
         let inst = Instance::new(&rel, silp(), SpqOptions::for_tests()).unwrap();
-        let f = candidate_features(&inst).unwrap();
-        assert_eq!(f.num_rows(), 4);
-        // price + (gain mean, gain sd)
-        assert_eq!(f.dims(), 3);
-        for i in 0..4 {
-            for &v in f.row(i) {
-                assert!((0.0..=1.0).contains(&v), "row {i}: {v}");
+        let f = candidate_dimensions(&inst).unwrap();
+        // price + (gain mean, gain sd), one value per candidate each
+        assert_eq!(f.len(), 3);
+        for (k, dim) in f.iter().enumerate() {
+            assert_eq!(dim.len(), 4);
+            for &v in dim {
+                assert!((0.0..=1.0).contains(&v), "dim {k}: {v}");
             }
         }
         // Price is normalized linearly: 10 -> 0, 40 -> 1.
-        assert_eq!(f.row(0)[0], 0.0);
-        assert_eq!(f.row(3)[0], 1.0);
+        assert_eq!(f[0][0], 0.0);
+        assert_eq!(f[0][3], 1.0);
         // Tuples 0/1 share mean and sd; tuples 2/3 likewise — and the two
         // groups are far apart in both stochastic dimensions.
-        assert_eq!(f.row(0)[1], f.row(1)[1]);
-        assert!((f.row(0)[2] - f.row(1)[2]).abs() < 0.15);
-        assert!((f.row(0)[1] - f.row(2)[1]).abs() > 0.9);
-        assert!((f.row(0)[2] - f.row(2)[2]).abs() > 0.5);
+        assert_eq!(f[1][0], f[1][1]);
+        assert!((f[2][0] - f[2][1]).abs() < 0.15);
+        assert!((f[1][0] - f[1][2]).abs() > 0.9);
+        assert!((f[2][0] - f[2][2]).abs() > 0.5);
     }
 
     #[test]
@@ -236,9 +189,9 @@ mod tests {
             expectation: false,
         };
         let inst = Instance::new(&rel, s, SpqOptions::for_tests()).unwrap();
-        let f = candidate_features(&inst).unwrap();
-        assert_eq!(f.dims(), 1);
-        assert!(f.row(0).iter().all(|&v| v == 0.0));
+        let f = candidate_dimensions(&inst).unwrap();
+        assert_eq!(f.len(), 1);
+        assert!(f[0].iter().all(|&v| v == 0.0));
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Hierarchical, summary-first partitioning (DistPartition-style).
 //!
-//! The flat partitioner in [`crate::partition`] sorts the *entire* candidate
-//! set along one dimension at every recursion level, so a million-tuple
-//! relation pays `O(N log N)` feature-matrix traffic per level — every split
-//! touches every row. This module replaces that sweep for large instances
-//! with the hierarchical strategy of *Stochastic SketchRefine* (Haque et
-//! al., 2024; `DistPartition`): the candidate space is carved top-down using
-//! **block-level summaries** first, and individual rows are only paged in
-//! for the blocks a split actually straddles.
+//! A flat partitioner that sorts the *entire* candidate set along one
+//! dimension at every recursion level makes a million-tuple relation pay
+//! `O(N log N)` feature traffic per level — every split touches every row.
+//! This module follows the hierarchical strategy of *Stochastic
+//! SketchRefine* (Haque et al., 2024; `DistPartition`) instead: the
+//! candidate space is carved top-down using **block-level summaries** first,
+//! and individual rows are only paged in for the blocks a split actually
+//! straddles.
 //!
 //! Candidates are grouped into fixed-size *blocks* of [`BLOCK_ROWS`]
 //! positions. One streaming pass records each block's per-dimension
@@ -23,11 +23,12 @@
 //! at the envelope midpoint. Because envelopes are exact (block summaries
 //! are computed from the rows, part-spans carry the bounds observed when
 //! they were formed), both sides of a cut are provably non-empty and the
-//! recursion always terminates. Leaves satisfy the same contract as the
-//! flat partitioner — normalized per-dimension spread at most `diameter` and
-//! at most `max_size` members — and elect the same medoid representative,
-//! computed blockwise so no step ever needs the full `N × d` feature matrix
-//! at once.
+//! recursion always terminates. Leaves have a normalized per-dimension
+//! spread of at most `diameter` and at most `max_size` members, and elect a
+//! medoid representative — the member closest to the leaf's centroid, a
+//! *real tuple*, so a sketch solution over representatives is already a
+//! genuine package — computed blockwise so no step ever needs the full
+//! `N × d` feature matrix at once.
 //!
 //! [`BLOCK_ROWS`] is a **fixed constant**, deliberately independent of the
 //! storage tier's chunk size: the partitioning (and therefore the final
@@ -40,7 +41,6 @@
 //! regardless of thread count.
 
 use crate::features::candidate_dimensions;
-use crate::partition::Partitioning;
 use spq_core::{Instance, Result};
 use spq_obs::metrics::{Counter, Named};
 
@@ -53,6 +53,31 @@ pub const BLOCK_ROWS: usize = 4096;
 // Prometheus snapshot so scaling runs can show the summary-first win.
 static BLOCKS_REFINED: Named<Counter> = Named::new("spq_sketch_blocks_refined", Counter::new());
 static BLOCKS_ROUTED: Named<Counter> = Named::new("spq_sketch_blocks_routed", Counter::new());
+
+/// The output of partitioning: disjoint groups of candidate positions, each
+/// with a medoid representative, plus the inverse position→partition map.
+#[derive(Debug, Clone)]
+pub struct Partitioning {
+    /// Candidate positions per partition: ascending, except in a leaf
+    /// chopped to the size budget, which follows its widest dimension.
+    pub partitions: Vec<Vec<usize>>,
+    /// The medoid's candidate position, one per partition.
+    pub representatives: Vec<usize>,
+    /// `assignment[position]` is the id of the partition holding `position`.
+    pub assignment: Vec<usize>,
+}
+
+impl Partitioning {
+    /// Number of partitions.
+    pub fn len(&self) -> usize {
+        self.partitions.len()
+    }
+
+    /// True when no partitions exist (empty candidate set).
+    pub fn is_empty(&self) -> bool {
+        self.partitions.is_empty()
+    }
+}
 
 /// Normalized candidate features stored column-major with per-block
 /// `[min, max]` envelopes. Built once per evaluation; the envelopes are what
@@ -326,11 +351,11 @@ fn medoid(f: &BlockFeatures, members: &[usize]) -> usize {
     members[best]
 }
 
-/// Partition candidates hierarchically: same contract as
-/// [`crate::partition::partition_candidates`] — groups of at most
-/// `max_size` whose normalized per-dimension spread never exceeds
-/// `diameter` (clamped to `(0, 1]`), each with a medoid representative —
-/// but driven by block summaries so only straddled blocks are paged in.
+/// Partition candidates hierarchically into groups of at most `max_size`
+/// whose normalized per-dimension spread never exceeds `diameter` (clamped
+/// to `(0, 1]`; `1` disables the bound since features live in `[0, 1]`),
+/// each with a medoid representative — driven by block summaries so only
+/// straddled blocks are paged in.
 pub fn partition_hierarchical(f: &BlockFeatures, max_size: usize, diameter: f64) -> Partitioning {
     let n = f.num_rows();
     let max_size = max_size.max(1);
@@ -371,6 +396,14 @@ mod tests {
             .collect()
     }
 
+    /// Tests whose cuts refine blocks take turns with the one that reads
+    /// the process-wide block counters, so a move of a counter belongs to
+    /// the test that reads it.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     fn grid(n: usize) -> Vec<Vec<f64>> {
         (0..n)
             .map(|i| {
@@ -384,6 +417,7 @@ mod tests {
 
     #[test]
     fn covers_all_positions_disjointly_and_respects_budgets() {
+        let _turn = serial();
         let rows = grid(500);
         for block_rows in [3, 64, 4096] {
             let f = BlockFeatures::from_dims(dims_of(&rows), block_rows);
@@ -413,6 +447,7 @@ mod tests {
         // at envelope midpoints, which are identical whatever the blocking,
         // so the final leaves must match exactly. This is the property that
         // lets BLOCK_ROWS stay independent of the storage chunk size.
+        let _turn = serial();
         let rows = grid(257);
         let reference = {
             let f = BlockFeatures::from_dims(dims_of(&rows), 1);
@@ -433,6 +468,7 @@ mod tests {
     fn whole_blocks_route_without_refinement() {
         // Two well-separated clusters, each filling whole blocks: the first
         // cut routes every block by its envelope alone.
+        let _turn = serial();
         let mut rows: Vec<Vec<f64>> = Vec::new();
         for i in 0..64 {
             rows.push(vec![0.05 + (i % 8) as f64 * 0.001]);
@@ -472,8 +508,7 @@ mod tests {
 
     #[test]
     fn matches_flat_partitioner_semantics_on_medoids() {
-        // Same three-point line as the flat partitioner's medoid test: the
-        // central member is elected.
+        // A three-point line: the central member is elected.
         let rows = vec![vec![0.0, 0.0], vec![0.5, 0.5], vec![1.0, 1.0]];
         let f = BlockFeatures::from_dims(dims_of(&rows), 4096);
         let p = partition_hierarchical(&f, 3, 1.0);

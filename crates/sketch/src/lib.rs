@@ -17,9 +17,7 @@
 //!    DistPartition: fixed-size feature blocks are routed by resident
 //!    `[min, max]` envelopes and only blocks a split straddles are paged
 //!    in; each leaf elects a *medoid* representative — a real tuple, so
-//!    sketch answers are themselves valid packages. (The dense flat
-//!    partitioner survives in [`partition`] for small candidate sets and as
-//!    the reference semantics.)
+//!    sketch answers are themselves valid packages.
 //! 3. [`evaluate`] solves the *sketch* query over the representatives (each
 //!    granted the multiplicity capacity of its whole partition), then
 //!    *refines* the chosen partitions one at a time over their real tuples
@@ -64,12 +62,9 @@
 pub mod evaluate;
 pub mod features;
 pub mod hierarchy;
-pub mod partition;
 
 pub use evaluate::evaluate_sketch_refine;
-pub use features::{candidate_features, FeatureMatrix};
-pub use hierarchy::{partition_hierarchical, BlockFeatures, BLOCK_ROWS};
-pub use partition::{partition_candidates, Partitioning};
+pub use hierarchy::{partition_hierarchical, BlockFeatures, Partitioning, BLOCK_ROWS};
 
 /// Register [`evaluate_sketch_refine`] as the engine's
 /// [`spq_core::Algorithm::SketchRefine`] evaluator. Idempotent; call once

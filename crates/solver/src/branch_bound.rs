@@ -1,11 +1,8 @@
 //! Branch-and-bound MILP solver with big-M indicator linearization.
 //!
-//! LP relaxations are solved by one of two interchangeable backends
-//! ([`SolverBackend`]): the sparse bounded-variable revised simplex
-//! ([`crate::revised`], the default), whose per-node cost tracks the
-//! nonzeros of the constraints and which re-solves each child node from its
-//! parent's basis, or the dense two-phase tableau ([`crate::simplex`]) kept
-//! as a cross-check and fallback.
+//! LP relaxations are solved by the sparse bounded-variable revised simplex
+//! ([`crate::revised`]), whose per-node cost tracks the nonzeros of the
+//! constraints and which re-solves each child node from its parent's basis.
 //!
 //! The tree is searched over the *live core* of the LP: once the root is
 //! solved, and again whenever the incumbent improves, columns are fixed by
@@ -15,12 +12,11 @@
 //! costs what the core costs — tens of columns on SAA/CSA models whose first
 //! incumbent pins ~96 % of them — instead of what the model costs.
 
-use crate::backend::{Relaxation, RelaxationContext, SolverModel};
 use crate::basis::{Basis, VarStatus};
 use crate::deadline::Deadline;
 use crate::error::SolverError;
 use crate::model::{Direction, Model, Sense, Solution};
-use crate::simplex::{LpStatus, PricingRule};
+use crate::revised::{LpStatus, PivotRules, RevisedLp, RevisedSolution};
 use crate::standard_form::{LpProblem, LpRow, BOUND_INFINITY};
 use crate::Result;
 use spq_obs::metrics::{Counter, Histogram, Named};
@@ -47,64 +43,6 @@ static CORE_COLUMNS: Named<Histogram> = Named::new("spq_solver_core_columns", Hi
 // therefore all misses).
 static SPEC_HITS: Named<Counter> = Named::new("spq_solver_spec_hits", Counter::new());
 static SPEC_MISSES: Named<Counter> = Named::new("spq_solver_spec_misses", Counter::new());
-
-/// Which LP kernel solves the relaxations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverBackend {
-    /// Sparse bounded-variable revised simplex with warm starts (default).
-    #[default]
-    Revised,
-    /// Dense two-phase tableau simplex (no warm starts; every finite upper
-    /// bound becomes an extra row). Kept for cross-checking and as a
-    /// fallback.
-    Dense,
-}
-
-impl std::str::FromStr for SolverBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
-        match crate::backend::find(s) {
-            Some(backend) => Ok(backend.id()),
-            None => Err(format!(
-                "unknown solver backend `{}` (registered backends: {})",
-                s.trim(),
-                crate::backend::registered_names().join(", ")
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for SolverBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", crate::backend::backend_for(*self).name())
-    }
-}
-
-/// The default backend: `SPQ_SOLVER_BACKEND` (`revised`/`dense`) when set,
-/// [`SolverBackend::Revised`] otherwise. An unrecognized value is a hard
-/// error — silently falling through to the default would run a different
-/// solver than the operator asked for.
-fn default_backend() -> SolverBackend {
-    match std::env::var("SPQ_SOLVER_BACKEND") {
-        Ok(v) => v
-            .parse()
-            .unwrap_or_else(|e| panic!("invalid SPQ_SOLVER_BACKEND: {e}")),
-        Err(_) => SolverBackend::default(),
-    }
-}
-
-/// The default pricing rule: `SPQ_SOLVER_PRICING` when set (`dantzig`,
-/// `partial`, `steepest-edge`), [`PricingRule::default`] otherwise. Like the
-/// backend variable, an unrecognized value is a hard error.
-fn default_pricing() -> PricingRule {
-    match std::env::var("SPQ_SOLVER_PRICING") {
-        Ok(v) => v
-            .parse()
-            .unwrap_or_else(|e| panic!("invalid SPQ_SOLVER_PRICING: {e}")),
-        Err(_) => PricingRule::default(),
-    }
-}
 
 /// The default worker-thread count: `SPQ_SOLVER_THREADS` when set (a
 /// positive integer; anything else is a hard error), otherwise 1.
@@ -141,25 +79,15 @@ pub struct SolverOptions {
     /// Cap applied to automatically derived big-M constants when variable
     /// bounds are infinite.
     pub big_m_cap: f64,
-    /// LP backend solving the relaxations. Defaults to the
-    /// `SPQ_SOLVER_BACKEND` environment variable when set (`revised` or
-    /// `dense`), otherwise [`SolverBackend::Revised`].
-    pub backend: SolverBackend,
     /// Warm-start basis for the root relaxation, e.g. the
     /// [`MilpResult::basis`] of a previous related solve. Ignored (cold
-    /// start) when it does not fit the model's LP shape or when the dense
-    /// backend is selected, so callers can thread a basis through
-    /// unconditionally.
+    /// start) when it does not fit the model's LP shape, so callers can
+    /// thread a basis through unconditionally.
     pub warm_start: Option<Basis>,
     /// Simplex iteration index after which pricing switches from Dantzig to
     /// Bland's rule (anti-cycling). `None` uses the documented default of
     /// half the iteration budget; see `PivotRules` in `revised.rs`.
     pub bland_after: Option<usize>,
-    /// Pricing rule for the revised-simplex relaxation solves. Defaults to
-    /// the `SPQ_SOLVER_PRICING` environment variable when set (`dantzig`,
-    /// `partial`, or `steepest-edge`), otherwise [`PricingRule::default`].
-    /// The dense backend ignores this and always prices with Dantzig.
-    pub pricing: PricingRule,
     /// Branch-and-bound worker threads. `1` (the default) searches serially;
     /// `n > 1` keeps the exact serial node order on the main thread while
     /// `n − 1` workers *speculatively* pre-solve the LP relaxations of
@@ -170,11 +98,9 @@ pub struct SolverOptions {
     /// value is a hard error), otherwise 1.
     pub threads: usize,
     /// Refuse to solve when the LP kernel's working set would exceed this
-    /// many bytes. The estimate is backend-aware: the dense tableau
-    /// materializes `rows × columns` f64s (with every doubly-bounded
-    /// variable contributing a bound row, so `N` integer variables cost on
-    /// the order of `16·N²` bytes), while the revised backend only needs
-    /// the constraint nonzeros plus its `m × m` basis factorization.
+    /// many bytes, as estimated by [`RevisedLp::estimated_bytes`]: the
+    /// constraint nonzeros plus the `m × m` basis factorization, its eta
+    /// file and the working vectors.
     /// Without the guard oversized models abort the whole process inside
     /// the allocator; with it, [`SolverError::ModelTooLarge`] is returned
     /// and callers can degrade gracefully. The default is half the
@@ -211,10 +137,8 @@ impl Default for SolverOptions {
             int_tol: 1e-6,
             rel_gap: 1e-6,
             big_m_cap: 1e7,
-            backend: default_backend(),
             warm_start: None,
             bland_after: None,
-            pricing: default_pricing(),
             threads: default_threads(),
             max_solver_bytes: Some(default_max_solver_bytes()),
         }
@@ -275,10 +199,9 @@ pub struct MilpResult {
     pub best_bound: Option<f64>,
     /// Wall-clock time spent.
     pub elapsed: Duration,
-    /// Basis of the root LP relaxation (revised backend only): feed it back
-    /// through [`SolverOptions::warm_start`] to warm-start the next related
-    /// solve. `None` for the dense backend or when the root relaxation did
-    /// not reach optimality.
+    /// Basis of the root LP relaxation: feed it back through
+    /// [`SolverOptions::warm_start`] to warm-start the next related solve.
+    /// `None` when the root relaxation did not reach optimality.
     pub basis: Option<Basis>,
 }
 
@@ -294,7 +217,7 @@ const RC_EPS: f64 = 1e-9;
 
 /// Share of the current core's columns that must be pinned (`lower ==
 /// upper`) before the search moves onto the LP restricted to the others.
-/// The move costs one pass over the core LP, one backend preparation and a
+/// The move costs one pass over the core LP, one kernel preparation and a
 /// renumbering of the open nodes, so it has to buy a clearly smaller LP; on
 /// the SAA/CSA models this solver exists for, the first incumbent pins
 /// ~0.96 of the columns, far above any threshold, and one half keeps the
@@ -331,8 +254,8 @@ struct Node {
     branch: Option<NodeDelta>,
     /// LP bound inherited from the parent (minimization sense).
     parent_bound: f64,
-    /// Parent's optimal basis (revised backend): the child re-solves from it
-    /// instead of from scratch.
+    /// Parent's optimal basis: the child re-solves from it instead of from
+    /// scratch.
     warm: Option<Arc<Basis>>,
 }
 
@@ -537,7 +460,7 @@ enum SpecState {
     /// A worker (or the main thread) is solving it right now.
     Claimed,
     /// The relaxation finished; the result waits for the main thread.
-    Done(Result<Relaxation>),
+    Done(Result<RevisedSolution>),
 }
 
 /// A queued branch-and-bound node plus the state of its (possibly
@@ -615,8 +538,8 @@ impl SpecQueue {
     fn resolve(
         &self,
         job: &SpecJob,
-        solve: impl FnOnce() -> Result<Relaxation>,
-    ) -> Result<Relaxation> {
+        solve: impl FnOnce() -> Result<RevisedSolution>,
+    ) -> Result<RevisedSolution> {
         {
             let mut st = job.state.lock().unwrap();
             loop {
@@ -645,7 +568,7 @@ impl SpecQueue {
 
     /// Worker loop: repeatedly claim the pending node nearest the top of the
     /// stack (the one the main thread needs soonest) and pre-solve it.
-    fn worker(&self, solve: impl Fn(&Node) -> Result<Relaxation>) {
+    fn worker(&self, solve: impl Fn(&Node) -> Result<RevisedSolution>) {
         loop {
             let job = {
                 let mut inner = self.inner.lock().unwrap();
@@ -728,11 +651,7 @@ impl RootLp {
     fn remapped(&self, map: &CoreMap) -> RootLp {
         RootLp {
             bound: self.bound,
-            reduced: if self.reduced.is_empty() {
-                Vec::new()
-            } else {
-                map.keep.iter().map(|&k| self.reduced[k]).collect()
-            },
+            reduced: map.keep.iter().map(|&k| self.reduced[k]).collect(),
             basis: self.basis.as_ref().map(|b| Arc::new(map.basis(b))),
         }
     }
@@ -743,8 +662,8 @@ struct SearchCtx<'a> {
     model: &'a Model,
     core: &'a Core,
     queue: &'a SpecQueue,
-    lp_model: &'a dyn SolverModel,
-    relax_ctx: &'a RelaxationContext,
+    lp: &'a RevisedLp,
+    rules: &'a PivotRules,
     stop: &'a Deadline,
     sign: f64,
 }
@@ -798,11 +717,6 @@ impl BranchBoundSolver {
             });
         }
 
-        let relax_ctx = RelaxationContext {
-            bland_after: self.options.bland_after,
-            pricing: self.options.pricing,
-            deadline: stop.clone(),
-        };
         let mut st = SearchState {
             best_solution: None,
             best_obj: f64::INFINITY,
@@ -821,9 +735,7 @@ impl BranchBoundSolver {
         let mut core = Core::full(base, model);
         let mut open = vec![Node::root(self.options.warm_start.clone().map(Arc::new))];
         while !open.is_empty() {
-            let Some((map, rest)) =
-                self.search_core(model, &core, open, &relax_ctx, &stop, &mut st)?
-            else {
+            let Some((map, rest)) = self.search_core(model, &core, open, &stop, &mut st)? else {
                 break;
             };
             CORE_RESTARTS.inc();
@@ -869,9 +781,9 @@ impl BranchBoundSolver {
     }
 
     /// Search the `open` nodes (bottom of the DFS stack first) over one
-    /// core: prepare the selected backend's model for the core LP once —
-    /// every node re-solves it under its own bounds (and its parent's
-    /// basis) — and walk the tree until it is exhausted, a limit fires, or
+    /// core: prepare the revised simplex for the core LP once — every node
+    /// re-solves it under its own bounds (and its parent's basis) — and
+    /// walk the tree until it is exhausted, a limit fires, or
     /// a [`CoreMap`] ends the stay on this core; the nodes still open then
     /// come back with it.
     fn search_core(
@@ -879,25 +791,29 @@ impl BranchBoundSolver {
         model: &Model,
         core: &Core,
         open: Vec<Node>,
-        relax_ctx: &RelaxationContext,
         stop: &Deadline,
         st: &mut SearchState,
     ) -> Result<Option<(CoreMap, Vec<Node>)>> {
         CORE_COLUMNS.record(core.cols.len() as u64);
         #[cfg(test)]
         tests::PROBE.with(|p| p.borrow_mut().cores.push(core.cols.len()));
-        let lp_model = crate::backend::backend_for(self.options.backend).prepare(&core.lp)?;
-        // Backend-aware memory guard: without it, oversized models abort the
-        // whole process inside the allocator. Preparing is linear in the
-        // model's own size, so it can safely precede the guard; only the
-        // whole LP can trip it, every later one being a restriction of it.
+        let lp = RevisedLp::from_problem(&core.lp)?;
+        // Memory guard: without it, oversized models abort the whole
+        // process inside the allocator. Preparing is linear in the model's
+        // own size, so it can safely precede the guard; only the whole LP
+        // can trip it, every later one being a restriction of it.
         if let Some(cap) = self.options.max_solver_bytes {
-            let bytes = lp_model.estimated_bytes();
+            let bytes = lp.estimated_bytes();
             if bytes > cap {
-                let (rows, cols) = lp_model.shape();
-                return Err(SolverError::ModelTooLarge { rows, cols, bytes });
+                return Err(SolverError::ModelTooLarge {
+                    rows: lp.m,
+                    cols: lp.n_struct + lp.m,
+                    bytes,
+                });
             }
         }
+        let rules = PivotRules::for_size(lp.m, lp.n_struct + lp.m, self.options.bland_after)
+            .with_deadline(stop.clone());
         let queue = SpecQueue::new();
         for node in open {
             queue.push(node);
@@ -906,8 +822,8 @@ impl BranchBoundSolver {
             model,
             core,
             queue: &queue,
-            lp_model: lp_model.as_ref(),
-            relax_ctx,
+            lp: &lp,
+            rules: &rules,
             stop,
             sign: objective_sign(model),
         };
@@ -935,15 +851,12 @@ impl BranchBoundSolver {
     /// A worker's view of one node: rebuild its bound box and solve the
     /// relaxation exactly as the main thread would, so the result is
     /// interchangeable with an inline solve.
-    fn speculative_solve(cx: &SearchCtx<'_>, node: &Node) -> Result<Relaxation> {
+    fn speculative_solve(cx: &SearchCtx<'_>, node: &Node) -> Result<RevisedSolution> {
         match node.bounds(&cx.core.lp) {
-            Some((lower, upper)) => {
-                cx.lp_model
-                    .solve_relaxation(&lower, &upper, node.warm.as_deref(), cx.relax_ctx)
-            }
+            Some((lower, upper)) => cx.lp.solve(&lower, &upper, node.warm.as_deref(), cx.rules),
             // The main thread prunes empty domains before resolving, so this
             // placeholder is never consumed.
-            None => Ok(Relaxation {
+            None => Ok(RevisedSolution {
                 status: LpStatus::Infeasible,
                 values: Vec::new(),
                 objective: f64::INFINITY,
@@ -989,8 +902,7 @@ impl BranchBoundSolver {
             // than the whole search: the node is treated as unexplored, which
             // keeps the incumbent valid and only weakens the optimality claim.
             let relax = match cx.queue.resolve(&job, || {
-                cx.lp_model
-                    .solve_relaxation(&lower, &upper, node.warm.as_deref(), cx.relax_ctx)
+                cx.lp.solve(&lower, &upper, node.warm.as_deref(), cx.rules)
             }) {
                 Ok(r) => r,
                 Err(SolverError::Numerical(_)) => {
@@ -1174,9 +1086,6 @@ impl BranchBoundSolver {
         lower: &mut [f64],
         upper: &mut [f64],
     ) -> usize {
-        if reduced.is_empty() {
-            return 0;
-        }
         let mut tightened = 0;
         for &vj in int_cols {
             let d = reduced[vj];
@@ -1441,13 +1350,6 @@ mod tests {
         m
     }
 
-    fn revised() -> SolverOptions {
-        SolverOptions {
-            backend: SolverBackend::Revised,
-            ..opts()
-        }
-    }
-
     /// The search moved onto ever smaller cores, each at most half the last.
     fn assert_reduced(probe: &Probe, columns: usize) {
         assert_eq!(probe.cores[0], columns, "the first core is the whole LP");
@@ -1471,7 +1373,7 @@ mod tests {
         let mut objectives = Vec::new();
         for order in [identity, shuffled(n)] {
             let model = galaxy_shaped_model(&order);
-            let (res, probe) = probed(&model, &revised());
+            let (res, probe) = probed(&model, &opts());
             assert_eq!(res.status, SolveStatus::Optimal);
             assert_reduced(&probe, n);
             let sol = res.solution.unwrap();
@@ -1508,7 +1410,7 @@ mod tests {
         let options = SolverOptions {
             max_nodes: 200,
             threads: 1,
-            ..revised()
+            ..opts()
         };
         let (res, probe) = probed(&m, &options);
         assert_eq!(res.nodes, 200, "the dive must reach the node limit");
@@ -1538,12 +1440,12 @@ mod tests {
                 model.set_bounds(VarId(i), 0.0, 0.0);
             }
         }
-        let (full, probe) = probed(&model, &revised());
+        let (full, probe) = probed(&model, &opts());
         assert_eq!(full.status, SolveStatus::Optimal);
         assert_reduced(&probe, n);
         let root_only = SolverOptions {
             max_nodes: 1,
-            ..revised()
+            ..opts()
         };
         let (res, probe) = probed(&model, &root_only);
         assert_eq!(res.nodes, 1);
@@ -1561,7 +1463,7 @@ mod tests {
         // And that basis warm-starts the next related solve.
         let warm = SolverOptions {
             warm_start: Some(basis),
-            ..revised()
+            ..opts()
         };
         let again = solve_full(&model, &warm).unwrap();
         assert_eq!(again.status, SolveStatus::Optimal);
@@ -1581,7 +1483,7 @@ mod tests {
         let n = 2000;
         let order: Vec<usize> = (0..n).collect();
         let model = galaxy_shaped_model(&order);
-        let (full, probe) = probed(&model, &revised());
+        let (full, probe) = probed(&model, &opts());
         assert_reduced(&probe, n);
         let best = full.solution.unwrap().objective;
         let check = |res: &MilpResult| match &res.solution {
@@ -1597,7 +1499,7 @@ mod tests {
         // search stops on the last core with the incumbent in hand.
         let budget = SolverOptions {
             max_nodes: full.nodes - 1,
-            ..revised()
+            ..opts()
         };
         let (res, probe) = probed(&model, &budget);
         assert_reduced(&probe, n);
@@ -1609,7 +1511,7 @@ mod tests {
         for micros in [0, 200, 1_000, 5_000, 20_000] {
             let timed = SolverOptions {
                 time_limit: Some(Duration::from_micros(micros)),
-                ..revised()
+                ..opts()
             };
             let res = solve_full(&model, &timed).unwrap();
             if res.status != SolveStatus::Optimal {
@@ -1620,7 +1522,7 @@ mod tests {
             let token = crate::CancellationToken::new();
             let cancelled = SolverOptions {
                 deadline: Deadline::none().with_token(token.clone()),
-                ..revised()
+                ..opts()
             };
             let canceller = std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_micros(micros));
@@ -1886,9 +1788,9 @@ mod tests {
 
     #[test]
     fn oversized_models_error_instead_of_aborting() {
-        // 2000 doubly-bounded vars -> ~2001 x 4001 dense tableau ≈ 64 MB; a
-        // 1 MB cap must refuse it with a clear error under the dense
-        // backend, and a generous cap accept it.
+        // 2000 integer columns under one cap row: a cap one byte below the
+        // kernel's estimate must refuse the model with a clear error naming
+        // its shape, and a cap at the estimate must solve it.
         let mut m = Model::maximize();
         let vars: Vec<_> = (0..2000)
             .map(|i| m.add_var(format!("x{i}"), VarType::Integer, 0.0, 5.0, 1.0))
@@ -1899,39 +1801,27 @@ mod tests {
             Sense::Le,
             3.0,
         );
-        let mut small = opts();
-        small.backend = SolverBackend::Dense;
-        small.max_solver_bytes = Some(1 << 20);
+        let lp = BranchBoundSolver::new(opts()).build_lp(&m, 1.0);
+        let estimate = RevisedLp::from_problem(&lp).unwrap().estimated_bytes();
+        let small = SolverOptions {
+            max_solver_bytes: Some(estimate - 1),
+            ..opts()
+        };
         let err = solve(&m, &small).unwrap_err();
-        assert!(matches!(err, SolverError::ModelTooLarge { .. }), "{err}");
-        let mut big = opts();
-        big.backend = SolverBackend::Dense;
-        big.max_solver_bytes = Some(1 << 30);
-        let sol = solve(&m, &big).unwrap();
-        assert!((sol.objective - 3.0).abs() < 1e-6);
-        // The revised backend needs no bound rows and no dense tableau, so
-        // the very same model fits comfortably under the 1 MB cap.
-        let mut sparse_small = opts();
-        sparse_small.backend = SolverBackend::Revised;
-        sparse_small.max_solver_bytes = Some(1 << 20);
-        let sol = solve(&m, &sparse_small).unwrap();
-        assert!((sol.objective - 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn backend_parsing_and_display() {
         assert_eq!(
-            "revised".parse::<SolverBackend>(),
-            Ok(SolverBackend::Revised)
+            err,
+            SolverError::ModelTooLarge {
+                rows: 1,
+                cols: 2001,
+                bytes: estimate
+            }
         );
-        assert_eq!("DENSE".parse::<SolverBackend>(), Ok(SolverBackend::Dense));
-        assert_eq!(
-            "sparse".parse::<SolverBackend>(),
-            Ok(SolverBackend::Revised)
-        );
-        assert!("cplex".parse::<SolverBackend>().is_err());
-        assert_eq!(SolverBackend::Revised.to_string(), "revised");
-        assert_eq!(SolverBackend::Dense.to_string(), "dense");
+        let fits = SolverOptions {
+            max_solver_bytes: Some(estimate),
+            ..opts()
+        };
+        let sol = solve(&m, &fits).unwrap();
+        assert!((sol.objective - 3.0).abs() < 1e-6);
     }
 
     #[test]
@@ -1959,12 +1849,11 @@ mod tests {
             Sense::Le,
             10.0,
         );
-        let mut cold = opts();
-        cold.backend = SolverBackend::Revised;
+        let cold = opts();
         let first = solve_full(&m, &cold).unwrap();
         assert_eq!(first.status, SolveStatus::Optimal);
         let basis = first.basis.clone();
-        assert!(basis.is_some(), "revised backend must surface a root basis");
+        assert!(basis.is_some(), "an optimal root must surface its basis");
         let mut o = cold.clone();
         o.warm_start = basis;
         let again = solve_full(&m, &o).unwrap();
@@ -2048,26 +1937,19 @@ mod tests {
 
     #[test]
     fn a_cancelled_deadline_interrupts_before_any_solution() {
-        for backend in [SolverBackend::Revised, SolverBackend::Dense] {
-            let token = crate::CancellationToken::new();
-            token.cancel();
-            let options = SolverOptions {
-                deadline: Deadline::none().with_token(token),
-                backend,
-                ..opts()
-            };
-            let res = solve_full(&chained_model(40), &options).unwrap();
-            assert_eq!(
-                res.status,
-                SolveStatus::NoSolutionLimit,
-                "backend {backend}"
-            );
-            assert!(res.solution.is_none());
-            // Regression: no node was bounded, so no dual bound exists. This
-            // used to report `f64::NEG_INFINITY` (a meaningless -inf "gap");
-            // now the absence of a proven bound is explicit.
-            assert_eq!(res.best_bound, None, "backend {backend}");
-        }
+        let token = crate::CancellationToken::new();
+        token.cancel();
+        let options = SolverOptions {
+            deadline: Deadline::none().with_token(token),
+            ..opts()
+        };
+        let res = solve_full(&chained_model(40), &options).unwrap();
+        assert_eq!(res.status, SolveStatus::NoSolutionLimit);
+        assert!(res.solution.is_none());
+        // Regression: no node was bounded, so no dual bound exists. This
+        // used to report `f64::NEG_INFINITY` (a meaningless -inf "gap");
+        // now the absence of a proven bound is explicit.
+        assert_eq!(res.best_bound, None);
     }
 
     #[test]
@@ -2080,7 +1962,7 @@ mod tests {
         let order: Vec<usize> = (0..2000).collect();
         for (model, options, thread_counts) in [
             (chained_model(60), opts(), [2, 4]),
-            (galaxy_shaped_model(&order), revised(), [2, 8]),
+            (galaxy_shaped_model(&order), opts(), [2, 8]),
         ] {
             bit_identical_at(&model, &options, thread_counts);
         }

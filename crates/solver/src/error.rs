@@ -30,8 +30,8 @@ pub enum SolverError {
     /// incumbent found so far, so callers of [`crate::solve_full`] only see
     /// this when the deadline was already expired at entry.
     Cancelled,
-    /// The LP kernel's working set (dense tableau, or sparse matrix plus
-    /// basis factors) would exceed the configured memory cap
+    /// The LP kernel's working set (sparse matrix plus basis factors and
+    /// working vectors) would exceed the configured memory cap
     /// ([`crate::SolverOptions::max_solver_bytes`]); solving would abort the
     /// process inside the allocator.
     ModelTooLarge {

@@ -8,12 +8,11 @@
 //!   continuous/integer/binary variables, linear `<=`/`>=`/`=` constraints,
 //!   *indicator constraints* (`y = 1  =>  a·x ⊙ v`, the construct used by
 //!   SAA formulations for probabilistic constraints), and a linear objective.
-//! * [`revised`] — the default LP kernel: a sparse bounded-variable revised
-//!   simplex (CSC matrix, LU + eta-file basis inverse, bound-flip ratio
-//!   test) that accepts a [`Basis`] warm start and returns one for the next
-//!   related solve.
-//! * [`simplex`] — the original two-phase dense-tableau primal simplex,
-//!   kept as the [`SolverBackend::Dense`] fallback and cross-check.
+//! * [`revised`] — the LP kernel: a sparse bounded-variable revised simplex
+//!   (CSC matrix, LU + eta-file basis inverse, bound-flip ratio test,
+//!   Dantzig pricing with a Bland switchover) that accepts a [`Basis`] warm
+//!   start and returns one for the next related solve. Its conformance
+//!   oracle, a dense two-phase tableau, lives in the test tree.
 //! * [`branch_bound`] — branch-and-bound over the LP relaxation with big-M
 //!   linearization of indicator constraints, most-fractional branching, a
 //!   rounding incumbent heuristic, warm-started child nodes (each child
@@ -36,7 +35,6 @@
 //! assert_eq!(solution.value(b).round() as i64, 1);
 //! ```
 
-pub mod backend;
 pub mod basis;
 pub mod branch_bound;
 pub mod deadline;
@@ -44,14 +42,12 @@ pub mod error;
 pub mod model;
 pub mod presolve;
 pub mod revised;
-pub mod simplex;
 pub mod sparse;
 pub mod standard_form;
 
-pub use backend::{LpBackend, Relaxation, RelaxationContext, SolverModel};
 pub use basis::{Basis, VarStatus};
 pub use branch_bound::{
-    solve, solve_full, BranchBoundSolver, MilpResult, SolveStatus, SolverBackend, SolverOptions,
+    solve, solve_full, BranchBoundSolver, MilpResult, SolveStatus, SolverOptions,
 };
 pub use deadline::{CancellationToken, Deadline};
 pub use error::SolverError;
@@ -59,8 +55,7 @@ pub use model::{
     Constraint, Direction, IndicatorConstraint, LinearExpr, Model, Sense, Solution, VarId, VarType,
     Variable,
 };
-pub use revised::{RevisedLp, RevisedSolution};
-pub use simplex::{LpSolution, LpStatus, PivotRules, PricingRule};
+pub use revised::{LpStatus, PivotRules, RevisedLp, RevisedSolution};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, SolverError>;

@@ -10,9 +10,8 @@
 //! right-hand side or a variable's domain empties.
 //!
 //! Tightened bounds shrink the root relaxation box, which both strengthens
-//! the LP bound and removes branching candidates; the pass is shared by all
-//! backends because it acts on the [`LpRow`] level, before any
-//! backend-specific preparation.
+//! the LP bound and removes branching candidates; the pass acts on the
+//! [`LpRow`] level, before the LP kernel prepares the problem.
 
 use spq_obs::metrics::{Counter, Named};
 

@@ -1,9 +1,9 @@
 //! Sparse revised simplex with native bounded variables and warm starts.
 //!
-//! This is the default LP kernel. Unlike the dense tableau
-//! ([`crate::simplex`]), which materializes every finite variable upper
-//! bound as an extra constraint row and splits free variables into two
-//! nonnegative columns, the revised simplex works directly on
+//! This is the solver's LP kernel. Unlike a textbook dense tableau (kept
+//! only as the test suite's LP oracle), which materializes every finite
+//! variable upper bound as an extra constraint row and splits free variables
+//! into two nonnegative columns, the revised simplex works directly on
 //! `min c·x  s.t.  A·x + s = b,  l ≤ x ≤ u`, where each row's logical
 //! variable `s` encodes the row sense through its bounds (`≤` → `s ≥ 0`,
 //! `≥` → `s ≤ 0`, `=` → `s = 0`):
@@ -33,8 +33,8 @@
 use spq_obs::metrics::{Counter, Histogram, Named};
 
 use crate::basis::{Basis, Factorization, VarStatus};
+use crate::deadline::Deadline;
 use crate::error::SolverError;
-use crate::simplex::{LpStatus, PivotRules, PricingRule};
 use crate::sparse::CscMatrix;
 use crate::standard_form::{LpProblem, BOUND_INFINITY};
 use crate::Result;
@@ -42,9 +42,6 @@ use crate::Result;
 // Kernel counters (see the README metric catalog). Relaxed atomics only:
 // they observe the pivot loop without feeding back into it.
 static PIVOTS_DANTZIG: Named<Counter> = Named::new("spq_solver_pivots_dantzig", Counter::new());
-static PIVOTS_PARTIAL: Named<Counter> = Named::new("spq_solver_pivots_partial", Counter::new());
-static PIVOTS_STEEPEST: Named<Counter> =
-    Named::new("spq_solver_pivots_steepest_edge", Counter::new());
 static PIVOTS_BLAND: Named<Counter> = Named::new("spq_solver_pivots_bland", Counter::new());
 static BOUND_FLIPS: Named<Counter> = Named::new("spq_solver_bound_flips", Counter::new());
 static REFACTORIZATIONS: Named<Counter> = Named::new("spq_solver_refactorizations", Counter::new());
@@ -59,10 +56,80 @@ const FEAS_EPS: f64 = 1e-7;
 const PIVOT_TOL: f64 = 1e-7;
 /// Tie window of the ratio test.
 const RATIO_EPS: f64 = 1e-9;
-/// Minimum window of [`PricingRule::Partial`].
-const PARTIAL_WINDOW_MIN: usize = 64;
-/// Devex weights above this trigger a reference-framework reset.
-const DEVEX_RESET: f64 = 1e12;
+
+/// Status of an LP solve.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LpStatus {
+    /// An optimal solution was found.
+    Optimal,
+    /// The constraints are infeasible.
+    Infeasible,
+    /// The objective is unbounded below (for minimization).
+    Unbounded,
+}
+
+/// Iteration budget and pricing-rule switchover of the simplex.
+///
+/// Dantzig pricing (most negative reduced cost) is fast in practice but can
+/// cycle on degenerate problems; after `bland_after` iterations the solver
+/// switches to Bland's rule, which is slower per iteration but guarantees
+/// termination. The default switchover is **half the iteration budget**
+/// (`max_iters / 2`), which keeps Dantzig active on every non-degenerate
+/// solve while still bounding degenerate ones; callers can tighten it via
+/// [`crate::SolverOptions::bland_after`].
+#[derive(Debug, Clone)]
+pub struct PivotRules {
+    /// Hard cap on simplex iterations before a numerical error is raised.
+    pub max_iters: usize,
+    /// Iteration index after which pricing switches to Bland's rule.
+    pub bland_after: usize,
+    /// Deadline checked periodically inside the pivot loop; an expired
+    /// deadline (or fired cancellation token) aborts the solve with
+    /// [`SolverError::Cancelled`] instead of finishing the LP first.
+    pub deadline: Deadline,
+}
+
+impl Default for PivotRules {
+    /// The rules for a trivially small LP: [`PivotRules::for_size`] with
+    /// zero rows and columns, no deadline.
+    fn default() -> Self {
+        PivotRules::for_size(0, 0, None)
+    }
+}
+
+impl PivotRules {
+    /// Rules for an LP with `rows × cols` constraints: the iteration budget
+    /// scales with the problem size, and Bland's rule kicks in after
+    /// `bland_after` iterations (default: half the budget).
+    pub fn for_size(rows: usize, cols: usize, bland_after: Option<usize>) -> PivotRules {
+        let max_iters = 2000 + 60 * (rows + cols);
+        PivotRules {
+            max_iters,
+            bland_after: bland_after.unwrap_or(max_iters / 2),
+            deadline: Deadline::none(),
+        }
+    }
+
+    /// Attach a deadline, returning `self` for chaining.
+    pub fn with_deadline(mut self, deadline: Deadline) -> PivotRules {
+        self.deadline = deadline;
+        self
+    }
+
+    /// True when the pivot loop should abort at iteration `iteration`:
+    /// deadlines are polled every [`DEADLINE_CHECK_MASK`]+1 iterations so
+    /// the `Instant::now()` cost stays negligible next to a pivot.
+    #[inline]
+    pub fn interrupted(&self, iteration: usize) -> bool {
+        iteration & DEADLINE_CHECK_MASK == 0
+            && !self.deadline.is_unlimited()
+            && self.deadline.expired()
+    }
+}
+
+/// The pivot loop polls the deadline every 32 iterations (power-of-two mask
+/// so the check compiles to a single AND).
+pub const DEADLINE_CHECK_MASK: usize = 31;
 
 /// Result of a revised-simplex solve.
 #[derive(Debug, Clone)]
@@ -391,17 +458,6 @@ impl<'a> Simplex<'a> {
         // Per-iteration workspaces, allocated once per solve.
         let mut y = vec![0.0f64; m];
         let mut w = vec![0.0f64; m];
-        let mut betar = vec![0.0f64; m];
-        // Devex reference weights (approximate steepest-edge norms), only
-        // materialized when that rule is active.
-        let mut weights: Vec<f64> = if rules.pricing == PricingRule::SteepestEdge {
-            vec![1.0; total]
-        } else {
-            Vec::new()
-        };
-        // Rotating start of the partial-pricing window.
-        let mut partial_cursor = 0usize;
-        let partial_window = PARTIAL_WINDOW_MIN.max(total / 8);
         loop {
             if self.iterations >= rules.max_iters {
                 return Err(SolverError::Numerical(format!(
@@ -438,7 +494,7 @@ impl<'a> Simplex<'a> {
             // Pricing: pick the entering column.
             let mut enter: Option<(usize, f64, f64)> = None; // (col, |d|, dir)
             if use_bland {
-                // Bland's least-index rule overrides every pricing rule.
+                // Bland's least-index rule overrides Dantzig pricing.
                 for j in 0..total {
                     if let Some((d, dir)) = self.price_col(j, phase1, &y) {
                         enter = Some((j, d.abs(), dir));
@@ -446,47 +502,10 @@ impl<'a> Simplex<'a> {
                     }
                 }
             } else {
-                match rules.pricing {
-                    PricingRule::Dantzig => {
-                        for j in 0..total {
-                            if let Some((d, dir)) = self.price_col(j, phase1, &y) {
-                                if enter.map(|(_, best, _)| d.abs() > best).unwrap_or(true) {
-                                    enter = Some((j, d.abs(), dir));
-                                }
-                            }
-                        }
-                    }
-                    PricingRule::SteepestEdge => {
-                        let mut best_score = 0.0f64;
-                        for (j, &wj) in weights.iter().enumerate() {
-                            if let Some((d, dir)) = self.price_col(j, phase1, &y) {
-                                let score = d * d / wj;
-                                if enter.is_none() || score > best_score {
-                                    best_score = score;
-                                    enter = Some((j, d.abs(), dir));
-                                }
-                            }
-                        }
-                    }
-                    PricingRule::Partial => {
-                        // Scan a rotating window; settle for the best
-                        // candidate inside it, falling through to a full
-                        // sweep only when the window has none (so optimality
-                        // is still certified by a complete scan).
-                        let mut scanned = 0usize;
-                        for off in 0..total {
-                            let j = partial_cursor + off;
-                            let j = if j >= total { j - total } else { j };
-                            scanned += 1;
-                            if let Some((d, dir)) = self.price_col(j, phase1, &y) {
-                                if enter.map(|(_, best, _)| d.abs() > best).unwrap_or(true) {
-                                    enter = Some((j, d.abs(), dir));
-                                }
-                            }
-                            if enter.is_some() && scanned >= partial_window {
-                                partial_cursor = if j + 1 >= total { 0 } else { j + 1 };
-                                break;
-                            }
+                for j in 0..total {
+                    if let Some((d, dir)) = self.price_col(j, phase1, &y) {
+                        if enter.map(|(_, best, _)| d.abs() > best).unwrap_or(true) {
+                            enter = Some((j, d.abs(), dir));
                         }
                     }
                 }
@@ -628,43 +647,10 @@ impl<'a> Simplex<'a> {
                     };
                 }
                 Blocking::Row(r, hit_upper) => {
-                    match (use_bland, rules.pricing) {
-                        (true, _) => PIVOTS_BLAND.inc(),
-                        (_, PricingRule::Dantzig) => PIVOTS_DANTZIG.inc(),
-                        (_, PricingRule::SteepestEdge) => PIVOTS_STEEPEST.inc(),
-                        (_, PricingRule::Partial) => PIVOTS_PARTIAL.inc(),
-                    }
-                    if !weights.is_empty() {
-                        // Devex weight update on the *pre-pivot* basis
-                        // (Forrest & Goldfarb): βr = B⁻ᵀe_r, α_rj = aⱼ·βr,
-                        // wⱼ ← max(wⱼ, (α_rj/α_rq)²·w_q).
-                        let alpha_q = w[r];
-                        let gamma_q = weights[q].max(1.0);
-                        if gamma_q > DEVEX_RESET {
-                            // Weights blew up: restart the reference frame.
-                            weights.fill(1.0);
-                        } else {
-                            betar.fill(0.0);
-                            betar[r] = 1.0;
-                            self.fact.btran(&mut betar);
-                            let ratio = gamma_q / (alpha_q * alpha_q);
-                            for (j, wj) in weights.iter_mut().enumerate() {
-                                if j == q
-                                    || self.status[j] == VarStatus::Basic
-                                    || self.lower[j] == self.upper[j]
-                                {
-                                    continue;
-                                }
-                                let a_rj = self.rlp.matrix.col_dot(j, &betar);
-                                if a_rj != 0.0 {
-                                    let cand = a_rj * a_rj * ratio;
-                                    if cand > *wj {
-                                        *wj = cand;
-                                    }
-                                }
-                            }
-                            weights[self.basic_vars[r]] = ratio.max(1.0);
-                        }
+                    if use_bland {
+                        PIVOTS_BLAND.inc();
+                    } else {
+                        PIVOTS_DANTZIG.inc();
                     }
                     let leaving = self.basic_vars[r];
                     self.status[leaving] = if hit_upper {

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 use stochastic_package_queries::obs::metrics::counter_value;
 use stochastic_package_queries::solver::{
-    solve_full, Model, Sense, SolveStatus, SolverBackend, SolverOptions, VarType,
+    solve_full, Model, Sense, SolveStatus, SolverOptions, VarType,
 };
 
 /// The tests of this file take turns, so that a move of the process-wide
@@ -271,10 +271,7 @@ fn core_reducing_search_matches_brute_force() {
             }
             let expected = brute_force_model(&model, &upper).expect("x = 0, y inactive is feasible");
 
-            let options = SolverOptions {
-                backend: SolverBackend::Revised,
-                ..SolverOptions::with_time_limit_secs(20)
-            };
+            let options = SolverOptions::with_time_limit_secs(20);
             let result = solve_full(&model, &options).unwrap();
             prop_assert_eq!(result.status, SolveStatus::Optimal);
             let solution = result.solution.unwrap();

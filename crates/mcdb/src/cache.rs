@@ -8,11 +8,11 @@
 //! generates the matrix, every later request — from any thread — gets the
 //! same `Arc<ScenarioMatrix>` back without touching the VG functions.
 //!
-//! Generation is serialized **per key** (a per-entry mutex), not globally:
-//! two threads asking for the same block wait on one generation, while
-//! requests for different blocks proceed in parallel. This is the guarantee
-//! the query service relies on: eight clients issuing the same prepared
-//! query never realize the same scenarios twice.
+//! Generation is single-flight **per key**, not serialized globally: two
+//! threads asking for the same block wait on one generation, while requests
+//! for different blocks proceed in parallel. This is the guarantee the query
+//! service relies on: eight clients issuing the same prepared query never
+//! realize the same scenarios twice.
 //!
 //! A block is whatever tuple slice its caller asks for. The search loops ask
 //! for their whole candidate set (one optimization matrix per instance); the
@@ -22,8 +22,9 @@
 //! refined selections, SummarySearch's successive candidates) neither re-draw
 //! nor re-store it.
 //!
-//! The cache is bounded by an approximate byte budget. Blocks that would
-//! push the cache past the budget are still generated and returned, just not
+//! The cache is a [`Memo`] bounded by an approximate byte budget: admitting
+//! a block past the budget evicts the oldest resident blocks first, and a
+//! block larger than the whole budget is generated and returned, just not
 //! retained — correctness never depends on residency.
 //!
 //! ## Disk tier
@@ -35,24 +36,25 @@
 //! restarted process (or a cleared cache) pays block generation once per
 //! store lifetime instead of once per process. The store is keyed by the
 //! restart-stable [`Relation::fingerprint`] rather than the process-unique
-//! [`Relation::uid`], and every file is checksummed: a corrupt or truncated
+//! [`Relation::uid`], and every block is checksummed: a corrupt or truncated
 //! block is deleted and regenerated, never returned.
 
+use crate::memo::{Memo, MemoMirror, MemoStats};
 use crate::relation::Relation;
 use crate::scenario::{ScenarioGenerator, ScenarioMatrix};
-use crate::seed::Stream;
+use crate::seed::{fnv1a_words, Stream, FNV_OFFSET};
 use crate::store::{ScenarioStore, StoreKey, StoreStats};
 use crate::Result;
 use spq_obs::metrics::{Counter, Named};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 // Process-wide mirrors of the per-cache counters (all `ScenarioCache`
 // instances accumulate into them) for the Prometheus snapshot.
-static CACHE_HITS: Named<Counter> = Named::new("spq_scenario_cache_hits", Counter::new());
-static CACHE_MISSES: Named<Counter> = Named::new("spq_scenario_cache_misses", Counter::new());
-static CACHE_EVICTIONS: Named<Counter> = Named::new("spq_scenario_cache_evictions", Counter::new());
+static MIRROR: MemoMirror = MemoMirror {
+    hits: Named::new("spq_scenario_cache_hits", Counter::new()),
+    misses: Named::new("spq_scenario_cache_misses", Counter::new()),
+    evictions: Named::new("spq_scenario_cache_evictions", Counter::new()),
+};
 
 /// Identity of one realized block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -78,19 +80,10 @@ struct BlockKey {
 }
 
 fn hash_tuples(tuples: &[usize]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64 ^ (tuples.len() as u64);
-    for &t in tuples {
-        h ^= t as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// One cache slot: a per-key mutex so concurrent misses for the same block
-/// generate once, while other keys stay unblocked.
-#[derive(Debug, Default)]
-struct Slot {
-    block: Mutex<Option<Arc<ScenarioMatrix>>>,
+    fnv1a_words(
+        FNV_OFFSET ^ tuples.len() as u64,
+        tuples.iter().map(|&t| t as u64),
+    )
 }
 
 /// Accounting size of one realized block.
@@ -102,12 +95,7 @@ fn matrix_bytes(matrix: &ScenarioMatrix) -> u64 {
 /// `Arc` between all evaluations that should pool their generation work.
 #[derive(Debug)]
 pub struct ScenarioCache {
-    slots: Mutex<HashMap<BlockKey, Arc<Slot>>>,
-    max_bytes: u64,
-    resident_bytes: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evicted: AtomicU64,
+    blocks: Memo<BlockKey, Arc<ScenarioMatrix>>,
     store: Option<Arc<ScenarioStore>>,
 }
 
@@ -126,16 +114,11 @@ impl ScenarioCache {
         ScenarioCache::default()
     }
 
-    /// A cache bounded to approximately `max_bytes` of matrix data. Blocks
-    /// beyond the budget are generated but not retained.
+    /// A cache bounded to approximately `max_bytes` of matrix data. A block
+    /// larger than the whole budget is generated but not retained.
     pub fn with_max_bytes(max_bytes: u64) -> Self {
         ScenarioCache {
-            slots: Mutex::new(HashMap::new()),
-            max_bytes,
-            resident_bytes: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
+            blocks: Memo::new(max_bytes).mirrored(&MIRROR),
             store: None,
         }
     }
@@ -196,145 +179,79 @@ impl ScenarioCache {
             first_scenario: scenarios.start,
             scenarios: scenarios.len(),
         };
-        let slot = {
-            let mut slots = self.slots.lock().expect("scenario cache poisoned");
-            slots.entry(key).or_default().clone()
+        // Single flight: a concurrent request for the same block waits for
+        // the one generation instead of redoing it.
+        let generate = || -> Result<(Arc<ScenarioMatrix>, u64)> {
+            // Disk tier: a memory miss may still be a store hit — a block
+            // spilled by this process, an earlier one, or a pre-`clear`
+            // epoch.
+            let store_key = StoreKey {
+                relation_fingerprint: relation.fingerprint(),
+                column_tag: sc.tag,
+                stream_tag: generator.stream().tag(),
+                seed: generator.base_seed(),
+                tuples_hash: key.tuples_hash,
+                first_scenario: key.first_scenario as u64,
+                scenarios: key.scenarios as u64,
+            };
+            let stored = self
+                .store
+                .as_ref()
+                .and_then(|store| store.load(&store_key, tuples.len()));
+            let matrix = match stored {
+                Some(m) => Arc::new(m),
+                None => {
+                    let m = Arc::new(generator.realize_block(sc, tuples, scenarios, 0));
+                    if let Some(store) = &self.store {
+                        store.spill(&store_key, &m);
+                    }
+                    m
+                }
+            };
+            let bytes = matrix_bytes(&matrix);
+            Ok((matrix, bytes))
         };
-        // Per-key lock: a concurrent request for the same block waits here
-        // for the single generation instead of redoing it.
-        let mut block = slot.block.lock().expect("scenario slot poisoned");
-        if let Some(matrix) = &*block {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            CACHE_HITS.inc();
-            return Ok(matrix.clone());
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        CACHE_MISSES.inc();
-        // Disk tier: a memory miss may still be a store hit — a block
-        // spilled by this process, an earlier one, or a pre-`clear` epoch.
-        let store_key = self.store.as_ref().map(|_| StoreKey {
-            relation_fingerprint: relation.fingerprint(),
-            column_tag: sc.tag,
-            stream_tag: generator.stream().tag(),
-            seed: generator.base_seed(),
-            tuples_hash: key.tuples_hash,
-            first_scenario: key.first_scenario as u64,
-            scenarios: key.scenarios as u64,
-        });
-        let stored = self
-            .store
-            .as_ref()
-            .zip(store_key.as_ref())
-            .and_then(|(store, sk)| store.load(sk, tuples.len()));
-        let matrix = match stored {
-            Some(m) => Arc::new(m),
-            None => {
-                let m = Arc::new(generator.realize_block(sc, tuples, scenarios, 0));
-                if let Some((store, sk)) = self.store.as_ref().zip(store_key.as_ref()) {
-                    store.spill(sk, &m);
-                }
-                m
-            }
-        };
-        let bytes = matrix_bytes(&matrix);
-        // Flush-on-full eviction: when this block would overflow the budget,
-        // drop everything and admit it fresh. Old blocks regenerate
-        // deterministically if asked for again, so this trades occasional
-        // re-generation for a hard memory bound — in a long-running service
-        // the working set is usually a handful of hot queries anyway. A
-        // single block larger than the whole budget is returned unretained
-        // (and its slot removed so the key map stays bounded too).
-        //
-        // The whole check–flush–add sequence runs under the `slots` lock:
-        // admission decisions from concurrent inserts are serialized, so
-        // `resident_bytes` can never drift from the map contents (two threads
-        // observing overflow used to both zero the counter and then both add,
-        // leaving it permanently off). Lock order is always slot → slots;
-        // the lookup path above releases `slots` before taking the slot lock,
-        // so the two locks are never acquired in the opposite order.
-        {
-            let mut slots = self.slots.lock().expect("scenario cache poisoned");
-            // A concurrent flush may have evicted this key (and replaced or
-            // dropped its slot) while we were generating: the block is then
-            // returned unretained and never counted.
-            let still_mapped = slots
-                .get(&key)
-                .map(|s| Arc::ptr_eq(s, &slot))
-                .unwrap_or(false);
-            if !still_mapped {
-                return Ok(matrix);
-            }
-            if self.resident_bytes.load(Ordering::Relaxed) + bytes > self.max_bytes {
-                let before = slots.len();
-                slots.retain(|k, _| *k == key);
-                let flushed = (before - slots.len()) as u64;
-                if flushed > 0 {
-                    self.evicted.fetch_add(flushed, Ordering::Relaxed);
-                    CACHE_EVICTIONS.add(flushed);
-                }
-                self.resident_bytes.store(0, Ordering::Relaxed);
-                if bytes > self.max_bytes {
-                    slots.remove(&key);
-                    return Ok(matrix);
-                }
-            }
-            self.resident_bytes.fetch_add(bytes, Ordering::Relaxed);
-        }
-        *block = Some(matrix.clone());
-        Ok(matrix)
+        self.blocks
+            .get_or_insert_with(&key, generate)
+            .map(|(matrix, _)| matrix)
+    }
+
+    /// Counters of the in-memory tier.
+    pub fn stats(&self) -> MemoStats {
+        self.blocks.stats()
     }
 
     /// Number of block lookups served from memory.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.stats().hits
     }
 
     /// Number of block lookups that had to generate.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.stats().misses
     }
 
-    /// Number of cached blocks dropped by flush-on-full eviction (explicit
+    /// Number of cached blocks evicted to respect the budget (explicit
     /// [`Self::clear`] calls are not counted).
     pub fn evicted(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
+        self.stats().evictions
     }
 
     /// Approximate bytes of resident matrix data.
     pub fn resident_bytes(&self) -> u64 {
-        self.resident_bytes.load(Ordering::Relaxed)
+        self.stats().resident
     }
 
-    /// Recount the bytes of every block actually resident in the map. At
-    /// quiescence this must equal [`Self::resident_bytes`]; the accounting
-    /// stress test asserts exactly that after concurrent churn.
+    /// Recount the bytes of every block actually resident. At quiescence
+    /// this must equal [`Self::resident_bytes`]; the accounting stress test
+    /// asserts exactly that after concurrent churn.
     pub fn audited_bytes(&self) -> u64 {
-        // Collect the slots first, then inspect them without holding the map
-        // lock: admission takes slot → slots, so holding slots while waiting
-        // on a slot would invert the lock order.
-        let slots: Vec<Arc<Slot>> = self
-            .slots
-            .lock()
-            .expect("scenario cache poisoned")
-            .values()
-            .cloned()
-            .collect();
-        slots
-            .iter()
-            .map(|slot| {
-                slot.block
-                    .lock()
-                    .expect("scenario slot poisoned")
-                    .as_ref()
-                    .map(|m| matrix_bytes(m))
-                    .unwrap_or(0)
-            })
-            .sum()
+        self.blocks.values().iter().map(|m| matrix_bytes(m)).sum()
     }
 
     /// Number of resident blocks.
     pub fn len(&self) -> usize {
-        self.slots.lock().expect("scenario cache poisoned").len()
+        self.blocks.len()
     }
 
     /// True when nothing is cached.
@@ -344,8 +261,7 @@ impl ScenarioCache {
 
     /// Drop every cached block (counters keep accumulating).
     pub fn clear(&self) {
-        self.slots.lock().expect("scenario cache poisoned").clear();
-        self.resident_bytes.store(0, Ordering::Relaxed);
+        self.blocks.clear();
     }
 }
 
@@ -441,20 +357,41 @@ mod tests {
         cache.sparse_matrix(&g, &r, "gain", &tuples, 10).unwrap();
         assert_eq!((cache.len(), cache.resident_bytes()), (1, 1280));
         assert_eq!(cache.evicted(), 0);
-        // A second block overflows: the first is flushed, the new one is
+        // A second block overflows: the first is evicted, the new one is
         // resident, and the map stays bounded.
         cache
             .sparse_matrix(&g, &r, "gain", &tuples[..8], 10)
             .unwrap();
         assert_eq!((cache.len(), cache.resident_bytes()), (1, 640));
         assert_eq!(cache.evicted(), 1);
-        // The flushed block regenerates on demand (miss, not a hit), again
-        // flushing the smaller one.
+        // The evicted block regenerates on demand (miss, not a hit), again
+        // evicting the smaller one.
         cache.sparse_matrix(&g, &r, "gain", &tuples, 10).unwrap();
         assert_eq!((cache.len(), cache.resident_bytes()), (1, 1280));
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), 3);
         assert_eq!(cache.evicted(), 2);
+    }
+
+    #[test]
+    fn admission_evicts_only_the_oldest_blocks() {
+        let r = rel(8);
+        let g = ScenarioGenerator::validation(4);
+        // Room for three one-tuple, 10-scenario rows (80 bytes each).
+        let cache = ScenarioCache::with_max_bytes(240);
+        for t in 0..4 {
+            cache.sparse_matrix(&g, &r, "gain", &[t], 10).unwrap();
+        }
+        // The fourth row evicted the first only: rows 1–3 still hit.
+        assert_eq!(
+            (cache.len(), cache.resident_bytes(), cache.evicted()),
+            (3, 240, 1)
+        );
+        for t in 1..4 {
+            cache.sparse_matrix(&g, &r, "gain", &[t], 10).unwrap();
+        }
+        assert_eq!((cache.hits(), cache.misses()), (3, 4));
+        assert_eq!(cache.stats().weight_inserted, 320);
     }
 
     #[test]
@@ -517,8 +454,8 @@ mod tests {
     #[test]
     fn accounting_survives_concurrent_churn_with_flushes() {
         // A budget small enough that concurrent inserts constantly overflow
-        // it: the check–flush–add sequence must stay atomic, so after the
-        // churn `resident_bytes` exactly matches a recount of the map.
+        // it: the evict–admit sequence must stay atomic, so after the churn
+        // `resident_bytes` exactly matches a recount of the map.
         let r = rel(24);
         // 24 tuples x 10 scenarios = 1920 bytes per full block; the budget
         // fits roughly two blocks.
@@ -531,7 +468,7 @@ mod tests {
                     for round in 0..40usize {
                         // Distinct (seed, tuple subset, window) keys so
                         // different threads insert different blocks and keep
-                        // triggering flush-on-full.
+                        // triggering evictions.
                         let g = ScenarioGenerator::new(t * 7 + (round % 5) as u64);
                         let lo = round % 3;
                         let tuples: Vec<usize> = (lo..24).step_by(1 + (round % 4)).collect();
@@ -551,7 +488,7 @@ mod tests {
         assert!(cache.resident_bytes() <= 4000);
         // The counters saw every request.
         assert_eq!(cache.hits() + cache.misses(), 8 * 40);
-        // And a final flush-free sanity point: clearing zeroes both views.
+        // And a final sanity point: clearing zeroes both views.
         cache.clear();
         assert_eq!(cache.resident_bytes(), 0);
         assert_eq!(cache.audited_bytes(), 0);

@@ -6,9 +6,9 @@
 //! * **Memory** — the original fully-materialized `Vec<Value>`, zero-cost to
 //!   read and the default for every relation that fits comfortably in RAM.
 //! * **Disk** — a chunked, typed, out-of-core tier: the column is split into
-//!   fixed-size row chunks, each encoded into its own checksummed file under
-//!   a relation directory (written via temp-file+rename, exactly like the
-//!   scenario store, so readers never observe a half-written chunk). Reads go
+//!   fixed-size row chunks, each encoded into its own checksummed
+//!   [`blockfile`] under a relation directory (written via temp-file +
+//!   rename, so readers never observe a half-written chunk). Reads go
 //!   through a small byte-budgeted [`ChunkCache`] shared by all columns of
 //!   the relation, evicting in oldest-first (insertion) order. Only the
 //!   per-column [`ColumnSummary`] (min/max/mean/spread) stays resident.
@@ -17,56 +17,39 @@
 //! [`crate::Relation`] returns the same values in the same order regardless
 //! of tier or chunk size, which is what the storage conformance suite pins.
 //!
-//! ## Chunk file format
+//! ## Chunk files
 //!
-//! Little-endian throughout:
-//!
-//! ```text
-//! magic      8 bytes  b"SPQCOL01"
-//! column tag 1 × u64  stable tag of the canonical column name
-//! chunk      1 × u64  chunk index within the column
-//! count      1 × u64  number of values in this chunk
-//! length     1 × u64  payload length in bytes
-//! checksum   1 × u64  FNV-1a over the payload bytes
-//! payload    count × tagged values (0=null, 1=i64, 2=f64, 3=len+utf8)
-//! ```
-//!
-//! A reload verifies magic, tag, index, count, length, and checksum; any
-//! mismatch **deletes the file** and surfaces a descriptive
-//! [`McdbError::ChunkCorrupt`] — never a panic, never wrong data. The caller
-//! (catalog or test harness) rebuilds the relation from its source.
+//! Chunk `i` of a column is the file `<column tag>-<i>.spqcol`, one block
+//! keyed `[column tag, i, value count]` whose payload is the tagged values
+//! (0=null, 1=i64, 2=f64, 3=len+utf8). A reload verifies the block (magic,
+//! key, length, checksum) and the payload decoding; any mismatch **deletes
+//! the file** and surfaces a descriptive [`McdbError::ChunkCorrupt`] —
+//! never a panic, never wrong data. The caller (catalog or test harness)
+//! rebuilds the relation from its source, which is also why chunk files are
+//! not synced to disk.
 
+use crate::blockfile::{self, BlockError};
 use crate::error::McdbError;
+use crate::memo::{Memo, MemoMirror};
 use crate::seed::column_tag;
 use crate::value::Value;
 use crate::Result;
 use spq_obs::metrics::{Counter, Named};
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::Write as _;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 // Process-wide chunk-cache counters, surfaced by the Prometheus snapshot and
 // the spqd `stats` op.
-static CHUNK_HITS: Named<Counter> = Named::new("spq_relation_chunk_hits", Counter::new());
-static CHUNK_MISSES: Named<Counter> = Named::new("spq_relation_chunk_misses", Counter::new());
-static CHUNK_EVICTIONS: Named<Counter> = Named::new("spq_relation_chunk_evictions", Counter::new());
+static MIRROR: MemoMirror = MemoMirror {
+    hits: Named::new("spq_relation_chunk_hits", Counter::new()),
+    misses: Named::new("spq_relation_chunk_misses", Counter::new()),
+    evictions: Named::new("spq_relation_chunk_evictions", Counter::new()),
+};
 static CHUNK_CORRUPT: Named<Counter> = Named::new("spq_relation_chunk_corrupt", Counter::new());
 
-const MAGIC: &[u8; 8] = b"SPQCOL01";
-/// magic + column tag + chunk index + count + payload length + checksum.
-const HEADER_BYTES: usize = 8 + 5 * 8;
 const FILE_SUFFIX: &str = ".spqcol";
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// Approximate heap footprint of one value when resident (enum + text heap).
 fn value_bytes(v: &Value) -> u64 {
@@ -258,50 +241,36 @@ pub struct ChunkCacheStats {
     pub budget_bytes: u64,
 }
 
-#[derive(Debug, Default)]
-struct CacheInner {
-    map: HashMap<(u64, u32), Arc<Vec<Value>>>,
-    /// Insertion order; the front is the oldest resident chunk.
-    order: VecDeque<((u64, u32), u64)>,
-    bytes: u64,
-}
-
 /// Byte-budgeted cache of decoded chunks, shared by every disk-backed column
-/// of one relation. Eviction is oldest-first in insertion order; the budget
-/// can be tightened after build (e.g. by `max_relation_bytes`).
+/// of one relation: a [`Memo`] keyed by `(column tag, chunk)`, so
+/// concurrent readers of one chunk page it in once. Eviction is
+/// oldest-first in insertion order; the budget can be tightened after build
+/// (e.g. by `max_relation_bytes`).
 #[derive(Debug)]
 pub struct ChunkCache {
-    budget: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    chunks: Memo<(u64, u32), Arc<Vec<Value>>>,
     corrupt: AtomicU64,
-    inner: Mutex<CacheInner>,
 }
 
 impl ChunkCache {
     /// A cache with the given byte budget.
     pub fn new(budget: u64) -> Self {
         ChunkCache {
-            budget: AtomicU64::new(budget),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            chunks: Memo::new(budget).mirrored(&MIRROR),
             corrupt: AtomicU64::new(0),
-            inner: Mutex::new(CacheInner::default()),
         }
     }
 
     /// Current counters.
     pub fn stats(&self) -> ChunkCacheStats {
-        let resident = self.inner.lock().expect("chunk cache poisoned").bytes;
+        let s = self.chunks.stats();
         ChunkCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            hits: s.hits,
+            misses: s.misses,
+            evictions: s.evictions,
             corrupt: self.corrupt.load(Ordering::Relaxed),
-            resident_bytes: resident,
-            budget_bytes: self.budget.load(Ordering::Relaxed),
+            resident_bytes: s.resident,
+            budget_bytes: s.budget,
         }
     }
 
@@ -309,75 +278,30 @@ impl ChunkCache {
     /// enforce `max_relation_bytes`-style ceilings after the relation is
     /// built.
     pub fn clamp_budget(&self, bytes: u64) {
-        let current = self.budget.load(Ordering::Relaxed);
-        if bytes >= current {
-            return;
-        }
-        self.budget.store(bytes, Ordering::Relaxed);
-        let mut inner = self.inner.lock().expect("chunk cache poisoned");
-        self.evict_to_budget(&mut inner);
+        self.chunks.shrink_budget(bytes);
     }
 
-    fn evict_to_budget(&self, inner: &mut CacheInner) {
-        let budget = self.budget.load(Ordering::Relaxed);
-        while inner.bytes > budget {
-            let Some((key, bytes)) = inner.order.pop_front() else {
-                break;
-            };
-            inner.map.remove(&key);
-            inner.bytes = inner.bytes.saturating_sub(bytes);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            CHUNK_EVICTIONS.inc();
-        }
-    }
-
-    /// Fetch a decoded chunk, paging its file in on a miss. The lock is held
-    /// across the file read so the byte accounting stays exact; chunk reads
-    /// are small and sequential, so contention stays modest.
+    /// Fetch a decoded chunk, paging it in on a miss.
     fn get(&self, column: &DiskColumn, chunk: u32) -> Result<Arc<Vec<Value>>> {
-        let mut inner = self.inner.lock().expect("chunk cache poisoned");
-        if let Some(values) = inner.map.get(&(column.tag, chunk)) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            CHUNK_HITS.inc();
-            return Ok(values.clone());
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        CHUNK_MISSES.inc();
-        let values = match column.read_chunk(chunk) {
-            Ok(v) => Arc::new(v),
-            Err(e) => {
+        let read = || {
+            let values = column.read_chunk(chunk).inspect_err(|e| {
                 if matches!(e, McdbError::ChunkCorrupt { .. }) {
                     self.corrupt.fetch_add(1, Ordering::Relaxed);
                     CHUNK_CORRUPT.inc();
                 }
-                return Err(e);
-            }
+            })?;
+            let bytes = values_bytes(&values);
+            Ok((Arc::new(values), bytes))
         };
-        let bytes = values_bytes(&values);
-        if bytes <= self.budget.load(Ordering::Relaxed) {
-            inner.map.insert((column.tag, chunk), values.clone());
-            inner.order.push_back(((column.tag, chunk), bytes));
-            inner.bytes += bytes;
-            self.evict_to_budget(&mut inner);
-        }
-        Ok(values)
+        self.chunks
+            .get_or_insert_with(&(column.tag, chunk), read)
+            .map(|(values, _)| values)
     }
 
     /// Drop every cached chunk whose column tag matches (used when a relation
     /// is rebuilt in place after chunk corruption).
     fn invalidate_column(&self, tag: u64) {
-        let mut inner = self.inner.lock().expect("chunk cache poisoned");
-        let stale: Vec<((u64, u32), u64)> = inner
-            .order
-            .iter()
-            .filter(|((t, _), _)| *t == tag)
-            .cloned()
-            .collect();
-        for (key, bytes) in stale {
-            inner.map.remove(&key);
-            inner.bytes = inner.bytes.saturating_sub(bytes);
-        }
-        inner.order.retain(|((t, _), _)| *t != tag);
+        self.chunks.retain(|&(t, _)| t != tag);
     }
 }
 
@@ -400,11 +324,7 @@ impl DiskColumn {
     }
 
     fn n_chunks(&self) -> u32 {
-        if self.n_rows == 0 {
-            0
-        } else {
-            self.n_rows.div_ceil(self.chunk_rows) as u32
-        }
+        self.n_rows.div_ceil(self.chunk_rows) as u32
     }
 
     fn chunk_len(&self, chunk: u32) -> usize {
@@ -415,46 +335,34 @@ impl DiskColumn {
     /// Read and verify one chunk file. Any verification failure deletes the
     /// file and returns [`McdbError::ChunkCorrupt`].
     fn read_chunk(&self, chunk: u32) -> Result<Vec<Value>> {
-        let path = self.chunk_path(chunk);
+        let path_buf = self.chunk_path(chunk);
+        let path = path_buf.display().to_string();
         let corrupt = |detail: &str| {
-            let _ = std::fs::remove_file(&path);
+            let _ = std::fs::remove_file(&path_buf);
             McdbError::ChunkCorrupt {
-                path: path.display().to_string(),
+                path: path.clone(),
                 detail: format!("column `{}`: {detail}", self.name),
             }
         };
-        let bytes = std::fs::read(&path).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::NotFound {
-                McdbError::ChunkCorrupt {
-                    path: path.display().to_string(),
-                    detail: "chunk file is missing".to_string(),
-                }
-            } else {
-                McdbError::ChunkIo {
-                    path: path.display().to_string(),
-                    message: e.to_string(),
-                }
-            }
-        })?;
-        if bytes.len() < HEADER_BYTES || &bytes[..8] != MAGIC {
-            return Err(corrupt("bad magic or truncated header"));
-        }
-        let word = |i: usize| {
-            let at = 8 + i * 8;
-            u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte word"))
-        };
         let expected = self.chunk_len(chunk);
-        if word(0) != self.tag || word(1) != u64::from(chunk) || word(2) != expected as u64 {
-            return Err(corrupt("header does not match the addressed chunk"));
-        }
-        let payload = &bytes[HEADER_BYTES..];
-        if word(3) != payload.len() as u64 {
-            return Err(corrupt("declared payload length disagrees with the file"));
-        }
-        if fnv1a(payload) != word(4) {
-            return Err(corrupt("payload checksum mismatch"));
-        }
-        decode_values(payload, expected).ok_or_else(|| corrupt("undecodable payload"))
+        let key = [self.tag, u64::from(chunk), expected as u64];
+        let payload = match blockfile::read(&path_buf, &key) {
+            Ok(payload) => payload,
+            Err(BlockError::Missing) => {
+                return Err(McdbError::ChunkCorrupt {
+                    path,
+                    detail: "chunk file is missing".to_string(),
+                })
+            }
+            Err(BlockError::Io(e)) => {
+                return Err(McdbError::ChunkIo {
+                    path,
+                    message: e.to_string(),
+                })
+            }
+            Err(BlockError::Corrupt(detail)) => return Err(corrupt(&detail)),
+        };
+        decode_values(&payload, expected).ok_or_else(|| corrupt("undecodable payload"))
     }
 
     /// Delete this column's chunk files (relation drop cleanup).
@@ -755,14 +663,12 @@ impl ColumnWriter {
         else {
             return;
         };
-        while buf.len() >= *chunk_rows {
+        while buf.len() >= *chunk_rows && error.is_none() {
             let rest = buf.split_off(*chunk_rows);
             let chunk = std::mem::replace(buf, rest);
-            if let Err(e) = write_chunk(dir, *tag, *next_chunk, &chunk, disk_bytes) {
-                if error.is_none() {
-                    *error = Some(e);
-                }
-                return;
+            match write_chunk(dir, *tag, *next_chunk, &chunk) {
+                Ok(len) => *disk_bytes += len,
+                Err(e) => *error = Some(e),
             }
             *next_chunk += 1;
         }
@@ -785,7 +691,7 @@ impl ColumnWriter {
                 dir,
                 chunk_rows,
                 buf,
-                mut next_chunk,
+                next_chunk,
                 rows,
                 mut disk_bytes,
                 summary,
@@ -795,10 +701,8 @@ impl ColumnWriter {
                     return Err(e);
                 }
                 if !buf.is_empty() {
-                    write_chunk(&dir, tag, next_chunk, &buf, &mut disk_bytes)?;
-                    next_chunk += 1;
+                    disk_bytes += write_chunk(&dir, tag, next_chunk, &buf)?;
                 }
-                let _ = next_chunk;
                 let cache = cache
                     .cloned()
                     .unwrap_or_else(|| Arc::new(ChunkCache::new(DiskOptions::DEFAULT_CACHE_BYTES)));
@@ -819,44 +723,19 @@ impl ColumnWriter {
     }
 }
 
-fn write_chunk(
-    dir: &Path,
-    tag: u64,
-    chunk: u32,
-    values: &[Value],
-    disk_bytes: &mut u64,
-) -> Result<()> {
-    std::fs::create_dir_all(dir).map_err(|e| McdbError::ChunkIo {
-        path: dir.display().to_string(),
-        message: e.to_string(),
-    })?;
+/// Write chunk `chunk` of column `tag` to its file; returns the file's
+/// length.
+fn write_chunk(dir: &Path, tag: u64, chunk: u32, values: &[Value]) -> Result<u64> {
+    let path = chunk_file_path(dir, tag, chunk);
     let mut payload = Vec::new();
     encode_values(values, &mut payload);
-    let mut buf = Vec::with_capacity(HEADER_BYTES + payload.len());
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&tag.to_le_bytes());
-    buf.extend_from_slice(&u64::from(chunk).to_le_bytes());
-    buf.extend_from_slice(&(values.len() as u64).to_le_bytes());
-    buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    buf.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    buf.extend_from_slice(&payload);
-    let path = chunk_file_path(dir, tag, chunk);
-    // Temp-file + rename so readers never observe a half-written chunk.
-    let tmp = dir.join(format!("{tag:016x}-{chunk:08}.tmp"));
-    let write = (|| -> std::io::Result<()> {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&buf)?;
-        std::fs::rename(&tmp, &path)
-    })();
-    if let Err(e) = write {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(McdbError::ChunkIo {
+    let key = [tag, u64::from(chunk), values.len() as u64];
+    std::fs::create_dir_all(dir)
+        .and_then(|()| blockfile::write(&path, &key, &payload, false))
+        .map_err(|e| McdbError::ChunkIo {
             path: path.display().to_string(),
             message: e.to_string(),
-        });
-    }
-    *disk_bytes += buf.len() as u64;
-    Ok(())
+        })
 }
 
 #[cfg(test)]
@@ -979,10 +858,18 @@ mod tests {
         let err = storage.get(5).unwrap_err();
         assert!(matches!(err, McdbError::ChunkCorrupt { .. }), "{err}");
         assert!(!path.exists(), "corrupt chunk file is deleted");
+        // The other chunk is unaffected.
+        assert_eq!(storage.get(0).unwrap(), Value::Int(0));
+        // A vanished chunk file is reported, not panicked.
+        assert!(matches!(
+            storage.get(5).unwrap_err(),
+            McdbError::ChunkCorrupt { .. }
+        ));
         // Truncation mid-header on the other chunk.
+        storage.invalidate_cached();
         let path0 = d.chunk_path(0);
         let bytes = std::fs::read(&path0).unwrap();
-        std::fs::write(&path0, &bytes[..HEADER_BYTES - 2]).unwrap();
+        std::fs::write(&path0, &bytes[..blockfile::header_len(3) as usize - 2]).unwrap();
         assert!(matches!(
             storage.get(0).unwrap_err(),
             McdbError::ChunkCorrupt { .. }

@@ -34,10 +34,12 @@
 //! assert_eq!(scenario.values.len(), 3);
 //! ```
 
+pub mod blockfile;
 pub mod cache;
 pub mod column;
 pub mod error;
 pub mod expectation;
+pub mod memo;
 pub mod relation;
 pub mod scenario;
 pub mod schema;
@@ -50,6 +52,7 @@ pub use cache::ScenarioCache;
 pub use column::{ChunkCacheStats, ColumnStorage, ColumnSummary, DiskOptions, StorageOptions};
 pub use error::McdbError;
 pub use expectation::ExpectationEstimator;
+pub use memo::{Lookup, Memo, MemoStats};
 pub use relation::{Relation, RelationBuilder, StochasticColumn};
 pub use scenario::{Scenario, ScenarioGenerator, ScenarioMatrix};
 pub use schema::{ColumnDef, ColumnKind, Schema};

@@ -111,15 +111,31 @@ pub fn tuple_rng(base_seed: u64, tuple: u64) -> SmallRng {
     SmallRng::seed_from_u64(mix(&[base_seed, tuple]))
 }
 
+/// Initial state of an [`fnv1a`] hash.
+pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// Fold `bytes` into the FNV-1a state `hash` (start from [`FNV_OFFSET`]).
+/// The crate's one byte hash: column tags and block checksums.
+pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
+/// [`fnv1a`] taking whole 64-bit words as its units: one multiply per word
+/// instead of eight, for keys hashed on every lookup (candidate tuple sets).
+pub fn fnv1a_words(hash: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+    words
+        .into_iter()
+        .fold(hash, |h, w| (h ^ w).wrapping_mul(FNV_PRIME))
+}
+
 /// Stable 64-bit tag for a column name.
 pub fn column_tag(name: &str) -> u64 {
     // FNV-1a over the bytes, then a SplitMix finalizer for avalanche.
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for b in name.as_bytes() {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    splitmix64(hash)
+    splitmix64(fnv1a(FNV_OFFSET, name.as_bytes()))
 }
 
 #[cfg(test)]

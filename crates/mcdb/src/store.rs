@@ -18,21 +18,13 @@
 //!
 //! ## File format
 //!
-//! Every block file is little-endian throughout:
-//!
-//! ```text
-//! magic    8 bytes   b"SPQBLK01"
-//! key      7 × u64   fingerprint, column tag, stream tag, seed,
-//!                    tuples hash, first scenario, scenario count
-//! n_tuples 1 × u64
-//! checksum 1 × u64   FNV-1a over the payload bytes
-//! payload  n_tuples × scenarios × f64   scenario-major matrix data
-//! ```
-//!
-//! A reload verifies the magic, every key word, the declared shape, the
-//! payload length, and the checksum; any mismatch (truncation, bit rot,
-//! hash collision) deletes the file, bumps the corrupt counter, and falls
-//! back to regeneration — a corrupt block can cost time, never wrong data.
+//! One `.spqblk` file per block in the crate's [`blockfile`] format: the
+//! key words are the 7 [`StoreKey`] words plus the tuple count, the payload
+//! is the scenario-major `f64` matrix. Blocks are synced to disk before
+//! they are renamed into place. A reload verifies key, shape, length and
+//! checksum; any mismatch (truncation, bit rot, hash collision) deletes the
+//! file, bumps the corrupt counter, and falls back to regeneration — a
+//! corrupt block can cost time, never wrong data.
 //!
 //! ## Bounding
 //!
@@ -41,10 +33,10 @@
 //! skipped entirely if the block alone exceeds the budget. All spill/evict
 //! decisions run under one mutex so the byte accounting stays exact.
 
+use crate::blockfile::{self, BlockError};
 use crate::scenario::ScenarioMatrix;
-use crate::seed::{splitmix64, Stream};
+use crate::seed::splitmix64;
 use spq_obs::metrics::{Counter, Gauge, Named};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -58,10 +50,9 @@ static STORE_BYTES: Named<Gauge> = Named::new("spq_scenario_store_bytes", Gauge:
 static STORE_CORRUPT: Named<Counter> = Named::new("spq_scenario_store_corrupt", Counter::new());
 static STORE_EVICTIONS: Named<Counter> = Named::new("spq_scenario_store_evictions", Counter::new());
 
-const MAGIC: &[u8; 8] = b"SPQBLK01";
-/// magic + 7 key words + n_tuples + checksum.
-const HEADER_BYTES: usize = 8 + 9 * 8;
 const FILE_SUFFIX: &str = ".spqblk";
+/// Block key: the 7 [`StoreKey`] words plus the tuple count.
+const KEY_WORDS: usize = 8;
 
 /// Restart-stable identity of one realized block on disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,7 +61,7 @@ pub struct StoreKey {
     pub relation_fingerprint: u64,
     /// Stable tag of the canonical column name.
     pub column_tag: u64,
-    /// [`Stream::tag`] of the generator stream.
+    /// [`Stream::tag`](crate::seed::Stream::tag) of the generator stream.
     pub stream_tag: u64,
     /// Base seed of the generator.
     pub seed: u64,
@@ -84,7 +75,7 @@ pub struct StoreKey {
 }
 
 impl StoreKey {
-    fn words(&self) -> [u64; 7] {
+    fn block_key(&self, n_tuples: usize) -> [u64; KEY_WORDS] {
         [
             self.relation_fingerprint,
             self.column_tag,
@@ -93,6 +84,7 @@ impl StoreKey {
             self.tuples_hash,
             self.first_scenario,
             self.scenarios,
+            n_tuples as u64,
         ]
     }
 
@@ -102,27 +94,12 @@ impl StoreKey {
     fn file_name(&self) -> String {
         let mut a = 0x6A09_E667_F3BC_C908u64;
         let mut b = 0xBB67_AE85_84CA_A73Bu64;
-        for w in self.words() {
+        for &w in &self.block_key(0)[..KEY_WORDS - 1] {
             a = splitmix64(a ^ splitmix64(w));
             b = splitmix64(b ^ splitmix64(w.rotate_left(17)));
         }
         format!("{a:016x}{b:016x}{FILE_SUFFIX}")
     }
-}
-
-/// A stream tag is only ever one of the two [`Stream`] constants; map it
-/// back for error reporting and store introspection.
-pub fn stream_tag(stream: Stream) -> u64 {
-    stream.tag()
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// Aggregated store counters, as surfaced by the spqd `stats` op.
@@ -178,7 +155,8 @@ impl ScenarioStore {
                 bytes += entry.metadata().map(|m| m.len()).unwrap_or(0);
             }
         }
-        let store = ScenarioStore {
+        STORE_BYTES.set(bytes as i64);
+        Ok(ScenarioStore {
             dir,
             max_bytes,
             bytes: AtomicU64::new(bytes),
@@ -187,9 +165,7 @@ impl ScenarioStore {
             corrupt: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             write_lock: Mutex::new(()),
-        };
-        STORE_BYTES.set(store.bytes.load(Ordering::Relaxed) as i64);
-        Ok(store)
+        })
     }
 
     /// The directory holding the block files.
@@ -229,35 +205,26 @@ impl ScenarioStore {
     /// and counts it as corrupt): the caller regenerates in both cases.
     pub fn load(&self, key: &StoreKey, n_tuples: usize) -> Option<ScenarioMatrix> {
         let path = self.dir.join(key.file_name());
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
-            Err(_) => return None,
+        let payload = match blockfile::read(&path, &key.block_key(n_tuples)) {
+            Ok(payload) => payload,
+            Err(BlockError::Corrupt(_)) => {
+                self.mark_corrupt(&path);
+                return None;
+            }
+            Err(BlockError::Missing | BlockError::Io(_)) => return None,
         };
-        if bytes.len() < HEADER_BYTES || &bytes[..8] != MAGIC {
-            self.mark_corrupt(&path);
-            return None;
-        }
-        let word = |i: usize| {
-            let at = 8 + i * 8;
-            u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte word"))
-        };
-        let header_ok = key.words().iter().enumerate().all(|(i, &w)| word(i) == w)
-            && word(7) == n_tuples as u64;
         let cells = (n_tuples as u64).checked_mul(key.scenarios);
-        let payload = &bytes[HEADER_BYTES..];
-        let expected_len = cells.and_then(|c| c.checked_mul(8));
-        if !header_ok || expected_len != Some(payload.len() as u64) {
-            self.mark_corrupt(&path);
-            return None;
-        }
-        if fnv1a(payload) != word(8) {
+        if cells.and_then(|c| c.checked_mul(8)) != Some(payload.len() as u64) {
             self.mark_corrupt(&path);
             return None;
         }
         let data: Vec<f64> = payload
             .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte float")))
+            .map(|c| {
+                let mut w = [0u8; 8];
+                w.copy_from_slice(c);
+                f64::from_le_bytes(w)
+            })
             .collect();
         self.reads.fetch_add(1, Ordering::Relaxed);
         STORE_READS.inc();
@@ -269,12 +236,11 @@ impl ScenarioStore {
     /// silent — the store is an optimization, never a correctness
     /// dependency.
     pub fn spill(&self, key: &StoreKey, matrix: &ScenarioMatrix) {
-        let payload_len = matrix.raw_data().len() * 8;
-        let file_len = (HEADER_BYTES + payload_len) as u64;
+        let file_len = blockfile::header_len(KEY_WORDS) + matrix.raw_data().len() as u64 * 8;
         if file_len > self.max_bytes {
             return;
         }
-        let _guard = self.write_lock.lock().expect("scenario store poisoned");
+        let _guard = self.write_lock.lock().unwrap_or_else(|e| e.into_inner());
         let path = self.dir.join(key.file_name());
         if path.exists() {
             // Another thread (or a previous run) already spilled this key.
@@ -286,29 +252,12 @@ impl ScenarioStore {
         if self.bytes.load(Ordering::Relaxed) + file_len > self.max_bytes {
             return;
         }
-        let mut buf = Vec::with_capacity(HEADER_BYTES + payload_len);
-        buf.extend_from_slice(MAGIC);
-        for w in key.words() {
-            buf.extend_from_slice(&w.to_le_bytes());
-        }
-        buf.extend_from_slice(&(matrix.num_tuples() as u64).to_le_bytes());
-        let mut payload = Vec::with_capacity(payload_len);
+        let mut payload = Vec::with_capacity(matrix.raw_data().len() * 8);
         for v in matrix.raw_data() {
             payload.extend_from_slice(&v.to_le_bytes());
         }
-        buf.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        buf.extend_from_slice(&payload);
-        // Write to a temp name then rename, so readers never observe a
-        // half-written block as the addressed file.
-        let tmp = self.dir.join(format!("{}.tmp", key.file_name()));
-        let write = (|| -> std::io::Result<()> {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&buf)?;
-            f.sync_all().ok();
-            std::fs::rename(&tmp, &path)
-        })();
-        if write.is_err() {
-            let _ = std::fs::remove_file(&tmp);
+        let key_words = key.block_key(matrix.num_tuples());
+        if blockfile::write(&path, &key_words, &payload, true).is_err() {
             return;
         }
         self.bytes.fetch_add(file_len, Ordering::Relaxed);
@@ -353,6 +302,7 @@ impl ScenarioStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seed::Stream;
 
     fn key(seed: u64) -> StoreKey {
         StoreKey {
@@ -370,6 +320,9 @@ mod tests {
         ScenarioMatrix::from_raw(3, (0..12).map(|i| i as f64 * 0.5 - 2.0).collect())
     }
 
+    /// On-disk size of one spilled `matrix()` block.
+    const BLOCK: u64 = blockfile::header_len(KEY_WORDS) + 12 * 8;
+
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("spq-store-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -385,7 +338,7 @@ mod tests {
         store.spill(&key(1), &m);
         let stats = store.stats();
         assert_eq!((stats.spill_writes, stats.reads, stats.corrupt), (1, 0, 0));
-        assert!(stats.bytes > 0);
+        assert_eq!(stats.bytes, BLOCK);
         let back = store.load(&key(1), 3).expect("stored block loads");
         assert_eq!(back, m);
         assert_eq!(store.stats().reads, 1);
@@ -419,6 +372,7 @@ mod tests {
         assert!(store.load(&key(1), 3).is_none(), "bit rot must not load");
         assert!(!path.exists(), "corrupt file is deleted");
         assert_eq!(store.stats().corrupt, 1);
+        assert_eq!(store.stats().bytes, 0);
 
         // Truncation mid-payload.
         store.spill(&key(1), &m);
@@ -430,17 +384,24 @@ mod tests {
         // Truncation mid-header.
         store.spill(&key(1), &m);
         let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..HEADER_BYTES - 3]).unwrap();
+        let header = blockfile::header_len(KEY_WORDS) as usize;
+        std::fs::write(&path, &bytes[..header - 3]).unwrap();
         assert!(store.load(&key(1), 3).is_none());
         assert_eq!(store.stats().corrupt, 3);
 
         // A key-word mismatch (same file name, different header) rejects.
         store.spill(&key(1), &m);
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[9] ^= 0xFF; // inside the fingerprint word
+        bytes[17] ^= 0xFF; // inside the fingerprint word
         std::fs::write(&path, &bytes).unwrap();
         assert!(store.load(&key(1), 3).is_none());
         assert_eq!(store.stats().corrupt, 4);
+
+        // A block of another shape (the right key at a wrong tuple count)
+        // is rejected too.
+        store.spill(&key(1), &m);
+        assert!(store.load(&key(1), 4).is_none());
+        assert_eq!(store.stats().corrupt, 5);
 
         // Regeneration after rejection works (spill again, load again).
         store.spill(&key(1), &m);
@@ -451,19 +412,21 @@ mod tests {
     #[test]
     fn byte_budget_evicts_oldest_and_skips_oversized() {
         let dir = tmp_dir("budget");
-        let m = matrix(); // 96-byte payload + 80-byte header = 176 bytes
-        let store = ScenarioStore::open_bounded(&dir, 400).unwrap();
+        let m = matrix();
+        // Room for two and a half blocks.
+        let store = ScenarioStore::open_bounded(&dir, 2 * BLOCK + BLOCK / 2).unwrap();
         store.spill(&key(1), &m);
         std::thread::sleep(std::time::Duration::from_millis(20));
         store.spill(&key(2), &m);
-        assert_eq!(store.stats().bytes, 352);
-        // The third spill exceeds 400 bytes: the oldest file (key 1) goes.
+        assert_eq!(store.stats().bytes, 2 * BLOCK);
+        // The third spill exceeds the budget: the oldest file (key 1) goes.
         std::thread::sleep(std::time::Duration::from_millis(20));
         store.spill(&key(3), &m);
         assert!(store.load(&key(1), 3).is_none(), "oldest was evicted");
+        assert!(store.load(&key(2), 3).is_some());
         assert!(store.load(&key(3), 3).is_some());
         assert_eq!(store.stats().evictions, 1);
-        assert!(store.stats().bytes <= 400);
+        assert_eq!(store.stats().bytes, 2 * BLOCK);
 
         // A block bigger than the whole budget is never written.
         let tiny = ScenarioStore::open_bounded(tmp_dir("tiny"), 64).unwrap();

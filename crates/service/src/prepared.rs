@@ -9,32 +9,21 @@
 //! text, and re-evaluates the same plan under different algorithms, seeds or
 //! budgets without recompiling.
 //!
-//! Like [`spq_mcdb::ScenarioCache`], compilation is serialized per key so
-//! concurrent first requests for the same query compile once.
+//! Like [`spq_mcdb::ScenarioCache`], the cache is a [`Memo`], so concurrent
+//! first requests for the same query compile once.
 
 use spq_core::{Silp, SpqError};
-use spq_mcdb::Relation;
+use spq_mcdb::{Memo, MemoStats, Relation};
 use spq_spaql::{bind, parse};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-#[derive(Debug, Default)]
-struct Slot {
-    plan: Mutex<Option<Arc<Silp>>>,
-}
+use std::sync::Arc;
 
 /// A thread-safe cache of compiled query plans, bounded to a maximum entry
-/// count: when a new plan would exceed it, the cache is flushed and the plan
-/// admitted fresh (compilation is cheap relative to evaluation, so
-/// occasional recompiles beat unbounded growth — a plan's candidate list is
-/// `O(relation size)`).
+/// count: admitting a plan past it evicts the oldest plan (compilation is
+/// cheap relative to evaluation, so occasional recompiles beat unbounded
+/// growth — a plan's candidate list is `O(relation size)`).
 #[derive(Debug)]
 pub struct PreparedCache {
-    slots: Mutex<HashMap<(u64, String), Arc<Slot>>>,
-    max_entries: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    plans: Memo<(u64, String), Arc<Silp>>,
 }
 
 impl Default for PreparedCache {
@@ -55,10 +44,7 @@ impl PreparedCache {
     /// An empty cache bounded to `max_entries` plans.
     pub fn with_max_entries(max_entries: usize) -> Self {
         PreparedCache {
-            slots: Mutex::new(HashMap::new()),
-            max_entries: max_entries.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            plans: Memo::new(max_entries.max(1) as u64),
         }
     }
 
@@ -71,41 +57,31 @@ impl PreparedCache {
         query: &str,
     ) -> Result<(Arc<Silp>, bool), SpqError> {
         let key = (relation.uid(), query.trim().to_string());
-        let slot = {
-            let mut slots = self.slots.lock().expect("prepared cache poisoned");
-            if !slots.contains_key(&key) && slots.len() >= self.max_entries {
-                // Flush-on-full: drop every plan (including ones compiled
-                // for since-replaced relations) rather than grow unbounded.
-                slots.clear();
-            }
-            slots.entry(key).or_default().clone()
-        };
-        let mut plan = slot.plan.lock().expect("prepared slot poisoned");
-        if let Some(silp) = &*plan {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((silp.clone(), true));
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let parsed = parse(query)?;
-        let bound = bind(&parsed, relation)?;
-        let silp = Arc::new(spq_core::translate(&bound, relation)?);
-        *plan = Some(silp.clone());
-        Ok((silp, false))
+        self.plans.get_or_insert_with(&key, || {
+            let parsed = parse(query)?;
+            let bound = bind(&parsed, relation)?;
+            Ok((Arc::new(spq_core::translate(&bound, relation)?), 1))
+        })
+    }
+
+    /// Current counters.
+    pub fn stats(&self) -> MemoStats {
+        self.plans.stats()
     }
 
     /// Number of lookups served without compiling.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.stats().hits
     }
 
     /// Number of lookups that compiled.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.stats().misses
     }
 
     /// Number of cached plans.
     pub fn len(&self) -> usize {
-        self.slots.lock().expect("prepared cache poisoned").len()
+        self.plans.len()
     }
 
     /// True when nothing is cached.
@@ -115,7 +91,7 @@ impl PreparedCache {
 
     /// Drop every cached plan (counters keep accumulating).
     pub fn clear(&self) {
-        self.slots.lock().expect("prepared cache poisoned").clear();
+        self.plans.clear();
     }
 }
 
@@ -184,7 +160,7 @@ mod tests {
     }
 
     #[test]
-    fn a_full_cache_flushes_instead_of_growing() {
+    fn a_full_cache_evicts_the_oldest_plan() {
         let rel = relation();
         let cache = PreparedCache::with_max_entries(2);
         let q2 = "SELECT PACKAGE(*) FROM t SUCH THAT COUNT(*) <= 1";
@@ -192,14 +168,18 @@ mod tests {
         cache.get_or_compile(&rel, QUERY).unwrap();
         cache.get_or_compile(&rel, q2).unwrap();
         assert_eq!(cache.len(), 2);
-        // Third distinct plan: flush, then admit — never more than the cap.
+        // Third distinct plan: the oldest goes — never more than the cap.
         cache.get_or_compile(&rel, q3).unwrap();
-        assert_eq!(cache.len(), 1);
-        // A flushed plan recompiles (miss), a resident one still hits.
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().evictions, 1);
+        // The evicted plan recompiles (miss, evicting q2), the newer ones
+        // still hit.
         let (_, hit) = cache.get_or_compile(&rel, QUERY).unwrap();
         assert!(!hit);
         let (_, hit) = cache.get_or_compile(&rel, q3).unwrap();
         assert!(hit);
+        let (_, hit) = cache.get_or_compile(&rel, q2).unwrap();
+        assert!(!hit);
     }
 
     #[test]

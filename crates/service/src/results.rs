@@ -15,14 +15,12 @@
 //! outcomes depend on *this request's* deadline and token, not just the key,
 //! so the computing slot is simply released and the next requester computes
 //! fresh. Waiters poll their own token and deadline while parked, so a
-//! cancelled client never hangs on somebody else's solve.
+//! cancelled client never hangs on somebody else's solve. The cache is a
+//! [`Memo`] of entry weight 1 with oldest-first eviction.
 
 use crate::protocol::{QueryResponse, QueryStatus};
+use spq_mcdb::{Lookup, Memo, MemoStats};
 use spq_solver::{CancellationToken, Deadline};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
 
 /// Everything a query's answer may depend on (besides the request id, which
 /// is re-stamped on each response). Fields are the *effective* values after
@@ -48,33 +46,13 @@ pub struct ResultKey {
     pub validation_scenarios: usize,
 }
 
+/// What [`ResultCache::get_or_compute`] resolved to.
 #[derive(Debug)]
-enum Slot {
-    /// Some worker is computing this key; waiters park on the condvar.
-    InFlight,
-    /// A completed `ok` response (id/queue/wall re-stamped per requester).
-    /// Boxed: the in-flight variant is carried by every key, the payload
-    /// only by completed ones.
-    Ready(Box<QueryResponse>),
-}
-
-#[derive(Debug, Default)]
-struct State {
-    slots: HashMap<ResultKey, Slot>,
-    /// Ready keys in insertion order (FIFO eviction; in-flight slots are
-    /// never evicted).
-    order: VecDeque<ResultKey>,
-}
-
-/// What [`ResultCache::claim`] resolved to.
-#[derive(Debug)]
-pub enum Claim {
-    /// A cached response (already re-stamped with nothing — caller fixes
-    /// id/queue/wall).
+pub enum Resolved {
+    /// A cached response (caller re-stamps id/queue/wall).
     Hit(Box<QueryResponse>),
-    /// The caller holds the compute slot and MUST call
-    /// [`ResultCache::complete`] with its response.
-    Compute,
+    /// The caller's own computation, `ok` or not.
+    Computed(Box<QueryResponse>),
     /// The caller's own token fired while waiting on another computation.
     Cancelled,
     /// The caller's own deadline expired while waiting on another
@@ -82,15 +60,17 @@ pub enum Claim {
     TimedOut,
 }
 
+/// Why a waiter stopped waiting.
+#[derive(Debug)]
+enum GaveUp {
+    Cancelled,
+    TimedOut,
+}
+
 /// Single-flight deterministic result cache.
 #[derive(Debug)]
 pub struct ResultCache {
-    state: Mutex<State>,
-    done: Condvar,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    coalesced: AtomicU64,
+    responses: Memo<ResultKey, Box<QueryResponse>>,
 }
 
 impl ResultCache {
@@ -100,89 +80,54 @@ impl ResultCache {
     /// A cache holding at most `capacity` completed responses.
     pub fn new(capacity: usize) -> Self {
         ResultCache {
-            state: Mutex::new(State::default()),
-            done: Condvar::new(),
-            capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
+            responses: Memo::new(capacity.max(1) as u64),
         }
     }
 
     /// Resolve `key`: return the cached response, wait for an identical
-    /// in-flight computation, or claim the compute slot. A caller that
-    /// receives [`Claim::Compute`] must follow up with [`Self::complete`] —
-    /// even on panic-free error paths — or waiters would stall until their
-    /// own deadlines (they poll `token`/`deadline` every 20ms, so a lost
-    /// completion degrades to per-request timeouts, not a hang).
-    pub fn claim(&self, key: &ResultKey, token: &CancellationToken, deadline: &Deadline) -> Claim {
-        let mut counted_coalesce = false;
-        let mut state = self.state.lock().expect("result cache poisoned");
-        loop {
-            match state.slots.get(key) {
-                Some(Slot::Ready(response)) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Claim::Hit(response.clone());
-                }
-                Some(Slot::InFlight) => {
-                    if !counted_coalesce {
-                        counted_coalesce = true;
-                        self.coalesced.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if token.is_cancelled() {
-                        return Claim::Cancelled;
-                    }
-                    if deadline.expired() {
-                        return Claim::TimedOut;
-                    }
-                    state = self
-                        .done
-                        .wait_timeout(state, Duration::from_millis(20))
-                        .expect("result cache poisoned")
-                        .0;
-                }
-                None => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    state.slots.insert(key.clone(), Slot::InFlight);
-                    return Claim::Compute;
-                }
+    /// in-flight computation (polling this request's `token` and `deadline`
+    /// while parked), or run `compute` — caching its response only when it
+    /// is `ok`.
+    pub fn get_or_compute(
+        &self,
+        key: &ResultKey,
+        token: &CancellationToken,
+        deadline: &Deadline,
+        compute: impl FnOnce() -> QueryResponse,
+    ) -> Resolved {
+        let abandon = || {
+            if token.is_cancelled() {
+                Some(GaveUp::Cancelled)
+            } else if deadline.expired() {
+                Some(GaveUp::TimedOut)
+            } else {
+                None
             }
+        };
+        let compute = || {
+            let response = Box::new(compute());
+            if response.status == QueryStatus::Ok {
+                Ok((response, 1))
+            } else {
+                Err(response)
+            }
+        };
+        match self.responses.resolve(key, abandon, compute) {
+            Lookup::Hit(response) => Resolved::Hit(response),
+            Lookup::Computed(response) | Lookup::Failed(response) => Resolved::Computed(response),
+            Lookup::Abandoned(GaveUp::Cancelled) => Resolved::Cancelled,
+            Lookup::Abandoned(GaveUp::TimedOut) => Resolved::TimedOut,
         }
     }
 
-    /// Finish a computation claimed via [`Claim::Compute`]: cache `ok`
-    /// responses, release the slot otherwise, and wake every waiter.
-    pub fn complete(&self, key: &ResultKey, response: &QueryResponse) {
-        let mut state = self.state.lock().expect("result cache poisoned");
-        if response.status == QueryStatus::Ok {
-            state
-                .slots
-                .insert(key.clone(), Slot::Ready(Box::new(response.clone())));
-            state.order.push_back(key.clone());
-            while state.order.len() > self.capacity {
-                let evict = state.order.pop_front().expect("order non-empty");
-                // Only evict if the slot is still this Ready entry (a
-                // re-inserted key appears twice in `order`; the stale front
-                // reference must not evict the fresh entry).
-                if state.order.iter().all(|k| *k != evict) {
-                    state.slots.remove(&evict);
-                }
-            }
-        } else {
-            state.slots.remove(key);
-        }
-        drop(state);
-        self.done.notify_all();
+    /// Current counters.
+    pub fn stats(&self) -> MemoStats {
+        self.responses.stats()
     }
 
     /// Completed responses currently cached.
     pub fn len(&self) -> usize {
-        let state = self.state.lock().expect("result cache poisoned");
-        state
-            .slots
-            .values()
-            .filter(|s| matches!(s, Slot::Ready(_)))
-            .count()
+        self.responses.len()
     }
 
     /// Whether no completed responses are cached.
@@ -192,18 +137,18 @@ impl ResultCache {
 
     /// Requests answered from cache.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.stats().hits
     }
 
-    /// Requests that claimed the compute slot.
+    /// Requests that ran their own computation.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.stats().misses
     }
 
     /// Requests that waited on an identical in-flight computation at least
     /// once (they resolve as hits when it completes `ok`).
     pub fn coalesced(&self) -> u64 {
-        self.coalesced.load(Ordering::Relaxed)
+        self.stats().coalesced
     }
 }
 
@@ -211,6 +156,7 @@ impl ResultCache {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn key(tag: u64) -> ResultKey {
         ResultKey {
@@ -241,18 +187,49 @@ mod tests {
         }
     }
 
-    fn free_claim(cache: &ResultCache, key: &ResultKey) -> Claim {
+    fn free(
+        cache: &ResultCache,
+        key: &ResultKey,
+        compute: impl FnOnce() -> QueryResponse,
+    ) -> Resolved {
         let token = CancellationToken::new();
         let deadline = Deadline::none().with_token(token.clone());
-        cache.claim(key, &token, &deadline)
+        cache.get_or_compute(key, &token, &deadline, compute)
+    }
+
+    fn never() -> QueryResponse {
+        panic!("a hit must not compute")
+    }
+
+    /// Start a computation of `key` on another thread that holds its slot
+    /// until `release` is signalled; returns once the slot is held.
+    fn hold(
+        cache: &Arc<ResultCache>,
+        key: ResultKey,
+    ) -> (std::sync::mpsc::Sender<()>, std::thread::JoinHandle<()>) {
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let cache = cache.clone();
+        let computer = std::thread::spawn(move || {
+            let resolved = free(&cache, &key, || {
+                held_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+                ok_response("computer")
+            });
+            assert!(matches!(resolved, Resolved::Computed(_)));
+        });
+        held_rx.recv().unwrap();
+        (release_tx, computer)
     }
 
     #[test]
     fn computes_once_then_hits() {
         let cache = ResultCache::new(8);
-        assert!(matches!(free_claim(&cache, &key(1)), Claim::Compute));
-        cache.complete(&key(1), &ok_response("a"));
-        let Claim::Hit(hit) = free_claim(&cache, &key(1)) else {
+        assert!(matches!(
+            free(&cache, &key(1), || ok_response("a")),
+            Resolved::Computed(_)
+        ));
+        let Resolved::Hit(hit) = free(&cache, &key(1), never) else {
             panic!("expected hit");
         };
         assert_eq!(hit.package, vec![(3, 1)]);
@@ -260,37 +237,46 @@ mod tests {
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.len(), 1);
         // A different key misses.
-        assert!(matches!(free_claim(&cache, &key(2)), Claim::Compute));
+        assert!(matches!(
+            free(&cache, &key(2), || ok_response("b")),
+            Resolved::Computed(_)
+        ));
     }
 
     #[test]
     fn failures_release_the_slot_instead_of_caching() {
         let cache = ResultCache::new(8);
-        assert!(matches!(free_claim(&cache, &key(1)), Claim::Compute));
         let mut cancelled = ok_response("a");
         cancelled.status = QueryStatus::Cancelled;
-        cache.complete(&key(1), &cancelled);
+        let Resolved::Computed(response) = free(&cache, &key(1), || cancelled) else {
+            panic!("the computing request gets its own response");
+        };
+        assert_eq!(response.status, QueryStatus::Cancelled);
         assert!(cache.is_empty());
         // The next requester computes fresh rather than seeing the failure.
-        assert!(matches!(free_claim(&cache, &key(1)), Claim::Compute));
+        assert!(matches!(
+            free(&cache, &key(1), || ok_response("b")),
+            Resolved::Computed(_)
+        ));
         assert_eq!(cache.misses(), 2);
     }
 
     #[test]
     fn concurrent_identical_requests_coalesce() {
         let cache = Arc::new(ResultCache::new(8));
-        assert!(matches!(free_claim(&cache, &key(1)), Claim::Compute));
+        let (release, computer) = hold(&cache, key(1));
         let waiters: Vec<_> = (0..4)
             .map(|_| {
                 let cache = cache.clone();
-                std::thread::spawn(move || match free_claim(&cache, &key(1)) {
-                    Claim::Hit(r) => r.package,
+                std::thread::spawn(move || match free(&cache, &key(1), never) {
+                    Resolved::Hit(r) => r.package,
                     other => panic!("expected hit, got {other:?}"),
                 })
             })
             .collect();
         std::thread::sleep(Duration::from_millis(50));
-        cache.complete(&key(1), &ok_response("computer"));
+        release.send(()).unwrap();
+        computer.join().unwrap();
         for waiter in waiters {
             assert_eq!(waiter.join().unwrap(), vec![(3, 1)]);
         }
@@ -301,37 +287,44 @@ mod tests {
 
     #[test]
     fn waiters_honor_their_own_cancellation_and_deadline() {
-        let cache = ResultCache::new(8);
-        assert!(matches!(free_claim(&cache, &key(1)), Claim::Compute));
+        let cache = Arc::new(ResultCache::new(8));
+        let (release, computer) = hold(&cache, key(1));
         // A waiter whose token fires gives up promptly.
         let token = CancellationToken::new();
         token.cancel();
         let deadline = Deadline::none().with_token(token.clone());
         assert!(matches!(
-            cache.claim(&key(1), &token, &deadline),
-            Claim::Cancelled
+            cache.get_or_compute(&key(1), &token, &deadline, never),
+            Resolved::Cancelled
         ));
         // A waiter whose deadline expires gives up promptly.
         let token = CancellationToken::new();
         let deadline = Deadline::within(Duration::ZERO).with_token(token.clone());
         let started = std::time::Instant::now();
         assert!(matches!(
-            cache.claim(&key(1), &token, &deadline),
-            Claim::TimedOut
+            cache.get_or_compute(&key(1), &token, &deadline, never),
+            Resolved::TimedOut
         ));
         assert!(started.elapsed() < Duration::from_secs(2));
+        release.send(()).unwrap();
+        computer.join().unwrap();
     }
 
     #[test]
     fn capacity_evicts_oldest_ready_entries() {
         let cache = ResultCache::new(2);
         for tag in 0..3 {
-            assert!(matches!(free_claim(&cache, &key(tag)), Claim::Compute));
-            cache.complete(&key(tag), &ok_response("x"));
+            assert!(matches!(
+                free(&cache, &key(tag), || ok_response("x")),
+                Resolved::Computed(_)
+            ));
         }
         assert_eq!(cache.len(), 2);
         // The oldest entry (tag 0) was evicted; newest two remain.
-        assert!(matches!(free_claim(&cache, &key(0)), Claim::Compute));
-        assert!(matches!(free_claim(&cache, &key(2)), Claim::Hit(_)));
+        assert!(matches!(free(&cache, &key(2), never), Resolved::Hit(_)));
+        assert!(matches!(
+            free(&cache, &key(0), || ok_response("x")),
+            Resolved::Computed(_)
+        ));
     }
 }

@@ -20,7 +20,7 @@ use crate::prepared::PreparedCache;
 use crate::protocol::{
     QueryRequest, QueryResponse, QueryStatus, ValidateRequest, ValidateResponse,
 };
-use crate::results::{Claim, ResultCache, ResultKey};
+use crate::results::{Resolved, ResultCache, ResultKey};
 use spq_core::bounds::certificate;
 use spq_core::validation::{validate_with, EarlyStop, ValidationOptions};
 use spq_core::{Algorithm, Instance, SpqEngine, SpqOptions};
@@ -394,8 +394,9 @@ impl SpqService {
             return self.execute(request, token, deadline, queued);
         };
         let started = Instant::now();
-        match self.results.claim(&key, token, &deadline) {
-            Claim::Hit(mut response) => {
+        let compute = || self.execute(request, token, deadline.clone(), queued);
+        match self.results.get_or_compute(&key, token, &deadline, compute) {
+            Resolved::Hit(mut response) => {
                 self.queries_executed.fetch_add(1, Ordering::Relaxed);
                 response.id = request.id.clone();
                 response.result_cache_hit = true;
@@ -405,12 +406,8 @@ impl SpqService {
                 response.wall_ms = elapsed.as_secs_f64() * 1000.0;
                 *response
             }
-            Claim::Compute => {
-                let response = self.execute(request, token, deadline, queued);
-                self.results.complete(&key, &response);
-                response
-            }
-            Claim::Cancelled => {
+            Resolved::Computed(response) => *response,
+            Resolved::Cancelled => {
                 self.queries_executed.fetch_add(1, Ordering::Relaxed);
                 let mut response = QueryResponse::failure(
                     &request.id,
@@ -421,7 +418,7 @@ impl SpqService {
                 response.wall_ms = started.elapsed().as_secs_f64() * 1000.0;
                 response
             }
-            Claim::TimedOut => {
+            Resolved::TimedOut => {
                 self.queries_executed.fetch_add(1, Ordering::Relaxed);
                 let mut response = QueryResponse::failure(
                     &request.id,
@@ -596,6 +593,28 @@ impl SpqService {
                 hits as f64 / total as f64
             }
         }
+        // Every cache reports the same `Memo` counters; byte-weighted ones
+        // also their resident and ever-admitted bytes.
+        fn cache_json(s: spq_mcdb::MemoStats, bytes: bool) -> Json {
+            let mut fields = vec![
+                ("hits", Json::from(s.hits)),
+                ("misses", Json::from(s.misses)),
+                ("hit_rate", Json::from(hit_rate(s.hits, s.misses))),
+                ("coalesced", Json::from(s.coalesced)),
+                ("evicted", Json::from(s.evictions)),
+                ("entries", Json::from(s.entries)),
+            ];
+            if bytes {
+                fields.push(("resident_bytes", Json::from(s.resident)));
+                fields.push(("bytes_inserted", Json::from(s.weight_inserted)));
+            }
+            Json::Obj(
+                fields
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v))
+                    .collect(),
+            )
+        }
         // {count, p50_ms, p90_ms, p99_ms, max_ms} for one op's latency
         // histogram (bucket upper bounds, so quantiles overestimate by at
         // most 12.5%).
@@ -628,48 +647,15 @@ impl SpqService {
             ),
             (
                 "prepared_cache".to_string(),
-                Json::Obj(vec![
-                    ("hits".to_string(), Json::from(self.prepared.hits())),
-                    ("misses".to_string(), Json::from(self.prepared.misses())),
-                    (
-                        "hit_rate".to_string(),
-                        Json::from(hit_rate(self.prepared.hits(), self.prepared.misses())),
-                    ),
-                    ("entries".to_string(), Json::from(self.prepared.len())),
-                ]),
+                cache_json(self.prepared.stats(), false),
             ),
             (
                 "result_cache".to_string(),
-                Json::Obj(vec![
-                    ("hits".to_string(), Json::from(self.results.hits())),
-                    ("misses".to_string(), Json::from(self.results.misses())),
-                    (
-                        "hit_rate".to_string(),
-                        Json::from(hit_rate(self.results.hits(), self.results.misses())),
-                    ),
-                    (
-                        "coalesced".to_string(),
-                        Json::from(self.results.coalesced()),
-                    ),
-                    ("entries".to_string(), Json::from(self.results.len())),
-                ]),
+                cache_json(self.results.stats(), false),
             ),
             (
                 "scenario_cache".to_string(),
-                Json::Obj(vec![
-                    ("hits".to_string(), Json::from(self.scenarios.hits())),
-                    ("misses".to_string(), Json::from(self.scenarios.misses())),
-                    (
-                        "hit_rate".to_string(),
-                        Json::from(hit_rate(self.scenarios.hits(), self.scenarios.misses())),
-                    ),
-                    ("evicted".to_string(), Json::from(self.scenarios.evicted())),
-                    ("entries".to_string(), Json::from(self.scenarios.len())),
-                    (
-                        "resident_bytes".to_string(),
-                        Json::from(self.scenarios.resident_bytes()),
-                    ),
-                ]),
+                cache_json(self.scenarios.stats(), true),
             ),
             ("scenario_store".to_string(), {
                 let s = self.scenarios.store_stats();

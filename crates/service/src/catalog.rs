@@ -275,14 +275,9 @@ impl RelationInfo {
     /// Fraction of chunk reads served from the cache (`None` for memory
     /// relations, 0 when the cache was never consulted).
     pub fn chunk_hit_rate(&self) -> Option<f64> {
-        self.chunk_cache.as_ref().map(|s| {
-            let total = s.hits + s.misses;
-            if total == 0 {
-                0.0
-            } else {
-                s.hits as f64 / total as f64
-            }
-        })
+        self.chunk_cache
+            .as_ref()
+            .map(|s| crate::service::hit_rate(s.hits, s.misses))
     }
 }
 
@@ -314,12 +309,7 @@ impl TenantSnapshot {
     /// Fraction of the tenant's chunk reads served from cache (0 when no
     /// disk-backed relation was ever read).
     pub fn chunk_hit_rate(&self) -> f64 {
-        let total = self.chunk_hits + self.chunk_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.chunk_hits as f64 / total as f64
-        }
+        crate::service::hit_rate(self.chunk_hits, self.chunk_misses)
     }
 }
 

@@ -5,9 +5,15 @@
 //! hand through this module. It implements the full JSON grammar — objects,
 //! arrays, strings with escapes, numbers, booleans, null — with two
 //! deliberate simplifications: numbers are always `f64` (integers are
-//! printed without a fractional part when exact), and object keys keep
+//! printed without a fractional part when exact, and integers above
+//! 2^53 − 1 are not read as integers), and object keys keep
 //! insertion order (a `Vec` of pairs, not a map), which makes responses
-//! deterministic and cheap to build.
+//! deterministic.
+//!
+//! [`Json`] is the parse tree. Encoding does not build one: the object
+//! writer appends `"key":value` pairs straight onto a `String`, and `Json`'s
+//! own `Display` goes through the same writer, so there is one string
+//! escaper and one number formatter.
 
 use std::fmt::Write as _;
 
@@ -53,10 +59,12 @@ impl Json {
         }
     }
 
-    /// Numeric payload as an integer (rejects fractional values).
+    /// Numeric payload as an integer: rejects fractional and negative values
+    /// and anything above 2^53 − 1, which an `f64` cannot tell apart from
+    /// its neighbours.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= u64::MAX as f64 => {
+            Json::Num(n) if n.fract() == 0.0 && (0.0..=MAX_EXACT_INT).contains(n) => {
                 Some(*n as u64)
             }
             _ => None,
@@ -88,45 +96,13 @@ impl Json {
     pub fn u64_field(&self, key: &str) -> Option<u64> {
         self.get(key).and_then(Json::as_u64)
     }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) => write_number(*n, out),
-            Json::Str(s) => write_string(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_string(k, out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
 }
 
 /// Serializes to a single-line JSON string (so `.to_string()` encodes).
 impl std::fmt::Display for Json {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut out = String::new();
-        self.write(&mut out);
+        self.write_json(&mut out);
         f.write_str(&out)
     }
 }
@@ -165,6 +141,177 @@ impl From<bool> for Json {
     fn from(b: bool) -> Json {
         Json::Bool(b)
     }
+}
+
+/// Largest integer a JSON number carries exactly (2^53 − 1): every integer
+/// up to it has its own `f64`, and the next one up does not.
+const MAX_EXACT_INT: f64 = 9_007_199_254_740_991.0;
+
+/// A value [`ObjWriter`] can append: its JSON text goes straight onto the
+/// output `String`.
+pub(crate) trait WriteJson {
+    /// Append this value's JSON text to `out`.
+    fn write_json(&self, out: &mut String);
+}
+
+impl WriteJson for str {
+    fn write_json(&self, out: &mut String) {
+        write_string(self, out);
+    }
+}
+
+impl WriteJson for String {
+    fn write_json(&self, out: &mut String) {
+        write_string(self, out);
+    }
+}
+
+impl WriteJson for bool {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+}
+
+macro_rules! write_as_number {
+    ($($t:ty),*) => {$(
+        impl WriteJson for $t {
+            fn write_json(&self, out: &mut String) {
+                write_number(*self as f64, out);
+            }
+        }
+    )*};
+}
+
+write_as_number!(f64, u64, usize, u32);
+
+/// `None` is `null`.
+impl<T: WriteJson> WriteJson for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(value) => value.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+impl<T: WriteJson> WriteJson for [T] {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
+        }
+        out.push(']');
+    }
+}
+
+/// A pair is a two-element array (a package's `[tuple, multiplicity]`).
+impl<A: WriteJson, B: WriteJson> WriteJson for (A, B) {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        self.0.write_json(out);
+        out.push(',');
+        self.1.write_json(out);
+        out.push(']');
+    }
+}
+
+impl<T: WriteJson + ?Sized> WriteJson for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl WriteJson for Json {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => b.write_json(out),
+            Json::Num(n) => write_number(*n, out),
+            Json::Str(s) => write_string(s, out),
+            Json::Arr(items) => items.write_json(out),
+            Json::Obj(pairs) => write_object(out, |w| {
+                for (key, value) in pairs {
+                    w.field(key, value);
+                }
+            }),
+        }
+    }
+}
+
+/// Appends one JSON object's `"key":value` pairs, in call order, straight
+/// onto the output `String`.
+pub(crate) struct ObjWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl ObjWriter<'_> {
+    /// Append `"key":value`.
+    pub(crate) fn field(&mut self, key: &str, value: impl WriteJson) -> &mut Self {
+        self.key(key);
+        value.write_json(self.out);
+        self
+    }
+
+    /// Append `"key":value` when `value` is `Some`; skip the key otherwise.
+    pub(crate) fn optional(&mut self, key: &str, value: Option<impl WriteJson>) -> &mut Self {
+        if let Some(value) = value {
+            self.field(key, value);
+        }
+        self
+    }
+
+    /// Append `"key":{...}`, the nested object's pairs written by `fields`.
+    pub(crate) fn object(&mut self, key: &str, fields: impl FnOnce(&mut ObjWriter)) -> &mut Self {
+        self.key(key);
+        write_object(self.out, fields);
+        self
+    }
+
+    /// Append `"key":[{...},...]`, one object per item.
+    pub(crate) fn objects<T>(
+        &mut self,
+        key: &str,
+        items: impl IntoIterator<Item = T>,
+        mut fields: impl FnMut(&mut ObjWriter, T),
+    ) -> &mut Self {
+        self.key(key);
+        self.out.push('[');
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            write_object(self.out, |w| fields(w, item));
+        }
+        self.out.push(']');
+        self
+    }
+
+    fn key(&mut self, key: &str) {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        write_string(key, self.out);
+        self.out.push(':');
+    }
+}
+
+/// Append one object to `out`, its pairs written by `fields`.
+fn write_object(out: &mut String, fields: impl FnOnce(&mut ObjWriter)) {
+    out.push('{');
+    fields(&mut ObjWriter { out, empty: true });
+    out.push('}');
+}
+
+/// One object as a wire line (without the newline).
+pub(crate) fn object_line(fields: impl FnOnce(&mut ObjWriter)) -> String {
+    let mut out = String::new();
+    write_object(&mut out, fields);
+    out
 }
 
 fn write_number(n: f64, out: &mut String) {
@@ -271,8 +418,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => Ok(Json::Obj(self.items(b'{', b'}', Self::pair)?)),
+            Some(b'[') => Ok(Json::Arr(self.items(b'[', b']', Self::value)?)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -294,35 +441,37 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    /// One container's items up to `close`, each read by `item`.
+    fn items<T>(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
         self.enter()?;
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
+        self.expect(open)?;
+        let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b'}') {
+        if self.peek() == Some(close) {
             self.pos += 1;
             self.depth -= 1;
-            return Ok(Json::Obj(pairs));
+            return Ok(items);
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
+            items.push(item(self)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b'}') => {
+                Some(b) if b == close => {
                     self.pos += 1;
                     self.depth -= 1;
-                    return Ok(Json::Obj(pairs));
+                    return Ok(items);
                 }
                 other => {
                     return Err(format!(
-                        "expected `,` or `}}` at byte {}, found {:?}",
+                        "expected `,` or `{}` at byte {}, found {:?}",
+                        close as char,
                         self.pos,
                         other.map(|c| c as char)
                     ))
@@ -331,36 +480,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
-        self.enter()?;
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    fn pair(&mut self) -> Result<(String, Json), String> {
+        let key = self.string()?;
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected `,` or `]` at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
-        }
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok((key, self.value()?))
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -512,6 +637,12 @@ mod tests {
         assert_eq!(Json::Num(1.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Num(7.0).as_u64(), Some(7));
+        assert_eq!(Json::Num(18_446_744_073_709_551_616.0).as_u64(), None);
+        assert_eq!(Json::Num(9_007_199_254_740_992.0).as_u64(), None);
+        assert_eq!(
+            Json::Num(9_007_199_254_740_991.0).as_u64(),
+            Some(9_007_199_254_740_991)
+        );
     }
 
     #[test]

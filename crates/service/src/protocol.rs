@@ -1,8 +1,8 @@
 //! The spqd wire protocol: newline-delimited JSON.
 //!
-//! Every request is one JSON object on one line; every response is one JSON
+//! Every request is one JSON object on one line; every reply is one JSON
 //! object on one line. A connection carries any number of requests, and
-//! responses come back in completion order (not submission order) tagged
+//! replies come back in completion order (not submission order) tagged
 //! with the request's `id`, so clients can pipeline.
 //!
 //! ## Requests
@@ -38,33 +38,64 @@
 //! the tenant's admission quotas; `storage:"disk"` (default `"memory"`)
 //! streams the deterministic columns into checksummed chunk files on the
 //! server so million-tuple relations load in bounded memory.
-//! `unload_relation` drops it;
-//! `list_relations` reports what the tenant can see. `validate` runs the blocked out-of-sample validator over a
-//! given package (no search): `package` lists `[tuple_index, multiplicity]`
-//! pairs, `early_stop` is `full` (default), `certain` or `hoeffding`, and
-//! the response (tagged `"op":"validate"`) carries the per-constraint
-//! fractions, surpluses and the `ε` certificate. `cancel` aborts the named
-//! in-flight query of the *same connection* cooperatively (the solver stops
-//! at its next pivot-loop checkpoint; the validator at its next block).
+//! `unload_relation` drops it; `list_relations` reports what the tenant can
+//! see. `validate` runs the blocked out-of-sample validator over a given
+//! package (no search): `package` lists `[tuple_index, multiplicity]`
+//! pairs, `early_stop` is `full` (default), `certain` or `hoeffding`.
+//! `cancel` aborts the named in-flight query of the *same connection*
+//! cooperatively (the solver stops at its next pivot-loop checkpoint; the
+//! validator at its next block).
 //!
-//! ## Responses
+//! A present field of the wrong type (`"seed":"7"`, `"timeout_ms":-1`,
+//! `"op":5`) is an error naming the field, never the server default; `null`
+//! reads as absent. Integers must be below 2^53, the range a JSON number
+//! carries exactly, and a multiplicity must fit in 32 bits.
+//!
+//! ## Replies
 //!
 //! ```json
 //! {"id":"q1","status":"ok","feasible":true,"objective":12.5,
 //!  "package":[[3,1],[17,2]],"algorithm":"SummarySearch",
 //!  "prepared_cache":"hit","result_cache":"miss","queue_ms":0.4,"wall_ms":18.2,
 //!  "stats":{"scenarios":100,"summaries":1,"outer_iterations":1,
-//!            "problems_solved":4,"validations":3,"solver_nodes":11,
-//!            "lp_pivots":903,"max_problem_coefficients":4000}}
+//!           "problems_solved":4,"validations":3,"validation_scenarios":3000,
+//!           "solver_nodes":11,"lp_pivots":903,"max_problem_coefficients":4000,
+//!           "wall_time_ms":17.9}}
+//! {"op":"validate","id":"v1","status":"ok","feasible":true,"objective":5,
+//!  "epsilon":8.3,"scenarios_used":400,"m_hat":400,"early_stopped":false,
+//!  "constraints":[{"index":1,"probability":0.9,"fraction":1,"surplus":0.1,
+//!                  "feasible":true,"scenarios":400}],"queue_ms":0.1,"wall_ms":2.5}
+//! {"op":"pong"}
+//! {"op":"cancel_ack","id":"q1","found":true}
+//! {"op":"load_ack","id":"l1","name":"p2","tenant":"alice","tuples":5000,
+//!  "storage":"memory","status":"ok"}
+//! {"op":"unload_ack","name":"p2","status":"ok"}
+//! {"op":"relations","tenant":"alice","relations":[{"name":"p2","tuples":5000,
+//!  "source":"...","shared":false,"storage":"disk","resident_bytes":0,
+//!  "disk_bytes":6149,"chunk_cache":{"hits":0,"misses":0,"evictions":0,"hit_rate":0}}]}
+//! {"status":"error","error":"..."}
 //! ```
 //!
-//! `status` is `ok` (evaluation completed; `feasible` tells whether a
-//! validation-feasible package was found), `rejected` (admission control:
-//! the queue was full), `cancelled`, `timeout`, or `error` (with an `error`
-//! message). `package` lists `[tuple_index, multiplicity]` pairs.
+//! A query response's `status` is `ok` (`feasible` tells whether a
+//! validation-feasible package was found), `rejected` (the queue was full),
+//! `cancelled`, `timeout` or `error`; `error` carries the message, and
+//! `algorithm` and `stats` appear once an evaluation ran. A validate
+//! response is tagged `"op":"validate"`; its `objective` and `ε` certificate
+//! `epsilon` are `null` when absent. `load_ack` and `unload_ack` answer
+//! `"status":"error"` with an `error` message (a failed `load_ack` carries
+//! only `op`, `id`, `status` and `error`); `chunk_cache` appears on disk
+//! relations only. The bare error line answers a line that does not decode
+//! as a request. `stats` answers one object with the top-level keys `op`,
+//! `queries_executed`, `validations_executed`, `latency`, `prepared_cache`,
+//! `result_cache`, `scenario_cache`, `scenario_store`, `relations`,
+//! `relation_chunk_cache`, `tenants`, `queue_depth`, `in_flight`,
+//! `open_connections`, `rejected_admissions` and `shards`, in that order.
+//!
+//! Every field is decoded through one reader that knows the op, and every
+//! line is encoded through [`crate::json`]'s object writer.
 
 use crate::catalog::{RelationSource, RelationStorage};
-use crate::json::{parse, Json};
+use crate::json::{object_line, parse, Json};
 use spq_core::validation::ConstraintValidation;
 use spq_core::{Algorithm, EarlyStop, EvaluationStats};
 
@@ -175,162 +206,161 @@ pub enum Request {
     },
 }
 
-/// Parse a `[[tuple, multiplicity], ...]` package field.
-fn parse_package(value: &Json, key: &str) -> Result<Vec<(usize, u32)>, String> {
-    match value.get(key).and_then(Json::as_array) {
-        Some(items) => items
+/// What one wire field must hold, and how to read it.
+struct Kind<T>(&'static str, fn(&Json) -> Option<T>);
+
+const STRING: Kind<String> = Kind("a string", |json| json.as_str().map(str::to_string));
+const BOOL: Kind<bool> = Kind("a boolean", Json::as_bool);
+const NUMBER: Kind<f64> = Kind("a number", Json::as_f64);
+const U64: Kind<u64> = Kind("an integer in [0, 2^53)", Json::as_u64);
+const USIZE: Kind<usize> = Kind("an integer in [0, 2^53)", |json| {
+    json.as_u64().and_then(|n| usize::try_from(n).ok())
+});
+const ARRAY: Kind<Vec<Json>> = Kind("an array", |json| json.as_array().map(<[Json]>::to_vec));
+const STATUS: Kind<QueryStatus> =
+    Kind("one of ok, rejected, cancelled, timeout or error", |json| {
+        let spelling = json.as_str()?;
+        [
+            QueryStatus::Ok,
+            QueryStatus::Rejected,
+            QueryStatus::Cancelled,
+            QueryStatus::Timeout,
+            QueryStatus::Error,
+        ]
+        .into_iter()
+        .find(|status| status.as_str() == spelling)
+    });
+const ALGORITHM: Kind<Algorithm> = Kind("one of naive, summary-search or sketch-refine", |json| {
+    json.as_str()?.parse().ok()
+});
+const EARLY_STOP: Kind<EarlyStop> = Kind("one of full, certain or hoeffding", |json| {
+    EarlyStop::from_wire(json.as_str()?)
+});
+/// `[[tuple, multiplicity], ...]`.
+const PACKAGE: Kind<Vec<(usize, u32)>> = Kind(
+    "an array of [tuple, multiplicity] pairs (multiplicities below 2^32)",
+    |json| {
+        json.as_array()?
             .iter()
-            .map(|pair| {
-                let pair = pair.as_array().ok_or("package entries are pairs")?;
-                let t = pair
-                    .first()
-                    .and_then(Json::as_u64)
-                    .ok_or("package tuple index")? as usize;
-                let m = pair
-                    .get(1)
-                    .and_then(Json::as_u64)
-                    .ok_or("package multiplicity")? as u32;
-                Ok::<(usize, u32), String>((t, m))
+            .map(|pair| match pair.as_array()? {
+                [tuple, multiplicity] => Some((
+                    (USIZE.1)(tuple)?,
+                    u32::try_from(multiplicity.as_u64()?).ok()?,
+                )),
+                _ => None,
             })
-            .collect::<Result<Vec<_>, _>>(),
-        None => Ok(Vec::new()),
+            .collect()
+    },
+);
+
+/// The field reader: one decoded wire object and what it is (`"query
+/// request"`, `"validate response"`, ...), so every error names both.
+struct Fields<'a> {
+    what: &'a str,
+    object: &'a Json,
+}
+
+impl<'a> Fields<'a> {
+    fn new(what: &'a str, object: &'a Json) -> Self {
+        Fields { what, object }
+    }
+
+    /// The field's value; `Ok(None)` when it is absent or `null`.
+    fn optional<T>(&self, key: &str, Kind(expected, read): Kind<T>) -> Result<Option<T>, String> {
+        match self.object.get(key) {
+            None | Some(Json::Null) => Ok(None),
+            Some(json) => read(json)
+                .map(Some)
+                .ok_or_else(|| format!("{} field `{key}` must be {expected}", self.what)),
+        }
+    }
+
+    /// The field's value; absent is an error.
+    fn required<T>(&self, key: &str, kind: Kind<T>) -> Result<T, String> {
+        let expected = kind.0;
+        self.optional(key, kind)?
+            .ok_or_else(|| format!("{} needs {expected} `{key}`", self.what))
     }
 }
 
-/// Serialize a package as `[[tuple, multiplicity], ...]`.
-fn package_json(package: &[(usize, u32)]) -> Json {
-    Json::Arr(
-        package
-            .iter()
-            .map(|&(t, m)| Json::Arr(vec![Json::from(t), Json::from(m as usize)]))
-            .collect(),
-    )
+/// The wire spelling of a cache outcome.
+fn hit_or_miss(hit: bool) -> &'static str {
+    if hit {
+        "hit"
+    } else {
+        "miss"
+    }
 }
 
 impl Request {
     /// Parse one NDJSON request line.
     pub fn parse_line(line: &str) -> Result<Request, String> {
-        let value = parse(line)?;
-        match value.str_field("op").unwrap_or("query") {
-            "query" => {
-                let id = value
-                    .str_field("id")
-                    .ok_or("query request needs a string `id`")?
-                    .to_string();
-                let relation = value
-                    .str_field("relation")
-                    .ok_or("query request needs a string `relation`")?
-                    .to_string();
-                let query = value
-                    .str_field("query")
-                    .ok_or("query request needs a string `query`")?
-                    .to_string();
-                let algorithm = match value.str_field("algorithm") {
-                    Some(name) => Some(name.parse::<Algorithm>().map_err(|e| e.to_string())?),
-                    None => None,
-                };
-                Ok(Request::Query(QueryRequest {
-                    id,
-                    relation,
-                    query,
-                    algorithm,
-                    timeout_ms: value.u64_field("timeout_ms"),
-                    seed: value.u64_field("seed"),
-                    initial_scenarios: value.u64_field("initial_scenarios").map(|v| v as usize),
-                    max_scenarios: value.u64_field("max_scenarios").map(|v| v as usize),
-                    validation_scenarios: value
-                        .u64_field("validation_scenarios")
-                        .map(|v| v as usize),
-                    tenant: value.str_field("tenant").map(str::to_string),
-                }))
-            }
-            "validate" => {
-                let early_stop = match value.str_field("early_stop") {
-                    Some(name) => Some(EarlyStop::from_wire(name).ok_or_else(|| {
-                        format!("unknown early_stop `{name}` (expected full, certain or hoeffding)")
-                    })?),
-                    None => None,
-                };
-                // `package` must be present (an explicit `[]` validates the
-                // empty package); a missing/misspelled key silently
-                // validating the empty package would mask client bugs.
-                if value.get("package").is_none() {
-                    return Err("validate request needs a `package` array".into());
-                }
-                Ok(Request::Validate(ValidateRequest {
-                    id: value
-                        .str_field("id")
-                        .ok_or("validate request needs a string `id`")?
-                        .to_string(),
-                    relation: value
-                        .str_field("relation")
-                        .ok_or("validate request needs a string `relation`")?
-                        .to_string(),
-                    query: value
-                        .str_field("query")
-                        .ok_or("validate request needs a string `query`")?
-                        .to_string(),
-                    package: parse_package(&value, "package")?,
-                    validation_scenarios: value
-                        .u64_field("validation_scenarios")
-                        .map(|v| v as usize),
-                    seed: value.u64_field("seed"),
-                    timeout_ms: value.u64_field("timeout_ms"),
-                    early_stop,
-                    threads: value.u64_field("threads").map(|v| v as usize),
-                    tenant: value.str_field("tenant").map(str::to_string),
-                }))
-            }
-            "cancel" => Ok(Request::Cancel {
-                id: value
-                    .str_field("id")
-                    .ok_or("cancel request needs a string `id`")?
-                    .to_string(),
+        let object = parse(line)?;
+        let op = Fields::new("request", &object).optional("op", STRING)?;
+        let op = op.as_deref().unwrap_or("query");
+        let what = format!("{op} request");
+        let f = Fields::new(&what, &object);
+        Ok(match op {
+            "query" => Request::Query(QueryRequest {
+                id: f.required("id", STRING)?,
+                relation: f.required("relation", STRING)?,
+                query: f.required("query", STRING)?,
+                algorithm: f.optional("algorithm", ALGORITHM)?,
+                timeout_ms: f.optional("timeout_ms", U64)?,
+                seed: f.optional("seed", U64)?,
+                initial_scenarios: f.optional("initial_scenarios", USIZE)?,
+                max_scenarios: f.optional("max_scenarios", USIZE)?,
+                validation_scenarios: f.optional("validation_scenarios", USIZE)?,
+                tenant: f.optional("tenant", STRING)?,
             }),
-            "stats" => Ok(Request::Stats),
-            "ping" => Ok(Request::Ping),
+            "validate" => Request::Validate(ValidateRequest {
+                id: f.required("id", STRING)?,
+                relation: f.required("relation", STRING)?,
+                query: f.required("query", STRING)?,
+                // Required: an explicit `[]` validates the empty package, but
+                // a missing or misspelled key silently doing so would mask
+                // client bugs.
+                package: f.required("package", PACKAGE)?,
+                validation_scenarios: f.optional("validation_scenarios", USIZE)?,
+                seed: f.optional("seed", U64)?,
+                timeout_ms: f.optional("timeout_ms", U64)?,
+                early_stop: f.optional("early_stop", EARLY_STOP)?,
+                threads: f.optional("threads", USIZE)?,
+                tenant: f.optional("tenant", STRING)?,
+            }),
+            "cancel" => Request::Cancel {
+                id: f.required("id", STRING)?,
+            },
+            "stats" => Request::Stats,
+            "ping" => Request::Ping,
             "load_relation" => {
-                let id = value
-                    .str_field("id")
-                    .ok_or("load_relation request needs a string `id`")?
-                    .to_string();
-                let name = value
-                    .str_field("name")
-                    .ok_or("load_relation request needs a string `name`")?
-                    .to_string();
-                // `source` may be omitted: a `path` implies a file source,
-                // a `workload` implies a generator source.
-                let source_kind =
-                    value
-                        .str_field("source")
-                        .unwrap_or(if value.get("path").is_some() {
-                            "file"
-                        } else {
-                            "workload"
-                        });
-                let source = match source_kind {
+                let (id, name) = (f.required("id", STRING)?, f.required("name", STRING)?);
+                // `source` may be omitted: a `path` implies a file source, a
+                // `workload` a generator source.
+                let source = f.optional("source", STRING)?;
+                let source = match source.as_deref() {
+                    Some(kind) => kind,
+                    None if object.get("path").is_some() => "file",
+                    None => "workload",
+                };
+                let source = match source {
                     "workload" => {
-                        let workload = value
-                            .str_field("workload")
-                            .ok_or("workload source needs a `workload` name")?;
-                        let kind =
-                            RelationSource::parse_workload_kind(workload).ok_or_else(|| {
-                                format!(
-                                    "unknown workload `{workload}` \
-                                     (expected portfolio, galaxy or tpch)"
-                                )
-                            })?;
+                        let workload = f.required("workload", STRING)?;
                         RelationSource::Workload {
-                            kind,
-                            scale: value.u64_field("scale").unwrap_or(1000) as usize,
-                            seed: value.u64_field("seed").unwrap_or(42),
+                            kind: RelationSource::parse_workload_kind(&workload).ok_or_else(
+                                || {
+                                    format!(
+                                        "unknown workload `{workload}` \
+                                         (expected portfolio, galaxy or tpch)"
+                                    )
+                                },
+                            )?,
+                            scale: f.optional("scale", USIZE)?.unwrap_or(1000),
+                            seed: f.optional("seed", U64)?.unwrap_or(42),
                         }
                     }
                     "file" => RelationSource::File {
-                        path: value
-                            .str_field("path")
-                            .ok_or("file source needs a `path`")?
-                            .to_string(),
+                        path: f.required("path", STRING)?,
                     },
                     other => {
                         return Err(format!(
@@ -338,148 +368,98 @@ impl Request {
                         ))
                     }
                 };
-                let storage = match value.str_field("storage") {
-                    Some(name) => RelationStorage::parse(name).ok_or_else(|| {
+                let storage = match f.optional("storage", STRING)? {
+                    Some(name) => RelationStorage::parse(&name).ok_or_else(|| {
                         format!("unknown storage `{name}` (expected memory or disk)")
                     })?,
                     None => RelationStorage::Memory,
                 };
-                Ok(Request::Load(LoadRequest {
+                Request::Load(LoadRequest {
                     id,
                     name,
-                    tenant: value.str_field("tenant").map(str::to_string),
+                    tenant: f.optional("tenant", STRING)?,
                     source,
                     storage,
-                }))
+                })
             }
-            "unload_relation" => Ok(Request::Unload {
-                name: value
-                    .str_field("name")
-                    .ok_or("unload_relation request needs a string `name`")?
-                    .to_string(),
-                tenant: value.str_field("tenant").map(str::to_string),
-            }),
-            "list_relations" => Ok(Request::ListRelations {
-                tenant: value.str_field("tenant").map(str::to_string),
-            }),
-            other => Err(format!("unknown op `{other}`")),
-        }
+            "unload_relation" => Request::Unload {
+                name: f.required("name", STRING)?,
+                tenant: f.optional("tenant", STRING)?,
+            },
+            "list_relations" => Request::ListRelations {
+                tenant: f.optional("tenant", STRING)?,
+            },
+            other => return Err(format!("unknown op `{other}`")),
+        })
     }
 
     /// Serialize back to one NDJSON line (used by the `spq` client).
     pub fn to_line(&self) -> String {
-        match self {
+        object_line(|w| match self {
             Request::Query(q) => {
-                let mut pairs = vec![
-                    ("id".to_string(), Json::from(q.id.as_str())),
-                    ("relation".to_string(), Json::from(q.relation.as_str())),
-                    ("query".to_string(), Json::from(q.query.as_str())),
-                ];
-                if let Some(a) = q.algorithm {
-                    pairs.push(("algorithm".to_string(), Json::from(a.to_string())));
-                }
-                if let Some(t) = q.timeout_ms {
-                    pairs.push(("timeout_ms".to_string(), Json::from(t)));
-                }
-                if let Some(s) = q.seed {
-                    pairs.push(("seed".to_string(), Json::from(s)));
-                }
-                if let Some(v) = q.initial_scenarios {
-                    pairs.push(("initial_scenarios".to_string(), Json::from(v)));
-                }
-                if let Some(v) = q.max_scenarios {
-                    pairs.push(("max_scenarios".to_string(), Json::from(v)));
-                }
-                if let Some(v) = q.validation_scenarios {
-                    pairs.push(("validation_scenarios".to_string(), Json::from(v)));
-                }
-                if let Some(t) = &q.tenant {
-                    pairs.push(("tenant".to_string(), Json::from(t.as_str())));
-                }
-                Json::Obj(pairs).to_string()
+                w.field("id", &q.id)
+                    .field("relation", &q.relation)
+                    .field("query", &q.query)
+                    .optional("algorithm", q.algorithm.map(|a| a.to_string()))
+                    .optional("timeout_ms", q.timeout_ms)
+                    .optional("seed", q.seed)
+                    .optional("initial_scenarios", q.initial_scenarios)
+                    .optional("max_scenarios", q.max_scenarios)
+                    .optional("validation_scenarios", q.validation_scenarios)
+                    .optional("tenant", q.tenant.as_ref());
             }
             Request::Validate(v) => {
-                let mut pairs = vec![
-                    ("op".to_string(), Json::from("validate")),
-                    ("id".to_string(), Json::from(v.id.as_str())),
-                    ("relation".to_string(), Json::from(v.relation.as_str())),
-                    ("query".to_string(), Json::from(v.query.as_str())),
-                    ("package".to_string(), package_json(&v.package)),
-                ];
-                if let Some(m) = v.validation_scenarios {
-                    pairs.push(("validation_scenarios".to_string(), Json::from(m)));
-                }
-                if let Some(s) = v.seed {
-                    pairs.push(("seed".to_string(), Json::from(s)));
-                }
-                if let Some(t) = v.timeout_ms {
-                    pairs.push(("timeout_ms".to_string(), Json::from(t)));
-                }
-                if let Some(stop) = v.early_stop {
-                    pairs.push(("early_stop".to_string(), Json::from(stop.as_wire())));
-                }
-                if let Some(t) = v.threads {
-                    pairs.push(("threads".to_string(), Json::from(t)));
-                }
-                if let Some(t) = &v.tenant {
-                    pairs.push(("tenant".to_string(), Json::from(t.as_str())));
-                }
-                Json::Obj(pairs).to_string()
+                w.field("op", "validate")
+                    .field("id", &v.id)
+                    .field("relation", &v.relation)
+                    .field("query", &v.query)
+                    .field("package", v.package.as_slice())
+                    .optional("validation_scenarios", v.validation_scenarios)
+                    .optional("seed", v.seed)
+                    .optional("timeout_ms", v.timeout_ms)
+                    .optional("early_stop", v.early_stop.map(|stop| stop.as_wire()))
+                    .optional("threads", v.threads)
+                    .optional("tenant", v.tenant.as_ref());
             }
-            Request::Cancel { id } => Json::Obj(vec![
-                ("op".to_string(), Json::from("cancel")),
-                ("id".to_string(), Json::from(id.as_str())),
-            ])
-            .to_string(),
-            Request::Stats => Json::Obj(vec![("op".to_string(), Json::from("stats"))]).to_string(),
-            Request::Ping => Json::Obj(vec![("op".to_string(), Json::from("ping"))]).to_string(),
+            Request::Cancel { id } => {
+                w.field("op", "cancel").field("id", id);
+            }
+            Request::Stats => {
+                w.field("op", "stats");
+            }
+            Request::Ping => {
+                w.field("op", "ping");
+            }
             Request::Load(l) => {
-                let mut pairs = vec![
-                    ("op".to_string(), Json::from("load_relation")),
-                    ("id".to_string(), Json::from(l.id.as_str())),
-                    ("name".to_string(), Json::from(l.name.as_str())),
-                ];
-                if let Some(t) = &l.tenant {
-                    pairs.push(("tenant".to_string(), Json::from(t.as_str())));
-                }
+                w.field("op", "load_relation")
+                    .field("id", &l.id)
+                    .field("name", &l.name)
+                    .optional("tenant", l.tenant.as_ref());
                 match &l.source {
                     RelationSource::Workload { kind, scale, seed } => {
-                        pairs.push(("source".to_string(), Json::from("workload")));
-                        pairs.push((
-                            "workload".to_string(),
-                            Json::from(kind.to_string().to_ascii_lowercase()),
-                        ));
-                        pairs.push(("scale".to_string(), Json::from(*scale)));
-                        pairs.push(("seed".to_string(), Json::from(*seed)));
+                        w.field("source", "workload")
+                            .field("workload", kind.to_string().to_ascii_lowercase())
+                            .field("scale", *scale)
+                            .field("seed", *seed);
                     }
                     RelationSource::File { path } => {
-                        pairs.push(("source".to_string(), Json::from("file")));
-                        pairs.push(("path".to_string(), Json::from(path.as_str())));
+                        w.field("source", "file").field("path", path);
                     }
                 }
                 if l.storage != RelationStorage::Memory {
-                    pairs.push(("storage".to_string(), Json::from(l.storage.as_str())));
+                    w.field("storage", l.storage.as_str());
                 }
-                Json::Obj(pairs).to_string()
             }
             Request::Unload { name, tenant } => {
-                let mut pairs = vec![
-                    ("op".to_string(), Json::from("unload_relation")),
-                    ("name".to_string(), Json::from(name.as_str())),
-                ];
-                if let Some(t) = tenant {
-                    pairs.push(("tenant".to_string(), Json::from(t.as_str())));
-                }
-                Json::Obj(pairs).to_string()
+                w.field("op", "unload_relation")
+                    .field("name", name)
+                    .optional("tenant", tenant.as_ref());
             }
             Request::ListRelations { tenant } => {
-                let mut pairs = vec![("op".to_string(), Json::from("list_relations"))];
-                if let Some(t) = tenant {
-                    pairs.push(("tenant".to_string(), Json::from(t.as_str())));
-                }
-                Json::Obj(pairs).to_string()
+                w.field("op", "list_relations")
+                    .optional("tenant", tenant.as_ref());
             }
-        }
+        })
     }
 }
 
@@ -508,18 +488,6 @@ impl QueryStatus {
             QueryStatus::Timeout => "timeout",
             QueryStatus::Error => "error",
         }
-    }
-
-    /// Parse the wire spelling.
-    pub fn from_str_opt(s: &str) -> Option<QueryStatus> {
-        Some(match s {
-            "ok" => QueryStatus::Ok,
-            "rejected" => QueryStatus::Rejected,
-            "cancelled" => QueryStatus::Cancelled,
-            "timeout" => QueryStatus::Timeout,
-            "error" => QueryStatus::Error,
-            _ => return None,
-        })
     }
 }
 
@@ -575,98 +543,56 @@ impl QueryResponse {
 
     /// Serialize to one NDJSON line.
     pub fn to_line(&self) -> String {
-        let mut pairs = vec![
-            ("id".to_string(), Json::from(self.id.as_str())),
-            ("status".to_string(), Json::from(self.status.as_str())),
-        ];
-        if let Some(e) = &self.error {
-            pairs.push(("error".to_string(), Json::from(e.as_str())));
-        }
-        pairs.push(("feasible".to_string(), Json::from(self.feasible)));
-        pairs.push((
-            "objective".to_string(),
-            match self.objective {
-                Some(v) => Json::from(v),
-                None => Json::Null,
-            },
-        ));
-        pairs.push(("package".to_string(), package_json(&self.package)));
-        if !self.algorithm.is_empty() {
-            pairs.push(("algorithm".to_string(), Json::from(self.algorithm.as_str())));
-        }
-        pairs.push((
-            "prepared_cache".to_string(),
-            Json::from(if self.prepared_cache_hit {
-                "hit"
-            } else {
-                "miss"
-            }),
-        ));
-        pairs.push((
-            "result_cache".to_string(),
-            Json::from(if self.result_cache_hit { "hit" } else { "miss" }),
-        ));
-        pairs.push(("queue_ms".to_string(), Json::from(self.queue_ms)));
-        pairs.push(("wall_ms".to_string(), Json::from(self.wall_ms)));
-        if let Some(stats) = &self.stats {
-            pairs.push((
-                "stats".to_string(),
-                Json::Obj(vec![
-                    ("scenarios".to_string(), Json::from(stats.scenarios_used)),
-                    ("summaries".to_string(), Json::from(stats.summaries_used)),
-                    (
-                        "outer_iterations".to_string(),
-                        Json::from(stats.outer_iterations),
-                    ),
-                    (
-                        "problems_solved".to_string(),
-                        Json::from(stats.problems_solved),
-                    ),
-                    ("validations".to_string(), Json::from(stats.validations)),
-                    (
-                        "validation_scenarios".to_string(),
-                        Json::from(stats.validation_scenarios),
-                    ),
-                    ("solver_nodes".to_string(), Json::from(stats.solver_nodes)),
-                    ("lp_pivots".to_string(), Json::from(stats.lp_pivots)),
-                    (
-                        "max_problem_coefficients".to_string(),
-                        Json::from(stats.max_problem_coefficients),
-                    ),
-                    (
-                        "wall_time_ms".to_string(),
-                        Json::from(stats.wall_time.as_secs_f64() * 1000.0),
-                    ),
-                ]),
-            ));
-        }
-        Json::Obj(pairs).to_string()
+        object_line(|w| {
+            w.field("id", &self.id)
+                .field("status", self.status.as_str())
+                .optional("error", self.error.as_ref())
+                .field("feasible", self.feasible)
+                .field("objective", self.objective)
+                .field("package", self.package.as_slice())
+                .optional(
+                    "algorithm",
+                    Some(&self.algorithm).filter(|name| !name.is_empty()),
+                )
+                .field("prepared_cache", hit_or_miss(self.prepared_cache_hit))
+                .field("result_cache", hit_or_miss(self.result_cache_hit))
+                .field("queue_ms", self.queue_ms)
+                .field("wall_ms", self.wall_ms);
+            if let Some(s) = &self.stats {
+                w.object("stats", |w| {
+                    w.field("scenarios", s.scenarios_used)
+                        .field("summaries", s.summaries_used)
+                        .field("outer_iterations", s.outer_iterations)
+                        .field("problems_solved", s.problems_solved)
+                        .field("validations", s.validations)
+                        .field("validation_scenarios", s.validation_scenarios)
+                        .field("solver_nodes", s.solver_nodes)
+                        .field("lp_pivots", s.lp_pivots)
+                        .field("max_problem_coefficients", s.max_problem_coefficients)
+                        .field("wall_time_ms", s.wall_time.as_secs_f64() * 1000.0);
+                });
+            }
+        })
     }
 
     /// Parse a response line (client side). Stats are left `None` — clients
     /// that need individual counters can re-parse the raw JSON.
     pub fn parse_line(line: &str) -> Result<QueryResponse, String> {
-        let value = parse(line)?;
-        let status = value
-            .str_field("status")
-            .and_then(QueryStatus::from_str_opt)
-            .ok_or("response needs a valid `status`")?;
-        let package = parse_package(&value, "package")?;
+        let object = parse(line)?;
+        let f = Fields::new("query response", &object);
+        let cache_hit = |key| Ok::<_, String>(f.optional(key, STRING)?.as_deref() == Some("hit"));
         Ok(QueryResponse {
-            id: value.str_field("id").unwrap_or_default().to_string(),
-            status,
-            error: value.str_field("error").map(str::to_string),
-            feasible: value
-                .get("feasible")
-                .and_then(Json::as_bool)
-                .unwrap_or(false),
-            objective: value.get("objective").and_then(Json::as_f64),
-            package,
-            algorithm: value.str_field("algorithm").unwrap_or_default().to_string(),
-            prepared_cache_hit: value.str_field("prepared_cache") == Some("hit"),
-            result_cache_hit: value.str_field("result_cache") == Some("hit"),
-            queue_ms: value.get("queue_ms").and_then(Json::as_f64).unwrap_or(0.0),
-            wall_ms: value.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0),
+            id: f.optional("id", STRING)?.unwrap_or_default(),
+            status: f.required("status", STATUS)?,
+            error: f.optional("error", STRING)?,
+            feasible: f.optional("feasible", BOOL)?.unwrap_or(false),
+            objective: f.optional("objective", NUMBER)?,
+            package: f.optional("package", PACKAGE)?.unwrap_or_default(),
+            algorithm: f.optional("algorithm", STRING)?.unwrap_or_default(),
+            prepared_cache_hit: cache_hit("prepared_cache")?,
+            result_cache_hit: cache_hit("result_cache")?,
+            queue_ms: f.optional("queue_ms", NUMBER)?.unwrap_or(0.0),
+            wall_ms: f.optional("wall_ms", NUMBER)?.unwrap_or(0.0),
             stats: None,
         })
     }
@@ -722,100 +648,69 @@ impl ValidateResponse {
         }
     }
 
-    /// Serialize to one NDJSON line.
+    /// Serialize to one NDJSON line. A non-finite `objective` or `epsilon`
+    /// is written as `null`.
     pub fn to_line(&self) -> String {
-        let opt_num = |v: Option<f64>| match v {
-            Some(n) => Json::Num(n), // non-finite prints as null
-            None => Json::Null,
-        };
-        let mut pairs = vec![
-            ("op".to_string(), Json::from("validate")),
-            ("id".to_string(), Json::from(self.id.as_str())),
-            ("status".to_string(), Json::from(self.status.as_str())),
-        ];
-        if let Some(e) = &self.error {
-            pairs.push(("error".to_string(), Json::from(e.as_str())));
-        }
-        pairs.push(("feasible".to_string(), Json::from(self.feasible)));
-        pairs.push(("objective".to_string(), opt_num(self.objective_estimate)));
-        pairs.push(("epsilon".to_string(), opt_num(self.epsilon_upper_bound)));
-        pairs.push((
-            "scenarios_used".to_string(),
-            Json::from(self.scenarios_used),
-        ));
-        pairs.push(("m_hat".to_string(), Json::from(self.m_hat)));
-        pairs.push(("early_stopped".to_string(), Json::from(self.early_stopped)));
-        pairs.push((
-            "constraints".to_string(),
-            Json::Arr(
-                self.constraints
-                    .iter()
-                    .map(|c| {
-                        Json::Obj(vec![
-                            ("index".to_string(), Json::from(c.constraint_index)),
-                            ("probability".to_string(), Json::from(c.probability)),
-                            ("fraction".to_string(), Json::from(c.satisfied_fraction)),
-                            ("surplus".to_string(), Json::from(c.surplus)),
-                            ("feasible".to_string(), Json::from(c.feasible)),
-                            ("scenarios".to_string(), Json::from(c.scenarios_evaluated)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-        pairs.push(("queue_ms".to_string(), Json::from(self.queue_ms)));
-        pairs.push(("wall_ms".to_string(), Json::from(self.wall_ms)));
-        Json::Obj(pairs).to_string()
+        object_line(|w| {
+            w.field("op", "validate")
+                .field("id", &self.id)
+                .field("status", self.status.as_str())
+                .optional("error", self.error.as_ref())
+                .field("feasible", self.feasible)
+                .field("objective", self.objective_estimate)
+                .field("epsilon", self.epsilon_upper_bound)
+                .field("scenarios_used", self.scenarios_used)
+                .field("m_hat", self.m_hat)
+                .field("early_stopped", self.early_stopped)
+                .objects("constraints", &self.constraints, |w, c| {
+                    w.field("index", c.constraint_index)
+                        .field("probability", c.probability)
+                        .field("fraction", c.satisfied_fraction)
+                        .field("surplus", c.surplus)
+                        .field("feasible", c.feasible)
+                        .field("scenarios", c.scenarios_evaluated);
+                })
+                .field("queue_ms", self.queue_ms)
+                .field("wall_ms", self.wall_ms);
+        })
     }
 
     /// Parse a response line (client side).
     pub fn parse_line(line: &str) -> Result<ValidateResponse, String> {
-        let value = parse(line)?;
-        if value.str_field("op") != Some("validate") {
+        let object = parse(line)?;
+        let f = Fields::new("validate response", &object);
+        if f.optional("op", STRING)?.as_deref() != Some("validate") {
             return Err("not a validate response".into());
         }
-        let status = value
-            .str_field("status")
-            .and_then(QueryStatus::from_str_opt)
-            .ok_or("response needs a valid `status`")?;
-        let constraints = match value.get("constraints").and_then(Json::as_array) {
-            Some(items) => items
-                .iter()
-                .map(|c| {
-                    Ok::<ConstraintValidation, String>(ConstraintValidation {
-                        constraint_index: c.u64_field("index").ok_or("constraint index")? as usize,
-                        probability: c
-                            .get("probability")
-                            .and_then(Json::as_f64)
-                            .ok_or("constraint probability")?,
-                        satisfied_fraction: c.get("fraction").and_then(Json::as_f64).unwrap_or(0.0),
-                        surplus: c.get("surplus").and_then(Json::as_f64).unwrap_or(0.0),
-                        feasible: c.get("feasible").and_then(Json::as_bool).unwrap_or(false),
-                        scenarios_evaluated: c.u64_field("scenarios").unwrap_or(0) as usize,
-                    })
+        let constraints = f
+            .optional("constraints", ARRAY)?
+            .unwrap_or_default()
+            .iter()
+            .map(|object| {
+                let c = Fields::new("validate response constraint", object);
+                Ok(ConstraintValidation {
+                    constraint_index: c.required("index", USIZE)?,
+                    probability: c.required("probability", NUMBER)?,
+                    satisfied_fraction: c.optional("fraction", NUMBER)?.unwrap_or(0.0),
+                    surplus: c.optional("surplus", NUMBER)?.unwrap_or(0.0),
+                    feasible: c.optional("feasible", BOOL)?.unwrap_or(false),
+                    scenarios_evaluated: c.optional("scenarios", USIZE)?.unwrap_or(0),
                 })
-                .collect::<Result<Vec<_>, _>>()?,
-            None => Vec::new(),
-        };
+            })
+            .collect::<Result<Vec<_>, String>>()?;
         Ok(ValidateResponse {
-            id: value.str_field("id").unwrap_or_default().to_string(),
-            status,
-            error: value.str_field("error").map(str::to_string),
-            feasible: value
-                .get("feasible")
-                .and_then(Json::as_bool)
-                .unwrap_or(false),
-            objective_estimate: value.get("objective").and_then(Json::as_f64),
-            epsilon_upper_bound: value.get("epsilon").and_then(Json::as_f64),
-            scenarios_used: value.u64_field("scenarios_used").unwrap_or(0) as usize,
-            m_hat: value.u64_field("m_hat").unwrap_or(0) as usize,
-            early_stopped: value
-                .get("early_stopped")
-                .and_then(Json::as_bool)
-                .unwrap_or(false),
+            id: f.optional("id", STRING)?.unwrap_or_default(),
+            status: f.required("status", STATUS)?,
+            error: f.optional("error", STRING)?,
+            feasible: f.optional("feasible", BOOL)?.unwrap_or(false),
+            objective_estimate: f.optional("objective", NUMBER)?,
+            epsilon_upper_bound: f.optional("epsilon", NUMBER)?,
+            scenarios_used: f.optional("scenarios_used", USIZE)?.unwrap_or(0),
+            m_hat: f.optional("m_hat", USIZE)?.unwrap_or(0),
+            early_stopped: f.optional("early_stopped", BOOL)?.unwrap_or(false),
             constraints,
-            queue_ms: value.get("queue_ms").and_then(Json::as_f64).unwrap_or(0.0),
-            wall_ms: value.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0),
+            queue_ms: f.optional("queue_ms", NUMBER)?.unwrap_or(0.0),
+            wall_ms: f.optional("wall_ms", NUMBER)?.unwrap_or(0.0),
         })
     }
 }
@@ -984,6 +879,43 @@ mod tests {
     }
 
     #[test]
+    fn wrong_typed_and_inexact_fields_are_errors_not_defaults() {
+        let query = r#""id":"q","relation":"r","query":"SELECT PACKAGE(*) FROM r""#;
+        let validate = r#""op":"validate","id":"v","relation":"r","query":"q""#;
+        for (line, field) in [
+            (format!(r#"{{{query},"seed":"7"}}"#), "`seed`"),
+            (format!(r#"{{{query},"timeout_ms":-1}}"#), "`timeout_ms`"),
+            (format!(r#"{{{query},"timeout_ms":1.5}}"#), "`timeout_ms`"),
+            (format!(r#"{{"op":5,{query}}}"#), "`op`"),
+            (
+                format!(r#"{{{validate},"package":[[3,4294967297]]}}"#),
+                "`package`",
+            ),
+            // 2^64 used to saturate to u64::MAX, and 2^53 + 1 reads as 2^53:
+            // neither is the integer the client sent.
+            (
+                format!(r#"{{{query},"seed":18446744073709551616}}"#),
+                "`seed`",
+            ),
+            (format!(r#"{{{query},"seed":9007199254740993}}"#), "`seed`"),
+        ] {
+            let err = Request::parse_line(&line).expect_err(&line);
+            assert!(err.contains(field), "{line} -> {err}");
+        }
+        // The largest exact integer still parses.
+        let line = format!(r#"{{{query},"seed":9007199254740991}}"#);
+        let Request::Query(q) = Request::parse_line(&line).unwrap() else {
+            panic!("expected query");
+        };
+        assert_eq!(q.seed, Some(9_007_199_254_740_991));
+        // A missing required field names the op and the field.
+        assert_eq!(
+            Request::parse_line(r#"{"op":"cancel"}"#).unwrap_err(),
+            "cancel request needs a string `id`"
+        );
+    }
+
+    #[test]
     fn validate_requests_round_trip() {
         let line = r#"{"op":"validate","id":"v1","relation":"portfolio","query":"SELECT PACKAGE(*) FROM portfolio","package":[[3,1],[17,2]],"validation_scenarios":100000,"early_stop":"hoeffding","threads":8,"seed":4}"#;
         let parsed = Request::parse_line(line).unwrap();
@@ -1133,8 +1065,8 @@ mod tests {
             QueryStatus::Timeout,
             QueryStatus::Error,
         ] {
-            assert_eq!(QueryStatus::from_str_opt(s.as_str()), Some(s));
+            assert_eq!((STATUS.1)(&Json::from(s.as_str())), Some(s));
         }
-        assert_eq!(QueryStatus::from_str_opt("nope"), None);
+        assert_eq!((STATUS.1)(&Json::from("nope")), None);
     }
 }

@@ -30,12 +30,12 @@
 //! cancelled the moment the reactor notices the hangup, so abandoned work
 //! stops burning CPU.
 
-use crate::json::Json;
+use crate::json::object_line;
 use crate::protocol::{
     LoadRequest, QueryRequest, QueryResponse, QueryStatus, Request, ValidateRequest,
     ValidateResponse,
 };
-use crate::service::SpqService;
+use crate::service::{hit_rate, SpqService};
 use spq_net::{CloseReason, ConnId, Handler, Reactor, ReactorConfig, ReactorHandle};
 use spq_obs::{Counter, Gauge, Named};
 use spq_solver::{CancellationToken, Deadline};
@@ -162,13 +162,12 @@ impl JobWork {
 }
 
 fn load_ack_error(id: &str, message: &str) -> String {
-    Json::Obj(vec![
-        ("op".into(), Json::from("load_ack")),
-        ("id".into(), Json::from(id)),
-        ("status".into(), Json::from("error")),
-        ("error".into(), Json::from(message)),
-    ])
-    .to_string()
+    object_line(|w| {
+        w.field("op", "load_ack")
+            .field("id", id)
+            .field("status", "error")
+            .field("error", message);
+    })
 }
 
 /// One connection's server-side state: the in-flight cancellation tokens.
@@ -420,24 +419,16 @@ impl ServerShared {
 
     /// The `stats` response: service-level sections plus transport state.
     fn stats_line(&self, reactor: &ReactorHandle) -> String {
-        self.service
-            .stats_json(vec![
-                ("queue_depth".to_string(), Json::from(self.pool.len())),
-                (
-                    "in_flight".to_string(),
-                    Json::from(self.pool.in_flight.load(Ordering::Relaxed)),
-                ),
-                (
-                    "open_connections".to_string(),
-                    Json::from(reactor.open_connections()),
-                ),
-                (
-                    "rejected_admissions".to_string(),
-                    Json::from(self.pool.rejected.load(Ordering::Relaxed)),
-                ),
-                ("shards".to_string(), Json::from(self.pool.shards.len())),
-            ])
-            .to_string()
+        self.service.stats_line(|w| {
+            w.field("queue_depth", self.pool.len())
+                .field("in_flight", self.pool.in_flight.load(Ordering::Relaxed))
+                .field("open_connections", reactor.open_connections())
+                .field(
+                    "rejected_admissions",
+                    self.pool.rejected.load(Ordering::Relaxed),
+                )
+                .field("shards", self.pool.shards.len());
+        })
     }
 }
 
@@ -460,10 +451,10 @@ impl Handler for ConnHandler {
         let shared = &self.shared;
         match Request::parse_line(line) {
             Ok(Request::Ping) => {
-                reactor.send(
-                    conn,
-                    &Json::Obj(vec![("op".into(), Json::from("pong"))]).to_string(),
-                );
+                let line = object_line(|w| {
+                    w.field("op", "pong");
+                });
+                reactor.send(conn, &line);
             }
             Ok(Request::Stats) => {
                 reactor.send(conn, &shared.stats_line(reactor));
@@ -480,74 +471,50 @@ impl Handler for ConnHandler {
                             .map(|token| token.cancel())
                     })
                     .is_some();
-                reactor.send(
-                    conn,
-                    &Json::Obj(vec![
-                        ("op".into(), Json::from("cancel_ack")),
-                        ("id".into(), Json::from(id.as_str())),
-                        ("found".into(), Json::from(found)),
-                    ])
-                    .to_string(),
-                );
+                let line = object_line(|w| {
+                    w.field("op", "cancel_ack")
+                        .field("id", &id)
+                        .field("found", found);
+                });
+                reactor.send(conn, &line);
             }
             Ok(Request::Unload { name, tenant }) => {
                 let tenant = SpqService::tenant_of(&tenant);
-                let line = match shared.service.catalog().unload(tenant, &name) {
-                    Ok(()) => Json::Obj(vec![
-                        ("op".into(), Json::from("unload_ack")),
-                        ("name".into(), Json::from(name.to_ascii_lowercase())),
-                        ("status".into(), Json::from("ok")),
-                    ]),
-                    Err(e) => Json::Obj(vec![
-                        ("op".into(), Json::from("unload_ack")),
-                        ("name".into(), Json::from(name.to_ascii_lowercase())),
-                        ("status".into(), Json::from("error")),
-                        ("error".into(), Json::from(e.to_string())),
-                    ]),
-                };
-                reactor.send(conn, &line.to_string());
+                let unloaded = shared.service.catalog().unload(tenant, &name);
+                let line = object_line(|w| {
+                    w.field("op", "unload_ack")
+                        .field("name", name.to_ascii_lowercase());
+                    match unloaded {
+                        Ok(()) => w.field("status", "ok"),
+                        Err(e) => w.field("status", "error").field("error", e.to_string()),
+                    };
+                });
+                reactor.send(conn, &line);
             }
             Ok(Request::ListRelations { tenant }) => {
                 let tenant = SpqService::tenant_of(&tenant);
-                let relations = shared
-                    .service
-                    .catalog()
-                    .list(tenant)
-                    .into_iter()
-                    .map(|info| {
-                        let mut pairs = vec![
-                            ("name".into(), Json::from(info.name.clone())),
-                            ("tuples".into(), Json::from(info.tuples)),
-                            ("source".into(), Json::from(info.source.clone())),
-                            ("shared".into(), Json::from(info.shared)),
-                            ("storage".into(), Json::from(info.storage)),
-                            ("resident_bytes".into(), Json::from(info.resident_bytes)),
-                            ("disk_bytes".into(), Json::from(info.disk_bytes)),
-                        ];
-                        if let Some(rate) = info.chunk_hit_rate() {
-                            let cache = info.chunk_cache.as_ref().expect("disk tier");
-                            pairs.push((
-                                "chunk_cache".into(),
-                                Json::Obj(vec![
-                                    ("hits".into(), Json::from(cache.hits)),
-                                    ("misses".into(), Json::from(cache.misses)),
-                                    ("evictions".into(), Json::from(cache.evictions)),
-                                    ("hit_rate".into(), Json::from(rate)),
-                                ]),
-                            ));
+                let relations = shared.service.catalog().list(tenant);
+                let line = object_line(|w| {
+                    w.field("op", "relations").field("tenant", tenant);
+                    w.objects("relations", &relations, |w, info| {
+                        w.field("name", &info.name)
+                            .field("tuples", info.tuples)
+                            .field("source", &info.source)
+                            .field("shared", info.shared)
+                            .field("storage", info.storage)
+                            .field("resident_bytes", info.resident_bytes)
+                            .field("disk_bytes", info.disk_bytes);
+                        if let Some(cache) = &info.chunk_cache {
+                            w.object("chunk_cache", |w| {
+                                w.field("hits", cache.hits)
+                                    .field("misses", cache.misses)
+                                    .field("evictions", cache.evictions)
+                                    .field("hit_rate", hit_rate(cache.hits, cache.misses));
+                            });
                         }
-                        Json::Obj(pairs)
-                    })
-                    .collect();
-                reactor.send(
-                    conn,
-                    &Json::Obj(vec![
-                        ("op".into(), Json::from("relations")),
-                        ("tenant".into(), Json::from(tenant)),
-                        ("relations".into(), Json::Arr(relations)),
-                    ])
-                    .to_string(),
-                );
+                    });
+                });
+                reactor.send(conn, &line);
             }
             Ok(Request::Query(request)) => {
                 shared.admit(conn, JobWork::Query(request), reactor);
@@ -559,14 +526,10 @@ impl Handler for ConnHandler {
                 shared.admit(conn, JobWork::Load(request), reactor);
             }
             Err(message) => {
-                reactor.send(
-                    conn,
-                    &Json::Obj(vec![
-                        ("status".into(), Json::from("error")),
-                        ("error".into(), Json::from(message)),
-                    ])
-                    .to_string(),
-                );
+                let line = object_line(|w| {
+                    w.field("status", "error").field("error", &message);
+                });
+                reactor.send(conn, &line);
             }
         }
     }
@@ -625,16 +588,15 @@ fn worker_loop(pool: &Pool, home: usize, service: &SpqService, reactor: &Reactor
                         &request.source,
                         request.storage,
                     ) {
-                        Ok(tuples) => Json::Obj(vec![
-                            ("op".into(), Json::from("load_ack")),
-                            ("id".into(), Json::from(request.id.as_str())),
-                            ("name".into(), Json::from(request.name.to_ascii_lowercase())),
-                            ("tenant".into(), Json::from(tenant)),
-                            ("tuples".into(), Json::from(tuples)),
-                            ("storage".into(), Json::from(request.storage.as_str())),
-                            ("status".into(), Json::from("ok")),
-                        ])
-                        .to_string(),
+                        Ok(tuples) => object_line(|w| {
+                            w.field("op", "load_ack")
+                                .field("id", &request.id)
+                                .field("name", request.name.to_ascii_lowercase())
+                                .field("tenant", tenant)
+                                .field("tuples", tuples)
+                                .field("storage", request.storage.as_str())
+                                .field("status", "ok");
+                        }),
                         Err(e) => {
                             // Quota refusals are per-tenant admission
                             // rejections; surface them in the stats op.

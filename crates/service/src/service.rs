@@ -16,6 +16,7 @@
 //! [`SpqService::execute_cached`] sound: identical requests share one solve.
 
 use crate::catalog::{Catalog, TenantQuotas, DEFAULT_TENANT};
+use crate::json::{object_line, ObjWriter};
 use crate::prepared::PreparedCache;
 use crate::protocol::{
     QueryRequest, QueryResponse, QueryStatus, ValidateRequest, ValidateResponse,
@@ -580,152 +581,89 @@ impl SpqService {
         &self.validate_latency
     }
 
-    /// Service statistics as a JSON object (the `{"op":"stats"}` response);
-    /// `extra` appends transport-level fields like queue depth.
-    pub fn stats_json(&self, extra: Vec<(String, crate::json::Json)>) -> crate::json::Json {
-        use crate::json::Json;
-        // Hit fraction in [0, 1]; 0 when the cache was never consulted.
-        fn hit_rate(hits: u64, misses: u64) -> f64 {
-            let total = hits + misses;
-            if total == 0 {
-                0.0
-            } else {
-                hits as f64 / total as f64
-            }
-        }
+    /// The `{"op":"stats"}` reply line; `transport` appends transport-level
+    /// fields like queue depth.
+    pub(crate) fn stats_line(&self, transport: impl FnOnce(&mut ObjWriter)) -> String {
         // Every cache reports the same `Memo` counters; byte-weighted ones
         // also their resident and ever-admitted bytes.
-        fn cache_json(s: spq_mcdb::MemoStats, bytes: bool) -> Json {
-            let mut fields = vec![
-                ("hits", Json::from(s.hits)),
-                ("misses", Json::from(s.misses)),
-                ("hit_rate", Json::from(hit_rate(s.hits, s.misses))),
-                ("coalesced", Json::from(s.coalesced)),
-                ("evicted", Json::from(s.evictions)),
-                ("entries", Json::from(s.entries)),
-            ];
+        fn cache(w: &mut ObjWriter, s: spq_mcdb::MemoStats, bytes: bool) {
+            w.field("hits", s.hits)
+                .field("misses", s.misses)
+                .field("hit_rate", hit_rate(s.hits, s.misses))
+                .field("coalesced", s.coalesced)
+                .field("evicted", s.evictions)
+                .field("entries", s.entries);
             if bytes {
-                fields.push(("resident_bytes", Json::from(s.resident)));
-                fields.push(("bytes_inserted", Json::from(s.weight_inserted)));
+                w.field("resident_bytes", s.resident)
+                    .field("bytes_inserted", s.weight_inserted);
             }
-            Json::Obj(
-                fields
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            )
         }
         // {count, p50_ms, p90_ms, p99_ms, max_ms} for one op's latency
         // histogram (bucket upper bounds, so quantiles overestimate by at
         // most 12.5%).
-        fn latency_json(h: &spq_obs::Histogram) -> Json {
-            let ms = |ns: u64| Json::from(ns as f64 / 1e6);
-            Json::Obj(vec![
-                ("count".to_string(), Json::from(h.count())),
-                ("p50_ms".to_string(), ms(h.p50())),
-                ("p90_ms".to_string(), ms(h.p90())),
-                ("p99_ms".to_string(), ms(h.p99())),
-                ("max_ms".to_string(), ms(h.max())),
-            ])
+        fn latency(w: &mut ObjWriter, h: &spq_obs::Histogram) {
+            let ms = |ns: u64| ns as f64 / 1e6;
+            w.field("count", h.count())
+                .field("p50_ms", ms(h.p50()))
+                .field("p90_ms", ms(h.p90()))
+                .field("p99_ms", ms(h.p99()))
+                .field("max_ms", ms(h.max()));
         }
-        let mut pairs = vec![
-            ("op".to_string(), Json::from("stats")),
-            (
-                "queries_executed".to_string(),
-                Json::from(self.queries_executed()),
-            ),
-            (
-                "validations_executed".to_string(),
-                Json::from(self.validations_executed()),
-            ),
-            (
-                "latency".to_string(),
-                Json::Obj(vec![
-                    ("query".to_string(), latency_json(&self.query_latency)),
-                    ("validate".to_string(), latency_json(&self.validate_latency)),
-                ]),
-            ),
-            (
-                "prepared_cache".to_string(),
-                cache_json(self.prepared.stats(), false),
-            ),
-            (
-                "result_cache".to_string(),
-                cache_json(self.results.stats(), false),
-            ),
-            (
-                "scenario_cache".to_string(),
-                cache_json(self.scenarios.stats(), true),
-            ),
-            ("scenario_store".to_string(), {
-                let s = self.scenarios.store_stats();
-                Json::Obj(vec![
-                    (
-                        "enabled".to_string(),
-                        Json::from(self.scenarios.store().is_some()),
-                    ),
-                    ("spill_writes".to_string(), Json::from(s.spill_writes)),
-                    ("reads".to_string(), Json::from(s.reads)),
-                    ("bytes".to_string(), Json::from(s.bytes)),
-                    ("corrupt".to_string(), Json::from(s.corrupt)),
-                    ("evictions".to_string(), Json::from(s.evictions)),
-                ])
-            }),
-            (
-                "relations".to_string(),
-                Json::Arr(self.relation_names().into_iter().map(Json::from).collect()),
-            ),
-            // Process-wide chunk traffic of disk-backed relations (the
-            // spq_relation_chunk_* counters; per-relation figures come from
-            // `list_relations`).
-            ("relation_chunk_cache".to_string(), {
-                let counter = |name: &str| spq_obs::metrics::counter_value(name).unwrap_or(0);
-                let hits = counter("spq_relation_chunk_hits");
-                let misses = counter("spq_relation_chunk_misses");
-                Json::Obj(vec![
-                    ("hits".to_string(), Json::from(hits)),
-                    ("misses".to_string(), Json::from(misses)),
-                    (
-                        "evictions".to_string(),
-                        Json::from(counter("spq_relation_chunk_evictions")),
-                    ),
-                    ("hit_rate".to_string(), Json::from(hit_rate(hits, misses))),
-                ])
-            }),
-            (
-                "tenants".to_string(),
-                Json::Arr(
-                    self.catalog
-                        .tenant_snapshots()
-                        .into_iter()
-                        .map(|snap| {
-                            let chunk_hit_rate = snap.chunk_hit_rate();
-                            Json::Obj(vec![
-                                ("tenant".to_string(), Json::from(snap.tenant)),
-                                (
-                                    "relations".to_string(),
-                                    Json::Arr(snap.relations.into_iter().map(Json::from).collect()),
-                                ),
-                                (
-                                    "resident_tuples".to_string(),
-                                    Json::from(snap.resident_tuples),
-                                ),
-                                (
-                                    "resident_bytes".to_string(),
-                                    Json::from(snap.resident_bytes),
-                                ),
-                                ("disk_bytes".to_string(), Json::from(snap.disk_bytes)),
-                                ("chunk_hit_rate".to_string(), Json::from(chunk_hit_rate)),
-                                ("admits".to_string(), Json::from(snap.admits)),
-                                ("rejects".to_string(), Json::from(snap.rejects)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ];
-        pairs.extend(extra);
-        Json::Obj(pairs)
+        object_line(|w| {
+            w.field("op", "stats")
+                .field("queries_executed", self.queries_executed())
+                .field("validations_executed", self.validations_executed())
+                .object("latency", |w| {
+                    w.object("query", |w| latency(w, &self.query_latency))
+                        .object("validate", |w| latency(w, &self.validate_latency));
+                })
+                .object("prepared_cache", |w| cache(w, self.prepared.stats(), false))
+                .object("result_cache", |w| cache(w, self.results.stats(), false))
+                .object("scenario_cache", |w| cache(w, self.scenarios.stats(), true))
+                .object("scenario_store", |w| {
+                    let s = self.scenarios.store_stats();
+                    w.field("enabled", self.scenarios.store().is_some())
+                        .field("spill_writes", s.spill_writes)
+                        .field("reads", s.reads)
+                        .field("bytes", s.bytes)
+                        .field("corrupt", s.corrupt)
+                        .field("evictions", s.evictions);
+                })
+                .field("relations", self.relation_names().as_slice())
+                // Process-wide chunk traffic of disk-backed relations (the
+                // spq_relation_chunk_* counters; per-relation figures come
+                // from `list_relations`).
+                .object("relation_chunk_cache", |w| {
+                    let counter = |name: &str| spq_obs::metrics::counter_value(name).unwrap_or(0);
+                    let hits = counter("spq_relation_chunk_hits");
+                    let misses = counter("spq_relation_chunk_misses");
+                    w.field("hits", hits)
+                        .field("misses", misses)
+                        .field("evictions", counter("spq_relation_chunk_evictions"))
+                        .field("hit_rate", hit_rate(hits, misses));
+                })
+                .objects("tenants", self.catalog.tenant_snapshots(), |w, snap| {
+                    w.field("tenant", &snap.tenant)
+                        .field("relations", snap.relations.as_slice())
+                        .field("resident_tuples", snap.resident_tuples)
+                        .field("resident_bytes", snap.resident_bytes)
+                        .field("disk_bytes", snap.disk_bytes)
+                        .field("chunk_hit_rate", snap.chunk_hit_rate())
+                        .field("admits", snap.admits)
+                        .field("rejects", snap.rejects);
+                });
+            transport(w);
+        })
+    }
+}
+
+/// Hit fraction in [0, 1]; 0 when the cache was never consulted.
+pub(crate) fn hit_rate(hits: u64, misses: u64) -> f64 {
+    let total = hits + misses;
+    if total == 0 {
+        0.0
+    } else {
+        hits as f64 / total as f64
     }
 }
 
@@ -1062,7 +1000,7 @@ mod tests {
         assert_eq!(r.status, QueryStatus::Error);
 
         // Stats reports the tenant's holdings.
-        let text = service.stats_json(vec![]).to_string();
+        let text = service.stats_line(|_| {});
         assert!(text.contains("\"tenants\":[{\"tenant\":\"alice\""));
         assert!(text.contains("\"relations\":[\"stocks\"]"));
         assert!(text.contains("\"result_cache\":{\"hits\":0"));
@@ -1079,11 +1017,9 @@ mod tests {
             service.relation_names(),
             vec!["portfolio".to_string(), "stocks".to_string()]
         );
-        let stats = service.stats_json(vec![(
-            "queue_depth".to_string(),
-            crate::json::Json::from(3usize),
-        )]);
-        let text = stats.to_string();
+        let text = service.stats_line(|w| {
+            w.field("queue_depth", 3usize);
+        });
         assert!(text.contains("\"relations\":[\"portfolio\",\"stocks\"]"));
         assert!(text.contains("\"queue_depth\":3"));
         // No ops have run yet: latency histograms exist but are empty.
@@ -1106,8 +1042,7 @@ mod tests {
         assert_eq!(service.validate_latency().count(), 1);
         assert!(service.query_latency().p50() > 0);
 
-        let stats = service.stats_json(vec![]);
-        let text = stats.to_string();
+        let text = service.stats_line(|_| {});
         assert!(text.contains("\"latency\":{\"query\":{\"count\":2"));
         assert!(text.contains("\"validate\":{\"count\":1"));
         assert!(text.contains("\"p99_ms\":"));

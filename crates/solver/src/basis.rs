@@ -81,14 +81,15 @@ const MARKOWITZ_TAU: f64 = 0.1;
 
 /// One product-form update: column `a_q` (ftran'd through the previous
 /// factors as `w = B⁻¹·a_q`) replaced the basic variable of basis position
-/// `r`. Stored sparse: only the nonzero off-pivot entries plus the pivot.
+/// `r`. Stored sparse: its nonzero off-pivot entries `(i, w_i)`, `i != r`,
+/// are `eta_ent[start..end]` of the owning [`Factorization`].
 #[derive(Debug, Clone)]
 struct Eta {
     r: usize,
-    /// Nonzero entries `(i, w_i)` with `i != r`.
-    w: Vec<(usize, f64)>,
     /// Pivot entry `w_r`.
     wr: f64,
+    start: usize,
+    end: usize,
 }
 
 /// Sparse LU factors of the basis matrix plus an eta file of recent pivots.
@@ -99,14 +100,22 @@ struct Eta {
 /// (column-oriented forward/backward substitution, skipping zero entries of
 /// the working vector) and `btran` (dot products against the same columns,
 /// which walk the *rows* of `Lᵀ`/`Uᵀ`) share one data structure.
-#[derive(Debug, Clone)]
+///
+/// Every buffer — factors, eta file, elimination and solve scratch — is
+/// kept across [`Factorization::refactor`] calls, so once a factorization
+/// has seen bases of a given size, refactorizing and solving allocate
+/// nothing.
+#[derive(Debug, Clone, Default)]
 pub struct Factorization {
     m: usize,
-    /// `l_cols[k]` holds `(i, L[i,k])` with `i > k`, in LU row coordinates.
-    /// The unit diagonal is implicit.
-    l_cols: Vec<Vec<(usize, f64)>>,
-    /// `u_cols[k]` holds `(i, U[i,k])` with `i < k`.
-    u_cols: Vec<Vec<(usize, f64)>>,
+    /// Column `k` of `L` is `l_ent[l_ptr[k]..l_ptr[k + 1]]`: `(i, L[i,k])`
+    /// with `i > k`, in LU row coordinates. The unit diagonal is implicit.
+    l_ptr: Vec<usize>,
+    l_ent: Vec<(usize, f64)>,
+    /// Column `k` of `U` is `u_ent[u_ptr[k]..u_ptr[k + 1]]`: `(i, U[i,k])`
+    /// with `i < k`.
+    u_ptr: Vec<usize>,
+    u_ent: Vec<(usize, f64)>,
     /// Diagonal of `U`.
     u_diag: Vec<f64>,
     /// Row permutation: LU row `i` came from basis-matrix row `perm[i]`.
@@ -114,18 +123,38 @@ pub struct Factorization {
     /// Column permutation: LU column `k` came from basis position `cperm[k]`.
     cperm: Vec<usize>,
     etas: Vec<Eta>,
+    eta_ent: Vec<(usize, f64)>,
+    scratch: LuScratch,
+}
+
+/// Working storage of the elimination and of `ftran`/`btran`.
+#[derive(Debug, Clone, Default)]
+struct LuScratch {
+    /// Active part of each basis column as a sorted `(row, value)` list.
+    /// Only the first `m` are in use; the rest keep their capacity.
+    cols: Vec<Vec<(usize, f64)>>,
+    /// Output of [`merge_scaled_sub`], copied back into its column.
+    merged: Vec<(usize, f64)>,
+    row_active: Vec<bool>,
+    col_active: Vec<bool>,
+    /// Active entries per (active) row, for the Markowitz fill estimate.
+    row_count: Vec<usize>,
+    perm_inv: Vec<usize>,
+    /// The dense working vector of `ftran` and `btran`.
+    x: Vec<f64>,
 }
 
 /// `col ← col − f·l` over sorted `(row, value)` entry lists, maintaining the
 /// active-entry count per row (`l` only touches active rows; entries already
-/// eliminated into `U` are carried through untouched).
+/// eliminated into `U` are carried through untouched). `out` is scratch.
 fn merge_scaled_sub(
     col: &mut Vec<(usize, f64)>,
     f: f64,
     l: &[(usize, f64)],
     row_count: &mut [usize],
+    out: &mut Vec<(usize, f64)>,
 ) {
-    let mut out = Vec::with_capacity(col.len() + l.len());
+    out.clear();
     let (mut a, mut b) = (0usize, 0usize);
     while a < col.len() || b < l.len() {
         match (col.get(a), l.get(b)) {
@@ -158,7 +187,14 @@ fn merge_scaled_sub(
             (None, None) => unreachable!(),
         }
     }
-    *col = out;
+    col.clear();
+    col.extend_from_slice(out);
+}
+
+/// Reset `v` to `len` copies of `value`, reusing its allocation.
+fn refill<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
+    v.clear();
+    v.resize(len, value);
 }
 
 impl Factorization {
@@ -166,39 +202,69 @@ impl Factorization {
     pub const REFACTOR_EVERY: usize = 64;
 
     /// Factorize the basis matrix whose columns are `basic_cols` of
-    /// `matrix`, with Markowitz pivoting under a threshold partial-pivoting
-    /// stability test. Returns `None` when the basis is (numerically)
-    /// singular — i.e. when some elimination step finds no pivot candidate
-    /// above `SINGULAR_TOL`.
+    /// `matrix` into a new factorization: [`Factorization::refactor`] on an
+    /// empty one. Returns `None` when the basis is (numerically) singular.
     pub fn factorize(matrix: &CscMatrix, basic_cols: &[usize]) -> Option<Factorization> {
+        let mut fact = Factorization::default();
+        fact.refactor(matrix, basic_cols).then_some(fact)
+    }
+
+    /// Factorize the basis matrix whose columns are `basic_cols` of
+    /// `matrix` in place, with Markowitz pivoting under a threshold
+    /// partial-pivoting stability test, and empty the eta file. Returns
+    /// `false` when the basis is (numerically) singular — i.e. when some
+    /// elimination step finds no pivot candidate above `SINGULAR_TOL`; the
+    /// factors are then unusable until the next successful `refactor`.
+    pub fn refactor(&mut self, matrix: &CscMatrix, basic_cols: &[usize]) -> bool {
         let m = matrix.num_rows();
         debug_assert_eq!(basic_cols.len(), m, "basis must have one column per row");
+        let Factorization {
+            m: dim,
+            l_ptr,
+            l_ent,
+            u_ptr,
+            u_ent,
+            u_diag,
+            perm,
+            cperm,
+            etas,
+            eta_ent,
+            scratch: s,
+        } = self;
+        *dim = m;
+        etas.clear();
+        eta_ent.clear();
+        l_ent.clear();
+        u_ent.clear();
+        refill(l_ptr, 1, 0);
+        refill(u_ptr, 1, 0);
+        u_diag.clear();
+        perm.clear();
+        cperm.clear();
 
         // Working copy of the basis columns as sorted (row, value) lists.
-        let mut cols: Vec<Vec<(usize, f64)>> = basic_cols
-            .iter()
-            .map(|&j| {
-                let (rows, vals) = matrix.col(j);
-                rows.iter().zip(vals).map(|(&r, &v)| (r, v)).collect()
-            })
-            .collect();
+        if s.cols.len() < m {
+            s.cols.resize_with(m, Vec::new);
+        }
+        let cols = &mut s.cols[..m];
+        for (col, &j) in cols.iter_mut().zip(basic_cols) {
+            let (rows, vals) = matrix.col(j);
+            col.clear();
+            col.extend(rows.iter().zip(vals).map(|(&r, &v)| (r, v)));
+        }
 
-        let mut row_active = vec![true; m];
-        let mut col_active = vec![true; m];
-        // Active entries per (active) row, for the Markowitz fill estimate.
-        let mut row_count = vec![0usize; m];
-        for col in &cols {
+        refill(&mut s.row_active, m, true);
+        refill(&mut s.col_active, m, true);
+        let (row_active, col_active) = (&mut s.row_active, &mut s.col_active);
+        refill(&mut s.row_count, m, 0);
+        let row_count = &mut s.row_count;
+        for col in cols.iter() {
             for &(r, _) in col {
                 row_count[r] += 1;
             }
         }
-
-        let mut perm = Vec::with_capacity(m);
-        let mut cperm = Vec::with_capacity(m);
-        let mut perm_inv = vec![usize::MAX; m];
-        let mut l_cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
-        let mut u_cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
-        let mut u_diag = Vec::with_capacity(m);
+        refill(&mut s.perm_inv, m, usize::MAX);
+        let perm_inv = &mut s.perm_inv;
 
         for k in 0..m {
             // Pivot selection: among entries passing the threshold test,
@@ -238,7 +304,9 @@ impl Factorization {
                     }
                 }
             }
-            let (pj, pr, pv, _) = best?;
+            let Some((pj, pr, pv, _)) = best else {
+                return false;
+            };
 
             perm.push(pr);
             perm_inv[pr] = k;
@@ -248,19 +316,18 @@ impl Factorization {
             // Split the pivot column: already-eliminated rows become U
             // entries (their values froze when those rows left the active
             // set), the remaining active rows become L multipliers.
-            let mut ucol = Vec::new();
-            let mut lcol = Vec::new();
+            let l_start = l_ent.len();
             for &(r, v) in &cols[pj] {
                 if r == pr {
                     continue;
                 }
                 if row_active[r] {
-                    lcol.push((r, v / pv));
+                    l_ent.push((r, v / pv));
                 } else {
-                    ucol.push((perm_inv[r], v));
+                    u_ent.push((perm_inv[r], v));
                 }
             }
-            u_cols.push(ucol);
+            u_ptr.push(u_ent.len());
             for &(r, _) in &cols[pj] {
                 if row_active[r] {
                     row_count[r] -= 1;
@@ -273,6 +340,7 @@ impl Factorization {
             // the pivot row. The pivot-row entry itself is kept: it is that
             // column's future U entry, frozen from here on because the
             // multipliers only touch still-active rows.
+            let lcol = &l_ent[l_start..];
             if !lcol.is_empty() {
                 for j in 0..m {
                     if !col_active[j] {
@@ -283,31 +351,20 @@ impl Factorization {
                     };
                     let f = cols[j][pos].1;
                     if f != 0.0 {
-                        merge_scaled_sub(&mut cols[j], f, &lcol, &mut row_count);
+                        merge_scaled_sub(&mut cols[j], f, lcol, row_count, &mut s.merged);
                     }
                 }
             }
-            l_cols.push(lcol);
+            l_ptr.push(l_ent.len());
         }
 
         // Remap L's row coordinates from original basis rows to LU rows now
         // that the full row permutation is known (every multiplier row is
         // eliminated at a later step, so L stays strictly lower triangular).
-        for lcol in &mut l_cols {
-            for entry in lcol.iter_mut() {
-                entry.0 = perm_inv[entry.0];
-            }
+        for entry in l_ent.iter_mut() {
+            entry.0 = perm_inv[entry.0];
         }
-
-        Some(Factorization {
-            m,
-            l_cols,
-            u_cols,
-            u_diag,
-            perm,
-            cperm,
-            etas: Vec::new(),
-        })
+        true
     }
 
     /// Number of eta updates accumulated since the last refactorization.
@@ -318,9 +375,7 @@ impl Factorization {
     /// Stored nonzeros of the LU factors (diagnostics; excludes the eta
     /// file).
     pub fn factor_nnz(&self) -> usize {
-        self.m
-            + self.l_cols.iter().map(Vec::len).sum::<usize>()
-            + self.u_cols.iter().map(Vec::len).sum::<usize>()
+        self.m + self.l_ent.len() + self.u_ent.len()
     }
 
     /// True when the eta file is long enough that a refactorization pays
@@ -338,31 +393,32 @@ impl Factorization {
         if wr.abs() <= SINGULAR_TOL {
             return false;
         }
-        let entries: Vec<(usize, f64)> = w
-            .iter()
-            .enumerate()
-            .filter(|&(i, &wi)| i != r && wi != 0.0)
-            .map(|(i, &wi)| (i, wi))
-            .collect();
-        self.etas.push(Eta { r, w: entries, wr });
+        let start = self.eta_ent.len();
+        self.eta_ent.extend(
+            w.iter()
+                .enumerate()
+                .filter(|&(i, &wi)| i != r && wi != 0.0)
+                .map(|(i, &wi)| (i, wi)),
+        );
+        let end = self.eta_ent.len();
+        self.etas.push(Eta { r, wr, start, end });
         true
     }
 
     /// Solve `B·x = b` in place (`b` becomes `x`).
-    pub fn ftran(&self, b: &mut [f64]) {
+    pub fn ftran(&mut self, b: &mut [f64]) {
         let m = self.m;
         debug_assert_eq!(b.len(), m);
         // z = P·b.
-        let mut x = vec![0.0f64; m];
-        for k in 0..m {
-            x[k] = b[self.perm[k]];
-        }
+        let x = &mut self.scratch.x;
+        x.clear();
+        x.extend(self.perm.iter().map(|&p| b[p]));
         // L·w = z: column-oriented forward substitution, skipping the zeros
         // of the working vector (sparse right-hand sides stay sparse).
         for k in 0..m {
             let xk = x[k];
             if xk != 0.0 {
-                for &(i, l) in &self.l_cols[k] {
+                for &(i, l) in &self.l_ent[self.l_ptr[k]..self.l_ptr[k + 1]] {
                     x[i] -= l * xk;
                 }
             }
@@ -372,7 +428,7 @@ impl Factorization {
             let xk = x[k] / self.u_diag[k];
             x[k] = xk;
             if xk != 0.0 {
-                for &(i, u) in &self.u_cols[k] {
+                for &(i, u) in &self.u_ent[self.u_ptr[k]..self.u_ptr[k + 1]] {
                     x[i] -= u * xk;
                 }
             }
@@ -385,7 +441,7 @@ impl Factorization {
         for eta in &self.etas {
             let xr = b[eta.r] / eta.wr;
             if xr != 0.0 {
-                for &(i, wi) in &eta.w {
+                for &(i, wi) in &self.eta_ent[eta.start..eta.end] {
                     b[i] -= wi * xr;
                 }
             }
@@ -394,27 +450,26 @@ impl Factorization {
     }
 
     /// Solve `Bᵀ·y = c` in place (`c` becomes `y`).
-    pub fn btran(&self, c: &mut [f64]) {
+    pub fn btran(&mut self, c: &mut [f64]) {
         let m = self.m;
         debug_assert_eq!(c.len(), m);
         // Apply the eta file in reverse: solve Eᵢᵀ·z = c, whose only
         // non-identity row is r: Σ wᵢ·zᵢ = c_r.
         for eta in self.etas.iter().rev() {
             let mut dot = 0.0;
-            for &(i, wi) in &eta.w {
+            for &(i, wi) in &self.eta_ent[eta.start..eta.end] {
                 dot += wi * c[i];
             }
             c[eta.r] = (c[eta.r] - dot) / eta.wr;
         }
         // Bᵀ = Q·Uᵀ·Lᵀ·P, so first z = Qᵀ·c ...
-        let mut y = vec![0.0f64; m];
-        for k in 0..m {
-            y[k] = c[self.cperm[k]];
-        }
-        // ... then Uᵀ·w = z (forward; u_cols[k] walks row k of Uᵀ) ...
+        let y = &mut self.scratch.x;
+        y.clear();
+        y.extend(self.cperm.iter().map(|&q| c[q]));
+        // ... then Uᵀ·w = z (forward; column k of U walks row k of Uᵀ) ...
         for k in 0..m {
             let mut acc = y[k];
-            for &(i, u) in &self.u_cols[k] {
+            for &(i, u) in &self.u_ent[self.u_ptr[k]..self.u_ptr[k + 1]] {
                 acc -= u * y[i];
             }
             y[k] = acc / self.u_diag[k];
@@ -422,7 +477,7 @@ impl Factorization {
         // ... then Lᵀ·v = w (backward, unit diagonal) ...
         for k in (0..m).rev() {
             let mut acc = y[k];
-            for &(i, l) in &self.l_cols[k] {
+            for &(i, l) in &self.l_ent[self.l_ptr[k]..self.l_ptr[k + 1]] {
                 acc -= l * y[i];
             }
             y[k] = acc;
@@ -459,7 +514,7 @@ mod tests {
     #[test]
     fn ftran_solves_the_basis_system() {
         let m = matrix();
-        let f = Factorization::factorize(&m, &[0, 1, 2]).unwrap();
+        let mut f = Factorization::factorize(&m, &[0, 1, 2]).unwrap();
         // B = [[2,0,1],[0,1,0],[1,0,3]]; solve B x = [5, 2, 10] -> x = [1, 2, 3].
         let mut b = vec![5.0, 2.0, 10.0];
         f.ftran(&mut b);
@@ -469,7 +524,7 @@ mod tests {
     #[test]
     fn btran_solves_the_transposed_system() {
         let m = matrix();
-        let f = Factorization::factorize(&m, &[0, 1, 2]).unwrap();
+        let mut f = Factorization::factorize(&m, &[0, 1, 2]).unwrap();
         // Bᵀ y = c with c = Bᵀ·[1, 2, 3] = [2*1+0+1*3, 2, 1*1+3*3] = [5, 2, 10].
         let mut c = vec![5.0, 2.0, 10.0];
         f.btran(&mut c);
@@ -487,7 +542,7 @@ mod tests {
         assert!(f.push_eta(0, &w));
         assert_eq!(f.num_etas(), 1);
         // The updated factorization must agree with a fresh one.
-        let fresh = Factorization::factorize(&m, &[3, 1, 2]).unwrap();
+        let mut fresh = Factorization::factorize(&m, &[3, 1, 2]).unwrap();
         let rhs = vec![4.0, -1.0, 7.5];
         let mut via_eta = rhs.clone();
         f.ftran(&mut via_eta);
@@ -508,6 +563,42 @@ mod tests {
         assert!(Factorization::factorize(&m, &[0, 2]).is_some());
     }
 
+    #[test]
+    fn refactor_into_used_storage_matches_a_fresh_factorization() {
+        // A factorization that last held a larger basis, an eta and a failed
+        // (singular) refactor must solve bit for bit like a fresh one.
+        let wide = CscMatrix::from_columns(
+            4,
+            &[
+                vec![(0, 3.0), (3, 1.0)],
+                vec![(1, 2.0), (2, -1.0)],
+                vec![(0, 1.0), (2, 4.0)],
+                vec![(1, 1.0), (3, 5.0)],
+            ],
+        );
+        let mut used = Factorization::factorize(&wide, &[0, 1, 2, 3]).unwrap();
+        let mut w = vec![1.0, 0.0, 2.0, 0.0];
+        used.ftran(&mut w);
+        assert!(used.push_eta(0, &w));
+        let singular = CscMatrix::from_columns(3, &[vec![(0, 1.0)], vec![(0, 2.0)], vec![]]);
+        assert!(!used.refactor(&singular, &[0, 1, 2]));
+
+        let m = matrix();
+        assert!(used.refactor(&m, &[3, 1, 2]));
+        assert_eq!(used.num_etas(), 0);
+        let mut fresh = Factorization::factorize(&m, &[3, 1, 2]).unwrap();
+        assert_eq!(used.factor_nnz(), fresh.factor_nnz());
+        let rhs = [4.0, -1.0, 7.5];
+        let (mut a, mut b) = (rhs.to_vec(), rhs.to_vec());
+        used.ftran(&mut a);
+        fresh.ftran(&mut b);
+        assert_eq!(a, b);
+        let (mut a, mut b) = (rhs.to_vec(), rhs.to_vec());
+        used.btran(&mut a);
+        fresh.btran(&mut b);
+        assert_eq!(a, b);
+    }
+
     /// Regression pin for the numerical-robustness fix: a basis whose
     /// natural-order elimination meets a catastrophically small pivot.
     /// Without row interchanges, eliminating `[[ε, 1], [1, 1]]` produces a
@@ -518,7 +609,7 @@ mod tests {
     fn ill_conditioned_basis_is_solved_accurately() {
         let eps = 1e-12;
         let m = CscMatrix::from_columns(2, &[vec![(0, eps), (1, 1.0)], vec![(0, 1.0), (1, 1.0)]]);
-        let f = Factorization::factorize(&m, &[0, 1]).unwrap();
+        let mut f = Factorization::factorize(&m, &[0, 1]).unwrap();
         // True solution of B x = b for x = [1, 2]: b = [ε + 2, 3].
         let mut b = vec![eps + 2.0, 3.0];
         f.ftran(&mut b);
@@ -540,7 +631,7 @@ mod tests {
             vec![(0, 2.0), (1, -1.0), (2, 1e9)],
         ];
         let m = CscMatrix::from_columns(3, &cols);
-        let f = Factorization::factorize(&m, &[0, 1, 2]).unwrap();
+        let mut f = Factorization::factorize(&m, &[0, 1, 2]).unwrap();
         let x_true = [3.0, -2.0, 1.0];
         // b = B·x_true.
         let mut b = vec![0.0; 3];
@@ -584,7 +675,7 @@ mod tests {
             .collect();
         let m = CscMatrix::from_columns(n, &cols);
         let basic: Vec<usize> = (0..n).collect();
-        let f = Factorization::factorize(&m, &basic).unwrap();
+        let mut f = Factorization::factorize(&m, &basic).unwrap();
         assert!(
             f.factor_nnz() <= 3 * n,
             "bidiagonal basis filled in: {} nonzeros",

@@ -16,7 +16,7 @@ use crate::basis::{Basis, VarStatus};
 use crate::deadline::Deadline;
 use crate::error::SolverError;
 use crate::model::{Direction, Model, Sense, Solution};
-use crate::revised::{LpStatus, PivotRules, RevisedLp, RevisedSolution};
+use crate::revised::{LpStatus, PivotRules, RevisedLp, RevisedSolution, SimplexWork};
 use crate::standard_form::{LpProblem, LpRow, BOUND_INFINITY};
 use crate::Result;
 use spq_obs::metrics::{Counter, Histogram, Named};
@@ -43,6 +43,9 @@ static CORE_COLUMNS: Named<Histogram> = Named::new("spq_solver_core_columns", Hi
 // therefore all misses).
 static SPEC_HITS: Named<Counter> = Named::new("spq_solver_spec_hits", Counter::new());
 static SPEC_MISSES: Named<Counter> = Named::new("spq_solver_spec_misses", Counter::new());
+// Solves that stopped on a node, time or cancellation limit
+// (`FeasibleLimit` or `NoSolutionLimit`).
+static LIMIT_HITS: Named<Counter> = Named::new("spq_solver_limit_hits", Counter::new());
 
 /// The default worker-thread count: `SPQ_SOLVER_THREADS` when set (a
 /// positive integer; anything else is a hard error), otherwise 1.
@@ -99,8 +102,8 @@ pub struct SolverOptions {
     pub threads: usize,
     /// Refuse to solve when the LP kernel's working set would exceed this
     /// many bytes, as estimated by [`RevisedLp::estimated_bytes`]: the
-    /// constraint nonzeros plus the `m × m` basis factorization, its eta
-    /// file and the working vectors.
+    /// constraint nonzeros plus the basis factors (charged as a dense
+    /// `m × m` LU), their eta file and the working vectors.
     /// Without the guard oversized models abort the whole process inside
     /// the allocator; with it, [`SolverError::ModelTooLarge`] is returned
     /// and callers can degrade gracefully. The default is half the
@@ -224,6 +227,14 @@ const RC_EPS: f64 = 1e-9;
 /// number of moves below `log2(columns)`.
 const CORE_REDUCTION_SHARE: f64 = 0.5;
 
+/// Tolerance of the incumbent check, [`Model::is_feasible`].
+const FEAS_TOL: f64 = 1e-6;
+
+/// Least relative slack of the core-row pre-check ([`Core::rejects`]). The
+/// rounding of one row evaluation is bounded by `n·ε` times the magnitudes
+/// summed; this is `n·ε` for rows of about 4.5 million terms.
+const PRECHECK_REL: f64 = 1e-9;
+
 /// Factor that turns the model's objective into a minimization.
 fn objective_sign(model: &Model) -> f64 {
     match model.direction {
@@ -269,19 +280,9 @@ impl Node {
         }
     }
 
-    /// The node's bound box inside `base`'s, or `None` when a domain is
-    /// empty.
-    fn bounds(&self, base: &LpProblem) -> Option<(Vec<f64>, Vec<f64>)> {
-        let mut lower = base.lower.clone();
-        let mut upper = base.upper.clone();
-        for d in self.inherited.iter().chain(&self.branch) {
-            lower[d.var] = lower[d.var].max(d.lower);
-            upper[d.var] = upper[d.var].min(d.upper);
-            if lower[d.var] > upper[d.var] + 1e-12 {
-                return None;
-            }
-        }
-        Some((lower, upper))
+    /// Every bound this node holds: the inherited ones, then the branch.
+    fn deltas(&self) -> impl Iterator<Item = &NodeDelta> {
+        self.inherited.iter().chain(&self.branch)
     }
 
     /// The same node over the next core. `None` when a folded column's value
@@ -362,6 +363,49 @@ impl CoreMap {
     }
 }
 
+/// When the incumbent pre-check ([`Core::rejects`]) tests a core row.
+#[derive(Clone, Copy)]
+enum Guard {
+    /// A model constraint, or a big-M row whose folded indicator column
+    /// activates it.
+    Always,
+    /// A big-M row whose folded indicator column leaves it inactive.
+    Never,
+    /// A big-M row, active when core column `.0` takes exactly the value
+    /// `.1` (the indicator's active value, 0 or 1).
+    When(usize, f64),
+}
+
+/// One core LP row as the incumbent pre-check reads it.
+#[derive(Clone, Copy)]
+struct RowScreen {
+    guard: Guard,
+    /// `|rhs|` of the row as `build_lp` built it plus `Σ|coefficient ×
+    /// value|` over its folded terms: with the candidate's own term
+    /// magnitudes, what the rounding of both the core and the model
+    /// evaluation of the row is proportional to.
+    scale: f64,
+    /// Relative slack: [`PRECHECK_REL`], or more on a row so long that
+    /// `n·ε` exceeds it.
+    rel: f64,
+}
+
+/// The indicator behind each row [`BranchBoundSolver::build_lp`] builds, in
+/// its order: `None` for a model constraint, `(column, active value)` for a
+/// big-M row (two for an equality).
+fn row_indicators(model: &Model) -> impl Iterator<Item = Option<(usize, bool)>> + '_ {
+    let plain = model.constraints().iter().map(|_| None);
+    let big_m = model.indicators().iter().flat_map(|ic| {
+        let rows = if ic.constraint.sense == Sense::Eq {
+            2
+        } else {
+            1
+        };
+        std::iter::repeat_n(Some((ic.indicator.0, ic.active_value)), rows)
+    });
+    plain.chain(big_m)
+}
+
 /// The live core of the LP relaxation: the columns the search can still
 /// move. Columns pinned by globally valid fixings are folded into the rows'
 /// right-hand sides and an objective offset, so every per-node pass is
@@ -378,16 +422,39 @@ struct Core {
     offset: f64,
     /// A model-shaped assignment holding the value of every folded column.
     folded: Vec<f64>,
+    /// The pre-check's view of each row of `lp`.
+    screens: Vec<RowScreen>,
 }
 
 impl Core {
     /// The whole LP: nothing folded yet.
     fn full(lp: LpProblem, model: &Model) -> Core {
         let n = lp.num_vars();
-        Core::over(lp, (0..n).collect(), 0.0, vec![0.0; n], model)
+        let screens: Vec<RowScreen> = lp
+            .rows
+            .iter()
+            .zip(row_indicators(model))
+            .map(|(row, indicator)| RowScreen {
+                guard: match indicator {
+                    None => Guard::Always,
+                    Some((y, active)) => Guard::When(y, if active { 1.0 } else { 0.0 }),
+                },
+                scale: row.rhs.abs(),
+                rel: PRECHECK_REL.max((row.terms.len() + 4) as f64 * 16.0 * f64::EPSILON),
+            })
+            .collect();
+        debug_assert_eq!(screens.len(), lp.rows.len(), "one screen per LP row");
+        Core::over(lp, (0..n).collect(), 0.0, vec![0.0; n], screens, model)
     }
 
-    fn over(lp: LpProblem, cols: Vec<usize>, offset: f64, folded: Vec<f64>, model: &Model) -> Core {
+    fn over(
+        lp: LpProblem,
+        cols: Vec<usize>,
+        offset: f64,
+        folded: Vec<f64>,
+        screens: Vec<RowScreen>,
+        model: &Model,
+    ) -> Core {
         let vars = model.variables();
         let int_cols = (0..cols.len())
             .filter(|&k| vars[cols[k]].is_integral())
@@ -398,6 +465,7 @@ impl Core {
             int_cols,
             offset,
             folded,
+            screens,
         }
     }
 
@@ -409,26 +477,44 @@ impl Core {
                 self.folded[col] = map.lower[k];
             }
         }
+        for (screen, row) in self.screens.iter_mut().zip(&self.lp.rows) {
+            for &(k, coeff) in &row.terms {
+                if map.new_index[k].is_none() {
+                    screen.scale += (coeff * map.lower[k]).abs();
+                }
+            }
+            if let Guard::When(k, active) = screen.guard {
+                screen.guard = match map.new_index[k] {
+                    Some(k) => Guard::When(k, active),
+                    None if map.lower[k] == active => Guard::Always,
+                    None => Guard::Never,
+                };
+            }
+        }
         self.lp.lower = map.lower;
         self.lp.upper = map.upper;
         let (lp, offset) = self.lp.restrict(&map.keep);
         let cols = map.keep.iter().map(|&k| self.cols[k]).collect();
-        Core::over(lp, cols, self.offset + offset, self.folded, model)
+        Core::over(
+            lp,
+            cols,
+            self.offset + offset,
+            self.folded,
+            self.screens,
+            model,
+        )
     }
 
     /// Round integer columns to the nearest integer and clamp everything to
-    /// the model's bounds.
-    fn snap(&self, values: &[f64], model: &Model) -> Vec<f64> {
+    /// the model's bounds, into `out`.
+    fn snap_into(&self, values: &[f64], model: &Model, out: &mut Vec<f64>) {
         let vars = model.variables();
-        values
-            .iter()
-            .zip(&self.cols)
-            .map(|(&x, &col)| {
-                let v = &vars[col];
-                let x = if v.is_integral() { x.round() } else { x };
-                x.clamp(v.lower, v.upper)
-            })
-            .collect()
+        out.clear();
+        out.extend(values.iter().zip(&self.cols).map(|(&x, &col)| {
+            let v = &vars[col];
+            let x = if v.is_integral() { x.round() } else { x };
+            x.clamp(v.lower, v.upper)
+        }));
     }
 
     /// Minimization-sense objective of a core assignment.
@@ -451,6 +537,102 @@ impl Core {
         }
         full
     }
+
+    /// The incumbent pre-check: true when the core assignment `x` violates
+    /// an active row of the core LP by more than [`FEAS_TOL`] plus a
+    /// rounding slack. Folded columns are already in each row's right-hand
+    /// side, and a big-M row at its indicator's active value is the
+    /// indicator's inner constraint, so a row violated here is violated by
+    /// `expand(x)` in the model; the slack covers the two evaluations'
+    /// different summation orders. Hence `Model::is_feasible(expand(x))`
+    /// rejects every `x` this rejects. Inactive big-M rows are skipped: with
+    /// a capped big-M they can cut off points the model allows.
+    fn rejects(&self, x: &[f64]) -> bool {
+        self.lp.rows.iter().zip(&self.screens).any(|(row, screen)| {
+            let active = match screen.guard {
+                Guard::Always => true,
+                Guard::Never => false,
+                Guard::When(k, value) => x[k] == value,
+            };
+            if !active {
+                return false;
+            }
+            let (mut lhs, mut size) = (0.0, 0.0);
+            for &(k, coeff) in &row.terms {
+                let term = coeff * x[k];
+                lhs += term;
+                size += term.abs();
+            }
+            let excess = match row.sense {
+                Sense::Le => lhs - row.rhs,
+                Sense::Ge => row.rhs - lhs,
+                Sense::Eq => (lhs - row.rhs).abs(),
+            };
+            excess > FEAS_TOL + screen.rel * (size + screen.scale + FEAS_TOL)
+        })
+    }
+
+    /// The model-shaped assignment behind the core candidate `x` when the
+    /// model accepts it. The pre-check runs first, so the model-sized
+    /// expansion and [`Model::is_feasible`] only run on candidates that no
+    /// active core row rejects; the decision is the same either way.
+    fn feasible_expansion(&self, x: &[f64], model: &Model) -> Option<Vec<f64>> {
+        if self.rejects(x) {
+            return None;
+        }
+        let full = self.expand(x);
+        model.is_feasible(&full, FEAS_TOL).then_some(full)
+    }
+}
+
+/// Buffers one search thread reuses from node to node: the simplex
+/// workspace and the node's bound box.
+#[derive(Default)]
+struct NodeWork {
+    simplex: SimplexWork,
+    lower: Vec<f64>,
+    upper: Vec<f64>,
+}
+
+impl NodeWork {
+    /// Write `node`'s bound box inside `base`'s into `lower`/`upper`;
+    /// `false` when a domain is empty.
+    fn load(&mut self, node: &Node, base: &LpProblem) -> bool {
+        let (lower, upper) = (&mut self.lower, &mut self.upper);
+        lower.clear();
+        lower.extend_from_slice(&base.lower);
+        upper.clear();
+        upper.extend_from_slice(&base.upper);
+        node.deltas().all(|d| {
+            lower[d.var] = lower[d.var].max(d.lower);
+            upper[d.var] = upper[d.var].min(d.upper);
+            lower[d.var] <= upper[d.var] + 1e-12
+        })
+    }
+
+    /// The relaxation of the node whose box was last loaded.
+    fn solve(&mut self, cx: &SearchCtx<'_>, node: &Node) -> Result<RevisedSolution> {
+        cx.lp.solve_with(
+            &mut self.simplex,
+            &self.lower,
+            &self.upper,
+            node.warm.as_deref(),
+            cx.rules,
+        )
+    }
+}
+
+/// The main thread's buffers: a [`NodeWork`], the rounded candidate, and
+/// the merge of a branching node's bounds into its children's.
+#[derive(Default)]
+struct SearchWork {
+    node: NodeWork,
+    candidate: Vec<f64>,
+    /// Columns reduced-cost tightening moved at the current node.
+    tightened: Vec<usize>,
+    /// Per core column: already in `deltas`.
+    seen: Vec<bool>,
+    deltas: Vec<NodeDelta>,
 }
 
 /// Lifecycle of one node's speculative LP solve.
@@ -568,7 +750,7 @@ impl SpecQueue {
 
     /// Worker loop: repeatedly claim the pending node nearest the top of the
     /// stack (the one the main thread needs soonest) and pre-solve it.
-    fn worker(&self, solve: impl Fn(&Node) -> Result<RevisedSolution>) {
+    fn worker(&self, mut solve: impl FnMut(&Node) -> Result<RevisedSolution>) {
         loop {
             let job = {
                 let mut inner = self.inner.lock().unwrap();
@@ -734,8 +916,12 @@ impl BranchBoundSolver {
         // are at most log2(columns) of them.
         let mut core = Core::full(base, model);
         let mut open = vec![Node::root(self.options.warm_start.clone().map(Arc::new))];
+        // One set of node buffers for the whole search, whatever the core.
+        let mut work = SearchWork::default();
         while !open.is_empty() {
-            let Some((map, rest)) = self.search_core(model, &core, open, &stop, &mut st)? else {
+            let Some((map, rest)) =
+                self.search_core(model, &core, open, &stop, &mut work, &mut st)?
+            else {
                 break;
             };
             CORE_RESTARTS.inc();
@@ -764,6 +950,9 @@ impl BranchBoundSolver {
             (None, false) => SolveStatus::Infeasible,
             (None, true) => SolveStatus::NoSolutionLimit,
         };
+        if st.hit_limit {
+            LIMIT_HITS.inc();
+        }
         let solution = st.best_solution.map(|values| Solution {
             objective: model.objective_value(&values),
             values,
@@ -792,6 +981,7 @@ impl BranchBoundSolver {
         core: &Core,
         open: Vec<Node>,
         stop: &Deadline,
+        work: &mut SearchWork,
         st: &mut SearchState,
     ) -> Result<Option<(CoreMap, Vec<Node>)>> {
         CORE_COLUMNS.record(core.cols.len() as u64);
@@ -836,14 +1026,16 @@ impl BranchBoundSolver {
             std::thread::scope(|s| {
                 for _ in 1..threads {
                     s.spawn(|| {
-                        cx.queue.worker(|node| Self::speculative_solve(&cx, node));
+                        let mut own = NodeWork::default();
+                        cx.queue
+                            .worker(|node| Self::speculative_solve(&cx, &mut own, node));
                     });
                 }
-                let next = self.search(&cx, st);
+                let next = self.search(&cx, work, st);
                 (next, cx.queue.shutdown())
             })
         } else {
-            (self.search(&cx, st), queue.shutdown())
+            (self.search(&cx, work, st), queue.shutdown())
         };
         Ok(next?.map(|map| (map, rest)))
     }
@@ -851,19 +1043,24 @@ impl BranchBoundSolver {
     /// A worker's view of one node: rebuild its bound box and solve the
     /// relaxation exactly as the main thread would, so the result is
     /// interchangeable with an inline solve.
-    fn speculative_solve(cx: &SearchCtx<'_>, node: &Node) -> Result<RevisedSolution> {
-        match node.bounds(&cx.core.lp) {
-            Some((lower, upper)) => cx.lp.solve(&lower, &upper, node.warm.as_deref(), cx.rules),
+    fn speculative_solve(
+        cx: &SearchCtx<'_>,
+        work: &mut NodeWork,
+        node: &Node,
+    ) -> Result<RevisedSolution> {
+        if work.load(node, &cx.core.lp) {
+            work.solve(cx, node)
+        } else {
             // The main thread prunes empty domains before resolving, so this
             // placeholder is never consumed.
-            None => Ok(RevisedSolution {
+            Ok(RevisedSolution {
                 status: LpStatus::Infeasible,
                 values: Vec::new(),
                 objective: f64::INFINITY,
                 iterations: 0,
                 reduced: Vec::new(),
                 basis: None,
-            }),
+            })
         }
     }
 
@@ -874,8 +1071,15 @@ impl BranchBoundSolver {
     /// every relaxation is a pure function of (core LP, node bounds, warm
     /// basis); fixings that shrink the box end the loop with the
     /// [`CoreMap`] to the next core instead.
-    fn search(&self, cx: &SearchCtx<'_>, st: &mut SearchState) -> Result<Option<CoreMap>> {
+    fn search(
+        &self,
+        cx: &SearchCtx<'_>,
+        work: &mut SearchWork,
+        st: &mut SearchState,
+    ) -> Result<Option<CoreMap>> {
         let core = cx.core;
+        work.seen.clear();
+        work.seen.resize(core.cols.len(), false);
 
         while let Some(job) = cx.queue.pop() {
             let node = &job.node;
@@ -892,18 +1096,16 @@ impl BranchBoundSolver {
             let is_root = st.nodes_processed == 1;
 
             // Apply the node's bound changes.
-            let Some((mut lower, mut upper)) = node.bounds(&core.lp) else {
+            if !work.node.load(node, &core.lp) {
                 NODES_PRUNED_DOMAIN.inc();
                 continue;
-            };
+            }
 
             // A numerical failure (e.g. the simplex iteration budget being
             // exhausted on a degenerate relaxation) abandons this node rather
             // than the whole search: the node is treated as unexplored, which
             // keeps the incumbent valid and only weakens the optimality claim.
-            let relax = match cx.queue.resolve(&job, || {
-                cx.lp.solve(&lower, &upper, node.warm.as_deref(), cx.rules)
-            }) {
+            let relax = match cx.queue.resolve(&job, || work.node.solve(cx, node)) {
                 Ok(r) => r,
                 Err(SolverError::Numerical(_)) => {
                     st.hit_limit = true;
@@ -963,8 +1165,8 @@ impl BranchBoundSolver {
                     // Integral LP optimum: candidate incumbent. Round to clean
                     // integer values and re-check feasibility on the original
                     // model (including indicator semantics).
-                    let candidate = core.expand(&core.snap(&relax.values, cx.model));
-                    if cx.model.is_feasible(&candidate, 1e-6) {
+                    core.snap_into(&relax.values, cx.model, &mut work.candidate);
+                    if let Some(candidate) = core.feasible_expansion(&work.candidate, cx.model) {
                         let obj = cx.sign * cx.model.objective_value(&candidate);
                         if st.improved_by(obj) {
                             st.accept(obj, candidate);
@@ -978,13 +1180,13 @@ impl BranchBoundSolver {
                 Some(vi) => {
                     NODES_BRANCHED.inc();
                     // Rounding heuristic to seed the incumbent early. Its
-                    // objective costs one pass over the core; the model-sized
-                    // feasibility check only runs for a candidate that would
-                    // beat the incumbent.
-                    let rounded = core.snap(&relax.values, cx.model);
-                    if st.improved_by(core.objective(&rounded)) {
-                        let candidate = core.expand(&rounded);
-                        if cx.model.is_feasible(&candidate, 1e-6) {
+                    // objective costs one pass over the core; the feasibility
+                    // check only runs for a candidate that would beat the
+                    // incumbent.
+                    core.snap_into(&relax.values, cx.model, &mut work.candidate);
+                    if st.improved_by(core.objective(&work.candidate)) {
+                        if let Some(candidate) = core.feasible_expansion(&work.candidate, cx.model)
+                        {
                             let obj = cx.sign * cx.model.objective_value(&candidate);
                             if st.improved_by(obj) {
                                 st.accept(obj, candidate);
@@ -997,30 +1199,46 @@ impl BranchBoundSolver {
                     // most of the tree.
                     let basis = relax.basis.map(Arc::new);
                     let cutoff = st.best_obj - self.gap_slack(st.best_obj);
+                    work.tightened.clear();
                     if let (true, Some(basis)) = (cutoff.is_finite(), &basis) {
-                        let tightened = self.tighten_by_reduced_costs(
+                        self.tighten_by_reduced_costs(
                             &core.int_cols,
                             &relax.reduced,
                             basis,
                             cutoff - node_bound,
-                            &mut lower,
-                            &mut upper,
+                            &mut work.node.lower,
+                            &mut work.node.upper,
+                            &mut work.tightened,
                         );
-                        RC_TIGHTENINGS.add(tightened as u64);
+                        RC_TIGHTENINGS.add(work.tightened.len() as u64);
                     }
                     // The children's shared bounds: one entry per column
                     // (the branching one aside) whose bounds left the core's
                     // box, however often they were tightened on the way down.
+                    // Only the node's own bounds and this node's tightenings
+                    // can have left it, so those are the columns looked at.
+                    let (lower, upper) = (&work.node.lower, &work.node.upper);
                     let moved =
                         |j: usize| lower[j] != core.lp.lower[j] || upper[j] != core.lp.upper[j];
-                    let inherited: Arc<[NodeDelta]> = (0..lower.len())
-                        .filter(|&j| j != vi && moved(j))
-                        .map(|j| NodeDelta {
-                            var: j,
-                            lower: lower[j],
-                            upper: upper[j],
-                        })
-                        .collect();
+                    work.deltas.clear();
+                    let touched = node
+                        .deltas()
+                        .map(|d| d.var)
+                        .chain(work.tightened.iter().copied());
+                    for j in touched {
+                        if j != vi && !work.seen[j] && moved(j) {
+                            work.seen[j] = true;
+                            work.deltas.push(NodeDelta {
+                                var: j,
+                                lower: lower[j],
+                                upper: upper[j],
+                            });
+                        }
+                    }
+                    for d in &work.deltas {
+                        work.seen[d.var] = false;
+                    }
+                    let inherited: Arc<[NodeDelta]> = Arc::from(&work.deltas[..]);
                     #[cfg(test)]
                     tests::PROBE.with(|p| p.borrow_mut().node_deltas(inherited.len() + 1));
                     let x = relax.values[vi];
@@ -1076,7 +1294,8 @@ impl BranchBoundSolver {
     /// l_j) over the subtree, so x_j ≤ l_j + ⌊(c − z)/d⌋ in any improving
     /// integer solution (symmetrically at upper bounds). `budget` is `c − z`;
     /// `lower`/`upper` are the optimum's bound box and are tightened in
-    /// place. Returns how many bounds moved.
+    /// place; every column whose bound moved is appended to `tightened`.
+    #[allow(clippy::too_many_arguments)]
     fn tighten_by_reduced_costs(
         &self,
         int_cols: &[usize],
@@ -1085,8 +1304,8 @@ impl BranchBoundSolver {
         budget: f64,
         lower: &mut [f64],
         upper: &mut [f64],
-    ) -> usize {
-        let mut tightened = 0;
+        tightened: &mut Vec<usize>,
+    ) {
         for &vj in int_cols {
             let d = reduced[vj];
             match basis.statuses[vj] {
@@ -1095,7 +1314,7 @@ impl BranchBoundSolver {
                     let new_upper = lower[vj] + room;
                     if new_upper < upper[vj] - 0.5 {
                         upper[vj] = new_upper;
-                        tightened += 1;
+                        tightened.push(vj);
                     }
                 }
                 VarStatus::AtUpper if d < -RC_EPS => {
@@ -1103,13 +1322,12 @@ impl BranchBoundSolver {
                     let new_lower = upper[vj] - room;
                     if new_lower > lower[vj] + 0.5 {
                         lower[vj] = new_lower;
-                        tightened += 1;
+                        tightened.push(vj);
                     }
                 }
                 _ => {}
             }
         }
-        tightened
     }
 
     /// Globally valid fixing: the root LP bounds every point of the core's
@@ -1133,6 +1351,7 @@ impl BranchBoundSolver {
                 cutoff - root.bound,
                 &mut lower,
                 &mut upper,
+                &mut Vec::new(),
             );
         }
         let map = CoreMap::folding(lower, upper);
@@ -1774,6 +1993,26 @@ mod tests {
     }
 
     #[test]
+    fn limit_hits_are_counted() {
+        // Every solve stopped by a limit bumps `spq_solver_limit_hits` once
+        // (other tests may bump it concurrently, so only the increase is
+        // checked).
+        let hits = || spq_obs::metrics::counter_value("spq_solver_limit_hits").unwrap_or(0);
+        let options = SolverOptions {
+            max_nodes: 5,
+            ..opts()
+        };
+        let before = hits();
+        let res = solve_full(&chained_model(40), &options).unwrap();
+        assert_eq!(res.nodes, 5);
+        assert!(matches!(
+            res.status,
+            SolveStatus::FeasibleLimit | SolveStatus::NoSolutionLimit
+        ));
+        assert!(hits() > before, "a node-limited solve was not counted");
+    }
+
+    #[test]
     fn equality_constrained_integer_problem() {
         // x + y = 7, x - y <= 1, minimize x.
         let mut m = Model::minimize();
@@ -1892,6 +2131,160 @@ mod tests {
         let sol = res.solution.unwrap();
         assert!(res.best_bound.expect("root was bounded") <= sol.objective + 1e-6);
         assert!((sol.objective - 14.0).abs() < 1e-6);
+    }
+
+    /// A splitmix64 stream for the pre-check models below.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// An integer in `lo..hi`.
+        fn int(&mut self, lo: i64, hi: i64) -> i64 {
+            lo + (self.next() % (hi - lo) as u64) as i64
+        }
+
+        fn coin(&mut self) -> bool {
+            self.next() & 1 == 1
+        }
+
+        fn sense(&mut self) -> Sense {
+            [Sense::Le, Sense::Ge, Sense::Eq][self.int(0, 3) as usize]
+        }
+    }
+
+    /// A random model of at most 10 columns — integer, continuous and
+    /// binary — with plain rows of every sense and indicator rows active on
+    /// 0 and on 1 in every sense, plus the solver options it is linearized
+    /// under: a `big_m_cap` small enough to bind.
+    fn precheck_model(g: &mut Gen) -> (Model, SolverOptions) {
+        let mut m = Model::minimize();
+        let n = g.int(2, 8) as usize;
+        let x: Vec<VarId> = (0..n)
+            .map(|i| {
+                let lo = g.int(-2, 2) as f64;
+                let hi = lo + g.int(1, 5) as f64;
+                let kind = if g.int(0, 4) == 0 {
+                    VarType::Continuous
+                } else {
+                    VarType::Integer
+                };
+                m.add_var(format!("x{i}"), kind, lo, hi, g.int(-3, 4) as f64)
+            })
+            .collect();
+        let terms = |g: &mut Gen| -> Vec<(VarId, f64)> {
+            x.iter()
+                .filter_map(|&v| {
+                    let c = g.int(-3, 4) as f64 * if g.coin() { 1.0 } else { 0.5 };
+                    (c != 0.0).then_some((v, c))
+                })
+                .collect()
+        };
+        for r in 0..g.int(0, 3) {
+            let (t, sense, rhs) = (terms(g), g.sense(), g.int(-6, 8) as f64);
+            m.add_constraint(format!("c{r}"), t, sense, rhs);
+        }
+        for k in 0..g.int(1, 4) {
+            let y = m.add_var(format!("y{k}"), VarType::Binary, 0.0, 1.0, 0.0);
+            let (t, sense, rhs) = (terms(g), g.sense(), g.int(-6, 8) as f64);
+            m.add_indicator(format!("ind{k}"), y, g.coin(), t, sense, rhs);
+        }
+        let options = SolverOptions {
+            big_m_cap: g.int(1, 6) as f64,
+            ..opts()
+        };
+        (m, options)
+    }
+
+    /// A candidate inside a core's box: integers for integer columns,
+    /// halves for continuous ones.
+    fn precheck_candidate(core: &Core, model: &Model, g: &mut Gen) -> Vec<f64> {
+        let vars = model.variables();
+        (0..core.cols.len())
+            .map(|k| {
+                let (lo, hi) = (core.lp.lower[k], core.lp.upper[k]);
+                let steps = if vars[core.cols[k]].is_integral() {
+                    1.0
+                } else {
+                    2.0
+                };
+                let span = ((hi - lo) * steps) as i64;
+                lo + g.int(0, span + 1) as f64 / steps
+            })
+            .collect()
+    }
+
+    /// Check the pre-check against `Model::is_feasible` on one random model,
+    /// before and after a core reduction. Returns how many candidates the
+    /// pre-check rejected and how many the model rejects.
+    fn precheck_agrees(seed: u64) -> (usize, usize) {
+        let mut g = Gen(seed);
+        let (model, options) = precheck_model(&mut g);
+        let solver = BranchBoundSolver::new(options);
+        let lp = || solver.build_lp(&model, 1.0);
+        let full = Core::full(lp(), &model);
+        // Pin a random share of the columns (at least one stays free).
+        let n = full.cols.len();
+        let (mut lower, mut upper) = (full.lp.lower.clone(), full.lp.upper.clone());
+        let free = g.int(0, n as i64) as usize;
+        for k in 0..n {
+            if k == free || g.coin() {
+                continue;
+            }
+            let value = lower[k] + g.int(0, (upper[k] - lower[k]) as i64 + 1) as f64;
+            (lower[k], upper[k]) = (value, value);
+        }
+        let reduced = Core::full(lp(), &model).restricted(CoreMap::folding(lower, upper), &model);
+        let (mut rejected, mut infeasible) = (0, 0);
+        for core in [&full, &reduced] {
+            for _ in 0..40 {
+                let x = precheck_candidate(core, &model, &mut g);
+                let feasible = model.is_feasible(&core.expand(&x), FEAS_TOL);
+                infeasible += usize::from(!feasible);
+                if core.rejects(&x) {
+                    rejected += 1;
+                    assert!(
+                        !feasible,
+                        "seed {seed}: the pre-check rejected {x:?} on {:?}, which the model accepts",
+                        core.cols
+                    );
+                }
+            }
+        }
+        (rejected, infeasible)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Soundness of the incumbent pre-check: whatever it rejects,
+        /// `Model::is_feasible` rejects too, on the whole LP and on a core.
+        #[test]
+        fn the_precheck_only_rejects_infeasible_candidates(seed in proptest::prelude::any::<u64>()) {
+            precheck_agrees(seed);
+        }
+    }
+
+    #[test]
+    fn the_precheck_rejects_most_infeasible_candidates() {
+        // Not vacuous: across these models the pre-check turns away most of
+        // the candidates the model rejects.
+        let (mut rejected, mut infeasible) = (0, 0);
+        for seed in 0..200 {
+            let (r, i) = precheck_agrees(seed);
+            rejected += r;
+            infeasible += i;
+        }
+        assert!(
+            rejected * 2 > infeasible,
+            "{rejected} of {infeasible} infeasible candidates rejected"
+        );
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub use model::{
     Constraint, Direction, IndicatorConstraint, LinearExpr, Model, Sense, Solution, VarId, VarType,
     Variable,
 };
-pub use revised::{LpStatus, PivotRules, RevisedLp, RevisedSolution};
+pub use revised::{LpStatus, PivotRules, RevisedLp, RevisedSolution, SimplexWork};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, SolverError>;

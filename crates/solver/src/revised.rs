@@ -15,9 +15,9 @@
 //! * variable bounds are handled by the ratio test itself: a nonbasic
 //!   variable whose own opposite bound is the blocking constraint simply
 //!   *bound-flips* without any basis change;
-//! * the basis inverse is maintained as a dense LU factorization of the
-//!   small `m × m` basis matrix plus a product-form eta file
-//!   ([`Factorization`]), refactorized periodically;
+//! * the basis inverse is maintained as a sparse LU factorization of the
+//!   `m × m` basis matrix plus a product-form eta file
+//!   ([`Factorization`]), refactorized periodically into the same storage;
 //! * pricing is Dantzig (most negative reduced cost) with a switch to
 //!   Bland's rule after [`PivotRules::bland_after`] iterations to guarantee
 //!   termination under degeneracy;
@@ -29,6 +29,9 @@
 //!   CSA re-solves with updated summaries, and SketchRefine refine steps
 //!   cheap: they typically need a handful of pivots instead of a full
 //!   two-phase solve.
+//! * every buffer of a solve lives in a [`SimplexWork`] the caller may keep:
+//!   [`RevisedLp::solve_with`] reuses it, so a branch-and-bound search that
+//!   re-solves one LP per node allocates nothing but each returned solution.
 
 use spq_obs::metrics::{Counter, Histogram, Named};
 
@@ -175,6 +178,12 @@ pub struct RevisedLp {
 impl RevisedLp {
     /// Prepare a problem. Bounds in `lp` are ignored here (they are passed
     /// to [`RevisedLp::solve`]); rows and the objective are validated.
+    ///
+    /// The CSC matrix is built in two passes over the rows: the first
+    /// validates and counts each column's entries, the second writes them.
+    /// Rows are visited in order, so every column's entries arrive sorted by
+    /// row; a column repeated within a row is summed into one entry, in term
+    /// order, and dropped if the sum is zero.
     pub fn from_problem(lp: &LpProblem) -> Result<RevisedLp> {
         let n = lp.num_vars();
         if n == 0 {
@@ -186,10 +195,8 @@ impl RevisedLp {
             }
         }
         let m = lp.rows.len();
-        let mut columns: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n + m];
-        let mut b = Vec::with_capacity(m);
-        let mut logical_lower = Vec::with_capacity(m);
-        let mut logical_upper = Vec::with_capacity(m);
+        // Pass 1: column `j` gets `col_ptr[j + 1]` entries, then prefix sums.
+        let mut col_ptr = vec![0usize; n + m + 1];
         for (ri, row) in lp.rows.iter().enumerate() {
             if row.rhs.is_nan() {
                 return Err(SolverError::NotANumber(format!("row {ri} rhs")));
@@ -204,10 +211,38 @@ impl RevisedLp {
                     )));
                 }
                 if coeff != 0.0 {
-                    columns[var].push((ri, coeff));
+                    col_ptr[var + 1] += 1;
                 }
             }
-            columns[n + ri].push((ri, 1.0));
+            col_ptr[n + ri + 1] = 1;
+        }
+        for j in 0..n + m {
+            col_ptr[j + 1] += col_ptr[j];
+        }
+        // Pass 2: `next[j]` is where column `j`'s next entry goes.
+        let nnz = col_ptr[n + m];
+        let mut row_idx = vec![0usize; nnz];
+        let mut values = vec![0.0f64; nnz];
+        let mut next = col_ptr[..n + m].to_vec();
+        let mut summed = false;
+        let mut b = Vec::with_capacity(m);
+        let mut logical_lower = Vec::with_capacity(m);
+        let mut logical_upper = Vec::with_capacity(m);
+        for (ri, row) in lp.rows.iter().enumerate() {
+            for &(var, coeff) in row.terms.iter().filter(|t| t.1 != 0.0) {
+                let at = next[var];
+                if at > col_ptr[var] && row_idx[at - 1] == ri {
+                    values[at - 1] += coeff;
+                    summed = true;
+                } else {
+                    row_idx[at] = ri;
+                    values[at] = coeff;
+                    next[var] += 1;
+                }
+            }
+            row_idx[next[n + ri]] = ri;
+            values[next[n + ri]] = 1.0;
+            next[n + ri] += 1;
             b.push(row.rhs);
             let (lo, hi) = match row.sense {
                 crate::model::Sense::Le => (0.0, f64::INFINITY),
@@ -217,13 +252,31 @@ impl RevisedLp {
             logical_lower.push(lo);
             logical_upper.push(hi);
         }
+        if summed {
+            // Close the gaps summed entries left and drop cancelled ones.
+            let mut kept = 0;
+            for j in 0..n + m {
+                let start = col_ptr[j];
+                col_ptr[j] = kept;
+                for at in start..next[j] {
+                    if values[at] != 0.0 {
+                        row_idx[kept] = row_idx[at];
+                        values[kept] = values[at];
+                        kept += 1;
+                    }
+                }
+            }
+            col_ptr[n + m] = kept;
+            row_idx.truncate(kept);
+            values.truncate(kept);
+        }
         let mut cost = Vec::with_capacity(n + m);
         cost.extend_from_slice(&lp.objective);
         cost.resize(n + m, 0.0);
         Ok(RevisedLp {
             n_struct: n,
             m,
-            matrix: CscMatrix::from_columns(m, &columns),
+            matrix: CscMatrix::from_parts(m, col_ptr, row_idx, values),
             cost,
             b,
             logical_lower,
@@ -231,8 +284,11 @@ impl RevisedLp {
         })
     }
 
-    /// Estimated resident bytes of a solve: the CSC matrix, the dense LU of
-    /// the `m × m` basis, the eta file, and the working vectors.
+    /// Estimated resident bytes of a solve: the CSC matrix, the basis
+    /// factors, the eta file and the working vectors. The factors are
+    /// charged `m²` words, as if the LU were dense: a conservative bound for
+    /// the sparse LU, whose factors hold a few nonzeros per column on the
+    /// logical-heavy bases the simplex visits.
     pub fn estimated_bytes(&self) -> u64 {
         let nnz = self.matrix.nnz() as u64;
         let m = self.m as u64;
@@ -246,7 +302,7 @@ impl RevisedLp {
     }
 
     /// Solve with the given structural bounds, optional warm-start basis and
-    /// pivot rules.
+    /// pivot rules: [`RevisedLp::solve_with`] on a fresh workspace.
     pub fn solve(
         &self,
         lower: &[f64],
@@ -254,7 +310,25 @@ impl RevisedLp {
         warm: Option<&Basis>,
         rules: &PivotRules,
     ) -> Result<RevisedSolution> {
-        Simplex::new(self, lower, upper, warm)?.run(rules)
+        self.solve_with(&mut SimplexWork::default(), lower, upper, warm, rules)
+    }
+
+    /// Solve in `work`, whatever LP it last served: every buffer is
+    /// overwritten before it is read, so the result is bit-identical to
+    /// [`RevisedLp::solve`], and once `work` has held an LP of this size the
+    /// solve allocates only the returned solution's vectors.
+    pub fn solve_with(
+        &self,
+        work: &mut SimplexWork,
+        lower: &[f64],
+        upper: &[f64],
+        warm: Option<&Basis>,
+        rules: &PivotRules,
+    ) -> Result<RevisedSolution> {
+        if work.load(self, lower, upper, warm)? {
+            return Ok(work.finish(self, LpStatus::Infeasible, 0));
+        }
+        work.run(self, rules)
     }
 }
 
@@ -277,8 +351,14 @@ enum Blocking {
     Row(usize, bool),
 }
 
-struct Simplex<'a> {
-    rlp: &'a RevisedLp,
+/// The state of a revised-simplex solve, kept between solves so that a
+/// caller re-solving many small LPs — branch-and-bound, one workspace per
+/// search thread — reuses its buffers instead of allocating them per solve.
+/// Nothing carries over from one solve to the next: [`RevisedLp::solve_with`]
+/// overwrites every field first.
+#[derive(Debug, Default)]
+pub struct SimplexWork {
+    /// Bounds of every column (structurals, then logicals).
     lower: Vec<f64>,
     upper: Vec<f64>,
     status: Vec<VarStatus>,
@@ -286,18 +366,26 @@ struct Simplex<'a> {
     basic_vars: Vec<usize>,
     /// Current value of every column.
     x: Vec<f64>,
+    /// Pricing vector: basic costs, btran'd to the duals.
+    y: Vec<f64>,
+    /// Ratio-test column: the entering column, ftran'd.
+    w: Vec<f64>,
+    /// Right-hand side of the basic-value solve.
+    rhs: Vec<f64>,
     fact: Factorization,
-    iterations: usize,
-    infeasible_domain: bool,
 }
 
-impl<'a> Simplex<'a> {
-    fn new(
-        rlp: &'a RevisedLp,
+impl SimplexWork {
+    /// Load the bound box and the starting basis (the warm one when it fits,
+    /// otherwise the all-logical one), factorize it and compute the basic
+    /// values. Returns `true` when a column's domain is empty.
+    fn load(
+        &mut self,
+        rlp: &RevisedLp,
         lower_s: &[f64],
         upper_s: &[f64],
         warm: Option<&Basis>,
-    ) -> Result<Simplex<'a>> {
+    ) -> Result<bool> {
         let n = rlp.n_struct;
         let m = rlp.m;
         let total = n + m;
@@ -314,8 +402,8 @@ impl<'a> Simplex<'a> {
                 v
             }
         };
-        let mut lower = Vec::with_capacity(total);
-        let mut upper = Vec::with_capacity(total);
+        self.lower.clear();
+        self.upper.clear();
         let mut infeasible_domain = false;
         for i in 0..n {
             if lower_s[i].is_nan() || upper_s[i].is_nan() {
@@ -326,23 +414,23 @@ impl<'a> Simplex<'a> {
             if lo > hi {
                 infeasible_domain = true;
             }
-            lower.push(lo);
-            upper.push(hi);
+            self.lower.push(lo);
+            self.upper.push(hi);
         }
-        lower.extend_from_slice(&rlp.logical_lower);
-        upper.extend_from_slice(&rlp.logical_upper);
+        self.lower.extend_from_slice(&rlp.logical_lower);
+        self.upper.extend_from_slice(&rlp.logical_upper);
+        let (lower, upper) = (&self.lower, &self.upper);
 
         // Adopt the warm basis when it fits; otherwise the all-logical basis.
-        let mut status = match warm {
-            Some(basis) if basis.fits(total, m) => basis.statuses.clone(),
+        let status = &mut self.status;
+        status.clear();
+        match warm {
+            Some(basis) if basis.fits(total, m) => status.extend_from_slice(&basis.statuses),
             _ => {
-                let mut s = vec![VarStatus::AtLower; total];
-                for item in s.iter_mut().skip(n) {
-                    *item = VarStatus::Basic;
-                }
-                s
+                status.resize(n, VarStatus::AtLower);
+                status.resize(total, VarStatus::Basic);
             }
-        };
+        }
         // Sanitize nonbasic statuses against the (possibly changed) bounds.
         for j in 0..total {
             status[j] = match status[j] {
@@ -360,54 +448,41 @@ impl<'a> Simplex<'a> {
                 }
             };
         }
-        let mut basic_vars: Vec<usize> = (0..total)
-            .filter(|&j| status[j] == VarStatus::Basic)
-            .collect();
-        let fact = if basic_vars.len() == m {
-            Factorization::factorize(&rlp.matrix, &basic_vars)
-        } else {
-            None
-        };
-        let fact = match fact {
-            Some(f) => f,
-            None => {
-                // Warm basis was structurally or numerically unusable: fall
-                // back to the always-nonsingular all-logical basis.
-                for j in 0..n {
-                    status[j] = if lower[j].is_finite() {
-                        VarStatus::AtLower
-                    } else if upper[j].is_finite() {
-                        VarStatus::AtUpper
-                    } else {
-                        VarStatus::Free
-                    };
-                }
-                for s in status.iter_mut().take(total).skip(n) {
-                    *s = VarStatus::Basic;
-                }
-                basic_vars = (n..total).collect();
-                Factorization::factorize(&rlp.matrix, &basic_vars)
-                    .ok_or_else(|| SolverError::Numerical("logical basis singular".into()))?
+        self.basic_vars.clear();
+        self.basic_vars
+            .extend((0..total).filter(|&j| status[j] == VarStatus::Basic));
+        let factored =
+            self.basic_vars.len() == m && self.fact.refactor(&rlp.matrix, &self.basic_vars);
+        if !factored {
+            // Warm basis was structurally or numerically unusable: fall
+            // back to the always-nonsingular all-logical basis.
+            for j in 0..n {
+                status[j] = if lower[j].is_finite() {
+                    VarStatus::AtLower
+                } else if upper[j].is_finite() {
+                    VarStatus::AtUpper
+                } else {
+                    VarStatus::Free
+                };
             }
-        };
-        let mut sim = Simplex {
-            rlp,
-            lower,
-            upper,
-            status,
-            basic_vars,
-            x: vec![0.0; total],
-            fact,
-            iterations: 0,
-            infeasible_domain,
-        };
-        sim.compute_values();
-        Ok(sim)
+            for s in status.iter_mut().take(total).skip(n) {
+                *s = VarStatus::Basic;
+            }
+            self.basic_vars.clear();
+            self.basic_vars.extend(n..total);
+            if !self.fact.refactor(&rlp.matrix, &self.basic_vars) {
+                return Err(SolverError::Numerical("logical basis singular".into()));
+            }
+        }
+        self.x.clear();
+        self.x.resize(total, 0.0);
+        self.compute_values(rlp);
+        Ok(infeasible_domain)
     }
 
     /// Set nonbasic variables to their bound values and solve for the basic
     /// values.
-    fn compute_values(&mut self) {
+    fn compute_values(&mut self, rlp: &RevisedLp) {
         let total = self.x.len();
         for j in 0..total {
             self.x[j] = match self.status[j] {
@@ -417,24 +492,26 @@ impl<'a> Simplex<'a> {
                 VarStatus::Free => 0.0,
             };
         }
-        let mut rhs = self.rlp.b.clone();
+        self.rhs.clear();
+        self.rhs.extend_from_slice(&rlp.b);
         for j in 0..total {
             if self.status[j] != VarStatus::Basic && self.x[j] != 0.0 {
-                self.rlp.matrix.scatter_col(j, -self.x[j], &mut rhs);
+                rlp.matrix.scatter_col(j, -self.x[j], &mut self.rhs);
             }
         }
-        self.fact.ftran(&mut rhs);
+        self.fact.ftran(&mut self.rhs);
         for (i, &bv) in self.basic_vars.iter().enumerate() {
-            self.x[bv] = rhs[i];
+            self.x[bv] = self.rhs[i];
         }
     }
 
-    fn refactorize(&mut self) -> Result<()> {
+    fn refactorize(&mut self, rlp: &RevisedLp) -> Result<()> {
         REFACTORIZATIONS.inc();
         ETA_CHAIN_LEN.record(self.fact.num_etas() as u64);
-        self.fact = Factorization::factorize(&self.rlp.matrix, &self.basic_vars)
-            .ok_or_else(|| SolverError::Numerical("basis became singular".into()))?;
-        self.compute_values();
+        if !self.fact.refactor(&rlp.matrix, &self.basic_vars) {
+            return Err(SolverError::Numerical("basis became singular".into()));
+        }
+        self.compute_values(rlp);
         Ok(())
     }
 
@@ -449,61 +526,60 @@ impl<'a> Simplex<'a> {
             .sum()
     }
 
-    fn run(&mut self, rules: &PivotRules) -> Result<RevisedSolution> {
-        if self.infeasible_domain {
-            return Ok(self.finish(LpStatus::Infeasible));
-        }
-        let m = self.rlp.m;
+    fn run(&mut self, rlp: &RevisedLp, rules: &PivotRules) -> Result<RevisedSolution> {
+        let m = rlp.m;
         let total = self.x.len();
-        // Per-iteration workspaces, allocated once per solve.
-        let mut y = vec![0.0f64; m];
-        let mut w = vec![0.0f64; m];
+        let mut iterations = 0;
+        self.y.clear();
+        self.y.resize(m, 0.0);
+        self.w.clear();
+        self.w.resize(m, 0.0);
         loop {
-            if self.iterations >= rules.max_iters {
+            if iterations >= rules.max_iters {
                 return Err(SolverError::Numerical(format!(
                     "revised simplex exceeded {} iterations",
                     rules.max_iters
                 )));
             }
-            if rules.interrupted(self.iterations) {
+            if rules.interrupted(iterations) {
                 return Err(SolverError::Cancelled);
             }
-            let use_bland = self.iterations >= rules.bland_after;
+            let use_bland = iterations >= rules.bland_after;
 
             // Phase selection: any basic variable outside its bounds puts us
             // in phase 1 with infeasibility costs.
             let mut phase1 = false;
-            y.fill(0.0);
+            self.y.fill(0.0);
             for (i, &bv) in self.basic_vars.iter().enumerate() {
                 let v = self.x[bv];
                 if v > self.upper[bv] + FEAS_EPS {
-                    y[i] = 1.0;
+                    self.y[i] = 1.0;
                     phase1 = true;
                 } else if v < self.lower[bv] - FEAS_EPS {
-                    y[i] = -1.0;
+                    self.y[i] = -1.0;
                     phase1 = true;
                 }
             }
             if !phase1 {
                 for (i, &bv) in self.basic_vars.iter().enumerate() {
-                    y[i] = self.rlp.cost[bv];
+                    self.y[i] = rlp.cost[bv];
                 }
             }
-            self.fact.btran(&mut y);
+            self.fact.btran(&mut self.y);
 
             // Pricing: pick the entering column.
             let mut enter: Option<(usize, f64, f64)> = None; // (col, |d|, dir)
             if use_bland {
                 // Bland's least-index rule overrides Dantzig pricing.
                 for j in 0..total {
-                    if let Some((d, dir)) = self.price_col(j, phase1, &y) {
+                    if let Some((d, dir)) = self.price_col(rlp, j, phase1) {
                         enter = Some((j, d.abs(), dir));
                         break;
                     }
                 }
             } else {
                 for j in 0..total {
-                    if let Some((d, dir)) = self.price_col(j, phase1, &y) {
+                    if let Some((d, dir)) = self.price_col(rlp, j, phase1) {
                         if enter.map(|(_, best, _)| d.abs() > best).unwrap_or(true) {
                             enter = Some((j, d.abs(), dir));
                         }
@@ -519,9 +595,9 @@ impl<'a> Simplex<'a> {
                     // threshold grows only with √m so a genuinely infeasible
                     // large model is never declared optimal (a linear-in-m
                     // threshold would reach ~1e-2 at 100k rows).
-                    self.refactorize()?;
+                    self.refactorize(rlp)?;
                     if self.infeasibility() > FEAS_EPS * (1.0 + (m as f64).sqrt()) {
-                        return Ok(self.finish(LpStatus::Infeasible));
+                        return Ok(self.finish(rlp, LpStatus::Infeasible, iterations));
                     }
                     // Residual violations are within tolerance: snap the
                     // offending basic values onto their bounds so phase 2
@@ -531,7 +607,7 @@ impl<'a> Simplex<'a> {
                         let bv = self.basic_vars[i];
                         self.x[bv] = self.x[bv].clamp(self.lower[bv], self.upper[bv]);
                     }
-                    self.iterations += 1;
+                    iterations += 1;
                     continue;
                 }
                 // Optimal: recompute values from a fresh factorization for a
@@ -541,15 +617,15 @@ impl<'a> Simplex<'a> {
                 // branch-and-bound nodes that verify optimality in a handful
                 // of flips take this fast path.
                 if self.fact.num_etas() > 0 {
-                    self.refactorize()?;
+                    self.refactorize(rlp)?;
                 }
-                return Ok(self.finish(LpStatus::Optimal));
+                return Ok(self.finish(rlp, LpStatus::Optimal, iterations));
             };
 
             // Direction of basic-variable change per unit step of x_q.
-            w.fill(0.0);
-            self.rlp.matrix.scatter_col(q, 1.0, &mut w);
-            self.fact.ftran(&mut w);
+            self.w.fill(0.0);
+            rlp.matrix.scatter_col(q, 1.0, &mut self.w);
+            self.fact.ftran(&mut self.w);
 
             // Ratio test.
             let mut t_best = f64::INFINITY;
@@ -559,7 +635,7 @@ impl<'a> Simplex<'a> {
                 t_best = range;
                 blocking = Some(Blocking::SelfFlip);
             }
-            for (i, &wi) in w.iter().enumerate() {
+            for (i, &wi) in self.w.iter().enumerate() {
                 let alpha = -dir * wi;
                 if alpha.abs() <= PIVOT_TOL {
                     continue;
@@ -600,7 +676,7 @@ impl<'a> Simplex<'a> {
                         // Bland-style anti-cycling tie-break: smallest index.
                         Some(Blocking::Row(r, _)) if use_bland => bv < self.basic_vars[*r],
                         // Stability tie-break: largest pivot magnitude.
-                        Some(Blocking::Row(r, _)) => wi.abs() > w[*r].abs(),
+                        Some(Blocking::Row(r, _)) => wi.abs() > self.w[*r].abs(),
                         Some(Blocking::SelfFlip) | None => true,
                     }
                 } else {
@@ -618,14 +694,14 @@ impl<'a> Simplex<'a> {
                         "phase-1 step unblocked (numerical trouble)".into(),
                     ));
                 }
-                return Ok(self.finish(LpStatus::Unbounded));
+                return Ok(self.finish(rlp, LpStatus::Unbounded, iterations));
             };
 
             // Apply the step.
             let t = t_best;
             if t > 0.0 {
                 self.x[q] += dir * t;
-                for (i, &wi) in w.iter().enumerate() {
+                for (i, &wi) in self.w.iter().enumerate() {
                     if wi != 0.0 {
                         let bv = self.basic_vars[i];
                         self.x[bv] -= dir * t * wi;
@@ -665,28 +741,29 @@ impl<'a> Simplex<'a> {
                     };
                     self.status[q] = VarStatus::Basic;
                     self.basic_vars[r] = q;
-                    let pushed = self.fact.push_eta(r, &w);
+                    let pushed = self.fact.push_eta(r, &self.w);
                     if pushed {
                         ETA_PUSHES.inc();
                     }
                     if !pushed || self.fact.should_refactorize() {
-                        self.refactorize()?;
+                        self.refactorize(rlp)?;
                     }
                 }
             }
-            self.iterations += 1;
+            iterations += 1;
         }
     }
 
     /// Reduced cost and step direction of column `j`, if it is an eligible
-    /// entering candidate under the current (phase-dependent) objective.
+    /// entering candidate under the current (phase-dependent) objective
+    /// priced by the duals in `y`.
     #[inline]
-    fn price_col(&self, j: usize, phase1: bool, y: &[f64]) -> Option<(f64, f64)> {
+    fn price_col(&self, rlp: &RevisedLp, j: usize, phase1: bool) -> Option<(f64, f64)> {
         if self.status[j] == VarStatus::Basic || self.lower[j] == self.upper[j] {
             return None;
         }
-        let base_cost = if phase1 { 0.0 } else { self.rlp.cost[j] };
-        let d = base_cost - self.rlp.matrix.col_dot(j, y);
+        let base_cost = if phase1 { 0.0 } else { rlp.cost[j] };
+        let d = base_cost - rlp.matrix.col_dot(j, &self.y);
         let dir = match self.status[j] {
             VarStatus::AtLower if d < -EPS => 1.0,
             VarStatus::AtUpper if d > EPS => -1.0,
@@ -697,12 +774,11 @@ impl<'a> Simplex<'a> {
         Some((d, dir))
     }
 
-    fn finish(&self, status: LpStatus) -> RevisedSolution {
+    fn finish(&mut self, rlp: &RevisedLp, status: LpStatus, iterations: usize) -> RevisedSolution {
         match status {
             LpStatus::Optimal => {
-                let values: Vec<f64> = self.x[..self.rlp.n_struct].to_vec();
-                let objective = self
-                    .rlp
+                let values: Vec<f64> = self.x[..rlp.n_struct].to_vec();
+                let objective = rlp
                     .cost
                     .iter()
                     .zip(&self.x)
@@ -714,18 +790,16 @@ impl<'a> Simplex<'a> {
                 // movable columns; callers use these for reduced-cost bound
                 // tightening in branch-and-bound, which has nothing left to
                 // tighten on a fixed column.
-                let m = self.rlp.m;
-                let mut y = vec![0.0f64; m];
-                for (i, &bv) in self.basic_vars.iter().enumerate() {
-                    y[i] = self.rlp.cost[bv];
-                }
-                self.fact.btran(&mut y);
-                let reduced: Vec<f64> = (0..self.rlp.n_struct)
+                self.y.clear();
+                self.y
+                    .extend(self.basic_vars.iter().map(|&bv| rlp.cost[bv]));
+                self.fact.btran(&mut self.y);
+                let reduced: Vec<f64> = (0..rlp.n_struct)
                     .map(|j| {
                         if self.status[j] == VarStatus::Basic || self.lower[j] == self.upper[j] {
                             0.0
                         } else {
-                            self.rlp.cost[j] - self.rlp.matrix.col_dot(j, &y)
+                            rlp.cost[j] - rlp.matrix.col_dot(j, &self.y)
                         }
                     })
                     .collect();
@@ -733,7 +807,7 @@ impl<'a> Simplex<'a> {
                     status,
                     values,
                     objective,
-                    iterations: self.iterations,
+                    iterations,
                     reduced,
                     basis: Some(Basis {
                         statuses: self.status.clone(),
@@ -744,7 +818,7 @@ impl<'a> Simplex<'a> {
                 status,
                 values: Vec::new(),
                 objective: 0.0,
-                iterations: self.iterations,
+                iterations,
                 reduced: Vec::new(),
                 basis: None,
             },
@@ -768,6 +842,36 @@ mod tests {
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "{a} vs {b}");
+    }
+
+    #[test]
+    fn repeated_terms_are_summed_into_one_entry() {
+        // x0 twice in row 0 (summed), x1 twice in row 1 (cancelling, so
+        // dropped): the same matrix `CscMatrix::from_columns` builds.
+        let lp = LpProblem {
+            objective: vec![1.0; 3],
+            lower: vec![0.0; 3],
+            upper: vec![1.0; 3],
+            rows: vec![
+                row(vec![(0, 1.5), (2, 1.0), (0, 2.0)], Sense::Le, 4.0),
+                row(vec![(1, 3.0), (2, -1.0), (1, -3.0)], Sense::Ge, 0.0),
+            ],
+        };
+        let rlp = RevisedLp::from_problem(&lp).unwrap();
+        let want = CscMatrix::from_columns(
+            2,
+            &[
+                vec![(0, 3.5)],
+                vec![],
+                vec![(0, 1.0), (1, -1.0)],
+                vec![(0, 1.0)],
+                vec![(1, 1.0)],
+            ],
+        );
+        assert_eq!(rlp.nnz(), want.nnz());
+        for j in 0..5 {
+            assert_eq!(rlp.matrix.col(j), want.col(j), "column {j}");
+        }
     }
 
     #[test]

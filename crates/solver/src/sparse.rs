@@ -18,7 +18,10 @@ pub struct CscMatrix {
 
 impl CscMatrix {
     /// Build from per-column `(row, value)` entry lists. Zero entries are
-    /// dropped; duplicate rows within a column are summed.
+    /// dropped; duplicate rows within a column are summed. The kernel builds
+    /// its matrix from rows ([`crate::RevisedLp::from_problem`]); this is the
+    /// tests' way to write one down.
+    #[cfg(test)]
     pub fn from_columns(num_rows: usize, columns: &[Vec<(usize, f64)>]) -> CscMatrix {
         let mut col_ptr = Vec::with_capacity(columns.len() + 1);
         let mut row_idx = Vec::new();
@@ -45,6 +48,25 @@ impl CscMatrix {
             touched.clear();
             col_ptr.push(row_idx.len());
         }
+        CscMatrix {
+            num_rows,
+            col_ptr,
+            row_idx,
+            values,
+        }
+    }
+
+    /// Adopt already-compressed arrays: column `j`'s entries are
+    /// `col_ptr[j]..col_ptr[j + 1]` of `row_idx`/`values`, sorted by row,
+    /// nonzero and without repeats.
+    pub(crate) fn from_parts(
+        num_rows: usize,
+        col_ptr: Vec<usize>,
+        row_idx: Vec<usize>,
+        values: Vec<f64>,
+    ) -> CscMatrix {
+        debug_assert_eq!(col_ptr.last(), Some(&row_idx.len()));
+        debug_assert_eq!(row_idx.len(), values.len());
         CscMatrix {
             num_rows,
             col_ptr,

@@ -11,7 +11,7 @@
 //!
 //! The algorithm set also honors the `SPQ_ALGORITHMS` environment variable.
 
-use spq_bench::{aggregate, print_table, run_query, HarnessConfig};
+use spq_bench::legacy::{aggregate, print_table, run_query, HarnessConfig};
 use spq_workloads::{spec, WorkloadKind};
 
 fn main() {
@@ -64,5 +64,5 @@ fn main() {
         ],
         &rows,
     );
-    spq_bench::finish_trace();
+    spq_bench::legacy::finish_trace();
 }

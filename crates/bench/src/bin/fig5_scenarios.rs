@@ -8,7 +8,9 @@
 //! Usage: `cargo run --release -p spq-bench --bin fig5_scenarios -- \
 //!             [--scale 200] [--runs 3] [--queries 1,3] [--validation 2000]`
 
-use spq_bench::{aggregate, approximation_ratio, print_table, run_query, HarnessConfig, RunRecord};
+use spq_bench::legacy::{
+    aggregate, approximation_ratio, print_table, run_query, HarnessConfig, RunRecord,
+};
 use spq_core::Algorithm;
 use spq_workloads::{spec, WorkloadKind};
 
@@ -89,5 +91,5 @@ fn main() {
         ],
         &rows,
     );
-    spq_bench::finish_trace();
+    spq_bench::legacy::finish_trace();
 }

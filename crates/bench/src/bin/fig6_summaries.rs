@@ -14,7 +14,7 @@
 //! first non-SummarySearch algorithm of `--algorithms` / `SPQ_ALGORITHMS`
 //! (default: Naive), so e.g. SketchRefine can serve as the reference.
 
-use spq_bench::{aggregate, approximation_ratio, print_table, run_query, HarnessConfig};
+use spq_bench::legacy::{aggregate, approximation_ratio, print_table, run_query, HarnessConfig};
 use spq_core::Algorithm;
 use spq_workloads::{spec, WorkloadKind};
 
@@ -67,7 +67,7 @@ fn main() {
                     }
                 })
             });
-        let ratio = |a: &spq_bench::Aggregate| match (a.mean_objective, best) {
+        let ratio = |a: &spq_bench::legacy::Aggregate| match (a.mean_objective, best) {
             (Some(o), Some(b)) => format!("{:.3}", approximation_ratio(o, b, spec_row.maximize)),
             _ => "-".into(),
         };
@@ -101,5 +101,5 @@ fn main() {
         ],
         &rows,
     );
-    spq_bench::finish_trace();
+    spq_bench::legacy::finish_trace();
 }

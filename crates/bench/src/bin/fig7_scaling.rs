@@ -10,7 +10,7 @@
 //!             [--scale 100] [--runs 3] [--queries 1,3] [--validation 2000] \
 //!             [--scale-list 10000] [--trace trace.json]`
 
-use spq_bench::{
+use spq_bench::legacy::{
     aggregate, approximation_ratio, finish_trace, print_table, run_query, HarnessConfig,
 };
 use spq_workloads::{spec, WorkloadKind};

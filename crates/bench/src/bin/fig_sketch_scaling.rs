@@ -25,7 +25,7 @@
 //!             [--storage memory|disk] [--max-relation-bytes N] \
 //!             [--out BENCH_sketch_scaling.json]`
 
-use spq_bench::{approximation_ratio, print_table, run_query, HarnessConfig};
+use spq_bench::legacy::{approximation_ratio, print_table, run_query, HarnessConfig};
 use spq_core::Algorithm;
 use spq_service::json::Json;
 use spq_workloads::{spec, WorkloadKind};
@@ -212,5 +212,5 @@ fn main() {
         Ok(()) => eprintln!("# report written to {out}"),
         Err(e) => eprintln!("# could not write {out}: {e}"),
     }
-    spq_bench::finish_trace();
+    spq_bench::legacy::finish_trace();
 }

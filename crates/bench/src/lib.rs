@@ -1,41 +1,52 @@
-//! # spq-bench — benchmark harness for the paper's figures
+//! # spq-bench — the paper's §6 figures as one driver, plus the ledger
 //!
-//! Each figure of the paper's experimental evaluation (Section 6.2) has a
-//! dedicated harness binary that regenerates its series:
+//! The `paper` binary runs the experimental evaluation of the extended
+//! paper (arXiv 2103.06784 §6) over the Galaxy, Portfolio and TPC-H
+//! workloads, one figure or all of them (`--figure 4,5,6,7`):
 //!
-//! | Paper artifact | Binary | What it reports |
+//! | Figure | What varies | Claim checked on deterministic counters |
 //! |---|---|---|
-//! | Figure 4 | `fig4_feasibility` | time to reach 100% feasibility rate, per query, Naïve vs SummarySearch |
-//! | Figure 5 | `fig5_scenarios` | time, feasibility rate and 1+ε̂ as the number of optimization scenarios `M` grows |
-//! | Figure 6 | `fig6_summaries` | effect of the number of summaries `Z` (Portfolio workload) |
-//! | Figure 7 | `fig7_scaling` | effect of the dataset size `N` (Galaxy workload) |
+//! | 4 | optimization scenarios `M` | Naïve's feasibility rate rises with `M` and is < 1 at the smallest `M` where SummarySearch's is 1 |
+//! | 5 | `M`, the same grid | SummarySearch reaches feasibility with ≥ 10× fewer scenarios or LP pivots |
+//! | 6 | summaries `Z` at fixed `M` (Portfolio) | the objective improves and the surplus falls as `Z` grows |
+//! | 7 | dataset size `N` at fixed `M` (Galaxy) | SummarySearch's LP pivots grow by less than Naïve's |
 //!
-//! Two subsystem harnesses ride along: `service_throughput` (concurrent
-//! query service, → `BENCH_service.json`) and `scenario_throughput`
-//! (columnar scenario engine and its cache tiers, → `BENCH_scenario.json`).
+//! Every evaluation runs at exactly its `M` (no outer scenario escalation)
+//! and every MILP under a node budget, so a [`Row`]'s counters are a pure
+//! function of its cell and seed. [`claim`] judges the rows and the driver
+//! writes both into `BENCH_paper.json` with the command, revision and
+//! machine that produced them; `tests/paper_claims.rs` asserts the claims
+//! at reduced scale.
 //!
-//! Criterion micro-benchmarks (`cargo bench -p spq-bench`) cover the kernels:
-//! scenario generation, summary construction, SAA vs CSA formulation size,
-//! the validator and the MILP solver.
+//! Speed is measured by the `perf_ledger` binary instead (see its README);
+//! criterion micro-benchmarks (`cargo bench -p spq-bench`) cover the
+//! kernels.
 //!
-//! Because the MILP solver substitutes CPLEX, the default sizes are scaled
-//! down (hundreds of tuples, tens of scenarios). Every figure binary accepts
-//! `--scale`, `--runs`, `--queries`, `--validation` and `--algorithms` flags
-//! (see [`HarnessConfig::parse`] for the full list) to scale up or select
-//! algorithms without recompiling; the `SPQ_ALGORITHMS` environment variable
-//! overrides the default algorithm set as well (the flag wins over the
-//! variable). An unknown flag or an unparsable value is fatal (exit code 2)
-//! rather than silently running a different experiment.
-//!
-//! Every binary also accepts `--trace <path>` (or the `SPQ_TRACE`
-//! environment variable) to record phase spans into a chrome-tracing JSON
-//! file; see the README's Observability section.
+//! A bad command line is fatal (exit code 2) rather than silently running a
+//! different experiment; `--trace <path>` (or `SPQ_TRACE`) records phase
+//! spans into a chrome-tracing JSON file.
 
-use serde::Serialize;
-use spq_core::{Algorithm, EvaluationResult, SpqEngine, SpqOptions};
+use spq_core::{Algorithm, SpqEngine, SpqOptions};
 use spq_mcdb::StorageOptions;
-use spq_workloads::{build_workload, build_workload_with, WorkloadKind};
+use spq_service::json::Json;
+use spq_workloads::{build_workload, build_workload_with, spec, Workload, WorkloadKind};
 use std::time::Duration;
+
+pub mod legacy;
+
+/// Figures 4 and 5's grid of optimization-scenario counts `M`.
+pub const M_GRID: &[usize] = &[5, 10, 20, 40];
+/// Figure 6's fixed `M`.
+const FIG6_M: usize = 24;
+/// Figure 6's grid of summary counts `Z`, up to `Z = M` (where the CSA is
+/// the SAA).
+const FIG6_Z: &[usize] = &[1, 2, 6, 12, 24];
+/// Figure 7's fixed `M`, the paper's.
+const FIG7_M: usize = 56;
+/// Branch-and-bound nodes per MILP. Naïve's SAA at `M ≥ 20` runs into it;
+/// a node budget stands in for the paper's per-query time limit so every
+/// counter stays reproducible.
+const MAX_NODES: usize = 20_000;
 
 /// Which tier benchmark relations are materialized in (`--storage`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -44,13 +55,12 @@ pub enum StorageTier {
     #[default]
     Memory,
     /// Chunked columnar files under a temp directory, paged through the
-    /// byte-budgeted chunk cache — the out-of-core configuration the
-    /// 1M-tuple scaling rows run in.
+    /// byte-budgeted chunk cache: the out-of-core configuration.
     Disk,
 }
 
 impl StorageTier {
-    /// Canonical spelling for banners and reports.
+    /// Canonical spelling for reports.
     pub fn as_str(self) -> &'static str {
         match self {
             StorageTier::Memory => "memory",
@@ -59,9 +69,11 @@ impl StorageTier {
     }
 }
 
-/// Command-line configuration shared by the harness binaries.
+/// The driver's command line.
 #[derive(Debug, Clone)]
 pub struct HarnessConfig {
+    /// Which figures to run (`--figure 4,5,6,7`).
+    pub figures: Vec<usize>,
     /// Approximate number of tuples per workload relation.
     pub scale: usize,
     /// Number of i.i.d. runs (different optimization-scenario seeds).
@@ -72,8 +84,8 @@ pub struct HarnessConfig {
     pub queries: Vec<usize>,
     /// Which algorithms to compare.
     pub algorithms: Vec<Algorithm>,
-    /// Dataset sizes for scaling harnesses (`--scale-list`); `None` lets the
-    /// binary pick its default grid.
+    /// Figure 7's dataset sizes (`--scale-list`); `None` scales `--scale`
+    /// by ×1…×5.
     pub scale_list: Option<Vec<usize>>,
     /// Per-query evaluation time limit.
     pub time_limit: Duration,
@@ -85,19 +97,14 @@ pub struct HarnessConfig {
     /// tier's chunk-cache budget and makes every evaluation enforce
     /// [`SpqOptions::max_relation_bytes`].
     pub max_relation_bytes: Option<u64>,
-    /// Path of the JSON report (`--out`) for binaries that write one
-    /// (`fig_sketch_scaling`); `None` lets the binary pick its default.
-    pub out: Option<String>,
-    /// Which flags were explicitly supplied (canonical spellings, e.g.
-    /// `"--runs"`; `"--algorithms"` is also recorded when `SPQ_ALGORITHMS`
-    /// supplied the set). Lets binaries apply their own defaults without
-    /// clobbering explicit user choices.
-    explicit_flags: Vec<String>,
+    /// Path of the JSON report (`--out`).
+    pub out: String,
 }
 
 impl Default for HarnessConfig {
     fn default() -> Self {
         HarnessConfig {
+            figures: vec![4, 5, 6, 7],
             scale: 200,
             runs: 3,
             validation: 2_000,
@@ -108,25 +115,9 @@ impl Default for HarnessConfig {
             seed: 2020,
             storage: StorageTier::Memory,
             max_relation_bytes: None,
-            out: None,
-            explicit_flags: Vec::new(),
+            out: "BENCH_paper.json".into(),
         }
     }
-}
-
-/// Parse a comma-separated algorithm list (`"naive,sketch-refine"`),
-/// dropping entries that fail to parse (with a note on stderr).
-pub fn parse_algorithms(text: &str) -> Vec<Algorithm> {
-    text.split(',')
-        .filter(|s| !s.trim().is_empty())
-        .filter_map(|s| match s.trim().parse::<Algorithm>() {
-            Ok(a) => Some(a),
-            Err(e) => {
-                eprintln!("# ignoring algorithm `{s}`: {e}");
-                None
-            }
-        })
-        .collect()
 }
 
 /// Parse one flag value, naming the flag in the error.
@@ -158,14 +149,21 @@ where
     Ok(list)
 }
 
+/// Reject a list entry outside `range`.
+fn within(
+    flag: &str,
+    list: &[usize],
+    range: std::ops::RangeInclusive<usize>,
+) -> Result<(), String> {
+    match list.iter().find(|v| !range.contains(*v)) {
+        Some(v) => Err(format!("{flag}: {v} is not in {range:?}")),
+        None => Ok(()),
+    }
+}
+
 impl HarnessConfig {
-    /// Parse a config from command-line arguments; see
-    /// [`HarnessConfig::parse`]. SketchRefine is installed into the engine
-    /// as a side effect so every harness can dispatch it.
-    ///
-    /// A bad command line is fatal (exit code 2): silently falling back to
-    /// a default would benchmark a different experiment than the one asked
-    /// for.
+    /// [`HarnessConfig::parse`] over the process arguments; a bad command
+    /// line exits with code 2.
     pub fn from_args() -> Self {
         match Self::parse(std::env::args().skip(1)) {
             Ok(config) => config,
@@ -176,33 +174,27 @@ impl HarnessConfig {
         }
     }
 
-    /// Argument parsing behind [`HarnessConfig::from_args`], separated so the
-    /// error path is testable. Flags come in `--flag value` pairs:
-    /// `--scale N`, `--runs R`, `--validation V`, `--queries 1,2,3` (each
-    /// in `1..=8`), `--time-limit SECS`, `--seed S`,
-    /// `--algorithms naive,summarysearch,sketchrefine`, `--scale-list
-    /// N1,N2`, `--storage memory|disk`, `--max-relation-bytes B`, `--trace
-    /// PATH` and `--out PATH`. The `SPQ_ALGORITHMS` environment variable
-    /// supplies the algorithm set when the flag is absent. Returns `Err`,
-    /// naming the flag, on an unknown flag, a missing value or a value that
-    /// does not parse.
+    /// Flags come in `--flag value` pairs: `--figure 4,5,6,7`, `--scale N`,
+    /// `--runs R`, `--validation V`, `--queries 1,2,3` (each in `1..=8`),
+    /// `--time-limit SECS`, `--seed S`, `--algorithms
+    /// naive,summarysearch,sketchrefine`, `--scale-list N1,N2`, `--storage
+    /// memory|disk`, `--max-relation-bytes B`, `--trace PATH` and `--out
+    /// PATH`. Returns `Err`, naming the flag, on an unknown flag, a missing
+    /// value or a value that does not parse. SketchRefine is installed into
+    /// the engine as a side effect.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         spq_sketch::install();
         let mut config = HarnessConfig::default();
-        if let Ok(env) = std::env::var("SPQ_ALGORITHMS") {
-            let parsed = parse_algorithms(&env);
-            if !parsed.is_empty() {
-                config.algorithms = parsed;
-                config.explicit_flags.push("--algorithms".into());
-            }
-        }
         let mut args = args.into_iter();
         while let Some(flag) = args.next() {
             let Some(value) = args.next() else {
                 return Err(format!("{flag}: missing value"));
             };
-            let mut seen = flag.clone();
             match flag.as_str() {
+                "--figure" => {
+                    config.figures = list_of(&flag, &value)?;
+                    within(&flag, &config.figures, 4..=7)?;
+                }
                 "--scale" => config.scale = value_of(&flag, &value)?,
                 "--runs" => config.runs = value_of(&flag, &value)?,
                 "--validation" => config.validation = value_of(&flag, &value)?,
@@ -210,17 +202,12 @@ impl HarnessConfig {
                 "--time-limit" => config.time_limit = Duration::from_secs(value_of(&flag, &value)?),
                 "--queries" => {
                     config.queries = list_of(&flag, &value)?;
-                    if let Some(q) = config.queries.iter().find(|q| !(1..=8).contains(*q)) {
-                        return Err(format!("{flag}: query {q} is not in 1..=8"));
-                    }
+                    within(&flag, &config.queries, 1..=8)?;
                 }
-                "--algorithms" | "--algorithm" => {
-                    config.algorithms = list_of(&flag, &value)?;
-                    seen = "--algorithms".into();
-                }
+                "--algorithms" => config.algorithms = list_of(&flag, &value)?,
                 "--storage" => {
                     config.storage = match value.as_str() {
-                        "memory" | "mem" => StorageTier::Memory,
+                        "memory" => StorageTier::Memory,
                         "disk" => StorageTier::Disk,
                         other => {
                             return Err(format!(
@@ -234,38 +221,31 @@ impl HarnessConfig {
                 }
                 "--scale-list" => config.scale_list = Some(list_of(&flag, &value)?),
                 "--trace" => spq_obs::trace::enable(value),
-                "--out" => config.out = Some(value),
+                "--out" => config.out = value,
                 _ => return Err(format!("unknown flag `{flag}`")),
             }
-            config.explicit_flags.push(seen);
         }
         Ok(config)
     }
 
-    /// True when `flag` (canonical spelling, e.g. `"--runs"`) was explicitly
-    /// supplied on the command line — or, for `"--algorithms"`, via the
-    /// `SPQ_ALGORITHMS` environment variable.
-    pub fn was_set(&self, flag: &str) -> bool {
-        self.explicit_flags.iter().any(|f| f == flag)
-    }
-
-    /// Engine options for one run with the given seed and scenario settings.
-    pub fn options(
-        &self,
-        seed: u64,
-        initial_scenarios: usize,
-        initial_summaries: usize,
-    ) -> SpqOptions {
+    /// Engine options for one run at exactly `m` scenarios and `z`
+    /// summaries: the scenario budget is capped at `m`, so no run escalates
+    /// past the `M` its row reports.
+    fn options(&self, seed: u64, m: usize, z: usize) -> SpqOptions {
         SpqOptions {
             seed,
-            initial_scenarios,
-            scenario_increment: initial_scenarios.max(10),
-            max_scenarios: 400,
+            initial_scenarios: m,
+            scenario_increment: m,
+            max_scenarios: m,
             validation_scenarios: self.validation,
             expectation_scenarios: self.validation.min(1000),
-            initial_summaries,
+            initial_summaries: z,
             time_limit: Some(self.time_limit),
-            solver: solver_options(self.time_limit),
+            solver: spq_solver::SolverOptions {
+                time_limit: Some(self.time_limit.min(Duration::from_secs(30))),
+                max_nodes: MAX_NODES,
+                ..Default::default()
+            },
             max_relation_bytes: self.max_relation_bytes,
             ..Default::default()
         }
@@ -274,9 +254,8 @@ impl HarnessConfig {
     /// Build a workload honoring `--storage` and `--max-relation-bytes`:
     /// the disk tier streams the relation into chunk files under a
     /// per-process temp directory and caps the chunk cache at the
-    /// relation-byte ceiling (when one is set) so the benchmark really runs
-    /// out-of-core.
-    pub fn build_workload(&self, kind: WorkloadKind, scale: usize) -> spq_workloads::Workload {
+    /// relation-byte ceiling, so the run really pages.
+    fn build_workload(&self, kind: WorkloadKind, scale: usize) -> Workload {
         match self.storage {
             StorageTier::Memory => build_workload(kind, scale, self.seed),
             StorageTier::Disk => {
@@ -293,177 +272,464 @@ impl HarnessConfig {
     }
 }
 
-fn solver_options(limit: Duration) -> spq_solver::SolverOptions {
-    spq_solver::SolverOptions {
-        time_limit: Some(limit.min(Duration::from_secs(30))),
-        ..Default::default()
-    }
-}
-
-/// The outcome of one measured run.
-#[derive(Debug, Clone, Serialize)]
-pub struct RunRecord {
-    /// Workload name.
-    pub workload: String,
+/// One evaluation: a cell of a figure's grid at one seed.
+#[derive(Debug, Clone)]
+pub struct Row {
+    /// Paper figure (4–7).
+    pub figure: usize,
+    /// Workload.
+    pub workload: WorkloadKind,
     /// Query number.
     pub query: usize,
-    /// Algorithm name.
-    pub algorithm: String,
+    /// Algorithm.
+    pub algorithm: Algorithm,
     /// Run index (seed offset).
     pub run: usize,
-    /// Number of optimization scenarios the run ended with.
-    pub scenarios: usize,
-    /// Number of summaries used (0 for Naïve).
-    pub summaries: usize,
     /// Dataset size.
     pub n_tuples: usize,
-    /// Wall-clock seconds.
-    pub seconds: f64,
-    /// Whether a validation-feasible package was found.
+    /// The `M` this cell runs at.
+    pub m: usize,
+    /// The `Z` this cell asks for (`0` for Naïve).
+    pub z: usize,
+    /// Optimization scenarios of the last iteration.
+    pub scenarios_used: usize,
+    /// Summaries of the last iteration (`0` for Naïve).
+    pub summaries_used: usize,
+    /// Simplex pivots over every LP relaxation of the run.
+    pub lp_pivots: usize,
+    /// Branch-and-bound nodes over every solve of the run.
+    pub solver_nodes: usize,
+    /// Whether the returned package is validation-feasible.
     pub feasible: bool,
     /// Objective estimate of the returned package.
     pub objective: Option<f64>,
-    /// Total simplex pivots across every LP relaxation of the run — the
-    /// work measure that exposes warm-start savings.
-    pub lp_pivots: usize,
-    /// Evaluation error, if the engine refused or failed the query outright
-    /// (e.g. the solver's memory guard on a model too large to solve).
+    /// Validation surplus `r = satisfied fraction − p`, per probabilistic
+    /// constraint, of the returned package.
+    pub surplus: Vec<f64>,
+    /// Wall-clock seconds (reported, never judged).
+    pub seconds: f64,
+    /// Evaluation error, if the engine refused or failed the query.
     pub error: Option<String>,
 }
 
-/// Run one (workload, query, algorithm) combination `runs` times with
-/// different seeds and return the per-run records.
-pub fn run_query(
-    config: &HarnessConfig,
-    kind: WorkloadKind,
-    relation_scale: usize,
-    query: usize,
-    algorithm: Algorithm,
-    initial_scenarios: usize,
-    initial_summaries: usize,
-) -> Vec<RunRecord> {
-    spq_sketch::install();
-    let workload = config.build_workload(kind, relation_scale);
-    let mut records = Vec::with_capacity(config.runs);
-    for run in 0..config.runs {
-        let options = config.options(
-            config.seed + 1000 * run as u64 + 1,
-            initial_scenarios,
-            initial_summaries,
-        );
-        let engine = SpqEngine::new(options);
-        let started = std::time::Instant::now();
-        let (result, error): (Option<EvaluationResult>, Option<String>) = {
-            let _span = spq_obs::span("query");
-            match engine.evaluate(&workload.relation, workload.query(query), algorithm) {
-                Ok(r) => (Some(r), None),
-                Err(e) => (None, Some(e.to_string())),
-            }
-        };
-        let seconds = started.elapsed().as_secs_f64();
-        let (feasible, objective, summaries) = match &result {
-            Some(r) => (
-                r.feasible,
-                r.objective(),
-                if algorithm == Algorithm::Naive {
-                    0
-                } else {
-                    r.stats.summaries_used
-                },
+impl Row {
+    /// The worst surplus across the probabilistic constraints.
+    fn min_surplus(&self) -> Option<f64> {
+        self.surplus.iter().copied().reduce(f64::min)
+    }
+
+    fn maximize(&self) -> bool {
+        spec::query_spec(self.workload, self.query).maximize
+    }
+
+    /// True for the rows [`approximation_ratio`] compares this one with.
+    fn same_instance(&self, other: &Row) -> bool {
+        (self.figure, self.workload, self.query, self.n_tuples)
+            == (other.figure, other.workload, other.query, other.n_tuples)
+    }
+
+    /// The row as a JSON object; `ratio` is its approximation ratio.
+    pub fn to_json(&self, ratio: Option<f64>) -> Json {
+        let opt = |v: Option<f64>| v.map(Json::from).unwrap_or(Json::Null);
+        Json::Obj(vec![
+            ("figure".into(), Json::from(self.figure)),
+            ("workload".into(), Json::from(self.workload.to_string())),
+            ("query".into(), Json::from(self.query)),
+            ("algorithm".into(), Json::from(self.algorithm.to_string())),
+            ("run".into(), Json::from(self.run)),
+            ("n_tuples".into(), Json::from(self.n_tuples)),
+            ("m".into(), Json::from(self.m)),
+            ("z".into(), Json::from(self.z)),
+            ("scenarios_used".into(), Json::from(self.scenarios_used)),
+            ("summaries_used".into(), Json::from(self.summaries_used)),
+            ("lp_pivots".into(), Json::from(self.lp_pivots)),
+            ("solver_nodes".into(), Json::from(self.solver_nodes)),
+            ("feasible".into(), Json::from(self.feasible)),
+            ("objective".into(), opt(self.objective)),
+            (
+                "surplus".into(),
+                Json::Arr(self.surplus.iter().map(|&s| Json::from(s)).collect()),
             ),
-            None => (false, None, 0),
-        };
-        let lp_pivots = result.as_ref().map(|r| r.stats.lp_pivots).unwrap_or(0);
-        records.push(RunRecord {
-            workload: kind.to_string(),
-            query,
-            algorithm: algorithm.to_string(),
-            run,
-            scenarios: result.as_ref().map(|r| r.stats.scenarios_used).unwrap_or(0),
-            summaries,
-            n_tuples: workload.relation.len(),
-            seconds,
-            feasible,
-            objective,
-            lp_pivots,
-            error,
-        });
+            ("approx_ratio".into(), opt(ratio)),
+            ("seconds".into(), Json::from(self.seconds)),
+            (
+                "error".into(),
+                self.error.clone().map(Json::from).unwrap_or(Json::Null),
+            ),
+        ])
     }
-    records
 }
 
-/// Aggregate statistics over the runs of one configuration.
-#[derive(Debug, Clone, Serialize)]
-pub struct Aggregate {
-    /// Fraction of runs that produced a validation-feasible package.
-    pub feasibility_rate: f64,
-    /// Mean wall-clock seconds.
-    pub mean_seconds: f64,
-    /// Best objective across runs (maximum; callers flip the sign for
-    /// minimization objectives if they need the true best).
-    pub best_objective: Option<f64>,
-    /// Mean objective across runs that produced a package.
-    pub mean_objective: Option<f64>,
-    /// Mean simplex pivots per run.
-    pub mean_lp_pivots: f64,
-}
-
-/// Aggregate a slice of run records.
-pub fn aggregate(records: &[RunRecord]) -> Aggregate {
-    let n = records.len().max(1) as f64;
-    let feasible = records.iter().filter(|r| r.feasible).count() as f64;
-    let mean_seconds = records.iter().map(|r| r.seconds).sum::<f64>() / n;
-    let mean_lp_pivots = records.iter().map(|r| r.lp_pivots as f64).sum::<f64>() / n;
-    let objectives: Vec<f64> = records.iter().filter_map(|r| r.objective).collect();
-    let mean_objective = if objectives.is_empty() {
-        None
-    } else {
-        Some(objectives.iter().sum::<f64>() / objectives.len() as f64)
-    };
-    let best_objective = objectives
+/// The empirical approximation ratio `1 + ε̂` (§6.1) of a feasible `row`:
+/// its objective against the best *feasible* objective among `rows` on the
+/// same instance (figure, workload, query and size), in the query's
+/// direction. `None` for an infeasible row or one without an objective.
+pub fn approximation_ratio(row: &Row, rows: &[Row]) -> Option<f64> {
+    let objective = row.objective.filter(|_| row.feasible)?;
+    let maximize = row.maximize();
+    let best = rows
         .iter()
-        .cloned()
-        .fold(None, |acc: Option<f64>, v| {
-            Some(acc.map_or(v, |a| a.max(v)))
-        });
-    Aggregate {
-        feasibility_rate: feasible / n,
-        mean_seconds,
-        best_objective,
-        mean_objective,
-        mean_lp_pivots,
+        .filter(|r| r.feasible && r.same_instance(row))
+        .filter_map(|r| r.objective)
+        .reduce(|a, b| if maximize == (b > a) { b } else { a })?;
+    let (gap, base) = if maximize {
+        (best - objective, objective)
+    } else {
+        (objective - best, best)
+    };
+    Some(if gap == 0.0 {
+        1.0
+    } else {
+        1.0 + gap / base.abs()
+    })
+}
+
+/// Run one cell `config.runs` times with different seeds; `z` is `0` for
+/// Naïve.
+fn run_cell(
+    config: &HarnessConfig,
+    figure: usize,
+    workload: &Workload,
+    (query, algorithm, m, z): (usize, Algorithm, usize, usize),
+) -> Vec<Row> {
+    (0..config.runs)
+        .map(|run| {
+            let options = config.options(config.seed + 1000 * run as u64 + 1, m, z.max(1));
+            let started = std::time::Instant::now();
+            let result = {
+                let _span = spq_obs::span("query");
+                let engine = SpqEngine::new(options);
+                engine.evaluate(&workload.relation, workload.query(query), algorithm)
+            };
+            let mut row = Row {
+                figure,
+                workload: workload.kind,
+                query,
+                algorithm,
+                run,
+                n_tuples: workload.relation.len(),
+                m,
+                z,
+                scenarios_used: 0,
+                summaries_used: 0,
+                lp_pivots: 0,
+                solver_nodes: 0,
+                feasible: false,
+                objective: None,
+                surplus: Vec::new(),
+                seconds: started.elapsed().as_secs_f64(),
+                error: None,
+            };
+            match result {
+                Ok(r) => {
+                    row.scenarios_used = r.stats.scenarios_used;
+                    row.summaries_used = r.stats.summaries_used;
+                    row.lp_pivots = r.stats.lp_pivots;
+                    row.solver_nodes = r.stats.solver_nodes;
+                    row.feasible = r.feasible;
+                    row.objective = r.objective();
+                    if let Some(p) = &r.package {
+                        row.surplus = p.validation.constraints.iter().map(|c| c.surplus).collect();
+                    }
+                }
+                Err(e) => row.error = Some(e.to_string()),
+            }
+            row
+        })
+        .collect()
+}
+
+/// Run one figure's grid (see the crate docs) for every query and
+/// algorithm of `config`.
+pub fn run_figure(config: &HarnessConfig, figure: usize) -> Vec<Row> {
+    use WorkloadKind::{Galaxy, Portfolio, Tpch};
+    // (workload, size, M, Z) per cell; the paper's Z is 2 for TPC-H and 1
+    // otherwise (§6.2.1).
+    let cells: Vec<(WorkloadKind, usize, usize, usize)> = match figure {
+        4 | 5 => [Galaxy, Portfolio, Tpch]
+            .into_iter()
+            .flat_map(|k| {
+                let z = if k == Tpch { 2 } else { 1 };
+                M_GRID.iter().map(move |&m| (k, config.scale, m, z))
+            })
+            .collect(),
+        6 => FIG6_Z
+            .iter()
+            .map(|&z| (Portfolio, config.scale, FIG6_M, z))
+            .collect(),
+        7 => match &config.scale_list {
+            Some(sizes) => sizes.iter().map(|&n| (Galaxy, n, FIG7_M, 1)).collect(),
+            None => (1..=5)
+                .map(|f| (Galaxy, f * config.scale, FIG7_M, 1))
+                .collect(),
+        },
+        other => panic!("no figure {other}"),
+    };
+    let mut rows = Vec::new();
+    let mut done = Vec::new();
+    let mut built: Option<(WorkloadKind, usize, Workload)> = None;
+    for (kind, n, m, z) in cells {
+        if !matches!(&built, Some((k, s, _)) if (*k, *s) == (kind, n)) {
+            built = Some((kind, n, config.build_workload(kind, n)));
+        }
+        let workload = &built.as_ref().expect("built above").2;
+        for &q in &config.queries {
+            for &a in &config.algorithms {
+                // Z means nothing to Naive: one cell per M.
+                let cell = (q, a, m, if a == Algorithm::Naive { 0 } else { z.min(m) });
+                if !done.contains(&(kind, n, cell)) {
+                    done.push((kind, n, cell));
+                    rows.extend(run_cell(config, figure, workload, cell));
+                }
+            }
+        }
+    }
+    rows
+}
+
+/// One of the paper's qualitative claims, judged on a figure's rows.
+#[derive(Debug, Clone)]
+pub struct Claim {
+    /// Paper figure (4–7).
+    pub figure: usize,
+    /// The claim, in words.
+    pub statement: &'static str,
+    /// Whether the rows bear it out.
+    pub met: bool,
+    /// The counters the verdict rests on.
+    pub evidence: Json,
+}
+
+impl Claim {
+    /// The claim as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("figure".into(), Json::from(self.figure)),
+            ("claim".into(), Json::from(self.statement)),
+            ("met".into(), Json::from(self.met)),
+            ("evidence".into(), self.evidence.clone()),
+        ])
     }
 }
 
-/// Empirical approximation ratio `1 + ε̂` (Section 6.1): the returned
-/// objective relative to the best feasible objective found by any method on
-/// the same query.
-pub fn approximation_ratio(objective: f64, best: f64, maximize: bool) -> f64 {
-    if best == 0.0 || objective == 0.0 {
-        return 1.0;
+fn mean(values: impl IntoIterator<Item = f64>) -> Option<f64> {
+    let (sum, n) = values
+        .into_iter()
+        .fold((0.0, 0usize), |(s, n), v| (s + v, n + 1));
+    (n > 0).then(|| sum / n as f64)
+}
+
+fn select<'a>(rows: &[&'a Row], keep: impl Fn(&Row) -> bool) -> Vec<&'a Row> {
+    rows.iter().copied().filter(|r| keep(r)).collect()
+}
+
+/// `(x, mean of value)` over `rows` for each distinct `x`, ascending.
+fn curve(
+    rows: &[&Row],
+    x: impl Fn(&Row) -> usize,
+    value: impl Fn(&Row) -> Option<f64>,
+) -> Vec<(usize, Option<f64>)> {
+    let mut xs: Vec<usize> = rows.iter().map(|r| x(r)).collect();
+    xs.sort_unstable();
+    xs.dedup();
+    xs.into_iter()
+        .map(|at| {
+            (
+                at,
+                mean(rows.iter().filter(|r| x(r) == at).filter_map(|r| value(r))),
+            )
+        })
+        .collect()
+}
+
+fn num(value: Option<f64>) -> Json {
+    value.map_or(Json::Null, Json::from)
+}
+
+fn series(points: &[(usize, Option<f64>)]) -> Json {
+    Json::Arr(
+        points
+            .iter()
+            .map(|&(x, v)| Json::Arr(vec![Json::from(x), num(v)]))
+            .collect(),
+    )
+}
+
+/// The first and last values of a curve.
+fn ends(points: &[(usize, Option<f64>)]) -> (Option<f64>, Option<f64>) {
+    (
+        points.first().and_then(|p| p.1),
+        points.last().and_then(|p| p.1),
+    )
+}
+
+fn feasible(r: &Row) -> Option<f64> {
+    Some(f64::from(u8::from(r.feasible)))
+}
+
+/// The smallest `M` at which every run is feasible (`None` when no `M` of
+/// the grid is), and the mean LP pivots spent at it (at the largest `M`
+/// when it is never reached).
+fn reach(rows: &[&Row]) -> (Option<usize>, Option<f64>) {
+    let rate = curve(rows, |r| r.m, feasible);
+    let first = rate.iter().find(|p| p.1 == Some(1.0)).map(|p| p.0);
+    let at = first.or(rate.last().map(|p| p.0));
+    let pivots = rows
+        .iter()
+        .filter(|r| Some(r.m) == at)
+        .map(|r| r.lp_pivots as f64);
+    (first, mean(pivots))
+}
+
+/// Judge the paper's claim for `figure` on its rows, over the queries that
+/// Table 3 marks feasible; `None` when the rows lack Naïve or
+/// SummarySearch, the two algorithms every claim compares.
+pub fn claim(figure: usize, rows: &[Row]) -> Option<Claim> {
+    let rows: Vec<&Row> = rows
+        .iter()
+        .filter(|r| r.figure == figure && spec::query_spec(r.workload, r.query).feasible)
+        .collect();
+    let naive = select(&rows, |r| r.algorithm == Algorithm::Naive);
+    let ss = select(&rows, |r| r.algorithm == Algorithm::SummarySearch);
+    if naive.is_empty() || ss.is_empty() {
+        return None;
     }
-    if maximize {
-        (best / objective).max(1.0)
-    } else {
-        (objective / best).max(1.0)
-    }
+    let pivots = |r: &Row| Some(r.lp_pivots as f64);
+    let (statement, met, evidence) = match figure {
+        4 => {
+            let (n, s) = (
+                curve(&naive, |r| r.m, feasible),
+                curve(&ss, |r| r.m, feasible),
+            );
+            // "Small M": the smallest at which SummarySearch is always
+            // feasible.
+            let small = reach(&ss).0;
+            let naive_there = n.iter().find(|p| Some(p.0) == small).and_then(|p| p.1);
+            let (first, last) = ends(&n);
+            let rises = n.windows(2).all(|w| w[0].1 <= w[1].1) && first < last;
+            (
+                "Naive's feasibility rate rises with M and is < 1 at the smallest M where \
+                 SummarySearch's is 1",
+                rises && naive_there.is_some_and(|r| r < 1.0),
+                vec![
+                    ("naive_rate_by_m", series(&n)),
+                    ("summarysearch_rate_by_m", series(&s)),
+                    (
+                        "smallest_m_summarysearch_always_feasible",
+                        num(small.map(|m| m as f64)),
+                    ),
+                ],
+            )
+        }
+        5 => {
+            let largest = rows.iter().map(|r| r.m).max().unwrap_or(0);
+            let judge = |naive: &[&Row], ss: &[&Row]| {
+                let ((n_m, n_piv), (s_m, s_piv)) = (reach(naive), reach(ss));
+                let fewer_scenarios =
+                    s_m.is_some_and(|s| n_m.map_or(10 * s <= largest, |n| 10 * s <= n));
+                let fewer_pivots =
+                    s_m.is_some() && matches!((s_piv, n_piv), (Some(s), Some(n)) if 10.0 * s <= n);
+                let met = fewer_scenarios || fewer_pivots;
+                let m = |m: Option<usize>| num(m.map(|m| m as f64));
+                let fields = vec![
+                    ("met".into(), Json::from(met)),
+                    ("naive_first_feasible_m".into(), m(n_m)),
+                    ("summarysearch_first_feasible_m".into(), m(s_m)),
+                    ("naive_mean_pivots_there".into(), num(n_piv)),
+                    ("summarysearch_mean_pivots_there".into(), num(s_piv)),
+                ];
+                (met, Json::Obj(fields))
+            };
+            let (met, all) = judge(&naive, &ss);
+            // Per workload too, so a workload that disagrees shows.
+            let mut scopes = vec![("all".to_string(), all)];
+            for kind in [
+                WorkloadKind::Galaxy,
+                WorkloadKind::Portfolio,
+                WorkloadKind::Tpch,
+            ] {
+                let only = |r: &Row| r.workload == kind;
+                let (_, json) = judge(&select(&naive, only), &select(&ss, only));
+                scopes.push((kind.to_string(), json));
+            }
+            (
+                "SummarySearch reaches feasibility with >= 10x fewer scenarios or LP pivots \
+                 (Naive never feasible on the grid: more than its largest M, pivots at it)",
+                met,
+                vec![
+                    ("largest_m", Json::from(largest)),
+                    ("by_workload", Json::Obj(scopes)),
+                ],
+            )
+        }
+        6 => {
+            // Objectives in the maximizing direction, so "improves" is ">".
+            let signed = |r: &Row| r.objective.map(|o| if r.maximize() { o } else { -o });
+            let objective = curve(&ss, |r| r.z, signed);
+            let surplus = curve(&ss, |r| r.z, Row::min_surplus);
+            let ((o0, o1), (s0, s1)) = (ends(&objective), ends(&surplus));
+            (
+                "SummarySearch's objective improves and its surplus falls from the smallest to \
+                 the largest Z",
+                objective.len() > 1 && o0 < o1 && o0.is_some() && s1 < s0 && s1.is_some(),
+                vec![
+                    ("objective_by_z_maximizing_sign", series(&objective)),
+                    ("min_surplus_by_z", series(&surplus)),
+                ],
+            )
+        }
+        7 => {
+            let (n, s) = (
+                curve(&naive, |r| r.n_tuples, pivots),
+                curve(&ss, |r| r.n_tuples, pivots),
+            );
+            let rise = |c: &[(usize, Option<f64>)]| match ends(c) {
+                (Some(a), Some(b)) if c.len() > 1 => Some(b - a),
+                _ => None,
+            };
+            let (rn, rs) = (rise(&n), rise(&s));
+            (
+                "SummarySearch's LP pivots grow by less than Naive's from the smallest to the \
+                 largest N",
+                matches!((rs, rn), (Some(s), Some(n)) if s < n),
+                vec![
+                    ("naive_mean_pivots_by_n", series(&n)),
+                    ("summarysearch_mean_pivots_by_n", series(&s)),
+                    (
+                        "naive_rate_by_n",
+                        series(&curve(&naive, |r| r.n_tuples, feasible)),
+                    ),
+                    (
+                        "summarysearch_rate_by_n",
+                        series(&curve(&ss, |r| r.n_tuples, feasible)),
+                    ),
+                    (
+                        "naive_runs_at_node_budget",
+                        Json::from(naive.iter().filter(|r| r.solver_nodes >= MAX_NODES).count()),
+                    ),
+                ],
+            )
+        }
+        other => panic!("no figure {other}"),
+    };
+    Some(Claim {
+        figure,
+        statement,
+        met,
+        evidence: Json::Obj(
+            evidence
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        ),
+    })
 }
 
 /// Flush the trace ring buffers to the file configured via `--trace` /
-/// `SPQ_TRACE` (no-op when tracing is off). Harness binaries call this once
-/// just before exiting; the path is echoed on stderr so batch runs can find
-/// their traces.
+/// `SPQ_TRACE` (no-op when tracing is off), echoing the path on stderr.
 pub fn finish_trace() {
     if let Some(path) = spq_obs::trace::finish() {
         eprintln!("# trace written to {}", path.display());
-    }
-}
-
-/// Print a table header followed by rows, TSV style.
-pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
-    println!("{}", header.join("\t"));
-    for row in rows {
-        println!("{}", row.join("\t"));
     }
 }
 
@@ -471,65 +737,65 @@ pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
 mod tests {
     use super::*;
 
-    #[test]
-    fn aggregate_computes_rates_and_means() {
-        let mk = |feasible: bool, seconds: f64, objective: f64| RunRecord {
-            workload: "Galaxy".into(),
+    fn row(algorithm: Algorithm, feasible: bool, objective: f64) -> Row {
+        Row {
+            figure: 7,
+            workload: WorkloadKind::Galaxy,
             query: 1,
-            algorithm: "Naive".into(),
+            algorithm,
             run: 0,
-            scenarios: 10,
-            summaries: 0,
             n_tuples: 100,
-            seconds,
+            m: 20,
+            z: 1,
+            scenarios_used: 20,
+            summaries_used: 1,
+            lp_pivots: 100,
+            solver_nodes: 1,
             feasible,
             objective: Some(objective),
-            lp_pivots: 100,
+            surplus: vec![0.01],
+            seconds: 0.0,
             error: None,
-        };
-        let agg = aggregate(&[mk(true, 1.0, 50.0), mk(false, 3.0, 40.0)]);
-        assert!((agg.feasibility_rate - 0.5).abs() < 1e-12);
-        assert!((agg.mean_seconds - 2.0).abs() < 1e-12);
-        assert_eq!(agg.best_objective, Some(50.0));
-        assert_eq!(agg.mean_objective, Some(45.0));
-        assert!((agg.mean_lp_pivots - 100.0).abs() < 1e-12);
+        }
     }
 
     #[test]
-    fn approximation_ratio_is_at_least_one() {
-        assert!((approximation_ratio(50.0, 45.0, false) - 50.0 / 45.0).abs() < 1e-12);
-        assert!((approximation_ratio(45.0, 50.0, true) - 50.0 / 45.0).abs() < 1e-12);
-        assert_eq!(approximation_ratio(50.0, 55.0, false), 1.0);
-        assert_eq!(approximation_ratio(0.0, 10.0, true), 1.0);
+    fn approximation_ratio_minimizes_against_the_smallest_feasible_objective() {
+        // Galaxy minimizes: the best is the smallest objective, not the
+        // largest.
+        let rows = [
+            row(Algorithm::Naive, true, 50.0),
+            row(Algorithm::SummarySearch, true, 40.0),
+        ];
+        assert_eq!(approximation_ratio(&rows[1], &rows), Some(1.0));
+        assert!((approximation_ratio(&rows[0], &rows).unwrap() - 50.0 / 40.0).abs() < 1e-12);
     }
 
     #[test]
-    fn algorithm_lists_parse_with_flexible_spellings() {
-        assert_eq!(
-            parse_algorithms("naive, summary-search,sketchrefine"),
-            vec![
-                Algorithm::Naive,
-                Algorithm::SummarySearch,
-                Algorithm::SketchRefine
-            ]
-        );
-        // Unknown entries are dropped, not fatal.
-        assert_eq!(parse_algorithms("cplex,naive"), vec![Algorithm::Naive]);
-        assert!(parse_algorithms("").is_empty());
+    fn approximation_ratio_maximizes_against_the_largest_feasible_objective() {
+        let mut rows = [
+            row(Algorithm::Naive, true, 45.0),
+            row(Algorithm::SummarySearch, true, 50.0),
+        ];
+        for r in &mut rows {
+            r.workload = WorkloadKind::Portfolio;
+        }
+        assert_eq!(approximation_ratio(&rows[1], &rows), Some(1.0));
+        assert!((approximation_ratio(&rows[0], &rows).unwrap() - 50.0 / 45.0).abs() < 1e-12);
     }
 
     #[test]
-    fn default_config_covers_all_queries() {
-        let c = HarnessConfig::default();
-        assert_eq!(c.queries, (1..=8).collect::<Vec<_>>());
-        assert_eq!(
-            c.algorithms,
-            vec![Algorithm::Naive, Algorithm::SummarySearch]
-        );
-        let o = c.options(1, 20, 2);
-        assert_eq!(o.initial_scenarios, 20);
-        assert_eq!(o.initial_summaries, 2);
-        assert_eq!(o.validation_scenarios, 2000);
+    fn approximation_ratio_ignores_infeasible_runs() {
+        // The infeasible run's objective beats both feasible ones, but it is
+        // neither the reference nor given a ratio of its own.
+        let rows = [
+            row(Algorithm::Naive, false, 10.0),
+            row(Algorithm::SummarySearch, true, 40.0),
+            row(Algorithm::SummarySearch, true, 60.0),
+        ];
+        assert_eq!(approximation_ratio(&rows[0], &rows), None);
+        assert_eq!(approximation_ratio(&rows[1], &rows), Some(1.0));
+        assert!((approximation_ratio(&rows[2], &rows).unwrap() - 1.5).abs() < 1e-12);
     }
 
     #[test]
@@ -542,13 +808,17 @@ mod tests {
             (&["--scale", "abc"], "--scale"),
             (&["--runs"], "--runs"),
             (&["--queries", "1,9"], "--queries"),
+            (&["--figure", "3"], "--figure"),
             (&["--scale-list", "10,x"], "--scale-list"),
             (&["--algorithms", "naive,cplex"], "--algorithms"),
+            (&["--algorithm", "naive"], "--algorithm"),
         ] {
             let err = parse(args).unwrap_err();
             assert!(err.contains(flag), "{args:?}: `{err}` should name {flag}");
         }
         let ok = parse(&[
+            "--figure",
+            "5",
             "--runs",
             "2",
             "--queries",
@@ -556,37 +826,18 @@ mod tests {
             "--scale-list",
             "10,20",
             "--out",
-            "report.json",
+            "r.json",
         ])
         .unwrap();
+        assert_eq!(ok.figures, [5]);
         assert_eq!(ok.runs, 2);
         assert_eq!(ok.queries, [1, 3]);
         assert_eq!(ok.scale_list, Some(vec![10, 20]));
-        assert_eq!(ok.out.as_deref(), Some("report.json"));
-        assert!(ok.was_set("--runs") && ok.was_set("--out"));
-        assert!(!ok.was_set("--scale"));
-    }
-
-    #[test]
-    fn a_small_run_produces_records() {
-        let config = HarnessConfig {
-            runs: 1,
-            scale: 40,
-            validation: 300,
-            time_limit: Duration::from_secs(20),
-            ..Default::default()
-        };
-        let records = run_query(
-            &config,
-            WorkloadKind::Galaxy,
-            40,
-            3,
-            Algorithm::SummarySearch,
-            10,
-            1,
+        assert_eq!(ok.out, "r.json");
+        let o = ok.options(1, 20, 2);
+        assert_eq!(
+            (o.initial_scenarios, o.max_scenarios, o.initial_summaries),
+            (20, 20, 2)
         );
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].query, 3);
-        assert!(records[0].seconds >= 0.0);
     }
 }

@@ -1,4 +1,4 @@
-//! CLI pins for the harness binaries' shared argument parsing.
+//! CLI pins for the `paper` driver's argument parsing.
 //!
 //! An unknown flag or a value that does not parse used to be skipped, and
 //! the run went ahead at the defaults with exit code 0 — benchmarking a
@@ -11,7 +11,9 @@
 use std::process::{Command, Output};
 
 /// Flags that keep an accepted run short.
-const SMALL: [&str; 10] = [
+const SMALL: [&str; 12] = [
+    "--figure",
+    "7",
     "--scale-list",
     "10",
     "--runs",
@@ -24,16 +26,21 @@ const SMALL: [&str; 10] = [
     "5",
 ];
 
-fn fig7(extra: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_fig7_scaling"))
+fn paper(extra: &[&str]) -> Output {
+    let out = std::env::temp_dir().join(format!("spq_cli_{}.json", std::process::id()));
+    let output = Command::new(env!("CARGO_BIN_EXE_paper"))
         .args(extra)
         .args(SMALL)
+        .arg("--out")
+        .arg(&out)
         .output()
-        .expect("harness binary runs")
+        .expect("driver runs");
+    let _ = std::fs::remove_file(&out);
+    output
 }
 
 fn assert_rejected(extra: &[&str], flag: &str) {
-    let out = fig7(extra);
+    let out = paper(extra);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{extra:?}: stderr {stderr}");
     assert!(stderr.contains(flag), "{extra:?}: stderr {stderr}");
@@ -57,7 +64,7 @@ fn unparsable_value_fails_fast() {
 
 #[test]
 fn small_run_flags_are_accepted() {
-    let out = fig7(&[]);
+    let out = paper(&[]);
     assert!(
         out.status.success(),
         "stderr: {}",

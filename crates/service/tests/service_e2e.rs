@@ -1,8 +1,8 @@
 //! End-to-end tests of spqd over real TCP connections.
 //!
 //! Covers the acceptance criteria of the service subsystem:
-//! * N concurrent clients over one shared relation produce **bit-identical**
-//!   packages to a serial evaluation of the same requests;
+//! * 8 and 64 concurrent clients over one shared relation produce
+//!   **bit-identical** packages to a serial evaluation of the same requests;
 //! * a `cancel` op interrupts a solve mid-flight (the pivot-loop checkpoint)
 //!   and answers promptly — and a *disconnect* does the same without any op;
 //! * admission control rejects requests once the bounded queue is full;
@@ -112,71 +112,76 @@ fn concurrent_clients_get_bit_identical_packages() {
         })
         .collect();
 
-    // Concurrent run: 8 clients, each sending both queries, against one
-    // shared service.
-    let service = Arc::new(SpqService::new(test_service_config()));
-    service.register_relation("portfolio", workload.relation.clone());
-    let server = SpqServer::start(
-        service.clone(),
-        "127.0.0.1:0",
-        ServerConfig {
-            workers: 8,
-            queue_capacity: 64,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("server starts");
-    let addr = server.local_addr();
+    // Concurrent runs at 8 and 64 clients, each client sending both
+    // queries, against one shared service per level.
+    for clients in [8, 64] {
+        let service = Arc::new(SpqService::new(test_service_config()));
+        service.register_relation("portfolio", workload.relation.clone());
+        let server = SpqServer::start(
+            service.clone(),
+            "127.0.0.1:0",
+            ServerConfig {
+                workers: 8,
+                // Every client pipelines both queries.
+                queue_capacity: 2 * clients + 8,
+                max_connections: clients + 16,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("server starts");
+        let addr = server.local_addr();
 
-    std::thread::scope(|scope| {
-        for client_id in 0..8 {
-            let queries = queries.clone();
-            type PackageAndObjective = (Vec<(usize, u32)>, Option<f64>);
-            let reference: Vec<PackageAndObjective> = reference
-                .iter()
-                .map(|r| (r.package.clone(), r.objective))
-                .collect();
-            scope.spawn(move || {
-                let mut client = Client::connect(addr);
-                // Pipeline both queries, then collect both responses.
-                for (i, q) in queries.iter().enumerate() {
-                    let request = portfolio_request(&format!("c{client_id}-q{i}"), q);
-                    client.send(&Request::Query(request).to_line());
-                }
-                // Responses come back in completion order, not send order.
-                let responses = client.recv_responses(queries.len());
-                for (i, (expected_package, expected_objective)) in reference.iter().enumerate() {
-                    let response = &responses[&format!("c{client_id}-q{i}")];
-                    assert_eq!(
-                        response.status,
-                        QueryStatus::Ok,
-                        "client {client_id} query {i}: {:?}",
-                        response.error
-                    );
-                    assert_eq!(
-                        &response.package, expected_package,
-                        "client {client_id} query {i}: package differs from serial run"
-                    );
-                    assert_eq!(
-                        &response.objective, expected_objective,
-                        "client {client_id} query {i}: objective differs from serial run"
-                    );
-                }
-            });
-        }
-    });
+        std::thread::scope(|scope| {
+            for client_id in 0..clients {
+                let queries = queries.clone();
+                type PackageAndObjective = (Vec<(usize, u32)>, Option<f64>);
+                let reference: Vec<PackageAndObjective> = reference
+                    .iter()
+                    .map(|r| (r.package.clone(), r.objective))
+                    .collect();
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr);
+                    // Pipeline both queries, then collect both responses.
+                    for (i, q) in queries.iter().enumerate() {
+                        let request = portfolio_request(&format!("c{client_id}-q{i}"), q);
+                        client.send(&Request::Query(request).to_line());
+                    }
+                    // Responses come back in completion order, not send order.
+                    let responses = client.recv_responses(queries.len());
+                    for (i, (expected_package, expected_objective)) in reference.iter().enumerate()
+                    {
+                        let response = &responses[&format!("c{client_id}-q{i}")];
+                        assert_eq!(
+                            response.status,
+                            QueryStatus::Ok,
+                            "client {client_id} query {i}: {:?}",
+                            response.error
+                        );
+                        assert_eq!(
+                            &response.package, expected_package,
+                            "client {client_id} query {i}: package differs from serial run"
+                        );
+                        assert_eq!(
+                            &response.objective, expected_objective,
+                            "client {client_id} query {i}: objective differs from serial run"
+                        );
+                    }
+                });
+            }
+        });
 
-    // The caches did real sharing: 8 clients × 2 queries ran exactly two
-    // solves — the single-flight result cache answered the other fourteen
-    // requests bit-identically.
-    assert_eq!(service.result_cache().misses(), 2);
-    assert_eq!(service.result_cache().hits(), 14);
-    assert_eq!(service.prepared_cache().misses(), 2);
-    assert!(
-        service.scenario_cache().hits() > 0,
-        "concurrent solves must share scenario blocks"
-    );
-    server.shutdown();
+        // The caches did real sharing: `clients` × 2 queries ran exactly two
+        // solves — the single-flight result cache answered every other request
+        // bit-identically.
+        assert_eq!(service.result_cache().misses(), 2);
+        assert_eq!(service.result_cache().hits(), 2 * clients as u64 - 2);
+        assert_eq!(service.prepared_cache().misses(), 2);
+        assert!(
+            service.scenario_cache().hits() > 0,
+            "concurrent solves must share scenario blocks"
+        );
+        server.shutdown();
+    }
 }
 
 /// A relation whose very first Naïve MILP runs for tens of seconds — the

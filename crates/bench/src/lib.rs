@@ -32,8 +32,6 @@ use spq_service::json::Json;
 use spq_workloads::{build_workload, build_workload_with, spec, Workload, WorkloadKind};
 use std::time::Duration;
 
-pub mod legacy;
-
 /// Figures 4 and 5's grid of optimization-scenario counts `M`.
 pub const M_GRID: &[usize] = &[5, 10, 20, 40];
 /// Figure 6's fixed `M`.

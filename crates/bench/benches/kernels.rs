@@ -78,8 +78,8 @@ fn bench_formulation_size(c: &mut Criterion) {
 
 /// The LP kernel on a scenario-constraint MILP (the SAA of a Portfolio
 /// query): the revised simplex prices only the constraint nonzeros — this
-/// is the kernel behind the end-to-end times of
-/// `fig7_scaling`/`fig_sketch_scaling`.
+/// is the kernel behind Naïve's LP pivots in the `paper` driver's rows and
+/// the `perf_ledger`'s `solver.*` rows.
 fn bench_lp_kernel(c: &mut Criterion) {
     let workload = build_workload(WorkloadKind::Portfolio, 120, 9);
     let engine = SpqEngine::new(SpqOptions::for_tests());

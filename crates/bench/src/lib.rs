@@ -832,10 +832,55 @@ mod tests {
         assert_eq!(ok.queries, [1, 3]);
         assert_eq!(ok.scale_list, Some(vec![10, 20]));
         assert_eq!(ok.out, "r.json");
-        let o = ok.options(1, 20, 2);
+    }
+
+    #[test]
+    fn algorithm_lists_parse_with_flexible_spellings() {
+        let config = HarnessConfig::parse(
+            ["--algorithms", "naive, summary-search,sketchrefine"].map(String::from),
+        )
+        .unwrap();
         assert_eq!(
-            (o.initial_scenarios, o.max_scenarios, o.initial_summaries),
-            (20, 20, 2)
+            config.algorithms,
+            [
+                Algorithm::Naive,
+                Algorithm::SummarySearch,
+                Algorithm::SketchRefine
+            ]
         );
+    }
+
+    #[test]
+    fn default_config_covers_all_queries() {
+        let c = HarnessConfig::default();
+        assert_eq!(c.figures, [4, 5, 6, 7]);
+        assert_eq!(c.queries, (1..=8).collect::<Vec<_>>());
+        assert_eq!(c.algorithms, [Algorithm::Naive, Algorithm::SummarySearch]);
+        // Every run stays at exactly its M.
+        let o = c.options(1, 20, 2);
+        assert_eq!((o.initial_scenarios, o.max_scenarios), (20, 20));
+        assert_eq!(o.initial_summaries, 2);
+        assert_eq!(o.validation_scenarios, 2000);
+        assert_eq!(o.solver.max_nodes, MAX_NODES);
+    }
+
+    #[test]
+    fn a_small_run_produces_records() {
+        let config = HarnessConfig {
+            runs: 1,
+            validation: 300,
+            queries: vec![3],
+            algorithms: vec![Algorithm::SummarySearch],
+            scale_list: Some(vec![40]),
+            ..Default::default()
+        };
+        let rows = run_figure(&config, 7);
+        assert_eq!(rows.len(), 1);
+        assert_eq!(
+            (rows[0].query, rows[0].n_tuples, rows[0].m),
+            (3, 40, FIG7_M)
+        );
+        assert_eq!(rows[0].scenarios_used, FIG7_M);
+        assert!(rows[0].error.is_none() && rows[0].seconds >= 0.0);
     }
 }

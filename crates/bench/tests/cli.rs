@@ -9,6 +9,7 @@
 //! use).
 
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Flags that keep an accepted run short.
 const SMALL: [&str; 12] = [
@@ -27,7 +28,10 @@ const SMALL: [&str; 12] = [
 ];
 
 fn paper(extra: &[&str]) -> Output {
-    let out = std::env::temp_dir().join(format!("spq_cli_{}.json", std::process::id()));
+    // One report path per call: the tests run on parallel threads.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let out = std::env::temp_dir().join(format!("spq_cli_{}_{call}.json", std::process::id()));
     let output = Command::new(env!("CARGO_BIN_EXE_paper"))
         .args(extra)
         .args(SMALL)

@@ -1,15 +1,15 @@
 //! Criterion micro-benchmarks of the system's kernels: scenario generation,
 //! summary construction, SAA vs CSA formulation, and the MILP solver.
 //!
-//! These complement the figure harness binaries: they measure the building
-//! blocks whose costs explain the end-to-end shapes (the SAA formulation and
-//! solve dominating Naïve, summary construction being cheap for
-//! SummarySearch).
+//! These complement the `paper` driver's end-to-end figures: they measure
+//! the building blocks whose costs explain the end-to-end shapes (the SAA
+//! formulation and solve dominating Naïve, summary construction being cheap
+//! for SummarySearch).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use spq_core::csa_solve::realize_matrices;
 use spq_core::saa::formulate_saa;
 use spq_core::summary::{build_summaries, partition_scenarios, SummarySpec};
+use spq_core::summary_search::realize_matrices;
 use spq_core::{Instance, SpqEngine, SpqOptions};
 use spq_mcdb::ScenarioGenerator;
 use spq_solver::{solve_full, Sense, SolverOptions};

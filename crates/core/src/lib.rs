@@ -17,8 +17,9 @@
 //!    * [`summary_search`] — Algorithm 2, the paper's SummarySearch, which
 //!      replaces the `M` scenarios of the SAA with `Z ≪ M` conservative
 //!      *α-summaries* ([`summary`]), searches for minimally conservative
-//!      summaries with CSA-Solve ([`csa_solve`], [`alpha`]), and certifies
-//!      `(1 + ε)`-approximation via the bounds of [`bounds`];
+//!      summaries with CSA-Solve (Algorithm 3, in the same module, with the
+//!      α search of [`alpha`]), and certifies `(1 + ε)`-approximation via
+//!      the bounds of [`bounds`];
 //!    * [`Algorithm::SketchRefine`] — partition–sketch–refine evaluation for
 //!      very large relations, provided by the separate `spq-sketch` crate
 //!      and dispatched through [`register_sketch_refine`].
@@ -53,7 +54,6 @@
 
 pub mod alpha;
 pub mod bounds;
-pub mod csa_solve;
 pub mod engine;
 pub mod error;
 pub mod instance;

@@ -8,20 +8,11 @@
 //! exactly what makes it slow or infeasible for large `M` (Section 3).
 
 use crate::instance::Instance;
-use crate::package::{EvaluationResult, EvaluationStats, Package};
+use crate::package::{keep_best, EvaluationResult, EvaluationStats, Package};
 use crate::saa::formulate_saa;
-use crate::silp::Direction;
-use crate::validation::validate_with;
+use crate::validation::validate_candidate;
 use crate::Result;
-use spq_solver::solve_full;
 use std::time::Instant;
-
-fn better(direction: Direction, candidate: f64, incumbent: f64) -> bool {
-    match direction {
-        Direction::Minimize => candidate < incumbent,
-        Direction::Maximize => candidate > incumbent,
-    }
-}
 
 /// Evaluate a stochastic package query with the Naïve algorithm.
 pub fn evaluate_naive(instance: &Instance<'_>) -> Result<EvaluationResult> {
@@ -32,7 +23,6 @@ pub fn evaluate_naive(instance: &Instance<'_>) -> Result<EvaluationResult> {
     let mut stats = EvaluationStats::default();
     let mut m = opts.initial_scenarios.max(1);
     let mut best: Option<Package> = None;
-    let mut best_feasible = false;
     // Basis carried across M escalations. The SAA's shape changes with M
     // (one indicator per scenario), so the solver usually restarts cold —
     // but threading the basis is free and pays off whenever M repeats.
@@ -53,64 +43,19 @@ pub fn evaluate_naive(instance: &Instance<'_>) -> Result<EvaluationResult> {
             let _span = spq_obs::span("formulate");
             formulate_saa(instance, m)?
         };
-        stats.max_problem_coefficients = stats
-            .max_problem_coefficients
-            .max(formulation.num_coefficients());
-        let mut solver_opts = opts.solver.clone();
-        // Clone rather than move so the incumbent basis survives solves
-        // that return none (e.g. a time-limited root relaxation).
-        solver_opts.warm_start = basis.clone();
-        let res = {
-            let _span = spq_obs::span("milp");
-            solve_full(&formulation.model, &solver_opts)?
-        };
-        stats.problems_solved += 1;
-        stats.solver_nodes += res.nodes;
-        stats.lp_pivots += res.lp_iterations;
-        if res.basis.is_some() {
-            basis = res.basis;
-        }
+        let (_, solution) = formulation.solve(&opts.solver, &mut basis, &mut stats)?;
 
-        if let Some(solution) = res.solution {
-            let x = formulation.multiplicities(&solution);
+        if let Some(x) = solution {
             // Validation phase: adaptive early stop rejects hopeless
-            // candidates after a few stages; a candidate that would
-            // terminate the loop is confirmed against the full M̂ budget
-            // first, so the reported package never rests on an
-            // early-stopped estimate.
-            let mut report = validate_with(instance, &x, &opts.search_validation())?;
-            stats.validations += 1;
-            stats.validation_scenarios += report.scenarios_used;
-            if report.interrupted && !opts.deadline.is_cancelled() {
-                // The wall-clock budget expired mid-validation; this is the
-                // last candidate (the loop breaks at the top next pass), so
-                // give it its certificate with one deadline-exempt pass
-                // instead of reporting it unvalidated.
-                report = validate_with(instance, &x, &opts.certificate_validation())?;
-                stats.validations += 1;
-                stats.validation_scenarios += report.scenarios_used;
-            } else if report.feasible && report.early_stopped {
-                // A feasible confirm ends the loop, so this is the answer's
-                // certificate: deadline-exempt (one bounded pass), lest a
-                // deadline firing mid-confirm ship a partial report.
-                report = validate_with(instance, &x, &opts.certificate_validation())?;
-                stats.validations += 1;
-                stats.validation_scenarios += report.scenarios_used;
-            }
-            let package = Package::from_dense(&x, &instance.silp.tuples, report.clone());
-            let replace = match &best {
-                None => true,
-                Some(b) => {
-                    (report.feasible && !best_feasible)
-                        || (report.feasible == best_feasible
-                            && better(direction, package.objective_estimate, b.objective_estimate))
-                }
-            };
-            if replace {
-                best_feasible = report.feasible;
-                best = Some(package);
-            }
-            if report.feasible {
+            // candidates after a few stages; a feasible candidate ends the
+            // loop, so it is certified against the full M̂ budget.
+            let (report, passes) =
+                validate_candidate(instance, &x, &mut stats, |r| Ok(r.feasible))?;
+            stats.validations += passes;
+            let package = Package::from_dense(&x, &instance.silp.tuples, report);
+            let feasible = package.is_feasible();
+            keep_best(&mut best, package, direction);
+            if feasible {
                 break;
             }
         }
@@ -126,7 +71,7 @@ pub fn evaluate_naive(instance: &Instance<'_>) -> Result<EvaluationResult> {
     stats.wall_time = start.elapsed();
     stats.summaries_used = 0;
     Ok(EvaluationResult {
-        feasible: best_feasible,
+        feasible: best.as_ref().is_some_and(Package::is_feasible),
         package: best,
         stats,
         final_basis: basis,
@@ -137,7 +82,9 @@ pub fn evaluate_naive(instance: &Instance<'_>) -> Result<EvaluationResult> {
 mod tests {
     use super::*;
     use crate::options::SpqOptions;
-    use crate::silp::{CoeffSource, ConstraintKind, Silp, SilpConstraint, SilpObjective};
+    use crate::silp::{
+        CoeffSource, ConstraintKind, Direction, Silp, SilpConstraint, SilpObjective,
+    };
     use spq_mcdb::vg::NormalNoise;
     use spq_mcdb::{Relation, RelationBuilder};
     use spq_solver::Sense;

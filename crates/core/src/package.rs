@@ -1,5 +1,6 @@
 //! Package results: the answer to a stochastic package query.
 
+use crate::silp::Direction;
 use crate::validation::ValidationReport;
 use serde::{Deserialize, Serialize};
 use spq_mcdb::Relation;
@@ -112,7 +113,12 @@ pub struct EvaluationStats {
     pub outer_iterations: usize,
     /// Number of DILPs solved (including CSA-Solve inner iterations).
     pub problems_solved: usize,
-    /// Number of validation passes.
+    /// Validation work, counted per algorithm: Naïve counts validation
+    /// passes (a search pass plus any certificate pass); SummarySearch
+    /// counts CSA-Solve iterations — including iterations that end on a
+    /// failed solve or a detected cycle without any pass, and excluding
+    /// certificate passes; SketchRefine adds its sketch's and refine steps'
+    /// counts plus one for its final certificate.
     pub validations: usize,
     /// Total out-of-sample scenarios evaluated across those passes (adaptive
     /// early stopping makes this visibly smaller than
@@ -127,6 +133,40 @@ pub struct EvaluationStats {
     /// Number of coefficients of the largest DILP formulated (the paper's
     /// problem-size measure).
     pub max_problem_coefficients: usize,
+}
+
+impl EvaluationStats {
+    /// Add a sub-evaluation's work counters (solves, validations, nodes,
+    /// pivots) into `self` and keep the larger problem size. The final `M`
+    /// and `Z`, the outer iterations and the wall time are left to the
+    /// caller.
+    pub fn absorb(&mut self, from: &EvaluationStats) {
+        self.problems_solved += from.problems_solved;
+        self.validations += from.validations;
+        self.validation_scenarios += from.validation_scenarios;
+        self.solver_nodes += from.solver_nodes;
+        self.lp_pivots += from.lp_pivots;
+        self.max_problem_coefficients = self
+            .max_problem_coefficients
+            .max(from.max_problem_coefficients);
+    }
+}
+
+/// The keep-best rule of the Naïve and SummarySearch outer loops: a
+/// feasible candidate displaces an infeasible incumbent, and between equally
+/// feasible packages the strictly better objective estimate wins.
+pub(crate) fn keep_best(best: &mut Option<Package>, candidate: Package, direction: Direction) {
+    let replace = match best {
+        None => true,
+        Some(b) => {
+            (candidate.is_feasible() && !b.is_feasible())
+                || (candidate.is_feasible() == b.is_feasible()
+                    && direction.better(candidate.objective_estimate, b.objective_estimate))
+        }
+    };
+    if replace {
+        *best = Some(candidate);
+    }
 }
 
 /// The outcome of evaluating a stochastic package query with one algorithm.

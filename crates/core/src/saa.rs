@@ -16,9 +16,10 @@
 //!   minimizes) the fraction of satisfied rows.
 
 use crate::instance::Instance;
+use crate::package::EvaluationStats;
 use crate::silp::{ConstraintKind, SilpObjective};
 use crate::Result;
-use spq_solver::{Model, Sense, VarId, VarType};
+use spq_solver::{solve_full, Basis, Model, Sense, SolveStatus, SolverOptions, VarId, VarType};
 
 /// The realized rows approximating one probabilistic constraint.
 #[derive(Debug, Clone)]
@@ -81,6 +82,34 @@ impl Formulation {
     /// Number of coefficients in the model (the paper's size measure).
     pub fn num_coefficients(&self) -> usize {
         self.model.num_coefficients()
+    }
+
+    /// Solve the model warm-started from `basis` and count the solve into
+    /// `stats` (one problem, its nodes and pivots, and its size). `basis` is
+    /// refreshed only when the solve returns one, so the incumbent survives
+    /// a solve that stops before its root relaxation is optimal. Returns the
+    /// solver status and the multiplicities of the solution, if any.
+    pub fn solve(
+        &self,
+        solver: &SolverOptions,
+        basis: &mut Option<Basis>,
+        stats: &mut EvaluationStats,
+    ) -> Result<(SolveStatus, Option<Vec<f64>>)> {
+        stats.max_problem_coefficients =
+            stats.max_problem_coefficients.max(self.num_coefficients());
+        let mut solver = solver.clone();
+        solver.warm_start = basis.clone();
+        let res = {
+            let _span = spq_obs::span("milp");
+            solve_full(&self.model, &solver)?
+        };
+        stats.problems_solved += 1;
+        stats.solver_nodes += res.nodes;
+        stats.lp_pivots += res.lp_iterations;
+        if res.basis.is_some() {
+            *basis = res.basis;
+        }
+        Ok((res.status, res.solution.map(|s| self.multiplicities(&s))))
     }
 }
 

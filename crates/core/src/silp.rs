@@ -108,6 +108,15 @@ impl Direction {
             Direction::Maximize => -1.0,
         }
     }
+
+    /// True when `candidate` is strictly better than `incumbent` in this
+    /// direction (ties are not better).
+    pub fn better(self, candidate: f64, incumbent: f64) -> bool {
+        match self {
+            Direction::Minimize => candidate < incumbent,
+            Direction::Maximize => candidate > incumbent,
+        }
+    }
 }
 
 /// The SILP objective.
@@ -314,6 +323,9 @@ mod tests {
     fn direction_helpers() {
         assert_eq!(Direction::Minimize.sign(), 1.0);
         assert_eq!(Direction::Maximize.sign(), -1.0);
+        assert!(Direction::Minimize.better(1.0, 2.0));
+        assert!(Direction::Maximize.better(2.0, 1.0));
+        assert!(!Direction::Maximize.better(1.0, 1.0));
         assert_eq!(
             Direction::Maximize.to_solver(),
             spq_solver::Direction::Maximize

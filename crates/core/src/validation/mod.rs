@@ -51,6 +51,7 @@ mod engine;
 
 use crate::error::SpqError;
 use crate::instance::Instance;
+use crate::package::EvaluationStats;
 use crate::silp::{CoeffSource, SilpObjective};
 use crate::Result;
 use serde::{Deserialize, Serialize};
@@ -329,6 +330,35 @@ pub fn validate_with(
         early_stopped: scan.early_stopped,
         interrupted: scan.interrupted,
     })
+}
+
+/// Validate a search candidate: one adaptive search pass, then one
+/// deadline-exempt certificate pass if the search pass was interrupted and
+/// the query was not cancelled (the candidate is the search's last, so it
+/// gets its certificate now) or, else, if the pass stopped early and
+/// `accept` takes the candidate as the answer (so the answer never rests
+/// on an early-stopped estimate). `accept` runs only in that second case.
+///
+/// Every pass's scenarios are added to `stats.validation_scenarios`; the
+/// final report is returned with the number of passes run, which the
+/// caller counts into `stats.validations` as its accounting requires.
+pub(crate) fn validate_candidate(
+    instance: &Instance<'_>,
+    x: &[f64],
+    stats: &mut EvaluationStats,
+    accept: impl FnOnce(&ValidationReport) -> Result<bool>,
+) -> Result<(ValidationReport, usize)> {
+    let opts = &instance.options;
+    let report = validate_with(instance, x, &opts.search_validation())?;
+    stats.validation_scenarios += report.scenarios_used;
+    if !((report.interrupted && !opts.deadline.is_cancelled())
+        || (report.early_stopped && accept(&report)?))
+    {
+        return Ok((report, 1));
+    }
+    let certificate = validate_with(instance, x, &opts.certificate_validation())?;
+    stats.validation_scenarios += certificate.scenarios_used;
+    Ok((certificate, 2))
 }
 
 #[cfg(test)]

@@ -26,7 +26,6 @@
 
 use crate::hierarchy::{partition_hierarchical, BlockFeatures, Partitioning};
 use spq_core::package::{EvaluationResult, EvaluationStats, Package};
-use spq_core::silp::Direction;
 use spq_core::summary_search::evaluate_summary_search;
 use spq_core::validation::{validate_with, ValidationReport};
 use spq_core::{Instance, Result, SpqOptions};
@@ -35,31 +34,6 @@ use std::time::{Duration, Instant};
 
 /// Sparse candidate selection: candidate position → multiplicity.
 type Selection = HashMap<usize, f64>;
-
-fn worse(direction: Direction, candidate: f64, incumbent: f64) -> bool {
-    match direction {
-        Direction::Minimize => candidate > incumbent + 1e-9,
-        Direction::Maximize => candidate < incumbent - 1e-9,
-    }
-}
-
-fn merge_stats(into: &mut EvaluationStats, from: &EvaluationStats) {
-    into.problems_solved += from.problems_solved;
-    into.validations += from.validations;
-    into.validation_scenarios += from.validation_scenarios;
-    into.solver_nodes += from.solver_nodes;
-    into.lp_pivots += from.lp_pivots;
-    into.max_problem_coefficients = into
-        .max_problem_coefficients
-        .max(from.max_problem_coefficients);
-}
-
-/// The evaluation budget is exhausted or the query was cancelled. The
-/// deadline was armed by `Instance::new` from `SpqOptions::time_limit`
-/// (plus any cancellation token), so this one check covers both.
-fn time_exhausted(opts: &SpqOptions) -> bool {
-    opts.deadline.expired()
-}
 
 /// A copy of `opts` whose time limit is the budget still remaining on the
 /// armed deadline, with the per-phase MILP solver cap applied (the solver
@@ -82,15 +56,6 @@ fn remaining_budget(opts: &SpqOptions) -> SpqOptions {
     scoped
 }
 
-/// Emit a phase-timing line on stderr when `SPQ_SKETCH_DEBUG` is set.
-macro_rules! debug_trace {
-    ($($arg:tt)*) => {
-        if std::env::var_os("SPQ_SKETCH_DEBUG").is_some() {
-            eprintln!($($arg)*);
-        }
-    };
-}
-
 /// Pick each partition's sketch representative.
 ///
 /// For linear objectives with per-tuple coefficients the representative is
@@ -109,17 +74,13 @@ fn choose_representatives(instance: &Instance<'_>, parts: &Partitioning) -> Resu
         _ => return Ok(parts.representatives.clone()),
     };
     let direction = instance.silp.objective.direction();
-    let better = |a: f64, b: f64| match direction {
-        Direction::Maximize => a > b,
-        Direction::Minimize => a < b,
-    };
     Ok(parts
         .partitions
         .iter()
         .map(|members| {
             let mut best = members[0];
             for &pos in members {
-                if better(coeffs[pos], coeffs[best]) {
+                if direction.better(coeffs[pos], coeffs[best]) {
                     best = pos;
                 }
             }
@@ -173,12 +134,6 @@ pub fn evaluate_sketch_refine(instance: &Instance<'_>) -> Result<EvaluationResul
         partition_hierarchical(&features, max_size, opts.sketch.diameter_fraction)
     };
 
-    debug_trace!(
-        "[sketch] partitioned {n} tuples into {} groups (max size {max_size}) in {:?}",
-        parts.partitions.len(),
-        start.elapsed()
-    );
-
     // ---------------------------------------------------------------- phase 2
     let mut stats = EvaluationStats::default();
     let representatives = choose_representatives(instance, &parts)?;
@@ -221,13 +176,7 @@ pub fn evaluate_sketch_refine(instance: &Instance<'_>) -> Result<EvaluationResul
     // The solver validates the shape and falls back to a cold start when a
     // sub-problem's dimensions differ.
     let mut latest_basis = sketch.final_basis.clone();
-    debug_trace!(
-        "[sketch] sketch solve over {} representatives: feasible={} in {:?} (cumulative)",
-        parts.partitions.len(),
-        sketch.feasible,
-        start.elapsed()
-    );
-    merge_stats(&mut stats, &sketch.stats);
+    stats.absorb(&sketch.stats);
     stats.scenarios_used = sketch.stats.scenarios_used;
     stats.summaries_used = sketch.stats.summaries_used;
 
@@ -286,7 +235,9 @@ pub fn evaluate_sketch_refine(instance: &Instance<'_>) -> Result<EvaluationResul
 
     // ---------------------------------------------------------------- phase 3
     for pid in refine_order(&current, &parts) {
-        if time_exhausted(opts) {
+        // Armed by `Instance::new` from the time limit plus any
+        // cancellation token, so this one check covers both.
+        if opts.deadline.expired() {
             break;
         }
         let members = &parts.partitions[pid];
@@ -321,14 +272,7 @@ pub fn evaluate_sketch_refine(instance: &Instance<'_>) -> Result<EvaluationResul
             let _span = spq_obs::span("refine");
             evaluate_summary_search(&sub_instance)?
         };
-        debug_trace!(
-            "[sketch] refine partition {pid} ({} members, {} frozen): feasible={} in {:?} (cumulative)",
-            members.len(),
-            frozen.len(),
-            refined.feasible,
-            start.elapsed()
-        );
-        merge_stats(&mut stats, &refined.stats);
+        stats.absorb(&refined.stats);
         stats.outer_iterations += 1;
         if refined.final_basis.is_some() {
             latest_basis = refined.final_basis.clone();
@@ -362,11 +306,11 @@ pub fn evaluate_sketch_refine(instance: &Instance<'_>) -> Result<EvaluationResul
                     if !repeat_legal(incumbent_selection) {
                         true
                     } else {
+                        // Not worse than the incumbent by more than 1e-9.
                         repeat_legal(&candidate)
-                            && !worse(
-                                direction,
+                            && !direction.better(
+                                incumbent.objective_estimate + direction.sign() * 1e-9,
                                 report.objective_estimate,
-                                incumbent.objective_estimate,
                             )
                     }
                 }

@@ -19,7 +19,7 @@
 //! payload   length bytes
 //! ```
 //!
-//! [`write`] puts a block under a temporary name and renames it into place,
+//! [`write()`] puts a block under a temporary name and renames it into place,
 //! so a reader of the path sees either no file or a whole block; [`read`]
 //! verifies magic, key, length and checksum before returning a payload — a
 //! damaged file can cost a rebuild or a regeneration, never wrong data.

@@ -297,7 +297,6 @@ mod tests {
     use crate::silp::{CoeffSource, Direction, Silp, SilpConstraint};
     use spq_mcdb::vg::NormalNoise;
     use spq_mcdb::{Relation, RelationBuilder};
-    use spq_solver::{solve_full, SolverOptions};
 
     fn relation() -> Relation {
         RelationBuilder::new("t")

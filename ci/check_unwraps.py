@@ -14,7 +14,7 @@ ratchet only turns one way.
 import pathlib
 import sys
 
-CEILING = 120
+CEILING = 112
 
 
 def sites(path: pathlib.Path) -> int:

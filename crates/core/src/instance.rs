@@ -290,18 +290,19 @@ impl<'a> Instance<'a> {
             return Ok(Arc::new(ScenarioMatrix::broadcast(values, m)));
         }
         match &self.options.scenario_cache {
-            Some(cache) => Ok(cache.sparse_matrix(
+            Some(cache) => Ok(cache.sparse_matrix_range(
                 &self.opt_gen,
                 self.relation,
                 column,
                 &self.silp.tuples,
-                m,
+                0..m,
             )?),
-            None => Ok(Arc::new(self.opt_gen.realize_sparse_matrix(
+            None => Ok(Arc::new(self.opt_gen.realize_sparse_matrix_range(
                 self.relation,
                 column,
                 &self.silp.tuples,
-                m,
+                0..m,
+                0,
             )?)),
         }
     }
@@ -315,9 +316,16 @@ impl<'a> Instance<'a> {
         scenarios: std::ops::Range<usize>,
     ) -> Result<Vec<Vec<f64>>> {
         let tuples: Vec<usize> = positions.iter().map(|&p| self.silp.tuples[p]).collect();
-        Ok(self
-            .val_gen
-            .realize_sparse(self.relation, column, &tuples, scenarios)?)
+        let m = scenarios.len();
+        let matrix = self.val_gen.realize_sparse_matrix_range(
+            self.relation,
+            column,
+            &tuples,
+            scenarios,
+            0,
+        )?;
+        // Row count from the window: a zero-tuple matrix has no rows to count.
+        Ok((0..m).map(|j| matrix.scenario(j).to_vec()).collect())
     }
 
     /// Realize one validation-stream block (a scenario window of a
@@ -429,18 +437,19 @@ impl<'a> Instance<'a> {
         // query sample it once.
         let samples = 64.min(self.options.validation_scenarios.max(1));
         let matrix = match &self.options.scenario_cache {
-            Some(cache) => cache.sparse_matrix(
+            Some(cache) => cache.sparse_matrix_range(
                 &self.val_gen,
                 self.relation,
                 &column,
                 &self.silp.tuples,
-                samples,
+                0..samples,
             )?,
-            None => Arc::new(self.val_gen.realize_sparse_matrix(
+            None => Arc::new(self.val_gen.realize_sparse_matrix_range(
                 self.relation,
                 &column,
                 &self.silp.tuples,
-                samples,
+                0..samples,
+                0,
             )?),
         };
         let mut lo = f64::INFINITY;
@@ -778,7 +787,7 @@ mod tests {
         // ...and the broadcast is bit-identical to full generation.
         let full = inst
             .opt_gen
-            .realize_sparse_matrix(&rel, "gain", &inst.silp.tuples, 9)
+            .realize_sparse_matrix_range(&rel, "gain", &inst.silp.tuples, 0..9, 0)
             .unwrap();
         assert_eq!(*matrix, full);
         let vfull = inst

@@ -177,16 +177,10 @@ pub fn count_satisfied_scenarios(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spq_mcdb::Scenario;
 
     fn matrix(rows: Vec<Vec<f64>>) -> ScenarioMatrix {
         let n = rows.first().map(|r| r.len()).unwrap_or(0);
-        let scenarios: Vec<Scenario> = rows
-            .into_iter()
-            .enumerate()
-            .map(|(index, values)| Scenario { index, values })
-            .collect();
-        ScenarioMatrix::from_scenarios(n, &scenarios)
+        ScenarioMatrix::from_rows(n, &rows)
     }
 
     /// The three scenarios of Figure 2 (gains of six trades).

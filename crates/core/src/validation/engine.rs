@@ -209,7 +209,7 @@ fn scan_column(
     }
 
     // Contiguous chunks of blocks per worker — the same policy
-    // `realize_matrix_with_threads` applies to tuples.
+    // `realize_sparse_matrix_range` applies to tuples.
     let chunk = blocks.len().div_ceil(threads);
     let partial: Vec<Result<ColumnScan>> = std::thread::scope(|scope| {
         let handles: Vec<_> = blocks

@@ -17,7 +17,7 @@
 //!   fixed-size blocks ([`ValidationOptions::block_scenarios`]), and the
 //!   block loop fans out across `std::thread` workers with the same
 //!   contiguous-chunk policy as
-//!   [`spq_mcdb::ScenarioGenerator::realize_matrix_with_threads`]. Because
+//!   [`spq_mcdb::ScenarioGenerator::realize_sparse_matrix_range`]. Because
 //!   every `(column, tuple, scenario)` cell seeds its own RNG, the counts —
 //!   and therefore every reported fraction — are **bit-identical at any
 //!   thread count and any block size**.

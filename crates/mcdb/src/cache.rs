@@ -142,23 +142,11 @@ impl ScenarioCache {
         self.store.as_ref().map(|s| s.stats()).unwrap_or_default()
     }
 
-    /// The first `m` scenarios of `column` restricted to `tuples`, drawn
-    /// from `generator`'s stream and seed: cached when possible, generated
-    /// (once per key, even under concurrency) otherwise.
-    pub fn sparse_matrix(
-        &self,
-        generator: &ScenarioGenerator,
-        relation: &Relation,
-        column: &str,
-        tuples: &[usize],
-        m: usize,
-    ) -> Result<Arc<ScenarioMatrix>> {
-        self.sparse_matrix_range(generator, relation, column, tuples, 0..m)
-    }
-
-    /// An arbitrary scenario window of `column` restricted to `tuples`,
-    /// cached like [`Self::sparse_matrix`]. The blocked validator uses this
-    /// to memoize `[start, end)` windows of the validation stream.
+    /// A scenario window of `column` restricted to `tuples`, drawn from
+    /// `generator`'s stream and seed: cached when possible, generated (once
+    /// per key, even under concurrency) otherwise. Optimization reads the
+    /// window `0..m`; the blocked validator memoizes `[start, end)` windows
+    /// of the validation stream.
     pub fn sparse_matrix_range(
         &self,
         generator: &ScenarioGenerator,
@@ -286,18 +274,26 @@ mod tests {
         let cache = ScenarioCache::new();
         let tuples: Vec<usize> = (0..16).collect();
 
-        let a = cache.sparse_matrix(&g, &r, "gain", &tuples, 12).unwrap();
+        let a = cache
+            .sparse_matrix_range(&g, &r, "gain", &tuples, 0..12)
+            .unwrap();
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        let b = cache.sparse_matrix(&g, &r, "gain", &tuples, 12).unwrap();
+        let b = cache
+            .sparse_matrix_range(&g, &r, "gain", &tuples, 0..12)
+            .unwrap();
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert!(Arc::ptr_eq(&a, &b), "hits must share the block");
 
         // Cached values equal direct generation.
-        let direct = g.realize_sparse_matrix(&r, "gain", &tuples, 12).unwrap();
+        let direct = g
+            .realize_sparse_matrix_range(&r, "gain", &tuples, 0..12, 0)
+            .unwrap();
         assert_eq!(*a, direct);
 
         // Column-name case does not split blocks.
-        let c = cache.sparse_matrix(&g, &r, "GAIN", &tuples, 12).unwrap();
+        let c = cache
+            .sparse_matrix_range(&g, &r, "GAIN", &tuples, 0..12)
+            .unwrap();
         assert!(Arc::ptr_eq(&a, &c));
         assert_eq!(cache.hits(), 2);
     }
@@ -312,15 +308,25 @@ mod tests {
         let cache = ScenarioCache::new();
         let tuples: Vec<usize> = (0..8).collect();
 
-        cache.sparse_matrix(&g, &r, "gain", &tuples, 4).unwrap();
-        // Different m, seed, stream, tuple set, relation -> all misses.
-        cache.sparse_matrix(&g, &r, "gain", &tuples, 8).unwrap();
-        cache.sparse_matrix(&g2, &r, "gain", &tuples, 4).unwrap();
-        cache.sparse_matrix(&val, &r, "gain", &tuples, 4).unwrap();
         cache
-            .sparse_matrix(&g, &r, "gain", &tuples[..4], 4)
+            .sparse_matrix_range(&g, &r, "gain", &tuples, 0..4)
             .unwrap();
-        cache.sparse_matrix(&g, &r2, "gain", &tuples, 4).unwrap();
+        // Different m, seed, stream, tuple set, relation -> all misses.
+        cache
+            .sparse_matrix_range(&g, &r, "gain", &tuples, 0..8)
+            .unwrap();
+        cache
+            .sparse_matrix_range(&g2, &r, "gain", &tuples, 0..4)
+            .unwrap();
+        cache
+            .sparse_matrix_range(&val, &r, "gain", &tuples, 0..4)
+            .unwrap();
+        cache
+            .sparse_matrix_range(&g, &r, "gain", &tuples[..4], 0..4)
+            .unwrap();
+        cache
+            .sparse_matrix_range(&g, &r2, "gain", &tuples, 0..4)
+            .unwrap();
         assert_eq!(cache.misses(), 6);
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.len(), 6);
@@ -337,11 +343,15 @@ mod tests {
         // Budget below one block's size.
         let cache = ScenarioCache::with_max_bytes(64);
         let tuples: Vec<usize> = (0..32).collect();
-        let a = cache.sparse_matrix(&g, &r, "gain", &tuples, 10).unwrap();
+        let a = cache
+            .sparse_matrix_range(&g, &r, "gain", &tuples, 0..10)
+            .unwrap();
         assert_eq!(a.num_scenarios(), 10);
         assert_eq!(cache.resident_bytes(), 0);
         // Second request regenerates (miss) because nothing was retained.
-        let b = cache.sparse_matrix(&g, &r, "gain", &tuples, 10).unwrap();
+        let b = cache
+            .sparse_matrix_range(&g, &r, "gain", &tuples, 0..10)
+            .unwrap();
         assert_eq!(cache.misses(), 2);
         assert_eq!(*a, *b, "regeneration is bit-identical");
     }
@@ -354,19 +364,23 @@ mod tests {
         // 8×10 block (640 bytes).
         let cache = ScenarioCache::with_max_bytes(1500);
         let tuples: Vec<usize> = (0..16).collect();
-        cache.sparse_matrix(&g, &r, "gain", &tuples, 10).unwrap();
+        cache
+            .sparse_matrix_range(&g, &r, "gain", &tuples, 0..10)
+            .unwrap();
         assert_eq!((cache.len(), cache.resident_bytes()), (1, 1280));
         assert_eq!(cache.evicted(), 0);
         // A second block overflows: the first is evicted, the new one is
         // resident, and the map stays bounded.
         cache
-            .sparse_matrix(&g, &r, "gain", &tuples[..8], 10)
+            .sparse_matrix_range(&g, &r, "gain", &tuples[..8], 0..10)
             .unwrap();
         assert_eq!((cache.len(), cache.resident_bytes()), (1, 640));
         assert_eq!(cache.evicted(), 1);
         // The evicted block regenerates on demand (miss, not a hit), again
         // evicting the smaller one.
-        cache.sparse_matrix(&g, &r, "gain", &tuples, 10).unwrap();
+        cache
+            .sparse_matrix_range(&g, &r, "gain", &tuples, 0..10)
+            .unwrap();
         assert_eq!((cache.len(), cache.resident_bytes()), (1, 1280));
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), 3);
@@ -380,7 +394,9 @@ mod tests {
         // Room for three one-tuple, 10-scenario rows (80 bytes each).
         let cache = ScenarioCache::with_max_bytes(240);
         for t in 0..4 {
-            cache.sparse_matrix(&g, &r, "gain", &[t], 10).unwrap();
+            cache
+                .sparse_matrix_range(&g, &r, "gain", &[t], 0..10)
+                .unwrap();
         }
         // The fourth row evicted the first only: rows 1–3 still hit.
         assert_eq!(
@@ -388,7 +404,9 @@ mod tests {
             (3, 240, 1)
         );
         for t in 1..4 {
-            cache.sparse_matrix(&g, &r, "gain", &[t], 10).unwrap();
+            cache
+                .sparse_matrix_range(&g, &r, "gain", &[t], 0..10)
+                .unwrap();
         }
         assert_eq!((cache.hits(), cache.misses()), (3, 4));
         assert_eq!(cache.stats().weight_inserted, 320);
@@ -400,7 +418,9 @@ mod tests {
         let g = ScenarioGenerator::new(3);
         let cache = Arc::new(ScenarioCache::new());
         let tuples: Vec<usize> = (0..64).collect();
-        let reference = g.realize_sparse_matrix(&r, "gain", &tuples, 32).unwrap();
+        let reference = g
+            .realize_sparse_matrix_range(&r, "gain", &tuples, 0..32, 0)
+            .unwrap();
 
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
@@ -408,7 +428,11 @@ mod tests {
                     let cache = cache.clone();
                     let r = r.clone();
                     let tuples = tuples.clone();
-                    scope.spawn(move || cache.sparse_matrix(&g, &r, "gain", &tuples, 32).unwrap())
+                    scope.spawn(move || {
+                        cache
+                            .sparse_matrix_range(&g, &r, "gain", &tuples, 0..32)
+                            .unwrap()
+                    })
                 })
                 .collect();
             for handle in handles {
@@ -443,12 +467,6 @@ mod tests {
             .sparse_matrix_range(&g, &r, "gain", &tuples, 30..50)
             .unwrap();
         assert_eq!((cache.hits(), cache.misses()), (1, 2));
-        // The prefix API is the `start == 0` special case of the window API.
-        let prefix = cache.sparse_matrix(&g, &r, "gain", &tuples, 20).unwrap();
-        let window0 = cache
-            .sparse_matrix_range(&g, &r, "gain", &tuples, 0..20)
-            .unwrap();
-        assert!(Arc::ptr_eq(&prefix, &window0));
     }
 
     #[test]
@@ -510,14 +528,18 @@ mod tests {
         let cache = ScenarioCache::new().with_store(store.clone());
         let tuples: Vec<usize> = (0..16).collect();
 
-        let a = cache.sparse_matrix(&g, &r, "gain", &tuples, 12).unwrap();
+        let a = cache
+            .sparse_matrix_range(&g, &r, "gain", &tuples, 0..12)
+            .unwrap();
         assert_eq!(store.stats().spill_writes, 1, "miss spills to disk");
         assert_eq!(store.stats().reads, 0);
 
         // clear() drops the memory tier but leaves the disk tier intact:
         // the next lookup is a memory miss served by a store read.
         cache.clear();
-        let b = cache.sparse_matrix(&g, &r, "gain", &tuples, 12).unwrap();
+        let b = cache
+            .sparse_matrix_range(&g, &r, "gain", &tuples, 0..12)
+            .unwrap();
         assert_eq!(*a, *b, "store reload is bit-identical");
         assert_eq!(store.stats().reads, 1, "reload came from disk");
         assert_eq!(
@@ -580,7 +602,9 @@ mod tests {
         let cache = ScenarioCache::new().with_store(store.clone());
         let tuples: Vec<usize> = (0..8).collect();
 
-        let a = cache.sparse_matrix(&g, &r, "gain", &tuples, 6).unwrap();
+        let a = cache
+            .sparse_matrix_range(&g, &r, "gain", &tuples, 0..6)
+            .unwrap();
         // Corrupt the (single) block file on disk.
         let block_file = std::fs::read_dir(&dir)
             .unwrap()
@@ -594,7 +618,9 @@ mod tests {
         std::fs::write(&block_file, &bytes).unwrap();
 
         cache.clear();
-        let b = cache.sparse_matrix(&g, &r, "gain", &tuples, 6).unwrap();
+        let b = cache
+            .sparse_matrix_range(&g, &r, "gain", &tuples, 0..6)
+            .unwrap();
         assert_eq!(
             *a, *b,
             "corruption must cost regeneration, never wrong data"
@@ -610,7 +636,11 @@ mod tests {
         let r = rel(4);
         let g = ScenarioGenerator::new(0);
         let cache = ScenarioCache::new();
-        assert!(cache.sparse_matrix(&g, &r, "nope", &[0], 1).is_err());
-        assert!(cache.sparse_matrix(&g, &r, "gain", &[0], 1).is_ok());
+        assert!(cache
+            .sparse_matrix_range(&g, &r, "nope", &[0], 0..1)
+            .is_err());
+        assert!(cache
+            .sparse_matrix_range(&g, &r, "gain", &[0], 0..1)
+            .is_ok());
     }
 }

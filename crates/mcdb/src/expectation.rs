@@ -11,28 +11,6 @@ use crate::relation::Relation;
 use crate::scenario::ScenarioGenerator;
 use crate::Result;
 
-/// How an expectation estimate was obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EstimateSource {
-    /// Closed-form mean from the VG function.
-    Analytic,
-    /// Empirical average over validation scenarios.
-    Empirical,
-}
-
-/// Per-tuple expectation estimates for one stochastic column.
-#[derive(Debug, Clone)]
-pub struct ExpectationEstimate {
-    /// Column the estimates refer to.
-    pub column: String,
-    /// `E(t_i.A)` estimates, one per tuple.
-    pub means: Vec<f64>,
-    /// Whether the estimate is analytic or empirical.
-    pub source: EstimateSource,
-    /// Number of scenarios averaged (0 for analytic estimates).
-    pub scenarios_used: usize,
-}
-
 /// Streaming estimator of expected values.
 #[derive(Debug, Clone, Copy)]
 pub struct ExpectationEstimator {
@@ -50,48 +28,16 @@ impl ExpectationEstimator {
         }
     }
 
-    /// Estimate `E(t_i.A)` for every tuple of `column`.
+    /// Estimate `E(t_i.A)` for the given tuples, generating scenario values
+    /// for no others.
     ///
-    /// Scenarios are processed one at a time and only running sums are kept,
-    /// so memory usage is `O(N)` regardless of the number of scenarios.
-    pub fn estimate(&self, relation: &Relation, column: &str) -> Result<ExpectationEstimate> {
-        if let Some(means) = relation.analytic_means(column)? {
-            return Ok(ExpectationEstimate {
-                column: column.to_string(),
-                means,
-                source: EstimateSource::Analytic,
-                scenarios_used: 0,
-            });
-        }
-        let n = relation.len();
-        let mut sums = vec![0.0f64; n];
-        for j in 0..self.num_scenarios {
-            let s = self.generator.realize_column(relation, column, j)?;
-            for (sum, v) in sums.iter_mut().zip(&s.values) {
-                *sum += v;
-            }
-        }
-        let m = self.num_scenarios.max(1) as f64;
-        for sum in &mut sums {
-            *sum /= m;
-        }
-        Ok(ExpectationEstimate {
-            column: column.to_string(),
-            means: sums,
-            source: EstimateSource::Empirical,
-            scenarios_used: self.num_scenarios,
-        })
-    }
-
-    /// Estimate `E(t_i.A)` only for the given tuples, generating scenario
-    /// values for no others.
-    ///
-    /// Produces exactly the same numbers as [`Self::estimate`] restricted to
-    /// `tuples`: the analytic path is taken if and only if the *whole*
-    /// column has closed-form means (a partially-analytic column must use
-    /// the empirical path everywhere, or full-relation and subset estimates
-    /// would disagree), and the empirical path's per-cell seeding makes the
-    /// subset independent of the generation order. The empirical cost is
+    /// The analytic path is taken if and only if the *whole* column has
+    /// closed-form means: a partially-analytic column uses the empirical path
+    /// everywhere, or estimates over different tuple subsets would disagree.
+    /// The empirical path averages the validation stream's first
+    /// `num_scenarios` scenarios in windows of 512, keeping memory
+    /// `O(|tuples|)`, and per-cell seeding makes each tuple's estimate
+    /// independent of the subset it is asked with. The cost is
     /// `O(|tuples| · M)` instead of `O(N · M)` — the partition-aware access
     /// path SketchRefine relies on when preparing sketch and refine
     /// sub-instances over huge relations.
@@ -119,11 +65,15 @@ impl ExpectationEstimator {
         let mut start = 0usize;
         while start < self.num_scenarios {
             let end = (start + CHUNK).min(self.num_scenarios);
-            for row in self
-                .generator
-                .realize_sparse(relation, column, tuples, start..end)?
-            {
-                for (sum, v) in sums.iter_mut().zip(&row) {
+            let window = self.generator.realize_sparse_matrix_range(
+                relation,
+                column,
+                tuples,
+                start..end,
+                0,
+            )?;
+            for j in 0..end - start {
+                for (sum, v) in sums.iter_mut().zip(window.scenario(j)) {
                     *sum += v;
                 }
             }
@@ -149,46 +99,50 @@ mod tests {
             .stochastic("x", NormalNoise::around(vec![5.0, 6.0], 1.0))
             .build()
             .unwrap();
-        let est = ExpectationEstimator::new(1, 10).estimate(&r, "x").unwrap();
-        assert_eq!(est.source, EstimateSource::Analytic);
-        assert_eq!(est.means, vec![5.0, 6.0]);
-        assert_eq!(est.scenarios_used, 0);
+        let est = ExpectationEstimator::new(1, 10);
+        assert_eq!(
+            est.estimate_tuples(&r, "x", &[0, 1]).unwrap(),
+            vec![5.0, 6.0]
+        );
     }
 
     #[test]
     fn empirical_fallback_for_heavy_tails() {
-        // Pareto with shape 3 has a finite mean but we force the empirical
-        // path by using shape 1 (infinite mean) mixed with finite check.
+        // Pareto with shape 1 has an infinite mean, so no closed form exists
+        // and the estimate averages realized scenarios.
         let r = RelationBuilder::new("t")
             .stochastic("x", ParetoNoise::around(vec![0.0, 10.0], 1.0, 1.0))
             .build()
             .unwrap();
-        let est = ExpectationEstimator::new(3, 500).estimate(&r, "x").unwrap();
-        assert_eq!(est.source, EstimateSource::Empirical);
-        assert_eq!(est.scenarios_used, 500);
+        let means = ExpectationEstimator::new(3, 500)
+            .estimate_tuples(&r, "x", &[0, 1])
+            .unwrap();
         // Pareto(1,1) realizations are >= 1, so the empirical mean must be
         // at least base + 1.
-        assert!(est.means[0] >= 1.0);
-        assert!(est.means[1] >= 11.0);
-        assert_eq!(est.column, "x");
+        assert!(means[0] >= 1.0);
+        assert!(means[1] >= 11.0);
     }
 
     #[test]
     fn empirical_mean_tracks_analytic_value() {
-        // Use a finite-mean Pareto but compare empirical vs analytic by
-        // computing both.
+        // Tuple 1's infinite mean forces the empirical path for the whole
+        // column; tuple 0's average then converges to its closed form 4/3.
         let r = RelationBuilder::new("t")
-            .stochastic("x", ParetoNoise::around(vec![0.0], 1.0, 4.0))
+            .stochastic(
+                "x",
+                ParetoNoise::around(vec![0.0, 0.0], 1.0, vec![4.0, 1.0]),
+            )
             .build()
             .unwrap();
-        let analytic = r.analytic_means("x").unwrap().unwrap()[0];
-        // Force empirical estimation through a relation whose VG lacks means.
-        let r2 = RelationBuilder::new("t2")
-            .stochastic("x", ParetoNoise::around(vec![0.0], 1.0, 1.0))
-            .build()
-            .unwrap();
-        let _ = r2; // r2 exercised elsewhere; here check analytic value shape
+        let analytic = r.stochastic_column("x").unwrap().vg.mean(0).unwrap();
         assert!((analytic - 4.0 / 3.0).abs() < 1e-12);
+        let empirical = ExpectationEstimator::new(8, 20_000)
+            .estimate_tuples(&r, "x", &[0])
+            .unwrap()[0];
+        assert!(
+            (empirical - analytic).abs() < 0.02,
+            "empirical {empirical} vs analytic {analytic}"
+        );
     }
 
     #[test]
@@ -198,21 +152,30 @@ mod tests {
             .stochastic("x", NormalNoise::around(vec![5.0, 6.0, 7.0, 8.0], 1.0))
             .build()
             .unwrap();
-        let est = ExpectationEstimator::new(9, 50);
+        let est = ExpectationEstimator::new(9, 1100);
         assert_eq!(
             est.estimate_tuples(&r, "x", &[3, 1]).unwrap(),
             vec![8.0, 6.0]
         );
-        // Empirical path: restricted estimates equal the full estimate's
-        // entries bit for bit (order-independent per-cell seeding).
+        // Empirical path, over more than two 512-scenario windows:
+        // restricted estimates equal the whole relation's entries bit for
+        // bit (order-independent per-cell seeding).
         let heavy = RelationBuilder::new("h")
             .stochastic("x", ParetoNoise::around(vec![0.0, 10.0, 20.0], 1.0, 1.0))
             .build()
             .unwrap();
-        let full = est.estimate(&heavy, "x").unwrap();
-        assert_eq!(full.source, EstimateSource::Empirical);
+        let full = est.estimate_tuples(&heavy, "x", &[0, 1, 2]).unwrap();
         let sub = est.estimate_tuples(&heavy, "x", &[2, 0]).unwrap();
-        assert_eq!(sub, vec![full.means[2], full.means[0]]);
+        assert_eq!(sub, vec![full[2], full[0]]);
+        // The windows sum the realized matrix scenario by scenario.
+        let matrix = ScenarioGenerator::validation(9)
+            .realize_matrix(&heavy, "x", 1100)
+            .unwrap();
+        let mut sum = 0.0;
+        for j in 0..1100 {
+            sum += matrix.value(j, 1);
+        }
+        assert_eq!(full[1], sum / 1100.0);
         // Out-of-bounds tuples error instead of panicking.
         assert!(est.estimate_tuples(&heavy, "x", &[7]).is_err());
     }
@@ -220,10 +183,9 @@ mod tests {
     #[test]
     fn partially_analytic_columns_use_the_empirical_path_everywhere() {
         // Shapes straddle 1.0: tuple 0 has a closed-form mean, tuple 1 does
-        // not, so `estimate` falls back to empirical means for the whole
-        // column — and a subset consisting only of the analytic tuple must
-        // do the same, or sub-instance expectations would disagree with the
-        // full instance's.
+        // not, so the whole column uses empirical means — and a subset
+        // consisting only of the analytic tuple must do the same, or
+        // sub-instance expectations would disagree with the full instance's.
         let r = RelationBuilder::new("t")
             .stochastic(
                 "x",
@@ -232,10 +194,9 @@ mod tests {
             .build()
             .unwrap();
         let est = ExpectationEstimator::new(5, 400);
-        let full = est.estimate(&r, "x").unwrap();
-        assert_eq!(full.source, EstimateSource::Empirical);
+        let full = est.estimate_tuples(&r, "x", &[0, 1]).unwrap();
         let sub = est.estimate_tuples(&r, "x", &[0]).unwrap();
-        assert_eq!(sub, vec![full.means[0]]);
+        assert_eq!(sub, vec![full[0]]);
         // The empirical mean differs from the analytic 1.5 the subset path
         // would wrongly have produced.
         assert!((sub[0] - 1.5).abs() > 1e-6);
@@ -247,6 +208,7 @@ mod tests {
             .stochastic("x", NormalNoise::around(vec![1.0], 1.0))
             .build()
             .unwrap();
-        assert!(ExpectationEstimator::new(1, 5).estimate(&r, "y").is_err());
+        let est = ExpectationEstimator::new(1, 5);
+        assert!(est.estimate_tuples(&r, "y", &[0]).is_err());
     }
 }

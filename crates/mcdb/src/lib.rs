@@ -15,9 +15,11 @@
 //! * [`vg`] — the VG function implementations (Gaussian, Pareto, uniform,
 //!   exponential, Poisson, Student's t, geometric Brownian motion, discrete
 //!   source mixtures for data-integration uncertainty).
-//! * [`ScenarioGenerator`] — seeded generation of scenarios, supporting both
-//!   *tuple-wise* and *scenario-wise* generation orders (Section 5.5 of the
-//!   paper) that produce bit-identical realizations.
+//! * [`ScenarioGenerator`] — seeded generation of `tuples × scenarios`
+//!   blocks through each VG function's block kernel. Any tuple subset over
+//!   any scenario window realizes the same values, so *tuple-wise* and
+//!   *scenario-wise* generation orders (Section 5.5 of the paper) agree bit
+//!   for bit.
 //! * [`ExpectationEstimator`] — streaming estimation of per-tuple expected
 //!   values over a large out-of-sample scenario set.
 //!
@@ -30,8 +32,15 @@
 //!     .build()
 //!     .unwrap();
 //! let gen = ScenarioGenerator::new(42);
-//! let scenario = gen.realize_column(&relation, "reading", 0).unwrap();
-//! assert_eq!(scenario.values.len(), 3);
+//! // The first 8 scenarios of the column: one row of 3 tuple values each.
+//! let matrix = gen.realize_matrix(&relation, "reading", 8).unwrap();
+//! assert_eq!((matrix.num_scenarios(), matrix.num_tuples()), (8, 3));
+//! // Any block of it, e.g. tuples 2 and 0 in scenarios 5..8, holds the
+//! // same values.
+//! let block = gen
+//!     .realize_sparse_matrix_range(&relation, "reading", &[2, 0], 5..8, 0)
+//!     .unwrap();
+//! assert_eq!(block.value(0, 1), matrix.value(5, 0));
 //! ```
 
 pub mod blockfile;
@@ -54,7 +63,7 @@ pub use error::McdbError;
 pub use expectation::ExpectationEstimator;
 pub use memo::{Lookup, Memo, MemoStats};
 pub use relation::{Relation, RelationBuilder, StochasticColumn};
-pub use scenario::{Scenario, ScenarioGenerator, ScenarioMatrix};
+pub use scenario::{ScenarioGenerator, ScenarioMatrix};
 pub use schema::{ColumnDef, ColumnKind, Schema};
 pub use store::{ScenarioStore, StoreStats};
 pub use value::Value;

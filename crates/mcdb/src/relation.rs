@@ -262,20 +262,6 @@ impl Relation {
         self.inner.schema.stochastic_columns()
     }
 
-    /// Analytic per-tuple mean of a stochastic column when every tuple has a
-    /// closed-form mean, otherwise `None`.
-    pub fn analytic_means(&self, column: &str) -> Result<Option<Vec<f64>>> {
-        let sc = self.stochastic_column(column)?;
-        if !sc.analytic {
-            return Ok(None);
-        }
-        Ok(Some(
-            (0..self.inner.n_rows)
-                .map(|i| sc.vg.mean(i).expect("column flagged fully analytic"))
-                .collect(),
-        ))
-    }
-
     /// `"disk"` when any deterministic column lives in the out-of-core tier,
     /// else `"memory"`.
     pub fn storage_kind(&self) -> &'static str {
@@ -676,18 +662,18 @@ mod tests {
         let sc = r.stochastic_column("GAIN").unwrap();
         assert_eq!(sc.vg.name(), "normal-noise");
         assert!(r.stochastic_column("price").is_err());
-        let means = r.analytic_means("Gain").unwrap().unwrap();
-        assert_eq!(means, vec![0.0, 0.0, 0.0]);
+        assert!(sc.analytic);
+        let means: Vec<Option<f64>> = (0..r.len()).map(|i| sc.vg.mean(i)).collect();
+        assert_eq!(means, vec![Some(0.0); 3]);
     }
 
     #[test]
-    fn analytic_means_none_when_not_closed_form() {
+    fn analytic_flag_is_false_when_not_closed_form() {
         use crate::vg::ParetoNoise;
         let r = RelationBuilder::new("t")
             .stochastic("x", ParetoNoise::around(vec![0.0, 0.0], 1.0, 1.0))
             .build()
             .unwrap();
-        assert_eq!(r.analytic_means("x").unwrap(), None);
         assert!(!r.stochastic_column("x").unwrap().analytic);
         // A single tuple without a closed-form mean poisons the whole
         // column's flag.
@@ -699,7 +685,6 @@ mod tests {
             .build()
             .unwrap();
         assert!(!mixed.stochastic_column("x").unwrap().analytic);
-        assert_eq!(mixed.analytic_means("x").unwrap(), None);
         assert!(portfolio().stochastic_column("Gain").unwrap().analytic);
     }
 
@@ -739,6 +724,87 @@ mod tests {
             .build()
             .unwrap();
         assert_ne!(renamed.fingerprint(), shorter.fingerprint());
+    }
+
+    #[test]
+    fn fingerprints_are_pinned_for_every_family() {
+        // The fingerprint keys every scenario-store file, so a change to a
+        // VG family's probe, its parameters' digest or the fold below
+        // re-keys (and silently orphans) every store on disk. These values
+        // are literals on purpose: moving one is a declared format change.
+        use crate::vg::{
+            DiscreteSources, ExponentialNoise, GeometricBrownianMotion, ParetoNoise, PoissonNoise,
+            SourceDispersion, StudentTNoise, UniformNoise,
+        };
+        let base = vec![1.0, 2.5, 4.0];
+        let families: Vec<(Relation, u64)> = vec![
+            (
+                build_one(Degenerate::new(base.clone())),
+                0xa83d_004c_0124_f3f4,
+            ),
+            (
+                build_one(NormalNoise::around(base.clone(), vec![0.5, 0.0, 2.0])),
+                0x2d8d_e077_5a93_a4bc,
+            ),
+            (
+                build_one(ParetoNoise::around(base.clone(), 1.0, 1.0)),
+                0x5241_48a7_2733_20ae,
+            ),
+            (
+                build_one(UniformNoise::around(base.clone(), -1.0, 2.0)),
+                0xed53_f06d_6048_f783,
+            ),
+            (
+                build_one(ExponentialNoise::around(base.clone(), 0.5)),
+                0x14ce_188f_32e1_99b4,
+            ),
+            (
+                build_one(PoissonNoise::around(base.clone(), 4.0)),
+                0x7afa_a908_e018_c8b6,
+            ),
+            (
+                build_one(StudentTNoise::around(base.clone(), 3.0, 0.5)),
+                0x8bc1_9c6f_304c_424c,
+            ),
+            (
+                build_one(GeometricBrownianMotion::new(
+                    vec![100.0, 100.0, 40.0],
+                    vec![0.001, 0.001, 0.0005],
+                    vec![0.02, 0.02, 0.01],
+                    vec![1, 5, 3],
+                    vec![0, 0, 1],
+                )),
+                0x05ef_8d7e_3920_ce97,
+            ),
+            (
+                build_one(
+                    DiscreteSources::sample_around(
+                        base,
+                        3,
+                        SourceDispersion::Uniform { lo: -1.0, hi: 1.0 },
+                        11,
+                    )
+                    .unwrap(),
+                ),
+                0x9b4c_11c5_4b0f_ca07,
+            ),
+        ];
+        for (relation, expected) in &families {
+            let vg = relation.stochastic_column("x").unwrap().vg.name();
+            assert_eq!(
+                relation.fingerprint(),
+                *expected,
+                "{vg}: {:#018x}",
+                relation.fingerprint()
+            );
+        }
+    }
+
+    fn build_one(vg: impl VgFunction + 'static) -> Relation {
+        RelationBuilder::new("pinned")
+            .stochastic("x", vg)
+            .build()
+            .unwrap()
     }
 
     #[test]

@@ -1,23 +1,28 @@
 //! Scenario generation.
 //!
 //! A *scenario* is a deterministic realization of every random variable in a
-//! relation. The generator supports:
+//! relation. Every value is drawn as part of a `tuples × scenarios` block by
+//! the column's [`crate::vg::VgFunction::realize_block`] kernel, and a block
+//! may be any tuple subset over any scenario window:
 //!
-//! * **scenario-wise** generation — realize one whole column for one scenario
-//!   (used when building SAA formulations and summaries scenario by scenario);
-//! * **tuple-wise** generation — realize all `M` scenarios for one tuple
-//!   (the per-cell path is the block kernel's conformance oracle);
-//! * **sparse** generation — realize values only for the tuples present in a
-//!   candidate package (used by out-of-sample validation, Section 3.2).
+//! * the first `M` scenarios of the whole relation ([`ScenarioGenerator::realize_matrix`]);
+//! * a window of the scenarios of the candidate tuples or of one package's
+//!   tuples ([`ScenarioGenerator::realize_sparse_matrix_range`]), which is
+//!   how SAA formulations, summaries and out-of-sample validation
+//!   (Section 3.2) read their scenarios;
+//! * per-tuple moments over the first `M` scenarios
+//!   ([`ScenarioGenerator::tuple_moments`]).
 //!
-//! All three orders produce identical values because every `(column,
-//! driver-group, scenario)` cell derives its RNG independently (see
-//! [`crate::seed`]). The same property makes generation embarrassingly
-//! parallel: large matrix requests are chunked by tuple across `std::thread`
-//! workers and produce **bit-identical** results to the serial path.
+//! The shape of a block never changes a value, so a scenario-wise read of
+//! one column and a tuple-wise read of one tuple agree (Section 5.5),
+//! because every `(column, driver-group, scenario)` cell derives its RNG
+//! independently (see [`crate::seed`]). The same property makes generation
+//! embarrassingly parallel: large requests are chunked by tuple across
+//! `std::thread` workers and produce **bit-identical** results to the serial
+//! path.
 
 use crate::relation::{Relation, StochasticColumn};
-use crate::seed::{cell_rng, column_prefix, Stream};
+use crate::seed::{column_prefix, Stream};
 use crate::Result;
 use spq_obs::metrics::{Counter, Named};
 use std::num::NonZeroUsize;
@@ -75,15 +80,6 @@ fn auto_threads(cells: usize, tuples: usize) -> usize {
         .min(tuples)
 }
 
-/// One realized stochastic column for one scenario.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Scenario {
-    /// Index of the scenario within its stream.
-    pub index: usize,
-    /// Realized value per tuple.
-    pub values: Vec<f64>,
-}
-
 /// A dense matrix of realizations: `M` scenarios over `N` tuples for one
 /// stochastic column. Stored row-major by scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,12 +90,13 @@ pub struct ScenarioMatrix {
 }
 
 impl ScenarioMatrix {
-    /// Build from per-scenario rows.
-    pub fn from_scenarios(n_tuples: usize, scenarios: &[Scenario]) -> Self {
-        let mut data = Vec::with_capacity(n_tuples * scenarios.len());
-        for s in scenarios {
-            debug_assert_eq!(s.values.len(), n_tuples);
-            data.extend_from_slice(&s.values);
+    /// Build from per-scenario rows of `n_tuples` values each: row `j` is
+    /// scenario `j`. Meant for hand-written matrices in tests and examples.
+    pub fn from_rows<R: AsRef<[f64]>>(n_tuples: usize, rows: &[R]) -> Self {
+        let mut data = Vec::with_capacity(n_tuples * rows.len());
+        for row in rows {
+            debug_assert_eq!(row.as_ref().len(), n_tuples);
+            data.extend_from_slice(row.as_ref());
         }
         ScenarioMatrix { n_tuples, data }
     }
@@ -153,31 +150,6 @@ impl ScenarioMatrix {
     pub fn scenario(&self, scenario: usize) -> &[f64] {
         &self.data[scenario * self.n_tuples..(scenario + 1) * self.n_tuples]
     }
-
-    /// Append one more scenario row.
-    pub fn push_scenario(&mut self, values: &[f64]) {
-        debug_assert_eq!(values.len(), self.n_tuples);
-        self.data.extend_from_slice(values);
-    }
-
-    /// Per-tuple mean over all scenarios.
-    pub fn column_means(&self) -> Vec<f64> {
-        let m = self.num_scenarios();
-        let mut means = vec![0.0; self.n_tuples];
-        if m == 0 {
-            return means;
-        }
-        for j in 0..m {
-            let row = self.scenario(j);
-            for (mean, v) in means.iter_mut().zip(row) {
-                *mean += v;
-            }
-        }
-        for mean in &mut means {
-            *mean /= m as f64;
-        }
-        means
-    }
 }
 
 /// Seeded scenario generator over a relation's stochastic columns.
@@ -214,50 +186,6 @@ impl ScenarioGenerator {
     /// Which stream this generator draws from.
     pub fn stream(&self) -> Stream {
         self.stream
-    }
-
-    /// Realize the value of one `(column, tuple, scenario)` cell.
-    pub fn realize_cell(
-        &self,
-        relation: &Relation,
-        column: &str,
-        tuple: usize,
-        scenario: usize,
-    ) -> Result<f64> {
-        let sc = relation.stochastic_column(column)?;
-        let group = sc.vg.driver_group(tuple);
-        let mut rng = cell_rng(self.base_seed, self.stream, sc.tag, group, scenario as u64);
-        Ok(sc.vg.realize(tuple, &mut rng))
-    }
-
-    /// Realize one whole column for one scenario (scenario-wise order).
-    pub fn realize_column(
-        &self,
-        relation: &Relation,
-        column: &str,
-        scenario: usize,
-    ) -> Result<Scenario> {
-        let sc = relation.stochastic_column(column)?;
-        let n = relation.len();
-        let tuples: Vec<usize> = (0..n).collect();
-        // A one-scenario block: the flat tuple-major buffer *is* the column.
-        let values = self.realize_flat(sc, &tuples, scenario..scenario + 1, 1);
-        Ok(Scenario {
-            index: scenario,
-            values,
-        })
-    }
-
-    /// Realize all `scenarios` realizations of one tuple (tuple-wise order).
-    pub fn realize_tuple(
-        &self,
-        relation: &Relation,
-        column: &str,
-        tuple: usize,
-        scenarios: std::ops::Range<usize>,
-    ) -> Result<Vec<f64>> {
-        let sc = relation.stochastic_column(column)?;
-        Ok(self.realize_flat(sc, &[tuple], scenarios, 1))
     }
 
     /// Drive the column's block kernel over one worker's tuple share,
@@ -322,78 +250,9 @@ impl ScenarioGenerator {
         column: &str,
         m: usize,
     ) -> Result<ScenarioMatrix> {
-        let n = relation.len();
-        self.realize_matrix_with_threads(relation, column, m, auto_threads(n * m, n))
-    }
-
-    /// [`Self::realize_matrix`] with an explicit worker count (1 forces the
-    /// serial path). Results are bit-identical for every `threads` value.
-    pub fn realize_matrix_with_threads(
-        &self,
-        relation: &Relation,
-        column: &str,
-        m: usize,
-        threads: usize,
-    ) -> Result<ScenarioMatrix> {
-        let n = relation.len();
         let sc = relation.stochastic_column(column)?;
-        let tuples: Vec<usize> = (0..n).collect();
-        let flat = self.realize_flat(sc, &tuples, 0..m, threads);
-        Ok(ScenarioMatrix {
-            n_tuples: n,
-            data: transpose_tuple_major(flat, n, m),
-        })
-    }
-
-    /// Realize values only for the given tuples across `scenarios`
-    /// (sparse/package-restricted generation used by validation). Returns one
-    /// vector per scenario, aligned with `tuples`; large requests are
-    /// parallelized across tuples.
-    pub fn realize_sparse(
-        &self,
-        relation: &Relation,
-        column: &str,
-        tuples: &[usize],
-        scenarios: std::ops::Range<usize>,
-    ) -> Result<Vec<Vec<f64>>> {
-        let threads = auto_threads(tuples.len() * scenarios.len(), tuples.len());
-        self.realize_sparse_with_threads(relation, column, tuples, scenarios, threads)
-    }
-
-    /// [`Self::realize_sparse`] with an explicit worker count (1 forces the
-    /// serial path). Results are bit-identical for every `threads` value.
-    pub fn realize_sparse_with_threads(
-        &self,
-        relation: &Relation,
-        column: &str,
-        tuples: &[usize],
-        scenarios: std::ops::Range<usize>,
-        threads: usize,
-    ) -> Result<Vec<Vec<f64>>> {
-        let m = scenarios.len();
-        let sc = relation.stochastic_column(column)?;
-        if tuples.is_empty() {
-            return Ok(vec![Vec::new(); m]);
-        }
-        let flat = self.realize_flat(sc, tuples, scenarios, threads);
-        let data = transpose_tuple_major(flat, tuples.len(), m);
-        Ok(data.chunks(tuples.len()).map(|row| row.to_vec()).collect())
-    }
-
-    /// Realize the first `m` scenarios of a stochastic column restricted to
-    /// `tuples`, as a dense [`ScenarioMatrix`] whose column `i` corresponds
-    /// to `tuples[i]`. This is the block shape memoized by
-    /// [`crate::ScenarioCache`]; generation parallelizes like the other
-    /// matrix paths and is bit-identical to the serial order.
-    pub fn realize_sparse_matrix(
-        &self,
-        relation: &Relation,
-        column: &str,
-        tuples: &[usize],
-        m: usize,
-    ) -> Result<ScenarioMatrix> {
-        let n = tuples.len();
-        self.realize_sparse_matrix_range(relation, column, tuples, 0..m, auto_threads(n * m, n))
+        let tuples: Vec<usize> = (0..relation.len()).collect();
+        Ok(self.realize_block(sc, &tuples, 0..m, 0))
     }
 
     /// Realize an arbitrary scenario *range* of a stochastic column restricted
@@ -481,16 +340,41 @@ mod tests {
             .unwrap()
     }
 
+    /// One window of `column` over `tuples`, as rows of tuple values.
+    fn window(
+        g: &ScenarioGenerator,
+        r: &Relation,
+        column: &str,
+        tuples: &[usize],
+        scenarios: std::ops::Range<usize>,
+    ) -> Vec<Vec<f64>> {
+        let matrix = g
+            .realize_sparse_matrix_range(r, column, tuples, scenarios, 1)
+            .unwrap();
+        (0..matrix.num_scenarios())
+            .map(|j| matrix.scenario(j).to_vec())
+            .collect()
+    }
+
     #[test]
     fn scenario_wise_and_tuple_wise_agree() {
         let r = rel();
         let g = ScenarioGenerator::new(123);
         let m = 16;
         let matrix = g.realize_matrix(&r, "gain", m).unwrap();
+        let all: Vec<usize> = (0..r.len()).collect();
+        for j in 0..m {
+            // Scenario-wise: one scenario of the whole column.
+            assert_eq!(
+                window(&g, &r, "gain", &all, j..j + 1),
+                vec![matrix.scenario(j).to_vec()]
+            );
+        }
         for tuple in 0..r.len() {
-            let by_tuple = g.realize_tuple(&r, "gain", tuple, 0..m).unwrap();
+            // Tuple-wise: every scenario of one tuple.
+            let by_tuple = window(&g, &r, "gain", &[tuple], 0..m);
             for (j, v) in by_tuple.iter().enumerate() {
-                assert_eq!(*v, matrix.value(j, tuple), "tuple {tuple} scenario {j}");
+                assert_eq!(v[0], matrix.value(j, tuple), "tuple {tuple} scenario {j}");
             }
         }
     }
@@ -500,7 +384,7 @@ mod tests {
         let r = rel();
         let g = ScenarioGenerator::new(5);
         let matrix = g.realize_matrix(&r, "gain", 8).unwrap();
-        let sparse = g.realize_sparse(&r, "gain", &[2, 0], 0..8).unwrap();
+        let sparse = window(&g, &r, "gain", &[2, 0], 0..8);
         for (j, row) in sparse.iter().enumerate() {
             assert_eq!(row[0], matrix.value(j, 2));
             assert_eq!(row[1], matrix.value(j, 0));
@@ -508,30 +392,31 @@ mod tests {
     }
 
     #[test]
-    fn realize_cell_matches_column() {
+    fn one_cell_blocks_match_the_column_block() {
+        // A one-cell block holds the value the whole column's block holds.
         let r = rel();
         let g = ScenarioGenerator::new(11);
-        let s = g.realize_column(&r, "gain", 3).unwrap();
-        for i in 0..r.len() {
-            assert_eq!(g.realize_cell(&r, "gain", i, 3).unwrap(), s.values[i]);
+        let all: Vec<usize> = (0..r.len()).collect();
+        let column = window(&g, &r, "gain", &all, 3..4);
+        for (i, &v) in column[0].iter().enumerate() {
+            assert_eq!(window(&g, &r, "gain", &[i], 3..4), vec![vec![v]]);
         }
-        assert_eq!(s.index, 3);
     }
 
     #[test]
     fn different_seeds_and_streams_differ() {
         let r = rel();
         let a = ScenarioGenerator::new(1)
-            .realize_column(&r, "gain", 0)
+            .realize_matrix(&r, "gain", 1)
             .unwrap();
         let b = ScenarioGenerator::new(2)
-            .realize_column(&r, "gain", 0)
+            .realize_matrix(&r, "gain", 1)
             .unwrap();
         let c = ScenarioGenerator::validation(1)
-            .realize_column(&r, "gain", 0)
+            .realize_matrix(&r, "gain", 1)
             .unwrap();
-        assert_ne!(a.values, b.values);
-        assert_ne!(a.values, c.values);
+        assert_ne!(a, b);
+        assert_ne!(a, c);
         assert_eq!(ScenarioGenerator::new(1).base_seed(), 1);
         assert_eq!(ScenarioGenerator::new(1).stream(), Stream::Optimization);
         assert_eq!(
@@ -544,21 +429,23 @@ mod tests {
     fn degenerate_columns_are_constant_across_scenarios() {
         let r = rel();
         let g = ScenarioGenerator::new(9);
-        for j in 0..5 {
-            let s = g.realize_column(&r, "other", j).unwrap();
-            assert_eq!(s.values, vec![7.0; 4]);
-        }
+        let matrix = g.realize_matrix(&r, "other", 5).unwrap();
+        assert_eq!(matrix, ScenarioMatrix::broadcast(&[7.0; 4], 5));
     }
 
     #[test]
     fn matrix_means_converge_to_base() {
         let r = rel();
         let g = ScenarioGenerator::new(77);
-        let matrix = g.realize_matrix(&r, "gain", 3000).unwrap();
-        let means = matrix.column_means();
-        for (i, m) in means.iter().enumerate() {
+        let m = 3000;
+        let matrix = g.realize_matrix(&r, "gain", m).unwrap();
+        for i in 0..r.len() {
+            let mean = (0..m).map(|j| matrix.value(j, i)).sum::<f64>() / m as f64;
             let base = (i + 1) as f64;
-            assert!((m - base).abs() < 0.1, "tuple {i}: mean {m} base {base}");
+            assert!(
+                (mean - base).abs() < 0.1,
+                "tuple {i}: mean {mean} base {base}"
+            );
         }
         assert_eq!(matrix.num_scenarios(), 3000);
         assert_eq!(matrix.num_tuples(), 4);
@@ -566,22 +453,14 @@ mod tests {
 
     #[test]
     fn matrix_accessors() {
-        let s0 = Scenario {
-            index: 0,
-            values: vec![1.0, 2.0],
-        };
-        let s1 = Scenario {
-            index: 1,
-            values: vec![3.0, 4.0],
-        };
-        let m = ScenarioMatrix::from_scenarios(2, &[s0, s1]);
+        let m = ScenarioMatrix::from_rows(2, &[[1.0, 2.0], [3.0, 4.0]]);
         assert_eq!(m.num_scenarios(), 2);
         assert_eq!(m.scenario(1), &[3.0, 4.0]);
         assert_eq!(m.value(0, 1), 2.0);
-        assert_eq!(m.column_means(), vec![2.0, 3.0]);
-        let empty = ScenarioMatrix::from_scenarios(0, &[]);
+        assert_eq!(m.raw_data(), &[1.0, 2.0, 3.0, 4.0]);
+        let empty = ScenarioMatrix::from_rows::<Vec<f64>>(0, &[]);
         assert_eq!(empty.num_scenarios(), 0);
-        assert_eq!(empty.column_means(), Vec::<f64>::new());
+        assert_eq!(empty.num_tuples(), 0);
     }
 
     #[test]
@@ -596,35 +475,43 @@ mod tests {
             .unwrap();
         let g = ScenarioGenerator::new(321);
         let m = 64;
-        let serial = g.realize_matrix_with_threads(&r, "x", m, 1).unwrap();
+        let all: Vec<usize> = (0..n).collect();
+        let serial = g
+            .realize_sparse_matrix_range(&r, "x", &all, 0..m, 1)
+            .unwrap();
         for threads in [2, 3, 8, 64] {
-            let parallel = g.realize_matrix_with_threads(&r, "x", m, threads).unwrap();
+            let parallel = g
+                .realize_sparse_matrix_range(&r, "x", &all, 0..m, threads)
+                .unwrap();
             assert_eq!(serial, parallel, "threads = {threads}");
         }
-        // The auto-threaded public entry point agrees too.
+        // The auto-threaded entry points agree too.
         assert_eq!(serial, g.realize_matrix(&r, "x", m).unwrap());
+        assert_eq!(
+            serial,
+            g.realize_sparse_matrix_range(&r, "x", &all, 0..m, 0)
+                .unwrap()
+        );
 
         let tuples: Vec<usize> = (0..n).step_by(3).collect();
         let sparse_serial = g
-            .realize_sparse_with_threads(&r, "x", &tuples, 5..40, 1)
+            .realize_sparse_matrix_range(&r, "x", &tuples, 5..40, 1)
             .unwrap();
-        for threads in [2, 5, 16] {
+        for threads in [0, 2, 5, 16] {
             let sparse_parallel = g
-                .realize_sparse_with_threads(&r, "x", &tuples, 5..40, threads)
+                .realize_sparse_matrix_range(&r, "x", &tuples, 5..40, threads)
                 .unwrap();
             assert_eq!(sparse_serial, sparse_parallel, "threads = {threads}");
         }
-        assert_eq!(
-            sparse_serial,
-            g.realize_sparse(&r, "x", &tuples, 5..40).unwrap()
-        );
     }
 
     #[test]
     fn range_matrices_are_windows_of_the_full_matrix() {
         let r = rel();
         let g = ScenarioGenerator::validation(13);
-        let full = g.realize_sparse_matrix(&r, "gain", &[0, 2, 3], 40).unwrap();
+        let full = g
+            .realize_sparse_matrix_range(&r, "gain", &[0, 2, 3], 0..40, 0)
+            .unwrap();
         for threads in [0, 1, 2, 5] {
             let window = g
                 .realize_sparse_matrix_range(&r, "gain", &[0, 2, 3], 7..29, threads)
@@ -674,7 +561,11 @@ mod tests {
     fn unknown_column_errors() {
         let r = rel();
         let g = ScenarioGenerator::new(0);
-        assert!(g.realize_column(&r, "nope", 0).is_err());
-        assert!(g.realize_column(&r, "price", 0).is_err());
+        assert!(g.realize_matrix(&r, "nope", 1).is_err());
+        assert!(g.realize_matrix(&r, "price", 1).is_err());
+        assert!(g
+            .realize_sparse_matrix_range(&r, "nope", &[0], 0..1, 0)
+            .is_err());
+        assert!(g.tuple_moments(&r, "price", &[0], 1).is_err());
     }
 }

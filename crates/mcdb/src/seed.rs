@@ -6,8 +6,9 @@
 //! that is disjoint from the optimization seed). We achieve this with a
 //! counter-based scheme: the realization of stochastic column `c`, driver
 //! group `g`, scenario `j` under base seed `s` is produced by an RNG seeded
-//! with a strong mix of `(s, c, g, j)`. Generation order therefore never
-//! affects the values.
+//! with a strong mix of `(s, stream, c, g, j)` ([`column_prefix`],
+//! [`group_seed`], [`cell_seed`]). Generation order therefore never affects
+//! the values.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -52,33 +53,19 @@ pub fn mix(words: &[u64]) -> u64 {
     acc
 }
 
-/// Derive the RNG for one (column, driver-group, scenario) cell.
-///
-/// `column_tag` is a stable hash of the column name, `group` is the driver
-/// group index (tuples that share correlated randomness share a group), and
-/// `scenario` is the scenario index within the stream.
-pub fn cell_rng(
-    base_seed: u64,
-    stream: Stream,
-    column_tag: u64,
-    group: u64,
-    scenario: u64,
-) -> SmallRng {
-    let seed = mix(&[base_seed, stream.tag(), column_tag, group, scenario]);
-    SmallRng::seed_from_u64(seed)
-}
-
 /// The hoisted seeding prefix shared by every cell of one `(base seed,
 /// stream, column)` triple: the state of the [`mix`] fold after its first
 /// three words.
 ///
-/// The columnar block kernels hoist this out of their inner loops so each
-/// cell pays two SplitMix rounds ([`group_seed`] is hoisted per tuple,
-/// [`cell_seed`] runs per scenario) instead of the ten a full five-word
-/// [`mix`] costs. Folding the remaining words through [`group_seed`] and
-/// [`cell_seed`] reproduces `mix(&[base_seed, stream, column, group,
-/// scenario])` bit-exactly, which is what keeps the block kernels
-/// bit-identical to [`cell_rng`].
+/// A cell's key is `mix(&[base_seed, stream.tag(), column_tag, group,
+/// scenario])`, where `column_tag` is a stable hash of the column name,
+/// `group` the driver group (tuples that share correlated randomness share
+/// a group) and `scenario` the index within the stream. The block kernels
+/// hoist this prefix out of their inner loops so each cell pays two
+/// SplitMix rounds ([`group_seed`] is hoisted per tuple, [`cell_seed`] runs
+/// per scenario) instead of the ten a full five-word [`mix`] costs; folding
+/// the remaining words through [`group_seed`] and [`cell_seed`] reproduces
+/// the full key bit-exactly.
 #[inline]
 pub fn column_prefix(base_seed: u64, stream: Stream, column_tag: u64) -> u64 {
     mix(&[base_seed, stream.tag(), column_tag])
@@ -92,8 +79,7 @@ pub fn group_seed(column_prefix: u64, group: u64) -> u64 {
 }
 
 /// Fold a scenario index into a [`group_seed`], completing the counter-based
-/// cell key. `SmallRng::seed_from_u64(cell_seed(..))` is the same generator
-/// [`cell_rng`] returns.
+/// cell key; `SmallRng::seed_from_u64(cell_seed(..))` is the cell's RNG.
 #[inline]
 pub fn cell_seed(group_seed: u64, scenario: u64) -> u64 {
     splitmix64(group_seed ^ splitmix64(scenario))
@@ -159,19 +145,23 @@ mod tests {
         assert_eq!(a, mix(&[1, 2, 3]));
     }
 
+    fn key_rng(s: u64, stream: Stream, c: u64, g: u64, j: u64) -> SmallRng {
+        SmallRng::seed_from_u64(cell_seed(group_seed(column_prefix(s, stream, c), g), j))
+    }
+
     #[test]
     fn streams_are_disjoint() {
-        let mut a = cell_rng(7, Stream::Optimization, 1, 2, 3);
-        let mut b = cell_rng(7, Stream::Validation, 1, 2, 3);
+        let mut a = key_rng(7, Stream::Optimization, 1, 2, 3);
+        let mut b = key_rng(7, Stream::Validation, 1, 2, 3);
         let xs: Vec<u64> = (0..4).map(|_| a.gen()).collect();
         let ys: Vec<u64> = (0..4).map(|_| b.gen()).collect();
         assert_ne!(xs, ys);
     }
 
     #[test]
-    fn cell_rng_is_reproducible() {
-        let mut a = cell_rng(11, Stream::Optimization, 5, 0, 9);
-        let mut b = cell_rng(11, Stream::Optimization, 5, 0, 9);
+    fn cell_keys_are_reproducible() {
+        let mut a = key_rng(11, Stream::Optimization, 5, 0, 9);
+        let mut b = key_rng(11, Stream::Optimization, 5, 0, 9);
         for _ in 0..8 {
             assert_eq!(a.gen::<u64>(), b.gen::<u64>());
         }
@@ -190,11 +180,6 @@ mod tests {
                 let full = mix(&[s, stream.tag(), c, g, j]);
                 let hoisted = cell_seed(group_seed(column_prefix(s, stream, c), g), j);
                 assert_eq!(full, hoisted);
-                let mut a = cell_rng(s, stream, c, g, j);
-                let mut b = SmallRng::seed_from_u64(hoisted);
-                for _ in 0..4 {
-                    assert_eq!(a.gen::<u64>(), b.gen::<u64>());
-                }
             }
         }
     }

@@ -18,7 +18,7 @@ use crate::seed::{cell_seed, group_seed, splitmix64};
 use crate::Result;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rand_distr::{Distribution, Exp, Normal, Pareto, Poisson, StudentT, Uniform};
+use rand_distr::{Distribution, Exp, Normal, Pareto, Poisson, StandardNormal, StudentT, Uniform};
 use std::fmt;
 use std::ops::Range;
 
@@ -70,11 +70,10 @@ impl From<Vec<f64>> for PerTuple {
 /// A variable generation function: produces realizations of one stochastic
 /// column.
 ///
-/// Implementations must be deterministic functions of the supplied RNG so
-/// that scenario generation is reproducible; the RNG passed to [`realize`]
-/// is seeded per `(column, driver_group(tuple), scenario)`.
-///
-/// [`realize`]: VgFunction::realize
+/// Realization is blockwise: [`Self::realize_block`] fills a `tuples ×
+/// scenarios` block, seeding every cell from the counter-based key of its
+/// `(column, driver_group(tuple), scenario)` triple, so the values do not
+/// depend on the block's shape, its tile split or the thread that draws it.
 pub trait VgFunction: Send + Sync + fmt::Debug {
     /// Short human-readable name of the model.
     fn name(&self) -> &'static str;
@@ -95,69 +94,53 @@ pub trait VgFunction: Send + Sync + fmt::Debug {
         tuple as u64
     }
 
-    /// Produce a realization for `tuple` using `rng`.
-    fn realize(&self, tuple: usize, rng: &mut SmallRng) -> f64;
-
     /// Realize a whole `tuples × scenarios` block in one call, writing
     /// tuple-major output: `out[ti * scenarios.len() + jj]` is the value of
     /// `tuples[ti]` in scenario `scenarios.start + jj`.
     ///
     /// `column_prefix` is the hoisted [`crate::seed::column_prefix`] of the
-    /// `(base seed, stream, column)` triple; implementations derive each
-    /// cell's RNG as `SmallRng::seed_from_u64(cell_seed(group_seed(prefix,
-    /// driver_group(tuple)), scenario))`, which is exactly the counter-based
-    /// key [`crate::seed::cell_rng`] uses. Every override in this module is
-    /// therefore **bit-identical** to the per-cell [`Self::realize`] path —
-    /// the per-cell path stays the conformance oracle, enforced by the
-    /// block-kernel proptests — while hoisting seeding, parameter lookups,
-    /// and distribution construction out of the scenario loop.
-    ///
-    /// The default implementation is that oracle loop itself, so external
-    /// models are correct without overriding anything.
+    /// `(base seed, stream, column)` triple. Each cell draws from
+    /// `SmallRng::seed_from_u64(cell_seed(group_seed(prefix,
+    /// driver_group(tuple)), scenario))`, the five-word counter-based key of
+    /// [`crate::seed`], while seeding, parameter lookups and distribution
+    /// construction are hoisted out of the scenario loop. An independent
+    /// per-cell oracle in the `block_kernel_conformance` test suite pins
+    /// every family's kernel bit for bit.
     fn realize_block(
         &self,
         column_prefix: u64,
         tuples: &[usize],
         scenarios: Range<usize>,
         out: &mut [f64],
-    ) {
-        let m = scenarios.len();
-        debug_assert_eq!(out.len(), tuples.len() * m);
-        for (row, &tuple) in out.chunks_exact_mut(m.max(1)).zip(tuples) {
-            let gs = group_seed(column_prefix, self.driver_group(tuple));
-            for (slot, j) in row.iter_mut().zip(scenarios.clone()) {
-                let mut rng = SmallRng::seed_from_u64(cell_seed(gs, j as u64));
-                *slot = self.realize(tuple, &mut rng);
-            }
-        }
-    }
+    );
 
     /// A stable 64-bit digest of the model's parameters, used (folded into
     /// [`crate::Relation::fingerprint`]) to key the persistent scenario
     /// store across process restarts. Two models may share a signature only
     /// if they realize identically.
     ///
-    /// The default probes the model: it realizes a handful of cells from
-    /// fixed-seed RNGs spread over the tuple range and hashes the result
-    /// bits together with the name, length, and driver groups. Because
-    /// realizations are deterministic functions of the RNG, any parameter
-    /// that can influence a realized value perturbs the digest.
+    /// The default probes the model: it realizes the first scenarios of a
+    /// handful of tuples spread over the tuple range under a fixed probe
+    /// prefix, and hashes the result bits together with the name, length,
+    /// and driver groups. Because realizations are deterministic functions
+    /// of the cell seeds, any parameter that can influence a realized value
+    /// perturbs the digest.
     fn param_signature(&self) -> u64 {
+        const PROBE_PREFIX: u64 = 0xA5A5_5A5A_0F0F_F0F0;
+        const PROBE_SCENARIOS: usize = 2;
         let n = self.len();
-        let mut acc = crate::seed::column_tag(self.name()) ^ splitmix64(n as u64);
         let probes = n.min(64);
-        for k in 0..probes {
-            // Even spread including the last tuple, so per-tuple parameter
-            // vectors are sampled across their whole range.
-            let tuple = if probes <= 1 {
-                0
-            } else {
-                k * (n - 1) / (probes - 1)
-            };
+        // Even spread including the last tuple, so per-tuple parameter
+        // vectors are sampled across their whole range.
+        let tuples: Vec<usize> = (0..probes)
+            .map(|k| k * (n - 1) / (probes - 1).max(1))
+            .collect();
+        let mut values = vec![0.0f64; probes * PROBE_SCENARIOS];
+        self.realize_block(PROBE_PREFIX, &tuples, 0..PROBE_SCENARIOS, &mut values);
+        let mut acc = crate::seed::column_tag(self.name()) ^ splitmix64(n as u64);
+        for (&tuple, row) in tuples.iter().zip(values.chunks_exact(PROBE_SCENARIOS)) {
             acc = splitmix64(acc ^ splitmix64(self.driver_group(tuple)));
-            for probe_seed in [0xA5A5_5A5A_0F0F_F0F0u64, 0x0123_4567_89AB_CDEF] {
-                let mut rng = SmallRng::seed_from_u64(splitmix64(acc ^ probe_seed));
-                let v = self.realize(tuple, &mut rng);
+            for v in row {
                 acc = splitmix64(acc ^ v.to_bits());
             }
         }
@@ -211,6 +194,31 @@ fn check_len(vg: &'static str, expected: usize, what: &str, p: &PerTuple) -> Res
     Ok(())
 }
 
+/// True for the rates, scales and degrees of freedom the distribution
+/// constructors accept: positive and finite (so never NaN).
+fn positive_finite(x: f64) -> bool {
+    x > 0.0 && x.is_finite()
+}
+
+/// The counter-based cell loop every drawing kernel shares: fold `group`
+/// into the column prefix once, then give each cell of `row` its own RNG
+/// keyed by its scenario and store `draw`'s value. Generic over the draw,
+/// so each kernel compiles to its own monomorphic loop.
+#[inline(always)]
+fn draw_cells(
+    column_prefix: u64,
+    group: u64,
+    scenarios: Range<usize>,
+    row: &mut [f64],
+    mut draw: impl FnMut(&mut SmallRng) -> f64,
+) {
+    let gs = group_seed(column_prefix, group);
+    for (slot, j) in row.iter_mut().zip(scenarios) {
+        let mut rng = SmallRng::seed_from_u64(cell_seed(gs, j as u64));
+        *slot = draw(&mut rng);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Degenerate (deterministic) model
 // ---------------------------------------------------------------------------
@@ -238,10 +246,6 @@ impl VgFunction for Degenerate {
 
     fn len(&self) -> usize {
         self.values.len()
-    }
-
-    fn realize(&self, tuple: usize, _rng: &mut SmallRng) -> f64 {
-        self.values[tuple]
     }
 
     fn realize_block(
@@ -304,15 +308,6 @@ impl VgFunction for NormalNoise {
         self.base.len()
     }
 
-    fn realize(&self, tuple: usize, rng: &mut SmallRng) -> f64 {
-        let sigma = self.sigma.get(tuple).abs();
-        if sigma == 0.0 {
-            return self.base[tuple];
-        }
-        let normal = Normal::new(0.0, sigma).expect("validated sigma");
-        self.base[tuple] + normal.sample(rng)
-    }
-
     fn realize_block(
         &self,
         column_prefix: u64,
@@ -324,18 +319,15 @@ impl VgFunction for NormalNoise {
         for (row, &tuple) in out.chunks_exact_mut(m.max(1)).zip(tuples) {
             let base = self.base[tuple];
             let sigma = self.sigma.get(tuple).abs();
-            // σ == 0 short-circuits before touching the RNG in the per-cell
-            // path, so the block kernel must not consume draws either.
+            // σ == 0 realizes the base value: no cell needs seeding.
             if sigma == 0.0 {
                 row.fill(base);
                 continue;
             }
             let normal = Normal::new(0.0, sigma).expect("validated sigma");
-            let gs = group_seed(column_prefix, tuple as u64);
-            for (slot, j) in row.iter_mut().zip(scenarios.clone()) {
-                let mut rng = SmallRng::seed_from_u64(cell_seed(gs, j as u64));
-                *slot = base + normal.sample(&mut rng);
-            }
+            draw_cells(column_prefix, tuple as u64, scenarios.clone(), row, |rng| {
+                base + normal.sample(rng)
+            });
         }
     }
 
@@ -404,13 +396,6 @@ impl VgFunction for ParetoNoise {
         self.base.len()
     }
 
-    fn realize(&self, tuple: usize, rng: &mut SmallRng) -> f64 {
-        let scale = self.scale.get(tuple).abs().max(f64::MIN_POSITIVE);
-        let shape = self.shape.get(tuple).abs().max(f64::MIN_POSITIVE);
-        let pareto = Pareto::new(scale, shape).expect("validated pareto");
-        self.base[tuple] + pareto.sample(rng)
-    }
-
     fn realize_block(
         &self,
         column_prefix: u64,
@@ -424,11 +409,9 @@ impl VgFunction for ParetoNoise {
             let scale = self.scale.get(tuple).abs().max(f64::MIN_POSITIVE);
             let shape = self.shape.get(tuple).abs().max(f64::MIN_POSITIVE);
             let pareto = Pareto::new(scale, shape).expect("validated pareto");
-            let gs = group_seed(column_prefix, tuple as u64);
-            for (slot, j) in row.iter_mut().zip(scenarios.clone()) {
-                let mut rng = SmallRng::seed_from_u64(cell_seed(gs, j as u64));
-                *slot = base + pareto.sample(&mut rng);
-            }
+            draw_cells(column_prefix, tuple as u64, scenarios.clone(), row, |rng| {
+                base + pareto.sample(rng)
+            });
         }
     }
 
@@ -454,10 +437,10 @@ impl VgFunction for ParetoNoise {
         check_len("pareto-noise", self.base.len(), "scale", &self.scale)?;
         check_len("pareto-noise", self.base.len(), "shape", &self.shape)?;
         for i in 0..self.base.len() {
-            if self.scale.get(i) <= 0.0 || self.shape.get(i) <= 0.0 {
+            if !positive_finite(self.scale.get(i)) || !positive_finite(self.shape.get(i)) {
                 return Err(McdbError::InvalidVgParameter {
                     vg: "pareto-noise",
-                    message: format!("scale and shape must be positive for tuple {i}"),
+                    message: format!("scale and shape must be positive and finite for tuple {i}"),
                 });
             }
         }
@@ -493,14 +476,6 @@ impl VgFunction for UniformNoise {
         self.base.len()
     }
 
-    fn realize(&self, tuple: usize, rng: &mut SmallRng) -> f64 {
-        if self.hi <= self.lo {
-            return self.base[tuple] + self.lo;
-        }
-        let u = Uniform::new(self.lo, self.hi);
-        self.base[tuple] + u.sample(rng)
-    }
-
     fn realize_block(
         &self,
         column_prefix: u64,
@@ -509,20 +484,18 @@ impl VgFunction for UniformNoise {
         out: &mut [f64],
     ) {
         let m = scenarios.len();
-        // The degenerate range never consumes a draw in the per-cell path.
+        // An empty range realizes `base + lo`: no cell needs seeding.
         let degenerate = self.hi <= self.lo;
+        let u = Uniform::new(self.lo, self.hi);
         for (row, &tuple) in out.chunks_exact_mut(m.max(1)).zip(tuples) {
             let base = self.base[tuple];
             if degenerate {
                 row.fill(base + self.lo);
                 continue;
             }
-            let u = Uniform::new(self.lo, self.hi);
-            let gs = group_seed(column_prefix, tuple as u64);
-            for (slot, j) in row.iter_mut().zip(scenarios.clone()) {
-                let mut rng = SmallRng::seed_from_u64(cell_seed(gs, j as u64));
-                *slot = base + u.sample(&mut rng);
-            }
+            draw_cells(column_prefix, tuple as u64, scenarios.clone(), row, |rng| {
+                base + u.sample(rng)
+            });
         }
     }
 
@@ -578,11 +551,6 @@ impl VgFunction for ExponentialNoise {
         self.base.len()
     }
 
-    fn realize(&self, tuple: usize, rng: &mut SmallRng) -> f64 {
-        let exp = Exp::new(self.lambda).expect("validated lambda");
-        self.base[tuple] + exp.sample(rng) - 1.0 / self.lambda
-    }
-
     fn realize_block(
         &self,
         column_prefix: u64,
@@ -595,11 +563,9 @@ impl VgFunction for ExponentialNoise {
         let centering = 1.0 / self.lambda;
         for (row, &tuple) in out.chunks_exact_mut(m.max(1)).zip(tuples) {
             let base = self.base[tuple];
-            let gs = group_seed(column_prefix, tuple as u64);
-            for (slot, j) in row.iter_mut().zip(scenarios.clone()) {
-                let mut rng = SmallRng::seed_from_u64(cell_seed(gs, j as u64));
-                *slot = base + exp.sample(&mut rng) - centering;
-            }
+            draw_cells(column_prefix, tuple as u64, scenarios.clone(), row, |rng| {
+                base + exp.sample(rng) - centering
+            });
         }
     }
 
@@ -612,10 +578,10 @@ impl VgFunction for ExponentialNoise {
     }
 
     fn validate(&self) -> Result<()> {
-        if self.lambda.is_nan() || self.lambda <= 0.0 {
+        if !positive_finite(self.lambda) {
             return Err(McdbError::InvalidVgParameter {
                 vg: "exponential-noise",
-                message: "lambda must be positive".into(),
+                message: "lambda must be positive and finite".into(),
             });
         }
         Ok(())
@@ -649,11 +615,6 @@ impl VgFunction for PoissonNoise {
         self.base.len()
     }
 
-    fn realize(&self, tuple: usize, rng: &mut SmallRng) -> f64 {
-        let pois = Poisson::new(self.lambda).expect("validated lambda");
-        self.base[tuple] + pois.sample(rng) - self.lambda
-    }
-
     fn realize_block(
         &self,
         column_prefix: u64,
@@ -667,11 +628,9 @@ impl VgFunction for PoissonNoise {
         let pois = Poisson::new(self.lambda).expect("validated lambda");
         for (row, &tuple) in out.chunks_exact_mut(m.max(1)).zip(tuples) {
             let base = self.base[tuple];
-            let gs = group_seed(column_prefix, tuple as u64);
-            for (slot, j) in row.iter_mut().zip(scenarios.clone()) {
-                let mut rng = SmallRng::seed_from_u64(cell_seed(gs, j as u64));
-                *slot = base + pois.sample(&mut rng) - self.lambda;
-            }
+            draw_cells(column_prefix, tuple as u64, scenarios.clone(), row, |rng| {
+                base + pois.sample(rng) - self.lambda
+            });
         }
     }
 
@@ -684,10 +643,10 @@ impl VgFunction for PoissonNoise {
     }
 
     fn validate(&self) -> Result<()> {
-        if self.lambda.is_nan() || self.lambda <= 0.0 {
+        if !positive_finite(self.lambda) {
             return Err(McdbError::InvalidVgParameter {
                 vg: "poisson-noise",
-                message: "lambda must be positive".into(),
+                message: "lambda must be positive and finite".into(),
             });
         }
         Ok(())
@@ -723,11 +682,6 @@ impl VgFunction for StudentTNoise {
         self.base.len()
     }
 
-    fn realize(&self, tuple: usize, rng: &mut SmallRng) -> f64 {
-        let t = StudentT::new(self.nu).expect("validated nu");
-        self.base[tuple] + self.scale * t.sample(rng)
-    }
-
     fn realize_block(
         &self,
         column_prefix: u64,
@@ -739,11 +693,9 @@ impl VgFunction for StudentTNoise {
         let t = StudentT::new(self.nu).expect("validated nu");
         for (row, &tuple) in out.chunks_exact_mut(m.max(1)).zip(tuples) {
             let base = self.base[tuple];
-            let gs = group_seed(column_prefix, tuple as u64);
-            for (slot, j) in row.iter_mut().zip(scenarios.clone()) {
-                let mut rng = SmallRng::seed_from_u64(cell_seed(gs, j as u64));
-                *slot = base + self.scale * t.sample(&mut rng);
-            }
+            draw_cells(column_prefix, tuple as u64, scenarios.clone(), row, |rng| {
+                base + self.scale * t.sample(rng)
+            });
         }
     }
 
@@ -761,10 +713,10 @@ impl VgFunction for StudentTNoise {
     }
 
     fn validate(&self) -> Result<()> {
-        if self.nu.is_nan() || self.nu <= 0.0 {
+        if !positive_finite(self.nu) {
             return Err(McdbError::InvalidVgParameter {
                 vg: "student-t-noise",
-                message: "degrees of freedom must be positive".into(),
+                message: "degrees of freedom must be positive and finite".into(),
             });
         }
         Ok(())
@@ -792,7 +744,6 @@ pub struct GeometricBrownianMotion {
     sigma: Vec<f64>,
     horizon: Vec<u32>,
     group: Vec<u64>,
-    max_horizon: u32,
 }
 
 impl GeometricBrownianMotion {
@@ -812,36 +763,13 @@ impl GeometricBrownianMotion {
         horizon: Vec<u32>,
         group: Vec<u64>,
     ) -> Self {
-        let max_horizon = horizon.iter().copied().max().unwrap_or(0);
         GeometricBrownianMotion {
             price,
             mu,
             sigma,
             horizon,
             group,
-            max_horizon,
         }
-    }
-
-    /// Simulate the log-price increments for `days` days and return the
-    /// terminal price after `horizon` days.
-    fn terminal_price(&self, tuple: usize, rng: &mut SmallRng) -> f64 {
-        let s0 = self.price[tuple];
-        let mu = self.mu[tuple];
-        let sigma = self.sigma[tuple];
-        let horizon = self.horizon[tuple];
-        let normal = Normal::new(0.0, 1.0).expect("unit normal");
-        let mut log_s = s0.ln();
-        // Advance the shared path day by day; every tuple in the group
-        // consumes the same increments because the RNG stream is shared.
-        for day in 1..=self.max_horizon {
-            let z: f64 = normal.sample(rng);
-            log_s += (mu - 0.5 * sigma * sigma) + sigma * z;
-            if day == horizon {
-                return log_s.exp();
-            }
-        }
-        log_s.exp()
     }
 }
 
@@ -858,10 +786,6 @@ impl VgFunction for GeometricBrownianMotion {
         self.group[tuple]
     }
 
-    fn realize(&self, tuple: usize, rng: &mut SmallRng) -> f64 {
-        self.terminal_price(tuple, rng) - self.price[tuple]
-    }
-
     fn realize_block(
         &self,
         column_prefix: u64,
@@ -870,26 +794,24 @@ impl VgFunction for GeometricBrownianMotion {
         out: &mut [f64],
     ) {
         let m = scenarios.len();
-        let normal = Normal::new(0.0, 1.0).expect("unit normal");
         for (row, &tuple) in out.chunks_exact_mut(m.max(1)).zip(tuples) {
             let price = self.price[tuple];
             let sigma = self.sigma[tuple];
             let drift = self.mu[tuple] - 0.5 * sigma * sigma;
             let horizon = self.horizon[tuple];
             let log_s0 = price.ln();
-            let gs = group_seed(column_prefix, self.group[tuple]);
-            for (slot, j) in row.iter_mut().zip(scenarios.clone()) {
-                let mut rng = SmallRng::seed_from_u64(cell_seed(gs, j as u64));
-                // Same day-by-day walk as `terminal_price`: the shared
-                // group stream means a short-horizon tuple still stops
-                // mid-path at its own horizon.
+            // The cell is keyed by the stock's driver group, so every trade
+            // of one stock walks the same day-by-day path and a
+            // short-horizon trade stops partway along it.
+            let stock = self.group[tuple];
+            draw_cells(column_prefix, stock, scenarios.clone(), row, |rng| {
                 let mut log_s = log_s0;
                 for _ in 1..=horizon {
-                    let z: f64 = normal.sample(&mut rng);
+                    let z: f64 = StandardNormal.sample(rng);
                     log_s += drift + sigma * z;
                 }
-                *slot = log_s.exp() - price;
-            }
+                log_s.exp() - price
+            });
         }
     }
 
@@ -927,7 +849,13 @@ impl VgFunction for GeometricBrownianMotion {
             }
         }
         for i in 0..n {
-            if self.price[i] <= 0.0 || self.sigma[i] < 0.0 || self.horizon[i] == 0 {
+            let (price, mu, sigma) = (self.price[i], self.mu[i], self.sigma[i]);
+            let ok = positive_finite(price)
+                && mu.is_finite()
+                && sigma.is_finite()
+                && sigma >= 0.0
+                && self.horizon[i] > 0;
+            if !ok {
                 return Err(McdbError::InvalidVgParameter {
                     vg: "geometric-brownian-motion",
                     message: format!("invalid parameters for tuple {i}"),
@@ -992,10 +920,10 @@ impl SourceDispersion {
     fn validate(&self) -> Result<()> {
         let ok = match *self {
             SourceDispersion::Exponential { lambda } | SourceDispersion::Poisson { lambda } => {
-                lambda > 0.0
+                positive_finite(lambda)
             }
             SourceDispersion::Uniform { lo, hi } => lo.is_finite() && hi.is_finite() && hi >= lo,
-            SourceDispersion::StudentT { nu } => nu > 0.0,
+            SourceDispersion::StudentT { nu } => positive_finite(nu),
         };
         if ok {
             Ok(())
@@ -1080,12 +1008,6 @@ impl VgFunction for DiscreteSources {
         self.source_values.len()
     }
 
-    fn realize(&self, tuple: usize, rng: &mut SmallRng) -> f64 {
-        let cands = &self.source_values[tuple];
-        let idx = rng.gen_range(0..cands.len());
-        cands[idx]
-    }
-
     fn realize_block(
         &self,
         column_prefix: u64,
@@ -1096,24 +1018,9 @@ impl VgFunction for DiscreteSources {
         let m = scenarios.len();
         for (row, &tuple) in out.chunks_exact_mut(m.max(1)).zip(tuples) {
             let cands = &self.source_values[tuple];
-            if let [only] = cands.as_slice() {
-                // One source: gen_range(0..1) below still consumes a draw in
-                // the per-cell path, so keep consuming it — but the table
-                // lookup is constant.
-                let only = *only;
-                let gs = group_seed(column_prefix, tuple as u64);
-                for (slot, j) in row.iter_mut().zip(scenarios.clone()) {
-                    let mut rng = SmallRng::seed_from_u64(cell_seed(gs, j as u64));
-                    let _ = rng.gen_range(0..1usize);
-                    *slot = only;
-                }
-                continue;
-            }
-            let gs = group_seed(column_prefix, tuple as u64);
-            for (slot, j) in row.iter_mut().zip(scenarios.clone()) {
-                let mut rng = SmallRng::seed_from_u64(cell_seed(gs, j as u64));
-                *slot = cands[rng.gen_range(0..cands.len())];
-            }
+            draw_cells(column_prefix, tuple as u64, scenarios.clone(), row, |rng| {
+                cands[rng.gen_range(0..cands.len())]
+            });
         }
     }
 
@@ -1131,8 +1038,7 @@ impl VgFunction for DiscreteSources {
     }
 
     fn is_scenario_invariant(&self, tuple: usize) -> bool {
-        // One candidate: the (still-consumed) source draw cannot change the
-        // realized value.
+        // One candidate: the source draw cannot change the realized value.
         self.source_values[tuple].len() == 1
     }
 }
@@ -1140,28 +1046,23 @@ impl VgFunction for DiscreteSources {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seed::{cell_rng, Stream};
+    use crate::seed::{column_prefix, Stream};
 
-    fn rng(seed: u64) -> SmallRng {
-        cell_rng(seed, Stream::Optimization, 0, 0, 0)
+    /// The first `n` scenarios of one tuple under `seed`'s validation
+    /// stream.
+    fn draws(vg: &dyn VgFunction, seed: u64, tuple: usize, n: usize) -> Vec<f64> {
+        let mut out = vec![0.0; n];
+        let prefix = column_prefix(seed, Stream::Validation, 1);
+        vg.realize_block(prefix, &[tuple], 0..n, &mut out);
+        out
     }
 
     fn empirical_mean(vg: &dyn VgFunction, tuple: usize, n: usize) -> f64 {
-        let mut sum = 0.0;
-        for j in 0..n {
-            let mut r = cell_rng(99, Stream::Validation, 1, vg.driver_group(tuple), j as u64);
-            sum += vg.realize(tuple, &mut r);
-        }
-        sum / n as f64
+        draws(vg, 99, tuple, n).iter().sum::<f64>() / n as f64
     }
 
     fn empirical_sd(vg: &dyn VgFunction, tuple: usize, n: usize) -> f64 {
-        let values: Vec<f64> = (0..n)
-            .map(|j| {
-                let mut r = cell_rng(99, Stream::Validation, 1, vg.driver_group(tuple), j as u64);
-                vg.realize(tuple, &mut r)
-            })
-            .collect();
+        let values = draws(vg, 99, tuple, n);
         let mean = values.iter().sum::<f64>() / n as f64;
         (values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n as f64).sqrt()
     }
@@ -1249,7 +1150,7 @@ mod tests {
     #[test]
     fn degenerate_always_returns_base() {
         let vg = Degenerate::new(vec![1.0, 2.0, 3.0]);
-        assert_eq!(vg.realize(1, &mut rng(0)), 2.0);
+        assert_eq!(draws(&vg, 0, 1, 8), vec![2.0; 8]);
         assert_eq!(vg.mean(2), Some(3.0));
         assert_eq!(vg.len(), 3);
     }
@@ -1266,7 +1167,7 @@ mod tests {
     #[test]
     fn normal_noise_zero_sigma_is_degenerate() {
         let vg = NormalNoise::around(vec![5.0], 0.0);
-        assert_eq!(vg.realize(0, &mut rng(3)), 5.0);
+        assert_eq!(draws(&vg, 3, 0, 8), vec![5.0; 8]);
     }
 
     #[test]
@@ -1279,9 +1180,8 @@ mod tests {
     fn pareto_noise_is_nonnegative_increment() {
         let vg = ParetoNoise::around(vec![1.0; 4], 1.0, 1.0);
         vg.validate().unwrap();
-        for j in 0..200u64 {
-            let mut r = cell_rng(5, Stream::Optimization, 2, 0, j);
-            assert!(vg.realize(0, &mut r) >= 2.0); // base 1 + pareto(scale 1) >= 2
+        for v in draws(&vg, 5, 0, 200) {
+            assert!(v >= 2.0); // base 1 + pareto(scale 1) >= 2
         }
         // Infinite mean for shape <= 1.
         assert_eq!(vg.mean(0), None);
@@ -1300,9 +1200,7 @@ mod tests {
         let vg = UniformNoise::around(vec![0.0], -1.0, 3.0);
         vg.validate().unwrap();
         assert_eq!(vg.mean(0), Some(1.0));
-        for j in 0..200u64 {
-            let mut r = cell_rng(5, Stream::Optimization, 2, 0, j);
-            let v = vg.realize(0, &mut r);
+        for v in draws(&vg, 5, 0, 200) {
             assert!((-1.0..3.0).contains(&v));
         }
     }
@@ -1332,6 +1230,134 @@ mod tests {
             .is_err());
     }
 
+    type Build = fn(f64) -> Result<Box<dyn VgFunction>>;
+
+    fn checked(vg: impl VgFunction + 'static) -> Result<Box<dyn VgFunction>> {
+        vg.validate()?;
+        Ok(Box::new(vg))
+    }
+
+    fn sources(dispersion: SourceDispersion) -> Result<Box<dyn VgFunction>> {
+        checked(DiscreteSources::sample_around(
+            vec![1.0, 2.0],
+            3,
+            dispersion,
+            7,
+        )?)
+    }
+
+    fn gbm(price: f64, mu: f64, sigma: f64) -> Result<Box<dyn VgFunction>> {
+        checked(GeometricBrownianMotion::new(
+            vec![price; 2],
+            vec![mu; 2],
+            vec![sigma; 2],
+            vec![1, 3],
+            vec![0, 0],
+        ))
+    }
+
+    #[test]
+    fn validate_rejects_exactly_the_parameters_a_kernel_cannot_draw() {
+        const RATE_BAD: &[f64] = &[f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 0.0, -1.0];
+        const RATE_OK: &[f64] = &[f64::MIN_POSITIVE, 0.5, 29.5, 30.0, 1e6, f64::MAX];
+        const NON_FINITE: &[f64] = &[f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        let cases: &[(&str, Build, &[f64], &[f64])] = &[
+            (
+                "exponential λ",
+                |x| checked(ExponentialNoise::around(vec![1.0, 2.0], x)),
+                RATE_BAD,
+                RATE_OK,
+            ),
+            (
+                "poisson λ",
+                |x| checked(PoissonNoise::around(vec![1.0, 2.0], x)),
+                RATE_BAD,
+                RATE_OK,
+            ),
+            (
+                "student-t ν",
+                |x| checked(StudentTNoise::around(vec![1.0, 2.0], x, 1.0)),
+                RATE_BAD,
+                RATE_OK,
+            ),
+            (
+                "pareto scale",
+                |x| checked(ParetoNoise::around(vec![1.0, 2.0], x, 1.5)),
+                RATE_BAD,
+                RATE_OK,
+            ),
+            (
+                "pareto shape",
+                |x| checked(ParetoNoise::around(vec![1.0, 2.0], 1.5, x)),
+                RATE_BAD,
+                RATE_OK,
+            ),
+            (
+                "normal σ",
+                |x| checked(NormalNoise::around(vec![1.0, 2.0], x)),
+                NON_FINITE,
+                &[-1.0, 0.0, f64::MAX],
+            ),
+            (
+                "uniform hi",
+                |x| checked(UniformNoise::around(vec![1.0, 2.0], 0.0, x)),
+                &[f64::INFINITY, f64::NAN, -1.0],
+                &[0.0, 1.0, f64::MAX],
+            ),
+            (
+                "gbm price",
+                |x| gbm(x, 0.001, 0.02),
+                RATE_BAD,
+                &[f64::MIN_POSITIVE, 1.0, f64::MAX],
+            ),
+            (
+                "gbm μ",
+                |x| gbm(100.0, x, 0.02),
+                NON_FINITE,
+                &[-1.0, 0.0, 1.0],
+            ),
+            (
+                "gbm σ",
+                |x| gbm(100.0, 0.001, x),
+                &[f64::INFINITY, f64::NAN, -0.5],
+                &[0.0, 0.02, 3.0],
+            ),
+            (
+                "sources exponential λ",
+                |x| sources(SourceDispersion::Exponential { lambda: x }),
+                RATE_BAD,
+                RATE_OK,
+            ),
+            (
+                "sources poisson λ",
+                |x| sources(SourceDispersion::Poisson { lambda: x }),
+                RATE_BAD,
+                RATE_OK,
+            ),
+            (
+                "sources student-t ν",
+                |x| sources(SourceDispersion::StudentT { nu: x }),
+                RATE_BAD,
+                RATE_OK,
+            ),
+        ];
+        for &(what, build, bad, ok) in cases {
+            for &x in bad {
+                assert!(build(x).is_err(), "{what} = {x} must be rejected");
+            }
+            for &x in ok {
+                let vg = build(x).unwrap_or_else(|e| panic!("{what} = {x} rejected: {e}"));
+                let mut out = vec![0.0; 2 * 16];
+                vg.realize_block(
+                    column_prefix(1, Stream::Validation, 2),
+                    &[0, 1],
+                    0..16,
+                    &mut out,
+                );
+            }
+        }
+    }
+
     #[test]
     fn student_t_mean_only_defined_for_nu_above_one() {
         let vg = StudentTNoise::around(vec![3.0], 2.0, 1.0);
@@ -1356,19 +1382,26 @@ mod tests {
         assert_ne!(vg.driver_group(0), vg.driver_group(2));
 
         // With a shared RNG stream, the 1-day gain is a prefix of the 5-day
-        // path: re-realize both from identically seeded RNGs and check that
-        // the first day's log-increment matches.
-        let mut r0 = cell_rng(7, Stream::Optimization, 3, 0, 12);
-        let gain_1d = vg.realize(0, &mut r0);
-        let mut r1 = cell_rng(7, Stream::Optimization, 3, 0, 12);
-        let gain_5d = vg.realize(1, &mut r1);
-        // Recompute the day-1 terminal price from the same stream manually.
-        let mut r2 = cell_rng(7, Stream::Optimization, 3, 0, 12);
-        let day1_price = vg.terminal_price(0, &mut r2);
-        assert!((gain_1d - (day1_price - 100.0)).abs() < 1e-9);
+        // path: walk the group's stream by hand and read both trades off it.
+        let prefix = column_prefix(7, Stream::Optimization, 3);
+        let mut out = vec![0.0; 3];
+        vg.realize_block(prefix, &[0, 1, 2], 12..13, &mut out);
+        let walk = |group: u64, days: u32, mu: f64, sigma: f64, price: f64| {
+            let seed = cell_seed(group_seed(prefix, group), 12);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut log_s = price.ln();
+            for _ in 0..days {
+                let z: f64 = Normal::new(0.0, 1.0).unwrap().sample(&mut rng);
+                log_s += (mu - 0.5 * sigma * sigma) + sigma * z;
+            }
+            log_s.exp() - price
+        };
+        assert_eq!(out[0], walk(0, 1, 0.0005, 0.02, 100.0));
+        assert_eq!(out[1], walk(0, 5, 0.0005, 0.02, 100.0));
+        assert_eq!(out[2], walk(1, 5, 0.001, 0.03, 50.0));
         // The two gains come from the same path but different days, so they
         // are generally different values.
-        assert_ne!(gain_1d, gain_5d);
+        assert_ne!(out[0], out[1]);
     }
 
     #[test]
@@ -1396,13 +1429,10 @@ mod tests {
     #[test]
     fn discrete_sources_picks_only_candidates() {
         let vg = DiscreteSources::from_candidates(vec![vec![1.0, 2.0, 3.0], vec![10.0]]).unwrap();
-        for j in 0..100u64 {
-            let mut r = cell_rng(3, Stream::Optimization, 9, 0, j);
-            let v = vg.realize(0, &mut r);
+        for v in draws(&vg, 3, 0, 100) {
             assert!([1.0, 2.0, 3.0].contains(&v));
-            let mut r = cell_rng(3, Stream::Optimization, 9, 1, j);
-            assert_eq!(vg.realize(1, &mut r), 10.0);
         }
+        assert_eq!(draws(&vg, 3, 1, 100), vec![10.0; 100]);
         assert!((vg.mean(0).unwrap() - 2.0).abs() < 1e-12);
     }
 

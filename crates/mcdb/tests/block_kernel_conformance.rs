@@ -1,44 +1,86 @@
 //! Columnar block-kernel conformance suite.
 //!
-//! Every VG family overrides [`spq_mcdb::VgFunction::realize_block`] with a
-//! hoisted columnar kernel; the per-cell `realize` path driven by
-//! [`spq_mcdb::seed::cell_rng`] stays the conformance oracle. This suite
-//! pins the contract the scenario engine is built on: for **every** family,
-//! at **every** tile split and thread count, the block path is bit-identical
-//! to the per-cell path — same seeds, same draws, same `f64` bits.
+//! Every VG family draws its values only through
+//! [`spq_mcdb::VgFunction::realize_block`], a hoisted columnar kernel. This
+//! suite is its independent oracle: each family of the corpus carries its
+//! draw formula, written here from the corpus parameters, and the oracle
+//! seeds every cell from the full five-word counter-based key
+//! `mix(&[seed, stream, column tag, driver group, scenario])` — not from the
+//! hoisted prefixes the kernels use. For **every** family, at **every** tile
+//! split and thread count, the kernels must match it bit for bit.
 //!
 //! The corpus deliberately includes the families' degenerate edges: zero
-//! sigma tuples (no RNG consumed), inverted uniform bounds, single-candidate
-//! discrete sources (one draw still consumed), shared GBM driver groups,
-//! small and large Poisson rates (the sampler switches algorithms around
-//! `lambda = 30`).
+//! sigma tuples, inverted uniform bounds, single-candidate discrete sources,
+//! shared GBM driver groups, small and large Poisson rates (the sampler
+//! switches algorithms around `lambda = 30`).
 
 use proptest::prelude::*;
-use spq_mcdb::seed::{column_prefix, Stream};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use rand_distr::{Distribution, Exp, Normal, Pareto, Poisson, StudentT, Uniform};
+use spq_mcdb::seed::{column_prefix, column_tag, mix, Stream};
 use spq_mcdb::vg::{
     Degenerate, DiscreteSources, ExponentialNoise, GeometricBrownianMotion, NormalNoise,
     ParetoNoise, PoissonNoise, SourceDispersion, StudentTNoise, UniformNoise,
 };
-use spq_mcdb::{Relation, RelationBuilder, ScenarioGenerator};
+use spq_mcdb::{Relation, RelationBuilder, ScenarioGenerator, VgFunction};
+use std::ops::Range;
 
 const N: usize = 13;
 
+/// The base value of tuple `t`.
+fn base_at(t: usize) -> f64 {
+    (t as f64) * 1.5 - 3.0
+}
+
 fn base() -> Vec<f64> {
-    (0..N).map(|i| (i as f64) * 1.5 - 3.0).collect()
+    (0..N).map(base_at).collect()
+}
+
+type Draw = Box<dyn Fn(usize, &mut SmallRng) -> f64>;
+
+/// One VG family of the corpus: a one-column relation, the driver group of
+/// each tuple, and the family's draw formula for one cell.
+struct Family {
+    name: &'static str,
+    relation: Relation,
+    group: fn(usize) -> u64,
+    draw: Draw,
+}
+
+fn family(
+    name: &'static str,
+    vg: impl VgFunction + 'static,
+    group: fn(usize) -> u64,
+    draw: impl Fn(usize, &mut SmallRng) -> f64 + 'static,
+) -> Family {
+    let relation = RelationBuilder::new(name)
+        .stochastic("x", vg)
+        .build()
+        .unwrap();
+    Family {
+        name,
+        relation,
+        group,
+        draw: Box::new(draw),
+    }
+}
+
+fn own_group(tuple: usize) -> u64 {
+    tuple as u64
 }
 
 /// One relation per VG family, edge cases included.
-fn family_corpus() -> Vec<(&'static str, Relation)> {
+fn family_corpus() -> Vec<Family> {
     let mut sigma: Vec<f64> = (0..N).map(|i| 0.25 * i as f64).collect();
-    sigma[0] = 0.0; // zero-sigma tuple: must not consume RNG
+    sigma[0] = 0.0; // zero-sigma tuples draw nothing
     sigma[7] = 0.0;
-    let gbm_n = N;
-    let price: Vec<f64> = (0..gbm_n).map(|i| 50.0 + 5.0 * i as f64).collect();
-    let mu: Vec<f64> = (0..gbm_n).map(|i| 0.0005 * (i % 4) as f64).collect();
-    let gbm_sigma: Vec<f64> = (0..gbm_n).map(|i| 0.01 + 0.002 * (i % 4) as f64).collect();
-    let horizon: Vec<u32> = (0..gbm_n).map(|i| 1 + (i % 5) as u32).collect();
+    let price: Vec<f64> = (0..N).map(|i| 50.0 + 5.0 * i as f64).collect();
+    let mu: Vec<f64> = (0..N).map(|i| 0.0005 * (i % 4) as f64).collect();
+    let gbm_sigma: Vec<f64> = (0..N).map(|i| 0.01 + 0.002 * (i % 4) as f64).collect();
+    let horizon: Vec<u32> = (0..N).map(|i| 1 + (i % 5) as u32).collect();
     // Shared driver groups: tuples of one stock share a path.
-    let group: Vec<u64> = (0..gbm_n).map(|i| (i % 4) as u64).collect();
+    let group: Vec<u64> = (0..N).map(|i| (i % 4) as u64).collect();
     let mut candidates: Vec<Vec<f64>> = (0..N)
         .map(|i| {
             (0..(1 + i % 4))
@@ -46,120 +88,126 @@ fn family_corpus() -> Vec<(&'static str, Relation)> {
                 .collect()
         })
         .collect();
-    candidates[3] = vec![42.0]; // single candidate: one draw still consumed
+    candidates[3] = vec![42.0]; // single candidate: the draw cannot matter
+    let sampled = DiscreteSources::sample_around(
+        base(),
+        3,
+        SourceDispersion::Uniform { lo: -1.0, hi: 1.0 },
+        77,
+    )
+    .unwrap();
 
     vec![
-        (
-            "degenerate",
-            RelationBuilder::new("deg")
-                .stochastic("x", Degenerate::new(base()))
-                .build()
-                .unwrap(),
-        ),
-        (
+        family("degenerate", Degenerate::new(base()), own_group, |t, _| {
+            base_at(t)
+        }),
+        family(
             "normal",
-            RelationBuilder::new("nrm")
-                .stochastic("x", NormalNoise::around(base(), sigma))
-                .build()
-                .unwrap(),
+            NormalNoise::around(base(), sigma.clone()),
+            own_group,
+            move |t, rng| {
+                if sigma[t] == 0.0 {
+                    base_at(t)
+                } else {
+                    base_at(t) + Normal::new(0.0, sigma[t]).unwrap().sample(rng)
+                }
+            },
         ),
-        (
+        family(
             "pareto",
-            RelationBuilder::new("par")
-                .stochastic("x", ParetoNoise::around(base(), 1.5, 2.5))
-                .build()
-                .unwrap(),
+            ParetoNoise::around(base(), 1.5, 2.5),
+            own_group,
+            |t, rng| base_at(t) + Pareto::new(1.5, 2.5).unwrap().sample(rng),
         ),
-        (
+        family(
             "uniform",
-            RelationBuilder::new("uni")
-                .stochastic("x", UniformNoise::around(base(), -0.5, 1.25))
-                .build()
-                .unwrap(),
+            UniformNoise::around(base(), -0.5, 1.25),
+            own_group,
+            |t, rng| base_at(t) + Uniform::new(-0.5, 1.25).sample(rng),
         ),
-        (
+        family(
             "uniform-degenerate",
-            RelationBuilder::new("unid")
-                .stochastic("x", UniformNoise::around(base(), 2.0, 2.0))
-                .build()
-                .unwrap(),
+            UniformNoise::around(base(), 2.0, 2.0),
+            own_group,
+            |t, _| base_at(t) + 2.0,
         ),
-        (
+        family(
             "exponential",
-            RelationBuilder::new("exp")
-                .stochastic("x", ExponentialNoise::around(base(), 1.75))
-                .build()
-                .unwrap(),
+            ExponentialNoise::around(base(), 1.75),
+            own_group,
+            |t, rng| base_at(t) + Exp::new(1.75).unwrap().sample(rng) - 1.0 / 1.75,
         ),
-        (
+        family(
             "poisson-small",
-            RelationBuilder::new("poi")
-                .stochastic("x", PoissonNoise::around(base(), 3.0))
-                .build()
-                .unwrap(),
+            PoissonNoise::around(base(), 3.0),
+            own_group,
+            |t, rng| base_at(t) + Poisson::new(3.0).unwrap().sample(rng) - 3.0,
         ),
-        (
+        family(
             "poisson-large",
-            RelationBuilder::new("poib")
-                .stochastic("x", PoissonNoise::around(base(), 40.0))
-                .build()
-                .unwrap(),
+            PoissonNoise::around(base(), 40.0),
+            own_group,
+            |t, rng| base_at(t) + Poisson::new(40.0).unwrap().sample(rng) - 40.0,
         ),
-        (
+        family(
             "student-t",
-            RelationBuilder::new("stu")
-                .stochastic("x", StudentTNoise::around(base(), 4.0, 0.8))
-                .build()
-                .unwrap(),
+            StudentTNoise::around(base(), 4.0, 0.8),
+            own_group,
+            |t, rng| base_at(t) + 0.8 * StudentT::new(4.0).unwrap().sample(rng),
         ),
-        (
+        family(
             "gbm",
-            RelationBuilder::new("gbm")
-                .stochastic(
-                    "x",
-                    GeometricBrownianMotion::new(price, mu, gbm_sigma, horizon, group),
-                )
-                .build()
-                .unwrap(),
+            GeometricBrownianMotion::new(
+                price.clone(),
+                mu.clone(),
+                gbm_sigma.clone(),
+                horizon.clone(),
+                group,
+            ),
+            |t| (t % 4) as u64,
+            move |t, rng| {
+                // The stock's shared daily path, walked to this trade's horizon.
+                let (s, unit) = (gbm_sigma[t], Normal::new(0.0, 1.0).unwrap());
+                let mut log_price = price[t].ln();
+                for _ in 0..horizon[t] {
+                    log_price += (mu[t] - 0.5 * s * s) + s * unit.sample(rng);
+                }
+                log_price.exp() - price[t]
+            },
         ),
-        (
+        family(
             "discrete-sources",
-            RelationBuilder::new("dsc")
-                .stochastic("x", DiscreteSources::from_candidates(candidates).unwrap())
-                .build()
-                .unwrap(),
+            DiscreteSources::from_candidates(candidates.clone()).unwrap(),
+            own_group,
+            move |t, rng| candidates[t][rng.gen_range(0..candidates[t].len())],
         ),
-        (
+        family(
             "discrete-sampled",
-            RelationBuilder::new("dss")
-                .stochastic(
-                    "x",
-                    DiscreteSources::sample_around(
-                        base(),
-                        3,
-                        SourceDispersion::Uniform { lo: -1.0, hi: 1.0 },
-                        77,
-                    )
-                    .unwrap(),
-                )
-                .build()
-                .unwrap(),
+            sampled.clone(),
+            own_group,
+            move |t, rng| {
+                let cands = sampled.candidates(t);
+                cands[rng.gen_range(0..cands.len())]
+            },
         ),
     ]
 }
 
-/// The per-cell oracle: tuple-major realization via `realize_cell`, which
-/// seeds every cell with the full five-word counter-based mix.
+/// The per-cell oracle, tuple-major: every cell seeds its own RNG from the
+/// full five-word key and draws with the family's formula.
 fn oracle(
-    gen: &ScenarioGenerator,
-    relation: &Relation,
+    family: &Family,
+    seed: u64,
+    stream: Stream,
     tuples: &[usize],
-    scenarios: std::ops::Range<usize>,
+    scenarios: Range<usize>,
 ) -> Vec<f64> {
+    let tag = column_tag("x");
     let mut out = Vec::with_capacity(tuples.len() * scenarios.len());
     for &t in tuples {
         for j in scenarios.clone() {
-            out.push(gen.realize_cell(relation, "x", t, j).unwrap());
+            let key = mix(&[seed, stream.tag(), tag, (family.group)(t), j as u64]);
+            out.push((family.draw)(t, &mut SmallRng::seed_from_u64(key)));
         }
     }
     out
@@ -179,15 +227,15 @@ fn assert_bits_eq(a: &[f64], b: &[f64], context: &str) {
 #[test]
 fn every_family_matches_the_per_cell_oracle_at_every_thread_count() {
     let tuples: Vec<usize> = (0..N).rev().collect(); // non-monotone order too
-    for (name, relation) in family_corpus() {
+    for fam in family_corpus() {
         for gen in [
             ScenarioGenerator::new(11),
             ScenarioGenerator::validation(11),
         ] {
-            let expected = oracle(&gen, &relation, &tuples, 2..18);
+            let expected = oracle(&fam, gen.base_seed(), gen.stream(), &tuples, 2..18);
             for threads in [1usize, 2, 3, 8] {
                 let matrix = gen
-                    .realize_sparse_matrix_range(&relation, "x", &tuples, 2..18, threads)
+                    .realize_sparse_matrix_range(&fam.relation, "x", &tuples, 2..18, threads)
                     .unwrap();
                 let mut got = Vec::with_capacity(expected.len());
                 for (i, _) in tuples.iter().enumerate() {
@@ -195,7 +243,8 @@ fn every_family_matches_the_per_cell_oracle_at_every_thread_count() {
                         got.push(matrix.value(j, i));
                     }
                 }
-                assert_bits_eq(&expected, &got, &format!("{name} threads={threads}"));
+                let context = format!("{} threads={threads}", fam.name);
+                assert_bits_eq(&expected, &got, &context);
             }
         }
     }
@@ -214,11 +263,11 @@ proptest! {
         threads in 1usize..9,
         picks in proptest::collection::vec(0usize..N, 1..10),
     ) {
-        for (name, relation) in family_corpus() {
+        for fam in family_corpus() {
             let gen = ScenarioGenerator::new(seed);
-            let expected = oracle(&gen, &relation, &picks, start..start + m);
+            let expected = oracle(&fam, seed, Stream::Optimization, &picks, start..start + m);
             let matrix = gen
-                .realize_sparse_matrix_range(&relation, "x", &picks, start..start + m, threads)
+                .realize_sparse_matrix_range(&fam.relation, "x", &picks, start..start + m, threads)
                 .unwrap();
             let mut got = Vec::with_capacity(expected.len());
             for (i, _) in picks.iter().enumerate() {
@@ -226,7 +275,7 @@ proptest! {
                     got.push(matrix.value(j, i));
                 }
             }
-            assert_bits_eq(&expected, &got, &format!("{name} seed={seed} threads={threads}"));
+            assert_bits_eq(&expected, &got, &format!("{} seed={seed} threads={threads}", fam.name));
         }
     }
 
@@ -243,11 +292,10 @@ proptest! {
     ) {
         let (lo, hi) = (split_a.min(split_b), split_a.max(split_b));
         let tuples: Vec<usize> = (0..N).collect();
-        for (name, relation) in family_corpus() {
-            let sc = relation.stochastic_column("x").unwrap();
+        for fam in family_corpus() {
+            let (name, sc) = (fam.name, fam.relation.stochastic_column("x").unwrap());
             let prefix = column_prefix(seed, Stream::Optimization, sc.tag);
-            let gen = ScenarioGenerator::new(seed);
-            let expected = oracle(&gen, &relation, &tuples, start..start + m);
+            let expected = oracle(&fam, seed, Stream::Optimization, &tuples, start..start + m);
 
             let mut whole = vec![0.0f64; N * m];
             sc.vg.realize_block(prefix, &tuples, start..start + m, &mut whole);

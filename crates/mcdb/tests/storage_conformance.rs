@@ -83,12 +83,13 @@ fn assert_bit_identical(mem: &Relation, disk: &Relation, context: &str) {
             ScenarioGenerator::new(42),
             ScenarioGenerator::validation(42),
         ] {
+            let all: Vec<usize> = (0..mem.len()).collect();
             let reference = generator
-                .realize_matrix_with_threads(mem, column, 24, 1)
+                .realize_sparse_matrix_range(mem, column, &all, 0..24, 1)
                 .unwrap();
             for threads in [1, 8] {
                 let realized = generator
-                    .realize_matrix_with_threads(disk, column, 24, threads)
+                    .realize_sparse_matrix_range(disk, column, &all, 0..24, threads)
                     .unwrap();
                 assert_eq!(
                     realized.raw_data(),

@@ -19,6 +19,7 @@
 //! op; aggregates land in the [`spq_obs`] registry.
 
 use crate::json::Json;
+use crate::protocol::{Fields, FINITE_NUMBERS, STRING};
 use spq_mcdb::vg::NormalNoise;
 use spq_mcdb::{ChunkCacheStats, Relation, RelationBuilder, StorageOptions};
 use spq_obs::{Counter, Named};
@@ -587,7 +588,10 @@ impl Catalog {
 /// `deterministic` columns carry exact `values`; `normal` columns are
 /// stochastic with per-tuple `means` and standard deviations `sds` (the
 /// Monte Carlo VG function used by the paper's Portfolio workload). All
-/// columns must have the same length.
+/// columns must have the same length. Fields are read like wire fields: an
+/// absent `kind` means `deterministic`, and a field of the wrong type (a
+/// non-string `kind` or `name`, an array holding anything but finite
+/// numbers) is a [`CatalogError::BadSource`] naming it.
 pub fn relation_from_file(path: &str) -> Result<Relation, CatalogError> {
     relation_from_file_with(path, StorageOptions::memory())
 }
@@ -603,42 +607,33 @@ pub fn relation_from_file_with(
     let text =
         std::fs::read_to_string(path).map_err(|e| bad(format!("cannot read `{path}`: {e}")))?;
     let value = crate::json::parse(&text).map_err(|e| bad(format!("`{path}`: {e}")))?;
-    let name = value
-        .str_field("name")
-        .ok_or_else(|| bad(format!("`{path}`: missing relation `name`")))?;
+    let file = format!("column-spec file `{path}`");
+    let top = Fields::new(&file, &value);
+    let name = top.required("name", STRING).map_err(bad)?;
+    // Borrowed, not read through a `Kind`: a large file's columns are not
+    // copied before they stream into the builder.
     let columns = value
         .get("columns")
         .and_then(Json::as_array)
-        .ok_or_else(|| bad(format!("`{path}`: missing `columns` array")))?;
+        .ok_or_else(|| bad(format!("{file} needs an array `columns`")))?;
     if columns.is_empty() {
         return Err(bad(format!("`{path}`: `columns` is empty")));
     }
 
-    let floats = |column: &Json, key: &str| -> Result<Vec<f64>, CatalogError> {
-        column
-            .get(key)
-            .and_then(Json::as_array)
-            .ok_or_else(|| bad(format!("`{path}`: column needs a `{key}` array")))?
-            .iter()
-            .map(|v| {
-                v.as_f64()
-                    .ok_or_else(|| bad(format!("`{path}`: `{key}` entries must be numbers")))
-            })
-            .collect()
-    };
-
     let mut builder = RelationBuilder::new(name).storage(storage);
+    let what = format!("`{path}` column");
     for column in columns {
-        let column_name = column
-            .str_field("name")
-            .ok_or_else(|| bad(format!("`{path}`: every column needs a `name`")))?;
-        match column.str_field("kind").unwrap_or("deterministic") {
+        let f = Fields::new(&what, column);
+        let column_name = f.required("name", STRING).map_err(bad)?;
+        let kind = f.optional("kind", STRING).map_err(bad)?;
+        match kind.as_deref().unwrap_or("deterministic") {
             "deterministic" => {
-                builder = builder.deterministic_f64(column_name, floats(column, "values")?);
+                let values = f.required("values", FINITE_NUMBERS).map_err(bad)?;
+                builder = builder.deterministic_f64(column_name, values);
             }
             "normal" => {
-                let means = floats(column, "means")?;
-                let sds = floats(column, "sds")?;
+                let means = f.required("means", FINITE_NUMBERS).map_err(bad)?;
+                let sds = f.required("sds", FINITE_NUMBERS).map_err(bad)?;
                 if means.len() != sds.len() {
                     return Err(bad(format!(
                         "`{path}`: column `{column_name}` has {} means but {} sds",
@@ -790,6 +785,42 @@ mod tests {
         .unwrap();
         let err = relation_from_file(bad.to_str().unwrap()).unwrap_err();
         assert!(err.to_string().contains("unknown kind"));
+        // A wrongly typed field is an error naming it, never a default.
+        for (spec, field) in [
+            (
+                r#"{"name":"x","columns":[{"name":"c","kind":7,"values":[1.0]}]}"#,
+                "kind",
+            ),
+            (
+                r#"{"name":"x","columns":[{"name":3,"values":[1.0]}]}"#,
+                "name",
+            ),
+            (
+                r#"{"name":"x","columns":[{"name":"c","values":[1.0,"2"]}]}"#,
+                "values",
+            ),
+            (
+                r#"{"name":"x","columns":[{"name":"c","kind":"normal","means":1,"sds":[1]}]}"#,
+                "means",
+            ),
+            (
+                r#"{"name":"x","columns":[{"name":"c","kind":"normal","means":[1],"sds":[null]}]}"#,
+                "sds",
+            ),
+            (
+                r#"{"name":["x"],"columns":[{"name":"c","values":[1.0]}]}"#,
+                "name",
+            ),
+            (r#"{"name":"x","columns":{"name":"c"}}"#, "columns"),
+        ] {
+            std::fs::write(&bad, spec).unwrap();
+            match relation_from_file(bad.to_str().unwrap()) {
+                Err(CatalogError::BadSource(message)) => {
+                    assert!(message.contains(&format!("`{field}`")), "{spec}: {message}");
+                }
+                other => panic!("{spec} loaded: {other:?}"),
+            }
+        }
         let _ = std::fs::remove_file(&bad);
     }
 

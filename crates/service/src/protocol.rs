@@ -207,9 +207,9 @@ pub enum Request {
 }
 
 /// What one wire field must hold, and how to read it.
-struct Kind<T>(&'static str, fn(&Json) -> Option<T>);
+pub(crate) struct Kind<T>(&'static str, fn(&Json) -> Option<T>);
 
-const STRING: Kind<String> = Kind("a string", |json| json.as_str().map(str::to_string));
+pub(crate) const STRING: Kind<String> = Kind("a string", |json| json.as_str().map(str::to_string));
 const BOOL: Kind<bool> = Kind("a boolean", Json::as_bool);
 const NUMBER: Kind<f64> = Kind("a number", Json::as_f64);
 const U64: Kind<u64> = Kind("an integer in [0, 2^53)", Json::as_u64);
@@ -217,6 +217,12 @@ const USIZE: Kind<usize> = Kind("an integer in [0, 2^53)", |json| {
     json.as_u64().and_then(|n| usize::try_from(n).ok())
 });
 const ARRAY: Kind<Vec<Json>> = Kind("an array", |json| json.as_array().map(<[Json]>::to_vec));
+pub(crate) const FINITE_NUMBERS: Kind<Vec<f64>> = Kind("an array of finite numbers", |json| {
+    json.as_array()?
+        .iter()
+        .map(|v| v.as_f64().filter(|x| x.is_finite()))
+        .collect()
+});
 const STATUS: Kind<QueryStatus> =
     Kind("one of ok, rejected, cancelled, timeout or error", |json| {
         let spelling = json.as_str()?;
@@ -255,18 +261,22 @@ const PACKAGE: Kind<Vec<(usize, u32)>> = Kind(
 
 /// The field reader: one decoded wire object and what it is (`"query
 /// request"`, `"validate response"`, ...), so every error names both.
-struct Fields<'a> {
+pub(crate) struct Fields<'a> {
     what: &'a str,
     object: &'a Json,
 }
 
 impl<'a> Fields<'a> {
-    fn new(what: &'a str, object: &'a Json) -> Self {
+    pub(crate) fn new(what: &'a str, object: &'a Json) -> Self {
         Fields { what, object }
     }
 
     /// The field's value; `Ok(None)` when it is absent or `null`.
-    fn optional<T>(&self, key: &str, Kind(expected, read): Kind<T>) -> Result<Option<T>, String> {
+    pub(crate) fn optional<T>(
+        &self,
+        key: &str,
+        Kind(expected, read): Kind<T>,
+    ) -> Result<Option<T>, String> {
         match self.object.get(key) {
             None | Some(Json::Null) => Ok(None),
             Some(json) => read(json)
@@ -276,7 +286,7 @@ impl<'a> Fields<'a> {
     }
 
     /// The field's value; absent is an error.
-    fn required<T>(&self, key: &str, kind: Kind<T>) -> Result<T, String> {
+    pub(crate) fn required<T>(&self, key: &str, kind: Kind<T>) -> Result<T, String> {
         let expected = kind.0;
         self.optional(key, kind)?
             .ok_or_else(|| format!("{} needs {expected} `{key}`", self.what))

@@ -208,9 +208,9 @@ mod tests {
         let config = GalaxyConfig::for_query(1, 10, 3);
         let rel = build_relation(&config);
         let base = rel.deterministic_f64("base_petromag_r").unwrap();
-        let means = rel.analytic_means("Petromag_r").unwrap().unwrap();
-        for (b, m) in base.iter().zip(&means) {
-            assert!((b - m).abs() < 1e-9);
+        let vg = &rel.stochastic_column("Petromag_r").unwrap().vg;
+        for (i, b) in base.iter().enumerate() {
+            assert!((b - vg.mean(i).unwrap()).abs() < 1e-9);
         }
     }
 
@@ -218,7 +218,7 @@ mod tests {
     fn pareto_noise_has_no_closed_form_mean() {
         let config = GalaxyConfig::for_query(5, 10, 3);
         let rel = build_relation(&config);
-        assert_eq!(rel.analytic_means("Petromag_r").unwrap(), None);
+        assert!(!rel.stochastic_column("Petromag_r").unwrap().analytic);
     }
 
     #[test]

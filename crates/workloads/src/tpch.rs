@@ -183,6 +183,12 @@ mod tests {
     use super::*;
     use spq_mcdb::ScenarioGenerator;
 
+    /// The closed-form mean of every tuple's quantity.
+    fn quantity_means(rel: &Relation) -> Vec<f64> {
+        let vg = &rel.stochastic_column("Quantity").unwrap().vg;
+        (0..rel.len()).map(|i| vg.mean(i).unwrap()).collect()
+    }
+
     #[test]
     fn relations_have_the_expected_schema() {
         for q in 1..=8 {
@@ -199,7 +205,7 @@ mod tests {
         let config = TpchConfig::for_query(5, 10, 3);
         let rel = build_relation(&config);
         let base = rel.deterministic_f64("base_quantity").unwrap();
-        let means = rel.analytic_means("Quantity").unwrap().unwrap();
+        let means = quantity_means(&rel);
         // The candidate mean equals the base value unless clamping at the
         // lower bound kicked in (which can only raise it).
         for (b, m) in base.iter().zip(&means) {
@@ -208,10 +214,8 @@ mod tests {
         }
         // Realizations stay >= 1 (physical quantity).
         let gen = ScenarioGenerator::new(4);
-        for j in 0..20 {
-            let s = gen.realize_column(&rel, "Quantity", j).unwrap();
-            assert!(s.values.iter().all(|&v| v >= 1.0));
-        }
+        let matrix = gen.realize_matrix(&rel, "Quantity", 20).unwrap();
+        assert!(matrix.raw_data().iter().all(|&v| v >= 1.0));
     }
 
     #[test]
@@ -220,11 +224,14 @@ mod tests {
         let rel10 = build_relation(&TpchConfig::for_query(2, 5, 7));
         let gen = ScenarioGenerator::new(1);
         let distinct = |rel: &Relation| {
-            let mut values = std::collections::BTreeSet::new();
-            for j in 0..200 {
-                let v = gen.realize_cell(rel, "Quantity", 0, j).unwrap();
-                values.insert((v * 1e6).round() as i64);
-            }
+            let tuple0 = gen
+                .realize_sparse_matrix_range(rel, "Quantity", &[0], 0..200, 0)
+                .unwrap();
+            let values: std::collections::BTreeSet<i64> = tuple0
+                .raw_data()
+                .iter()
+                .map(|v| (v * 1e6).round() as i64)
+                .collect();
             values.len()
         };
         assert!(distinct(&rel3) <= 3);
@@ -251,8 +258,7 @@ mod tests {
         // single tuple (and hence no non-empty package) can keep the total
         // quantity <= 3 in 95% of scenarios.
         let rel = build_relation(&TpchConfig::for_query(8, 40, 11));
-        let means = rel.analytic_means("Quantity").unwrap().unwrap();
-        assert!(means.iter().all(|&m| m >= 3.5));
+        assert!(quantity_means(&rel).iter().all(|&m| m >= 3.5));
     }
 
     #[test]

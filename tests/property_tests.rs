@@ -8,22 +8,14 @@ use stochastic_package_queries::core::summary::{
     build_summaries, count_satisfied_scenarios, partition_scenarios, SummarySpec,
 };
 use stochastic_package_queries::mcdb::vg::NormalNoise;
-use stochastic_package_queries::mcdb::{
-    RelationBuilder, Scenario, ScenarioGenerator, ScenarioMatrix,
-};
+use stochastic_package_queries::mcdb::{RelationBuilder, ScenarioGenerator, ScenarioMatrix};
 use stochastic_package_queries::solver::{
     solve_full, Model, Sense, SolveStatus, SolverOptions, VarType,
 };
 
 fn matrix_from(rows: &[Vec<f64>]) -> ScenarioMatrix {
     let n = rows.first().map(|r| r.len()).unwrap_or(0);
-    let scenarios: Vec<Scenario> = rows
-        .iter()
-        .cloned()
-        .enumerate()
-        .map(|(index, values)| Scenario { index, values })
-        .collect();
-    ScenarioMatrix::from_scenarios(n, &scenarios)
+    ScenarioMatrix::from_rows(n, rows)
 }
 
 proptest! {
@@ -110,13 +102,15 @@ proptest! {
         let gen = ScenarioGenerator::new(seed);
         let matrix = gen.realize_matrix(&relation, "x", m).unwrap();
         for tuple in 0..n {
-            let per_tuple = gen.realize_tuple(&relation, "x", tuple, 0..m).unwrap();
-            for (j, &regenerated) in per_tuple.iter().enumerate() {
-                prop_assert_eq!(regenerated, matrix.value(j, tuple));
-                prop_assert_eq!(
-                    gen.realize_cell(&relation, "x", tuple, j).unwrap(),
-                    matrix.value(j, tuple)
-                );
+            let per_tuple = gen
+                .realize_sparse_matrix_range(&relation, "x", &[tuple], 0..m, 0)
+                .unwrap();
+            for j in 0..m {
+                prop_assert_eq!(per_tuple.value(j, 0), matrix.value(j, tuple));
+                let cell = gen
+                    .realize_sparse_matrix_range(&relation, "x", &[tuple], j..j + 1, 0)
+                    .unwrap();
+                prop_assert_eq!(cell.value(0, 0), matrix.value(j, tuple));
             }
         }
     }

@@ -118,9 +118,9 @@ fn per_query_galaxy_noise_models_are_honoured() {
     let spread = |rel: &Relation| {
         let mut deviations = Vec::new();
         let base = rel.deterministic_f64("base_petromag_r").unwrap();
+        let matrix = gen.realize_matrix(rel, "Petromag_r", 50).unwrap();
         for j in 0..50 {
-            let s = gen.realize_column(rel, "Petromag_r", j).unwrap();
-            for (v, b) in s.values.iter().zip(&base) {
+            for (v, b) in matrix.scenario(j).iter().zip(&base) {
                 deviations.push(v - b);
             }
         }

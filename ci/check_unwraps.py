@@ -14,7 +14,7 @@ ratchet only turns one way.
 import pathlib
 import sys
 
-CEILING = 112
+CEILING = 102
 
 
 def sites(path: pathlib.Path) -> int:

@@ -8,8 +8,8 @@
 //! smaller cores.
 //!
 //! The first four stdout fields (`status= obj= nodes= lp_iters=`) are
-//! byte-stable across runs of the same build — CI diffs them between
-//! branch-and-bound thread counts and between traced/untraced runs. Everything that varies
+//! byte-stable across runs of the same build — CI diffs them against
+//! `ci/kernel_profile.golden` and between traced/untraced runs. Everything that varies
 //! (wall-clock, the `total_wall_secs=` summary, solver counters) goes to
 //! stderr. Set `SPQ_TRACE=<path>` to also record phase spans (compile,
 //! formulate, one `solve_rep` per repetition) as chrome-tracing JSON.

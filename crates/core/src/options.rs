@@ -114,11 +114,7 @@ pub struct SpqOptions {
     /// User-specified approximation error bound `ε`. `f64::INFINITY` accepts
     /// any feasible solution (feasibility-only termination).
     pub epsilon: f64,
-    /// Options handed to the MILP solver for each (reduced) DILP. The
-    /// default resolves the solver's one environment knob,
-    /// `SPQ_SOLVER_THREADS` (speculative branch-and-bound workers; results
-    /// are bit-identical at any count), so services and harnesses inherit
-    /// it without extra plumbing; an unrecognized value is a hard error.
+    /// Options handed to the MILP solver for each (reduced) DILP.
     pub solver: SolverOptions,
     /// Total wall-clock budget for one query evaluation, relative to
     /// instance preparation. [`crate::Instance::new`] folds it into

@@ -37,6 +37,15 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// `flag`'s numeric `value`; a value that does not parse is named with its
+/// flag and ends the process with status 2.
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("{flag} expects a non-negative integer, got `{value}`");
+        usage()
+    })
+}
+
 #[derive(Clone)]
 struct Cli {
     addr: String,
@@ -74,55 +83,37 @@ fn parse_cli() -> Cli {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> &str {
+        let mut value = || -> &str {
             it.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
+                eprintln!("{flag} needs a value");
                 usage()
             })
         };
         match flag.as_str() {
-            "--addr" => cli.addr = value("--addr").to_string(),
-            "--relation" => cli.request.relation = value("--relation").to_string(),
-            "--query" => cli.request.query = value("--query").to_string(),
-            "--tenant" => cli.request.tenant = Some(value("--tenant").to_string()),
+            "--addr" => cli.addr = value().to_string(),
+            "--relation" => cli.request.relation = value().to_string(),
+            "--query" => cli.request.query = value().to_string(),
+            "--tenant" => cli.request.tenant = Some(value().to_string()),
             "--algorithm" => {
-                cli.request.algorithm = Some(value("--algorithm").parse().unwrap_or_else(|e| {
+                cli.request.algorithm = Some(value().parse().unwrap_or_else(|e| {
                     eprintln!("{e}");
                     usage()
                 }))
             }
-            "--timeout-ms" => {
-                cli.request.timeout_ms =
-                    Some(value("--timeout-ms").parse().unwrap_or_else(|_| usage()))
-            }
-            "--seed" => {
-                cli.request.seed = Some(value("--seed").parse().unwrap_or_else(|_| usage()))
-            }
-            "--validation" => {
-                cli.request.validation_scenarios =
-                    Some(value("--validation").parse().unwrap_or_else(|_| usage()))
-            }
-            "--initial-scenarios" => {
-                cli.request.initial_scenarios = Some(
-                    value("--initial-scenarios")
-                        .parse()
-                        .unwrap_or_else(|_| usage()),
-                )
-            }
-            "--repeat" => cli.repeat = value("--repeat").parse().unwrap_or_else(|_| usage()),
-            "--concurrency" => {
-                cli.concurrency = value("--concurrency").parse().unwrap_or_else(|_| usage())
-            }
+            "--timeout-ms" => cli.request.timeout_ms = Some(number(flag, value())),
+            "--seed" => cli.request.seed = Some(number(flag, value())),
+            "--validation" => cli.request.validation_scenarios = Some(number(flag, value())),
+            "--initial-scenarios" => cli.request.initial_scenarios = Some(number(flag, value())),
+            "--repeat" => cli.repeat = number(flag, value()),
+            "--concurrency" => cli.concurrency = number(flag, value()),
             "--expect-feasible" => cli.expect_feasible = true,
             "--quiet" => cli.quiet = true,
             "--validate-result" => cli.validate_result = true,
             "--early-stop" => {
-                cli.early_stop = Some(EarlyStop::from_wire(value("--early-stop")).unwrap_or_else(
-                    || {
-                        eprintln!("--early-stop expects full, certain or hoeffding");
-                        usage()
-                    },
-                ))
+                cli.early_stop = Some(EarlyStop::from_wire(value()).unwrap_or_else(|| {
+                    eprintln!("--early-stop expects full, certain or hoeffding");
+                    usage()
+                }))
             }
             "--help" | "-h" => usage(),
             other => {

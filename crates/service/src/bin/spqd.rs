@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! spqd [--addr 127.0.0.1:7878] [--workloads portfolio,galaxy,tpch]
-//!      [--scale 10000] [--seed 42] [--workers N] [--queue 64] [--shards N]
+//!      [--scale 10000] [--seed 42] [--workers N] [--queue 64]
 //!      [--max-connections 1024] [--idle-timeout-ms N]
 //!      [--read-buffer-bytes N] [--write-buffer-bytes N]
 //!      [--max-tenant-relations 8] [--max-tenant-tuples 2000000]
@@ -32,7 +32,7 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: spqd [--addr HOST:PORT] [--workloads portfolio,galaxy,tpch] [--scale N]\n\
-         \x20           [--seed N] [--workers N] [--queue N] [--shards N]\n\
+         \x20           [--seed N] [--workers N] [--queue N]\n\
          \x20           [--max-connections N] [--idle-timeout-ms N]\n\
          \x20           [--read-buffer-bytes N] [--write-buffer-bytes N]\n\
          \x20           [--max-tenant-relations N] [--max-tenant-tuples N]\n\
@@ -41,6 +41,15 @@ fn usage() -> ! {
          \x20           [--scenario-store DIR] [--scenario-store-bytes N]"
     );
     std::process::exit(2);
+}
+
+/// `flag`'s numeric `value`; a value that does not parse is named with its
+/// flag and ends the process with status 2.
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("{flag} expects a non-negative integer, got `{value}`");
+        usage()
+    })
 }
 
 fn parse_workload(name: &str) -> Option<WorkloadKind> {
@@ -66,16 +75,16 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> &str {
+        let mut value = || -> &str {
             it.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
+                eprintln!("{flag} needs a value");
                 usage()
             })
         };
         match flag.as_str() {
-            "--addr" => addr = value("--addr").to_string(),
+            "--addr" => addr = value().to_string(),
             "--workloads" | "--workload" => {
-                workloads = value("--workloads")
+                workloads = value()
                     .split(',')
                     .filter(|s| !s.trim().is_empty())
                     .map(|s| {
@@ -86,67 +95,24 @@ fn main() {
                     })
                     .collect();
             }
-            "--scale" => scale = value("--scale").parse().unwrap_or_else(|_| usage()),
-            "--seed" => seed = value("--seed").parse().unwrap_or_else(|_| usage()),
-            "--workers" => {
-                server_config.workers = value("--workers").parse().unwrap_or_else(|_| usage())
-            }
-            "--queue" => {
-                server_config.queue_capacity = value("--queue").parse().unwrap_or_else(|_| usage())
-            }
-            "--shards" => {
-                server_config.shards = value("--shards").parse().unwrap_or_else(|_| usage())
-            }
-            "--max-connections" => {
-                server_config.max_connections = value("--max-connections")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
+            "--scale" => scale = number(flag, value()),
+            "--seed" => seed = number(flag, value()),
+            "--workers" => server_config.workers = number(flag, value()),
+            "--queue" => server_config.queue_capacity = number(flag, value()),
+            "--max-connections" => server_config.max_connections = number(flag, value()),
             "--idle-timeout-ms" => {
-                let ms: u64 = value("--idle-timeout-ms")
-                    .parse()
-                    .unwrap_or_else(|_| usage());
+                let ms: u64 = number(flag, value());
                 server_config.idle_timeout = (ms > 0).then(|| Duration::from_millis(ms));
             }
-            "--read-buffer-bytes" => {
-                server_config.read_buffer_bytes = value("--read-buffer-bytes")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--write-buffer-bytes" => {
-                server_config.write_buffer_bytes = value("--write-buffer-bytes")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--max-tenant-relations" => {
-                tenant_quotas.max_relations = value("--max-tenant-relations")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--max-tenant-tuples" => {
-                tenant_quotas.max_resident_tuples = value("--max-tenant-tuples")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--result-cache" => {
-                result_cache_entries = value("--result-cache").parse().unwrap_or_else(|_| usage())
-            }
-            "--default-timeout-ms" => {
-                default_timeout_ms = value("--default-timeout-ms")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--validation" => {
-                validation = value("--validation").parse().unwrap_or_else(|_| usage())
-            }
-            "--scenario-store" => {
-                scenario_store_dir = Some(std::path::PathBuf::from(value("--scenario-store")))
-            }
-            "--scenario-store-bytes" => {
-                scenario_store_bytes = value("--scenario-store-bytes")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
+            "--read-buffer-bytes" => server_config.read_buffer_bytes = number(flag, value()),
+            "--write-buffer-bytes" => server_config.write_buffer_bytes = number(flag, value()),
+            "--max-tenant-relations" => tenant_quotas.max_relations = number(flag, value()),
+            "--max-tenant-tuples" => tenant_quotas.max_resident_tuples = number(flag, value()),
+            "--result-cache" => result_cache_entries = number(flag, value()),
+            "--default-timeout-ms" => default_timeout_ms = number(flag, value()),
+            "--validation" => validation = number(flag, value()),
+            "--scenario-store" => scenario_store_dir = Some(std::path::PathBuf::from(value())),
+            "--scenario-store-bytes" => scenario_store_bytes = number(flag, value()),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag `{other}`");

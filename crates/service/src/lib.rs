@@ -28,7 +28,7 @@
 //!   deterministic request execution (same request ⇒ bit-identical package,
 //!   serial or concurrent).
 //! * [`server`] — [`SpqServer`]: a [`spq_net`] poll(2) reactor feeding a
-//!   sharded, tenant-fair worker pool with bounded-queue admission control;
+//!   tenant-fair worker pool with bounded-queue admission control;
 //!   per-query deadlines and cooperative cancellation ride on
 //!   [`spq_solver::Deadline`], which the solver polls inside its pivot
 //!   loops, and a dropped connection cancels its in-flight solves.

@@ -89,7 +89,7 @@
 //! `queries_executed`, `validations_executed`, `latency`, `prepared_cache`,
 //! `result_cache`, `scenario_cache`, `scenario_store`, `relations`,
 //! `relation_chunk_cache`, `tenants`, `queue_depth`, `in_flight`,
-//! `open_connections`, `rejected_admissions` and `shards`, in that order.
+//! `open_connections` and `rejected_admissions`, in that order.
 //!
 //! Every field is decoded through one reader that knows the op, and every
 //! line is encoded through [`crate::json`]'s object writer.

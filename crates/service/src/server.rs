@@ -1,4 +1,4 @@
-//! The spqd TCP server: one poll(2) reactor feeding a sharded worker pool.
+//! The spqd TCP server: one poll(2) reactor feeding a worker pool.
 //!
 //! Architecture (std only, no async runtime):
 //!
@@ -10,13 +10,12 @@
 //!   `cancel`, `unload_relation`, `list_relations`) inline. Heavy ops
 //!   (`query`, `validate`, `load_relation`) are stamped with their admission
 //!   time and deadline, given a fresh [`CancellationToken`], and admitted to
-//!   the sharded **job pool**. A full pool rejects the request immediately
+//!   the **job pool**. A full pool rejects the request immediately
 //!   (`status:"rejected"`) — admission control over buffering, so latency
 //!   stays bounded under overload.
-//! * The pool is split into **shards**, each a mutex + condvar guarding
-//!   per-tenant subqueues drained in round-robin rotation: one tenant
-//!   flooding the server cannot starve another's queued work. Workers pop
-//!   from their own shard first and **steal** from the others when empty.
+//! * The pool is one mutex + condvar guarding per-tenant subqueues drained
+//!   in round-robin rotation: one tenant flooding the server cannot starve
+//!   another's queued work, and an idle worker wakes for any queued job.
 //! * **Worker threads** run [`SpqService::execute_cached`] (queries) or
 //!   [`SpqService::execute_validate`] / catalog loads, then write the
 //!   response line back through the [`ReactorHandle`] (responses are tagged
@@ -37,7 +36,7 @@ use crate::protocol::{
 };
 use crate::service::{hit_rate, SpqService};
 use spq_net::{CloseReason, ConnId, Handler, Reactor, ReactorConfig, ReactorHandle};
-use spq_obs::{Counter, Gauge, Named};
+use spq_obs::{Counter, Named};
 use spq_solver::{CancellationToken, Deadline};
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -45,10 +44,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Admitted-but-not-running jobs across all shards.
-static QUEUE_DEPTH: Named<Gauge> = Named::new("spq_service_queue_depth", Gauge::new());
-/// Jobs admitted to the pool.
-static ADMITS: Named<Counter> = Named::new("spq_service_admits_total", Counter::new());
 /// Requests refused at admission (pool full or duplicate id).
 static REJECTS: Named<Counter> = Named::new("spq_service_rejects_total", Counter::new());
 
@@ -58,12 +53,9 @@ pub struct ServerConfig {
     /// Worker threads evaluating queries. `0` = the machine's available
     /// parallelism.
     pub workers: usize,
-    /// Maximum queued (admitted but not yet running) jobs across all shards
-    /// before admission control rejects new ones.
+    /// Maximum queued (admitted but not yet running) jobs before admission
+    /// control rejects new ones.
     pub queue_capacity: usize,
-    /// Pool shards (each with its own lock and per-tenant subqueues).
-    /// `0` = one per worker, capped at 4.
-    pub shards: usize,
     /// Connections held open simultaneously; further accepts are closed
     /// immediately.
     pub max_connections: usize,
@@ -85,7 +77,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 0,
             queue_capacity: 64,
-            shards: 0,
             max_connections: reactor.max_connections,
             read_buffer_bytes: reactor.read_buffer_bytes,
             write_buffer_bytes: reactor.write_buffer_bytes,
@@ -104,20 +95,12 @@ impl ServerConfig {
                 .unwrap_or(4)
         }
     }
-
-    fn effective_shards(&self) -> usize {
-        if self.shards > 0 {
-            self.shards
-        } else {
-            self.effective_workers().clamp(1, 4)
-        }
-    }
 }
 
 /// The work item a job carries: a query evaluation, a package validation,
 /// or a catalog load (relation builders and file reads are far too heavy
 /// for the reactor thread). All go through the same admission control,
-/// sharded pool, cancellation registry and worker threads.
+/// pool, cancellation registry and worker threads.
 enum JobWork {
     Query(QueryRequest),
     Validate(ValidateRequest),
@@ -186,10 +169,10 @@ struct Job {
     enqueued: Instant,
 }
 
-/// One pool shard: per-tenant subqueues drained in rotation, so tenants
-/// share a shard's capacity fairly instead of first-come-first-served.
+/// The queued jobs: per-tenant subqueues drained in rotation, so tenants
+/// share the queue's capacity fairly instead of first-come-first-served.
 #[derive(Default)]
-struct ShardState {
+struct FairQueue {
     /// Tenant → its queued jobs. Entries exist only while non-empty.
     queues: HashMap<String, VecDeque<Box<Job>>>,
     /// Rotation order over `queues` keys.
@@ -199,7 +182,7 @@ struct ShardState {
     shutdown: bool,
 }
 
-impl ShardState {
+impl FairQueue {
     fn push(&mut self, job: Box<Job>) {
         let tenant = job.work.tenant().to_string();
         match self.queues.get_mut(&tenant) {
@@ -234,21 +217,19 @@ impl ShardState {
         }
         Some(job)
     }
+
+    fn len(&self) -> usize {
+        self.queues.values().map(VecDeque::len).sum()
+    }
 }
 
-struct Shard {
-    state: Mutex<ShardState>,
-    available: Condvar,
-}
-
-/// Bounded, sharded, tenant-fair MPMC job pool.
+/// Bounded, tenant-fair MPMC job pool: one lock, one condvar.
 struct Pool {
-    shards: Vec<Shard>,
-    /// Total queued jobs (all shards); the admission-control bound.
-    queued: AtomicUsize,
+    queue: Mutex<FairQueue>,
+    /// Signalled when a job is queued or the pool shuts down.
+    available: Condvar,
+    /// Queued jobs at which admission control rejects new ones.
     capacity: usize,
-    /// Round-robin push cursor.
-    next: AtomicUsize,
     /// Jobs currently executing on a worker.
     in_flight: AtomicUsize,
     /// Requests refused at admission since startup.
@@ -256,17 +237,11 @@ struct Pool {
 }
 
 impl Pool {
-    fn new(shards: usize, capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         Pool {
-            shards: (0..shards.max(1))
-                .map(|_| Shard {
-                    state: Mutex::new(ShardState::default()),
-                    available: Condvar::new(),
-                })
-                .collect(),
-            queued: AtomicUsize::new(0),
+            queue: Mutex::new(FairQueue::default()),
+            available: Condvar::new(),
             capacity: capacity.max(1),
-            next: AtomicUsize::new(0),
             in_flight: AtomicUsize::new(0),
             rejected: AtomicU64::new(0),
         }
@@ -274,64 +249,39 @@ impl Pool {
 
     /// Admit a job, or give it back when the pool is at capacity.
     fn push(&self, job: Box<Job>) -> Result<(), Box<Job>> {
-        // `queued` is the admission bound: reserve a slot optimistically and
-        // release it if over.
-        if self.queued.fetch_add(1, Ordering::SeqCst) >= self.capacity {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-            return Err(job);
-        }
-        QUEUE_DEPTH.add(1);
-        let shard = &self.shards[self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len()];
         {
-            let mut state = shard.state.lock().expect("pool shard poisoned");
-            state.push(job);
+            let mut queue = self.queue.lock().expect("job queue poisoned");
+            if queue.len() >= self.capacity {
+                return Err(job);
+            }
+            queue.push(job);
         }
-        shard.available.notify_one();
+        self.available.notify_one();
         Ok(())
     }
 
-    /// Block until a job is available (own shard first, then stealing) or
-    /// the pool shuts down.
-    fn pop(&self, home: usize) -> Option<Box<Job>> {
-        let shards = self.shards.len();
+    /// Block until a job is available or the pool shuts down. Jobs queued
+    /// before the shutdown still run.
+    fn pop(&self) -> Option<Box<Job>> {
+        let mut queue = self.queue.lock().expect("job queue poisoned");
         loop {
-            // Own shard, then the others in order: cheap affinity without
-            // letting any shard's work strand while a worker idles.
-            for offset in 0..shards {
-                let shard = &self.shards[(home + offset) % shards];
-                let mut state = shard.state.lock().expect("pool shard poisoned");
-                if let Some(job) = state.fair_pop() {
-                    self.queued.fetch_sub(1, Ordering::SeqCst);
-                    QUEUE_DEPTH.add(-1);
-                    return Some(job);
-                }
-                if state.shutdown {
-                    return None;
-                }
+            if let Some(job) = queue.fair_pop() {
+                return Some(job);
             }
-            // Nothing anywhere: park on the home shard. The timeout bounds
-            // how stale a steal opportunity can get.
-            let shard = &self.shards[home % shards];
-            let state = shard.state.lock().expect("pool shard poisoned");
-            if state.shutdown {
+            if queue.shutdown {
                 return None;
             }
-            let _ = shard
-                .available
-                .wait_timeout(state, Duration::from_millis(20))
-                .expect("pool shard poisoned");
+            queue = self.available.wait(queue).expect("job queue poisoned");
         }
     }
 
     fn len(&self) -> usize {
-        self.queued.load(Ordering::SeqCst)
+        self.queue.lock().expect("job queue poisoned").len()
     }
 
     fn shutdown(&self) {
-        for shard in &self.shards {
-            shard.state.lock().expect("pool shard poisoned").shutdown = true;
-            shard.available.notify_all();
-        }
+        self.queue.lock().expect("job queue poisoned").shutdown = true;
+        self.available.notify_all();
     }
 }
 
@@ -393,10 +343,7 @@ impl ServerShared {
             enqueued: Instant::now(),
         });
         match self.pool.push(job) {
-            Ok(()) => {
-                ADMITS.inc();
-                self.service.catalog().record_admit(&tenant);
-            }
+            Ok(()) => self.service.catalog().record_admit(&tenant),
             Err(job) => {
                 job.state
                     .inflight
@@ -426,8 +373,7 @@ impl ServerShared {
                 .field(
                     "rejected_admissions",
                     self.pool.rejected.load(Ordering::Relaxed),
-                )
-                .field("shards", self.pool.shards.len());
+                );
         })
     }
 }
@@ -557,8 +503,8 @@ impl Handler for ConnHandler {
     }
 }
 
-fn worker_loop(pool: &Pool, home: usize, service: &SpqService, reactor: &ReactorHandle) {
-    while let Some(job) = pool.pop(home) {
+fn worker_loop(pool: &Pool, service: &SpqService, reactor: &ReactorHandle) {
+    while let Some(job) = pool.pop() {
         pool.in_flight.fetch_add(1, Ordering::Relaxed);
         let line = match &job.work {
             JobWork::Query(request) => service
@@ -637,7 +583,7 @@ impl SpqServer {
         config: ServerConfig,
     ) -> std::io::Result<SpqServer> {
         let listener = TcpListener::bind(addr)?;
-        let pool = Arc::new(Pool::new(config.effective_shards(), config.queue_capacity));
+        let pool = Arc::new(Pool::new(config.queue_capacity));
         let shared = Arc::new(ServerShared {
             service: service.clone(),
             pool: pool.clone(),
@@ -658,7 +604,6 @@ impl SpqServer {
         )?;
         let addr = reactor.local_addr();
         let handle = reactor.handle();
-        let shards = pool.shards.len();
         let worker_threads = (0..config.effective_workers())
             .map(|i| {
                 let pool = pool.clone();
@@ -666,7 +611,7 @@ impl SpqServer {
                 let handle = handle.clone();
                 std::thread::Builder::new()
                     .name(format!("spqd-worker-{i}"))
-                    .spawn(move || worker_loop(&pool, i % shards, &service, &handle))
+                    .spawn(move || worker_loop(&pool, &service, &handle))
                     .expect("spawn worker")
             })
             .collect();
@@ -681,24 +626,6 @@ impl SpqServer {
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Number of admitted-but-not-running jobs.
-    pub fn queue_depth(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Jobs currently executing on a worker.
-    pub fn in_flight(&self) -> usize {
-        self.pool.in_flight.load(Ordering::Relaxed)
-    }
-
-    /// Currently open client connections.
-    pub fn open_connections(&self) -> usize {
-        self.reactor
-            .as_ref()
-            .map(|r| r.handle().open_connections())
-            .unwrap_or(0)
     }
 
     /// Stop the pool, join the workers (their final responses flush through
@@ -967,10 +894,10 @@ mod tests {
 
     #[test]
     fn tenant_fair_rotation_interleaves_queued_tenants() {
-        // Directly exercise the shard's rotation: tenant `a` floods the
+        // Directly exercise the queue's rotation: tenant `a` floods the
         // queue first, then `b` adds one job — `b`'s job must run second,
         // not last.
-        let mut state = ShardState::default();
+        let mut state = FairQueue::default();
         let job = |tenant: &str, id: &str| {
             Box::new(Job {
                 work: JobWork::Query(QueryRequest {

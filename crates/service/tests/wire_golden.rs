@@ -184,7 +184,6 @@ fn admin_and_catalog_replies_are_pinned() {
             "in_flight",
             "open_connections",
             "rejected_admissions",
-            "shards",
         ]
     );
     assert_eq!(pairs[0].1, Json::from("stats"));

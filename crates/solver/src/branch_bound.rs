@@ -20,7 +20,7 @@ use crate::revised::{LpStatus, PivotRules, RevisedLp, RevisedSolution, SimplexWo
 use crate::standard_form::{LpProblem, LpRow, BOUND_INFINITY};
 use crate::Result;
 use spq_obs::metrics::{Counter, Histogram, Named};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 // Branch-and-bound outcome counters (see the README metric catalog).
@@ -38,26 +38,9 @@ static RC_TIGHTENINGS: Named<Counter> = Named::new("spq_solver_rc_tightenings", 
 // searched (the whole LP included).
 static CORE_RESTARTS: Named<Counter> = Named::new("spq_solver_core_restarts", Counter::new());
 static CORE_COLUMNS: Named<Histogram> = Named::new("spq_solver_core_columns", Histogram::new());
-// Speculation accounting: a "hit" consumed a worker's pre-solved
-// relaxation; a "miss" solved inline on the main thread (serial runs are
-// therefore all misses).
-static SPEC_HITS: Named<Counter> = Named::new("spq_solver_spec_hits", Counter::new());
-static SPEC_MISSES: Named<Counter> = Named::new("spq_solver_spec_misses", Counter::new());
 // Solves that stopped on a node, time or cancellation limit
 // (`FeasibleLimit` or `NoSolutionLimit`).
 static LIMIT_HITS: Named<Counter> = Named::new("spq_solver_limit_hits", Counter::new());
-
-/// The default worker-thread count: `SPQ_SOLVER_THREADS` when set (a
-/// positive integer; anything else is a hard error), otherwise 1.
-fn default_threads() -> usize {
-    match std::env::var("SPQ_SOLVER_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => panic!("invalid SPQ_SOLVER_THREADS `{v}` (expected a positive integer)"),
-        },
-        Err(_) => 1,
-    }
-}
 
 /// Solver options.
 #[derive(Debug, Clone)]
@@ -91,15 +74,6 @@ pub struct SolverOptions {
     /// Bland's rule (anti-cycling). `None` uses the documented default of
     /// half the iteration budget; see `PivotRules` in `revised.rs`.
     pub bland_after: Option<usize>,
-    /// Branch-and-bound worker threads. `1` (the default) searches serially;
-    /// `n > 1` keeps the exact serial node order on the main thread while
-    /// `n − 1` workers *speculatively* pre-solve the LP relaxations of
-    /// queued nodes. Each relaxation is a pure function of its node's
-    /// bounds and warm basis, so objectives, node counts, and iteration
-    /// counts are bit-identical at any thread count. Defaults to the
-    /// `SPQ_SOLVER_THREADS` environment variable when set (an unrecognized
-    /// value is a hard error), otherwise 1.
-    pub threads: usize,
     /// Refuse to solve when the LP kernel's working set would exceed this
     /// many bytes, as estimated by [`RevisedLp::estimated_bytes`]: the
     /// constraint nonzeros plus the basis factors (charged as a dense
@@ -142,7 +116,6 @@ impl Default for SolverOptions {
             big_m_cap: 1e7,
             warm_start: None,
             bland_after: None,
-            threads: default_threads(),
             max_solver_bytes: Some(default_max_solver_bytes()),
         }
     }
@@ -256,7 +229,6 @@ struct NodeDelta {
     upper: f64,
 }
 
-#[derive(Clone)]
 struct Node {
     /// Every bound the parent's subtree tightened, at most one entry per
     /// column, shared with the sibling.
@@ -585,8 +557,8 @@ impl Core {
     }
 }
 
-/// Buffers one search thread reuses from node to node: the simplex
-/// workspace and the node's bound box.
+/// Buffers the search reuses from node to node: the simplex workspace and
+/// the node's bound box.
 #[derive(Default)]
 struct NodeWork {
     simplex: SimplexWork,
@@ -622,8 +594,8 @@ impl NodeWork {
     }
 }
 
-/// The main thread's buffers: a [`NodeWork`], the rounded candidate, and
-/// the merge of a branching node's bounds into its children's.
+/// The search's buffers: a [`NodeWork`], the rounded candidate, and the
+/// merge of a branching node's bounds into its children's.
 #[derive(Default)]
 struct SearchWork {
     node: NodeWork,
@@ -633,158 +605,6 @@ struct SearchWork {
     /// Per core column: already in `deltas`.
     seen: Vec<bool>,
     deltas: Vec<NodeDelta>,
-}
-
-/// Lifecycle of one node's speculative LP solve.
-enum SpecState {
-    /// Nobody has started the relaxation yet.
-    Pending,
-    /// A worker (or the main thread) is solving it right now.
-    Claimed,
-    /// The relaxation finished; the result waits for the main thread.
-    Done(Result<RevisedSolution>),
-}
-
-/// A queued branch-and-bound node plus the state of its (possibly
-/// speculative) LP solve.
-struct SpecJob {
-    node: Node,
-    state: Mutex<SpecState>,
-    /// Signalled when `state` transitions to [`SpecState::Done`].
-    done: Condvar,
-}
-
-struct SpecInner {
-    stack: Vec<Arc<SpecJob>>,
-    shutdown: bool,
-}
-
-/// The shared node stack behind deterministic speculative parallelism.
-///
-/// The main thread pops nodes in exact serial DFS order and *resolves* each
-/// one: if no worker claimed the node it solves the relaxation inline
-/// (precisely the serial code path), otherwise it waits for the worker's
-/// result. Workers scan the stack top-down for pending nodes and pre-solve
-/// them. Because a relaxation is a pure function of the node's bounds, warm
-/// basis, and context, a worker's result is bit-for-bit the one the main
-/// thread would have computed — so incumbents, node counts, and iteration
-/// counts are identical at any thread count, and results of nodes the main
-/// thread prunes are simply dropped.
-///
-/// Lock order: `inner` before any `SpecJob::state`; `resolve` takes only the
-/// job's own state lock.
-struct SpecQueue {
-    inner: Mutex<SpecInner>,
-    /// Signalled when a node is pushed or the queue shuts down.
-    work: Condvar,
-}
-
-impl SpecQueue {
-    fn new() -> Self {
-        SpecQueue {
-            inner: Mutex::new(SpecInner {
-                stack: Vec::new(),
-                shutdown: false,
-            }),
-            work: Condvar::new(),
-        }
-    }
-
-    fn push(&self, node: Node) {
-        let job = Arc::new(SpecJob {
-            node,
-            state: Mutex::new(SpecState::Pending),
-            done: Condvar::new(),
-        });
-        self.inner.lock().unwrap().stack.push(job);
-        self.work.notify_one();
-    }
-
-    /// Pop the next node in serial DFS order (main thread only).
-    fn pop(&self) -> Option<Arc<SpecJob>> {
-        self.inner.lock().unwrap().stack.pop()
-    }
-
-    /// Wake every worker and tell them to exit once their current solve (if
-    /// any) finishes. Returns the nodes still queued, bottom of the stack
-    /// first.
-    fn shutdown(&self) -> Vec<Node> {
-        let mut inner = self.inner.lock().unwrap();
-        inner.shutdown = true;
-        self.work.notify_all();
-        inner.stack.drain(..).map(|job| job.node.clone()).collect()
-    }
-
-    /// Obtain a popped job's relaxation on the main thread: solve inline if
-    /// nobody claimed it, otherwise wait for the worker's result.
-    fn resolve(
-        &self,
-        job: &SpecJob,
-        solve: impl FnOnce() -> Result<RevisedSolution>,
-    ) -> Result<RevisedSolution> {
-        {
-            let mut st = job.state.lock().unwrap();
-            loop {
-                match &*st {
-                    SpecState::Pending => {
-                        *st = SpecState::Claimed;
-                        break; // solve inline below, outside the lock
-                    }
-                    SpecState::Claimed => st = job.done.wait(st).unwrap(),
-                    SpecState::Done(_) => {
-                        let taken = std::mem::replace(&mut *st, SpecState::Claimed);
-                        match taken {
-                            SpecState::Done(res) => {
-                                SPEC_HITS.inc();
-                                return res;
-                            }
-                            _ => unreachable!("matched Done above"),
-                        }
-                    }
-                }
-            }
-        }
-        SPEC_MISSES.inc();
-        solve()
-    }
-
-    /// Worker loop: repeatedly claim the pending node nearest the top of the
-    /// stack (the one the main thread needs soonest) and pre-solve it.
-    fn worker(&self, mut solve: impl FnMut(&Node) -> Result<RevisedSolution>) {
-        loop {
-            let job = {
-                let mut inner = self.inner.lock().unwrap();
-                loop {
-                    if inner.shutdown {
-                        return;
-                    }
-                    let found = inner
-                        .stack
-                        .iter()
-                        .rev()
-                        .find(|j| matches!(*j.state.lock().unwrap(), SpecState::Pending))
-                        .cloned();
-                    match found {
-                        Some(j) => break j,
-                        None => inner = self.work.wait(inner).unwrap(),
-                    }
-                }
-            };
-            // Claim outside the queue lock; the main thread may have raced us
-            // in `resolve`, in which case it is already solving this node.
-            {
-                let mut st = job.state.lock().unwrap();
-                if !matches!(*st, SpecState::Pending) {
-                    continue;
-                }
-                *st = SpecState::Claimed;
-            }
-            let res = solve(&job.node);
-            let mut st = job.state.lock().unwrap();
-            *st = SpecState::Done(res);
-            job.done.notify_all();
-        }
-    }
 }
 
 /// What the search accumulates; [`BranchBoundSolver::solve`] assembles the
@@ -839,11 +659,10 @@ impl RootLp {
     }
 }
 
-/// Borrowed context shared by the search loop and the speculative workers.
+/// Borrowed context of the search over one core.
 struct SearchCtx<'a> {
     model: &'a Model,
     core: &'a Core,
-    queue: &'a SpecQueue,
     lp: &'a RevisedLp,
     rules: &'a PivotRules,
     stop: &'a Deadline,
@@ -979,7 +798,7 @@ impl BranchBoundSolver {
         &self,
         model: &Model,
         core: &Core,
-        open: Vec<Node>,
+        mut open: Vec<Node>,
         stop: &Deadline,
         work: &mut SearchWork,
         st: &mut SearchState,
@@ -1004,76 +823,29 @@ impl BranchBoundSolver {
         }
         let rules = PivotRules::for_size(lp.m, lp.n_struct + lp.m, self.options.bland_after)
             .with_deadline(stop.clone());
-        let queue = SpecQueue::new();
-        for node in open {
-            queue.push(node);
-        }
         let cx = SearchCtx {
             model,
             core,
-            queue: &queue,
             lp: &lp,
             rules: &rules,
             stop,
             sign: objective_sign(model),
         };
-        let threads = self.options.threads.max(1);
-        let (next, rest) = if threads > 1 {
-            // Speculative parallelism: the main thread walks the exact serial
-            // node order while workers pre-solve queued relaxations. Worker
-            // results are consumed only for nodes the main thread would have
-            // solved anyway, so the search is bit-identical to `threads = 1`.
-            std::thread::scope(|s| {
-                for _ in 1..threads {
-                    s.spawn(|| {
-                        let mut own = NodeWork::default();
-                        cx.queue
-                            .worker(|node| Self::speculative_solve(&cx, &mut own, node));
-                    });
-                }
-                let next = self.search(&cx, work, st);
-                (next, cx.queue.shutdown())
-            })
-        } else {
-            (self.search(&cx, work, st), queue.shutdown())
-        };
-        Ok(next?.map(|map| (map, rest)))
+        Ok(self
+            .search(&cx, &mut open, work, st)?
+            .map(|map| (map, open)))
     }
 
-    /// A worker's view of one node: rebuild its bound box and solve the
-    /// relaxation exactly as the main thread would, so the result is
-    /// interchangeable with an inline solve.
-    fn speculative_solve(
-        cx: &SearchCtx<'_>,
-        work: &mut NodeWork,
-        node: &Node,
-    ) -> Result<RevisedSolution> {
-        if work.load(node, &cx.core.lp) {
-            work.solve(cx, node)
-        } else {
-            // The main thread prunes empty domains before resolving, so this
-            // placeholder is never consumed.
-            Ok(RevisedSolution {
-                status: LpStatus::Infeasible,
-                values: Vec::new(),
-                objective: f64::INFINITY,
-                iterations: 0,
-                reduced: Vec::new(),
-                basis: None,
-            })
-        }
-    }
-
-    /// The branch-and-bound loop over one core, shared by serial and
-    /// speculative runs: nodes are popped in serial DFS order and each
-    /// relaxation is obtained through [`SpecQueue::resolve`] (inline when no
-    /// worker claimed it). The core's box never changes under the loop, so
-    /// every relaxation is a pure function of (core LP, node bounds, warm
-    /// basis); fixings that shrink the box end the loop with the
-    /// [`CoreMap`] to the next core instead.
+    /// The branch-and-bound loop over one core: nodes are popped from the
+    /// top of the `open` DFS stack and children pushed onto it. The core's
+    /// box never changes under the loop, so every relaxation is a function
+    /// of (core LP, node bounds, warm basis); fixings that shrink the box
+    /// end the loop with the [`CoreMap`] to the next core instead, leaving
+    /// the nodes still open on the stack, bottom first.
     fn search(
         &self,
         cx: &SearchCtx<'_>,
+        open: &mut Vec<Node>,
         work: &mut SearchWork,
         st: &mut SearchState,
     ) -> Result<Option<CoreMap>> {
@@ -1081,8 +853,7 @@ impl BranchBoundSolver {
         work.seen.clear();
         work.seen.resize(core.cols.len(), false);
 
-        while let Some(job) = cx.queue.pop() {
-            let node = &job.node;
+        while let Some(node) = open.pop() {
             if st.nodes_processed >= self.options.max_nodes || cx.stop.expired() {
                 st.hit_limit = true;
                 break;
@@ -1096,7 +867,7 @@ impl BranchBoundSolver {
             let is_root = st.nodes_processed == 1;
 
             // Apply the node's bound changes.
-            if !work.node.load(node, &core.lp) {
+            if !work.node.load(&node, &core.lp) {
                 NODES_PRUNED_DOMAIN.inc();
                 continue;
             }
@@ -1105,7 +876,7 @@ impl BranchBoundSolver {
             // exhausted on a degenerate relaxation) abandons this node rather
             // than the whole search: the node is treated as unexplored, which
             // keeps the incumbent valid and only weakens the optimality claim.
-            let relax = match cx.queue.resolve(&job, || work.node.solve(cx, node)) {
+            let relax = match work.node.solve(cx, &node) {
                 Ok(r) => r,
                 Err(SolverError::Numerical(_)) => {
                     st.hit_limit = true;
@@ -1258,7 +1029,7 @@ impl BranchBoundSolver {
                         },
                     ];
                     for branch in branches {
-                        cx.queue.push(Node {
+                        open.push(Node {
                             inherited: inherited.clone(),
                             branch: Some(branch),
                             parent_bound: node_bound,
@@ -1628,7 +1399,6 @@ mod tests {
         m.add_constraint("cap", vars, Sense::Le, 61.3);
         let options = SolverOptions {
             max_nodes: 200,
-            threads: 1,
             ..opts()
         };
         let (res, probe) = probed(&m, &options);
@@ -2343,55 +2113,6 @@ mod tests {
         // used to report `f64::NEG_INFINITY` (a meaningless -inf "gap");
         // now the absence of a proven bound is explicit.
         assert_eq!(res.best_bound, None);
-    }
-
-    #[test]
-    fn speculative_threads_are_bit_identical_to_serial() {
-        // The deterministic-parallelism contract: any thread count produces
-        // the same objective, node count, and iteration count as serial,
-        // because workers only pre-solve the exact relaxations the main
-        // thread consumes in serial DFS order — across core reductions too
-        // (the second model moves through four cores).
-        let order: Vec<usize> = (0..2000).collect();
-        for (model, options, thread_counts) in [
-            (chained_model(60), opts(), [2, 4]),
-            (galaxy_shaped_model(&order), opts(), [2, 8]),
-        ] {
-            bit_identical_at(&model, &options, thread_counts);
-        }
-    }
-
-    fn bit_identical_at(model: &Model, options: &SolverOptions, thread_counts: [usize; 2]) {
-        let at = |threads| {
-            let options = SolverOptions {
-                threads,
-                ..options.clone()
-            };
-            solve_full(model, &options).unwrap()
-        };
-        let serial = at(1);
-        for threads in thread_counts {
-            let par = at(threads);
-            assert_eq!(par.status, serial.status, "threads {threads}");
-            assert_eq!(par.nodes, serial.nodes, "threads {threads}");
-            assert_eq!(par.lp_iterations, serial.lp_iterations, "threads {threads}");
-            let (s, p) = (serial.solution.as_ref(), par.solution.as_ref());
-            assert_eq!(
-                s.map(|x| x.objective.to_bits()),
-                p.map(|x| x.objective.to_bits()),
-                "threads {threads}: objective must be bit-identical"
-            );
-            assert_eq!(
-                s.map(|x| &x.values),
-                p.map(|x| &x.values),
-                "threads {threads}"
-            );
-            assert_eq!(
-                serial.best_bound.map(f64::to_bits),
-                par.best_bound.map(f64::to_bits),
-                "threads {threads}"
-            );
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!   solution bit-identical to a fresh `RevisedLp::solve`;
 //! * once a workspace has served an LP, re-solving it allocates only the
 //!   returned solution's vectors;
-//! * a serial branch-and-bound search makes at most
+//! * a branch-and-bound search makes at most
 //!   [`MAX_ALLOCATIONS_PER_NODE`] allocations per processed node, model
 //!   preparation included.
 
@@ -66,7 +66,7 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
 }
 
 /// Branch-and-bound's budget per processed node.
-const MAX_ALLOCATIONS_PER_NODE: f64 = 8.0;
+const MAX_ALLOCATIONS_PER_NODE: f64 = 5.0;
 
 fn rules(lp: &RevisedLp) -> PivotRules {
     PivotRules::for_size(lp.m, lp.n_struct + lp.m, None)
@@ -270,10 +270,9 @@ fn galaxy_shaped_model(n: usize, target: f64) -> Model {
 
 #[test]
 fn branch_and_bound_allocations_per_node_are_bounded() {
-    // Serial, and stopped after a few thousand nodes: the searches below
-    // would run to 10⁴–10⁵ nodes, and the budget holds from the start.
+    // Stopped after a few thousand nodes: the searches below would run to
+    // 10⁴–10⁵ nodes, and the budget holds from the start.
     let options = SolverOptions {
-        threads: 1,
         max_nodes: 4000,
         ..SolverOptions::default()
     };

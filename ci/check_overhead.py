@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Gate the tracing overhead of the lp_backend kernel.
+"""Gate the tracing overhead of the solver kernel, as `kernel_profile` runs it.
 
 Usage: check_overhead.py <untraced_walls.txt> <traced_walls.txt>
 

@@ -14,7 +14,7 @@ ratchet only turns one way.
 import pathlib
 import sys
 
-CEILING = 102
+CEILING = 99
 
 
 def sites(path: pathlib.Path) -> int:

@@ -1,11 +1,11 @@
-//! Quick profiling harness for the `lp_backend` kernel workload: prints
-//! node/iteration counts and wall-clock so solver changes can be attributed
-//! (fewer iterations vs cheaper iterations) without waiting for the full
-//! criterion run.
+//! Quick profiling harness for the solver kernel (the sparse revised
+//! simplex under branch-and-bound): prints node/iteration counts and
+//! wall-clock so solver changes can be attributed (fewer iterations vs
+//! cheaper iterations) without waiting for the full criterion run.
 //!
-//! Two models are solved: the Portfolio SAA of the `lp_backend` bench and a
-//! 2 000-tuple Galaxy model on which the search restarts its LP on ever
-//! smaller cores.
+//! Two models are solved: the Portfolio SAA model that the `lp_backend`
+//! criterion group of `benches/kernels.rs` also solves, and a 2 000-tuple
+//! Galaxy model on which the search restarts its LP on ever smaller cores.
 //!
 //! The first four stdout fields (`status= obj= nodes= lp_iters=`) are
 //! byte-stable across runs of the same build — CI diffs them against

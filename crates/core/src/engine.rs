@@ -113,11 +113,6 @@ impl SpqEngine {
         &self.options
     }
 
-    /// Mutable access to the options (e.g. to tweak the seed between runs).
-    pub fn options_mut(&mut self) -> &mut SpqOptions {
-        &mut self.options
-    }
-
     /// Parse, bind, translate and evaluate an sPaQL query string.
     pub fn evaluate(
         &self,

@@ -1,6 +1,6 @@
 //! Evaluation options shared by the Naïve and SummarySearch algorithms.
 
-use crate::validation::{EarlyStop, ValidationOptions, DEFAULT_INITIAL_STAGE};
+use crate::validation::{EarlyStop, ValidationOptions};
 use spq_mcdb::ScenarioCache;
 use spq_solver::{Deadline, SolverOptions};
 use std::sync::Arc;
@@ -25,12 +25,6 @@ pub struct SketchOptions {
     /// deterministic attribute). Smaller values yield tighter, more numerous
     /// partitions.
     pub diameter_fraction: f64,
-    /// Number of validation-stream scenarios sampled per tuple to estimate
-    /// the spread feature used for partitioning — the fallback for columns
-    /// whose VG function has no closed-form standard deviation
-    /// ([`spq_mcdb::VgFunction::std_dev`]). Where it has one, the feature is
-    /// exact, no scenario is drawn and this value is not read.
-    pub feature_scenarios: usize,
     /// Relations with at most this many candidate tuples are solved directly
     /// with SummarySearch — partitioning overhead isn't worth it below this
     /// size (a single partition would reproduce the full problem anyway).
@@ -38,11 +32,6 @@ pub struct SketchOptions {
     /// Cap on the optimization-scenario budget of each refine sub-solve,
     /// applied on top of [`SpqOptions::max_scenarios`].
     pub refine_max_scenarios: usize,
-    /// Per-MILP solver time cap inside the sketch and refine phases
-    /// (tightens [`SolverOptions::time_limit`]). The branch-and-bound solver
-    /// returns its best incumbent at the limit, so this trades proof of
-    /// optimality for bounded latency; `None` leaves the solver limit alone.
-    pub phase_solver_time_limit: Option<Duration>,
 }
 
 impl Default for SketchOptions {
@@ -50,10 +39,8 @@ impl Default for SketchOptions {
         SketchOptions {
             max_partition_size: 0,
             diameter_fraction: 0.2,
-            feature_scenarios: 24,
             direct_solve_threshold: 64,
             refine_max_scenarios: 200,
-            phase_solver_time_limit: Some(Duration::from_secs(10)),
         }
     }
 }
@@ -109,8 +96,6 @@ pub struct SpqOptions {
     pub validation_early_stop: EarlyStop,
     /// Initial number of summaries (the paper's `Z`).
     pub initial_summaries: usize,
-    /// Summary increment (the paper's `z`).
-    pub summary_increment: usize,
     /// User-specified approximation error bound `ε`. `f64::INFINITY` accepts
     /// any feasible solution (feasibility-only termination).
     pub epsilon: f64,
@@ -135,8 +120,6 @@ pub struct SpqOptions {
     /// regenerate the same scenarios. `None` (the default) generates
     /// per-call, which is the right choice for one-shot evaluations.
     pub scenario_cache: Option<Arc<ScenarioCache>>,
-    /// Maximum number of CSA-Solve inner iterations per (M, Z) combination.
-    pub max_csa_iterations: usize,
     /// Upper bound on any tuple's multiplicity when neither `REPEAT` nor the
     /// constraints imply one (keeps big-M constants finite).
     pub fallback_multiplicity_bound: u32,
@@ -168,13 +151,11 @@ impl Default for SpqOptions {
                 delta: crate::validation::DEFAULT_HOEFFDING_DELTA,
             },
             initial_summaries: 1,
-            summary_increment: 1,
             epsilon: f64::INFINITY,
             solver: SolverOptions::default(),
             time_limit: Some(Duration::from_secs(600)),
             deadline: Deadline::none(),
             scenario_cache: None,
-            max_csa_iterations: 15,
             fallback_multiplicity_bound: 100,
             max_relation_bytes: None,
             sketch: SketchOptions::default(),
@@ -238,7 +219,6 @@ impl SpqOptions {
             block_scenarios: self.validation_block,
             threads: self.validation_threads,
             early_stop: self.validation_early_stop,
-            initial_stage: DEFAULT_INITIAL_STAGE,
             honor_deadline: true,
         }
     }
@@ -280,13 +260,6 @@ impl SpqOptions {
         self.scenario_cache = Some(cache);
         self
     }
-
-    /// Cap the relation's resident deterministic-column bytes, returning
-    /// `self` for chaining.
-    pub fn with_max_relation_bytes(mut self, bytes: u64) -> Self {
-        self.max_relation_bytes = Some(bytes);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -299,7 +272,7 @@ mod tests {
         assert_eq!(o.initial_scenarios, 100);
         assert_eq!(o.scenario_increment, 100);
         assert_eq!(o.initial_summaries, 1);
-        assert_eq!(o.summary_increment, 1);
+        assert_eq!(crate::summary_search::SUMMARY_INCREMENT, 1);
         assert!(o.epsilon.is_infinite());
     }
 

@@ -39,6 +39,13 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Summaries added when a feasible package misses the ε bound (the paper's
+/// `z`).
+pub(crate) const SUMMARY_INCREMENT: usize = 1;
+
+/// CSA-Solve iterations per `(M, Z)` combination.
+pub(crate) const MAX_CSA_ITERATIONS: usize = 15;
+
 /// Evaluate a stochastic package query with SummarySearch.
 pub fn evaluate_summary_search(instance: &Instance<'_>) -> Result<EvaluationResult> {
     let opts = &instance.options;
@@ -92,7 +99,7 @@ pub fn evaluate_summary_search(instance: &Instance<'_>) -> Result<EvaluationResu
         } else if feasible && z < m {
             // Feasible but not accurate enough: use more (therefore less
             // conservative) summaries.
-            z += opts.summary_increment.max(1).min(m - z);
+            z += SUMMARY_INCREMENT.min(m - z);
         } else {
             // Infeasible (or Z already equals M): use more scenarios.
             let next = m + opts.scenario_increment.max(1);
@@ -231,7 +238,7 @@ fn csa_solve(
             && within_epsilon(instance, report.objective_estimate)?)
     };
 
-    for _ in 0..opts.max_csa_iterations {
+    for _ in 0..MAX_CSA_ITERATIONS {
         if opts.deadline.expired() {
             break;
         }
@@ -584,7 +591,7 @@ mod tests {
         let inst = Instance::new(&rel, csa_silp(), SpqOptions::for_tests()).unwrap();
         let x0 = vec![4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0];
         let (_, _, stats) = run_csa(&inst, Some(&x0), 20, 2);
-        assert!(stats.validations <= inst.options.max_csa_iterations);
+        assert!(stats.validations <= MAX_CSA_ITERATIONS);
         assert!(stats.problems_solved >= 1);
         assert!(stats.lp_pivots > 0);
         assert!(stats.validation_scenarios > 0);

@@ -17,6 +17,11 @@ use crate::Result;
 use spq_solver::Sense;
 use std::num::NonZeroUsize;
 
+/// First stage of the adaptive escalation: early-stop checks happen at
+/// `INITIAL_STAGE · 2^k` scenario milestones. Irrelevant under
+/// [`EarlyStop::Full`].
+const INITIAL_STAGE: usize = 1024;
+
 /// Comparison tolerance when scoring an inner constraint against a scenario.
 const SCORE_TOL: f64 = 1e-9;
 
@@ -346,7 +351,7 @@ pub(super) fn scan(
     // early; a probability *objective* is the deliverable and always runs
     // the full budget, so constraint-free scans take a single stage.
     let staged = options.early_stop.enabled() && has_constraints;
-    let first_stage = options.initial_stage.max(1);
+    let first_stage = INITIAL_STAGE;
 
     let mut cursor = 0usize;
     let mut interrupted = false;

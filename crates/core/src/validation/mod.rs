@@ -29,7 +29,7 @@
 //!   validating the overlapping packages of a search (SketchRefine's frozen
 //!   ∪ refined selections) touch the VG functions once per tuple.
 //! * **Adaptive `M̂`.** With an [`EarlyStop`] policy, validation escalates
-//!   through geometric stages (`initial_stage`, `2×`, `4×`, … up to `M̂`)
+//!   through geometric stages (1 024, 2 048, 4 096, … scenarios up to `M̂`)
 //!   and stops counting a constraint as soon as its verdict is settled —
 //!   either *certainly* (the remaining scenarios cannot change the
 //!   `⌈p·M̂⌉` comparison) or *statistically* (a Hoeffding bound puts the
@@ -58,10 +58,6 @@ use serde::{Deserialize, Serialize};
 
 /// Default scenarios per realized block.
 pub const DEFAULT_BLOCK_SCENARIOS: usize = 2048;
-
-/// Default first adaptive stage (early-stop checks happen at
-/// `initial_stage · 2^k` scenario milestones).
-pub const DEFAULT_INITIAL_STAGE: usize = 1024;
 
 /// Default two-sided confidence parameter of [`EarlyStop::Hoeffding`].
 pub const DEFAULT_HOEFFDING_DELTA: f64 = 1e-9;
@@ -134,9 +130,6 @@ pub struct ValidationOptions {
     pub threads: usize,
     /// Early-stop policy for adaptive `M̂` escalation.
     pub early_stop: EarlyStop,
-    /// First stage size of the adaptive escalation (subsequent stages
-    /// double). Irrelevant under [`EarlyStop::Full`].
-    pub initial_stage: usize,
     /// Whether the block loop honors the wall-clock part of the armed
     /// deadline (default `true`). The search loops set this to `false` for
     /// the **final certificate** validation of a candidate after the
@@ -156,7 +149,6 @@ impl ValidationOptions {
             block_scenarios: DEFAULT_BLOCK_SCENARIOS,
             threads: 0,
             early_stop: EarlyStop::Full,
-            initial_stage: DEFAULT_INITIAL_STAGE,
             honor_deadline: true,
         }
     }
@@ -276,7 +268,6 @@ pub fn validate(instance: &Instance<'_>, x: &[f64], m_hat: usize) -> Result<Vali
         block_scenarios: instance.options.validation_block,
         threads: instance.options.validation_threads,
         early_stop: EarlyStop::Full,
-        initial_stage: DEFAULT_INITIAL_STAGE,
         honor_deadline: true,
     };
     validate_with(instance, x, &opts)

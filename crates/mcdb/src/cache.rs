@@ -39,22 +39,13 @@
 //! [`Relation::uid`], and every block is checksummed: a corrupt or truncated
 //! block is deleted and regenerated, never returned.
 
-use crate::memo::{Memo, MemoMirror, MemoStats};
+use crate::memo::{Memo, MemoStats};
 use crate::relation::Relation;
 use crate::scenario::{ScenarioGenerator, ScenarioMatrix};
 use crate::seed::{fnv1a_words, Stream, FNV_OFFSET};
 use crate::store::{ScenarioStore, StoreKey, StoreStats};
 use crate::Result;
-use spq_obs::metrics::{Counter, Named};
 use std::sync::Arc;
-
-// Process-wide mirrors of the per-cache counters (all `ScenarioCache`
-// instances accumulate into them) for the Prometheus snapshot.
-static MIRROR: MemoMirror = MemoMirror {
-    hits: Named::new("spq_scenario_cache_hits", Counter::new()),
-    misses: Named::new("spq_scenario_cache_misses", Counter::new()),
-    evictions: Named::new("spq_scenario_cache_evictions", Counter::new()),
-};
 
 /// Identity of one realized block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -118,7 +109,7 @@ impl ScenarioCache {
     /// larger than the whole budget is generated but not retained.
     pub fn with_max_bytes(max_bytes: u64) -> Self {
         ScenarioCache {
-            blocks: Memo::new(max_bytes).mirrored(&MIRROR),
+            blocks: Memo::new(max_bytes),
             store: None,
         }
     }

@@ -30,24 +30,14 @@
 
 use crate::blockfile::{self, BlockError};
 use crate::error::McdbError;
-use crate::memo::{Memo, MemoMirror};
+use crate::memo::Memo;
 use crate::seed::column_tag;
 use crate::value::Value;
 use crate::Result;
-use spq_obs::metrics::{Counter, Named};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-// Process-wide chunk-cache counters, surfaced by the Prometheus snapshot and
-// the spqd `stats` op.
-static MIRROR: MemoMirror = MemoMirror {
-    hits: Named::new("spq_relation_chunk_hits", Counter::new()),
-    misses: Named::new("spq_relation_chunk_misses", Counter::new()),
-    evictions: Named::new("spq_relation_chunk_evictions", Counter::new()),
-};
-static CHUNK_CORRUPT: Named<Counter> = Named::new("spq_relation_chunk_corrupt", Counter::new());
 
 const FILE_SUFFIX: &str = ".spqcol";
 
@@ -256,7 +246,7 @@ impl ChunkCache {
     /// A cache with the given byte budget.
     pub fn new(budget: u64) -> Self {
         ChunkCache {
-            chunks: Memo::new(budget).mirrored(&MIRROR),
+            chunks: Memo::new(budget),
             corrupt: AtomicU64::new(0),
         }
     }
@@ -287,7 +277,6 @@ impl ChunkCache {
             let values = column.read_chunk(chunk).inspect_err(|e| {
                 if matches!(e, McdbError::ChunkCorrupt { .. }) {
                     self.corrupt.fetch_add(1, Ordering::Relaxed);
-                    CHUNK_CORRUPT.inc();
                 }
             })?;
             let bytes = values_bytes(&values);

@@ -18,29 +18,18 @@
 //!   retained — residency never decides correctness.
 //! * **Uniform counters.** Hits, misses, waits on an in-flight computation
 //!   (`coalesced`), evictions and the weight ever admitted
-//!   (`weight_inserted`), plus optional process-wide `spq-obs` mirrors.
+//!   (`weight_inserted`). They are each cache's only count of its traffic;
+//!   the `stats` op reads them.
 //!
 //! Waiters re-check a caller-supplied *abandon* test every
 //! [`Memo::POLL`], so a request whose own deadline or cancellation fires
 //! never hangs on somebody else's computation.
 
-use spq_obs::metrics::{Counter, Named};
 use std::collections::{HashMap, VecDeque};
 use std::convert::Infallible;
 use std::hash::Hash;
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
-
-/// Process-wide `spq-obs` counters a [`Memo`] mirrors its traffic into.
-#[derive(Debug)]
-pub struct MemoMirror {
-    /// Lookups served from the memo.
-    pub hits: Named<Counter>,
-    /// Lookups that computed.
-    pub misses: Named<Counter>,
-    /// Values dropped to respect the budget.
-    pub evictions: Named<Counter>,
-}
 
 /// A snapshot of one memo's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -109,7 +98,6 @@ struct State<K, V> {
 pub struct Memo<K, V> {
     state: Mutex<State<K, V>>,
     settled: Condvar,
-    mirror: Option<&'static MemoMirror>,
 }
 
 /// Releases a pending claim whose computation did not complete normally
@@ -148,14 +136,7 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
                 waiting: 0,
             }),
             settled: Condvar::new(),
-            mirror: None,
         }
-    }
-
-    /// Mirror hits, misses and evictions into process-wide counters.
-    pub fn mirrored(mut self, mirror: &'static MemoMirror) -> Self {
-        self.mirror = Some(mirror);
-        self
     }
 
     fn lock(&self) -> MutexGuard<'_, State<K, V>> {
@@ -197,10 +178,6 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
                 Some(Entry::Ready { value, .. }) => {
                     let value = value.clone();
                     state.stats.hits += 1;
-                    drop(state);
-                    if let Some(m) = self.mirror {
-                        m.hits.inc();
-                    }
                     return Lookup::Hit(value);
                 }
                 Some(Entry::Pending { .. }) => {
@@ -229,9 +206,6 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
             }
         };
         drop(state);
-        if let Some(m) = self.mirror {
-            m.misses.inc();
-        }
         let claim = Claim {
             memo: self,
             key,
@@ -296,9 +270,6 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
             }
         }
         state.stats.evictions += evicted;
-        if let (Some(m), true) = (self.mirror, evicted > 0) {
-            m.evictions.add(evicted);
-        }
     }
 
     /// Tighten (never widen) the budget, evicting down to it.

@@ -151,11 +151,6 @@ impl Relation {
             .ok_or(McdbError::NotDeterministic(canon))
     }
 
-    /// Storage tier of a deterministic column.
-    pub fn deterministic_storage(&self, name: &str) -> Result<&ColumnStorage> {
-        Ok(&self.det_column(name)?.storage)
-    }
-
     /// Access a fully resident deterministic column's values. For
     /// disk-backed columns this returns [`McdbError::NotResident`]; use
     /// [`Self::gather_values`], [`Self::value`], or

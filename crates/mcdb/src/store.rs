@@ -36,19 +36,9 @@
 use crate::blockfile::{self, BlockError};
 use crate::scenario::ScenarioMatrix;
 use crate::seed::splitmix64;
-use spq_obs::metrics::{Counter, Gauge, Named};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-// Process-wide mirrors (all stores accumulate into them) surfaced by the
-// Prometheus snapshot and the spqd `stats` op.
-static STORE_SPILL_WRITES: Named<Counter> =
-    Named::new("spq_scenario_store_spill_writes", Counter::new());
-static STORE_READS: Named<Counter> = Named::new("spq_scenario_store_reads", Counter::new());
-static STORE_BYTES: Named<Gauge> = Named::new("spq_scenario_store_bytes", Gauge::new());
-static STORE_CORRUPT: Named<Counter> = Named::new("spq_scenario_store_corrupt", Counter::new());
-static STORE_EVICTIONS: Named<Counter> = Named::new("spq_scenario_store_evictions", Counter::new());
 
 const FILE_SUFFIX: &str = ".spqblk";
 /// Block key: the 7 [`StoreKey`] words plus the tuple count.
@@ -155,7 +145,6 @@ impl ScenarioStore {
                 bytes += entry.metadata().map(|m| m.len()).unwrap_or(0);
             }
         }
-        STORE_BYTES.set(bytes as i64);
         Ok(ScenarioStore {
             dir,
             max_bytes,
@@ -193,11 +182,9 @@ impl ScenarioStore {
                     meta.len().min(self.bytes.load(Ordering::Relaxed)),
                     Ordering::Relaxed,
                 );
-                STORE_BYTES.set(self.bytes.load(Ordering::Relaxed) as i64);
             }
         }
         self.corrupt.fetch_add(1, Ordering::Relaxed);
-        STORE_CORRUPT.inc();
     }
 
     /// Try to load the block addressed by `key`. Returns `None` on a plain
@@ -227,7 +214,6 @@ impl ScenarioStore {
             })
             .collect();
         self.reads.fetch_add(1, Ordering::Relaxed);
-        STORE_READS.inc();
         Some(ScenarioMatrix::from_raw(n_tuples, data))
     }
 
@@ -261,9 +247,7 @@ impl ScenarioStore {
             return;
         }
         self.bytes.fetch_add(file_len, Ordering::Relaxed);
-        STORE_BYTES.set(self.bytes.load(Ordering::Relaxed) as i64);
         self.spill_writes.fetch_add(1, Ordering::Relaxed);
-        STORE_SPILL_WRITES.inc();
     }
 
     /// Evict oldest-first (by mtime) until at most `target_bytes` remain.
@@ -292,10 +276,8 @@ impl ScenarioStore {
                     Ordering::Relaxed,
                 );
                 self.evictions.fetch_add(1, Ordering::Relaxed);
-                STORE_EVICTIONS.inc();
             }
         }
-        STORE_BYTES.set(self.bytes.load(Ordering::Relaxed) as i64);
     }
 }
 

@@ -21,7 +21,7 @@
 use crate::buffer::{ReadBuffer, WriteBuffer};
 use crate::poller::{Poller, Waker};
 use crate::sys::{PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
-use spq_obs::{Counter, Gauge, Named};
+use spq_obs::{Counter, Named};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -30,16 +30,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-static OPEN_CONNECTIONS: Named<Gauge> = Named::new("spq_net_open_connections", Gauge::new());
-static ACCEPTS: Named<Counter> = Named::new("spq_net_accepts_total", Counter::new());
-static LIMIT_REJECTS: Named<Counter> =
-    Named::new("spq_net_connection_limit_rejects_total", Counter::new());
-static WRITE_CAP_DISCONNECTS: Named<Counter> =
-    Named::new("spq_net_write_cap_disconnects_total", Counter::new());
-static READ_CAP_DISCONNECTS: Named<Counter> =
-    Named::new("spq_net_read_cap_disconnects_total", Counter::new());
-static IDLE_DISCONNECTS: Named<Counter> =
-    Named::new("spq_net_idle_disconnects_total", Counter::new());
 static LINES: Named<Counter> = Named::new("spq_net_lines_total", Counter::new());
 
 /// Identifies one accepted connection for the lifetime of a reactor.
@@ -138,7 +128,6 @@ struct Shared {
     waker: Waker,
     stopping: AtomicBool,
     open: AtomicUsize,
-    write_cap: usize,
 }
 
 /// Cloneable handle for talking to a running reactor from any thread.
@@ -168,7 +157,6 @@ impl ReactorHandle {
                 pushed = out.push(b"\n").is_ok();
             }
             if !pushed {
-                WRITE_CAP_DISCONNECTS.inc();
                 shared.request_close(CloseReason::WriteCapExceeded);
             }
         }
@@ -190,19 +178,6 @@ impl ReactorHandle {
     /// Connections currently open on this reactor.
     pub fn open_connections(&self) -> usize {
         self.shared.open.load(Ordering::Relaxed)
-    }
-
-    /// Unflushed outbound bytes buffered for `conn` (`None` when gone).
-    pub fn pending_write_bytes(&self, conn: ConnId) -> Option<usize> {
-        let conns = self.shared.conns.lock().expect("conn map poisoned");
-        conns
-            .get(&conn)
-            .map(|c| c.out.lock().expect("write buffer poisoned").len())
-    }
-
-    /// The configured per-connection write cap.
-    pub fn write_buffer_cap(&self) -> usize {
-        self.shared.write_cap
     }
 
     /// Begin shutdown: stop accepting, drain, close. [`Reactor::shutdown`]
@@ -244,7 +219,6 @@ impl Reactor {
             waker: poller.waker(),
             stopping: AtomicBool::new(false),
             open: AtomicUsize::new(0),
-            write_cap: config.write_buffer_bytes,
         });
         let handle = ReactorHandle {
             shared: shared.clone(),
@@ -422,7 +396,6 @@ impl<H: Handler> LoopState<H> {
                     to_close.push((id, reason));
                 } else if let Some(idle) = self.config.idle_timeout {
                     if now.duration_since(conn.last_inbound) >= idle {
-                        IDLE_DISCONNECTS.inc();
                         to_close.push((id, CloseReason::IdleTimeout));
                     }
                 }
@@ -443,7 +416,6 @@ impl<H: Handler> LoopState<H> {
             match self.listener.accept() {
                 Ok((stream, peer)) => {
                     if self.conns.len() >= self.config.max_connections {
-                        LIMIT_REJECTS.inc();
                         drop(stream);
                         continue;
                     }
@@ -463,8 +435,6 @@ impl<H: Handler> LoopState<H> {
                         .expect("conn map poisoned")
                         .insert(id, shared.clone());
                     self.shared.open.fetch_add(1, Ordering::Relaxed);
-                    OPEN_CONNECTIONS.add(1);
-                    ACCEPTS.inc();
                     self.conns.insert(
                         id,
                         Conn {
@@ -525,7 +495,6 @@ impl<H: Handler> LoopState<H> {
                 Ok(n) => {
                     conn.last_inbound = Instant::now();
                     if conn.rbuf.extend(&chunk[..n]).is_err() {
-                        READ_CAP_DISCONNECTS.inc();
                         return Err(CloseReason::ReadCapExceeded);
                     }
                     // Pump every complete line before the next read so the
@@ -566,7 +535,6 @@ impl<H: Handler> LoopState<H> {
                 .expect("conn map poisoned")
                 .remove(&id);
             self.shared.open.fetch_sub(1, Ordering::Relaxed);
-            OPEN_CONNECTIONS.add(-1);
             drop(conn);
             self.handler.on_close(id, reason);
         }

@@ -4,10 +4,13 @@
 //! (the vendored crates are API stubs, so nothing external is available).
 //! Two halves:
 //!
-//! * [`metrics`] — a lock-free global registry of named [`Counter`]s,
-//!   [`Gauge`]s, and log-linear latency [`Histogram`]s (p50/p90/p99/max,
-//!   mergeable across threads with bit-identical results), plus a
-//!   Prometheus-style text exposition via [`metrics::prometheus_text`].
+//! * [`metrics`] — a lock-free global registry of named [`Counter`]s and
+//!   log-linear latency [`Histogram`]s (p50/p90/p99/max, mergeable across
+//!   threads with bit-identical results), plus a Prometheus-style text
+//!   exposition via [`metrics::prometheus_text`]. A count that belongs to
+//!   one object (a cache, a store, a tenant) lives on that object and is
+//!   read through the `stats` op; the registry holds process-wide work
+//!   counters only.
 //! * [`trace`] — lightweight [`trace::Span`]s recorded into per-thread
 //!   ring buffers and exported as chrome-tracing JSON (loadable in
 //!   `chrome://tracing` or Perfetto), gated by the `SPQ_TRACE` environment
@@ -43,5 +46,5 @@
 pub mod metrics;
 pub mod trace;
 
-pub use metrics::{Counter, Gauge, Histogram, Named};
+pub use metrics::{Counter, Histogram, Named};
 pub use trace::{span, Span};

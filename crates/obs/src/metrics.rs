@@ -1,5 +1,5 @@
-//! Lock-free global metrics registry: counters, gauges, and log-linear
-//! latency histograms.
+//! Lock-free global metrics registry: counters and log-linear latency
+//! histograms.
 //!
 //! Metrics are declared as `static` [`Named`] wrappers at the
 //! instrumentation site and register themselves into the global registry
@@ -15,7 +15,7 @@
 //! commutative and produces bit-identical bucket contents regardless of
 //! thread count or merge order.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
@@ -84,38 +84,6 @@ impl Counter {
 
     /// Current total.
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A signed instantaneous value (queue depths, resident bytes, …).
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicI64,
-}
-
-impl Gauge {
-    /// A gauge at zero (usable in `static` initializers).
-    pub const fn new() -> Self {
-        Gauge {
-            value: AtomicI64::new(0),
-        }
-    }
-
-    /// Replace the current value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Add `delta` (may be negative).
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -314,27 +282,6 @@ impl Named<Counter> {
     }
 }
 
-impl Named<Gauge> {
-    /// Replace the value, registering the gauge on first use.
-    #[inline]
-    pub fn set(&'static self, v: i64) {
-        ensure_registered!(self, gauges);
-        self.metric.set(v);
-    }
-
-    /// Add `delta`, registering the gauge on first use.
-    #[inline]
-    pub fn add(&'static self, delta: i64) {
-        ensure_registered!(self, gauges);
-        self.metric.add(delta);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.metric.get()
-    }
-}
-
 impl Named<Histogram> {
     /// Record one sample, registering the histogram on first use.
     #[inline]
@@ -353,7 +300,6 @@ impl Named<Histogram> {
 
 struct Registry {
     counters: Mutex<Vec<&'static Named<Counter>>>,
-    gauges: Mutex<Vec<&'static Named<Gauge>>>,
     histograms: Mutex<Vec<&'static Named<Histogram>>>,
 }
 
@@ -361,7 +307,6 @@ fn registry() -> &'static Registry {
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
     REGISTRY.get_or_init(|| Registry {
         counters: Mutex::new(Vec::new()),
-        gauges: Mutex::new(Vec::new()),
         histograms: Mutex::new(Vec::new()),
     })
 }
@@ -378,17 +323,6 @@ pub fn counter_value(name: &str) -> Option<u64> {
         .map(|c| c.get())
 }
 
-/// Current value of the registered gauge `name`.
-pub fn gauge_value(name: &str) -> Option<i64> {
-    registry()
-        .gauges
-        .lock()
-        .unwrap()
-        .iter()
-        .find(|g| g.name == name)
-        .map(|g| g.get())
-}
-
 /// The registered histogram `name`, if any sample has been recorded.
 pub fn histogram(name: &str) -> Option<&'static Named<Histogram>> {
     registry()
@@ -401,7 +335,7 @@ pub fn histogram(name: &str) -> Option<&'static Named<Histogram>> {
 }
 
 /// Prometheus-style text exposition of every registered metric, sorted by
-/// name for a deterministic snapshot. Counters and gauges emit one sample;
+/// name for a deterministic snapshot. Counters emit one sample;
 /// histograms emit `{quantile=...}` summary samples plus `_sum`, `_count`,
 /// and `_max`.
 pub fn prometheus_text() -> String {
@@ -419,18 +353,6 @@ pub fn prometheus_text() -> String {
     counters.sort_unstable_by_key(|&(name, _)| name);
     for (name, value) in counters {
         let _ = writeln!(out, "# TYPE {name} counter\n{name} {value}");
-    }
-
-    let mut gauges: Vec<(&str, i64)> = reg
-        .gauges
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|g| (g.name, g.get()))
-        .collect();
-    gauges.sort_unstable_by_key(|&(name, _)| name);
-    for (name, value) in gauges {
-        let _ = writeln!(out, "# TYPE {name} gauge\n{name} {value}");
     }
 
     let mut histograms: Vec<&'static Named<Histogram>> = reg.histograms.lock().unwrap().clone();
@@ -514,17 +436,13 @@ mod tests {
     #[test]
     fn registry_round_trip() {
         static T_COUNTER: Named<Counter> = Named::new("test_registry_counter", Counter::new());
-        static T_GAUGE: Named<Gauge> = Named::new("test_registry_gauge", Gauge::new());
         static T_HIST: Named<Histogram> = Named::new("test_registry_hist", Histogram::new());
         T_COUNTER.add(3);
-        T_GAUGE.set(-4);
         T_HIST.record(42);
         assert_eq!(counter_value("test_registry_counter"), Some(3));
-        assert_eq!(gauge_value("test_registry_gauge"), Some(-4));
         assert_eq!(histogram("test_registry_hist").unwrap().inner().count(), 1);
         let text = prometheus_text();
         assert!(text.contains("test_registry_counter 3"));
-        assert!(text.contains("test_registry_gauge -4"));
         assert!(text.contains("test_registry_hist_count 1"));
         assert!(text.contains("test_registry_hist{quantile=\"0.5\"}"));
     }

@@ -16,27 +16,21 @@
 //! [`TenantQuotas::max_resident_tuples`] total tuples per tenant. A load
 //! past either quota fails with a clean admission error — never a hang, and
 //! never unbounded memory. Per-tenant admit/reject counters feed the `stats`
-//! op; aggregates land in the [`spq_obs`] registry.
+//! op. They are kept for [`DEFAULT_TENANT`] and for tenants that hold at
+//! least one relation only: a tenant name is wire input, so a request naming
+//! a tenant that holds nothing leaves no state behind, and a tenant whose
+//! last relation is unloaded (or whose first load is refused) leaves the
+//! catalog.
 
 use crate::json::Json;
 use crate::protocol::{Fields, FINITE_NUMBERS, STRING};
 use spq_mcdb::vg::NormalNoise;
 use spq_mcdb::{ChunkCacheStats, Relation, RelationBuilder, StorageOptions};
-use spq_obs::{Counter, Named};
 use spq_workloads::{build_workload_with, WorkloadKind};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
-
-static TENANT_ADMITS: Named<Counter> =
-    Named::new("spq_service_tenant_admits_total", Counter::new());
-static TENANT_REJECTS: Named<Counter> =
-    Named::new("spq_service_tenant_rejects_total", Counter::new());
-static RELATIONS_LOADED: Named<Counter> =
-    Named::new("spq_service_relations_loaded_total", Counter::new());
-static RELATIONS_UNLOADED: Named<Counter> =
-    Named::new("spq_service_relations_unloaded_total", Counter::new());
 
 /// The tenant requests without a `tenant` field belong to.
 pub const DEFAULT_TENANT: &str = "default";
@@ -225,15 +219,16 @@ impl TenantState {
             .map(|e| e.relation.disk_bytes())
             .sum()
     }
+}
 
-    /// Aggregated chunk-cache (hits, misses) across the tenant's
-    /// disk-backed relations.
-    fn chunk_traffic(&self) -> (u64, u64) {
-        self.relations
-            .values()
-            .filter_map(|e| e.relation.chunk_cache_stats())
-            .fold((0, 0), |(h, m), s| (h + s.hits, m + s.misses))
-    }
+/// Chunk-cache `(hits, misses, evictions)` summed over the disk-backed
+/// relations among `entries`.
+fn chunk_traffic<'a>(entries: impl Iterator<Item = &'a CatalogEntry>) -> (u64, u64, u64) {
+    entries
+        .filter_map(|e| e.relation.chunk_cache_stats())
+        .fold((0, 0, 0), |(h, m, e), s| {
+            (h + s.hits, m + s.misses, e + s.evictions)
+        })
 }
 
 /// One relation as reported by `list_relations`.
@@ -450,53 +445,58 @@ impl Catalog {
         let tuples = relation.len();
 
         let mut tenants = self.tenants.write().expect("catalog poisoned");
-        let state = tenants.entry(tenant.to_string()).or_default();
-        let replaced: usize = state
-            .relations
-            .get(&name)
-            .map(|e| e.relation.len())
-            .unwrap_or(0);
-        if state.relations.len() >= self.quotas.max_relations
-            && !state.relations.contains_key(&name)
-        {
+        // The tenant's entry is created only once the load is admitted, so
+        // a refused first load leaves nothing behind.
+        let (held, resident, replaced) = tenants.get(tenant).map_or((0, 0, None), |state| {
+            (
+                state.relations.len(),
+                state.resident_tuples(),
+                state.relations.get(&name).map(|e| e.relation.len()),
+            )
+        });
+        if held >= self.quotas.max_relations && replaced.is_none() {
             return Err(CatalogError::RelationQuota {
                 limit: self.quotas.max_relations,
             });
         }
-        let needed = state.resident_tuples() - replaced + tuples;
+        let needed = resident - replaced.unwrap_or(0) + tuples;
         if needed > self.quotas.max_resident_tuples {
             return Err(CatalogError::TupleQuota {
                 limit: self.quotas.max_resident_tuples,
                 needed,
             });
         }
-        state.relations.insert(
-            name,
-            CatalogEntry {
-                relation,
-                source: source.describe(),
-            },
-        );
-        RELATIONS_LOADED.inc();
+        tenants
+            .entry(tenant.to_string())
+            .or_default()
+            .relations
+            .insert(
+                name,
+                CatalogEntry {
+                    relation,
+                    source: source.describe(),
+                },
+            );
         Ok(tuples)
     }
 
     /// Drop `tenant`'s relation `name`. Shared relations cannot be unloaded
     /// through a tenant (resolution falls back to them, but they are not the
-    /// tenant's to drop).
+    /// tenant's to drop). A tenant other than [`DEFAULT_TENANT`] that holds
+    /// no relation afterwards leaves the catalog, counters included.
     pub fn unload(&self, tenant: &str, name: &str) -> Result<(), CatalogError> {
         let name = name.to_ascii_lowercase();
         let mut tenants = self.tenants.write().expect("catalog poisoned");
-        let removed = tenants
-            .get_mut(tenant)
-            .and_then(|t| t.relations.remove(&name));
-        match removed {
-            Some(_) => {
-                RELATIONS_UNLOADED.inc();
-                Ok(())
-            }
-            None => Err(CatalogError::UnknownRelation(name)),
+        let Some(state) = tenants.get_mut(tenant) else {
+            return Err(CatalogError::UnknownRelation(name));
+        };
+        if state.relations.remove(&name).is_none() {
+            return Err(CatalogError::UnknownRelation(name));
         }
+        if state.relations.is_empty() && tenant != DEFAULT_TENANT {
+            tenants.remove(tenant);
+        }
+        Ok(())
     }
 
     /// The relations `tenant` can see: its own (shadowing) plus the shared
@@ -533,18 +533,34 @@ impl Catalog {
         names
     }
 
-    /// Count one admitted request against `tenant`.
+    /// Count one admitted request against `tenant` (dropped unless `tenant`
+    /// is [`DEFAULT_TENANT`] or holds a relation).
     pub fn record_admit(&self, tenant: &str) {
-        TENANT_ADMITS.inc();
-        let mut tenants = self.tenants.write().expect("catalog poisoned");
-        tenants.entry(tenant.to_string()).or_default().admits += 1;
+        self.count(tenant, |state| state.admits += 1);
     }
 
-    /// Count one rejected request against `tenant`.
+    /// Count one rejected request against `tenant` (dropped unless `tenant`
+    /// is [`DEFAULT_TENANT`] or holds a relation).
     pub fn record_reject(&self, tenant: &str) {
-        TENANT_REJECTS.inc();
+        self.count(tenant, |state| state.rejects += 1);
+    }
+
+    fn count(&self, tenant: &str, bump: impl FnOnce(&mut TenantState)) {
         let mut tenants = self.tenants.write().expect("catalog poisoned");
-        tenants.entry(tenant.to_string()).or_default().rejects += 1;
+        if let Some(state) = tenants.get_mut(tenant) {
+            bump(state);
+        } else if tenant == DEFAULT_TENANT {
+            bump(tenants.entry(DEFAULT_TENANT.to_string()).or_default());
+        }
+    }
+
+    /// Chunk-cache `(hits, misses, evictions)` summed over every disk-backed
+    /// relation the catalog holds, shared and per tenant.
+    pub(crate) fn chunk_traffic(&self) -> (u64, u64, u64) {
+        let shared = self.shared.read().expect("catalog poisoned");
+        let tenants = self.tenants.read().expect("catalog poisoned");
+        let entries = tenants.values().flat_map(|t| t.relations.values());
+        chunk_traffic(shared.values().chain(entries))
     }
 
     /// Per-tenant usage, sorted by tenant name (the `stats` op's
@@ -556,7 +572,7 @@ impl Catalog {
             .map(|(tenant, state)| {
                 let mut relations: Vec<String> = state.relations.keys().cloned().collect();
                 relations.sort();
-                let (chunk_hits, chunk_misses) = state.chunk_traffic();
+                let (chunk_hits, chunk_misses, _) = chunk_traffic(state.relations.values());
                 TenantSnapshot {
                     tenant: tenant.clone(),
                     relations,
@@ -740,6 +756,33 @@ mod tests {
         assert!(snap.resident_tuples >= 100);
         assert_eq!(snap.admits, 2);
         assert_eq!(snap.rejects, 1);
+    }
+
+    #[test]
+    fn only_default_and_loading_tenants_keep_state() {
+        let catalog = Catalog::new(TenantQuotas {
+            max_relations: 8,
+            max_resident_tuples: 400,
+        });
+        catalog.load("loader", "a", &small_source(120)).unwrap();
+        // A refused first load leaves no tenant behind.
+        let err = catalog.load("greedy", "a", &small_source(500)).unwrap_err();
+        assert!(matches!(err, CatalogError::TupleQuota { .. }));
+        // Neither does a tenant whose last relation is unloaded.
+        catalog.load("brief", "a", &small_source(120)).unwrap();
+        catalog.unload("brief", "a").unwrap();
+        for i in 0..1_000 {
+            let tenant = format!("fresh-{i}");
+            catalog.record_admit(&tenant);
+            catalog.record_reject(&tenant);
+        }
+        catalog.record_admit("loader");
+        catalog.record_admit(DEFAULT_TENANT);
+        let snapshots = catalog.tenant_snapshots();
+        let names: Vec<&str> = snapshots.iter().map(|s| s.tenant.as_str()).collect();
+        assert_eq!(names, [DEFAULT_TENANT, "loader"]);
+        assert_eq!((snapshots[0].admits, snapshots[0].rejects), (1, 0));
+        assert_eq!((snapshots[1].admits, snapshots[1].rejects), (1, 0));
     }
 
     #[test]

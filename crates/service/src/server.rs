@@ -311,6 +311,10 @@ impl ServerShared {
             return; // Connection already gone; nobody to answer.
         };
         let tenant = work.tenant().to_string();
+        // A load's admission is counted once the load resolves (in the
+        // worker): a tenant's first load creates the tenant it counts
+        // against.
+        let count_admit = !matches!(work, JobWork::Load(_));
         let token = CancellationToken::new();
         let deadline = self.service.deadline_with(work.timeout_ms(), &token);
         {
@@ -343,7 +347,11 @@ impl ServerShared {
             enqueued: Instant::now(),
         });
         match self.pool.push(job) {
-            Ok(()) => self.service.catalog().record_admit(&tenant),
+            Ok(()) => {
+                if count_admit {
+                    self.service.catalog().record_admit(&tenant);
+                }
+            }
             Err(job) => {
                 job.state
                     .inflight
@@ -525,7 +533,7 @@ fn worker_loop(pool: &Pool, service: &SpqService, reactor: &ReactorHandle) {
                 .to_line(),
             JobWork::Load(request) => {
                 let tenant = job.work.tenant();
-                if job.token.is_cancelled() {
+                let line = if job.token.is_cancelled() {
                     load_ack_error(&request.id, "cancelled while queued")
                 } else {
                     match service.catalog().load_with(
@@ -550,7 +558,9 @@ fn worker_loop(pool: &Pool, service: &SpqService, reactor: &ReactorHandle) {
                             load_ack_error(&request.id, &e.to_string())
                         }
                     }
-                }
+                };
+                service.catalog().record_admit(tenant);
+                line
             }
         };
         pool.in_flight.fetch_sub(1, Ordering::Relaxed);

@@ -524,7 +524,6 @@ impl SpqService {
             // Final answers default to a full pass; clients opt in to
             // adaptive verdicts explicitly.
             early_stop: request.early_stop.unwrap_or(EarlyStop::Full),
-            initial_stage: spq_core::validation::DEFAULT_INITIAL_STAGE,
             // Wire requests carry client timeouts: honor them strictly.
             honor_deadline: true,
         };
@@ -630,16 +629,14 @@ impl SpqService {
                         .field("evictions", s.evictions);
                 })
                 .field("relations", self.relation_names().as_slice())
-                // Process-wide chunk traffic of disk-backed relations (the
-                // spq_relation_chunk_* counters; per-relation figures come
-                // from `list_relations`).
+                // Chunk traffic summed over the catalog's disk-backed
+                // relations (per-relation figures come from
+                // `list_relations`).
                 .object("relation_chunk_cache", |w| {
-                    let counter = |name: &str| spq_obs::metrics::counter_value(name).unwrap_or(0);
-                    let hits = counter("spq_relation_chunk_hits");
-                    let misses = counter("spq_relation_chunk_misses");
+                    let (hits, misses, evictions) = self.catalog.chunk_traffic();
                     w.field("hits", hits)
                         .field("misses", misses)
-                        .field("evictions", counter("spq_relation_chunk_evictions"))
+                        .field("evictions", evictions)
                         .field("hit_rate", hit_rate(hits, misses));
                 })
                 .objects("tenants", self.catalog.tenant_snapshots(), |w, snap| {

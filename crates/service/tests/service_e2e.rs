@@ -11,7 +11,8 @@
 //!   growing server memory;
 //! * the relation catalog round-trips over the wire: `load_relation` →
 //!   query → `unload_relation`, tenant isolation, quota admission errors;
-//! * the `stats` op exposes catalog and reactor state;
+//! * the `stats` op exposes catalog and reactor state, and lists only the
+//!   tenants that hold a relation (plus the default tenant);
 //! * the ε certificate's wire contract: `validate` responses carry it,
 //!   `query` responses are byte-identical to the recorded ones.
 
@@ -758,6 +759,73 @@ fn stats_expose_catalog_and_reactor_state_over_tcp() {
     assert_eq!(relations.len(), 1);
     assert!(acme_snap.get("resident_tuples").unwrap().as_u64().unwrap() >= 150);
     assert!(acme_snap.get("admits").unwrap().as_u64().unwrap() >= 1);
+    server.shutdown();
+}
+
+#[test]
+fn tenant_names_on_the_wire_leave_no_state_behind() {
+    // A tenant name is wire input: requests under 1 000 fresh names (each
+    // admitted, then failing on an unknown relation), a refused first load
+    // and a load that is unloaded again must not grow the `stats` reply.
+    let service = Arc::new(SpqService::new(test_service_config()));
+    let server =
+        SpqServer::start(service, "127.0.0.1:0", ServerConfig::default()).expect("server starts");
+    let mut client = Client::connect(server.local_addr());
+    // `send` writes the line and its newline separately: without this, each
+    // of the 1 000 round trips waits out a delayed ACK.
+    client.stream.set_nodelay(true).expect("nodelay");
+
+    client.send(
+        r#"{"op":"load_relation","id":"l1","name":"mine","tenant":"acme","workload":"galaxy","scale":150,"seed":4}"#,
+    );
+    assert_eq!(
+        recv_ack(&mut client, "load_ack").str_field("status"),
+        Some("ok")
+    );
+    client.send(
+        r#"{"op":"load_relation","id":"l2","name":"x","tenant":"ghost","path":"/nonexistent/rel.json"}"#,
+    );
+    assert_eq!(
+        recv_ack(&mut client, "load_ack").str_field("status"),
+        Some("error")
+    );
+    client.send(
+        r#"{"op":"load_relation","id":"l3","name":"brief","tenant":"brief","workload":"portfolio","scale":150,"seed":3}"#,
+    );
+    assert_eq!(
+        recv_ack(&mut client, "load_ack").str_field("status"),
+        Some("ok")
+    );
+    client.send(r#"{"op":"unload_relation","name":"brief","tenant":"brief"}"#);
+    assert_eq!(
+        recv_ack(&mut client, "unload_ack").str_field("status"),
+        Some("ok")
+    );
+
+    let mut request = portfolio_request("q", "SELECT PACKAGE(*) FROM t");
+    request.relation = "nowhere".into();
+    for i in 0..1_000 {
+        request.id = format!("q{i}");
+        request.tenant = Some(format!("fresh-{i}"));
+        client.send(&Request::Query(request.clone()).to_line());
+        let response = QueryResponse::parse_line(&client.recv_line()).expect("query response");
+        assert_eq!(response.status, QueryStatus::Error, "{:?}", response.error);
+    }
+    // The default tenant keeps its counts without holding a relation.
+    request.id = "d".into();
+    request.tenant = None;
+    client.send(&Request::Query(request).to_line());
+    QueryResponse::parse_line(&client.recv_line()).expect("query response");
+
+    client.send(r#"{"op":"stats"}"#);
+    let stats = spq_service::json::parse(&client.recv_line()).expect("stats json");
+    let tenants = stats.get("tenants").unwrap().as_array().unwrap();
+    let names: Vec<&str> = tenants
+        .iter()
+        .filter_map(|t| t.str_field("tenant"))
+        .collect();
+    assert_eq!(names, ["acme", "default"]);
+    assert_eq!(tenants[1].get("admits").unwrap().as_u64(), Some(1));
     server.shutdown();
 }
 

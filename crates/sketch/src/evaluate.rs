@@ -35,6 +35,12 @@ use std::time::{Duration, Instant};
 /// Sparse candidate selection: candidate position → multiplicity.
 type Selection = HashMap<usize, f64>;
 
+/// Per-MILP solver time cap inside the sketch and refine phases (tightens
+/// `SolverOptions::time_limit`). The branch-and-bound solver returns its
+/// best incumbent at the limit, so this trades proof of optimality for
+/// bounded latency.
+const PHASE_SOLVER_TIME_LIMIT: Duration = Duration::from_secs(10);
+
 /// A copy of `opts` whose time limit is the budget still remaining on the
 /// armed deadline, with the per-phase MILP solver cap applied (the solver
 /// hands back its incumbent at the limit, so phases stay bounded without
@@ -47,12 +53,10 @@ fn remaining_budget(opts: &SpqOptions) -> SpqOptions {
         .deadline
         .remaining()
         .map(|left| left.max(Duration::from_millis(1)));
-    if let Some(cap) = opts.sketch.phase_solver_time_limit {
-        scoped.solver.time_limit = Some(match scoped.solver.time_limit {
-            Some(existing) => existing.min(cap),
-            None => cap,
-        });
-    }
+    scoped.solver.time_limit = Some(match scoped.solver.time_limit {
+        Some(existing) => existing.min(PHASE_SOLVER_TIME_LIMIT),
+        None => PHASE_SOLVER_TIME_LIMIT,
+    });
     scoped
 }
 

@@ -12,8 +12,7 @@
 //!   their spread agree. The standard deviation is the VG function's closed
 //!   form where it has one (the parametric families with a finite variance:
 //!   no scenario is drawn and the features do not depend on the seed);
-//!   otherwise it is estimated over
-//!   [`spq_core::SketchOptions::feature_scenarios`] validation-stream
+//!   otherwise it is estimated over [`FEATURE_SCENARIOS`] validation-stream
 //!   scenarios.
 //!
 //! Every dimension is min-max normalized to `[0, 1]` over the candidate set,
@@ -71,6 +70,12 @@ pub(crate) fn normalize(dim: &mut [f64]) {
     }
 }
 
+/// Validation-stream scenarios sampled per tuple to estimate the spread
+/// feature — the fallback for columns whose VG function has no closed-form
+/// standard deviation ([`spq_mcdb::VgFunction::std_dev`]). Where it has one,
+/// the feature is exact and no scenario is drawn.
+pub const FEATURE_SCENARIOS: usize = 24;
+
 /// The normalized feature dimensions of an instance's candidates,
 /// column-major: one `[0, 1]`-normalized vector per feature dimension, as
 /// the blockwise [`crate::hierarchy`] partitioner reads them (it never
@@ -84,14 +89,13 @@ pub(crate) fn candidate_dimensions(instance: &Instance<'_>) -> Result<Vec<Vec<f6
         dims.push(instance.deterministic(col)?.to_vec());
     }
 
-    let m = instance.options.sketch.feature_scenarios.max(1);
     for col in &stoch {
         dims.push(instance.expectations(col)?.to_vec());
         // Routed through the instance, which answers without a draw when
         // the column is provably scenario-invariant or its VG function has
         // closed-form moments; only the rest go through the columnar block
         // engine.
-        let moments = instance.tuple_moments(col, m)?;
+        let moments = instance.tuple_moments(col, FEATURE_SCENARIOS)?;
         dims.push(moments.into_iter().map(|(_, sd)| sd).collect());
     }
 

@@ -81,7 +81,7 @@ fn a_column_without_a_closed_form_keeps_the_sampled_features() {
         .iter()
         .any(|&t| sc.vg.std_dev(t).is_none()));
 
-    let m = instance.options.sketch.feature_scenarios;
+    let m = spq_sketch::features::FEATURE_SCENARIOS;
     let before = cells_realized();
     let moments = instance.tuple_moments(&column, m).unwrap();
     assert_eq!(cells_realized() - before, (n * m) as u64);

@@ -60,7 +60,6 @@ fn sketch_options(max_partition_size: usize) -> SpqOptions {
         diameter_fraction: 0.25,
         direct_solve_threshold: 1,
         refine_max_scenarios: 100,
-        ..Default::default()
     })
 }
 

@@ -42,6 +42,12 @@ static CORE_COLUMNS: Named<Histogram> = Named::new("spq_solver_core_columns", Hi
 // (`FeasibleLimit` or `NoSolutionLimit`).
 static LIMIT_HITS: Named<Counter> = Named::new("spq_solver_limit_hits", Counter::new());
 
+/// Integrality tolerance: a value within this of an integer is integral.
+const INT_TOL: f64 = 1e-6;
+
+/// Relative optimality gap at which the search stops early.
+const REL_GAP: f64 = 1e-6;
+
 /// Solver options.
 #[derive(Debug, Clone)]
 pub struct SolverOptions {
@@ -58,10 +64,6 @@ pub struct SolverOptions {
     pub deadline: Deadline,
     /// Maximum number of branch-and-bound nodes to process.
     pub max_nodes: usize,
-    /// Integrality tolerance.
-    pub int_tol: f64,
-    /// Relative optimality gap at which the search stops early.
-    pub rel_gap: f64,
     /// Cap applied to automatically derived big-M constants when variable
     /// bounds are infinite.
     pub big_m_cap: f64,
@@ -111,8 +113,6 @@ impl Default for SolverOptions {
             time_limit: Some(Duration::from_secs(120)),
             deadline: Deadline::none(),
             max_nodes: 200_000,
-            int_tol: 1e-6,
-            rel_gap: 1e-6,
             big_m_cap: 1e7,
             warm_start: None,
             bland_after: None,
@@ -919,7 +919,7 @@ impl BranchBoundSolver {
 
             // Find the most fractional integer variable.
             let mut branch_var: Option<usize> = None;
-            let mut best_frac = self.options.int_tol;
+            let mut best_frac = INT_TOL;
             for &vi in &core.int_cols {
                 let x = relax.values[vi];
                 let frac = (x - x.round()).abs();
@@ -1081,7 +1081,7 @@ impl BranchBoundSolver {
             let d = reduced[vj];
             match basis.statuses[vj] {
                 VarStatus::AtLower if d > RC_EPS => {
-                    let room = (budget / d + self.options.int_tol).floor().max(0.0);
+                    let room = (budget / d + INT_TOL).floor().max(0.0);
                     let new_upper = lower[vj] + room;
                     if new_upper < upper[vj] - 0.5 {
                         upper[vj] = new_upper;
@@ -1089,7 +1089,7 @@ impl BranchBoundSolver {
                     }
                 }
                 VarStatus::AtUpper if d < -RC_EPS => {
-                    let room = (budget / -d + self.options.int_tol).floor().max(0.0);
+                    let room = (budget / -d + INT_TOL).floor().max(0.0);
                     let new_lower = upper[vj] - room;
                     if new_lower > lower[vj] + 0.5 {
                         lower[vj] = new_lower;
@@ -1133,7 +1133,7 @@ impl BranchBoundSolver {
 
     fn gap_slack(&self, best_obj: f64) -> f64 {
         if best_obj.is_finite() {
-            self.options.rel_gap * best_obj.abs().max(1.0)
+            REL_GAP * best_obj.abs().max(1.0)
         } else {
             0.0
         }
@@ -1371,10 +1371,7 @@ mod tests {
             objectives.push(sol.objective);
         }
         let (a, b) = (objectives[0], objectives[1]);
-        assert!(
-            (a - b).abs() <= 2.0 * opts().rel_gap * a.abs(),
-            "{a} vs {b}"
-        );
+        assert!((a - b).abs() <= 2.0 * REL_GAP * a.abs(), "{a} vs {b}");
         // The metric catalog's view of the same thing.
         let counter = |name| spq_obs::metrics::counter_value(name).unwrap_or(0);
         assert!(counter("spq_solver_core_restarts") > 0);
@@ -1461,10 +1458,7 @@ mod tests {
             full.solution.unwrap().objective,
             again.solution.unwrap().objective,
         );
-        assert!(
-            (a - b).abs() <= 2.0 * opts().rel_gap * a.abs(),
-            "{a} vs {b}"
-        );
+        assert!((a - b).abs() <= 2.0 * REL_GAP * a.abs(), "{a} vs {b}");
     }
 
     #[test]
@@ -1479,7 +1473,7 @@ mod tests {
             Some(sol) => {
                 assert!(res.status.has_solution());
                 assert!(model.is_feasible(&sol.values, 1e-6));
-                assert!(sol.objective >= best - 2.0 * opts().rel_gap * best.abs());
+                assert!(sol.objective >= best - 2.0 * REL_GAP * best.abs());
             }
             None => assert_eq!(res.status, SolveStatus::NoSolutionLimit),
         };

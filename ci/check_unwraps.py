@@ -14,7 +14,7 @@ ratchet only turns one way.
 import pathlib
 import sys
 
-CEILING = 99
+CEILING = 92
 
 
 def sites(path: pathlib.Path) -> int:

@@ -246,28 +246,6 @@ pub fn epsilon_upper_bound(direction: Direction, omega_q: f64, bounds: &OmegaBou
     }
 }
 
-/// The smallest ε for which the termination check can possibly succeed
-/// (`ε_min`, Section 5.4): obtained by substituting the best possible
-/// objective value (the opposite bound) into the ε⁽q⁾ formula.
-pub fn epsilon_min(direction: Direction, bounds: &OmegaBounds) -> f64 {
-    match direction {
-        Direction::Minimize => {
-            if bounds.upper.is_finite() {
-                epsilon_upper_bound(direction, bounds.upper, bounds)
-            } else {
-                f64::INFINITY
-            }
-        }
-        Direction::Maximize => {
-            if bounds.lower.is_finite() {
-                epsilon_upper_bound(direction, bounds.lower, bounds)
-            } else {
-                f64::INFINITY
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,8 +347,8 @@ mod tests {
         let eps = epsilon_upper_bound(Direction::Minimize, 45.0, &b);
         assert!(eps <= 0.25 + 1e-9);
         assert!(eps >= 0.0);
-        // ε_min is achievable.
-        assert!(epsilon_min(Direction::Minimize, &b) >= 0.0);
+        // ε at the upper bound is non-negative too.
+        assert!(epsilon_upper_bound(Direction::Minimize, b.upper, &b) >= 0.0);
     }
 
     #[test]
@@ -408,7 +386,7 @@ mod tests {
             upper: 20.0,
         };
         assert!((epsilon_upper_bound(Direction::Minimize, 12.0, &b) - 0.2).abs() < 1e-12);
-        assert!((epsilon_min(Direction::Minimize, &b) - 1.0).abs() < 1e-12);
+        assert!((epsilon_upper_bound(Direction::Minimize, b.upper, &b) - 1.0).abs() < 1e-12);
         // Prop 3: minimization, negative values.
         let b = OmegaBounds {
             lower: -20.0,
@@ -421,7 +399,7 @@ mod tests {
             upper: 20.0,
         };
         assert!((epsilon_upper_bound(Direction::Maximize, 16.0, &b) - 0.25).abs() < 1e-12);
-        assert!(epsilon_min(Direction::Maximize, &b) > 0.0);
+        assert!(epsilon_upper_bound(Direction::Maximize, b.lower, &b) > 0.0);
         // Prop 5: maximization, negative values.
         let b = OmegaBounds {
             lower: -20.0,
@@ -432,7 +410,6 @@ mod tests {
         let b = OmegaBounds::unbounded();
         assert!(epsilon_upper_bound(Direction::Minimize, 1.0, &b).is_infinite());
         assert!(epsilon_upper_bound(Direction::Maximize, 1.0, &b).is_infinite());
-        assert!(epsilon_min(Direction::Minimize, &b).is_infinite());
     }
 
     /// A four-tuple instance with a linear objective over the stochastic

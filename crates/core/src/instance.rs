@@ -241,13 +241,6 @@ impl<'a> Instance<'a> {
         })
     }
 
-    /// True when the moment prefilter proved `column` scenario-invariant
-    /// over the candidate tuples: every scenario request for it is served by
-    /// broadcasting one probed realization instead of drawing.
-    pub fn is_scenario_free(&self, column: &str) -> bool {
-        self.invariant_values.contains_key(column)
-    }
-
     /// Per-candidate `(mean, standard deviation)` moments of a stochastic
     /// column. No scenario is drawn when the moments are known exactly: for
     /// columns the moment prefilter proved scenario-invariant they are
@@ -779,7 +772,7 @@ mod tests {
         let opts = SpqOptions::for_tests().with_scenario_cache(cache.clone());
         let inst = Instance::new(&rel, silp(vec![count_le(3.0)]), opts).unwrap();
 
-        assert!(inst.is_scenario_free("gain"));
+        assert!(inst.invariant_values.contains_key("gain"));
         // The prefilter answers matrices without touching the cache...
         let matrix = inst.optimization_matrix("gain", 9).unwrap();
         let vmatrix = inst.validation_matrix("gain", &[1, 3], 4..10).unwrap();
@@ -820,14 +813,14 @@ mod tests {
             SpqOptions::for_tests(),
         )
         .unwrap();
-        assert!(inst.is_scenario_free("gain"));
+        assert!(inst.invariant_values.contains_key("gain"));
         assert_eq!(inst.objective_value_bounds().unwrap(), Some((1.0, 4.0)));
 
         // A noisy column keeps drawing: not scenario-free, nonzero stds.
         let noisy = relation();
         let inst =
             Instance::new(&noisy, silp(vec![count_le(3.0)]), SpqOptions::for_tests()).unwrap();
-        assert!(!inst.is_scenario_free("gain"));
+        assert!(!inst.invariant_values.contains_key("gain"));
         let moments = inst.tuple_moments("gain", 256).unwrap();
         assert!(moments.iter().all(|&(_, sd)| sd > 0.1));
     }

@@ -67,9 +67,7 @@ pub mod summary_search;
 pub mod translate;
 pub mod validation;
 
-pub use engine::{
-    register_sketch_refine, sketch_refine_available, Algorithm, SketchRefineEvaluator, SpqEngine,
-};
+pub use engine::{register_sketch_refine, Algorithm, SketchRefineEvaluator, SpqEngine};
 pub use error::SpqError;
 pub use instance::Instance;
 pub use options::{SketchOptions, SpqOptions};

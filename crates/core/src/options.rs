@@ -191,22 +191,9 @@ impl SpqOptions {
         self
     }
 
-    /// Set the initial summary count, returning `self` for chaining.
-    pub fn with_initial_summaries(mut self, z: usize) -> Self {
-        self.initial_summaries = z;
-        self
-    }
-
     /// Set the validation scenario count, returning `self` for chaining.
     pub fn with_validation_scenarios(mut self, m_hat: usize) -> Self {
         self.validation_scenarios = m_hat;
-        self
-    }
-
-    /// Set the search-loop validation early-stop policy, returning `self`
-    /// for chaining.
-    pub fn with_validation_early_stop(mut self, early_stop: EarlyStop) -> Self {
-        self.validation_early_stop = early_stop;
         self
     }
 
@@ -281,11 +268,9 @@ mod tests {
         let o = SpqOptions::for_tests()
             .with_seed(9)
             .with_initial_scenarios(5)
-            .with_initial_summaries(2)
             .with_validation_scenarios(50);
         assert_eq!(o.seed, 9);
         assert_eq!(o.initial_scenarios, 5);
-        assert_eq!(o.initial_summaries, 2);
         assert_eq!(o.validation_scenarios, 50);
     }
 
@@ -299,7 +284,10 @@ mod tests {
         let full = o.full_validation();
         assert_eq!(full.early_stop, EarlyStop::Full);
         assert_eq!(full.m_hat, 5000);
-        let certain = o.with_validation_early_stop(EarlyStop::Certain);
+        let certain = SpqOptions {
+            validation_early_stop: EarlyStop::Certain,
+            ..o
+        };
         assert_eq!(certain.search_validation().early_stop, EarlyStop::Certain);
     }
 

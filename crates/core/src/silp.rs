@@ -92,14 +92,6 @@ pub enum Direction {
 }
 
 impl Direction {
-    /// Convert to the solver's direction type.
-    pub fn to_solver(self) -> spq_solver::Direction {
-        match self {
-            Direction::Minimize => spq_solver::Direction::Minimize,
-            Direction::Maximize => spq_solver::Direction::Maximize,
-        }
-    }
-
     /// `1.0` for minimization, `-1.0` for maximization (used to convert to a
     /// canonical minimization sense).
     pub fn sign(self) -> f64 {
@@ -194,37 +186,6 @@ impl Silp {
         self.tuples.len()
     }
 
-    /// The probabilistic constraints, in declaration order.
-    pub fn probabilistic_constraints(&self) -> Vec<&SilpConstraint> {
-        self.constraints
-            .iter()
-            .filter(|c| c.kind.is_probabilistic())
-            .collect()
-    }
-
-    /// The deterministic and expectation constraints.
-    pub fn non_probabilistic_constraints(&self) -> Vec<&SilpConstraint> {
-        self.constraints
-            .iter()
-            .filter(|c| !c.kind.is_probabilistic())
-            .collect()
-    }
-
-    /// A copy of this SILP with every probabilistic constraint removed — the
-    /// paper's `Q0`, used by SummarySearch to compute the least conservative
-    /// solution `x⁽⁰⁾`.
-    pub fn without_probabilistic_constraints(&self) -> Silp {
-        Silp {
-            constraints: self
-                .constraints
-                .iter()
-                .filter(|c| !c.kind.is_probabilistic())
-                .cloned()
-                .collect(),
-            ..self.clone()
-        }
-    }
-
     /// All stochastic columns referenced by the SILP (constraints and
     /// objective), deduplicated.
     pub fn stochastic_columns(&self) -> Vec<String> {
@@ -286,20 +247,13 @@ mod tests {
     fn partitions_constraints_by_kind() {
         let s = sample_silp();
         assert_eq!(s.num_vars(), 4);
-        assert_eq!(s.probabilistic_constraints().len(), 1);
-        assert_eq!(s.non_probabilistic_constraints().len(), 1);
-        assert_eq!(s.probabilistic_constraints()[0].probability(), Some(0.95));
-        assert_eq!(s.non_probabilistic_constraints()[0].probability(), None);
-    }
-
-    #[test]
-    fn q0_removes_probabilistic_constraints() {
-        let s = sample_silp();
-        let q0 = s.without_probabilistic_constraints();
-        assert_eq!(q0.constraints.len(), 1);
-        assert!(!q0.constraints[0].kind.is_probabilistic());
-        assert_eq!(q0.tuples, s.tuples);
-        assert_eq!(q0.objective, s.objective);
+        let (probabilistic, other): (Vec<_>, Vec<_>) = s
+            .constraints
+            .iter()
+            .partition(|c| c.kind.is_probabilistic());
+        assert_eq!((probabilistic.len(), other.len()), (1, 1));
+        assert_eq!(probabilistic[0].probability(), Some(0.95));
+        assert_eq!(other[0].probability(), None);
     }
 
     #[test]
@@ -326,10 +280,6 @@ mod tests {
         assert!(Direction::Minimize.better(1.0, 2.0));
         assert!(Direction::Maximize.better(2.0, 1.0));
         assert!(!Direction::Maximize.better(1.0, 1.0));
-        assert_eq!(
-            Direction::Maximize.to_solver(),
-            spq_solver::Direction::Maximize
-        );
     }
 
     #[test]

@@ -153,24 +153,6 @@ impl ValidationOptions {
         }
     }
 
-    /// Set the early-stop policy, returning `self` for chaining.
-    pub fn with_early_stop(mut self, early_stop: EarlyStop) -> Self {
-        self.early_stop = early_stop;
-        self
-    }
-
-    /// Set the worker count, returning `self` for chaining.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Set the block size, returning `self` for chaining.
-    pub fn with_block_scenarios(mut self, block: usize) -> Self {
-        self.block_scenarios = block.max(1);
-        self
-    }
-
     /// Set whether the wall-clock deadline interrupts the block loop
     /// (cancellation tokens always do), returning `self` for chaining.
     pub fn with_honor_deadline(mut self, honor: bool) -> Self {

@@ -316,9 +316,11 @@ fn reports_are_bit_identical_across_threads_and_block_sizes() {
     let reference = validate_with(
         &inst,
         &x,
-        &ValidationOptions::full(m_hat)
-            .with_threads(1)
-            .with_block_scenarios(m_hat),
+        &ValidationOptions {
+            threads: 1,
+            block_scenarios: m_hat,
+            ..ValidationOptions::full(m_hat)
+        },
     )
     .unwrap();
     for threads in [1, 2, 3, 8] {
@@ -326,9 +328,11 @@ fn reports_are_bit_identical_across_threads_and_block_sizes() {
             let report = validate_with(
                 &inst,
                 &x,
-                &ValidationOptions::full(m_hat)
-                    .with_threads(threads)
-                    .with_block_scenarios(block),
+                &ValidationOptions {
+                    threads,
+                    block_scenarios: block,
+                    ..ValidationOptions::full(m_hat)
+                },
             )
             .unwrap();
             assert_eq!(report.feasible, reference.feasible);
@@ -372,7 +376,10 @@ fn certain_early_stop_preserves_the_full_verdict_and_saves_scenarios() {
     let report = validate_with(
         &inst,
         &[2.0, 1.0, 0.0],
-        &ValidationOptions::full(m_hat).with_early_stop(EarlyStop::Certain),
+        &ValidationOptions {
+            early_stop: EarlyStop::Certain,
+            ..ValidationOptions::full(m_hat)
+        },
     )
     .unwrap();
     assert!(report.feasible);
@@ -400,9 +407,12 @@ fn hoeffding_early_stop_decides_far_from_p_constraints_in_the_first_stages() {
     let report = validate_with(
         &inst,
         &[1.0, 0.0, 0.0],
-        &ValidationOptions::full(m_hat).with_early_stop(EarlyStop::Hoeffding {
-            delta: DEFAULT_HOEFFDING_DELTA,
-        }),
+        &ValidationOptions {
+            early_stop: EarlyStop::Hoeffding {
+                delta: DEFAULT_HOEFFDING_DELTA,
+            },
+            ..ValidationOptions::full(m_hat)
+        },
     )
     .unwrap();
     assert!(report.feasible);
@@ -420,9 +430,12 @@ fn hoeffding_early_stop_decides_far_from_p_constraints_in_the_first_stages() {
     let report = validate_with(
         &inst,
         &[0.0, 0.0, 1.0],
-        &ValidationOptions::full(m_hat).with_early_stop(EarlyStop::Hoeffding {
-            delta: DEFAULT_HOEFFDING_DELTA,
-        }),
+        &ValidationOptions {
+            early_stop: EarlyStop::Hoeffding {
+                delta: DEFAULT_HOEFFDING_DELTA,
+            },
+            ..ValidationOptions::full(m_hat)
+        },
     )
     .unwrap();
     assert!(!report.feasible);

@@ -114,8 +114,8 @@ fn run((relation, silp): &(Relation, Silp), epsilon: f64) -> Outcome {
     }
 }
 
-/// Far below anything either instance can certify (and below `epsilon_min`
-/// of both), so the search runs its whole `Z → M` escalation out.
+/// Far below anything either instance can certify, so the search runs its
+/// whole `Z → M` escalation out.
 const UNATTAINABLE: f64 = 1e-6;
 
 #[test]

@@ -135,9 +135,11 @@ fn reports_match_whole_support_dot_products_bit_for_bit() {
 
         for threads in [1, 2, 8] {
             for block in [1, 7, 2048] {
-                let options = ValidationOptions::full(m_hat)
-                    .with_threads(threads)
-                    .with_block_scenarios(block);
+                let options = ValidationOptions {
+                    threads,
+                    block_scenarios: block,
+                    ..ValidationOptions::full(m_hat)
+                };
                 let report = validate_with(&instance, x, &options).unwrap();
                 let at = format!("x = {x:?}, threads {threads}, block {block}");
                 assert_eq!(report.constraints.len(), expected.len(), "{at}");
@@ -177,9 +179,11 @@ fn overlapping_packages_draw_and_keep_each_tuple_once() {
     let instance = Instance::new(&rel, silp, options).unwrap();
     let m_hat = 3_000;
     let windows = 3; // 1024 + 1024 + 952
-    let validation = ValidationOptions::full(m_hat)
-        .with_threads(1)
-        .with_block_scenarios(1024);
+    let validation = ValidationOptions {
+        threads: 1,
+        block_scenarios: 1024,
+        ..ValidationOptions::full(m_hat)
+    };
 
     let before = cells_realized();
     // {a, b} = {1, 4}, then {b, c} = {4, 6}.

@@ -10,8 +10,7 @@
 //!   [`blockfile`] under a relation directory (written via temp-file +
 //!   rename, so readers never observe a half-written chunk). Reads go
 //!   through a small byte-budgeted [`ChunkCache`] shared by all columns of
-//!   the relation, evicting in oldest-first (insertion) order. Only the
-//!   per-column [`ColumnSummary`] (min/max/mean/spread) stays resident.
+//!   the relation, evicting in oldest-first (insertion) order.
 //!
 //! The two tiers are **bit-identical** to consumers: every accessor on
 //! [`crate::Relation`] returns the same values in the same order regardless
@@ -144,72 +143,6 @@ impl DiskOptions {
     pub fn cache_bytes(mut self, bytes: u64) -> Self {
         self.cache_bytes = bytes;
         self
-    }
-}
-
-/// Resident summary of one deterministic column, computed in one streaming
-/// pass while the column is built and kept in memory for both tiers. The
-/// hierarchical partitioner and the candidate prefilter consult these instead
-/// of paging raw chunks in.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ColumnSummary {
-    /// Total rows in the column.
-    pub rows: usize,
-    /// How many of them are numeric (int or float).
-    pub numeric: usize,
-    /// Minimum numeric value (0.0 when `numeric == 0`).
-    pub min: f64,
-    /// Maximum numeric value (0.0 when `numeric == 0`).
-    pub max: f64,
-    /// Mean of the numeric values (0.0 when `numeric == 0`).
-    pub mean: f64,
-    /// Population standard deviation of the numeric values.
-    pub spread: f64,
-}
-
-/// Streaming (Welford) accumulator for [`ColumnSummary`].
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SummaryAcc {
-    rows: usize,
-    numeric: usize,
-    min: f64,
-    max: f64,
-    mean: f64,
-    m2: f64,
-}
-
-impl SummaryAcc {
-    pub(crate) fn push(&mut self, v: &Value) {
-        self.rows += 1;
-        if let Some(x) = v.as_f64() {
-            if self.numeric == 0 {
-                self.min = x;
-                self.max = x;
-            } else {
-                self.min = self.min.min(x);
-                self.max = self.max.max(x);
-            }
-            self.numeric += 1;
-            let delta = x - self.mean;
-            self.mean += delta / self.numeric as f64;
-            self.m2 += delta * (x - self.mean);
-        }
-    }
-
-    pub(crate) fn finish(&self) -> ColumnSummary {
-        let spread = if self.numeric > 0 {
-            (self.m2 / self.numeric as f64).max(0.0).sqrt()
-        } else {
-            0.0
-        };
-        ColumnSummary {
-            rows: self.rows,
-            numeric: self.numeric,
-            min: if self.numeric > 0 { self.min } else { 0.0 },
-            max: if self.numeric > 0 { self.max } else { 0.0 },
-            mean: if self.numeric > 0 { self.mean } else { 0.0 },
-            spread,
-        }
     }
 }
 
@@ -370,10 +303,9 @@ fn chunk_file_path(dir: &Path, tag: u64, chunk: u32) -> PathBuf {
 ///
 /// This is the abstraction the rest of the workspace programs against:
 /// accessors are tier-agnostic and **bit-identical** across tiers, chunk
-/// sizes, and thread counts. The memory tier additionally exposes a borrowed
-/// slice ([`ColumnStorage::as_slice`]); everything else streams through
-/// [`ColumnStorage::for_each_chunk`] or gathers specific rows, paging in only
-/// the chunks those rows live in.
+/// sizes, and thread counts. Whole-column reads stream through
+/// [`ColumnStorage::for_each_chunk`]; the others gather specific rows,
+/// paging in only the chunks those rows live in.
 #[derive(Debug)]
 pub enum ColumnStorage {
     /// Fully materialized values.
@@ -399,14 +331,6 @@ impl ColumnStorage {
     /// True when the column has no rows.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Borrow the values when fully resident; `None` for the disk tier.
-    pub fn as_slice(&self) -> Option<&[Value]> {
-        match self {
-            ColumnStorage::Memory { values, .. } => Some(values),
-            ColumnStorage::Disk(_) => None,
-        }
     }
 
     /// Fetch one value (pages in the owning chunk on the disk tier).
@@ -563,7 +487,6 @@ fn decode_values(payload: &[u8], count: usize) -> Option<Vec<Value>> {
 pub(crate) enum ColumnWriter {
     Memory {
         values: Vec<Value>,
-        summary: SummaryAcc,
     },
     Disk {
         name: String,
@@ -574,17 +497,13 @@ pub(crate) enum ColumnWriter {
         next_chunk: u32,
         rows: usize,
         disk_bytes: u64,
-        summary: SummaryAcc,
         error: Option<McdbError>,
     },
 }
 
 impl ColumnWriter {
     pub(crate) fn memory() -> Self {
-        ColumnWriter::Memory {
-            values: Vec::new(),
-            summary: SummaryAcc::default(),
-        }
+        ColumnWriter::Memory { values: Vec::new() }
     }
 
     pub(crate) fn disk(name: &str, options: &DiskOptions) -> Self {
@@ -597,7 +516,6 @@ impl ColumnWriter {
             next_chunk: 0,
             rows: 0,
             disk_bytes: 0,
-            summary: SummaryAcc::default(),
             error: None,
         }
     }
@@ -611,18 +529,13 @@ impl ColumnWriter {
 
     pub(crate) fn push(&mut self, value: Value) {
         match self {
-            ColumnWriter::Memory { values, summary } => {
-                summary.push(&value);
-                values.push(value);
-            }
+            ColumnWriter::Memory { values } => values.push(value),
             ColumnWriter::Disk {
                 buf,
                 rows,
-                summary,
                 chunk_rows,
                 ..
             } => {
-                summary.push(&value);
                 buf.push(value);
                 *rows += 1;
                 if buf.len() >= *chunk_rows {
@@ -663,16 +576,13 @@ impl ColumnWriter {
         }
     }
 
-    /// Finalize into storage + resident summary. For the disk tier the last
-    /// partial chunk is flushed here.
-    pub(crate) fn finish(
-        self,
-        cache: Option<&Arc<ChunkCache>>,
-    ) -> Result<(ColumnStorage, ColumnSummary)> {
+    /// Finalize into storage. For the disk tier the last partial chunk is
+    /// flushed here.
+    pub(crate) fn finish(self, cache: Option<&Arc<ChunkCache>>) -> Result<ColumnStorage> {
         match self {
-            ColumnWriter::Memory { values, summary } => {
+            ColumnWriter::Memory { values } => {
                 let bytes = values_bytes(&values);
-                Ok((ColumnStorage::Memory { values, bytes }, summary.finish()))
+                Ok(ColumnStorage::Memory { values, bytes })
             }
             ColumnWriter::Disk {
                 name,
@@ -683,7 +593,6 @@ impl ColumnWriter {
                 next_chunk,
                 rows,
                 mut disk_bytes,
-                summary,
                 error,
             } => {
                 if let Some(e) = error {
@@ -695,18 +604,15 @@ impl ColumnWriter {
                 let cache = cache
                     .cloned()
                     .unwrap_or_else(|| Arc::new(ChunkCache::new(DiskOptions::DEFAULT_CACHE_BYTES)));
-                Ok((
-                    ColumnStorage::Disk(DiskColumn {
-                        name,
-                        tag,
-                        dir,
-                        chunk_rows,
-                        n_rows: rows,
-                        disk_bytes,
-                        cache,
-                    }),
-                    summary.finish(),
-                ))
+                Ok(ColumnStorage::Disk(DiskColumn {
+                    name,
+                    tag,
+                    dir,
+                    chunk_rows,
+                    n_rows: rows,
+                    disk_bytes,
+                    cache,
+                }))
             }
         }
     }
@@ -742,8 +648,7 @@ mod tests {
         let mut w = ColumnWriter::disk("x", &opts);
         w.extend(values);
         let cache = Arc::new(ChunkCache::new(1 << 20));
-        let (storage, _) = w.finish(Some(&cache)).unwrap();
-        storage
+        w.finish(Some(&cache)).unwrap()
     }
 
     fn mixed_values(n: usize) -> Vec<Value> {
@@ -791,25 +696,6 @@ mod tests {
     }
 
     #[test]
-    fn summaries_match_between_tiers() {
-        let values = mixed_values(40);
-        let mut mem = ColumnWriter::memory();
-        mem.extend(values.clone());
-        let (_, mem_summary) = mem.finish(None).unwrap();
-        let dir = tmp_dir("summary");
-        let opts = DiskOptions::new(&dir).chunk_rows(8);
-        let mut w = ColumnWriter::disk("x", &opts);
-        w.extend(values);
-        let (_, disk_summary) = w.finish(None).unwrap();
-        assert_eq!(mem_summary, disk_summary);
-        assert_eq!(mem_summary.rows, 40);
-        assert_eq!(mem_summary.numeric, 20);
-        assert!(mem_summary.max > mem_summary.min);
-        assert!(mem_summary.spread > 0.0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn cache_counts_hits_misses_and_evicts_oldest_first() {
         let dir = tmp_dir("cache");
         let opts = DiskOptions::new(&dir).chunk_rows(4);
@@ -817,7 +703,7 @@ mod tests {
         w.extend((0..16).map(Value::Int).collect());
         // Budget fits roughly two decoded 4-row chunks.
         let cache = Arc::new(ChunkCache::new(2 * 4 * 32 + 16));
-        let (storage, _) = w.finish(Some(&cache)).unwrap();
+        let storage = w.finish(Some(&cache)).unwrap();
         storage.get(0).unwrap(); // chunk 0: miss
         storage.get(1).unwrap(); // chunk 0: hit
         storage.get(5).unwrap(); // chunk 1: miss
@@ -874,7 +760,7 @@ mod tests {
         let mut w = ColumnWriter::disk("x", &opts);
         w.extend((0..16).map(Value::Int).collect());
         let cache = Arc::new(ChunkCache::new(1 << 20));
-        let (storage, _) = w.finish(Some(&cache)).unwrap();
+        let storage = w.finish(Some(&cache)).unwrap();
         for i in 0..16 {
             storage.get(i).unwrap();
         }

@@ -63,9 +63,6 @@ pub enum McdbError {
         /// The underlying I/O error.
         message: String,
     },
-    /// The operation needs a fully resident column but the column lives in
-    /// the out-of-core tier (use the chunked or gathering accessors instead).
-    NotResident(String),
     /// A streamed row's arity disagrees with the declared columns.
     RowArity {
         /// Declared streaming columns.
@@ -127,10 +124,6 @@ impl fmt::Display for McdbError {
             McdbError::ChunkIo { path, message } => {
                 write!(f, "column chunk I/O failure at `{path}`: {message}")
             }
-            McdbError::NotResident(c) => write!(
-                f,
-                "column `{c}` is disk-backed and not fully resident; use the chunked accessors"
-            ),
             McdbError::RowArity { expected, actual } => write!(
                 f,
                 "streamed row has {actual} values but {expected} deterministic columns are declared"

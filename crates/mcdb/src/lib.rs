@@ -12,9 +12,9 @@
 //! * [`Relation`] — an in-memory relation with deterministic columns
 //!   ([`Value`]-typed) and stochastic columns backed by [`VgFunction`]s.
 //! * [`Schema`] / [`ColumnDef`] — column metadata.
-//! * [`vg`] — the VG function implementations (Gaussian, Pareto, uniform,
-//!   exponential, Poisson, Student's t, geometric Brownian motion, discrete
-//!   source mixtures for data-integration uncertainty).
+//! * [`vg`] — the VG function implementations (Gaussian, Pareto, geometric
+//!   Brownian motion, discrete source mixtures for data-integration
+//!   uncertainty, and the degenerate deterministic model).
 //! * [`ScenarioGenerator`] — seeded generation of `tuples × scenarios`
 //!   blocks through each VG function's block kernel. Any tuple subset over
 //!   any scenario window realizes the same values, so *tuple-wise* and
@@ -58,7 +58,7 @@ pub mod value;
 pub mod vg;
 
 pub use cache::ScenarioCache;
-pub use column::{ChunkCacheStats, ColumnStorage, ColumnSummary, DiskOptions, StorageOptions};
+pub use column::{ChunkCacheStats, ColumnStorage, DiskOptions, StorageOptions};
 pub use error::McdbError;
 pub use expectation::ExpectationEstimator;
 pub use memo::{Lookup, Memo, MemoStats};

@@ -1,8 +1,6 @@
 //! Monte Carlo relations over tiered column storage.
 
-use crate::column::{
-    ChunkCache, ChunkCacheStats, ColumnStorage, ColumnSummary, ColumnWriter, StorageOptions,
-};
+use crate::column::{ChunkCache, ChunkCacheStats, ColumnStorage, ColumnWriter, StorageOptions};
 use crate::error::McdbError;
 use crate::schema::{ColumnDef, ColumnKind, Schema};
 use crate::seed::column_tag;
@@ -35,14 +33,6 @@ impl std::fmt::Debug for StochasticColumn {
     }
 }
 
-/// One deterministic column: its storage tier plus the always-resident
-/// streaming summary.
-#[derive(Debug)]
-struct DetColumn {
-    storage: ColumnStorage,
-    summary: ColumnSummary,
-}
-
 /// The immutable body of a [`Relation`], shared behind an `Arc` so cloning
 /// a relation — e.g. handing it to every worker thread of a query service —
 /// costs one reference-count bump rather than a deep copy of the columns.
@@ -53,7 +43,7 @@ struct RelationInner {
     n_rows: usize,
     uid: u64,
     fingerprint: u64,
-    det_columns: HashMap<String, DetColumn>,
+    det_columns: HashMap<String, ColumnStorage>,
     stoch_columns: HashMap<String, StochasticColumn>,
     /// Shared chunk cache of the disk tier (None for all-memory relations).
     chunk_cache: Option<Arc<ChunkCache>>,
@@ -65,7 +55,7 @@ impl Drop for RelationInner {
     fn drop(&mut self) {
         if self.disk_cleanup {
             for col in self.det_columns.values() {
-                col.storage.remove_files();
+                col.remove_files();
             }
         }
     }
@@ -130,11 +120,6 @@ impl Relation {
         self.inner.fingerprint
     }
 
-    /// True when `other` is a clone of the same built relation.
-    pub fn same_relation(&self, other: &Relation) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
-
     fn canonical_name(&self, name: &str) -> Result<String> {
         self.inner
             .schema
@@ -143,7 +128,7 @@ impl Relation {
             .ok_or_else(|| McdbError::UnknownColumn(name.to_string()))
     }
 
-    fn det_column(&self, name: &str) -> Result<&DetColumn> {
+    fn det_column(&self, name: &str) -> Result<&ColumnStorage> {
         let canon = self.canonical_name(name)?;
         self.inner
             .det_columns
@@ -151,27 +136,13 @@ impl Relation {
             .ok_or(McdbError::NotDeterministic(canon))
     }
 
-    /// Access a fully resident deterministic column's values. For
-    /// disk-backed columns this returns [`McdbError::NotResident`]; use
-    /// [`Self::gather_values`], [`Self::value`], or
-    /// [`ColumnStorage::for_each_chunk`] there instead.
-    pub fn deterministic_column(&self, name: &str) -> Result<&[Value]> {
-        let canon = self.canonical_name(name)?;
-        let col = self
-            .inner
-            .det_columns
-            .get(&canon)
-            .ok_or(McdbError::NotDeterministic(canon.clone()))?;
-        col.storage.as_slice().ok_or(McdbError::NotResident(canon))
-    }
-
     /// Access a deterministic column as floats; errors if any value is
     /// non-numeric. Streams chunk by chunk on the disk tier, so peak extra
     /// memory is one chunk plus the output vector.
     pub fn deterministic_f64(&self, name: &str) -> Result<Vec<f64>> {
         let col = self.det_column(name)?;
-        let mut out = Vec::with_capacity(col.storage.len());
-        col.storage.for_each_chunk(|_, chunk| {
+        let mut out = Vec::with_capacity(col.len());
+        col.for_each_chunk(|_, chunk| {
             for v in chunk {
                 out.push(
                     v.as_f64()
@@ -189,8 +160,7 @@ impl Relation {
     /// materializes a full column of a huge relation.
     pub fn gather_f64(&self, name: &str, tuples: &[usize]) -> Result<Vec<f64>> {
         self.check_tuples(tuples)?;
-        let col = self.det_column(name)?;
-        let values = col.storage.gather(tuples)?;
+        let values = self.det_column(name)?.gather(tuples)?;
         values
             .iter()
             .map(|v| {
@@ -203,7 +173,7 @@ impl Relation {
     /// Gather deterministic values at the given tuple indices, in order.
     pub fn gather_values(&self, name: &str, tuples: &[usize]) -> Result<Vec<Value>> {
         self.check_tuples(tuples)?;
-        self.det_column(name)?.storage.gather(tuples)
+        self.det_column(name)?.gather(tuples)
     }
 
     fn check_tuples(&self, tuples: &[usize]) -> Result<()> {
@@ -225,13 +195,7 @@ impl Relation {
                 len: self.inner.n_rows,
             });
         }
-        self.det_column(column)?.storage.get(tuple)
-    }
-
-    /// Resident per-column summary (min/max/mean/spread) of a deterministic
-    /// column, computed at build time for both storage tiers.
-    pub fn column_summary(&self, name: &str) -> Result<ColumnSummary> {
-        Ok(self.det_column(name)?.summary)
+        self.det_column(column)?.get(tuple)
     }
 
     /// Access a stochastic column descriptor.
@@ -252,11 +216,6 @@ impl Relation {
             .unwrap_or(false)
     }
 
-    /// Names of the stochastic columns.
-    pub fn stochastic_column_names(&self) -> Vec<&str> {
-        self.inner.schema.stochastic_columns()
-    }
-
     /// `"disk"` when any deterministic column lives in the out-of-core tier,
     /// else `"memory"`.
     pub fn storage_kind(&self) -> &'static str {
@@ -274,7 +233,7 @@ impl Relation {
             .inner
             .det_columns
             .values()
-            .map(|c| c.storage.resident_bytes())
+            .map(ColumnStorage::resident_bytes)
             .sum();
         let cached = self
             .inner
@@ -290,7 +249,7 @@ impl Relation {
         self.inner
             .det_columns
             .values()
-            .map(|c| c.storage.disk_bytes())
+            .map(ColumnStorage::disk_bytes)
             .sum()
     }
 
@@ -312,7 +271,7 @@ impl Relation {
     /// Used after an external rebuild of the relation directory.
     pub fn invalidate_chunk_cache(&self) {
         for col in self.inner.det_columns.values() {
-            col.storage.invalidate_cached();
+            col.invalidate_cached();
         }
     }
 }
@@ -562,8 +521,7 @@ impl RelationBuilder {
         };
         let mut det_columns = HashMap::new();
         for (name, writer) in self.det_columns {
-            let (storage, summary) = writer.finish(chunk_cache.as_ref())?;
-            det_columns.insert(name, DetColumn { storage, summary });
+            det_columns.insert(name, writer.finish(chunk_cache.as_ref())?);
         }
         // A process-unique identity shared by every clone of this relation;
         // caches key on it instead of hashing column data.
@@ -624,7 +582,7 @@ mod tests {
         assert!(r.is_stochastic("gain"));
         assert!(!r.is_stochastic("price"));
         assert!(!r.is_stochastic("nope"));
-        assert_eq!(r.stochastic_column_names(), vec!["Gain"]);
+        assert_eq!(r.schema().stochastic_columns(), vec!["Gain"]);
         assert_eq!(r.storage_kind(), "memory");
         assert!(r.resident_bytes() > 0);
         assert_eq!(r.disk_bytes(), 0);
@@ -641,14 +599,10 @@ mod tests {
         assert_eq!(r.value("stock", 1).unwrap().as_str(), Some("MSFT"));
         assert!(r.deterministic_f64("stock").is_err());
         assert!(r.value("price", 9).is_err());
-        assert!(r.deterministic_column("Gain").is_err());
-        assert!(r.deterministic_column("missing").is_err());
+        assert!(r.deterministic_f64("Gain").is_err());
+        assert!(r.deterministic_f64("missing").is_err());
         assert_eq!(r.gather_f64("price", &[2, 0]).unwrap(), vec![258.0, 234.0]);
         assert!(r.gather_f64("price", &[3]).is_err());
-        let summary = r.column_summary("price").unwrap();
-        assert_eq!(summary.min, 140.0);
-        assert_eq!(summary.max, 258.0);
-        assert_eq!(summary.rows, 3);
     }
 
     #[test]
@@ -727,11 +681,29 @@ mod tests {
         // VG family's probe, its parameters' digest or the fold below
         // re-keys (and silently orphans) every store on disk. These values
         // are literals on purpose: moving one is a declared format change.
-        use crate::vg::{
-            DiscreteSources, ExponentialNoise, GeometricBrownianMotion, ParetoNoise, PoissonNoise,
-            SourceDispersion, StudentTNoise, UniformNoise,
-        };
+        use crate::vg::{DiscreteSources, GeometricBrownianMotion, ParetoNoise};
         let base = vec![1.0, 2.5, 4.0];
+        // Three candidate sources per tuple around `base`, as exact bits.
+        let sources: Vec<Vec<f64>> = [
+            [
+                0x3ff2_8ad8_5fe0_284c,
+                0x3ff0_dc88_141c_c002,
+                0x3fe9_313f_1806_2f64,
+            ],
+            [
+                0x3ffd_fd84_30ed_4652,
+                0x4003_8e86_7203_342b,
+                0x4009_72b7_7586_28ac,
+            ],
+            [
+                0x400b_f95a_362d_39a3,
+                0x400b_7bda_182e_d1e3,
+                0x4014_4565_d8d1_fa3d,
+            ],
+        ]
+        .iter()
+        .map(|row| row.iter().map(|&bits| f64::from_bits(bits)).collect())
+        .collect();
         let families: Vec<(Relation, u64)> = vec![
             (
                 build_one(Degenerate::new(base.clone())),
@@ -746,22 +718,6 @@ mod tests {
                 0x5241_48a7_2733_20ae,
             ),
             (
-                build_one(UniformNoise::around(base.clone(), -1.0, 2.0)),
-                0xed53_f06d_6048_f783,
-            ),
-            (
-                build_one(ExponentialNoise::around(base.clone(), 0.5)),
-                0x14ce_188f_32e1_99b4,
-            ),
-            (
-                build_one(PoissonNoise::around(base.clone(), 4.0)),
-                0x7afa_a908_e018_c8b6,
-            ),
-            (
-                build_one(StudentTNoise::around(base.clone(), 3.0, 0.5)),
-                0x8bc1_9c6f_304c_424c,
-            ),
-            (
                 build_one(GeometricBrownianMotion::new(
                     vec![100.0, 100.0, 40.0],
                     vec![0.001, 0.001, 0.0005],
@@ -772,15 +728,7 @@ mod tests {
                 0x05ef_8d7e_3920_ce97,
             ),
             (
-                build_one(
-                    DiscreteSources::sample_around(
-                        base,
-                        3,
-                        SourceDispersion::Uniform { lo: -1.0, hi: 1.0 },
-                        11,
-                    )
-                    .unwrap(),
-                ),
+                build_one(DiscreteSources::from_candidates(sources).unwrap()),
                 0x9b4c_11c5_4b0f_ca07,
             ),
         ];
@@ -894,7 +842,7 @@ mod tests {
     fn clones_share_the_body_and_the_uid() {
         let r = portfolio();
         let c = r.clone();
-        assert!(r.same_relation(&c));
+        assert!(Arc::ptr_eq(&r.inner, &c.inner));
         assert_eq!(r.uid(), c.uid());
         // Clones are usable from other threads without copying columns.
         let handle = std::thread::spawn(move || c.deterministic_f64("price").unwrap());
@@ -902,7 +850,7 @@ mod tests {
         // Separately built relations have distinct identities, even with
         // identical contents.
         let other = portfolio();
-        assert!(!r.same_relation(&other));
+        assert!(!Arc::ptr_eq(&r.inner, &other.inner));
         assert_ne!(r.uid(), other.uid());
     }
 
@@ -961,11 +909,6 @@ mod tests {
             disk.deterministic_f64("id").unwrap()
         );
         assert_eq!(disk.value("tag", 17).unwrap().as_str(), Some("row17"));
-        assert!(disk.deterministic_column("id").is_err(), "not resident");
-        assert_eq!(
-            mem.column_summary("id").unwrap(),
-            disk.column_summary("id").unwrap()
-        );
         assert!(disk.disk_bytes() > 0);
         let stats = disk.chunk_cache_stats().unwrap();
         assert!(stats.misses > 0);

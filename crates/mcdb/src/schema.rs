@@ -56,11 +56,6 @@ impl Schema {
         Schema::default()
     }
 
-    /// Create a schema from a list of column definitions.
-    pub fn from_columns(columns: Vec<ColumnDef>) -> Self {
-        Schema { columns }
-    }
-
     /// Append a column definition.
     pub fn push(&mut self, def: ColumnDef) {
         self.columns.push(def);
@@ -117,11 +112,11 @@ mod tests {
     use super::*;
 
     fn sample() -> Schema {
-        Schema::from_columns(vec![
-            ColumnDef::deterministic("id"),
-            ColumnDef::deterministic("price"),
-            ColumnDef::stochastic("Gain"),
-        ])
+        let mut s = Schema::new();
+        s.push(ColumnDef::deterministic("id"));
+        s.push(ColumnDef::deterministic("price"));
+        s.push(ColumnDef::stochastic("Gain"));
+        s
     }
 
     #[test]

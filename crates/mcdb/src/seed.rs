@@ -10,9 +10,6 @@
 //! [`group_seed`], [`cell_seed`]). Generation order therefore never affects
 //! the values.
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-
 /// Identifies a stream of scenarios: either the optimization stream or the
 /// (disjoint) validation stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -85,18 +82,6 @@ pub fn cell_seed(group_seed: u64, scenario: u64) -> u64 {
     splitmix64(group_seed ^ splitmix64(scenario))
 }
 
-/// The RNG used to derive per-tuple *construction-time* randomness (e.g.
-/// [`crate::vg::DiscreteSources::sample_around`] fixing its candidate source
-/// values): the shared counter-based scheme applied to `(base_seed, tuple)`.
-///
-/// Every seeding decision in the crate routes through [`mix`]; this helper
-/// names the two-word tuple-stream case so callers do not hand-roll their
-/// own folds.
-#[inline]
-pub fn tuple_rng(base_seed: u64, tuple: u64) -> SmallRng {
-    SmallRng::seed_from_u64(mix(&[base_seed, tuple]))
-}
-
 /// Initial state of an [`fnv1a`] hash.
 pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
@@ -127,7 +112,8 @@ pub fn column_tag(name: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn splitmix_is_deterministic_and_nontrivial() {
@@ -181,15 +167,6 @@ mod tests {
                 let hoisted = cell_seed(group_seed(column_prefix(s, stream, c), g), j);
                 assert_eq!(full, hoisted);
             }
-        }
-    }
-
-    #[test]
-    fn tuple_rng_matches_the_two_word_mix() {
-        let mut a = tuple_rng(42, 7);
-        let mut b = SmallRng::seed_from_u64(mix(&[42, 7]));
-        for _ in 0..4 {
-            assert_eq!(a.gen::<u64>(), b.gen::<u64>());
         }
     }
 

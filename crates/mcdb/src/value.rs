@@ -30,27 +30,12 @@ impl Value {
         }
     }
 
-    /// Interpret the value as an integer, if possible (floats are truncated
-    /// only when they are integral).
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            Value::Float(f) if f.fract() == 0.0 => Some(*f as i64),
-            _ => None,
-        }
-    }
-
     /// Borrow the value as text, if it is text.
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Text(s) => Some(s),
             _ => None,
         }
-    }
-
-    /// True when the value is NULL.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
     }
 }
 
@@ -99,8 +84,6 @@ mod tests {
         assert_eq!(Value::Float(2.5).as_f64(), Some(2.5));
         assert_eq!(Value::Text("x".into()).as_f64(), None);
         assert_eq!(Value::Null.as_f64(), None);
-        assert_eq!(Value::Float(4.0).as_i64(), Some(4));
-        assert_eq!(Value::Float(4.5).as_i64(), None);
     }
 
     #[test]
@@ -115,7 +98,5 @@ mod tests {
         assert_eq!(Value::from(3i64), Value::Int(3));
         assert_eq!(Value::from(1.5f64), Value::Float(1.5));
         assert_eq!(Value::from("msft"), Value::Text("msft".into()));
-        assert!(!Value::from(0i64).is_null());
-        assert!(Value::Null.is_null());
     }
 }

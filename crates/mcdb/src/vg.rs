@@ -9,16 +9,15 @@
 //! * geometric Brownian motion price forecasts (Portfolio), where all trades
 //!   of the same stock share one price path per scenario,
 //! * discrete source mixtures modeling data-integration uncertainty (TPC-H),
-//!   with Exponential / Poisson / Uniform / Student's t source dispersion,
-//! * plus degenerate (deterministic), uniform, exponential, Poisson and
-//!   Student's t noise models used in tests and extensions.
+//!   whose candidate values the workload generator draws,
+//! * plus the degenerate (deterministic) model.
 
 use crate::error::McdbError;
 use crate::seed::{cell_seed, group_seed, splitmix64};
 use crate::Result;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rand_distr::{Distribution, Exp, Normal, Pareto, Poisson, StandardNormal, StudentT, Uniform};
+use rand_distr::{Distribution, Normal, Pareto, StandardNormal};
 use std::fmt;
 use std::ops::Range;
 
@@ -449,281 +448,6 @@ impl VgFunction for ParetoNoise {
 }
 
 // ---------------------------------------------------------------------------
-// Uniform noise
-// ---------------------------------------------------------------------------
-
-/// Uniform noise: `base_i + U(lo, hi)`.
-#[derive(Debug, Clone)]
-pub struct UniformNoise {
-    base: Vec<f64>,
-    lo: f64,
-    hi: f64,
-}
-
-impl UniformNoise {
-    /// Uniform noise on `[lo, hi)` around the base values.
-    pub fn around(base: Vec<f64>, lo: f64, hi: f64) -> Self {
-        UniformNoise { base, lo, hi }
-    }
-}
-
-impl VgFunction for UniformNoise {
-    fn name(&self) -> &'static str {
-        "uniform-noise"
-    }
-
-    fn len(&self) -> usize {
-        self.base.len()
-    }
-
-    fn realize_block(
-        &self,
-        column_prefix: u64,
-        tuples: &[usize],
-        scenarios: Range<usize>,
-        out: &mut [f64],
-    ) {
-        let m = scenarios.len();
-        // An empty range realizes `base + lo`: no cell needs seeding.
-        let degenerate = self.hi <= self.lo;
-        let u = Uniform::new(self.lo, self.hi);
-        for (row, &tuple) in out.chunks_exact_mut(m.max(1)).zip(tuples) {
-            let base = self.base[tuple];
-            if degenerate {
-                row.fill(base + self.lo);
-                continue;
-            }
-            draw_cells(column_prefix, tuple as u64, scenarios.clone(), row, |rng| {
-                base + u.sample(rng)
-            });
-        }
-    }
-
-    fn mean(&self, tuple: usize) -> Option<f64> {
-        Some(self.base[tuple] + (self.lo + self.hi) / 2.0)
-    }
-
-    fn std_dev(&self, _tuple: usize) -> Option<f64> {
-        Some((self.hi - self.lo).max(0.0) / 12f64.sqrt())
-    }
-
-    fn is_scenario_invariant(&self, _tuple: usize) -> bool {
-        // An empty interval realizes to `base + lo` in every scenario.
-        self.hi <= self.lo
-    }
-
-    fn validate(&self) -> Result<()> {
-        if !self.lo.is_finite() || !self.hi.is_finite() || self.hi < self.lo {
-            return Err(McdbError::InvalidVgParameter {
-                vg: "uniform-noise",
-                message: format!("invalid range [{}, {})", self.lo, self.hi),
-            });
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Exponential noise
-// ---------------------------------------------------------------------------
-
-/// Centered exponential noise: `base_i + (Exp(lambda) - 1/lambda)` so the
-/// mean equals the base value.
-#[derive(Debug, Clone)]
-pub struct ExponentialNoise {
-    base: Vec<f64>,
-    lambda: f64,
-}
-
-impl ExponentialNoise {
-    /// Exponential noise with rate `lambda` around the base values.
-    pub fn around(base: Vec<f64>, lambda: f64) -> Self {
-        ExponentialNoise { base, lambda }
-    }
-}
-
-impl VgFunction for ExponentialNoise {
-    fn name(&self) -> &'static str {
-        "exponential-noise"
-    }
-
-    fn len(&self) -> usize {
-        self.base.len()
-    }
-
-    fn realize_block(
-        &self,
-        column_prefix: u64,
-        tuples: &[usize],
-        scenarios: Range<usize>,
-        out: &mut [f64],
-    ) {
-        let m = scenarios.len();
-        let exp = Exp::new(self.lambda).expect("validated lambda");
-        let centering = 1.0 / self.lambda;
-        for (row, &tuple) in out.chunks_exact_mut(m.max(1)).zip(tuples) {
-            let base = self.base[tuple];
-            draw_cells(column_prefix, tuple as u64, scenarios.clone(), row, |rng| {
-                base + exp.sample(rng) - centering
-            });
-        }
-    }
-
-    fn mean(&self, tuple: usize) -> Option<f64> {
-        Some(self.base[tuple])
-    }
-
-    fn std_dev(&self, _tuple: usize) -> Option<f64> {
-        Some(1.0 / self.lambda)
-    }
-
-    fn validate(&self) -> Result<()> {
-        if !positive_finite(self.lambda) {
-            return Err(McdbError::InvalidVgParameter {
-                vg: "exponential-noise",
-                message: "lambda must be positive and finite".into(),
-            });
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Poisson noise
-// ---------------------------------------------------------------------------
-
-/// Centered Poisson noise: `base_i + (Poisson(lambda) - lambda)`.
-#[derive(Debug, Clone)]
-pub struct PoissonNoise {
-    base: Vec<f64>,
-    lambda: f64,
-}
-
-impl PoissonNoise {
-    /// Poisson noise with rate `lambda` around the base values.
-    pub fn around(base: Vec<f64>, lambda: f64) -> Self {
-        PoissonNoise { base, lambda }
-    }
-}
-
-impl VgFunction for PoissonNoise {
-    fn name(&self) -> &'static str {
-        "poisson-noise"
-    }
-
-    fn len(&self) -> usize {
-        self.base.len()
-    }
-
-    fn realize_block(
-        &self,
-        column_prefix: u64,
-        tuples: &[usize],
-        scenarios: Range<usize>,
-        out: &mut [f64],
-    ) {
-        let m = scenarios.len();
-        // The Knuth/normal-approximation sampler is inherently branchy; the
-        // block win here is hoisting seeding and distribution construction.
-        let pois = Poisson::new(self.lambda).expect("validated lambda");
-        for (row, &tuple) in out.chunks_exact_mut(m.max(1)).zip(tuples) {
-            let base = self.base[tuple];
-            draw_cells(column_prefix, tuple as u64, scenarios.clone(), row, |rng| {
-                base + pois.sample(rng) - self.lambda
-            });
-        }
-    }
-
-    fn mean(&self, tuple: usize) -> Option<f64> {
-        Some(self.base[tuple])
-    }
-
-    fn std_dev(&self, _tuple: usize) -> Option<f64> {
-        Some(self.lambda.sqrt())
-    }
-
-    fn validate(&self) -> Result<()> {
-        if !positive_finite(self.lambda) {
-            return Err(McdbError::InvalidVgParameter {
-                vg: "poisson-noise",
-                message: "lambda must be positive and finite".into(),
-            });
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Student's t noise
-// ---------------------------------------------------------------------------
-
-/// Student's t noise: `base_i + scale * t(nu)`. For `nu <= 1` the mean is
-/// undefined and expectations are estimated empirically.
-#[derive(Debug, Clone)]
-pub struct StudentTNoise {
-    base: Vec<f64>,
-    nu: f64,
-    scale: f64,
-}
-
-impl StudentTNoise {
-    /// Student's t noise with `nu` degrees of freedom and the given scale.
-    pub fn around(base: Vec<f64>, nu: f64, scale: f64) -> Self {
-        StudentTNoise { base, nu, scale }
-    }
-}
-
-impl VgFunction for StudentTNoise {
-    fn name(&self) -> &'static str {
-        "student-t-noise"
-    }
-
-    fn len(&self) -> usize {
-        self.base.len()
-    }
-
-    fn realize_block(
-        &self,
-        column_prefix: u64,
-        tuples: &[usize],
-        scenarios: Range<usize>,
-        out: &mut [f64],
-    ) {
-        let m = scenarios.len();
-        let t = StudentT::new(self.nu).expect("validated nu");
-        for (row, &tuple) in out.chunks_exact_mut(m.max(1)).zip(tuples) {
-            let base = self.base[tuple];
-            draw_cells(column_prefix, tuple as u64, scenarios.clone(), row, |rng| {
-                base + self.scale * t.sample(rng)
-            });
-        }
-    }
-
-    fn mean(&self, tuple: usize) -> Option<f64> {
-        if self.nu > 1.0 {
-            Some(self.base[tuple])
-        } else {
-            None
-        }
-    }
-
-    fn std_dev(&self, _tuple: usize) -> Option<f64> {
-        // The variance of t(ν) is ν / (ν − 2), infinite or undefined at ν ≤ 2.
-        (self.nu > 2.0).then(|| self.scale.abs() * (self.nu / (self.nu - 2.0)).sqrt())
-    }
-
-    fn validate(&self) -> Result<()> {
-        if !positive_finite(self.nu) {
-            return Err(McdbError::InvalidVgParameter {
-                vg: "student-t-noise",
-                message: "degrees of freedom must be positive and finite".into(),
-            });
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Geometric Brownian motion (Portfolio workload)
 // ---------------------------------------------------------------------------
 
@@ -870,76 +594,9 @@ impl VgFunction for GeometricBrownianMotion {
 // Discrete source mixture (TPC-H data-integration workload)
 // ---------------------------------------------------------------------------
 
-/// The dispersion model used to perturb each integrated source's value.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SourceDispersion {
-    /// Exponential(lambda) dispersion.
-    Exponential {
-        /// Rate parameter.
-        lambda: f64,
-    },
-    /// Poisson(lambda) dispersion.
-    Poisson {
-        /// Rate parameter.
-        lambda: f64,
-    },
-    /// Uniform(lo, hi) dispersion.
-    Uniform {
-        /// Lower bound.
-        lo: f64,
-        /// Upper bound.
-        hi: f64,
-    },
-    /// Student's t(nu) dispersion.
-    StudentT {
-        /// Degrees of freedom.
-        nu: f64,
-    },
-}
-
-impl SourceDispersion {
-    fn sample(&self, rng: &mut SmallRng) -> f64 {
-        match *self {
-            SourceDispersion::Exponential { lambda } => {
-                Exp::new(lambda).expect("validated").sample(rng) - 1.0 / lambda
-            }
-            SourceDispersion::Poisson { lambda } => {
-                Poisson::new(lambda).expect("validated").sample(rng) - lambda
-            }
-            SourceDispersion::Uniform { lo, hi } => {
-                if hi <= lo {
-                    lo
-                } else {
-                    Uniform::new(lo, hi).sample(rng) - (lo + hi) / 2.0
-                }
-            }
-            SourceDispersion::StudentT { nu } => StudentT::new(nu).expect("validated").sample(rng),
-        }
-    }
-
-    fn validate(&self) -> Result<()> {
-        let ok = match *self {
-            SourceDispersion::Exponential { lambda } | SourceDispersion::Poisson { lambda } => {
-                positive_finite(lambda)
-            }
-            SourceDispersion::Uniform { lo, hi } => lo.is_finite() && hi.is_finite() && hi >= lo,
-            SourceDispersion::StudentT { nu } => positive_finite(nu),
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(McdbError::InvalidVgParameter {
-                vg: "discrete-sources",
-                message: format!("invalid dispersion parameters: {self:?}"),
-            })
-        }
-    }
-}
-
 /// Data-integration uncertainty: for each tuple, `D` source values are fixed
-/// around the original value (their dispersion sampled once, at construction
-/// time, from the configured distribution); each scenario then picks one of
-/// the `D` sources uniformly at random as the "true" value.
+/// at construction time; each scenario then picks one of the `D` sources
+/// uniformly at random as the "true" value.
 ///
 /// This models the paper's TPC-H workload where `D ∈ {3, 10}` data sources
 /// were hypothetically integrated into one table.
@@ -950,38 +607,6 @@ pub struct DiscreteSources {
 }
 
 impl DiscreteSources {
-    /// Build the model by sampling `d` source values around each base value
-    /// using the given dispersion; `seed` makes the construction reproducible.
-    pub fn sample_around(
-        base: Vec<f64>,
-        d: usize,
-        dispersion: SourceDispersion,
-        seed: u64,
-    ) -> Result<Self> {
-        if d == 0 {
-            return Err(McdbError::InvalidVgParameter {
-                vg: "discrete-sources",
-                message: "need at least one source".into(),
-            });
-        }
-        dispersion.validate()?;
-        let mut source_values = Vec::with_capacity(base.len());
-        for (i, &b) in base.iter().enumerate() {
-            // Per-tuple construction randomness routes through the shared
-            // counter-based seeding helper (same scheme as scenario cells).
-            let mut rng = crate::seed::tuple_rng(seed, i as u64);
-            // Sample D deviations and re-center them so their mean anchors on
-            // the original value, as described in Section 6.1.
-            let mut devs: Vec<f64> = (0..d).map(|_| dispersion.sample(&mut rng)).collect();
-            let mean_dev = devs.iter().sum::<f64>() / d as f64;
-            for dv in &mut devs {
-                *dv -= mean_dev;
-            }
-            source_values.push(devs.into_iter().map(|dv| b + dv).collect());
-        }
-        Ok(DiscreteSources { source_values })
-    }
-
     /// Build directly from explicit candidate values per tuple.
     pub fn from_candidates(source_values: Vec<Vec<f64>>) -> Result<Self> {
         if source_values.iter().any(Vec::is_empty) {
@@ -1074,11 +699,6 @@ mod tests {
                 Box::new(NormalNoise::around(vec![10.0, -4.0], vec![2.0, 0.5])),
                 1,
             ),
-            (Box::new(UniformNoise::around(vec![3.0], -1.0, 3.0)), 0),
-            (Box::new(ExponentialNoise::around(vec![7.0], 0.25)), 0),
-            (Box::new(PoissonNoise::around(vec![7.0], 6.0)), 0),
-            (Box::new(PoissonNoise::around(vec![7.0], 90.0)), 0),
-            (Box::new(StudentTNoise::around(vec![3.0], 10.0, 1.5)), 0),
             (Box::new(ParetoNoise::around(vec![1.0], 2.0, 12.0)), 0),
             (
                 Box::new(GeometricBrownianMotion::new(
@@ -1105,17 +725,11 @@ mod tests {
 
     #[test]
     fn std_dev_is_none_without_a_variance_and_zero_where_invariant() {
-        // Infinite or undefined variance: ν ≤ 2, α ≤ 2.
-        for nu in [0.5, 1.0, 2.0] {
-            assert_eq!(StudentTNoise::around(vec![3.0], nu, 1.0).std_dev(0), None);
-        }
+        // Infinite or undefined variance: α ≤ 2.
         for shape in [0.5, 1.0, 2.0] {
             let pareto = ParetoNoise::around(vec![1.0], 1.0, shape);
             assert_eq!(pareto.std_dev(0), None);
         }
-        assert!(StudentTNoise::around(vec![3.0], 2.5, 1.0)
-            .std_dev(0)
-            .is_some());
         assert!(ParetoNoise::around(vec![1.0], 1.0, 2.5)
             .std_dev(0)
             .is_some());
@@ -1128,7 +742,6 @@ mod tests {
         let families: Vec<Box<dyn VgFunction>> = vec![
             Box::new(Degenerate::new(vec![1.0, 2.0])),
             Box::new(NormalNoise::around(vec![5.0, 5.0], vec![0.0, 1.0])),
-            Box::new(UniformNoise::around(vec![5.0, 6.0], 2.0, 2.0)),
             Box::new(sources),
         ];
         for vg in &families {
@@ -1144,7 +757,7 @@ mod tests {
             assert!(invariant > 0, "{} has an invariant tuple", vg.name());
         }
         // A multi-source tuple keeps the sampled feature path.
-        assert_eq!(families[3].std_dev(0), None);
+        assert_eq!(families[2].std_dev(0), None);
     }
 
     #[test]
@@ -1195,55 +808,11 @@ mod tests {
         assert!(vg.validate().is_err());
     }
 
-    #[test]
-    fn uniform_noise_mean_and_range() {
-        let vg = UniformNoise::around(vec![0.0], -1.0, 3.0);
-        vg.validate().unwrap();
-        assert_eq!(vg.mean(0), Some(1.0));
-        for v in draws(&vg, 5, 0, 200) {
-            assert!((-1.0..3.0).contains(&v));
-        }
-    }
-
-    #[test]
-    fn exponential_and_poisson_center_on_base() {
-        let e = ExponentialNoise::around(vec![7.0], 1.0);
-        e.validate().unwrap();
-        assert_eq!(e.mean(0), Some(7.0));
-        assert!((empirical_mean(&e, 0, 6000) - 7.0).abs() < 0.1);
-
-        let p = PoissonNoise::around(vec![7.0], 2.0);
-        p.validate().unwrap();
-        assert_eq!(p.mean(0), Some(7.0));
-        assert!((empirical_mean(&p, 0, 6000) - 7.0).abs() < 0.15);
-    }
-
-    #[test]
-    fn invalid_rates_are_rejected() {
-        assert!(ExponentialNoise::around(vec![1.0], 0.0).validate().is_err());
-        assert!(PoissonNoise::around(vec![1.0], -1.0).validate().is_err());
-        assert!(StudentTNoise::around(vec![1.0], 0.0, 1.0)
-            .validate()
-            .is_err());
-        assert!(UniformNoise::around(vec![1.0], 2.0, 1.0)
-            .validate()
-            .is_err());
-    }
-
     type Build = fn(f64) -> Result<Box<dyn VgFunction>>;
 
     fn checked(vg: impl VgFunction + 'static) -> Result<Box<dyn VgFunction>> {
         vg.validate()?;
         Ok(Box::new(vg))
-    }
-
-    fn sources(dispersion: SourceDispersion) -> Result<Box<dyn VgFunction>> {
-        checked(DiscreteSources::sample_around(
-            vec![1.0, 2.0],
-            3,
-            dispersion,
-            7,
-        )?)
     }
 
     fn gbm(price: f64, mu: f64, sigma: f64) -> Result<Box<dyn VgFunction>> {
@@ -1263,24 +832,6 @@ mod tests {
         const NON_FINITE: &[f64] = &[f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
         let cases: &[(&str, Build, &[f64], &[f64])] = &[
             (
-                "exponential λ",
-                |x| checked(ExponentialNoise::around(vec![1.0, 2.0], x)),
-                RATE_BAD,
-                RATE_OK,
-            ),
-            (
-                "poisson λ",
-                |x| checked(PoissonNoise::around(vec![1.0, 2.0], x)),
-                RATE_BAD,
-                RATE_OK,
-            ),
-            (
-                "student-t ν",
-                |x| checked(StudentTNoise::around(vec![1.0, 2.0], x, 1.0)),
-                RATE_BAD,
-                RATE_OK,
-            ),
-            (
                 "pareto scale",
                 |x| checked(ParetoNoise::around(vec![1.0, 2.0], x, 1.5)),
                 RATE_BAD,
@@ -1297,12 +848,6 @@ mod tests {
                 |x| checked(NormalNoise::around(vec![1.0, 2.0], x)),
                 NON_FINITE,
                 &[-1.0, 0.0, f64::MAX],
-            ),
-            (
-                "uniform hi",
-                |x| checked(UniformNoise::around(vec![1.0, 2.0], 0.0, x)),
-                &[f64::INFINITY, f64::NAN, -1.0],
-                &[0.0, 1.0, f64::MAX],
             ),
             (
                 "gbm price",
@@ -1322,24 +867,6 @@ mod tests {
                 &[f64::INFINITY, f64::NAN, -0.5],
                 &[0.0, 0.02, 3.0],
             ),
-            (
-                "sources exponential λ",
-                |x| sources(SourceDispersion::Exponential { lambda: x }),
-                RATE_BAD,
-                RATE_OK,
-            ),
-            (
-                "sources poisson λ",
-                |x| sources(SourceDispersion::Poisson { lambda: x }),
-                RATE_BAD,
-                RATE_OK,
-            ),
-            (
-                "sources student-t ν",
-                |x| sources(SourceDispersion::StudentT { nu: x }),
-                RATE_BAD,
-                RATE_OK,
-            ),
         ];
         for &(what, build, bad, ok) in cases {
             for &x in bad {
@@ -1356,14 +883,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn student_t_mean_only_defined_for_nu_above_one() {
-        let vg = StudentTNoise::around(vec![3.0], 2.0, 1.0);
-        assert_eq!(vg.mean(0), Some(3.0));
-        let vg1 = StudentTNoise::around(vec![3.0], 1.0, 1.0);
-        assert_eq!(vg1.mean(0), None);
     }
 
     #[test]
@@ -1437,89 +956,8 @@ mod tests {
     }
 
     #[test]
-    fn discrete_sources_anchor_on_base_mean() {
-        let base = vec![15.0, 40.0];
-        let vg = DiscreteSources::sample_around(
-            base.clone(),
-            5,
-            SourceDispersion::Uniform { lo: -2.0, hi: 2.0 },
-            77,
-        )
-        .unwrap();
-        for (i, &b) in base.iter().enumerate() {
-            let cands = vg.candidates(i);
-            assert_eq!(cands.len(), 5);
-            let mean = cands.iter().sum::<f64>() / 5.0;
-            assert!((mean - b).abs() < 1e-9, "source mean {mean} vs base {b}");
-        }
-    }
-
-    #[test]
     fn discrete_sources_rejects_zero_sources() {
-        assert!(DiscreteSources::sample_around(
-            vec![1.0],
-            0,
-            SourceDispersion::Exponential { lambda: 1.0 },
-            1
-        )
-        .is_err());
         assert!(DiscreteSources::from_candidates(vec![vec![]]).is_err());
-    }
-
-    #[test]
-    #[allow(clippy::excessive_precision)]
-    fn sample_around_streams_are_pinned() {
-        // `sample_around` now routes its per-tuple construction RNG through
-        // the shared counter-based `seed::tuple_rng` helper. That helper is
-        // bit-equal to the historical inline `mix(&[seed, i])` fold, so
-        // existing workloads must keep their exact candidate values. These
-        // literals were captured from the pre-refactor implementation: any
-        // seeding change that disturbs deployed workload streams fails here.
-        let ds = DiscreteSources::sample_around(
-            vec![10.0, 20.0, 30.0],
-            3,
-            SourceDispersion::Uniform { lo: -2.0, hi: 2.0 },
-            2024,
-        )
-        .unwrap();
-        let expected: [[f64; 3]; 3] = [
-            [
-                8.58124540431513871,
-                10.4745953735918800,
-                10.9441592220929813,
-            ],
-            [
-                19.9472703872286701,
-                18.5823632172514621,
-                21.4703663955198678,
-            ],
-            [
-                29.5121391782163194,
-                29.3359932712940292,
-                31.1518675504896478,
-            ],
-        ];
-        for (t, row) in expected.iter().enumerate() {
-            for (d, v) in row.iter().enumerate() {
-                assert_eq!(
-                    ds.candidates(t)[d].to_bits(),
-                    v.to_bits(),
-                    "tuple {t} candidate {d} drifted"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn dispersion_validation() {
-        assert!(SourceDispersion::Exponential { lambda: 0.0 }
-            .validate()
-            .is_err());
-        assert!(SourceDispersion::Uniform { lo: 1.0, hi: 0.0 }
-            .validate()
-            .is_err());
-        assert!(SourceDispersion::StudentT { nu: 2.0 }.validate().is_ok());
-        assert!(SourceDispersion::Poisson { lambda: 1.0 }.validate().is_ok());
     }
 
     #[test]

@@ -10,18 +10,16 @@
 //! split and thread count, the kernels must match it bit for bit.
 //!
 //! The corpus deliberately includes the families' degenerate edges: zero
-//! sigma tuples, inverted uniform bounds, single-candidate discrete sources,
-//! shared GBM driver groups, small and large Poisson rates (the sampler
-//! switches algorithms around `lambda = 30`).
+//! sigma tuples, single-candidate discrete sources and shared GBM driver
+//! groups.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rand_distr::{Distribution, Exp, Normal, Pareto, Poisson, StudentT, Uniform};
+use rand_distr::{Distribution, Normal, Pareto};
 use spq_mcdb::seed::{column_prefix, column_tag, mix, Stream};
 use spq_mcdb::vg::{
-    Degenerate, DiscreteSources, ExponentialNoise, GeometricBrownianMotion, NormalNoise,
-    ParetoNoise, PoissonNoise, SourceDispersion, StudentTNoise, UniformNoise,
+    Degenerate, DiscreteSources, GeometricBrownianMotion, NormalNoise, ParetoNoise,
 };
 use spq_mcdb::{Relation, RelationBuilder, ScenarioGenerator, VgFunction};
 use std::ops::Range;
@@ -89,13 +87,6 @@ fn family_corpus() -> Vec<Family> {
         })
         .collect();
     candidates[3] = vec![42.0]; // single candidate: the draw cannot matter
-    let sampled = DiscreteSources::sample_around(
-        base(),
-        3,
-        SourceDispersion::Uniform { lo: -1.0, hi: 1.0 },
-        77,
-    )
-    .unwrap();
 
     vec![
         family("degenerate", Degenerate::new(base()), own_group, |t, _| {
@@ -118,42 +109,6 @@ fn family_corpus() -> Vec<Family> {
             ParetoNoise::around(base(), 1.5, 2.5),
             own_group,
             |t, rng| base_at(t) + Pareto::new(1.5, 2.5).unwrap().sample(rng),
-        ),
-        family(
-            "uniform",
-            UniformNoise::around(base(), -0.5, 1.25),
-            own_group,
-            |t, rng| base_at(t) + Uniform::new(-0.5, 1.25).sample(rng),
-        ),
-        family(
-            "uniform-degenerate",
-            UniformNoise::around(base(), 2.0, 2.0),
-            own_group,
-            |t, _| base_at(t) + 2.0,
-        ),
-        family(
-            "exponential",
-            ExponentialNoise::around(base(), 1.75),
-            own_group,
-            |t, rng| base_at(t) + Exp::new(1.75).unwrap().sample(rng) - 1.0 / 1.75,
-        ),
-        family(
-            "poisson-small",
-            PoissonNoise::around(base(), 3.0),
-            own_group,
-            |t, rng| base_at(t) + Poisson::new(3.0).unwrap().sample(rng) - 3.0,
-        ),
-        family(
-            "poisson-large",
-            PoissonNoise::around(base(), 40.0),
-            own_group,
-            |t, rng| base_at(t) + Poisson::new(40.0).unwrap().sample(rng) - 40.0,
-        ),
-        family(
-            "student-t",
-            StudentTNoise::around(base(), 4.0, 0.8),
-            own_group,
-            |t, rng| base_at(t) + 0.8 * StudentT::new(4.0).unwrap().sample(rng),
         ),
         family(
             "gbm",
@@ -180,15 +135,6 @@ fn family_corpus() -> Vec<Family> {
             DiscreteSources::from_candidates(candidates.clone()).unwrap(),
             own_group,
             move |t, rng| candidates[t][rng.gen_range(0..candidates[t].len())],
-        ),
-        family(
-            "discrete-sampled",
-            sampled.clone(),
-            own_group,
-            move |t, rng| {
-                let cands = sampled.candidates(t);
-                cands[rng.gen_range(0..cands.len())]
-            },
         ),
     ]
 }

@@ -5,8 +5,8 @@
 //! instrumentation site and register themselves into the global registry
 //! on first touch; every subsequent update is a relaxed atomic operation
 //! with no locking and no allocation. The registry is read back with
-//! [`counter_value`], [`histogram`], or the Prometheus-style
-//! [`prometheus_text`] snapshot.
+//! [`counter_value`] or the Prometheus-style [`prometheus_text`]
+//! snapshot.
 //!
 //! Histograms are log-linear (power-of-two octaves split into
 //! [`SUB_BUCKETS`] linear sub-buckets, ≤ 12.5 % relative quantile error)
@@ -323,17 +323,6 @@ pub fn counter_value(name: &str) -> Option<u64> {
         .map(|c| c.get())
 }
 
-/// The registered histogram `name`, if any sample has been recorded.
-pub fn histogram(name: &str) -> Option<&'static Named<Histogram>> {
-    registry()
-        .histograms
-        .lock()
-        .unwrap()
-        .iter()
-        .find(|h| h.name == name)
-        .copied()
-}
-
 /// Prometheus-style text exposition of every registered metric, sorted by
 /// name for a deterministic snapshot. Counters emit one sample;
 /// histograms emit `{quantile=...}` summary samples plus `_sum`, `_count`,
@@ -440,7 +429,6 @@ mod tests {
         T_COUNTER.add(3);
         T_HIST.record(42);
         assert_eq!(counter_value("test_registry_counter"), Some(3));
-        assert_eq!(histogram("test_registry_hist").unwrap().inner().count(), 1);
         let text = prometheus_text();
         assert!(text.contains("test_registry_counter 3"));
         assert!(text.contains("test_registry_hist_count 1"));

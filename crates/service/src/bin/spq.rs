@@ -142,13 +142,15 @@ struct Outcome {
 fn run_connection(cli: &Cli, worker: usize) -> Result<Vec<Outcome>, String> {
     let stream = TcpStream::connect(&cli.addr)
         .map_err(|e| format!("cannot connect to {}: {e}", cli.addr))?;
+    // Each request is one small write that waits for its reply: Nagle's
+    // algorithm must not hold it back until the server's delayed ACK.
+    stream.set_nodelay(true).map_err(|e| e.to_string())?;
     let mut reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-    let mut exchange = |line: String| -> Result<String, String> {
-        {
-            let mut s = &stream;
-            s.write_all(line.as_bytes()).map_err(|e| e.to_string())?;
-            s.write_all(b"\n").map_err(|e| e.to_string())?;
-        }
+    let mut exchange = |mut line: String| -> Result<String, String> {
+        line.push('\n');
+        (&stream)
+            .write_all(line.as_bytes())
+            .map_err(|e| e.to_string())?;
         let mut answer = String::new();
         reader
             .read_line(&mut answer)

@@ -98,7 +98,7 @@ pub enum RelationSource {
         /// Generator seed.
         seed: u64,
     },
-    /// Read a column-spec JSON file (see [`relation_from_file`]).
+    /// Read a column-spec JSON file (see [`relation_from_file_with`]).
     File {
         /// Path on the server's filesystem.
         path: String,
@@ -591,7 +591,7 @@ impl Catalog {
     }
 }
 
-/// Build a relation from a column-spec JSON file:
+/// Build a relation from a column-spec JSON file in the `storage` tier:
 ///
 /// ```json
 /// {"name": "stocks",
@@ -607,12 +607,7 @@ impl Catalog {
 /// columns must have the same length. Fields are read like wire fields: an
 /// absent `kind` means `deterministic`, and a field of the wrong type (a
 /// non-string `kind` or `name`, an array holding anything but finite
-/// numbers) is a [`CatalogError::BadSource`] naming it.
-pub fn relation_from_file(path: &str) -> Result<Relation, CatalogError> {
-    relation_from_file_with(path, StorageOptions::memory())
-}
-
-/// [`relation_from_file`] with an explicit storage tier: deterministic
+/// numbers) is a [`CatalogError::BadSource`] naming it. Deterministic
 /// columns stream into the builder and spill to chunk files when `storage`
 /// is a disk tier, so large column-spec files load in bounded memory.
 pub fn relation_from_file_with(
@@ -797,7 +792,8 @@ mod tests {
             ]}"#,
         )
         .unwrap();
-        let relation = relation_from_file(path.to_str().unwrap()).unwrap();
+        let relation =
+            relation_from_file_with(path.to_str().unwrap(), StorageOptions::memory()).unwrap();
         assert_eq!(relation.len(), 3);
         assert!(relation.is_stochastic("gain"));
         assert!(!relation.is_stochastic("price"));
@@ -817,7 +813,7 @@ mod tests {
 
         // Missing file and malformed specs are BadSource, not panics.
         assert!(matches!(
-            relation_from_file("/nonexistent/rel.json"),
+            relation_from_file_with("/nonexistent/rel.json", StorageOptions::memory()),
             Err(CatalogError::BadSource(_))
         ));
         let bad = dir.join(format!("spq-catalog-bad-{}.json", std::process::id()));
@@ -826,7 +822,8 @@ mod tests {
             r#"{"name":"x","columns":[{"name":"c","kind":"weird"}]}"#,
         )
         .unwrap();
-        let err = relation_from_file(bad.to_str().unwrap()).unwrap_err();
+        let err =
+            relation_from_file_with(bad.to_str().unwrap(), StorageOptions::memory()).unwrap_err();
         assert!(err.to_string().contains("unknown kind"));
         // A wrongly typed field is an error naming it, never a default.
         for (spec, field) in [
@@ -857,7 +854,7 @@ mod tests {
             (r#"{"name":"x","columns":{"name":"c"}}"#, "columns"),
         ] {
             std::fs::write(&bad, spec).unwrap();
-            match relation_from_file(bad.to_str().unwrap()) {
+            match relation_from_file_with(bad.to_str().unwrap(), StorageOptions::memory()) {
                 Err(CatalogError::BadSource(message)) => {
                     assert!(message.contains(&format!("`{field}`")), "{spec}: {message}");
                 }

@@ -693,12 +693,9 @@ mod tests {
         let server = SpqServer::start(tiny_service(), "127.0.0.1:0", ServerConfig::default())
             .expect("server starts");
         let stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let write = |line: &str| {
-            let mut s = &stream;
-            s.write_all(line.as_bytes()).unwrap();
-            s.write_all(b"\n").unwrap();
-        };
+        let write = |line: &str| (&stream).write_all(format!("{line}\n").as_bytes()).unwrap();
         let mut read = || {
             let mut line = String::new();
             reader.read_line(&mut line).unwrap();

@@ -44,13 +44,14 @@ struct Client {
 impl Client {
     fn connect(addr: std::net::SocketAddr) -> Client {
         let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
         let reader = BufReader::new(stream.try_clone().expect("clone stream"));
         Client { stream, reader }
     }
 
     fn send(&mut self, line: &str) {
+        let line = format!("{line}\n");
         self.stream.write_all(line.as_bytes()).expect("send");
-        self.stream.write_all(b"\n").expect("send newline");
     }
 
     fn recv_line(&mut self) -> String {
@@ -771,9 +772,6 @@ fn tenant_names_on_the_wire_leave_no_state_behind() {
     let server =
         SpqServer::start(service, "127.0.0.1:0", ServerConfig::default()).expect("server starts");
     let mut client = Client::connect(server.local_addr());
-    // `send` writes the line and its newline separately: without this, each
-    // of the 1 000 round trips waits out a delayed ACK.
-    client.stream.set_nodelay(true).expect("nodelay");
 
     client.send(
         r#"{"op":"load_relation","id":"l1","name":"mine","tenant":"acme","workload":"galaxy","scale":150,"seed":4}"#,

@@ -26,6 +26,7 @@ struct Client {
 impl Client {
     fn connect(server: &SpqServer) -> Client {
         let stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
         let reader = BufReader::new(stream.try_clone().expect("clone stream"));
         Client { stream, reader }
     }
@@ -37,8 +38,8 @@ impl Client {
     }
 
     fn send(&mut self, line: &str) {
+        let line = format!("{line}\n");
         self.stream.write_all(line.as_bytes()).expect("send");
-        self.stream.write_all(b"\n").expect("send newline");
     }
 
     fn recv(&mut self) -> String {

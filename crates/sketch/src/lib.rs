@@ -79,6 +79,16 @@ mod tests {
     fn install_registers_the_hook() {
         super::install();
         super::install(); // idempotent
-        assert!(spq_core::sketch_refine_available());
+        let relation = spq_mcdb::RelationBuilder::new("t")
+            .stochastic(
+                "gain",
+                spq_mcdb::vg::NormalNoise::around(vec![0.5, 0.7], 0.1),
+            )
+            .build()
+            .unwrap();
+        let engine = spq_core::SpqEngine::new(spq_core::SpqOptions::for_tests());
+        let query = "SELECT PACKAGE(*) FROM t SUCH THAT COUNT(*) <= 1 MAXIMIZE EXPECTED SUM(gain)";
+        let result = engine.evaluate(&relation, query, spq_core::Algorithm::SketchRefine);
+        assert!(result.is_ok(), "{result:?}");
     }
 }

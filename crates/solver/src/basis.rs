@@ -52,11 +52,6 @@ pub struct Basis {
 }
 
 impl Basis {
-    /// Number of columns this basis describes.
-    pub fn num_cols(&self) -> usize {
-        self.statuses.len()
-    }
-
     /// Number of basic columns.
     pub fn num_basic(&self) -> usize {
         self.statuses
@@ -704,7 +699,7 @@ mod tests {
                 VarStatus::Free,
             ],
         };
-        assert_eq!(b.num_cols(), 5);
+        assert_eq!(b.statuses.len(), 5);
         assert_eq!(b.num_basic(), 2);
         assert!(b.fits(5, 2));
         assert!(!b.fits(5, 3));

@@ -1372,11 +1372,11 @@ mod tests {
         }
         let (a, b) = (objectives[0], objectives[1]);
         assert!((a - b).abs() <= 2.0 * REL_GAP * a.abs(), "{a} vs {b}");
-        // The metric catalog's view of the same thing.
+        // The solver metrics' view of the same thing.
         let counter = |name| spq_obs::metrics::counter_value(name).unwrap_or(0);
         assert!(counter("spq_solver_core_restarts") > 0);
-        let cores = spq_obs::metrics::histogram("spq_solver_core_columns").unwrap();
-        assert!(cores.inner().count() > 0 && cores.inner().max() >= n as u64);
+        let cores = CORE_COLUMNS.inner();
+        assert!(cores.count() > 0 && cores.max() >= n as u64);
     }
 
     #[test]
@@ -1445,7 +1445,7 @@ mod tests {
             full.best_bound.map(f64::to_bits)
         );
         let basis = res.basis.expect("the root was solved");
-        assert_eq!(basis.num_cols(), n + model.num_constraints());
+        assert_eq!(basis.statuses.len(), n + model.constraints().len());
         // And that basis warm-starts the next related solve.
         let warm = SolverOptions {
             warm_start: Some(basis),

@@ -104,20 +104,6 @@ impl LinearExpr {
         LinearExpr::default()
     }
 
-    /// Build from terms.
-    pub fn from_terms(terms: Vec<(VarId, f64)>) -> Self {
-        LinearExpr {
-            terms,
-            constant: 0.0,
-        }
-    }
-
-    /// Add a term.
-    pub fn add_term(&mut self, var: VarId, coeff: f64) -> &mut Self {
-        self.terms.push((var, coeff));
-        self
-    }
-
     /// Evaluate the expression under an assignment.
     pub fn evaluate(&self, assignment: &[f64]) -> f64 {
         self.constant
@@ -315,11 +301,6 @@ impl Model {
         self.variables.len()
     }
 
-    /// Number of constraints (linear + indicator).
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len() + self.indicators.len()
-    }
-
     /// Total number of non-zero coefficients, the paper's measure of problem
     /// size (Section 3.1 "Size complexity").
     pub fn num_coefficients(&self) -> usize {
@@ -476,12 +457,10 @@ mod tests {
     fn linear_expr_evaluation() {
         let mut e = LinearExpr::new();
         assert!(e.is_empty());
-        e.add_term(VarId(0), 2.0).add_term(VarId(1), -1.0);
+        e.terms = vec![(VarId(0), 2.0), (VarId(1), -1.0)];
         e.constant = 5.0;
         assert_eq!(e.len(), 2);
         assert_eq!(e.evaluate(&[3.0, 4.0]), 5.0 + 6.0 - 4.0);
-        let f = LinearExpr::from_terms(vec![(VarId(0), 1.0)]);
-        assert_eq!(f.evaluate(&[7.0]), 7.0);
     }
 
     #[test]
@@ -489,7 +468,7 @@ mod tests {
         let (mut m, x, y) = simple_model();
         m.add_indicator("ind", x, true, vec![(y, 1.0)], Sense::Le, 5.0);
         assert_eq!(m.num_vars(), 2);
-        assert_eq!(m.num_constraints(), 2);
+        assert_eq!((m.constraints().len(), m.indicators().len()), (1, 1));
         assert_eq!(m.num_coefficients(), 2 + 2);
         assert_eq!(m.objective_value(&[1.0, 2.0]), 5.0);
         assert_eq!(m.variables()[x.0].name, "x");

@@ -24,16 +24,6 @@ pub enum AggExpr {
     Count,
 }
 
-impl AggExpr {
-    /// The attribute referenced, if any.
-    pub fn attribute(&self) -> Option<&str> {
-        match self {
-            AggExpr::Sum { attribute } => Some(attribute),
-            AggExpr::Count => None,
-        }
-    }
-}
-
 impl fmt::Display for AggExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -253,36 +243,6 @@ impl PackageQuery {
             .filter(|c| matches!(c, ConstraintExpr::Probabilistic { .. }))
             .count()
     }
-
-    /// All attribute names referenced anywhere in the query.
-    pub fn referenced_attributes(&self) -> Vec<&str> {
-        let mut attrs = Vec::new();
-        for c in &self.constraints {
-            let agg = match c {
-                ConstraintExpr::Deterministic { agg, .. }
-                | ConstraintExpr::Between { agg, .. }
-                | ConstraintExpr::Expected { agg, .. }
-                | ConstraintExpr::Probabilistic { agg, .. } => agg,
-            };
-            if let Some(a) = agg.attribute() {
-                attrs.push(a);
-            }
-        }
-        if let Some(obj) = &self.objective {
-            match &obj.expr {
-                ObjectiveExpr::ExpectedSum { attribute }
-                | ObjectiveExpr::Sum { attribute }
-                | ObjectiveExpr::ProbabilityOf { attribute, .. } => attrs.push(attribute),
-                ObjectiveExpr::Count => {}
-            }
-        }
-        if let Some(w) = &self.where_clause {
-            for p in &w.conjuncts {
-                attrs.push(&p.attribute);
-            }
-        }
-        attrs
-    }
 }
 
 impl fmt::Display for PackageQuery {
@@ -361,22 +321,6 @@ mod tests {
     fn counts_probabilistic_constraints() {
         let q = figure1_query();
         assert_eq!(q.num_probabilistic_constraints(), 1);
-    }
-
-    #[test]
-    fn referenced_attributes_cover_all_clauses() {
-        let mut q = figure1_query();
-        q.where_clause = Some(WherePredicate {
-            conjuncts: vec![AttrPredicate {
-                attribute: "sell_in".into(),
-                op: CompareOp::Eq,
-                value: PredicateValue::Text("1 day".into()),
-            }],
-        });
-        let attrs = q.referenced_attributes();
-        assert!(attrs.contains(&"price"));
-        assert!(attrs.contains(&"Gain"));
-        assert!(attrs.contains(&"sell_in"));
     }
 
     #[test]

@@ -211,13 +211,13 @@ mod tests {
         // Attribute names take the schema casing.
         match &bound.query.constraints[0] {
             ConstraintExpr::Deterministic { agg, .. } => {
-                assert_eq!(agg.attribute(), Some("price"));
+                assert_eq!(agg.to_string(), "SUM(price)");
             }
             other => panic!("unexpected {other:?}"),
         }
         match &bound.query.constraints[1] {
             ConstraintExpr::Probabilistic { agg, .. } => {
-                assert_eq!(agg.attribute(), Some("Gain"));
+                assert_eq!(agg.to_string(), "SUM(Gain)");
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -265,6 +265,14 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                     message: format!("cannot parse number `{text}`"),
                     position: start,
                 })?;
+                // `1e309` parses to infinity, which no query means and which
+                // prints back as `inf`, a name rather than a number.
+                if !value.is_finite() {
+                    return Err(SpaqlError::BadLiteral {
+                        message: format!("number `{text}` is out of range"),
+                        position: start,
+                    });
+                }
                 tokens.push(Token::Number(value));
                 i = j;
             }
@@ -395,6 +403,10 @@ mod tests {
         assert!(matches!(
             tokenize("a ! b").unwrap_err(),
             SpaqlError::UnexpectedChar { ch: '!', .. }
+        ));
+        assert!(matches!(
+            tokenize("SUM(x) <= 1e309").unwrap_err(),
+            SpaqlError::BadLiteral { position: 10, .. }
         ));
     }
 

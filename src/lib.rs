@@ -70,9 +70,7 @@ pub mod prelude {
     pub use spq_core::{
         Algorithm, EvaluationResult, Package, SpqEngine, SpqOptions, ValidationReport,
     };
-    pub use spq_mcdb::vg::{
-        DiscreteSources, GeometricBrownianMotion, NormalNoise, ParetoNoise, UniformNoise,
-    };
+    pub use spq_mcdb::vg::{DiscreteSources, GeometricBrownianMotion, NormalNoise, ParetoNoise};
     pub use spq_mcdb::{Relation, RelationBuilder, ScenarioCache, ScenarioGenerator, Value};
     pub use spq_service::{ServerConfig, ServiceConfig, SpqServer, SpqService};
     pub use spq_sketch::install as install_sketch_refine;
@@ -98,7 +96,6 @@ mod tests {
         let engine = SpqEngine::new(SpqOptions::for_tests());
         assert_eq!(engine.options().initial_summaries, 1);
         install_sketch_refine();
-        assert!(spq_core::sketch_refine_available());
         assert_eq!(
             "sketch-refine".parse::<Algorithm>().unwrap(),
             Algorithm::SketchRefine

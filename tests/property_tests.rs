@@ -164,3 +164,167 @@ proptest! {
         prop_assert_eq!(parsed, reparsed);
     }
 }
+
+/// sPaQL tokens, the fragments around them and characters the lexer must
+/// reject, separated by `|`: keywords, operators, quotes, multi-byte UTF-8
+/// and control characters.
+const SPAQL_TOKENS: &str = "SELECT|PACKAGE|(*)|(|)|*|AS|FROM|t|WHERE|SUCH|THAT|SUM|COUNT|\
+    EXPECTED|WITH|PROBABILITY|BETWEEN|AND|MAXIMIZE|MINIMIZE|REPEAT|price|gain|<=|>=|=|<|>|<>|\
+    !=|,|;|-|+|.|'|'1 day'|\"|é|€|😀|\u{0}|\t|\n";
+
+/// Numeric literals at the edges of what the lexer and `f64` accept,
+/// separated by `|`.
+const SPAQL_NUMBERS: &str = "0|1|-10|0.5|-0|1e309|-1e309|1e-400|1e|.5|5.|0x10|NaN|inf|-inf|\
+    1.5e3|123456789012345678901234567890|0.000000000000000000001|2.";
+
+/// A well-formed query the mutating strategy starts from.
+const SPAQL_QUERY: &str = "SELECT PACKAGE(*) AS P FROM t WHERE sell_in = '1 day' \
+    SUCH THAT COUNT(*) BETWEEN 1 AND 3 AND SUM(price) <= 1000 AND \
+    SUM(gain) >= -10 WITH PROBABILITY >= 0.95 MAXIMIZE EXPECTED SUM(gain)";
+
+/// Bytes a damaged text file most often holds in place of the right ones:
+/// JSON and sPaQL punctuation, digits, exponent and literal letters.
+const EDIT_BYTES: &[u8] = b"{}[]\",:\\0123456789-+.eEtnul()*<>=;' aZ";
+
+/// `text` with a few random byte edits: overwrite, delete, insert or
+/// truncate. Most new bytes come from [`EDIT_BYTES`]; the rest are
+/// arbitrary, so the result need not be UTF-8.
+fn mutate_bytes(rng: &mut proptest::TestRng, text: &[u8]) -> Vec<u8> {
+    let mut bytes = text.to_vec();
+    for _ in 0..rng.usize_in(1, 4) {
+        let at = rng.usize_in(0, bytes.len() + 1);
+        let byte = match rng.usize_in(0, 8) {
+            0 => rng.next_u64() as u8,
+            _ => EDIT_BYTES[rng.usize_in(0, EDIT_BYTES.len())],
+        };
+        match rng.usize_in(0, 7) {
+            0 | 1 if at < bytes.len() => bytes[at] = byte,
+            2 | 3 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            6 => bytes.truncate(at),
+            _ => bytes.insert(at, byte),
+        }
+    }
+    bytes
+}
+
+/// Arbitrary sPaQL-like text: token soup, a well-formed query with tokens
+/// replaced, dropped or repeated, the same query with other numbers or with
+/// byte edits, or random bytes.
+struct SpaqlText;
+
+impl Strategy for SpaqlText {
+    type Value = String;
+
+    fn generate(&self, rng: &mut proptest::TestRng) -> String {
+        let (words, numbers): (Vec<&str>, Vec<&str>) = (
+            SPAQL_TOKENS.split('|').collect(),
+            SPAQL_NUMBERS.split('|').collect(),
+        );
+        let pick = |rng: &mut proptest::TestRng, items: &[&'static str]| {
+            items[rng.usize_in(0, items.len())]
+        };
+        let token = |rng: &mut proptest::TestRng| {
+            let items = [&words, &numbers][rng.usize_in(0, 2)];
+            pick(rng, items)
+        };
+        let mut tokens: Vec<&str> = SPAQL_QUERY.split(' ').collect();
+        match rng.usize_in(0, 5) {
+            0 => (0..rng.usize_in(0, 40))
+                .map(|_| {
+                    let sep = [" ", "", "\n"][rng.usize_in(0, 3)];
+                    format!("{}{sep}", token(rng))
+                })
+                .collect(),
+            1 => {
+                for _ in 0..rng.usize_in(1, 4) {
+                    let at = rng.usize_in(0, tokens.len());
+                    match rng.usize_in(0, 3) {
+                        0 => tokens[at] = token(rng),
+                        1 => {
+                            tokens.remove(at);
+                        }
+                        _ => tokens.insert(at, tokens[at]),
+                    }
+                }
+                tokens.join(" ")
+            }
+            2 => {
+                for t in tokens.iter_mut().filter(|t| t.parse::<f64>().is_ok()) {
+                    *t = pick(rng, &numbers);
+                }
+                tokens.join(" ")
+            }
+            3 => String::from_utf8_lossy(&mutate_bytes(rng, SPAQL_QUERY.as_bytes())).into_owned(),
+            _ => {
+                let bytes: Vec<u8> = (0..rng.usize_in(0, 64))
+                    .map(|_| rng.next_u64() as u8)
+                    .collect();
+                String::from_utf8_lossy(&bytes).into_owned()
+            }
+        }
+    }
+}
+
+/// A well-formed column-spec file the mutating strategy starts from.
+const COLUMN_SPEC: &str = r#"{"name":"stocks","columns":[
+    {"name":"price","kind":"deterministic","values":[100.0,101.5,99.0]},
+    {"name":"id","values":[1,2,3]},
+    {"name":"gain","kind":"normal","means":[5.0,4.0,1.0],"sds":[1.0,6.0,0.2]}]}"#;
+
+/// Arbitrary column-spec file contents: a damaged well-formed spec, or
+/// random bytes.
+struct ColumnSpecBytes;
+
+impl Strategy for ColumnSpecBytes {
+    type Value = Vec<u8>;
+
+    fn generate(&self, rng: &mut proptest::TestRng) -> Vec<u8> {
+        if rng.next_u64() & 3 != 0 {
+            mutate_bytes(rng, COLUMN_SPEC.as_bytes())
+        } else {
+            (0..rng.usize_in(0, 128))
+                .map(|_| rng.next_u64() as u8)
+                .collect()
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The sPaQL parser answers any text with a query or a typed error,
+    /// never a panic, and a query it accepts prints back to itself.
+    #[test]
+    fn spaql_parser_returns_on_arbitrary_text(text in SpaqlText) {
+        if let Ok(query) = stochastic_package_queries::spaql::parse(&text) {
+            let printed = query.to_string();
+            let reparsed = stochastic_package_queries::spaql::parse(&printed)
+                .map_err(|e| TestCaseError::fail(format!("{text:?} printed as {printed:?}: {e}")))?;
+            prop_assert_eq!(reparsed, query);
+        }
+    }
+
+    /// The column-spec file reader answers any file contents with a
+    /// relation or a typed error, never a panic.
+    #[test]
+    fn column_spec_reader_returns_on_arbitrary_bytes(bytes in ColumnSpecBytes) {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use stochastic_package_queries::mcdb::StorageOptions;
+        use stochastic_package_queries::service::catalog::relation_from_file_with;
+        use stochastic_package_queries::service::CatalogError;
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "spq-fuzz-spec-{}-{}.json",
+            std::process::id(),
+            CASE.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::write(&path, &bytes).unwrap();
+        let read = relation_from_file_with(path.to_str().unwrap(), StorageOptions::memory());
+        std::fs::remove_file(&path).unwrap();
+        if let Err(e) = read {
+            prop_assert!(matches!(e, CatalogError::BadSource(_)), "{e}");
+        }
+    }
+}

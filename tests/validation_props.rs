@@ -108,13 +108,13 @@ proptest! {
         let reference = validate_with(
             &instance,
             &x,
-            &ValidationOptions::full(m_hat).with_threads(1).with_block_scenarios(m_hat),
+            &ValidationOptions { threads: 1, block_scenarios: m_hat, ..ValidationOptions::full(m_hat) },
         )
         .unwrap();
         let parallel = validate_with(
             &instance,
             &x,
-            &ValidationOptions::full(m_hat).with_threads(threads).with_block_scenarios(block),
+            &ValidationOptions { threads, block_scenarios: block, ..ValidationOptions::full(m_hat) },
         )
         .unwrap();
         assert_reports_identical(&reference, &parallel, "full mode");
@@ -127,18 +127,22 @@ proptest! {
         let adaptive_ref = validate_with(
             &instance,
             &x,
-            &ValidationOptions::full(m_hat)
-                .with_threads(1)
-                .with_early_stop(EarlyStop::Certain),
+            &ValidationOptions {
+                threads: 1,
+                early_stop: EarlyStop::Certain,
+                ..ValidationOptions::full(m_hat)
+            },
         )
         .unwrap();
         let adaptive_par = validate_with(
             &instance,
             &x,
-            &ValidationOptions::full(m_hat)
-                .with_threads(threads)
-                .with_block_scenarios(block)
-                .with_early_stop(EarlyStop::Certain),
+            &ValidationOptions {
+                threads,
+                block_scenarios: block,
+                early_stop: EarlyStop::Certain,
+                ..ValidationOptions::full(m_hat)
+            },
         )
         .unwrap();
         assert_reports_identical(&adaptive_ref, &adaptive_par, "certain mode");
@@ -174,7 +178,7 @@ proptest! {
         let certain = validate_with(
             &instance,
             &x,
-            &ValidationOptions::full(m_hat).with_early_stop(EarlyStop::Certain),
+            &ValidationOptions { early_stop: EarlyStop::Certain, ..ValidationOptions::full(m_hat) },
         )
         .unwrap();
         prop_assert_eq!(full.feasible, certain.feasible);
@@ -222,8 +226,10 @@ proptest! {
         let adaptive = validate_with(
             &instance,
             &x,
-            &ValidationOptions::full(m_hat)
-                .with_early_stop(EarlyStop::Hoeffding { delta: DEFAULT_HOEFFDING_DELTA }),
+            &ValidationOptions {
+                early_stop: EarlyStop::Hoeffding { delta: DEFAULT_HOEFFDING_DELTA },
+                ..ValidationOptions::full(m_hat)
+            },
         )
         .unwrap();
         prop_assert_eq!(full.feasible, adaptive.feasible);

@@ -97,8 +97,11 @@ impl Default for ScenarioCache {
 }
 
 impl ScenarioCache {
-    /// Default residency budget: 256 MiB of realized values.
-    pub const DEFAULT_MAX_BYTES: u64 = 256 << 20;
+    /// Default residency budget: 64 MiB of realized values. Blocks drawn
+    /// for one-off request seeds are never read again, so a larger budget
+    /// only holds more of them; the blocks that are reused (the warm
+    /// relation's, the validator's) fit in this one.
+    pub const DEFAULT_MAX_BYTES: u64 = 64 << 20;
 
     /// A cache with the default byte budget.
     pub fn new() -> Self {

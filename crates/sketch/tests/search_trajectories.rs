@@ -94,20 +94,20 @@ fn galaxy_trajectories_are_pinned() {
         &[
             // Naive
             concat!(
-                "M=10 Z=0 outer=2 solved=2 validations=2 validation_scenarios=2048 nodes=4048 ",
-                "pivots=17735 max_coefficients=260 feasible=false package=Some(",
+                "M=10 Z=0 outer=2 solved=2 validations=2 validation_scenarios=2048 nodes=1822 ",
+                "pivots=10007 max_coefficients=260 feasible=false package=Some(",
                 "\"[(4, 2), (10, 1), (15, 1), (16, 1), (18, 1)] objective=0x4043755935d9dcf5 validated=false/1024\")"
             ),
             // SummarySearch
             concat!(
-                "M=10 Z=1 outer=2 solved=5 validations=6 validation_scenarios=12072 nodes=431 ",
-                "pivots=619 max_coefficients=62 feasible=true package=Some(",
+                "M=10 Z=1 outer=2 solved=5 validations=6 validation_scenarios=12072 nodes=177 ",
+                "pivots=260 max_coefficients=62 feasible=true package=Some(",
                 "\"[(11, 1), (12, 3), (13, 1)] objective=0x4048b1990a06ae9a validated=true/3000\")"
             ),
             // SketchRefine
             concat!(
-                "M=10 Z=1 outer=2 solved=7 validations=9 validation_scenarios=22096 nodes=101 ",
-                "pivots=110 max_coefficients=17 feasible=true package=Some(",
+                "M=10 Z=1 outer=2 solved=7 validations=9 validation_scenarios=22096 nodes=79 ",
+                "pivots=86 max_coefficients=17 feasible=true package=Some(",
                 "\"[(4, 1), (9, 4)] objective=0x4049f351a8a23f3e validated=true/3000\")"
             ),
         ],
@@ -122,13 +122,13 @@ fn portfolio_trajectories_are_pinned() {
         &[
             // Naive
             concat!(
-                "M=10 Z=0 outer=2 solved=2 validations=2 validation_scenarios=2048 nodes=512 ",
-                "pivots=1117 max_coefficients=284 feasible=false package=Some(",
+                "M=10 Z=0 outer=2 solved=2 validations=2 validation_scenarios=2048 nodes=338 ",
+                "pivots=896 max_coefficients=284 feasible=false package=Some(",
                 "\"[(9, 3), (15, 1), (23, 7)] objective=0x4012e389eca50e38 validated=false/1024\")"
             ),
             // SummarySearch
             concat!(
-                "M=10 Z=1 outer=2 solved=4 validations=5 validation_scenarios=9072 nodes=50 ",
+                "M=10 Z=1 outer=2 solved=4 validations=5 validation_scenarios=9072 nodes=48 ",
                 "pivots=46 max_coefficients=50 feasible=true package=Some(",
                 "\"[(21, 2)] objective=0x3ff99b9f57406c00 validated=true/3000\")"
             ),

@@ -11,6 +11,14 @@
 //! ([`LpProblem::restrict`]) and the open nodes move onto it. A node then
 //! costs what the core costs — tens of columns on SAA/CSA models whose first
 //! incumbent pins ~96 % of them — instead of what the model costs.
+//!
+//! Nodes are searched "plunge, then best bound" ([`Open`]): the down child
+//! of a branching is solved next, and when a plunge ends the open node with
+//! the lowest parent bound starts the next one (the deepest one until there
+//! is an incumbent). On these models the first incumbent comes within a few
+//! nodes, and the rest of the search is proving it; backtracking to the
+//! deepest node instead spent whole node budgets under subtrees that the
+//! best bound never needed to open.
 
 use crate::basis::{Basis, VarStatus};
 use crate::deadline::Deadline;
@@ -20,6 +28,8 @@ use crate::revised::{LpStatus, PivotRules, RevisedLp, RevisedSolution, SimplexWo
 use crate::standard_form::{LpProblem, LpRow, BOUND_INFINITY};
 use crate::Result;
 use spq_obs::metrics::{Counter, Histogram, Named};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -38,7 +48,7 @@ static RC_TIGHTENINGS: Named<Counter> = Named::new("spq_solver_rc_tightenings", 
 // searched (the whole LP included).
 static CORE_RESTARTS: Named<Counter> = Named::new("spq_solver_core_restarts", Counter::new());
 static CORE_COLUMNS: Named<Histogram> = Named::new("spq_solver_core_columns", Histogram::new());
-// Solves that stopped on a node, time or cancellation limit
+// Solves that stopped on a node, time, memory or cancellation limit
 // (`FeasibleLimit` or `NoSolutionLimit`).
 static LIMIT_HITS: Named<Counter> = Named::new("spq_solver_limit_hits", Counter::new());
 
@@ -82,9 +92,12 @@ pub struct SolverOptions {
     /// `m × m` LU), their eta file and the working vectors.
     /// Without the guard oversized models abort the whole process inside
     /// the allocator; with it, [`SolverError::ModelTooLarge`] is returned
-    /// and callers can degrade gracefully. The default is half the
-    /// machine's available memory when that can be determined, 8 GiB
-    /// otherwise; `None` disables the check.
+    /// and callers can degrade gracefully. The open nodes' bounds and warm
+    /// bases count against the same cap during the search: going over it
+    /// ends the search like the node limit does
+    /// ([`SolveStatus::FeasibleLimit`] or [`SolveStatus::NoSolutionLimit`]).
+    /// The default is half the machine's available memory when that can be
+    /// determined, 8 GiB otherwise; `None` disables the check.
     pub max_solver_bytes: Option<u64>,
 }
 
@@ -136,15 +149,15 @@ impl SolverOptions {
 pub enum SolveStatus {
     /// The returned solution is optimal (within the gap tolerance).
     Optimal,
-    /// A feasible solution was found, but the node or time limit stopped the
-    /// search before optimality was proven.
+    /// A feasible solution was found, but a node, time or memory limit
+    /// stopped the search before optimality was proven.
     FeasibleLimit,
     /// The problem has no feasible solution.
     Infeasible,
     /// The relaxation (and hence the problem) is unbounded.
     Unbounded,
-    /// The node or time limit was reached before any feasible solution was
-    /// found.
+    /// A node, time or memory limit was reached before any feasible
+    /// solution was found.
     NoSolutionLimit,
 }
 
@@ -229,6 +242,8 @@ struct NodeDelta {
     upper: f64,
 }
 
+/// An open node: its bounds relative to the core's box, the bound that
+/// orders it in the [`Open`] queue, and the basis it re-solves from.
 struct Node {
     /// Every bound the parent's subtree tightened, at most one entry per
     /// column, shared with the sibling.
@@ -275,6 +290,150 @@ impl Node {
             parent_bound: self.parent_bound,
             warm: self.warm.as_ref().map(|b| Arc::new(map.basis(b))),
         })
+    }
+
+    /// Bytes the node holds, charged as if it owned its shared bounds and
+    /// basis: an upper bound on what keeping it open costs.
+    fn bytes(&self) -> u64 {
+        let deltas = self.inherited.len() * std::mem::size_of::<NodeDelta>();
+        let basis = self
+            .warm
+            .as_ref()
+            .map_or(0, |b| b.statuses.len() * std::mem::size_of::<VarStatus>());
+        (std::mem::size_of::<Queued>() + deltas + basis) as u64
+    }
+}
+
+/// A node in the open queue, keyed for the max-heap [`BinaryHeap`]: the
+/// lowest parent bound pops first, and among equal bounds the node pushed
+/// first, so the order is a function of the pushes alone.
+struct Queued {
+    node: Node,
+    /// Push order.
+    seq: u64,
+}
+
+impl Ord for Queued {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .node
+            .parent_bound
+            .total_cmp(&self.node.parent_bound)
+            .then(other.seq.cmp(&self.seq))
+    }
+}
+
+impl PartialOrd for Queued {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Queued {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Queued {}
+
+/// The open nodes, searched "plunge, then best bound": after a branching
+/// the down child is solved next, and the up child waits. When a plunge
+/// ends — its node is pruned, infeasible or integral — the waiting node with
+/// the lowest parent bound starts the next one. Diving finds incumbents as
+/// early as depth-first search does; backtracking to the best bound instead
+/// of the deepest node stops the search from proving optimality subtree by
+/// subtree in the order it happened to open them.
+///
+/// Until the first incumbent there is nothing to prove, and the search
+/// backtracks depth first: a plunge that ends infeasible resumes at its
+/// deepest sibling, next to where it failed, instead of starting over near
+/// the root with the same odds of failing.
+struct Open {
+    /// The next node of the current plunge.
+    dive: Option<Node>,
+    /// Nodes pushed since the last best-bound pop, oldest first.
+    stack: Vec<Queued>,
+    queue: BinaryHeap<Queued>,
+    pushed: u64,
+    /// [`Node::bytes`] summed over every open node.
+    bytes: u64,
+}
+
+impl Open {
+    fn new(root: Node) -> Open {
+        let mut open = Open {
+            dive: None,
+            stack: Vec::new(),
+            queue: BinaryHeap::new(),
+            pushed: 0,
+            bytes: 0,
+        };
+        open.dive_into(root);
+        open
+    }
+
+    fn is_empty(&self) -> bool {
+        self.dive.is_none() && self.stack.is_empty() && self.queue.is_empty()
+    }
+
+    /// The node to search next: the plunge's, else the waiting node with the
+    /// lowest bound when `best_bound`, the last one pushed otherwise.
+    fn pop(&mut self, best_bound: bool) -> Option<Node> {
+        if best_bound {
+            self.queue.extend(self.stack.drain(..));
+        }
+        let node = match self.dive.take() {
+            Some(node) => node,
+            None => self.stack.pop().or_else(|| self.queue.pop())?.node,
+        };
+        self.bytes -= node.bytes();
+        Some(node)
+    }
+
+    /// Make `node` the next node of the current plunge.
+    fn dive_into(&mut self, node: Node) {
+        debug_assert!(self.dive.is_none(), "one plunge at a time");
+        self.bytes += node.bytes();
+        self.dive = Some(node);
+    }
+
+    /// Put `node` among the waiting ones.
+    fn push(&mut self, node: Node) {
+        self.bytes += node.bytes();
+        self.stack.push(Queued {
+            node,
+            seq: self.pushed,
+        });
+        self.pushed += 1;
+    }
+
+    /// The open nodes over the next core, in the same order; those whose
+    /// subtree holds nothing better than the incumbent are dropped.
+    fn remapped(self, map: &CoreMap) -> Open {
+        let remap = |q: Queued| {
+            Some(Queued {
+                node: q.node.remapped(map)?,
+                seq: q.seq,
+            })
+        };
+        let dive = self.dive.and_then(|node| node.remapped(map));
+        let stack: Vec<Queued> = self.stack.into_iter().filter_map(remap).collect();
+        let queue: BinaryHeap<Queued> = self
+            .queue
+            .into_vec()
+            .into_iter()
+            .filter_map(remap)
+            .collect();
+        let waiting = stack.iter().chain(queue.iter()).map(|q| &q.node);
+        let bytes = dive.iter().chain(waiting).map(Node::bytes).sum();
+        Open {
+            dive,
+            stack,
+            queue,
+            pushed: self.pushed,
+            bytes,
+        }
     }
 }
 
@@ -557,13 +716,15 @@ impl Core {
     }
 }
 
-/// Buffers the search reuses from node to node: the simplex workspace and
-/// the node's bound box.
+/// Buffers the search reuses from node to node: the simplex workspace, the
+/// node's bound box, and the last optimum's values and reduced costs.
 #[derive(Default)]
 struct NodeWork {
     simplex: SimplexWork,
     lower: Vec<f64>,
     upper: Vec<f64>,
+    values: Vec<f64>,
+    reduced: Vec<f64>,
 }
 
 impl NodeWork {
@@ -582,15 +743,26 @@ impl NodeWork {
         })
     }
 
-    /// The relaxation of the node whose box was last loaded.
+    /// The relaxation of the node whose box was last loaded. An optimum's
+    /// values and reduced costs are moved into `values` and `reduced`, and
+    /// the buffers they replace go back to the simplex for the next node.
     fn solve(&mut self, cx: &SearchCtx<'_>, node: &Node) -> Result<RevisedSolution> {
-        cx.lp.solve_with(
+        let mut relax = cx.lp.solve_with(
             &mut self.simplex,
             &self.lower,
             &self.upper,
             node.warm.as_deref(),
             cx.rules,
-        )
+        )?;
+        if relax.status == LpStatus::Optimal {
+            std::mem::swap(&mut self.values, &mut relax.values);
+            std::mem::swap(&mut self.reduced, &mut relax.reduced);
+            self.simplex.recycle(
+                std::mem::take(&mut relax.values),
+                std::mem::take(&mut relax.reduced),
+            );
+        }
+        Ok(relax)
     }
 }
 
@@ -666,6 +838,8 @@ struct SearchCtx<'a> {
     lp: &'a RevisedLp,
     rules: &'a PivotRules,
     stop: &'a Deadline,
+    /// Most bytes the open nodes may hold.
+    open_budget: u64,
     sign: f64,
 }
 
@@ -734,17 +908,16 @@ impl BranchBoundSolver {
         // the columns left free; a move at least halves the core, so there
         // are at most log2(columns) of them.
         let mut core = Core::full(base, model);
-        let mut open = vec![Node::root(self.options.warm_start.clone().map(Arc::new))];
+        let mut open = Open::new(Node::root(self.options.warm_start.clone().map(Arc::new)));
         // One set of node buffers for the whole search, whatever the core.
         let mut work = SearchWork::default();
         while !open.is_empty() {
-            let Some((map, rest)) =
-                self.search_core(model, &core, open, &stop, &mut work, &mut st)?
+            let Some(map) = self.search_core(model, &core, &mut open, &stop, &mut work, &mut st)?
             else {
                 break;
             };
             CORE_RESTARTS.inc();
-            open = rest.iter().filter_map(|node| node.remapped(&map)).collect();
+            open = open.remapped(&map);
             st.root = st.root.map(|root| root.remapped(&map));
             core = core.restricted(map, model);
         }
@@ -788,21 +961,20 @@ impl BranchBoundSolver {
         })
     }
 
-    /// Search the `open` nodes (bottom of the DFS stack first) over one
-    /// core: prepare the revised simplex for the core LP once — every node
-    /// re-solves it under its own bounds (and its parent's basis) — and
-    /// walk the tree until it is exhausted, a limit fires, or
-    /// a [`CoreMap`] ends the stay on this core; the nodes still open then
-    /// come back with it.
+    /// Search the `open` nodes over one core: prepare the revised simplex
+    /// for the core LP once — every node re-solves it under its own bounds
+    /// (and its parent's basis) — and walk the tree until it is exhausted, a
+    /// limit fires, or a [`CoreMap`] ends the stay on this core with the
+    /// nodes still open left in `open`.
     fn search_core(
         &self,
         model: &Model,
         core: &Core,
-        mut open: Vec<Node>,
+        open: &mut Open,
         stop: &Deadline,
         work: &mut SearchWork,
         st: &mut SearchState,
-    ) -> Result<Option<(CoreMap, Vec<Node>)>> {
+    ) -> Result<Option<CoreMap>> {
         CORE_COLUMNS.record(core.cols.len() as u64);
         #[cfg(test)]
         tests::PROBE.with(|p| p.borrow_mut().cores.push(core.cols.len()));
@@ -810,7 +982,9 @@ impl BranchBoundSolver {
         // Memory guard: without it, oversized models abort the whole
         // process inside the allocator. Preparing is linear in the model's
         // own size, so it can safely precede the guard; only the whole LP
-        // can trip it, every later one being a restriction of it.
+        // can trip it, every later one being a restriction of it. What the
+        // kernel leaves of the budget bounds the open nodes.
+        let mut open_budget = u64::MAX;
         if let Some(cap) = self.options.max_solver_bytes {
             let bytes = lp.estimated_bytes();
             if bytes > cap {
@@ -820,6 +994,7 @@ impl BranchBoundSolver {
                     bytes,
                 });
             }
+            open_budget = cap - bytes;
         }
         let rules = PivotRules::for_size(lp.m, lp.n_struct + lp.m, self.options.bland_after)
             .with_deadline(stop.clone());
@@ -829,23 +1004,22 @@ impl BranchBoundSolver {
             lp: &lp,
             rules: &rules,
             stop,
+            open_budget,
             sign: objective_sign(model),
         };
-        Ok(self
-            .search(&cx, &mut open, work, st)?
-            .map(|map| (map, open)))
+        self.search(&cx, open, work, st)
     }
 
-    /// The branch-and-bound loop over one core: nodes are popped from the
-    /// top of the `open` DFS stack and children pushed onto it. The core's
-    /// box never changes under the loop, so every relaxation is a function
-    /// of (core LP, node bounds, warm basis); fixings that shrink the box
-    /// end the loop with the [`CoreMap`] to the next core instead, leaving
-    /// the nodes still open on the stack, bottom first.
+    /// The branch-and-bound loop over one core: nodes are taken from
+    /// `open` and children put into it (see [`Open`] for the order). The
+    /// core's box never changes under the loop, so every relaxation is a
+    /// function of (core LP, node bounds, warm basis); fixings that shrink
+    /// the box end the loop with the [`CoreMap`] to the next core instead,
+    /// leaving the nodes still open in `open`.
     fn search(
         &self,
         cx: &SearchCtx<'_>,
-        open: &mut Vec<Node>,
+        open: &mut Open,
         work: &mut SearchWork,
         st: &mut SearchState,
     ) -> Result<Option<CoreMap>> {
@@ -853,8 +1027,13 @@ impl BranchBoundSolver {
         work.seen.clear();
         work.seen.resize(core.cols.len(), false);
 
-        while let Some(node) = open.pop() {
-            if st.nodes_processed >= self.options.max_nodes || cx.stop.expired() {
+        while let Some(node) = open.pop(st.best_solution.is_some()) {
+            // The open nodes' bytes count against `max_solver_bytes` with
+            // the kernel's: going over ends the search like any other limit.
+            if st.nodes_processed >= self.options.max_nodes
+                || cx.stop.expired()
+                || open.bytes > cx.open_budget
+            {
                 st.hit_limit = true;
                 break;
             }
@@ -921,7 +1100,7 @@ impl BranchBoundSolver {
             let mut branch_var: Option<usize> = None;
             let mut best_frac = INT_TOL;
             for &vi in &core.int_cols {
-                let x = relax.values[vi];
+                let x = work.node.values[vi];
                 let frac = (x - x.round()).abs();
                 if frac > best_frac {
                     best_frac = frac;
@@ -936,7 +1115,7 @@ impl BranchBoundSolver {
                     // Integral LP optimum: candidate incumbent. Round to clean
                     // integer values and re-check feasibility on the original
                     // model (including indicator semantics).
-                    core.snap_into(&relax.values, cx.model, &mut work.candidate);
+                    core.snap_into(&work.node.values, cx.model, &mut work.candidate);
                     if let Some(candidate) = core.feasible_expansion(&work.candidate, cx.model) {
                         let obj = cx.sign * cx.model.objective_value(&candidate);
                         if st.improved_by(obj) {
@@ -945,7 +1124,7 @@ impl BranchBoundSolver {
                     } else if st.improved_by(node_bound) {
                         // Numerical corner case: accept the raw LP point if it
                         // is feasible for the *linearized* model.
-                        st.accept(node_bound, core.expand(&relax.values));
+                        st.accept(node_bound, core.expand(&work.node.values));
                     }
                 }
                 Some(vi) => {
@@ -954,7 +1133,7 @@ impl BranchBoundSolver {
                     // objective costs one pass over the core; the feasibility
                     // check only runs for a candidate that would beat the
                     // incumbent.
-                    core.snap_into(&relax.values, cx.model, &mut work.candidate);
+                    core.snap_into(&work.node.values, cx.model, &mut work.candidate);
                     if st.improved_by(core.objective(&work.candidate)) {
                         if let Some(candidate) = core.feasible_expansion(&work.candidate, cx.model)
                         {
@@ -974,7 +1153,7 @@ impl BranchBoundSolver {
                     if let (true, Some(basis)) = (cutoff.is_finite(), &basis) {
                         self.tighten_by_reduced_costs(
                             &core.int_cols,
-                            &relax.reduced,
+                            &work.node.reduced,
                             basis,
                             cutoff - node_bound,
                             &mut work.node.lower,
@@ -1012,34 +1191,26 @@ impl BranchBoundSolver {
                     let inherited: Arc<[NodeDelta]> = Arc::from(&work.deltas[..]);
                     #[cfg(test)]
                     tests::PROBE.with(|p| p.borrow_mut().node_deltas(inherited.len() + 1));
-                    let x = relax.values[vi];
-                    // DFS: push the "down" child last so it is explored first
-                    // (for minimization of package cost, smaller
-                    // multiplicities tend to be feasible more often).
-                    let branches = [
-                        NodeDelta {
+                    let x = work.node.values[vi];
+                    let child = |lower: f64, upper: f64| Node {
+                        inherited: inherited.clone(),
+                        branch: Some(NodeDelta {
                             var: vi,
-                            lower: x.ceil(),
-                            upper: upper[vi],
-                        },
-                        NodeDelta {
-                            var: vi,
-                            lower: lower[vi],
-                            upper: x.floor(),
-                        },
-                    ];
-                    for branch in branches {
-                        open.push(Node {
-                            inherited: inherited.clone(),
-                            branch: Some(branch),
-                            parent_bound: node_bound,
-                            warm: basis.clone(),
-                        });
-                    }
+                            lower,
+                            upper,
+                        }),
+                        parent_bound: node_bound,
+                        warm: basis.clone(),
+                    };
+                    // The plunge goes on with the "down" child (for
+                    // minimization of package cost, smaller multiplicities
+                    // tend to be feasible more often); the "up" one waits.
+                    open.push(child(x.ceil(), upper[vi]));
+                    open.dive_into(child(lower[vi], x.floor()));
                     if is_root {
                         st.root = Some(RootLp {
                             bound: node_bound,
-                            reduced: relax.reduced,
+                            reduced: std::mem::take(&mut work.node.reduced),
                             basis,
                         });
                     }
@@ -1825,6 +1996,46 @@ mod tests {
         };
         let sol = solve(&m, &fits).unwrap();
         assert!((sol.objective - 3.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn open_nodes_count_against_the_memory_cap() {
+        // The open nodes' bounds and bases are charged with the LP kernel's
+        // working set: a cap that leaves them too little room ends the
+        // search as a limit, with the incumbent it has, never as an error.
+        let model = chained_model(40);
+        let lp = BranchBoundSolver::new(opts()).build_lp(&model, -1.0);
+        let kernel = RevisedLp::from_problem(&lp).unwrap().estimated_bytes();
+        let full = solve_full(&model, &opts()).unwrap();
+        assert_eq!(full.status, SolveStatus::Optimal);
+        let best = full.solution.unwrap().objective;
+        let capped = |room: u64| SolverOptions {
+            max_solver_bytes: Some(kernel + room),
+            ..opts()
+        };
+        // No room: the root's children are the first open nodes to count.
+        let res = solve_full(&model, &capped(0)).unwrap();
+        assert_eq!(res.nodes, 1);
+        assert!(matches!(
+            res.status,
+            SolveStatus::FeasibleLimit | SolveStatus::NoSolutionLimit
+        ));
+        // Room for a few dozen nodes: the search stops part way.
+        let res = solve_full(&model, &capped(8 << 10)).unwrap();
+        assert!(
+            res.nodes > 1 && res.nodes < full.nodes,
+            "{} of {} nodes",
+            res.nodes,
+            full.nodes
+        );
+        assert_eq!(res.status, SolveStatus::FeasibleLimit);
+        let sol = res.solution.unwrap();
+        assert!(model.is_feasible(&sol.values, 1e-6));
+        assert!(sol.objective <= best + 1e-9);
+        // Room for every node the search opens: the same optimum.
+        let res = solve_full(&model, &capped(64 << 20)).unwrap();
+        assert_eq!(res.status, SolveStatus::Optimal);
+        assert_eq!(res.nodes, full.nodes);
     }
 
     #[test]

@@ -358,6 +358,10 @@ enum Blocking {
 /// overwrites every field first.
 #[derive(Debug, Default)]
 pub struct SimplexWork {
+    /// Buffers of an earlier solution handed back by [`Self::recycle`]; the
+    /// next optimum's values and reduced costs are written into them.
+    spare_values: Vec<f64>,
+    spare_reduced: Vec<f64>,
     /// Bounds of every column (structurals, then logicals).
     lower: Vec<f64>,
     upper: Vec<f64>,
@@ -376,6 +380,13 @@ pub struct SimplexWork {
 }
 
 impl SimplexWork {
+    /// Take back the values and reduced costs of a solution the caller is
+    /// done with, so the next optimum needs no allocation for them.
+    pub(crate) fn recycle(&mut self, values: Vec<f64>, reduced: Vec<f64>) {
+        self.spare_values = values;
+        self.spare_reduced = reduced;
+    }
+
     /// Load the bound box and the starting basis (the warm one when it fits,
     /// otherwise the all-logical one), factorize it and compute the basic
     /// values. Returns `true` when a column's domain is empty.
@@ -777,7 +788,9 @@ impl SimplexWork {
     fn finish(&mut self, rlp: &RevisedLp, status: LpStatus, iterations: usize) -> RevisedSolution {
         match status {
             LpStatus::Optimal => {
-                let values: Vec<f64> = self.x[..rlp.n_struct].to_vec();
+                let mut values = std::mem::take(&mut self.spare_values);
+                values.clear();
+                values.extend_from_slice(&self.x[..rlp.n_struct]);
                 let objective = rlp
                     .cost
                     .iter()
@@ -794,15 +807,15 @@ impl SimplexWork {
                 self.y
                     .extend(self.basic_vars.iter().map(|&bv| rlp.cost[bv]));
                 self.fact.btran(&mut self.y);
-                let reduced: Vec<f64> = (0..rlp.n_struct)
-                    .map(|j| {
-                        if self.status[j] == VarStatus::Basic || self.lower[j] == self.upper[j] {
-                            0.0
-                        } else {
-                            rlp.cost[j] - rlp.matrix.col_dot(j, &self.y)
-                        }
-                    })
-                    .collect();
+                let mut reduced = std::mem::take(&mut self.spare_reduced);
+                reduced.clear();
+                reduced.extend((0..rlp.n_struct).map(|j| {
+                    if self.status[j] == VarStatus::Basic || self.lower[j] == self.upper[j] {
+                        0.0
+                    } else {
+                        rlp.cost[j] - rlp.matrix.col_dot(j, &self.y)
+                    }
+                }));
                 RevisedSolution {
                     status,
                     values,

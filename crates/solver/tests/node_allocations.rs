@@ -66,7 +66,7 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
 }
 
 /// Branch-and-bound's budget per processed node.
-const MAX_ALLOCATIONS_PER_NODE: f64 = 5.0;
+const MAX_ALLOCATIONS_PER_NODE: f64 = 4.0;
 
 fn rules(lp: &RevisedLp) -> PivotRules {
     PivotRules::for_size(lp.m, lp.n_struct + lp.m, None)

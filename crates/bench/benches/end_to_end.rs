@@ -15,8 +15,6 @@ fn options() -> SpqOptions {
         max_scenarios: 45,
         validation_scenarios: 1_000,
         expectation_scenarios: 300,
-        time_limit: Some(Duration::from_secs(8)),
-        solver: spq_solver::SolverOptions::with_time_limit_secs(4),
         ..Default::default()
     }
 }

@@ -90,10 +90,7 @@ fn bench_lp_kernel(c: &mut Criterion) {
     let formulation = formulate_saa(&instance, 10).unwrap();
     let mut group = c.benchmark_group("lp_backend");
     group.sample_size(10);
-    let options = SolverOptions {
-        time_limit: Some(std::time::Duration::from_secs(30)),
-        ..Default::default()
-    };
+    let options = SolverOptions::default();
     group.bench_function(BenchmarkId::new("saa_portfolio_120_m10", "revised"), |b| {
         b.iter(|| solve_full(&formulation.model, &options).unwrap())
     });
@@ -112,9 +109,7 @@ fn bench_solver(c: &mut Criterion) {
     for &m in &[5usize, 15] {
         let formulation = formulate_saa(&instance, m).unwrap();
         group.bench_with_input(BenchmarkId::new("saa_portfolio_120", m), &m, |b, _| {
-            b.iter(|| {
-                solve_full(&formulation.model, &SolverOptions::with_time_limit_secs(20)).unwrap()
-            })
+            b.iter(|| solve_full(&formulation.model, &SolverOptions::default()).unwrap())
         });
     }
     group.finish();

@@ -40,10 +40,7 @@ fn main() {
         saa_model(WorkloadKind::Portfolio, 120, 1, 10),
         saa_model(WorkloadKind::Galaxy, 2000, 2, 2),
     ];
-    let options = SolverOptions {
-        time_limit: Some(std::time::Duration::from_secs(60)),
-        ..Default::default()
-    };
+    let options = SolverOptions::default();
     let reps: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())

@@ -29,6 +29,7 @@
 use spq_core::{Algorithm, SpqEngine, SpqOptions};
 use spq_mcdb::StorageOptions;
 use spq_service::json::Json;
+use spq_solver::Deadline;
 use spq_workloads::{build_workload, build_workload_with, spec, Workload, WorkloadKind};
 use std::time::Duration;
 
@@ -85,7 +86,8 @@ pub struct HarnessConfig {
     /// Figure 7's dataset sizes (`--scale-list`); `None` scales `--scale`
     /// by ×1…×5.
     pub scale_list: Option<Vec<usize>>,
-    /// Per-query evaluation time limit.
+    /// Each run's deadline (`--time-limit`), armed when the run's options
+    /// are built: the only clock of a run.
     pub time_limit: Duration,
     /// Base seed.
     pub seed: u64,
@@ -228,7 +230,8 @@ impl HarnessConfig {
 
     /// Engine options for one run at exactly `m` scenarios and `z`
     /// summaries: the scenario budget is capped at `m`, so no run escalates
-    /// past the `M` its row reports.
+    /// past the `M` its row reports. The run's deadline is armed here, so
+    /// build the options just before the run.
     fn options(&self, seed: u64, m: usize, z: usize) -> SpqOptions {
         SpqOptions {
             seed,
@@ -238,9 +241,8 @@ impl HarnessConfig {
             validation_scenarios: self.validation,
             expectation_scenarios: self.validation.min(1000),
             initial_summaries: z,
-            time_limit: Some(self.time_limit),
+            deadline: Deadline::within(self.time_limit),
             solver: spq_solver::SolverOptions {
-                time_limit: Some(self.time_limit.min(Duration::from_secs(30))),
                 max_nodes: MAX_NODES,
                 ..Default::default()
             },

@@ -59,16 +59,11 @@ impl<'a> Instance<'a> {
     /// columns); the streams are drawn when an algorithm, the validator or
     /// the ε certificate first asks for them.
     ///
-    /// Preparation also **arms the deadline**: the relative
-    /// [`SpqOptions::time_limit`] is folded into [`SpqOptions::deadline`]
-    /// (keeping any cancellation token), and the armed deadline is merged
-    /// into the solver options — so every evaluation loop and every LP pivot
-    /// loop downstream observes the same absolute budget.
-    pub fn new(relation: &'a Relation, silp: Silp, options: SpqOptions) -> Result<Self> {
-        let mut options = options;
-        options.deadline = options.deadline.clone().tightened_by(options.time_limit);
-        options.solver.deadline = options.solver.deadline.clone().merged(&options.deadline);
-        let options = options;
+    /// Preparation hands the caller's [`SpqOptions::deadline`] to the solver
+    /// options, so every evaluation loop and every LP pivot loop downstream
+    /// observes the same deadline, and no other clock.
+    pub fn new(relation: &'a Relation, silp: Silp, mut options: SpqOptions) -> Result<Self> {
+        options.solver.deadline = options.deadline.clone();
         let opt_gen = ScenarioGenerator::new(options.seed);
         let val_gen = ScenarioGenerator::validation(options.seed);
 
@@ -694,7 +689,7 @@ mod tests {
         .unwrap();
         inst.fix_multiplicity(0, 2.0);
         let f = crate::saa::formulate_unconstrained(&inst, 5).unwrap();
-        let res = solve_full(&f.model, &SolverOptions::with_time_limit_secs(10)).unwrap();
+        let res = solve_full(&f.model, &SolverOptions::default()).unwrap();
         let x = f.multiplicities(&res.solution.unwrap());
         assert_eq!(x[0], 2.0, "pinned variable must keep its value: {x:?}");
         // Budget 300 - 2*100 leaves room for two of tuple 2 (price 50).

@@ -29,9 +29,9 @@ pub fn evaluate_naive(instance: &Instance<'_>) -> Result<EvaluationResult> {
     let mut basis: Option<spq_solver::Basis> = opts.solver.warm_start.clone();
 
     loop {
-        // The armed deadline covers both the configured time limit and any
-        // cancellation token; the solver polls the same deadline inside its
-        // pivot loops, so an expiry mid-LP surfaces promptly here too.
+        // The caller's deadline (timeout and cancellation); the solver polls
+        // the same deadline inside its pivot loops, so an expiry mid-LP
+        // surfaces promptly here too.
         if opts.deadline.expired() {
             break;
         }

@@ -4,7 +4,6 @@ use crate::validation::{EarlyStop, ValidationOptions};
 use spq_mcdb::ScenarioCache;
 use spq_solver::{Deadline, SolverOptions};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Tunables of the SketchRefine algorithm (implemented by the `spq-sketch`
 /// crate and dispatched through [`crate::Algorithm::SketchRefine`]).
@@ -12,7 +11,7 @@ use std::time::Duration;
 /// SketchRefine groups tuples with similar attribute distributions into
 /// partitions, solves a *sketch* query over one representative per partition,
 /// and then *refines* the chosen partitions one at a time. These knobs
-/// control the partitioning granularity and the per-phase budgets.
+/// control the partitioning granularity and the refine scenario budget.
 #[derive(Debug, Clone)]
 pub struct SketchOptions {
     /// Maximum number of tuples per partition. `0` picks `⌈√N⌉`
@@ -101,17 +100,13 @@ pub struct SpqOptions {
     pub epsilon: f64,
     /// Options handed to the MILP solver for each (reduced) DILP.
     pub solver: SolverOptions,
-    /// Total wall-clock budget for one query evaluation, relative to
-    /// instance preparation. [`crate::Instance::new`] folds it into
-    /// [`Self::deadline`], which every evaluation loop **and** the solver's
-    /// pivot loops poll — so an expiring budget interrupts a running LP
-    /// rather than waiting for it to finish.
-    pub time_limit: Option<Duration>,
-    /// Absolute deadline and/or cooperative cancellation shared across the
-    /// whole evaluation. Defaults to unlimited; services arm it per request
-    /// (e.g. `Deadline::none().with_token(token)`) to cancel a solve
-    /// mid-flight. [`Self::time_limit`] is merged in at instance
-    /// preparation, so callers usually set only one of the two.
+    /// The caller's absolute deadline and/or cooperative cancellation, the
+    /// only clock an evaluation reads. [`crate::Instance::new`] hands it to
+    /// the solver unchanged, so every evaluation loop **and** the solver's
+    /// pivot loops poll the same instant: an expiring deadline interrupts a
+    /// running LP rather than waiting for it to finish. Defaults to
+    /// unlimited; services arm it per request from `timeout_ms` and a
+    /// cancellation token, the paper driver from `--time-limit`.
     pub deadline: Deadline,
     /// Shared cache of realized optimization-scenario blocks. When set,
     /// [`crate::Instance::optimization_matrix`] memoizes its matrices here,
@@ -153,7 +148,6 @@ impl Default for SpqOptions {
             initial_summaries: 1,
             epsilon: f64::INFINITY,
             solver: SolverOptions::default(),
-            time_limit: Some(Duration::from_secs(600)),
             deadline: Deadline::none(),
             scenario_cache: None,
             fallback_multiplicity_bound: 100,
@@ -173,8 +167,6 @@ impl SpqOptions {
             max_scenarios: 100,
             validation_scenarios: 1000,
             expectation_scenarios: 300,
-            solver: SolverOptions::with_time_limit_secs(20),
-            time_limit: Some(Duration::from_secs(60)),
             ..Default::default()
         }
     }

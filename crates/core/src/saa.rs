@@ -370,7 +370,7 @@ mod tests {
         let rel = relation();
         let inst = Instance::new(&rel, base_silp(), SpqOptions::for_tests()).unwrap();
         let f = formulate_saa(&inst, 15).unwrap();
-        let res = solve_full(&f.model, &SolverOptions::with_time_limit_secs(30)).unwrap();
+        let res = solve_full(&f.model, &SolverOptions::default()).unwrap();
         assert!(res.status.has_solution(), "status {:?}", res.status);
         let sol = res.solution.unwrap();
         let x = f.multiplicities(&sol);
@@ -414,7 +414,7 @@ mod tests {
         let inst = Instance::new(&rel, silp, SpqOptions::for_tests()).unwrap();
         let f = formulate_saa(&inst, 8).unwrap();
         assert_eq!(f.objective_indicators.len(), 8);
-        let res = solve_full(&f.model, &SolverOptions::with_time_limit_secs(30)).unwrap();
+        let res = solve_full(&f.model, &SolverOptions::default()).unwrap();
         assert!(res.status.has_solution());
         let sol = res.solution.unwrap();
         // The objective is a fraction of satisfied scenarios, hence in [0, 1].

@@ -79,8 +79,8 @@ pub fn evaluate_summary_search(instance: &Instance<'_>) -> Result<EvaluationResu
     let mut best: Option<Package> = None;
 
     loop {
-        // Armed by Instance::new from `time_limit` plus any cancellation
-        // token; also polled inside every LP pivot loop downstream.
+        // The caller's deadline (timeout and cancellation), handed to the
+        // solver by Instance::new and polled inside every LP pivot loop too.
         if opts.deadline.expired() {
             break;
         }

@@ -446,7 +446,6 @@ fn hoeffding_early_stop_decides_far_from_p_constraints_in_the_first_stages() {
 fn expired_deadlines_interrupt_the_block_loop() {
     let rel = relation();
     let mut opts = SpqOptions::for_tests();
-    opts.time_limit = None;
     opts.deadline = Deadline::within(std::time::Duration::ZERO);
     let inst = Instance::new(&rel, silp_with_constraint(Sense::Ge, 0.0, 0.9), opts).unwrap();
     let report = validate(&inst, &[1.0, 0.0, 0.0], 5000).unwrap();
@@ -461,7 +460,6 @@ fn expired_deadlines_interrupt_the_block_loop() {
     let token = spq_solver::CancellationToken::new();
     token.cancel();
     let mut opts = SpqOptions::for_tests();
-    opts.time_limit = None;
     opts.deadline = Deadline::none().with_token(token);
     let inst = Instance::new(&rel, silp_with_constraint(Sense::Ge, 0.0, 0.9), opts).unwrap();
     let report = validate(&inst, &[1.0, 0.0, 0.0], 5000).unwrap();
@@ -474,7 +472,6 @@ fn certificate_validation_is_deadline_exempt_but_cancellable() {
     // Wall-clock budget already spent: the certificate pass still runs to
     // completion.
     let mut opts = SpqOptions::for_tests();
-    opts.time_limit = None;
     opts.deadline = Deadline::within(std::time::Duration::ZERO);
     let inst = Instance::new(&rel, silp_with_constraint(Sense::Ge, 0.0, 0.9), opts).unwrap();
     let report = validate_with(
@@ -491,7 +488,6 @@ fn certificate_validation_is_deadline_exempt_but_cancellable() {
     let token = spq_solver::CancellationToken::new();
     token.cancel();
     let mut opts = SpqOptions::for_tests();
-    opts.time_limit = None;
     opts.deadline = Deadline::none().with_token(token);
     let inst = Instance::new(&rel, silp_with_constraint(Sense::Ge, 0.0, 0.9), opts).unwrap();
     let report = validate_with(

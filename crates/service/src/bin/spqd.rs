@@ -121,14 +121,11 @@ fn main() {
         }
     }
 
-    let mut base_options = SpqOptions {
+    let base_options = SpqOptions {
         seed,
         validation_scenarios: validation,
         ..SpqOptions::default()
     };
-    // Budgets come from per-request deadlines; the base time limit would
-    // only add a second, redundant clock.
-    base_options.time_limit = None;
 
     if let Some(dir) = &scenario_store_dir {
         eprintln!("spqd: persistent scenario store at {}", dir.display());

@@ -221,18 +221,28 @@ impl SpqService {
         let timeout = timeout_ms
             .map(Duration::from_millis)
             .or(self.config.default_timeout);
-        Deadline::none()
-            .tightened_by(timeout)
+        timeout
+            .map_or_else(Deadline::none, Deadline::within)
             .with_token(token.clone())
     }
 
-    /// The options a request evaluates under: base options with the
-    /// request's overrides, the armed deadline, and the shared caches.
-    fn options_for(&self, request: &QueryRequest, deadline: Deadline) -> SpqOptions {
+    /// The options any request evaluates under: base options with the
+    /// request's seed, the deadline armed at admission, and the shared
+    /// scenario cache.
+    fn request_options(&self, seed: Option<u64>, deadline: Deadline) -> SpqOptions {
         let mut options = self.config.base_options.clone();
-        if let Some(seed) = request.seed {
+        if let Some(seed) = seed {
             options.seed = seed;
         }
+        options.deadline = deadline;
+        options.scenario_cache = Some(self.scenarios.clone());
+        options
+    }
+
+    /// The options a query request evaluates under: [`Self::request_options`]
+    /// plus the query's scenario overrides.
+    fn options_for(&self, request: &QueryRequest, deadline: Deadline) -> SpqOptions {
+        let mut options = self.request_options(request.seed, deadline);
         if let Some(m) = request.initial_scenarios {
             options.initial_scenarios = m.max(1);
         }
@@ -242,11 +252,6 @@ impl SpqService {
         if let Some(v) = request.validation_scenarios {
             options.validation_scenarios = v.max(1);
         }
-        // The deadline is already absolute (armed at admission): clear the
-        // relative limit so Instance::new does not tighten it further.
-        options.time_limit = None;
-        options.deadline = deadline;
-        options.scenario_cache = Some(self.scenarios.clone());
         options
     }
 
@@ -473,13 +478,7 @@ impl SpqService {
             return failure(QueryStatus::Timeout, "deadline expired while queued".into());
         }
 
-        let mut options = self.config.base_options.clone();
-        if let Some(seed) = request.seed {
-            options.seed = seed;
-        }
-        options.time_limit = None;
-        options.deadline = deadline.clone();
-        options.scenario_cache = Some(self.scenarios.clone());
+        let mut options = self.request_options(request.seed, deadline.clone());
         match request.threads {
             // Client-supplied: clamp to the machine's parallelism so one
             // request cannot spawn an unbounded number of OS threads

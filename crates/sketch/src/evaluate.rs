@@ -22,43 +22,20 @@
 //! Every intermediate package is validated against the out-of-sample stream,
 //! and the best validated package wins, so SketchRefine inherits the same
 //! feasibility guarantees as SummarySearch while each MILP it solves is
-//! `O(√N)` rather than `O(N)` variables wide.
+//! `O(√N)` rather than `O(N)` variables wide. The sketch and refine
+//! sub-instances clone the evaluation's options, so every phase polls the
+//! caller's deadline and no clock of its own.
 
 use crate::hierarchy::{partition_hierarchical, BlockFeatures, Partitioning};
 use spq_core::package::{EvaluationResult, EvaluationStats, Package};
 use spq_core::summary_search::evaluate_summary_search;
 use spq_core::validation::{validate_with, ValidationReport};
-use spq_core::{Instance, Result, SpqOptions};
+use spq_core::{Instance, Result};
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Sparse candidate selection: candidate position → multiplicity.
 type Selection = HashMap<usize, f64>;
-
-/// Per-MILP solver time cap inside the sketch and refine phases (tightens
-/// `SolverOptions::time_limit`). The branch-and-bound solver returns its
-/// best incumbent at the limit, so this trades proof of optimality for
-/// bounded latency.
-const PHASE_SOLVER_TIME_LIMIT: Duration = Duration::from_secs(10);
-
-/// A copy of `opts` whose time limit is the budget still remaining on the
-/// armed deadline, with the per-phase MILP solver cap applied (the solver
-/// hands back its incumbent at the limit, so phases stay bounded without
-/// losing feasibility). The deadline itself — including any cancellation
-/// token — is carried along in the clone, so sub-instances re-arm to the
-/// same absolute instant.
-fn remaining_budget(opts: &SpqOptions) -> SpqOptions {
-    let mut scoped = opts.clone();
-    scoped.time_limit = opts
-        .deadline
-        .remaining()
-        .map(|left| left.max(Duration::from_millis(1)));
-    scoped.solver.time_limit = Some(match scoped.solver.time_limit {
-        Some(existing) => existing.min(PHASE_SOLVER_TIME_LIMIT),
-        None => PHASE_SOLVER_TIME_LIMIT,
-    });
-    scoped
-}
 
 /// Pick each partition's sketch representative.
 ///
@@ -155,7 +132,7 @@ pub fn evaluate_sketch_refine(instance: &Instance<'_>) -> Result<EvaluationResul
         .repeat_bound
         .map(f64::from)
         .unwrap_or_else(|| f64::from(opts.fallback_multiplicity_bound));
-    let mut sketch_opts = remaining_budget(opts);
+    let mut sketch_opts = opts.clone();
     // `cap_multiplicity_bounds` can only tighten, so the derived bounds must
     // start above every partition capacity: lift the fallback (the only
     // non-constraint component of the derivation) out of the way, then cap.
@@ -239,8 +216,8 @@ pub fn evaluate_sketch_refine(instance: &Instance<'_>) -> Result<EvaluationResul
 
     // ---------------------------------------------------------------- phase 3
     for pid in refine_order(&current, &parts) {
-        // Armed by `Instance::new` from the time limit plus any
-        // cancellation token, so this one check covers both.
+        // The caller's deadline: one check covers its timeout and its
+        // cancellation token.
         if opts.deadline.expired() {
             break;
         }
@@ -259,7 +236,7 @@ pub fn evaluate_sketch_refine(instance: &Instance<'_>) -> Result<EvaluationResul
             .chain(frozen.iter().map(|(pos, _)| pos))
             .map(|&pos| instance.silp.tuples[pos])
             .collect();
-        let mut sub_opts = remaining_budget(opts);
+        let mut sub_opts = opts.clone();
         sub_opts.max_scenarios = sub_opts.max_scenarios.min(
             opts.sketch
                 .refine_max_scenarios

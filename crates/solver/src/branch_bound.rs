@@ -61,16 +61,13 @@ const REL_GAP: f64 = 1e-6;
 /// Solver options.
 #[derive(Debug, Clone)]
 pub struct SolverOptions {
-    /// Wall-clock limit; when exceeded, the best incumbent found so far is
-    /// returned with [`SolveStatus::FeasibleLimit`]. `None` means no limit.
-    /// This is *relative* to each solve; an absolute cross-solve budget (and
-    /// cooperative cancellation) goes in [`Self::deadline`].
-    pub time_limit: Option<Duration>,
-    /// Absolute deadline and/or cancellation token shared across solves.
+    /// The caller's absolute deadline and/or cancellation token, the only
+    /// clock the solver reads; the search is otherwise bounded by counts
+    /// ([`Self::max_nodes`], the pivot limits) and [`Self::max_solver_bytes`].
     /// Checked between branch-and-bound nodes *and* inside the simplex pivot
-    /// loops, so an expired budget interrupts a node's LP mid-solve instead
-    /// of letting it finish; the best incumbent found so far is returned.
-    /// Default: unlimited.
+    /// loops, so an expired deadline interrupts a node's LP mid-solve instead
+    /// of letting it finish; the best incumbent found so far is returned with
+    /// [`SolveStatus::FeasibleLimit`]. Default: unlimited.
     pub deadline: Deadline,
     /// Maximum number of branch-and-bound nodes to process.
     pub max_nodes: usize,
@@ -123,23 +120,12 @@ fn default_max_solver_bytes() -> u64 {
 impl Default for SolverOptions {
     fn default() -> Self {
         SolverOptions {
-            time_limit: Some(Duration::from_secs(120)),
             deadline: Deadline::none(),
             max_nodes: 200_000,
             big_m_cap: 1e7,
             warm_start: None,
             bland_after: None,
             max_solver_bytes: Some(default_max_solver_bytes()),
-        }
-    }
-}
-
-impl SolverOptions {
-    /// Convenience constructor with a time limit in seconds.
-    pub fn with_time_limit_secs(secs: u64) -> Self {
-        SolverOptions {
-            time_limit: Some(Duration::from_secs(secs)),
-            ..Default::default()
         }
     }
 }
@@ -853,13 +839,6 @@ impl BranchBoundSolver {
     pub fn solve(&self, model: &Model) -> Result<MilpResult> {
         model.validate()?;
         let start = Instant::now();
-        // Fold the relative per-solve limit into the shared absolute
-        // deadline; the node loop and both pivot loops poll this one value.
-        let stop = self
-            .options
-            .deadline
-            .clone()
-            .tightened_by(self.options.time_limit);
         let sign = objective_sign(model);
 
         // Base LP (minimization form).
@@ -912,8 +891,7 @@ impl BranchBoundSolver {
         // One set of node buffers for the whole search, whatever the core.
         let mut work = SearchWork::default();
         while !open.is_empty() {
-            let Some(map) = self.search_core(model, &core, &mut open, &stop, &mut work, &mut st)?
-            else {
+            let Some(map) = self.search_core(model, &core, &mut open, &mut work, &mut st)? else {
                 break;
             };
             CORE_RESTARTS.inc();
@@ -971,7 +949,6 @@ impl BranchBoundSolver {
         model: &Model,
         core: &Core,
         open: &mut Open,
-        stop: &Deadline,
         work: &mut SearchWork,
         st: &mut SearchState,
     ) -> Result<Option<CoreMap>> {
@@ -997,13 +974,13 @@ impl BranchBoundSolver {
             open_budget = cap - bytes;
         }
         let rules = PivotRules::for_size(lp.m, lp.n_struct + lp.m, self.options.bland_after)
-            .with_deadline(stop.clone());
+            .with_deadline(self.options.deadline.clone());
         let cx = SearchCtx {
             model,
             core,
             lp: &lp,
             rules: &rules,
-            stop,
+            stop: &self.options.deadline,
             open_budget,
             sign: objective_sign(model),
         };
@@ -1661,15 +1638,15 @@ mod tests {
         assert_eq!(res.status, SolveStatus::FeasibleLimit);
         check(&res);
 
-        // Time limits and cancellation, wherever they land in the search.
+        // Deadlines and cancellation, wherever they land in the search.
         for micros in [0, 200, 1_000, 5_000, 20_000] {
             let timed = SolverOptions {
-                time_limit: Some(Duration::from_micros(micros)),
+                deadline: Deadline::within(Duration::from_micros(micros)),
                 ..opts()
             };
             let res = solve_full(&model, &timed).unwrap();
             if res.status != SolveStatus::Optimal {
-                assert!(res.nodes < full.nodes, "time limit {micros} us ignored");
+                assert!(res.nodes < full.nodes, "deadline {micros} us ignored");
             }
             check(&res);
 
@@ -2268,8 +2245,6 @@ mod tests {
         assert!(SolveStatus::FeasibleLimit.has_solution());
         assert!(!SolveStatus::Infeasible.has_solution());
         assert!(!SolveStatus::NoSolutionLimit.has_solution());
-        let o = SolverOptions::with_time_limit_secs(3);
-        assert_eq!(o.time_limit, Some(Duration::from_secs(3)));
     }
 
     /// A model big enough that its root relaxation takes many pivots.
@@ -2323,12 +2298,10 @@ mod tests {
     #[test]
     fn cancelling_mid_solve_returns_promptly() {
         // Cancel from another thread shortly after the solve starts; the
-        // pivot-loop checkpoint must notice it long before the (absent)
-        // time limit would.
+        // pivot-loop checkpoint must notice it, not the end of the solve.
         let token = crate::CancellationToken::new();
         let options = SolverOptions {
             deadline: Deadline::none().with_token(token.clone()),
-            time_limit: Some(Duration::from_secs(600)),
             ..opts()
         };
         let canceller = std::thread::spawn(move || {

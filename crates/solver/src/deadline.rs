@@ -1,19 +1,16 @@
 //! Deadlines and cooperative cancellation.
 //!
-//! Every layer of the evaluation pipeline used to carry its own ad-hoc time
-//! cap (`SpqOptions::time_limit`, `SolverOptions::time_limit`, SketchRefine's
-//! per-phase budgets), each checked only *between* expensive steps — so a
-//! Naïve solve whose budget expired mid-LP would still run the LP to
-//! completion before noticing. [`Deadline`] unifies them: one cheaply
-//! cloneable value combining an absolute wall-clock instant with an optional
-//! shared [`CancellationToken`], checked from the outer optimize/validate
-//! loops all the way down to the simplex pivot loop.
+//! A [`Deadline`] is the caller's clock: an absolute wall-clock instant plus
+//! an optional shared [`CancellationToken`], cheap to clone. It is the only
+//! time limit the engine reads. Every other limit is a count (nodes, pivots,
+//! scenarios) or a byte cap, so for a fixed seed a search that finishes
+//! before its deadline depends only on the query and the data.
 //!
-//! A `Deadline` is *absolute*: it is armed once (typically when a query
-//! starts) and every component derived from it — branch-and-bound nodes, LP
-//! relaxations, refine sub-solves — observes the same instant. Relative
-//! per-solve limits (e.g. [`crate::SolverOptions::time_limit`]) are folded in
-//! with [`Deadline::tightened_by`] at solve start.
+//! A deadline is armed once, at the edge: from a request's `timeout_ms` and
+//! cancellation, or from the paper driver's `--time-limit`. Every component
+//! below it (SummarySearch and SketchRefine iterations, branch-and-bound
+//! nodes, refine sub-solves, the simplex pivot loops, the validator) polls
+//! the same value and observes the same instant.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -68,44 +65,10 @@ impl Deadline {
         }
     }
 
-    /// Expire at an absolute instant.
-    pub fn at(instant: Instant) -> Self {
-        Deadline {
-            at: Some(instant),
-            cancel: None,
-        }
-    }
-
     /// Attach a cancellation token (replacing any previous one), returning
     /// `self` for chaining.
     pub fn with_token(mut self, token: CancellationToken) -> Self {
         self.cancel = Some(token);
-        self
-    }
-
-    /// The earlier of this deadline and `now + limit`. `None` leaves the
-    /// deadline unchanged, so relative limits fold in unconditionally.
-    pub fn tightened_by(mut self, limit: Option<Duration>) -> Self {
-        if let Some(limit) = limit {
-            let candidate = Instant::now().checked_add(limit);
-            self.at = match (self.at, candidate) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-        }
-        self
-    }
-
-    /// Combine with another deadline: the earlier instant wins and a
-    /// cancellation token is inherited from `self` first, `other` second.
-    pub fn merged(mut self, other: &Deadline) -> Self {
-        self.at = match (self.at, other.at) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        if self.cancel.is_none() {
-            self.cancel = other.cancel.clone();
-        }
         self
     }
 
@@ -132,21 +95,6 @@ impl Deadline {
             None => false,
         }
     }
-
-    /// Time left before the instant passes: `None` when unlimited,
-    /// `Some(ZERO)` when already expired or cancelled.
-    pub fn remaining(&self) -> Option<Duration> {
-        if self.is_cancelled() {
-            return Some(Duration::ZERO);
-        }
-        self.at
-            .map(|at| at.saturating_duration_since(Instant::now()))
-    }
-
-    /// The absolute expiry instant, if one is set.
-    pub fn instant(&self) -> Option<Instant> {
-        self.at
-    }
 }
 
 #[cfg(test)]
@@ -159,24 +107,18 @@ mod tests {
         assert!(d.is_unlimited());
         assert!(!d.expired());
         assert!(!d.is_cancelled());
-        assert_eq!(d.remaining(), None);
-        assert_eq!(d.instant(), None);
     }
 
     #[test]
     fn within_expires_after_the_limit() {
         let d = Deadline::within(Duration::from_millis(5));
         assert!(!d.is_unlimited());
-        assert!(d.remaining().unwrap() <= Duration::from_millis(5));
         std::thread::sleep(Duration::from_millis(10));
         assert!(d.expired());
-        assert_eq!(d.remaining(), Some(Duration::ZERO));
     }
 
     #[test]
     fn already_past_instants_are_expired() {
-        let d = Deadline::at(Instant::now() - Duration::from_secs(1));
-        assert!(d.expired());
         assert!(Deadline::within(Duration::ZERO).expired());
     }
 
@@ -189,39 +131,8 @@ mod tests {
         token.cancel();
         assert!(d.is_cancelled() && d2.is_cancelled());
         assert!(d.expired() && d2.expired());
-        assert_eq!(d.remaining(), Some(Duration::ZERO));
         // Idempotent.
         token.cancel();
         assert!(token.is_cancelled());
-    }
-
-    #[test]
-    fn tightening_takes_the_minimum() {
-        let loose = Deadline::within(Duration::from_secs(3600));
-        let tight = loose.clone().tightened_by(Some(Duration::from_millis(1)));
-        assert!(tight.instant().unwrap() < loose.instant().unwrap());
-        // None leaves the instant alone.
-        let same = loose.clone().tightened_by(None);
-        assert_eq!(same.instant(), loose.instant());
-        // Tightening an unlimited deadline installs the limit.
-        let fresh = Deadline::none().tightened_by(Some(Duration::from_secs(1)));
-        assert!(fresh.instant().is_some());
-    }
-
-    #[test]
-    fn merging_keeps_the_earlier_instant_and_a_token() {
-        let token = CancellationToken::new();
-        let a = Deadline::within(Duration::from_secs(10));
-        let b = Deadline::within(Duration::from_secs(1)).with_token(token.clone());
-        let merged = a.merged(&b);
-        assert_eq!(merged.instant(), b.instant());
-        token.cancel();
-        assert!(merged.expired());
-        // A token already present on self is kept.
-        let own = CancellationToken::new();
-        let c = Deadline::none().with_token(own.clone()).merged(&b);
-        assert!(!c.is_cancelled(), "b's cancelled token must not leak in");
-        own.cancel();
-        assert!(c.is_cancelled());
     }
 }

@@ -17,10 +17,11 @@
 //!   linearization of indicator constraints, most-fractional branching, a
 //!   rounding incumbent heuristic, warm-started child nodes (each child
 //!   re-solves from its parent's basis), a search that moves onto the LP's
-//!   live core as reduced-cost fixing pins columns, and node/time limits
-//!   that return the best incumbent found (mirroring the paper's use of a
-//!   solver wall-clock limit: "when the time limit expires, we interrupt
-//!   CPLEX and get the best solution found by the solver until then").
+//!   live core as reduced-cost fixing pins columns, and a node limit plus
+//!   the caller's deadline that return the best incumbent found (mirroring
+//!   the paper's use of a solver wall-clock limit: "when the time limit
+//!   expires, we interrupt CPLEX and get the best solution found by the
+//!   solver until then"; here a node count stands in for it).
 //!
 //! ```
 //! use spq_solver::{Model, Sense, VarType, SolverOptions};

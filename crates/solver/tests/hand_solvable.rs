@@ -6,7 +6,7 @@
 use spq_solver::{solve, solve_full, Model, Sense, SolveStatus, SolverOptions, VarType};
 
 fn opts() -> SolverOptions {
-    SolverOptions::with_time_limit_secs(10)
+    SolverOptions::default()
 }
 
 fn assert_close(a: f64, b: f64) {

@@ -127,13 +127,6 @@ fn enumerate(model: &Model) -> Option<f64> {
     }
 }
 
-fn milp_options() -> SolverOptions {
-    SolverOptions {
-        time_limit: Some(std::time::Duration::from_secs(30)),
-        ..Default::default()
-    }
-}
-
 /// Branch-and-bound reaches the enumerated optimum.
 fn assert_matches_enumeration(model: &Model, options: &SolverOptions, context: &str) {
     let res = solve_full(model, options).unwrap_or_else(|e| panic!("{context}: {e}"));
@@ -222,7 +215,7 @@ proptest! {
             Sense::Le,
             cap,
         );
-        assert_matches_enumeration(&model, &milp_options(), "random knapsack MILP");
+        assert_matches_enumeration(&model, &SolverOptions::default(), "random knapsack MILP");
     }
 }
 
@@ -337,7 +330,7 @@ fn known_degenerate_lp_terminates_under_explicit_bland_switch() {
     model.add_constraint("e", vec![(x, 2.0), (y, 1.0)], Sense::Le, 3.0);
     let options = SolverOptions {
         bland_after: Some(0),
-        ..milp_options()
+        ..Default::default()
     };
     // The optimal vertex is integral, so the integer box holds it.
     assert_matches_enumeration(&model, &options, "degenerate LP, Bland from the start");
@@ -374,7 +367,7 @@ fn warm_start_cross_check_on_escalating_model() {
         );
         let options = SolverOptions {
             warm_start: warm.take(),
-            ..milp_options()
+            ..Default::default()
         };
         assert_matches_enumeration(&model, &options, &format!("step {step}"));
         warm = solve_full(&model, &options).expect("solve").basis;

@@ -24,7 +24,12 @@ fn main() {
         max_scenarios: 150,
         validation_scenarios: 5_000,
         seed: 5,
-        solver: stochastic_package_queries::solver::SolverOptions::with_time_limit_secs(10),
+        // Cap each MILP solve's node count so the Naive baseline returns its
+        // incumbent instead of searching the full default node budget.
+        solver: stochastic_package_queries::solver::SolverOptions {
+            max_nodes: 5_000,
+            ..Default::default()
+        },
         ..Default::default()
     };
 

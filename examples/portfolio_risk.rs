@@ -31,7 +31,6 @@ fn main() {
         validation_scenarios: 5_000,
         max_scenarios: 200,
         seed: 99,
-        solver: stochastic_package_queries::solver::SolverOptions::with_time_limit_secs(10),
         ..Default::default()
     };
     let engine = SpqEngine::new(options);

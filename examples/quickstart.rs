@@ -50,9 +50,12 @@ fn main() {
         initial_scenarios: 50,
         validation_scenarios: 20_000,
         seed: 2020,
-        // Cap each MILP solve so the Naive baseline interrupts and returns
-        // its incumbent instead of burning the full default budget.
-        solver: stochastic_package_queries::solver::SolverOptions::with_time_limit_secs(10),
+        // Cap each MILP solve's node count so the Naive baseline returns its
+        // incumbent instead of searching the full default node budget.
+        solver: stochastic_package_queries::solver::SolverOptions {
+            max_nodes: 10_000,
+            ..Default::default()
+        },
         ..Default::default()
     };
 

@@ -19,7 +19,6 @@ fn main() {
         validation_scenarios: 5_000,
         initial_summaries: 2, // the paper uses Z = 2 for TPC-H
         seed: 21,
-        solver: stochastic_package_queries::solver::SolverOptions::with_time_limit_secs(10),
         ..Default::default()
     };
     let engine = SpqEngine::new(options);

@@ -134,7 +134,7 @@ proptest! {
             Sense::Le,
             capacity,
         );
-        let result = solve_full(&model, &SolverOptions::with_time_limit_secs(10)).unwrap();
+        let result = solve_full(&model, &SolverOptions::default()).unwrap();
         prop_assert!(matches!(
             result.status,
             SolveStatus::Optimal | SolveStatus::FeasibleLimit

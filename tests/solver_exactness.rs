@@ -128,7 +128,7 @@ proptest! {
                 *cap,
             );
         }
-        let result = solve_full(&model, &SolverOptions::with_time_limit_secs(20)).unwrap();
+        let result = solve_full(&model, &SolverOptions::default()).unwrap();
         prop_assert_eq!(result.status, SolveStatus::Optimal);
         let solution = result.solution.unwrap();
         prop_assert!(model.is_feasible(&solution.values, 1e-6));
@@ -184,7 +184,7 @@ proptest! {
             Sense::Ge,
             required,
         );
-        let result = solve_full(&model, &SolverOptions::with_time_limit_secs(20)).unwrap();
+        let result = solve_full(&model, &SolverOptions::default()).unwrap();
         // The unconstrained maximum over the box is sum(2 * values).
         let unconstrained: f64 = values.iter().map(|v| 2.0 * v).sum();
         if let Some(solution) = result.solution {
@@ -271,7 +271,7 @@ fn core_reducing_search_matches_brute_force() {
             }
             let expected = brute_force_model(&model, &upper).expect("x = 0, y inactive is feasible");
 
-            let options = SolverOptions::with_time_limit_secs(20);
+            let options = SolverOptions::default();
             let result = solve_full(&model, &options).unwrap();
             prop_assert_eq!(result.status, SolveStatus::Optimal);
             let solution = result.solution.unwrap();

@@ -3,7 +3,6 @@
 //! the outcomes are checked against the specification (feasibility, objective
 //! direction, constraint satisfaction).
 
-use std::time::Duration;
 use stochastic_package_queries::prelude::*;
 use stochastic_package_queries::workloads::{self, spec, WorkloadKind};
 
@@ -15,7 +14,6 @@ fn options() -> SpqOptions {
     o.max_scenarios = 80;
     o.validation_scenarios = 1200;
     o.expectation_scenarios = 400;
-    o.time_limit = Some(Duration::from_secs(45));
     o
 }
 

@@ -15,7 +15,7 @@ new count in the same commit, so the ratchet only turns one way.
 import pathlib
 import sys
 
-CEILING = 92
+CEILING = 88
 
 
 def sites(path: pathlib.Path) -> int:

@@ -514,7 +514,10 @@ mod tests {
     fn the_first_certificate_realizes_the_value_bounds_and_later_ones_are_memo_hits() {
         let rel = noisy([10.0, 12.0, 9.0, 11.0]);
         let cache = std::sync::Arc::new(spq_mcdb::ScenarioCache::new());
-        let opts = SpqOptions::for_tests().with_scenario_cache(cache.clone());
+        let opts = SpqOptions {
+            scenario_cache: Some(cache.clone()),
+            ..SpqOptions::for_tests()
+        };
         let inst = linear_instance(&rel, Direction::Maximize, (0.0, 5.0), None, opts.clone());
         // Preparation realized nothing.
         assert_eq!((cache.hits(), cache.misses()), (0, 0));

@@ -24,7 +24,7 @@ use spq_spaql::{bind, parse};
 use std::sync::OnceLock;
 
 /// Which evaluation algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Algorithm 1: the SAA optimize/validate loop.
     Naive,
@@ -182,7 +182,10 @@ mod tests {
     #[test]
     fn end_to_end_with_both_algorithms() {
         let rel = relation();
-        let engine = SpqEngine::new(SpqOptions::for_tests().with_initial_scenarios(15));
+        let engine = SpqEngine::new(SpqOptions {
+            initial_scenarios: 15,
+            ..SpqOptions::for_tests()
+        });
         for algorithm in [Algorithm::Naive, Algorithm::SummarySearch] {
             let result = engine.evaluate(&rel, QUERY, algorithm).unwrap();
             assert!(result.feasible, "{algorithm} failed: {:?}", result.stats);

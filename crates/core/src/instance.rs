@@ -83,31 +83,7 @@ impl<'a> Instance<'a> {
             }
         }
 
-        // Collect referenced columns.
-        let mut det_cols: Vec<String> = Vec::new();
-        let mut stoch_cols: Vec<String> = Vec::new();
-        let mut record = |coeff: &CoeffSource| match coeff {
-            CoeffSource::Constant(_) => {}
-            CoeffSource::Deterministic(c) => {
-                if !det_cols.contains(c) {
-                    det_cols.push(c.clone());
-                }
-            }
-            CoeffSource::Stochastic(c) => {
-                if !stoch_cols.contains(c) {
-                    stoch_cols.push(c.clone());
-                }
-            }
-        };
-        for c in &silp.constraints {
-            record(&c.coeff);
-        }
-        match &silp.objective {
-            SilpObjective::Linear { coeff, .. } => record(coeff),
-            SilpObjective::Probability { attribute, .. } => {
-                record(&CoeffSource::Stochastic(attribute.clone()))
-            }
-        }
+        let (det_cols, stoch_cols) = silp.referenced_columns();
 
         // Deterministic coefficient vectors restricted to the candidates,
         // gathered through the storage tier so a sub-instance over a few
@@ -705,7 +681,10 @@ mod tests {
     fn optimization_matrices_are_shared_through_the_cache() {
         let rel = relation();
         let cache = Arc::new(spq_mcdb::ScenarioCache::new());
-        let opts = SpqOptions::for_tests().with_scenario_cache(cache.clone());
+        let opts = SpqOptions {
+            scenario_cache: Some(cache.clone()),
+            ..SpqOptions::for_tests()
+        };
         let a = Instance::new(&rel, silp(vec![count_le(3.0)]), opts.clone()).unwrap();
         let b = Instance::new(&rel, silp(vec![count_le(3.0)]), opts).unwrap();
         // Preparation realizes nothing: not even the objective-bounds block.
@@ -734,7 +713,10 @@ mod tests {
     fn validation_matrices_match_validation_rows_and_share_the_cache() {
         let rel = relation();
         let cache = Arc::new(spq_mcdb::ScenarioCache::new());
-        let opts = SpqOptions::for_tests().with_scenario_cache(cache.clone());
+        let opts = SpqOptions {
+            scenario_cache: Some(cache.clone()),
+            ..SpqOptions::for_tests()
+        };
         let inst = Instance::new(&rel, silp(vec![count_le(3.0)]), opts).unwrap();
         let matrix = inst.validation_matrix("gain", &[1, 3], 5..12).unwrap();
         assert_eq!(matrix.num_scenarios(), 7);
@@ -764,7 +746,10 @@ mod tests {
             .build()
             .unwrap();
         let cache = Arc::new(spq_mcdb::ScenarioCache::new());
-        let opts = SpqOptions::for_tests().with_scenario_cache(cache.clone());
+        let opts = SpqOptions {
+            scenario_cache: Some(cache.clone()),
+            ..SpqOptions::for_tests()
+        };
         let inst = Instance::new(&rel, silp(vec![count_le(3.0)]), opts).unwrap();
 
         assert!(inst.invariant_values.contains_key("gain"));

@@ -87,12 +87,6 @@ pub struct SpqOptions {
     /// automatically (honoring `SPQ_VALIDATION_THREADS`). Results are
     /// bit-identical for every value.
     pub validation_threads: usize,
-    /// Early-stop policy for validations *inside the search loops* (Naïve's
-    /// optimize/validate loop, CSA-Solve's α iterations). A package accepted
-    /// as the final answer is always confirmed against the full
-    /// [`Self::validation_scenarios`] budget, so this only affects how fast
-    /// intermediate candidates are rejected or accepted.
-    pub validation_early_stop: EarlyStop,
     /// Initial number of summaries (the paper's `Z`).
     pub initial_summaries: usize,
     /// User-specified approximation error bound `ε`. `f64::INFINITY` accepts
@@ -142,9 +136,6 @@ impl Default for SpqOptions {
             expectation_scenarios: 1000,
             validation_block: crate::validation::DEFAULT_BLOCK_SCENARIOS,
             validation_threads: 0,
-            validation_early_stop: EarlyStop::Hoeffding {
-                delta: crate::validation::DEFAULT_HOEFFDING_DELTA,
-            },
             initial_summaries: 1,
             epsilon: f64::INFINITY,
             solver: SolverOptions::default(),
@@ -171,33 +162,20 @@ impl SpqOptions {
         }
     }
 
-    /// Set the seed, returning `self` for chaining.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Set the initial scenario count, returning `self` for chaining.
-    pub fn with_initial_scenarios(mut self, m: usize) -> Self {
-        self.initial_scenarios = m;
-        self
-    }
-
-    /// Set the validation scenario count, returning `self` for chaining.
-    pub fn with_validation_scenarios(mut self, m_hat: usize) -> Self {
-        self.validation_scenarios = m_hat;
-        self
-    }
-
     /// The [`ValidationOptions`] the search loops use for *intermediate*
-    /// candidates: the full `M̂` budget with this configuration's adaptive
-    /// early-stop policy.
+    /// candidates (Naïve's optimize/validate loop, CSA-Solve's α
+    /// iterations): the full `M̂` budget with Hoeffding early stop. A
+    /// package accepted as the final answer is always confirmed against the
+    /// full budget, so early stop only affects how fast intermediate
+    /// candidates are rejected or accepted.
     pub fn search_validation(&self) -> ValidationOptions {
         ValidationOptions {
             m_hat: self.validation_scenarios,
             block_scenarios: self.validation_block,
             threads: self.validation_threads,
-            early_stop: self.validation_early_stop,
+            early_stop: EarlyStop::Hoeffding {
+                delta: crate::validation::DEFAULT_HOEFFDING_DELTA,
+            },
             honor_deadline: true,
         }
     }
@@ -220,25 +198,6 @@ impl SpqOptions {
     pub fn certificate_validation(&self) -> ValidationOptions {
         self.full_validation().with_honor_deadline(false)
     }
-
-    /// Replace the SketchRefine knobs, returning `self` for chaining.
-    pub fn with_sketch(mut self, sketch: SketchOptions) -> Self {
-        self.sketch = sketch;
-        self
-    }
-
-    /// Set the evaluation deadline (absolute instant and/or cancellation
-    /// token), returning `self` for chaining.
-    pub fn with_deadline(mut self, deadline: Deadline) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
-    /// Attach a shared scenario cache, returning `self` for chaining.
-    pub fn with_scenario_cache(mut self, cache: Arc<ScenarioCache>) -> Self {
-        self.scenario_cache = Some(cache);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -256,19 +215,11 @@ mod tests {
     }
 
     #[test]
-    fn builder_methods_chain() {
-        let o = SpqOptions::for_tests()
-            .with_seed(9)
-            .with_initial_scenarios(5)
-            .with_validation_scenarios(50);
-        assert_eq!(o.seed, 9);
-        assert_eq!(o.initial_scenarios, 5);
-        assert_eq!(o.validation_scenarios, 50);
-    }
-
-    #[test]
     fn validation_knobs_flow_into_validation_options() {
-        let o = SpqOptions::for_tests().with_validation_scenarios(5000);
+        let o = SpqOptions {
+            validation_scenarios: 5000,
+            ..SpqOptions::for_tests()
+        };
         let search = o.search_validation();
         assert_eq!(search.m_hat, 5000);
         assert_eq!(search.block_scenarios, o.validation_block);
@@ -276,11 +227,6 @@ mod tests {
         let full = o.full_validation();
         assert_eq!(full.early_stop, EarlyStop::Full);
         assert_eq!(full.m_hat, 5000);
-        let certain = SpqOptions {
-            validation_early_stop: EarlyStop::Certain,
-            ..o
-        };
-        assert_eq!(certain.search_validation().early_stop, EarlyStop::Certain);
     }
 
     #[test]
@@ -298,7 +244,5 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(fixed.effective_partition_size(10_000), 13);
-        let o = SpqOptions::for_tests().with_sketch(fixed);
-        assert_eq!(o.sketch.max_partition_size, 13);
     }
 }

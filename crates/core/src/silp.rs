@@ -186,27 +186,40 @@ impl Silp {
         self.tuples.len()
     }
 
+    /// The deterministic and the stochastic columns the SILP reads, each
+    /// deduplicated in declaration order: the constraints', then the
+    /// objective's.
+    pub fn referenced_columns(&self) -> (Vec<String>, Vec<String>) {
+        let mut det: Vec<String> = Vec::new();
+        let mut stoch: Vec<String> = Vec::new();
+        let objective = match &self.objective {
+            SilpObjective::Linear { coeff, .. } => coeff.clone(),
+            SilpObjective::Probability { attribute, .. } => {
+                CoeffSource::Stochastic(attribute.clone())
+            }
+        };
+        for coeff in self
+            .constraints
+            .iter()
+            .map(|c| &c.coeff)
+            .chain([&objective])
+        {
+            let (cols, c) = match coeff {
+                CoeffSource::Constant(_) => continue,
+                CoeffSource::Deterministic(c) => (&mut det, c),
+                CoeffSource::Stochastic(c) => (&mut stoch, c),
+            };
+            if !cols.contains(c) {
+                cols.push(c.clone());
+            }
+        }
+        (det, stoch)
+    }
+
     /// All stochastic columns referenced by the SILP (constraints and
     /// objective), deduplicated.
     pub fn stochastic_columns(&self) -> Vec<String> {
-        let mut cols: Vec<String> = Vec::new();
-        let mut push = |c: Option<&str>, stochastic: bool| {
-            if stochastic {
-                if let Some(c) = c {
-                    if !cols.iter().any(|existing| existing == c) {
-                        cols.push(c.to_string());
-                    }
-                }
-            }
-        };
-        for c in &self.constraints {
-            push(c.coeff.column(), c.coeff.is_stochastic());
-        }
-        match &self.objective {
-            SilpObjective::Linear { coeff, .. } => push(coeff.column(), coeff.is_stochastic()),
-            SilpObjective::Probability { attribute, .. } => push(Some(attribute), true),
-        }
-        cols
+        self.referenced_columns().1
     }
 }
 
@@ -260,6 +273,10 @@ mod tests {
     fn stochastic_columns_are_deduplicated() {
         let s = sample_silp();
         assert_eq!(s.stochastic_columns(), vec!["Gain".to_string()]);
+        assert_eq!(
+            s.referenced_columns(),
+            (vec!["price".to_string()], vec!["Gain".to_string()])
+        );
     }
 
     #[test]

@@ -175,7 +175,10 @@ fn overlapping_packages_draw_and_keep_each_tuple_once() {
     let mut silp = silp();
     // One column, so a tuple has one row per window.
     silp.constraints.truncate(1);
-    let options = SpqOptions::for_tests().with_scenario_cache(cache.clone());
+    let options = SpqOptions {
+        scenario_cache: Some(cache.clone()),
+        ..SpqOptions::for_tests()
+    };
     let instance = Instance::new(&rel, silp, options).unwrap();
     let m_hat = 3_000;
     let windows = 3; // 1024 + 1024 + 952

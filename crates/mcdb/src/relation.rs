@@ -8,6 +8,7 @@ use crate::value::Value;
 use crate::vg::VgFunction;
 use crate::Result;
 use std::collections::HashMap;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// A stochastic column: a name plus the VG function that realizes it.
@@ -47,16 +48,20 @@ struct RelationInner {
     stoch_columns: HashMap<String, StochasticColumn>,
     /// Shared chunk cache of the disk tier (None for all-memory relations).
     chunk_cache: Option<Arc<ChunkCache>>,
-    /// Delete this relation's chunk files when the last handle drops.
-    disk_cleanup: bool,
+    /// The chunk directory to clean when the last handle drops: its chunk
+    /// files are deleted, then the directory itself once it is empty (None
+    /// for all-memory relations and kept files).
+    cleanup_dir: Option<PathBuf>,
 }
 
 impl Drop for RelationInner {
     fn drop(&mut self) {
-        if self.disk_cleanup {
+        if let Some(dir) = &self.cleanup_dir {
             for col in self.det_columns.values() {
                 col.remove_files();
             }
+            // Fails, leaving it, while other files share the directory.
+            let _ = std::fs::remove_dir(dir);
         }
     }
 }
@@ -512,11 +517,11 @@ impl RelationBuilder {
                 check(&def.name, len)?;
             }
         }
-        let (chunk_cache, disk_cleanup) = match &self.storage {
-            StorageOptions::Memory => (None, false),
+        let (chunk_cache, cleanup_dir) = match &self.storage {
+            StorageOptions::Memory => (None, None),
             StorageOptions::Disk(opts) => (
                 Some(Arc::new(ChunkCache::new(opts.cache_bytes))),
-                opts.cleanup_on_drop,
+                opts.cleanup_on_drop.then(|| opts.dir.clone()),
             ),
         };
         let mut det_columns = HashMap::new();
@@ -544,7 +549,7 @@ impl RelationBuilder {
                 det_columns,
                 stoch_columns: self.stoch_columns,
                 chunk_cache,
-                disk_cleanup,
+                cleanup_dir,
             }),
         })
     }

@@ -316,28 +316,41 @@ pub struct Catalog {
     tenants: RwLock<HashMap<String, TenantState>>,
     quotas: TenantQuotas,
     /// Base directory for disk-backed relations; each load gets its own
-    /// subdirectory so a replacement never clobbers chunk files a live
-    /// handle still reads (the old relation deletes its files on last drop).
+    /// directory, `<storage_dir>/<dir_prefix><tenant>-<name>-<seq>`, so a
+    /// replacement never clobbers chunk files a live handle still reads.
+    /// The relation's last handle removes its files and its directory.
     storage_dir: PathBuf,
+    /// Name prefix of the per-load directories, unique to this catalog when
+    /// they share the system temp directory with other catalogs.
+    dir_prefix: String,
     load_seq: AtomicU64,
 }
 
 impl Catalog {
-    /// An empty catalog enforcing `quotas` on every tenant. Disk-backed
-    /// relations go under the system temp directory; see
+    /// An empty catalog enforcing `quotas` on every tenant. Each
+    /// disk-backed relation gets a directory of its own in the system temp
+    /// directory, named `spqd-relations-<pid>-<catalog>-…`; see
     /// [`Catalog::with_storage_dir`].
     pub fn new(quotas: TenantQuotas) -> Self {
-        let dir = std::env::temp_dir().join(format!("spqd-relations-{}", std::process::id()));
-        Self::with_storage_dir(quotas, dir)
+        static CATALOGS: AtomicU64 = AtomicU64::new(0);
+        let mut catalog = Self::with_storage_dir(quotas, std::env::temp_dir());
+        catalog.dir_prefix = format!(
+            "spqd-relations-{}-{}-",
+            std::process::id(),
+            CATALOGS.fetch_add(1, Ordering::Relaxed)
+        );
+        catalog
     }
 
-    /// An empty catalog placing disk-backed relations under `storage_dir`.
+    /// An empty catalog placing each disk-backed relation in a directory of
+    /// its own under `storage_dir`.
     pub fn with_storage_dir(quotas: TenantQuotas, storage_dir: impl Into<PathBuf>) -> Self {
         Catalog {
             shared: RwLock::new(HashMap::new()),
             tenants: RwLock::new(HashMap::new()),
             quotas,
             storage_dir: storage_dir.into(),
+            dir_prefix: String::new(),
             load_seq: AtomicU64::new(0),
         }
     }
@@ -356,8 +369,12 @@ impl Catalog {
                 .collect()
         };
         let seq = self.load_seq.fetch_add(1, Ordering::Relaxed);
-        self.storage_dir
-            .join(format!("{}-{}-{seq:06}", clean(tenant), clean(name)))
+        self.storage_dir.join(format!(
+            "{}{}-{}-{seq:06}",
+            self.dir_prefix,
+            clean(tenant),
+            clean(name)
+        ))
     }
 
     /// Register a relation in the shared namespace (startup workloads;
@@ -901,6 +918,61 @@ mod tests {
         catalog.unload("t", "p").unwrap();
         assert_eq!(walk_files(&dir), 0, "chunk files must be deleted");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn disk_relations_leave_no_directories_behind() {
+        // A given storage directory stays, emptied once the last handle to
+        // its relation drops.
+        let tmp = std::env::temp_dir().join(format!("spq-catalog-dirs-{}", std::process::id()));
+        let catalog = Catalog::with_storage_dir(TenantQuotas::default(), &tmp);
+        catalog
+            .load_with("t", "p", &small_source(200), RelationStorage::Disk)
+            .unwrap();
+        let relation = catalog.resolve("t", "p").unwrap();
+        catalog.unload("t", "p").unwrap();
+        let entries = || std::fs::read_dir(&tmp).unwrap().count();
+        assert_eq!(entries(), 1, "a live handle keeps its chunk directory");
+        drop(relation);
+        assert_eq!(entries(), 0, "the last handle removes its chunk directory");
+        drop(catalog);
+        assert!(
+            tmp.is_dir(),
+            "a given directory is not the catalog's to remove"
+        );
+        std::fs::remove_dir(&tmp).unwrap();
+
+        // Through `Catalog::new`, the relations' directories sit in the
+        // temp directory under a prefix of this catalog's own, and each
+        // goes with its relation's last handle, even one that outlives the
+        // catalog.
+        let catalog = Catalog::new(TenantQuotas::default());
+        let prefix = catalog.dir_prefix.clone();
+        let own = || {
+            std::fs::read_dir(std::env::temp_dir())
+                .unwrap()
+                .filter(|e| {
+                    e.as_ref()
+                        .unwrap()
+                        .file_name()
+                        .to_string_lossy()
+                        .starts_with(&prefix)
+                })
+                .count()
+        };
+        for name in ["a", "b"] {
+            catalog
+                .load_with("t", name, &small_source(200), RelationStorage::Disk)
+                .unwrap();
+        }
+        assert_eq!(own(), 2);
+        catalog.unload("t", "a").unwrap();
+        assert_eq!(own(), 1);
+        let relation = catalog.resolve("t", "b").unwrap();
+        drop(catalog);
+        assert_eq!(own(), 1, "a live handle keeps its chunk directory");
+        drop(relation);
+        assert_eq!(own(), 0);
     }
 
     fn walk_files(dir: &std::path::Path) -> usize {

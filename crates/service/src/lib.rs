@@ -70,9 +70,10 @@
 //!     max_scenarios: None,
 //!     validation_scenarios: Some(400),
 //! };
+//! // The request's deadline carries the token another thread may cancel.
 //! let token = spq_solver::CancellationToken::new();
-//! let deadline = service.deadline_for(&request, &token);
-//! let response = service.execute(&request, &token, deadline, Duration::ZERO);
+//! let deadline = service.deadline_with(request.timeout_ms, &token);
+//! let response = service.execute(&request, deadline, Duration::ZERO);
 //! assert_eq!(response.status, QueryStatus::Ok);
 //! assert!(response.feasible);
 //! ```

@@ -11,16 +11,22 @@
 //! machine this is the difference between tail latency growing linearly
 //! with client count and staying flat.
 //!
+//! The key is read off the [`SpqOptions`] the request evaluates under
+//! ([`ResultKey::new`]), so the key and the computation cannot disagree on
+//! what the request asked for.
+//!
 //! Only `status:"ok"` responses are cached. Cancelled, timed-out and error
-//! outcomes depend on *this request's* deadline and token, not just the key,
-//! so the computing slot is simply released and the next requester computes
-//! fresh. Waiters poll their own token and deadline while parked, so a
-//! cancelled client never hangs on somebody else's solve. The cache is a
-//! [`Memo`] of entry weight 1 with oldest-first eviction.
+//! outcomes depend on *this request's* [`Deadline`] (its instant and its
+//! cancellation token), not just the key, so the computing slot is simply
+//! released and the next requester computes fresh. Waiters poll their own
+//! deadline while parked, so a cancelled client never hangs on somebody
+//! else's solve. The cache is a [`Memo`] of entry weight 1 with oldest-first
+//! eviction.
 
 use crate::protocol::{QueryResponse, QueryStatus};
+use spq_core::{Algorithm, SpqOptions};
 use spq_mcdb::{Lookup, Memo, MemoStats};
-use spq_solver::{CancellationToken, Deadline};
+use spq_solver::Deadline;
 
 /// Everything a query's answer may depend on (besides the request id, which
 /// is re-stamped on each response). Fields are the *effective* values after
@@ -34,8 +40,8 @@ pub struct ResultKey {
     pub relation_uid: u64,
     /// sPaQL text, verbatim.
     pub query: String,
-    /// Algorithm name that will run.
-    pub algorithm: String,
+    /// Algorithm that will run.
+    pub algorithm: Algorithm,
     /// Effective base seed.
     pub seed: u64,
     /// Effective initial scenario count.
@@ -46,6 +52,22 @@ pub struct ResultKey {
     pub validation_scenarios: usize,
 }
 
+impl ResultKey {
+    /// The key of `query` over the relation `relation_uid`, run by
+    /// `algorithm` under the effective `options`.
+    pub fn new(relation_uid: u64, query: &str, algorithm: Algorithm, options: &SpqOptions) -> Self {
+        ResultKey {
+            relation_uid,
+            query: query.to_string(),
+            algorithm,
+            seed: options.seed,
+            initial_scenarios: options.initial_scenarios,
+            max_scenarios: options.max_scenarios,
+            validation_scenarios: options.validation_scenarios,
+        }
+    }
+}
+
 /// What [`ResultCache::get_or_compute`] resolved to.
 #[derive(Debug)]
 pub enum Resolved {
@@ -53,17 +75,11 @@ pub enum Resolved {
     Hit(Box<QueryResponse>),
     /// The caller's own computation, `ok` or not.
     Computed(Box<QueryResponse>),
-    /// The caller's own token fired while waiting on another computation.
+    /// The caller's own cancellation fired while waiting on another
+    /// computation.
     Cancelled,
     /// The caller's own deadline expired while waiting on another
     /// computation.
-    TimedOut,
-}
-
-/// Why a waiter stopped waiting.
-#[derive(Debug)]
-enum GaveUp {
-    Cancelled,
     TimedOut,
 }
 
@@ -85,21 +101,20 @@ impl ResultCache {
     }
 
     /// Resolve `key`: return the cached response, wait for an identical
-    /// in-flight computation (polling this request's `token` and `deadline`
-    /// while parked), or run `compute` — caching its response only when it
-    /// is `ok`.
+    /// in-flight computation (polling this request's `deadline` while
+    /// parked), or run `compute` — caching its response only when it is
+    /// `ok`.
     pub fn get_or_compute(
         &self,
         key: &ResultKey,
-        token: &CancellationToken,
         deadline: &Deadline,
         compute: impl FnOnce() -> QueryResponse,
     ) -> Resolved {
         let abandon = || {
-            if token.is_cancelled() {
-                Some(GaveUp::Cancelled)
+            if deadline.is_cancelled() {
+                Some(Resolved::Cancelled)
             } else if deadline.expired() {
-                Some(GaveUp::TimedOut)
+                Some(Resolved::TimedOut)
             } else {
                 None
             }
@@ -115,8 +130,7 @@ impl ResultCache {
         match self.responses.resolve(key, abandon, compute) {
             Lookup::Hit(response) => Resolved::Hit(response),
             Lookup::Computed(response) | Lookup::Failed(response) => Resolved::Computed(response),
-            Lookup::Abandoned(GaveUp::Cancelled) => Resolved::Cancelled,
-            Lookup::Abandoned(GaveUp::TimedOut) => Resolved::TimedOut,
+            Lookup::Abandoned(gave_up) => gave_up,
         }
     }
 
@@ -155,6 +169,7 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spq_solver::CancellationToken;
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -162,7 +177,7 @@ mod tests {
         ResultKey {
             relation_uid: tag,
             query: "SELECT PACKAGE(*) FROM t".into(),
-            algorithm: "SummarySearch".into(),
+            algorithm: Algorithm::SummarySearch,
             seed: 42,
             initial_scenarios: 100,
             max_scenarios: 1000,
@@ -192,9 +207,8 @@ mod tests {
         key: &ResultKey,
         compute: impl FnOnce() -> QueryResponse,
     ) -> Resolved {
-        let token = CancellationToken::new();
-        let deadline = Deadline::none().with_token(token.clone());
-        cache.get_or_compute(key, &token, &deadline, compute)
+        let deadline = Deadline::none().with_token(CancellationToken::new());
+        cache.get_or_compute(key, &deadline, compute)
     }
 
     fn never() -> QueryResponse {
@@ -292,17 +306,16 @@ mod tests {
         // A waiter whose token fires gives up promptly.
         let token = CancellationToken::new();
         token.cancel();
-        let deadline = Deadline::none().with_token(token.clone());
+        let deadline = Deadline::none().with_token(token);
         assert!(matches!(
-            cache.get_or_compute(&key(1), &token, &deadline, never),
+            cache.get_or_compute(&key(1), &deadline, never),
             Resolved::Cancelled
         ));
         // A waiter whose deadline expires gives up promptly.
-        let token = CancellationToken::new();
-        let deadline = Deadline::within(Duration::ZERO).with_token(token.clone());
+        let deadline = Deadline::within(Duration::ZERO).with_token(CancellationToken::new());
         let started = std::time::Instant::now();
         assert!(matches!(
-            cache.get_or_compute(&key(1), &token, &deadline, never),
+            cache.get_or_compute(&key(1), &deadline, never),
             Resolved::TimedOut
         ));
         assert!(started.elapsed() < Duration::from_secs(2));

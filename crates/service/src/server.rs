@@ -9,10 +9,11 @@
 //! * The reactor's [`Handler`] answers cheap admin ops (`ping`, `stats`,
 //!   `cancel`, `unload_relation`, `list_relations`) inline. Heavy ops
 //!   (`query`, `validate`, `load_relation`) are stamped with their admission
-//!   time and deadline, given a fresh [`CancellationToken`], and admitted to
-//!   the **job pool**. A full pool rejects the request immediately
-//!   (`status:"rejected"`) — admission control over buffering, so latency
-//!   stays bounded under overload.
+//!   time and one [`Deadline`], which carries a fresh [`CancellationToken`],
+//!   and admitted to the **job pool**. A full pool rejects the request
+//!   immediately (`status:"rejected"`) — admission control over buffering,
+//!   so latency stays bounded under overload — and so does a duplicate
+//!   in-flight id, through the same refusal path.
 //! * The pool is one mutex + condvar guarding per-tenant subqueues drained
 //!   in round-robin rotation: one tenant flooding the server cannot starve
 //!   another's queued work, and an idle worker wakes for any queued job.
@@ -23,11 +24,12 @@
 //!   same connection).
 //!
 //! Cancellation is per connection: `{"op":"cancel","id":"..."}` fires the
-//! token of that connection's in-flight query, which the solver observes at
-//! its next pivot-loop checkpoint. One client cannot cancel another's
-//! queries — and a client that *disconnects* has every in-flight query
-//! cancelled the moment the reactor notices the hangup, so abandoned work
-//! stops burning CPU.
+//! token of that connection's in-flight query (the connection's registry
+//! keeps each job's token), which the solver observes through the job's
+//! deadline at its next pivot-loop checkpoint. One client cannot cancel
+//! another's queries — and a client that *disconnects* has every in-flight
+//! query cancelled the moment the reactor notices the hangup, so abandoned
+//! work stops burning CPU.
 
 use crate::json::object_line;
 use crate::protocol::{
@@ -38,10 +40,11 @@ use crate::service::{hit_rate, SpqService};
 use spq_net::{CloseReason, ConnId, Handler, Reactor, ReactorConfig, ReactorHandle};
 use spq_obs::{Counter, Named};
 use spq_solver::{CancellationToken, Deadline};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Requests refused at admission (pool full or duplicate id).
@@ -160,11 +163,16 @@ struct ConnState {
     inflight: Mutex<HashMap<String, CancellationToken>>,
 }
 
+impl ConnState {
+    fn inflight(&self) -> MutexGuard<'_, HashMap<String, CancellationToken>> {
+        self.inflight.lock().expect("inflight registry poisoned")
+    }
+}
+
 struct Job {
     work: JobWork,
     conn: ConnId,
     state: Arc<ConnState>,
-    token: CancellationToken,
     deadline: Deadline,
     enqueued: Instant,
 }
@@ -317,57 +325,44 @@ impl ServerShared {
         let count_admit = !matches!(work, JobWork::Load(_));
         let token = CancellationToken::new();
         let deadline = self.service.deadline_with(work.timeout_ms(), &token);
-        {
-            // A duplicate in-flight id would clobber the first query's
-            // cancellation token (and the worker completing either one would
-            // deregister both): refuse it.
-            let mut inflight = state.inflight.lock().expect("inflight registry poisoned");
-            if inflight.contains_key(work.id()) {
-                drop(inflight);
+        // A duplicate in-flight id would clobber the first query's
+        // cancellation token (and the worker completing either one would
+        // deregister both): refuse it.
+        let duplicate = match state.inflight().entry(work.id().to_string()) {
+            Entry::Occupied(_) => true,
+            Entry::Vacant(slot) => {
+                slot.insert(token);
+                false
+            }
+        };
+        let refused = if duplicate {
+            Err((
+                work,
+                QueryStatus::Error,
+                "a query with this id is already in flight on this connection".to_string(),
+            ))
+        } else {
+            let job = Box::new(Job {
+                work,
+                conn,
+                state: state.clone(),
+                deadline,
+                enqueued: Instant::now(),
+            });
+            self.pool.push(job).map_err(|job| {
+                job.state.inflight().remove(job.work.id());
+                let message = format!("queue full ({} queued)", self.pool.len());
+                (job.work, QueryStatus::Rejected, message)
+            })
+        };
+        match refused {
+            Ok(()) if count_admit => self.service.catalog().record_admit(&tenant),
+            Ok(()) => {}
+            Err((work, status, message)) => {
                 REJECTS.inc();
                 self.pool.rejected.fetch_add(1, Ordering::Relaxed);
                 self.service.catalog().record_reject(&tenant);
-                reactor.send(
-                    conn,
-                    &work.failure_line(
-                        QueryStatus::Error,
-                        "a query with this id is already in flight on this connection".into(),
-                    ),
-                );
-                return;
-            }
-            inflight.insert(work.id().to_string(), token.clone());
-        }
-        let job = Box::new(Job {
-            work,
-            conn,
-            state: state.clone(),
-            token,
-            deadline,
-            enqueued: Instant::now(),
-        });
-        match self.pool.push(job) {
-            Ok(()) => {
-                if count_admit {
-                    self.service.catalog().record_admit(&tenant);
-                }
-            }
-            Err(job) => {
-                job.state
-                    .inflight
-                    .lock()
-                    .expect("inflight registry poisoned")
-                    .remove(job.work.id());
-                REJECTS.inc();
-                self.pool.rejected.fetch_add(1, Ordering::Relaxed);
-                self.service.catalog().record_reject(&tenant);
-                reactor.send(
-                    conn,
-                    &job.work.failure_line(
-                        QueryStatus::Rejected,
-                        format!("queue full ({} queued)", self.pool.len()),
-                    ),
-                );
+                reactor.send(conn, &work.failure_line(status, message));
             }
         }
     }
@@ -416,14 +411,7 @@ impl Handler for ConnHandler {
             Ok(Request::Cancel { id }) => {
                 let found = shared
                     .conn_state(conn)
-                    .and_then(|state| {
-                        state
-                            .inflight
-                            .lock()
-                            .expect("inflight registry poisoned")
-                            .get(&id)
-                            .map(|token| token.cancel())
-                    })
+                    .and_then(|state| state.inflight().get(&id).map(|token| token.cancel()))
                     .is_some();
                 let line = object_line(|w| {
                     w.field("op", "cancel_ack")
@@ -499,12 +487,7 @@ impl Handler for ConnHandler {
             .expect("conn table poisoned")
             .remove(&conn);
         if let Some(state) = state {
-            for token in state
-                .inflight
-                .lock()
-                .expect("inflight registry poisoned")
-                .values()
-            {
+            for token in state.inflight().values() {
                 token.cancel();
             }
         }
@@ -516,24 +499,14 @@ fn worker_loop(pool: &Pool, service: &SpqService, reactor: &ReactorHandle) {
         pool.in_flight.fetch_add(1, Ordering::Relaxed);
         let line = match &job.work {
             JobWork::Query(request) => service
-                .execute_cached(
-                    request,
-                    &job.token,
-                    job.deadline.clone(),
-                    job.enqueued.elapsed(),
-                )
+                .execute_cached(request, job.deadline.clone(), job.enqueued.elapsed())
                 .to_line(),
             JobWork::Validate(request) => service
-                .execute_validate(
-                    request,
-                    &job.token,
-                    job.deadline.clone(),
-                    job.enqueued.elapsed(),
-                )
+                .execute_validate(request, job.deadline.clone(), job.enqueued.elapsed())
                 .to_line(),
             JobWork::Load(request) => {
                 let tenant = job.work.tenant();
-                let line = if job.token.is_cancelled() {
+                let line = if job.deadline.is_cancelled() {
                     load_ack_error(&request.id, "cancelled while queued")
                 } else {
                     match service.catalog().load_with(
@@ -564,11 +537,7 @@ fn worker_loop(pool: &Pool, service: &SpqService, reactor: &ReactorHandle) {
             }
         };
         pool.in_flight.fetch_sub(1, Ordering::Relaxed);
-        job.state
-            .inflight
-            .lock()
-            .expect("inflight registry poisoned")
-            .remove(job.work.id());
+        job.state.inflight().remove(job.work.id());
         // A vanished client is not an error: the send is a no-op.
         reactor.send(job.conn, &line);
     }
@@ -921,7 +890,6 @@ mod tests {
                 }),
                 conn: 1,
                 state: Arc::new(ConnState::default()),
-                token: CancellationToken::new(),
                 deadline: Deadline::none(),
                 enqueued: Instant::now(),
             })

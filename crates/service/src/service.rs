@@ -26,7 +26,7 @@ use spq_core::bounds::certificate;
 use spq_core::validation::{validate_with, EarlyStop, ValidationOptions};
 use spq_core::{Algorithm, Instance, SpqEngine, SpqOptions};
 use spq_mcdb::{Relation, ScenarioCache};
-use spq_solver::{CancellationToken, Deadline};
+use spq_solver::Deadline;
 use spq_workloads::{build_workload, WorkloadKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -210,20 +210,26 @@ impl SpqService {
         self.validations_executed.load(Ordering::Relaxed)
     }
 
-    /// The effective deadline of a query request admitted now.
-    pub fn deadline_for(&self, request: &QueryRequest, token: &CancellationToken) -> Deadline {
-        self.deadline_with(request.timeout_ms, token)
-    }
-
-    /// The effective deadline of any request with the given per-request
-    /// timeout, admitted now.
-    pub fn deadline_with(&self, timeout_ms: Option<u64>, token: &CancellationToken) -> Deadline {
+    /// The effective deadline of a request with the given per-request
+    /// timeout, admitted now, carrying the request's cancellation `token`.
+    /// The one place a request's deadline is armed.
+    pub fn deadline_with(
+        &self,
+        timeout_ms: Option<u64>,
+        token: &spq_solver::CancellationToken,
+    ) -> Deadline {
         let timeout = timeout_ms
             .map(Duration::from_millis)
             .or(self.config.default_timeout);
         timeout
             .map_or_else(Deadline::none, Deadline::within)
             .with_token(token.clone())
+    }
+
+    /// The relation a request names, as its tenant sees it.
+    fn resolve(&self, tenant: &Option<String>, name: &str) -> Result<Relation, Refusal> {
+        self.relation_for(Self::tenant_of(tenant), name)
+            .ok_or_else(|| (QueryStatus::Error, format!("unknown relation `{name}`")))
     }
 
     /// The options any request evaluates under: base options with the
@@ -239,9 +245,10 @@ impl SpqService {
         options
     }
 
-    /// The options a query request evaluates under: [`Self::request_options`]
-    /// plus the query's scenario overrides.
-    fn options_for(&self, request: &QueryRequest, deadline: Deadline) -> SpqOptions {
+    /// The algorithm and options a query request evaluates under:
+    /// [`Self::request_options`] plus the query's algorithm and scenario
+    /// overrides. Its result-cache key is read off the same options.
+    fn options_for(&self, request: &QueryRequest, deadline: Deadline) -> (Algorithm, SpqOptions) {
         let mut options = self.request_options(request.seed, deadline);
         if let Some(m) = request.initial_scenarios {
             options.initial_scenarios = m.max(1);
@@ -252,189 +259,129 @@ impl SpqService {
         if let Some(v) = request.validation_scenarios {
             options.validation_scenarios = v.max(1);
         }
-        options
+        let algorithm = request.algorithm.unwrap_or(self.config.default_algorithm);
+        (algorithm, options)
     }
 
-    /// Execute one query request. `token` is the cancellation handle the
-    /// caller may fire from another thread; `deadline` is the budget armed
-    /// at admission ([`Self::deadline_for`]); `queued` is how long the
+    /// Execute one query request. `deadline` is the budget armed at
+    /// admission ([`Self::deadline_with`]), carrying the cancellation token
+    /// the caller may fire from another thread; `queued` is how long the
     /// request waited before execution started.
     pub fn execute(
         &self,
         request: &QueryRequest,
-        token: &CancellationToken,
         deadline: Deadline,
         queued: Duration,
     ) -> QueryResponse {
-        let queue_ms = queued.as_secs_f64() * 1000.0;
         let started = Instant::now();
-        self.queries_executed.fetch_add(1, Ordering::Relaxed);
-
-        let finish = |mut response: QueryResponse| {
-            response.queue_ms = queue_ms;
-            let elapsed = started.elapsed();
-            self.query_latency.record_duration(elapsed);
-            response.wall_ms = elapsed.as_secs_f64() * 1000.0;
-            response
-        };
-
-        let tenant = Self::tenant_of(&request.tenant);
-        let Some(relation) = self.relation_for(tenant, &request.relation) else {
-            return finish(QueryResponse::failure(
-                &request.id,
-                QueryStatus::Error,
-                format!("unknown relation `{}`", request.relation),
-            ));
-        };
-        if deadline.expired() && !token.is_cancelled() {
-            return finish(QueryResponse::failure(
-                &request.id,
-                QueryStatus::Timeout,
-                "deadline expired while queued",
-            ));
-        }
-        if token.is_cancelled() {
-            return finish(QueryResponse::failure(
-                &request.id,
-                QueryStatus::Cancelled,
-                "cancelled while queued",
-            ));
-        }
-
-        // Compile (or fetch) the plan, then evaluate it.
-        let (silp, cache_hit) = match self.prepared.get_or_compile(&relation, &request.query) {
-            Ok(pair) => pair,
-            Err(e) => {
-                return finish(QueryResponse::failure(
-                    &request.id,
-                    QueryStatus::Error,
-                    e.to_string(),
-                ))
-            }
-        };
-        let algorithm = request.algorithm.unwrap_or(self.config.default_algorithm);
-        let engine = SpqEngine::new(self.options_for(request, deadline.clone()));
-        let result = engine.evaluate_silp(&relation, (*silp).clone(), algorithm);
-
-        match result {
-            Ok(result) => {
-                let status = if token.is_cancelled() {
-                    QueryStatus::Cancelled
-                } else if !result.feasible && deadline.expired() {
-                    QueryStatus::Timeout
-                } else {
-                    QueryStatus::Ok
-                };
-                finish(QueryResponse {
-                    id: request.id.clone(),
-                    status,
-                    error: None,
-                    feasible: result.feasible,
-                    objective: result.objective(),
-                    package: result
-                        .package
-                        .as_ref()
-                        .map(|p| p.multiplicities.clone())
-                        .unwrap_or_default(),
-                    algorithm: algorithm.to_string(),
-                    prepared_cache_hit: cache_hit,
-                    result_cache_hit: false,
-                    queue_ms: 0.0,
-                    wall_ms: 0.0,
-                    stats: Some(result.stats),
-                })
-            }
-            Err(e) => {
-                let status = if token.is_cancelled() {
-                    QueryStatus::Cancelled
-                } else {
-                    QueryStatus::Error
-                };
-                finish(QueryResponse::failure(&request.id, status, e.to_string()))
-            }
-        }
-    }
-
-    /// Everything `request`'s answer depends on, as the result-cache key —
-    /// the *effective* values after merging with the server's base options,
-    /// so requests spelling the same work differently still share. `None`
-    /// when the relation does not resolve (the plain path reports the
-    /// error).
-    fn result_key(&self, request: &QueryRequest) -> Option<ResultKey> {
-        let tenant = Self::tenant_of(&request.tenant);
-        let relation = self.relation_for(tenant, &request.relation)?;
-        let base = &self.config.base_options;
-        let algorithm = request.algorithm.unwrap_or(self.config.default_algorithm);
-        Some(ResultKey {
-            relation_uid: relation.uid(),
-            query: request.query.clone(),
-            algorithm: algorithm.to_string(),
-            seed: request.seed.unwrap_or(base.seed),
-            initial_scenarios: request
-                .initial_scenarios
-                .map(|m| m.max(1))
-                .unwrap_or(base.initial_scenarios),
-            max_scenarios: request.max_scenarios.unwrap_or(base.max_scenarios),
-            validation_scenarios: request
-                .validation_scenarios
-                .map(|v| v.max(1))
-                .unwrap_or(base.validation_scenarios),
-        })
+        let response = self
+            .resolve(&request.tenant, &request.relation)
+            .map(|relation| {
+                let (algorithm, options) = self.options_for(request, deadline);
+                self.run_query(request, &relation, algorithm, options)
+            });
+        self.finish_query(request, response, queued, started)
     }
 
     /// [`Self::execute`] behind the single-flight result cache: identical
     /// requests run one solve and share its `ok` response (sound because
     /// execution is deterministic — a hit is bit-identical to a fresh run).
     /// `id`, `queue_ms` and `wall_ms` are re-stamped per requester; hits set
-    /// [`QueryResponse::result_cache_hit`]. Waiters coalescing onto an
-    /// in-flight solve honor their *own* token and deadline.
+    /// [`QueryResponse::result_cache_hit`]. A hit is served even to a
+    /// request cancelled or expired while queued; waiters coalescing onto an
+    /// in-flight solve honor their *own* deadline and cancellation.
     pub fn execute_cached(
         &self,
         request: &QueryRequest,
-        token: &CancellationToken,
         deadline: Deadline,
         queued: Duration,
     ) -> QueryResponse {
-        let Some(key) = self.result_key(request) else {
-            // Unknown relation: the plain path produces the error response.
-            return self.execute(request, token, deadline, queued);
-        };
         let started = Instant::now();
-        let compute = || self.execute(request, token, deadline.clone(), queued);
-        match self.results.get_or_compute(&key, token, &deadline, compute) {
-            Resolved::Hit(mut response) => {
-                self.queries_executed.fetch_add(1, Ordering::Relaxed);
-                response.id = request.id.clone();
-                response.result_cache_hit = true;
-                response.queue_ms = queued.as_secs_f64() * 1000.0;
-                let elapsed = started.elapsed();
-                self.query_latency.record_duration(elapsed);
-                response.wall_ms = elapsed.as_secs_f64() * 1000.0;
-                *response
-            }
-            Resolved::Computed(response) => *response,
-            Resolved::Cancelled => {
-                self.queries_executed.fetch_add(1, Ordering::Relaxed);
-                let mut response = QueryResponse::failure(
-                    &request.id,
-                    QueryStatus::Cancelled,
-                    "cancelled while awaiting an identical in-flight query",
-                );
-                response.queue_ms = queued.as_secs_f64() * 1000.0;
-                response.wall_ms = started.elapsed().as_secs_f64() * 1000.0;
-                response
-            }
-            Resolved::TimedOut => {
-                self.queries_executed.fetch_add(1, Ordering::Relaxed);
-                let mut response = QueryResponse::failure(
-                    &request.id,
-                    QueryStatus::Timeout,
-                    "deadline expired while awaiting an identical in-flight query",
-                );
-                response.queue_ms = queued.as_secs_f64() * 1000.0;
-                response.wall_ms = started.elapsed().as_secs_f64() * 1000.0;
-                response
-            }
+        let response = self
+            .resolve(&request.tenant, &request.relation)
+            .and_then(|relation| {
+                let (algorithm, options) = self.options_for(request, deadline);
+                let key = ResultKey::new(relation.uid(), &request.query, algorithm, &options);
+                let deadline = options.deadline.clone();
+                let compute = || self.run_query(request, &relation, algorithm, options);
+                match self.results.get_or_compute(&key, &deadline, compute) {
+                    Resolved::Hit(hit) => Ok(QueryResponse {
+                        id: request.id.clone(),
+                        result_cache_hit: true,
+                        ..*hit
+                    }),
+                    Resolved::Computed(response) => Ok(*response),
+                    Resolved::Cancelled => Err((
+                        QueryStatus::Cancelled,
+                        "cancelled while awaiting an identical in-flight query".into(),
+                    )),
+                    Resolved::TimedOut => Err((
+                        QueryStatus::Timeout,
+                        "deadline expired while awaiting an identical in-flight query".into(),
+                    )),
+                }
+            });
+        self.finish_query(request, response, queued, started)
+    }
+
+    /// Run an admitted query: refuse it if it was cancelled or expired
+    /// while queued, else compile (or fetch) its plan and evaluate it.
+    fn run_query(
+        &self,
+        request: &QueryRequest,
+        relation: &Relation,
+        algorithm: Algorithm,
+        options: SpqOptions,
+    ) -> QueryResponse {
+        let deadline = options.deadline.clone();
+        let run = || {
+            refuse_queued(&deadline)?;
+            let (silp, cache_hit) = self
+                .prepared
+                .get_or_compile(relation, &request.query)
+                .map_err(|e| failed(&deadline, e))?;
+            let result = SpqEngine::new(options)
+                .evaluate_silp(relation, (*silp).clone(), algorithm)
+                .map_err(|e| failed(&deadline, e))?;
+            Ok(QueryResponse {
+                id: request.id.clone(),
+                status: status_of(&deadline, !result.feasible, QueryStatus::Ok),
+                error: None,
+                feasible: result.feasible,
+                objective: result.objective(),
+                package: result
+                    .package
+                    .as_ref()
+                    .map(|p| p.multiplicities.clone())
+                    .unwrap_or_default(),
+                algorithm: algorithm.to_string(),
+                prepared_cache_hit: cache_hit,
+                result_cache_hit: false,
+                queue_ms: 0.0,
+                wall_ms: 0.0,
+                stats: Some(result.stats),
+            })
+        };
+        run().unwrap_or_else(|(status, error)| QueryResponse::failure(&request.id, status, error))
+    }
+
+    /// The finisher of every `query` outcome: a refusal becomes a failure
+    /// response, and [`finish`] stamps, counts and times it.
+    fn finish_query(
+        &self,
+        request: &QueryRequest,
+        response: Result<QueryResponse, Refusal>,
+        queued: Duration,
+        started: Instant,
+    ) -> QueryResponse {
+        let response = response
+            .unwrap_or_else(|(status, error)| QueryResponse::failure(&request.id, status, error));
+        let (queue_ms, wall_ms) =
+            finish(&self.queries_executed, &self.query_latency, queued, started);
+        QueryResponse {
+            queue_ms,
+            wall_ms,
+            ..response
         }
     }
 
@@ -446,38 +393,38 @@ impl SpqService {
     pub fn execute_validate(
         &self,
         request: &ValidateRequest,
-        token: &CancellationToken,
         deadline: Deadline,
         queued: Duration,
     ) -> ValidateResponse {
-        let queue_ms = queued.as_secs_f64() * 1000.0;
         let started = Instant::now();
-        self.validations_executed.fetch_add(1, Ordering::Relaxed);
-
-        let finish = |mut response: ValidateResponse| {
-            response.queue_ms = queue_ms;
-            let elapsed = started.elapsed();
-            self.validate_latency.record_duration(elapsed);
-            response.wall_ms = elapsed.as_secs_f64() * 1000.0;
-            response
-        };
-        let failure =
-            |status, error: String| finish(ValidateResponse::failure(&request.id, status, error));
-
-        let tenant = Self::tenant_of(&request.tenant);
-        let Some(relation) = self.relation_for(tenant, &request.relation) else {
-            return failure(
-                QueryStatus::Error,
-                format!("unknown relation `{}`", request.relation),
-            );
-        };
-        if token.is_cancelled() {
-            return failure(QueryStatus::Cancelled, "cancelled while queued".into());
+        let response = self
+            .resolve(&request.tenant, &request.relation)
+            .and_then(|relation| self.run_validate(request, &relation, deadline))
+            .unwrap_or_else(|(status, error)| {
+                ValidateResponse::failure(&request.id, status, error)
+            });
+        let (queue_ms, wall_ms) = finish(
+            &self.validations_executed,
+            &self.validate_latency,
+            queued,
+            started,
+        );
+        ValidateResponse {
+            queue_ms,
+            wall_ms,
+            ..response
         }
-        if deadline.expired() {
-            return failure(QueryStatus::Timeout, "deadline expired while queued".into());
-        }
+    }
 
+    /// Run an admitted `validate` op, refusing it if it was cancelled or
+    /// expired while queued.
+    fn run_validate(
+        &self,
+        request: &ValidateRequest,
+        relation: &Relation,
+        deadline: Deadline,
+    ) -> Result<ValidateResponse, Refusal> {
+        refuse_queued(&deadline)?;
         let mut options = self.request_options(request.seed, deadline.clone());
         match request.threads {
             // Client-supplied: clamp to the machine's parallelism so one
@@ -496,25 +443,19 @@ impl SpqService {
             .validation_scenarios
             .unwrap_or(options.validation_scenarios);
 
-        let prepared = {
+        let instance = {
             let _span = spq_obs::span("prepare");
             self.prepared
-                .get_or_compile(&relation, &request.query)
-                .and_then(|(silp, _)| Instance::new(&relation, (*silp).clone(), options))
-        };
-        let instance = match prepared {
-            Ok(instance) => instance,
-            Err(e) => return failure(QueryStatus::Error, e.to_string()),
-        };
-        let x = match dense_package(&instance.silp.tuples, &request.package) {
-            Ok(x) => x,
-            Err(tuple) => {
-                return failure(
-                    QueryStatus::Error,
-                    format!("tuple {tuple} is not a candidate of this query"),
-                )
-            }
-        };
+                .get_or_compile(relation, &request.query)
+                .and_then(|(silp, _)| Instance::new(relation, (*silp).clone(), options))
+        }
+        .map_err(|e| failed(&deadline, e))?;
+        let x = dense_package(&instance.silp.tuples, &request.package).map_err(|tuple| {
+            failed(
+                &deadline,
+                format!("tuple {tuple} is not a candidate of this query"),
+            )
+        })?;
 
         let vopts = ValidationOptions {
             m_hat,
@@ -528,43 +469,26 @@ impl SpqService {
         };
         // The wire reports ε, so this is one of the places the certificate
         // is computed (a `query` op never is, at the default ε).
-        let certified = validate_with(&instance, &x, &vopts).and_then(|report| {
-            let epsilon = certificate(&instance, report.objective_estimate)?;
-            Ok((report, epsilon))
-        });
-        match certified {
-            Ok((report, epsilon)) => {
-                let status = if token.is_cancelled() {
-                    QueryStatus::Cancelled
-                } else if report.interrupted && deadline.expired() {
-                    QueryStatus::Timeout
-                } else {
-                    QueryStatus::Ok
-                };
-                finish(ValidateResponse {
-                    id: request.id.clone(),
-                    status,
-                    error: None,
-                    feasible: report.feasible,
-                    objective_estimate: Some(report.objective_estimate),
-                    epsilon_upper_bound: epsilon.is_finite().then_some(epsilon),
-                    scenarios_used: report.scenarios_used,
-                    m_hat: report.m_hat,
-                    early_stopped: report.early_stopped,
-                    constraints: report.constraints,
-                    queue_ms: 0.0,
-                    wall_ms: 0.0,
-                })
-            }
-            Err(e) => {
-                let status = if token.is_cancelled() {
-                    QueryStatus::Cancelled
-                } else {
-                    QueryStatus::Error
-                };
-                failure(status, e.to_string())
-            }
-        }
+        let (report, epsilon) = validate_with(&instance, &x, &vopts)
+            .and_then(|report| {
+                let epsilon = certificate(&instance, report.objective_estimate)?;
+                Ok((report, epsilon))
+            })
+            .map_err(|e| failed(&deadline, e))?;
+        Ok(ValidateResponse {
+            id: request.id.clone(),
+            status: status_of(&deadline, report.interrupted, QueryStatus::Ok),
+            error: None,
+            feasible: report.feasible,
+            objective_estimate: Some(report.objective_estimate),
+            epsilon_upper_bound: epsilon.is_finite().then_some(epsilon),
+            scenarios_used: report.scenarios_used,
+            m_hat: report.m_hat,
+            early_stopped: report.early_stopped,
+            constraints: report.constraints,
+            queue_ms: 0.0,
+            wall_ms: 0.0,
+        })
     }
 
     /// The `query` op latency histogram (nanoseconds; exposed for stats and
@@ -663,6 +587,58 @@ pub(crate) fn hit_rate(hits: u64, misses: u64) -> f64 {
     }
 }
 
+/// Why a request produced no answer: its status and error message.
+type Refusal = (QueryStatus, String);
+
+/// The one status rule of every request: cancellation wins, then an expired
+/// deadline when `cut_short` (the work stopped early or never started), then
+/// `otherwise`.
+fn status_of(deadline: &Deadline, cut_short: bool, otherwise: QueryStatus) -> QueryStatus {
+    if deadline.is_cancelled() {
+        QueryStatus::Cancelled
+    } else if cut_short && deadline.expired() {
+        QueryStatus::Timeout
+    } else {
+        otherwise
+    }
+}
+
+/// The refusal of a run that failed with `error`: `error` status, unless the
+/// request was cancelled.
+fn failed(deadline: &Deadline, error: impl std::fmt::Display) -> Refusal {
+    (
+        status_of(deadline, false, QueryStatus::Error),
+        error.to_string(),
+    )
+}
+
+/// Refuse a request cancelled or expired while it was queued.
+fn refuse_queued(deadline: &Deadline) -> Result<(), Refusal> {
+    match status_of(deadline, true, QueryStatus::Ok) {
+        QueryStatus::Ok => Ok(()),
+        QueryStatus::Cancelled => Err((QueryStatus::Cancelled, "cancelled while queued".into())),
+        status => Err((status, "deadline expired while queued".into())),
+    }
+}
+
+/// The one finisher of every op: count it in `executed`, record its latency
+/// since `started`, and return the `(queue_ms, wall_ms)` to stamp on its
+/// response.
+fn finish(
+    executed: &AtomicU64,
+    latency: &spq_obs::Histogram,
+    queued: Duration,
+    started: Instant,
+) -> (f64, f64) {
+    executed.fetch_add(1, Ordering::Relaxed);
+    let elapsed = started.elapsed();
+    latency.record_duration(elapsed);
+    (
+        queued.as_secs_f64() * 1000.0,
+        elapsed.as_secs_f64() * 1000.0,
+    )
+}
+
 /// Place a wire package (`(relation tuple index, multiplicity)` pairs) onto
 /// the candidate positions of `tuples`, or name the first package tuple that
 /// is not a candidate. Indexes the package's tens of tuples rather than the
@@ -695,6 +671,7 @@ mod tests {
     use super::*;
     use spq_mcdb::vg::NormalNoise;
     use spq_mcdb::RelationBuilder;
+    use spq_solver::CancellationToken;
 
     fn service() -> SpqService {
         let service = SpqService::new(ServiceConfig {
@@ -732,9 +709,8 @@ mod tests {
     }
 
     fn run(service: &SpqService, request: &QueryRequest) -> QueryResponse {
-        let token = CancellationToken::new();
-        let deadline = service.deadline_for(request, &token);
-        service.execute(request, &token, deadline, Duration::ZERO)
+        let deadline = service.deadline_with(request.timeout_ms, &CancellationToken::new());
+        service.execute(request, deadline, Duration::ZERO)
     }
 
     #[test]
@@ -788,14 +764,13 @@ mod tests {
         let req = request("z");
         let token = CancellationToken::new();
         token.cancel();
-        let deadline = service.deadline_for(&req, &token);
-        let r = service.execute(&req, &token, deadline, Duration::from_millis(5));
+        let deadline = service.deadline_with(req.timeout_ms, &token);
+        let r = service.execute(&req, deadline, Duration::from_millis(5));
         assert_eq!(r.status, QueryStatus::Cancelled);
         assert!(r.queue_ms >= 5.0);
 
-        let token = CancellationToken::new();
-        let expired = Deadline::within(Duration::ZERO).with_token(token.clone());
-        let r = service.execute(&req, &token, expired, Duration::ZERO);
+        let expired = Deadline::within(Duration::ZERO).with_token(CancellationToken::new());
+        let r = service.execute(&req, expired, Duration::ZERO);
         assert_eq!(r.status, QueryStatus::Timeout);
     }
 
@@ -815,9 +790,8 @@ mod tests {
     }
 
     fn run_validate(service: &SpqService, request: &ValidateRequest) -> ValidateResponse {
-        let token = CancellationToken::new();
-        let deadline = service.deadline_with(request.timeout_ms, &token);
-        service.execute_validate(request, &token, deadline, Duration::ZERO)
+        let deadline = service.deadline_with(request.timeout_ms, &CancellationToken::new());
+        service.execute_validate(request, deadline, Duration::ZERO)
     }
 
     #[test]
@@ -927,7 +901,7 @@ mod tests {
         token.cancel();
         let req = validate_request("c", vec![(0, 1)]);
         let deadline = service.deadline_with(req.timeout_ms, &token);
-        let v = service.execute_validate(&req, &token, deadline, Duration::ZERO);
+        let v = service.execute_validate(&req, deadline, Duration::ZERO);
         assert_eq!(v.status, QueryStatus::Cancelled);
     }
 
@@ -935,9 +909,8 @@ mod tests {
     fn result_cache_shares_one_solve_across_identical_requests() {
         let service = service();
         let run_cached = |req: &QueryRequest| {
-            let token = CancellationToken::new();
-            let deadline = service.deadline_for(req, &token);
-            service.execute_cached(req, &token, deadline, Duration::ZERO)
+            let deadline = service.deadline_with(req.timeout_ms, &CancellationToken::new());
+            service.execute_cached(req, deadline, Duration::ZERO)
         };
         let first = run_cached(&request("a"));
         assert_eq!(first.status, QueryStatus::Ok, "{:?}", first.error);
@@ -963,6 +936,57 @@ mod tests {
         other_algo.algorithm = Some(Algorithm::Naive);
         assert!(!run_cached(&other_algo).result_cache_hit);
         assert_eq!(service.result_cache().misses(), 3);
+
+        // Spellings of the same effective work share one entry: an initial
+        // scenario count of 0 runs as 1, and an absent seed is the base seed.
+        let mut zero = request("e");
+        zero.initial_scenarios = Some(0);
+        assert!(!run_cached(&zero).result_cache_hit);
+        let mut one = request("f");
+        one.initial_scenarios = Some(1);
+        assert!(run_cached(&one).result_cache_hit);
+        let mut spelled = request("g");
+        spelled.seed = Some(service.config().base_options.seed);
+        assert!(run_cached(&spelled).result_cache_hit);
+        assert_eq!(service.result_cache().misses(), 4);
+    }
+
+    #[test]
+    fn a_waiter_that_gives_up_on_an_inflight_solve_is_timed() {
+        let service = service();
+        let req = request("w");
+        // Hold the slot of `req`'s computation open on another thread.
+        let relation = service.relation("stocks").unwrap();
+        let (algorithm, options) = service.options_for(&req, Deadline::none());
+        let key = ResultKey::new(relation.uid(), &req.query, algorithm, &options);
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let key = &key;
+            let results = service.result_cache();
+            scope.spawn(move || {
+                results.get_or_compute(key, &Deadline::none(), || {
+                    held_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    QueryResponse::failure("holder", QueryStatus::Error, "released")
+                })
+            });
+            held_rx.recv().unwrap();
+
+            // An identical request whose deadline fires gives up waiting.
+            let token = CancellationToken::new();
+            token.cancel();
+            let deadline = service.deadline_with(req.timeout_ms, &token);
+            let r = service.execute_cached(&req, deadline, Duration::ZERO);
+            assert_eq!(r.status, QueryStatus::Cancelled);
+            let expired = Deadline::within(Duration::ZERO).with_token(CancellationToken::new());
+            let r = service.execute_cached(&req, expired, Duration::ZERO);
+            assert_eq!(r.status, QueryStatus::Timeout);
+            release_tx.send(()).unwrap();
+        });
+        // Every query the service counts is also in its latency histogram.
+        assert_eq!(service.queries_executed(), 2);
+        assert_eq!(service.query_latency().count(), service.queries_executed());
     }
 
     #[test]

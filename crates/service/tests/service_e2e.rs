@@ -107,8 +107,8 @@ fn concurrent_clients_get_bit_identical_packages() {
         .map(|(i, q)| {
             let request = portfolio_request(&format!("ref-{i}"), q);
             let token = spq_solver::CancellationToken::new();
-            let deadline = serial.deadline_for(&request, &token);
-            let response = serial.execute(&request, &token, deadline, Duration::ZERO);
+            let deadline = serial.deadline_with(request.timeout_ms, &token);
+            let response = serial.execute(&request, deadline, Duration::ZERO);
             assert_eq!(response.status, QueryStatus::Ok, "{:?}", response.error);
             assert!(response.feasible, "reference query {i} must be feasible");
             response
@@ -909,7 +909,10 @@ fn the_epsilon_certificate_wire_contract() {
     ));
     let wire = ValidateResponse::parse_line(&client.recv_line()).expect("validate response");
     assert_eq!(wire.status, QueryStatus::Ok, "{:?}", wire.error);
-    let engine = spq_core::SpqEngine::new(SpqOptions::for_tests().with_seed(11));
+    let engine = spq_core::SpqEngine::new(SpqOptions {
+        seed: 11,
+        ..SpqOptions::for_tests()
+    });
     let silp = engine
         .compile(&portfolio.relation, portfolio.query(1))
         .unwrap();

@@ -18,38 +18,7 @@
 //! Every dimension is min-max normalized to `[0, 1]` over the candidate set,
 //! so the partitioner's diameter budget is scale-free.
 
-use spq_core::silp::{CoeffSource, SilpObjective};
 use spq_core::{Instance, Result};
-
-/// The columns a SILP reads, deduplicated in declaration order.
-pub(crate) fn referenced_columns(instance: &Instance<'_>) -> (Vec<String>, Vec<String>) {
-    let silp = &instance.silp;
-    let mut det: Vec<String> = Vec::new();
-    let mut stoch: Vec<String> = Vec::new();
-    let mut record = |coeff: &CoeffSource| match coeff {
-        CoeffSource::Constant(_) => {}
-        CoeffSource::Deterministic(c) => {
-            if !det.contains(c) {
-                det.push(c.clone());
-            }
-        }
-        CoeffSource::Stochastic(c) => {
-            if !stoch.contains(c) {
-                stoch.push(c.clone());
-            }
-        }
-    };
-    for c in &silp.constraints {
-        record(&c.coeff);
-    }
-    match &silp.objective {
-        SilpObjective::Linear { coeff, .. } => record(coeff),
-        SilpObjective::Probability { attribute, .. } => {
-            record(&CoeffSource::Stochastic(attribute.clone()))
-        }
-    }
-    (det, stoch)
-}
 
 /// Min-max normalize one raw dimension in place; constant dimensions
 /// collapse to 0 (they cannot separate tuples anyway).
@@ -82,7 +51,7 @@ pub const FEATURE_SCENARIOS: usize = 24;
 /// transposes them into a row-major matrix).
 pub(crate) fn candidate_dimensions(instance: &Instance<'_>) -> Result<Vec<Vec<f64>>> {
     let n = instance.num_vars();
-    let (det, stoch) = referenced_columns(instance);
+    let (det, stoch) = instance.silp.referenced_columns();
     let mut dims: Vec<Vec<f64>> = Vec::new();
 
     for col in &det {
@@ -115,7 +84,9 @@ pub(crate) fn candidate_dimensions(instance: &Instance<'_>) -> Result<Vec<Vec<f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spq_core::silp::{ConstraintKind, Direction, Silp, SilpConstraint};
+    use spq_core::silp::{
+        CoeffSource, ConstraintKind, Direction, Silp, SilpConstraint, SilpObjective,
+    };
     use spq_core::SpqOptions;
     use spq_mcdb::vg::NormalNoise;
     use spq_mcdb::{Relation, RelationBuilder};

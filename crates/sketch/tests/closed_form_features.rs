@@ -17,7 +17,10 @@ fn cells_realized() -> u64 {
 }
 
 fn prepare(workload: &Workload, query: usize, seed: u64) -> Instance<'_> {
-    let engine = SpqEngine::new(SpqOptions::for_tests().with_seed(seed));
+    let engine = SpqEngine::new(SpqOptions {
+        seed,
+        ..SpqOptions::for_tests()
+    });
     let silp = engine
         .compile(&workload.relation, workload.query(query))
         .unwrap();

@@ -15,15 +15,17 @@ use spq_workloads::{build_workload, WorkloadKind};
 
 fn engine() -> SpqEngine {
     spq_sketch::install();
-    let mut options = SpqOptions::for_tests()
-        .with_initial_scenarios(5)
-        .with_validation_scenarios(3000)
-        .with_sketch(SketchOptions {
+    let mut options = SpqOptions {
+        initial_scenarios: 5,
+        validation_scenarios: 3000,
+        sketch: SketchOptions {
             max_partition_size: 6,
             direct_solve_threshold: 12,
             refine_max_scenarios: 40,
             ..SketchOptions::default()
-        });
+        },
+        ..SpqOptions::for_tests()
+    };
     // Naïve's SAA grows fast with M; two escalations keep it to
     // milliseconds while still exercising the M loop.
     options.scenario_increment = 5;

@@ -55,12 +55,15 @@ fn gains_silp(n: usize, budget: f64, v: f64, p: f64) -> Silp {
 }
 
 fn sketch_options(max_partition_size: usize) -> SpqOptions {
-    SpqOptions::for_tests().with_sketch(SketchOptions {
-        max_partition_size,
-        diameter_fraction: 0.25,
-        direct_solve_threshold: 1,
-        refine_max_scenarios: 100,
-    })
+    SpqOptions {
+        sketch: SketchOptions {
+            max_partition_size,
+            diameter_fraction: 0.25,
+            direct_solve_threshold: 1,
+            refine_max_scenarios: 100,
+        },
+        ..SpqOptions::for_tests()
+    }
 }
 
 #[test]
@@ -218,7 +221,10 @@ fn engine_dispatches_sketch_refine_after_install() {
         .stochastic("Gain", NormalNoise::around(means, sds))
         .build()
         .unwrap();
-    let engine = SpqEngine::new(sketch_options(16).with_initial_scenarios(15));
+    let engine = SpqEngine::new(SpqOptions {
+        initial_scenarios: 15,
+        ..sketch_options(16)
+    });
     let result = engine
         .evaluate(
             &rel,
@@ -256,9 +262,9 @@ fn default_epsilon_sketch_refine_never_realizes_an_objective_bounds_block() {
     let cache = std::sync::Arc::new(spq_mcdb::ScenarioCache::new());
     let options = SpqOptions {
         validation_scenarios: 2000,
+        scenario_cache: Some(cache.clone()),
         ..SpqOptions::for_tests()
-    }
-    .with_scenario_cache(cache.clone());
+    };
     let engine = SpqEngine::new(options);
     let silp = engine
         .compile(&workload.relation, workload.query(1))

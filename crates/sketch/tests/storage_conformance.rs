@@ -10,13 +10,15 @@ use spq_mcdb::StorageOptions;
 use spq_workloads::{build_workload, build_workload_with, WorkloadKind};
 
 fn engine(validation_threads: usize) -> SpqEngine {
-    let mut options = SpqOptions::for_tests()
-        .with_initial_scenarios(15)
-        .with_validation_scenarios(400)
-        .with_sketch(SketchOptions {
+    let mut options = SpqOptions {
+        initial_scenarios: 15,
+        validation_scenarios: 400,
+        sketch: SketchOptions {
             max_partition_size: 40,
             ..SketchOptions::default()
-        });
+        },
+        ..SpqOptions::for_tests()
+    };
     options.validation_threads = validation_threads;
     SpqEngine::new(options)
 }

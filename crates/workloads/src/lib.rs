@@ -204,11 +204,11 @@ mod tests {
     #[test]
     fn a_galaxy_query_evaluates_end_to_end() {
         let w = build_workload(WorkloadKind::Galaxy, 50, 3);
-        let engine = SpqEngine::new(
-            SpqOptions::for_tests()
-                .with_initial_scenarios(15)
-                .with_validation_scenarios(500),
-        );
+        let engine = SpqEngine::new(SpqOptions {
+            initial_scenarios: 15,
+            validation_scenarios: 500,
+            ..SpqOptions::for_tests()
+        });
         let result = engine
             .evaluate(&w.relation, w.query(3), Algorithm::SummarySearch)
             .unwrap();

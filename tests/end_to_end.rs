@@ -23,10 +23,12 @@ fn portfolio_relation() -> Relation {
 }
 
 fn options() -> SpqOptions {
-    SpqOptions::for_tests()
-        .with_seed(11)
-        .with_initial_scenarios(25)
-        .with_validation_scenarios(1500)
+    SpqOptions {
+        seed: 11,
+        initial_scenarios: 25,
+        validation_scenarios: 1500,
+        ..SpqOptions::for_tests()
+    }
 }
 
 const RISK_QUERY: &str = "SELECT PACKAGE(*) FROM trades SUCH THAT \

@@ -100,7 +100,10 @@ proptest! {
         let instance = Instance::new(
             &relation,
             silp_from(n, &constraint_specs),
-            SpqOptions::for_tests().with_seed(seed),
+            SpqOptions {
+                seed,
+                ..SpqOptions::for_tests()
+            },
         )
         .unwrap();
         let x: Vec<f64> = (0..n).map(|i| f64::from(mults[i])).collect();
@@ -169,7 +172,10 @@ proptest! {
         let instance = Instance::new(
             &relation,
             silp_from(n, &constraint_specs),
-            SpqOptions::for_tests().with_seed(seed),
+            SpqOptions {
+                seed,
+                ..SpqOptions::for_tests()
+            },
         )
         .unwrap();
         let x: Vec<f64> = (0..n).map(|i| f64::from(mults[i])).collect();
@@ -210,7 +216,10 @@ proptest! {
         let instance = Instance::new(
             &relation,
             silp_from(n, &constraint_specs),
-            SpqOptions::for_tests().with_seed(seed),
+            SpqOptions {
+                seed,
+                ..SpqOptions::for_tests()
+            },
         )
         .unwrap();
         let x: Vec<f64> = (0..n).map(|i| f64::from(mults[i])).collect();

@@ -535,6 +535,8 @@ struct Core {
     cols: Vec<usize>,
     /// Core columns that must take integer values.
     int_cols: Vec<usize>,
+    /// Per core column: it must take an integer value.
+    integral: Vec<bool>,
     /// Objective contribution of the folded columns (minimization sense).
     offset: f64,
     /// A model-shaped assignment holding the value of every folded column.
@@ -573,13 +575,13 @@ impl Core {
         model: &Model,
     ) -> Core {
         let vars = model.variables();
-        let int_cols = (0..cols.len())
-            .filter(|&k| vars[cols[k]].is_integral())
-            .collect();
+        let integral: Vec<bool> = cols.iter().map(|&c| vars[c].is_integral()).collect();
+        let int_cols = (0..cols.len()).filter(|&k| integral[k]).collect();
         Core {
             lp,
             cols,
             int_cols,
+            integral,
             offset,
             folded,
             screens,
@@ -757,6 +759,8 @@ impl NodeWork {
 #[derive(Default)]
 struct SearchWork {
     node: NodeWork,
+    /// The node's basic integer columns, in ascending order.
+    basic: Vec<usize>,
     candidate: Vec<f64>,
     /// Columns reduced-cost tightening moved at the current node.
     tightened: Vec<usize>,
@@ -1073,10 +1077,24 @@ impl BranchBoundSolver {
                 continue; // dominated
             }
 
-            // Find the most fractional integer variable.
+            // Find the most fractional integer variable, lowest index first
+            // among equals. A nonbasic column sits on one of its bounds, and
+            // every integer column's bounds are integral (presolve rounds
+            // them, branching and tightening keep them so), so only basic
+            // columns can be fractional.
+            let n = core.cols.len();
+            work.basic.clear();
+            work.basic.extend(
+                work.node
+                    .simplex
+                    .basic_columns()
+                    .iter()
+                    .filter(|&&j| j < n && core.integral[j]),
+            );
+            work.basic.sort_unstable();
             let mut branch_var: Option<usize> = None;
             let mut best_frac = INT_TOL;
-            for &vi in &core.int_cols {
+            for &vi in &work.basic {
                 let x = work.node.values[vi];
                 let frac = (x - x.round()).abs();
                 if frac > best_frac {

@@ -387,6 +387,12 @@ impl SimplexWork {
         self.spare_reduced = reduced;
     }
 
+    /// The columns basic in the last solve's basis (structurals `< n`, then
+    /// logicals), in row order. Every other column sits on a bound.
+    pub(crate) fn basic_columns(&self) -> &[usize] {
+        &self.basic_vars
+    }
+
     /// Load the bound box and the starting basis (the warm one when it fits,
     /// otherwise the all-logical one), factorize it and compute the basic
     /// values. Returns `true` when a column's domain is empty.

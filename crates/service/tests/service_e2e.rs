@@ -884,11 +884,11 @@ fn the_epsilon_certificate_wire_contract() {
     let recorded = [
         (
             Algorithm::SummarySearch,
-            r#"{"id":"q","status":"ok","feasible":true,"objective":3.5989011129299016,"package":[[60,1],[61,1],[363,2]],"algorithm":"SummarySearch","prepared_cache":"miss","result_cache":"miss","queue_ms":0,"wall_ms":0,"stats":{"scenarios":20,"summaries":1,"outer_iterations":1,"problems_solved":2,"validations":2,"validation_scenarios":1000,"solver_nodes":96,"lp_pivots":95,"max_problem_coefficients":802,"wall_time_ms":0}}"#,
+            r#"{"id":"q","status":"ok","feasible":true,"objective":3.5989011129299016,"package":[[60,1],[61,1],[363,2]],"algorithm":"SummarySearch","prepared_cache":"miss","result_cache":"miss","queue_ms":0,"wall_ms":0,"stats":{"scenarios":20,"summaries":1,"outer_iterations":1,"problems_solved":2,"validations":2,"validation_scenarios":1000,"solver_nodes":98,"lp_pivots":97,"max_problem_coefficients":802,"wall_time_ms":0}}"#,
         ),
         (
             Algorithm::SketchRefine,
-            r#"{"id":"q","status":"ok","feasible":true,"objective":4.478374305362429,"package":[[60,1],[61,3],[185,1],[363,2]],"algorithm":"SketchRefine","prepared_cache":"hit","result_cache":"miss","queue_ms":0,"wall_ms":0,"stats":{"scenarios":20,"summaries":1,"outer_iterations":2,"problems_solved":5,"validations":6,"validation_scenarios":3000,"solver_nodes":62,"lp_pivots":75,"max_problem_coefficients":122,"wall_time_ms":0}}"#,
+            r#"{"id":"q","status":"ok","feasible":true,"objective":4.478374305362429,"package":[[60,1],[61,3],[185,1],[363,2]],"algorithm":"SketchRefine","prepared_cache":"hit","result_cache":"miss","queue_ms":0,"wall_ms":0,"stats":{"scenarios":20,"summaries":1,"outer_iterations":2,"problems_solved":5,"validations":6,"validation_scenarios":3000,"solver_nodes":53,"lp_pivots":63,"max_problem_coefficients":122,"wall_time_ms":0}}"#,
         ),
     ];
     for (algorithm, line) in recorded {

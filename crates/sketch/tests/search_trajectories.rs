@@ -96,14 +96,14 @@ fn galaxy_trajectories_are_pinned() {
         &[
             // Naive
             concat!(
-                "M=10 Z=0 outer=2 solved=2 validations=2 validation_scenarios=2048 nodes=1822 ",
-                "pivots=10007 max_coefficients=260 feasible=false package=Some(",
+                "M=10 Z=0 outer=2 solved=2 validations=2 validation_scenarios=2048 nodes=1818 ",
+                "pivots=9997 max_coefficients=260 feasible=false package=Some(",
                 "\"[(4, 2), (10, 1), (15, 1), (16, 1), (18, 1)] objective=0x4043755935d9dcf5 validated=false/1024\")"
             ),
             // SummarySearch
             concat!(
-                "M=10 Z=1 outer=2 solved=5 validations=6 validation_scenarios=12072 nodes=177 ",
-                "pivots=260 max_coefficients=62 feasible=true package=Some(",
+                "M=10 Z=1 outer=2 solved=5 validations=6 validation_scenarios=12072 nodes=166 ",
+                "pivots=232 max_coefficients=62 feasible=true package=Some(",
                 "\"[(11, 1), (12, 3), (13, 1)] objective=0x4048b1990a06ae9a validated=true/3000\")"
             ),
             // SketchRefine
@@ -124,8 +124,8 @@ fn portfolio_trajectories_are_pinned() {
         &[
             // Naive
             concat!(
-                "M=10 Z=0 outer=2 solved=2 validations=2 validation_scenarios=2048 nodes=338 ",
-                "pivots=896 max_coefficients=284 feasible=false package=Some(",
+                "M=10 Z=0 outer=2 solved=2 validations=2 validation_scenarios=2048 nodes=297 ",
+                "pivots=735 max_coefficients=284 feasible=false package=Some(",
                 "\"[(9, 3), (15, 1), (23, 7)] objective=0x4012e389eca50e38 validated=false/1024\")"
             ),
             // SummarySearch

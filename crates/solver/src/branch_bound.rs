@@ -543,6 +543,8 @@ struct Core {
     folded: Vec<f64>,
     /// The pre-check's view of each row of `lp`.
     screens: Vec<RowScreen>,
+    /// The rows of `lp` by column, for the exchange search.
+    by_column: ColumnView,
 }
 
 impl Core {
@@ -577,6 +579,7 @@ impl Core {
         let vars = model.variables();
         let integral: Vec<bool> = cols.iter().map(|&c| vars[c].is_integral()).collect();
         let int_cols = (0..cols.len()).filter(|&k| integral[k]).collect();
+        let by_column = ColumnView::new(&lp, &integral, &screens);
         Core {
             lp,
             cols,
@@ -585,6 +588,7 @@ impl Core {
             offset,
             folded,
             screens,
+            by_column,
         }
     }
 
@@ -667,28 +671,33 @@ impl Core {
     /// rejects every `x` this rejects. Inactive big-M rows are skipped: with
     /// a capped big-M they can cut off points the model allows.
     fn rejects(&self, x: &[f64]) -> bool {
-        self.lp.rows.iter().zip(&self.screens).any(|(row, screen)| {
-            let active = match screen.guard {
-                Guard::Always => true,
-                Guard::Never => false,
-                Guard::When(k, value) => x[k] == value,
-            };
-            if !active {
-                return false;
-            }
-            let (mut lhs, mut size) = (0.0, 0.0);
-            for &(k, coeff) in &row.terms {
-                let term = coeff * x[k];
-                lhs += term;
-                size += term.abs();
-            }
-            let excess = match row.sense {
-                Sense::Le => lhs - row.rhs,
-                Sense::Ge => row.rhs - lhs,
-                Sense::Eq => (lhs - row.rhs).abs(),
-            };
-            excess > FEAS_TOL + screen.rel * (size + screen.scale + FEAS_TOL)
-        })
+        self.lp
+            .rows
+            .iter()
+            .zip(&self.screens)
+            .enumerate()
+            .any(|(r, (row, screen))| {
+                if !self.row_active(r, x) {
+                    return false;
+                }
+                let (mut lhs, mut size) = (0.0, 0.0);
+                for &(k, coeff) in &row.terms {
+                    let term = coeff * x[k];
+                    lhs += term;
+                    size += term.abs();
+                }
+                excess(row, lhs) > FEAS_TOL + screen.rel * (size + screen.scale + FEAS_TOL)
+            })
+    }
+
+    /// True when row `r` of the core LP binds the candidate `x`: a model
+    /// constraint, or a big-M row whose indicator sits at its active value.
+    fn row_active(&self, r: usize, x: &[f64]) -> bool {
+        match self.screens[r].guard {
+            Guard::Always => true,
+            Guard::Never => false,
+            Guard::When(k, value) => x[k] == value,
+        }
     }
 
     /// The model-shaped assignment behind the core candidate `x` when the
@@ -701,6 +710,301 @@ impl Core {
         }
         let full = self.expand(x);
         model.is_feasible(&full, FEAS_TOL).then_some(full)
+    }
+}
+
+/// How far `lhs` violates `row`: positive when it does, zero or negative
+/// when the row holds.
+fn excess(row: &LpRow, lhs: f64) -> f64 {
+    match row.sense {
+        Sense::Le => lhs - row.rhs,
+        Sense::Ge => row.rhs - lhs,
+        Sense::Eq => (lhs - row.rhs).abs(),
+    }
+}
+
+/// Work cap of one exchange search ([`Core::exchange`]), per nonzero and
+/// per column of the core: every coefficient read and every pair of columns
+/// priced counts one unit, the pass that sets up the row activities
+/// included. A step that would go over the cap is not taken.
+const EXCHANGE_WORK: usize = 32;
+
+/// The rows of a core LP by column, and the columns the exchange search may
+/// move.
+struct ColumnView {
+    /// Column `k`'s entries are `entries[start[k]..start[k + 1]]`, one
+    /// `(row, coefficient)` per row it appears in, by ascending row.
+    start: Vec<usize>,
+    entries: Vec<(usize, f64)>,
+    /// The integer columns whose box leaves them room, by ascending
+    /// (objective coefficient, index); none while the box leaves the
+    /// indicator of a big-M row free.
+    movable: Vec<usize>,
+}
+
+impl ColumnView {
+    fn new(lp: &LpProblem, integral: &[bool], screens: &[RowScreen]) -> ColumnView {
+        let n = lp.num_vars();
+        let mut start = vec![0usize; n + 1];
+        for row in &lp.rows {
+            for &(k, _) in &row.terms {
+                start[k + 1] += 1;
+            }
+        }
+        for k in 0..n {
+            start[k + 1] += start[k];
+        }
+        // Rows are visited in order, so a column repeated within a row meets
+        // its own last entry and is summed into it.
+        let mut next = start[..n].to_vec();
+        let mut entries = vec![(0, 0.0); start[n]];
+        for (r, row) in lp.rows.iter().enumerate() {
+            for &(k, coeff) in &row.terms {
+                if next[k] > start[k] && entries[next[k] - 1].0 == r {
+                    entries[next[k] - 1].1 += coeff;
+                } else {
+                    entries[next[k]] = (r, coeff);
+                    next[k] += 1;
+                }
+            }
+        }
+        // Close the gaps that summed entries left.
+        let mut kept = 0;
+        for k in 0..n {
+            let from = start[k];
+            start[k] = kept;
+            for at in from..next[k] {
+                entries[kept] = entries[at];
+                kept += 1;
+            }
+        }
+        start[n] = kept;
+        entries.truncate(kept);
+
+        // The search runs only where the box decides every big-M row: each
+        // indicator is pinned, so the rows that bind are the same at every
+        // point of the box and no indicator is movable. Where indicators are
+        // free (SAA models, one per scenario) which rows bind is what the
+        // search is deciding, and one that ends at its node budget would
+        // return another incumbent, that is another package.
+        let decided = screens.iter().all(|screen| match screen.guard {
+            Guard::When(k, _) => lp.lower[k] == lp.upper[k],
+            Guard::Always | Guard::Never => true,
+        });
+        let mut movable: Vec<usize> = (0..n)
+            .filter(|&k| decided && integral[k] && lp.lower[k] < lp.upper[k])
+            .collect();
+        movable.sort_by(|&a, &b| lp.objective[a].total_cmp(&lp.objective[b]).then(a.cmp(&b)));
+        ColumnView {
+            start,
+            entries,
+            movable,
+        }
+    }
+
+    fn column(&self, k: usize) -> &[(usize, f64)] {
+        &self.entries[self.start[k]..self.start[k + 1]]
+    }
+}
+
+/// One unit move of the exchange search: a unit of column `out` leaves, a
+/// unit of column `into` arrives (`NONE` for neither), changing the
+/// minimization objective by `delta`.
+#[derive(Clone, Copy)]
+struct Exchange {
+    delta: f64,
+    out: usize,
+    into: usize,
+}
+
+impl Exchange {
+    const NONE: usize = usize::MAX;
+
+    /// The better of two moves: the lower `delta`, then the lower `out`,
+    /// then the lower `into`, so the search's path is a function of the
+    /// model alone.
+    fn beats(&self, other: &Option<Exchange>) -> bool {
+        match other {
+            None => self.delta < 0.0,
+            Some(o) => {
+                (self.delta, self.out, self.into).partial_cmp(&(o.delta, o.out, o.into))
+                    == Some(Ordering::Less)
+            }
+        }
+    }
+}
+
+/// Buffers of the exchange search, reused from call to call.
+#[derive(Default)]
+struct ExchangeWork {
+    /// The current point over the core's columns.
+    x: Vec<f64>,
+    /// Every core row's activity at `x`.
+    activity: Vec<f64>,
+    /// Per row: the excess it may reach — the starting point's, or zero
+    /// when that one holds — or infinity for a row that does not bind.
+    allowed: Vec<f64>,
+    /// Per row: the change a unit of the leaving column makes, zero off its
+    /// rows.
+    removal: Vec<f64>,
+}
+
+impl Core {
+    /// The unit-exchange local search: from the integral candidate `start`,
+    /// take the single best improving move (see [`Exchange::beats`]) until
+    /// none improves, the work cap ([`EXCHANGE_WORK`]) is reached or `stop`
+    /// expires. A move drops one unit of a movable column, adds one, or
+    /// moves one from column `i` to column `j`, inside the core's box.
+    /// Only [`ColumnView::movable`] columns move, so the indicators of
+    /// big-M rows stay put and the rows that bind (the rule of
+    /// [`Core::rejects`]: a big-M row binds when its indicator sits at its
+    /// active value) stay the same along the path; a move must leave every
+    /// one of them no further violated than `start` left it. Returns
+    /// `true` when the point in `work.x` moved; callers accept it only once
+    /// [`Core::feasible_expansion`] does.
+    fn exchange(&self, start: &[f64], work: &mut ExchangeWork, stop: &Deadline) -> bool {
+        let view = &self.by_column;
+        let (cost, lower, upper) = (&self.lp.objective, &self.lp.lower, &self.lp.upper);
+        let ExchangeWork {
+            x,
+            activity,
+            allowed,
+            removal,
+        } = work;
+        x.clear();
+        x.extend_from_slice(start);
+        activity.clear();
+        allowed.clear();
+        for (r, row) in self.lp.rows.iter().enumerate() {
+            let lhs: f64 = row.terms.iter().map(|&(k, coeff)| coeff * x[k]).sum();
+            activity.push(lhs);
+            allowed.push(if self.row_active(r, x) {
+                excess(row, lhs).max(0.0)
+            } else {
+                f64::INFINITY
+            });
+        }
+        removal.clear();
+        removal.resize(self.lp.rows.len(), 0.0);
+        let rows = &self.lp.rows;
+        let fits = |r: usize, lhs: f64| excess(&rows[r], lhs) <= allowed[r];
+        let Some(&cheapest) = view.movable.first() else {
+            return false;
+        };
+
+        let budget = EXCHANGE_WORK * (view.entries.len() + x.len());
+        let mut spent = view.entries.len();
+        let mut moved = false;
+        while !stop.expired() {
+            let mut best: Option<Exchange> = None;
+            // Adds: the cheapest column that fits is the best of them.
+            for &j in &view.movable {
+                let add = Exchange {
+                    delta: cost[j],
+                    out: Exchange::NONE,
+                    into: j,
+                };
+                if !add.beats(&best) {
+                    break;
+                }
+                spent += 1 + view.column(j).len();
+                if x[j] + 1.0 <= upper[j]
+                    && view
+                        .column(j)
+                        .iter()
+                        .all(|&(r, a)| fits(r, activity[r] + a))
+                {
+                    best = Some(add);
+                    break;
+                }
+            }
+            // Drops and exchanges, dearest leaving column first: once even
+            // the cheapest arrival cannot make a move out of `i` the best,
+            // no cheaper `i` can.
+            for &i in view.movable.iter().rev() {
+                spent += 1;
+                let bound = (cost[cheapest] - cost[i]).min(-cost[i]);
+                if bound >= 0.0 || best.is_some_and(|b| bound > b.delta) {
+                    break;
+                }
+                if x[i] - 1.0 < lower[i] {
+                    continue;
+                }
+                let out = view.column(i);
+                spent += out.len();
+                // Rows the removal alone pushes past what they may reach;
+                // an arrival has to bring every one of them back.
+                let mut broken = 0;
+                for &(r, a) in out {
+                    removal[r] = -a;
+                    broken += usize::from(!fits(r, activity[r] + removal[r]));
+                }
+                let drop = Exchange {
+                    delta: -cost[i],
+                    out: i,
+                    into: Exchange::NONE,
+                };
+                if broken == 0 && drop.beats(&best) {
+                    best = Some(drop);
+                }
+                for &j in &view.movable {
+                    spent += 1;
+                    let swap = Exchange {
+                        delta: cost[j] - cost[i],
+                        out: i,
+                        into: j,
+                    };
+                    if !swap.beats(&best) {
+                        if best.is_none_or(|b| swap.delta > b.delta) {
+                            break;
+                        }
+                        continue;
+                    }
+                    if j == i || x[j] + 1.0 > upper[j] {
+                        continue;
+                    }
+                    spent += view.column(j).len();
+                    let mut mended = 0;
+                    let fits_both = view.column(j).iter().all(|&(r, a)| {
+                        let alone = activity[r] + removal[r];
+                        mended += usize::from(!fits(r, alone));
+                        fits(r, alone + a)
+                    });
+                    if fits_both && mended == broken {
+                        best = Some(swap);
+                        break;
+                    }
+                }
+                for &(r, _) in out {
+                    removal[r] = 0.0;
+                }
+                if spent > budget {
+                    return moved;
+                }
+            }
+            if spent > budget {
+                return moved;
+            }
+            let Some(step) = best else {
+                break;
+            };
+            // The activities move exactly as the move was checked: the
+            // removal first, then the arrival.
+            if step.out != Exchange::NONE {
+                x[step.out] -= 1.0;
+                for &(r, a) in view.column(step.out) {
+                    activity[r] += -a;
+                }
+            }
+            if step.into != Exchange::NONE {
+                x[step.into] += 1.0;
+                for &(r, a) in view.column(step.into) {
+                    activity[r] += a;
+                }
+            }
+            moved = true;
+        }
+        moved
     }
 }
 
@@ -762,6 +1066,7 @@ struct SearchWork {
     /// The node's basic integer columns, in ascending order.
     basic: Vec<usize>,
     candidate: Vec<f64>,
+    exchange: ExchangeWork,
     /// Columns reduced-cost tightening moved at the current node.
     tightened: Vec<usize>,
     /// Per core column: already in `deltas`.
@@ -1115,6 +1420,7 @@ impl BranchBoundSolver {
                         let obj = cx.sign * cx.model.objective_value(&candidate);
                         if st.improved_by(obj) {
                             st.accept(obj, candidate);
+                            Self::polish(cx, work, st);
                         }
                     } else if st.improved_by(node_bound) {
                         // Numerical corner case: accept the raw LP point if it
@@ -1135,6 +1441,7 @@ impl BranchBoundSolver {
                             let obj = cx.sign * cx.model.objective_value(&candidate);
                             if st.improved_by(obj) {
                                 st.accept(obj, candidate);
+                                Self::polish(cx, work, st);
                             }
                         }
                     }
@@ -1223,6 +1530,22 @@ impl BranchBoundSolver {
         }
 
         Ok(None)
+    }
+
+    /// Run the exchange search ([`Core::exchange`]) from the incumbent just
+    /// accepted out of `work.candidate`, and accept where it ends when the
+    /// model does and it is better still.
+    fn polish(cx: &SearchCtx<'_>, work: &mut SearchWork, st: &mut SearchState) {
+        let core = cx.core;
+        if !core.exchange(&work.candidate, &mut work.exchange, cx.stop) {
+            return;
+        }
+        if let Some(better) = core.feasible_expansion(&work.exchange.x, cx.model) {
+            let obj = cx.sign * cx.model.objective_value(&better);
+            if st.improved_by(obj) {
+                st.accept(obj, better);
+            }
+        }
     }
 
     /// Reduced-cost bound tightening over the subtree of an LP optimum with
@@ -2239,6 +2562,249 @@ mod tests {
         fn the_precheck_only_rejects_infeasible_candidates(seed in proptest::prelude::any::<u64>()) {
             precheck_agrees(seed);
         }
+    }
+
+    /// A random small model of the shape the exchange search serves: at
+    /// most 10 integer columns in `0..=3` under a COUNT window, one or two
+    /// dense real rows, some behind an indicator (active on 1 or on 0,
+    /// pinned by its bounds or free, with a cost that makes activating it
+    /// pay). Also returns the largest violation of an indicator's row at a
+    /// point inside the COUNT window, and every assignment of the model's
+    /// columns with the COUNT in its window.
+    fn exchange_model(g: &mut Gen) -> (Model, f64, Vec<Vec<f64>>) {
+        let mut m = Model::minimize();
+        let n = g.int(3, 11) as usize;
+        let x: Vec<VarId> = (0..n)
+            .map(|i| {
+                m.add_var(
+                    format!("x{i}"),
+                    VarType::Integer,
+                    0.0,
+                    3.0,
+                    g.int(-2, 9) as f64,
+                )
+            })
+            .collect();
+        let lo = g.int(0, 3) as f64;
+        let hi = lo + g.int(1, 4) as f64;
+        let count: Vec<(VarId, f64)> = x.iter().map(|&v| (v, 1.0)).collect();
+        m.add_constraint("count_lo", count.clone(), Sense::Ge, lo);
+        m.add_constraint("count_hi", count, Sense::Le, hi);
+        fn walk(k: usize, left: f64, lo: f64, hi: f64, point: &mut [f64], out: &mut Vec<Vec<f64>>) {
+            if k == point.len() {
+                if hi - left >= lo {
+                    out.push(point.to_vec());
+                }
+                return;
+            }
+            for v in 0..=(left.min(3.0) as usize) {
+                point[k] = v as f64;
+                walk(k + 1, left - v as f64, lo, hi, point, out);
+            }
+            point[k] = 0.0;
+        }
+        let mut window = Vec::new();
+        walk(0, hi, lo, hi, &mut vec![0.0; n], &mut window);
+        let mut need: f64 = 0.0;
+        // Per indicator column: the values it may take.
+        let mut indicator_values: Vec<Vec<f64>> = Vec::new();
+        for r in 0..g.int(1, 3) {
+            let terms: Vec<(VarId, f64)> = x
+                .iter()
+                .map(|&v| (v, g.int(-4, 13) as f64 * 0.5))
+                .filter(|&(_, a)| a != 0.0)
+                .collect();
+            let sense = if g.coin() { Sense::Ge } else { Sense::Le };
+            let rhs = g.int(-2, 12) as f64;
+            if r == 0 && g.coin() {
+                m.add_constraint(format!("d{r}"), terms, sense, rhs);
+                continue;
+            }
+            for p in &window {
+                let lhs: f64 = terms.iter().map(|&(v, a)| a * p[v.0]).sum();
+                need = need.max(if sense == Sense::Ge {
+                    rhs - lhs
+                } else {
+                    lhs - rhs
+                });
+            }
+            // Activating the row earns what it costs to meet it.
+            let (active, reward) = (g.coin(), g.int(1, 6) as f64);
+            let cost = if active { -reward } else { reward };
+            let (ylo, yhi) = [(0.0, 1.0), (0.0, 0.0), (1.0, 1.0)][g.int(0, 3) as usize];
+            let y = m.add_var(format!("y{r}"), VarType::Binary, ylo, yhi, cost);
+            m.add_indicator(format!("d{r}"), y, active, terms, sense, rhs);
+            indicator_values.push(if ylo == yhi {
+                vec![ylo]
+            } else {
+                vec![0.0, 1.0]
+            });
+        }
+        let mut points = window;
+        for values in &indicator_values {
+            points = points
+                .into_iter()
+                .flat_map(|p| {
+                    values.iter().map(move |&v| {
+                        let mut p = p.clone();
+                        p.push(v);
+                        p
+                    })
+                })
+                .collect();
+        }
+        (m, need, points)
+    }
+
+    /// The best single unit move of `x`'s integer columns — drop, add, or
+    /// one unit from one to another — that the model accepts, when one
+    /// lowers the objective.
+    fn improving_unit_move(model: &Model, x: &[f64]) -> Option<Vec<f64>> {
+        let vars = model.variables();
+        let movable: Vec<usize> = (0..x.len())
+            .filter(|&k| vars[k].is_integral() && vars[k].lower < vars[k].upper)
+            .collect();
+        let steps = movable
+            .iter()
+            .map(|&i| (Some(i), None))
+            .chain(movable.iter().map(|&j| (None, Some(j))))
+            .chain(
+                movable
+                    .iter()
+                    .flat_map(|&i| movable.iter().map(move |&j| (Some(i), Some(j)))),
+            );
+        let objective = model.objective_value(x);
+        steps
+            .filter(|(i, j)| i != j)
+            .filter_map(|(i, j)| {
+                let mut y = x.to_vec();
+                if let Some(i) = i {
+                    y[i] -= 1.0;
+                }
+                if let Some(j) = j {
+                    y[j] += 1.0;
+                }
+                (model.is_feasible(&y, FEAS_TOL) && model.objective_value(&y) < objective - 1e-9)
+                    .then_some(y)
+            })
+            .next()
+    }
+
+    /// Check the exchange search against brute force on one random model.
+    /// `solve_full`, under a `big_m_cap` that keeps every feasible point,
+    /// reaches the enumerated optimum. Then, on the whole LP linearized
+    /// under a cap half as large — so the big-M rows of inactive indicators
+    /// cut off points the model allows — the search from every feasible
+    /// point ends on a feasible point with a lower objective and the
+    /// indicator columns where they were, and the point it stops moving
+    /// at admits no improving unit move. It never moves while an indicator
+    /// is free. Returns (big-M rows whose `M` the half cap lowered,
+    /// searches that moved).
+    fn exchange_agrees(seed: u64) -> (usize, usize) {
+        let mut g = Gen(seed);
+        let (model, need, points) = exchange_model(&mut g);
+        let feasible: Vec<&Vec<f64>> = points
+            .iter()
+            .filter(|p| model.is_feasible(p, FEAS_TOL))
+            .collect();
+        let optimum = feasible
+            .iter()
+            .map(|p| model.objective_value(p))
+            .min_by(f64::total_cmp);
+        let keeps_all = SolverOptions {
+            big_m_cap: need.max(0.5),
+            ..opts()
+        };
+        let res = solve_full(&model, &keeps_all).unwrap();
+        match optimum {
+            Some(best) => {
+                assert_eq!(res.status, SolveStatus::Optimal, "seed {seed}");
+                let sol = res.solution.unwrap();
+                assert!(model.is_feasible(&sol.values, FEAS_TOL), "seed {seed}");
+                assert!(
+                    (sol.objective - best).abs() <= 1e-9,
+                    "seed {seed}: solved {} against the enumerated {best}",
+                    sol.objective
+                );
+            }
+            None => assert_eq!(res.status, SolveStatus::Infeasible, "seed {seed}"),
+        }
+
+        let cap = (0.5 * need).max(0.5);
+        let lp = BranchBoundSolver::new(SolverOptions {
+            big_m_cap: cap,
+            ..opts()
+        })
+        .build_lp(&model, 1.0);
+        let uncapped = BranchBoundSolver::new(SolverOptions {
+            big_m_cap: f64::INFINITY,
+            ..opts()
+        })
+        .build_lp(&model, 1.0);
+        let capped = (lp.rows.iter().zip(&uncapped.rows))
+            .filter(|(a, b)| a.terms != b.terms)
+            .count();
+        let core = Core::full(lp, &model);
+        let vars = model.variables();
+        let indicators: Vec<usize> = model.indicators().iter().map(|ic| ic.indicator.0).collect();
+        let free = indicators.iter().any(|&y| vars[y].lower < vars[y].upper);
+        let mut work = ExchangeWork::default();
+        let mut moved = 0;
+        for start in feasible {
+            if !core.exchange(start, &mut work, &Deadline::none()) {
+                assert_eq!(&work.x, start, "seed {seed}: a search that did not move");
+                continue;
+            }
+            assert!(!free, "seed {seed}: moved while an indicator is free");
+            moved += 1;
+            let mut end = core.expand(&work.x);
+            assert!(
+                model.is_feasible(&end, FEAS_TOL),
+                "seed {seed}: {start:?} -> infeasible {end:?}"
+            );
+            for &y in &indicators {
+                assert_eq!(end[y], start[y], "seed {seed}: indicator x{y} moved");
+            }
+            assert!(
+                model.objective_value(&end) < model.objective_value(start),
+                "seed {seed}: {start:?} -> {end:?} did not lower the objective"
+            );
+            // Past the work cap, a search picks up where the last one
+            // stopped; where it stops moving, no unit move improves.
+            while core.exchange(&end, &mut work, &Deadline::none()) {
+                end = core.expand(&work.x);
+            }
+            assert_eq!(
+                improving_unit_move(&model, &end),
+                None,
+                "seed {seed}: the search stopped at {end:?}"
+            );
+        }
+        (capped, moved)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The exchange search against brute force on random small models.
+        #[test]
+        fn the_exchange_search_agrees_with_enumeration(seed in proptest::prelude::any::<u64>()) {
+            exchange_agrees(seed);
+        }
+    }
+
+    #[test]
+    fn the_exchange_search_is_exercised_under_binding_caps() {
+        // Not vacuous: across these models the cap lowers big-M rows and
+        // the search moves from many of the feasible points.
+        let (mut capped, mut moved) = (0, 0);
+        for seed in 0..100 {
+            let (c, m) = exchange_agrees(seed);
+            capped += c;
+            moved += m;
+        }
+        assert!(capped >= 50, "the cap lowered {capped} big-M rows");
+        assert!(moved >= 1000, "{moved} searches moved");
     }
 
     #[test]

@@ -1811,11 +1811,17 @@ mod tests {
     /// the minimized attribute). Column `k` holds item `order[k]`, so any
     /// permutation of `order` states the same problem.
     fn galaxy_shaped_model(order: &[usize]) -> Model {
+        galaxy_shaped_model_within(order, |_| 3.0)
+    }
+
+    /// [`galaxy_shaped_model`] with item `i`'s multiplicity at most
+    /// `upper(i)`.
+    fn galaxy_shaped_model_within(order: &[usize], upper: impl Fn(usize) -> f64) -> Model {
         let mean = |i: usize| 14.0 + 8.0 * unit(i, 0);
         let mut m = Model::minimize();
         let vars: Vec<_> = order
             .iter()
-            .map(|&i| m.add_var(format!("x{i}"), VarType::Integer, 0.0, 3.0, mean(i)))
+            .map(|&i| m.add_var(format!("x{i}"), VarType::Integer, 0.0, upper(i), mean(i)))
             .collect();
         let count: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
         m.add_constraint("count_lo", count.clone(), Sense::Ge, 5.0);
@@ -1907,14 +1913,9 @@ mod tests {
         // search would have left it for a smaller core right after the root.
         let n = 400;
         let order: Vec<usize> = (0..n).collect();
-        let mut model = galaxy_shaped_model(&order);
         // More than half of the columns fixed by the model itself: the core
         // reduction fires at the root, incumbent or not.
-        for i in 0..n {
-            if i % 5 != 0 {
-                model.set_bounds(VarId(i), 0.0, 0.0);
-            }
-        }
+        let model = galaxy_shaped_model_within(&order, |i| if i % 5 == 0 { 3.0 } else { 0.0 });
         let (full, probe) = probed(&model, &opts());
         assert_eq!(full.status, SolveStatus::Optimal);
         assert_reduced(&probe, n);
@@ -2083,7 +2084,7 @@ mod tests {
         let x = m.add_var("x", VarType::Integer, 0.0, 100.0, 1.0);
         m.add_constraint("c", vec![(x, 2.0)], Sense::Le, 7.0);
         let sol = solve(&m, &opts()).unwrap();
-        assert_eq!(sol.int_value(x), 3);
+        assert_eq!(sol.value(x).round(), 3.0);
         assert!((sol.objective - 3.0).abs() < 1e-9);
     }
 
@@ -2094,8 +2095,8 @@ mod tests {
         let b = model.add_var("b", VarType::Integer, 0.0, 3.0, 2.0);
         model.add_constraint("cap", vec![(a, 1.0), (b, 1.0)], Sense::Le, 4.0);
         let solution = solve(&model, &opts()).unwrap();
-        assert_eq!(solution.int_value(a), 3);
-        assert_eq!(solution.int_value(b), 1);
+        assert_eq!(solution.value(a).round(), 3.0);
+        assert_eq!(solution.value(b).round(), 1.0);
     }
 
     #[test]
@@ -2144,8 +2145,8 @@ mod tests {
         m.add_indicator("ind", y, true, vec![(x, 1.0)], Sense::Le, 2.0);
         let sol = solve(&m, &opts()).unwrap();
         // Options: y=1, x=2 -> 20; y=0, x=8 -> 40. Optimal picks y=0.
-        assert_eq!(sol.int_value(y), 0);
-        assert_eq!(sol.int_value(x), 8);
+        assert_eq!(sol.value(y).round(), 0.0);
+        assert_eq!(sol.value(x).round(), 8.0);
         assert!((sol.objective - 40.0).abs() < 1e-6);
     }
 
@@ -2196,8 +2197,8 @@ mod tests {
         m.add_indicator("ind", y, false, vec![(x, 1.0)], Sense::Ge, 5.0);
         let sol = solve(&m, &opts()).unwrap();
         // Option A: y=0 -> x>=5, cost 5. Option B: y=1 -> x=0, cost 3.
-        assert_eq!(sol.int_value(y), 1);
-        assert_eq!(sol.int_value(x), 0);
+        assert_eq!(sol.value(y).round(), 1.0);
+        assert_eq!(sol.value(x).round(), 0.0);
         assert!((sol.objective - 3.0).abs() < 1e-6);
     }
 
@@ -2209,8 +2210,8 @@ mod tests {
         let y = m.add_var("y", VarType::Binary, 0.0, 1.0, 1.0);
         m.add_indicator("eq", y, true, vec![(x, 1.0)], Sense::Eq, 4.0);
         let sol = solve(&m, &opts()).unwrap();
-        assert_eq!(sol.int_value(y), 1);
-        assert_eq!(sol.int_value(x), 4);
+        assert_eq!(sol.value(y).round(), 1.0);
+        assert_eq!(sol.value(x).round(), 4.0);
     }
 
     #[test]
@@ -2274,8 +2275,8 @@ mod tests {
         m.add_constraint("sum", vec![(x, 1.0), (y, 1.0)], Sense::Eq, 7.0);
         m.add_constraint("diff", vec![(x, 1.0), (y, -1.0)], Sense::Le, 1.0);
         let sol = solve(&m, &opts()).unwrap();
-        assert_eq!(sol.int_value(x) + sol.int_value(y), 7);
-        assert_eq!(sol.int_value(x), 0);
+        assert_eq!(sol.value(x).round() + sol.value(y).round(), 7.0);
+        assert_eq!(sol.value(x).round(), 0.0);
     }
 
     #[test]
@@ -2409,7 +2410,7 @@ mod tests {
         let sol = solve(&m, &opts()).unwrap();
         // For fixed x, z = min(2.5, 5 - x); the best integer choice is x = 3,
         // z = 2 with objective 12.
-        assert_eq!(sol.int_value(x), 3);
+        assert_eq!(sol.value(x).round(), 3.0);
         assert!((sol.value(z) - 2.0).abs() < 1e-6);
         assert!((sol.objective - 12.0).abs() < 1e-6);
     }

@@ -270,17 +270,6 @@ impl Model {
         self.indicators.len() - 1
     }
 
-    /// Overwrite the objective coefficient of a variable.
-    pub fn set_objective_coeff(&mut self, var: VarId, coeff: f64) {
-        self.variables[var.0].objective = coeff;
-    }
-
-    /// Tighten the bounds of a variable.
-    pub fn set_bounds(&mut self, var: VarId, lower: f64, upper: f64) {
-        self.variables[var.0].lower = lower;
-        self.variables[var.0].upper = upper;
-    }
-
     /// The variables.
     pub fn variables(&self) -> &[Variable] {
         &self.variables
@@ -423,11 +412,6 @@ impl Solution {
     pub fn value(&self, var: VarId) -> f64 {
         self.values[var.0]
     }
-
-    /// The value of a variable rounded to the nearest integer.
-    pub fn int_value(&self, var: VarId) -> i64 {
-        self.values[var.0].round() as i64
-    }
 }
 
 #[cfg(test)]
@@ -543,16 +527,6 @@ mod tests {
     }
 
     #[test]
-    fn set_bounds_and_objective() {
-        let (mut m, x, _) = simple_model();
-        m.set_bounds(x, 2.0, 4.0);
-        m.set_objective_coeff(x, 7.0);
-        assert_eq!(m.variables()[x.0].lower, 2.0);
-        assert_eq!(m.variables()[x.0].upper, 4.0);
-        assert_eq!(m.variables()[x.0].objective, 7.0);
-    }
-
-    #[test]
     fn solution_accessors() {
         let s = Solution {
             values: vec![1.2, 3.0],
@@ -560,7 +534,7 @@ mod tests {
             lp_pivots: 4,
         };
         assert_eq!(s.value(VarId(0)), 1.2);
-        assert_eq!(s.int_value(VarId(1)), 3);
+        assert_eq!(s.value(VarId(1)), 3.0);
     }
 
     #[test]

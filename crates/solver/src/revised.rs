@@ -332,17 +332,6 @@ impl RevisedLp {
     }
 }
 
-/// Convenience entry point: solve an [`LpProblem`] (bounds taken from the
-/// problem) with the revised simplex.
-pub fn solve_problem(
-    lp: &LpProblem,
-    warm: Option<&Basis>,
-    rules: &PivotRules,
-) -> Result<RevisedSolution> {
-    let rlp = RevisedLp::from_problem(lp)?;
-    rlp.solve(&lp.lower, &lp.upper, warm, rules)
-}
-
 /// What blocked the entering variable's step.
 enum Blocking {
     /// The entering variable reached its own opposite bound: flip, no pivot.
@@ -857,6 +846,15 @@ mod tests {
 
     fn rules() -> PivotRules {
         PivotRules::for_size(50, 50, None)
+    }
+
+    /// Solve an [`LpProblem`] under its own bounds.
+    fn solve_problem(
+        lp: &LpProblem,
+        warm: Option<&Basis>,
+        rules: &PivotRules,
+    ) -> Result<RevisedSolution> {
+        RevisedLp::from_problem(lp)?.solve(&lp.lower, &lp.upper, warm, rules)
     }
 
     fn assert_close(a: f64, b: f64) {

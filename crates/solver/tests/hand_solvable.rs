@@ -60,9 +60,9 @@ fn knapsack_where_lp_rounding_fails() {
     assert_eq!(result.status, SolveStatus::Optimal);
     let solution = result.solution.unwrap();
     assert_close(solution.objective, 10.0);
-    assert_eq!(solution.int_value(a), 0);
-    assert_eq!(solution.int_value(b), 1);
-    assert_eq!(solution.int_value(c), 1);
+    assert_eq!(solution.value(a).round(), 0.0);
+    assert_eq!(solution.value(b).round(), 1.0);
+    assert_eq!(solution.value(c).round(), 1.0);
 }
 
 /// Mixed integer/continuous covering problem.
@@ -78,7 +78,7 @@ fn mixed_integer_covering() {
     let result = solve_full(&model, &opts()).unwrap();
     assert_eq!(result.status, SolveStatus::Optimal);
     let solution = result.solution.unwrap();
-    assert_eq!(solution.int_value(n), 2);
+    assert_eq!(solution.value(n).round(), 2.0);
     assert_close(solution.value(w), 2.0);
     assert_close(solution.objective, 18.0);
     assert!(model.is_feasible(&solution.values, 1e-6));
@@ -118,7 +118,7 @@ fn exact_cardinality_selection() {
     let chosen: Vec<usize> = vars
         .iter()
         .enumerate()
-        .filter(|(_, v)| solution.int_value(**v) == 1)
+        .filter(|(_, v)| solution.value(**v).round() == 1.0)
         .map(|(i, _)| i)
         .collect();
     assert!(
@@ -139,7 +139,7 @@ fn fixed_charge_indicator() {
     let result = solve_full(&model, &opts()).unwrap();
     assert_eq!(result.status, SolveStatus::Optimal);
     let solution = result.solution.unwrap();
-    assert_eq!(solution.int_value(open), 1);
+    assert_eq!(solution.value(open).round(), 1.0);
     assert_close(solution.value(units), 10.0);
     assert_close(solution.objective, 18.0);
 }

@@ -28,6 +28,7 @@ use crate::deadline::Deadline;
 use crate::error::SolverError;
 use crate::model::{Direction, Model, Sense, Solution};
 use crate::revised::{LpStatus, PivotRules, RevisedLp, RevisedSolution, SimplexWork};
+use crate::sparse::CscMatrix;
 use crate::standard_form::{LpProblem, LpRow, BOUND_INFINITY};
 use crate::Result;
 use spq_obs::metrics::{Counter, Histogram, Named};
@@ -546,8 +547,8 @@ struct Core {
     folded: Vec<f64>,
     /// The pre-check's view of each row of `lp`.
     screens: Vec<RowScreen>,
-    /// The rows of `lp` by column, for the exchange search.
-    by_column: ColumnView,
+    /// The columns the exchange search may move ([`Core::exchange`]).
+    movable: Vec<usize>,
 }
 
 impl Core {
@@ -582,7 +583,7 @@ impl Core {
         let vars = model.variables();
         let integral: Vec<bool> = cols.iter().map(|&c| vars[c].is_integral()).collect();
         let int_cols = (0..cols.len()).filter(|&k| integral[k]).collect();
-        let by_column = ColumnView::new(&lp, &integral, &screens);
+        let movable = movable_columns(&lp, &integral, &screens);
         Core {
             lp,
             cols,
@@ -591,7 +592,7 @@ impl Core {
             offset,
             folded,
             screens,
-            by_column,
+            movable,
         }
     }
 
@@ -732,86 +733,28 @@ fn excess(row: &LpRow, lhs: f64) -> f64 {
 /// included. A step that would go over the cap is not taken.
 const EXCHANGE_WORK: usize = 32;
 
-/// The rows of a core LP by column, and the columns the exchange search may
-/// move; empty when none may.
-#[derive(Default)]
-struct ColumnView {
-    /// Column `k`'s entries are `entries[start[k]..start[k + 1]]`, one
-    /// `(row, coefficient)` per row it appears in, by ascending row.
-    start: Vec<usize>,
-    entries: Vec<(usize, f64)>,
-    /// The integer columns whose box leaves them room, by ascending
-    /// (objective coefficient, index); none while the box leaves the
-    /// indicator of a big-M row free.
-    movable: Vec<usize>,
-}
-
-impl ColumnView {
-    fn new(lp: &LpProblem, integral: &[bool], screens: &[RowScreen]) -> ColumnView {
-        // The search runs only where the box decides every big-M row: each
-        // indicator is pinned, so the rows that bind are the same at every
-        // point of the box and no indicator is movable. Where indicators are
-        // free (SAA models, one per scenario) which rows bind is what the
-        // search is deciding, and one that ends at its node budget would
-        // return another incumbent, that is another package.
-        let decided = screens.iter().all(|screen| match screen.guard {
-            Guard::When(k, _) => lp.lower[k] == lp.upper[k],
-            Guard::Always | Guard::Never => true,
-        });
-        let n = lp.num_vars();
-        let mut movable: Vec<usize> = (0..n)
-            .filter(|&k| decided && integral[k] && lp.lower[k] < lp.upper[k])
-            .collect();
-        if movable.is_empty() {
-            return ColumnView::default();
-        }
-        movable.sort_by(|&a, &b| lp.objective[a].total_cmp(&lp.objective[b]).then(a.cmp(&b)));
-
-        let mut start = vec![0usize; n + 1];
-        for row in &lp.rows {
-            for &(k, _) in &row.terms {
-                start[k + 1] += 1;
-            }
-        }
-        for k in 0..n {
-            start[k + 1] += start[k];
-        }
-        // Rows are visited in order, so a column repeated within a row meets
-        // its own last entry and is summed into it.
-        let mut next = start[..n].to_vec();
-        let mut entries = vec![(0, 0.0); start[n]];
-        for (r, row) in lp.rows.iter().enumerate() {
-            for &(k, coeff) in &row.terms {
-                if next[k] > start[k] && entries[next[k] - 1].0 == r {
-                    entries[next[k] - 1].1 += coeff;
-                } else {
-                    entries[next[k]] = (r, coeff);
-                    next[k] += 1;
-                }
-            }
-        }
-        // Close the gaps that summed entries left.
-        let mut kept = 0;
-        for k in 0..n {
-            let from = start[k];
-            start[k] = kept;
-            for at in from..next[k] {
-                entries[kept] = entries[at];
-                kept += 1;
-            }
-        }
-        start[n] = kept;
-        entries.truncate(kept);
-        ColumnView {
-            start,
-            entries,
-            movable,
-        }
+/// The columns the exchange search may move: the integer columns whose box
+/// leaves them room, by ascending (objective coefficient, index).
+///
+/// None while the box leaves the indicator of a big-M row free. The search
+/// runs only where the box decides every big-M row, so the rows that bind
+/// are the same at every point of the box and no indicator is movable.
+/// Where indicators are free (SAA models, one per scenario) which rows bind
+/// is what the search is deciding, and one that ends at its node budget
+/// would return another incumbent, that is another package.
+fn movable_columns(lp: &LpProblem, integral: &[bool], screens: &[RowScreen]) -> Vec<usize> {
+    let decided = screens.iter().all(|screen| match screen.guard {
+        Guard::When(k, _) => lp.lower[k] == lp.upper[k],
+        Guard::Always | Guard::Never => true,
+    });
+    if !decided {
+        return Vec::new();
     }
-
-    fn column(&self, k: usize) -> &[(usize, f64)] {
-        &self.entries[self.start[k]..self.start[k + 1]]
-    }
+    let mut movable: Vec<usize> = (0..lp.num_vars())
+        .filter(|&k| integral[k] && lp.lower[k] < lp.upper[k])
+        .collect();
+    movable.sort_by(|&a, &b| lp.objective[a].total_cmp(&lp.objective[b]).then(a.cmp(&b)));
+    movable
 }
 
 /// One unit move of the exchange search: a unit of column `out` leaves, a
@@ -862,17 +805,27 @@ impl Core {
     /// none improves, the work cap ([`EXCHANGE_WORK`]) is reached or `stop`
     /// expires. A move drops one unit of a movable column, adds one, or
     /// moves one from column `i` to column `j`, inside the core's box.
-    /// Only [`ColumnView::movable`] columns move, so the indicators of
+    /// Only [`Core::movable`] columns move, so the indicators of
     /// big-M rows stay put and the rows that bind (the rule of
     /// [`Core::rejects`]: a big-M row binds when its indicator sits at its
     /// active value) stay the same along the path; a move must leave every
     /// one of them no further violated than `start` left it. Returns
     /// `true` when the point in `work.x` moved; callers accept it only once
-    /// [`Core::feasible_expansion`] does.
-    fn exchange(&self, start: &[f64], work: &mut ExchangeWork, stop: &Deadline) -> bool {
-        let view = &self.by_column;
-        let Some(&cheapest) = view.movable.first() else {
+    /// [`Core::feasible_expansion`] does. `matrix` is the core LP's
+    /// ([`RevisedLp::matrix`]): each column's rows, by ascending row.
+    fn exchange(
+        &self,
+        matrix: &CscMatrix,
+        start: &[f64],
+        work: &mut ExchangeWork,
+        stop: &Deadline,
+    ) -> bool {
+        let Some(&cheapest) = self.movable.first() else {
             return false;
+        };
+        let column = |k: usize| {
+            let (rows, values) = matrix.col(k);
+            rows.iter().copied().zip(values.iter().copied())
         };
         let (cost, lower, upper) = (&self.lp.objective, &self.lp.lower, &self.lp.upper);
         let ExchangeWork {
@@ -899,13 +852,13 @@ impl Core {
         let rows = &self.lp.rows;
         let fits = |r: usize, lhs: f64| excess(&rows[r], lhs) <= allowed[r];
 
-        let budget = EXCHANGE_WORK * (view.entries.len() + x.len());
-        let mut spent = view.entries.len();
+        let budget = EXCHANGE_WORK * (matrix.nnz() + x.len());
+        let mut spent = matrix.nnz();
         let mut moved = false;
         while !stop.expired() {
             let mut best: Option<Exchange> = None;
             // Adds: the cheapest column that fits is the best of them.
-            for &j in &view.movable {
+            for &j in &self.movable {
                 let add = Exchange {
                     delta: cost[j],
                     out: Exchange::NONE,
@@ -914,13 +867,8 @@ impl Core {
                 if !add.beats(&best) {
                     break;
                 }
-                spent += 1 + view.column(j).len();
-                if x[j] + 1.0 <= upper[j]
-                    && view
-                        .column(j)
-                        .iter()
-                        .all(|&(r, a)| fits(r, activity[r] + a))
-                {
+                spent += 1 + column(j).len();
+                if x[j] + 1.0 <= upper[j] && column(j).all(|(r, a)| fits(r, activity[r] + a)) {
                     best = Some(add);
                     break;
                 }
@@ -928,7 +876,7 @@ impl Core {
             // Drops and exchanges, dearest leaving column first: once even
             // the cheapest arrival cannot make a move out of `i` the best,
             // no cheaper `i` can.
-            for &i in view.movable.iter().rev() {
+            for &i in self.movable.iter().rev() {
                 spent += 1;
                 let bound = (cost[cheapest] - cost[i]).min(-cost[i]);
                 if bound >= 0.0 || best.is_some_and(|b| bound > b.delta) {
@@ -937,12 +885,11 @@ impl Core {
                 if x[i] - 1.0 < lower[i] {
                     continue;
                 }
-                let out = view.column(i);
-                spent += out.len();
+                spent += column(i).len();
                 // Rows the removal alone pushes past what they may reach;
                 // an arrival has to bring every one of them back.
                 let mut broken = 0;
-                for &(r, a) in out {
+                for (r, a) in column(i) {
                     removal[r] = -a;
                     broken += usize::from(!fits(r, activity[r] + removal[r]));
                 }
@@ -954,7 +901,7 @@ impl Core {
                 if broken == 0 && drop.beats(&best) {
                     best = Some(drop);
                 }
-                for &j in &view.movable {
+                for &j in &self.movable {
                     spent += 1;
                     let swap = Exchange {
                         delta: cost[j] - cost[i],
@@ -970,9 +917,9 @@ impl Core {
                     if j == i || x[j] + 1.0 > upper[j] {
                         continue;
                     }
-                    spent += view.column(j).len();
+                    spent += column(j).len();
                     let mut mended = 0;
-                    let fits_both = view.column(j).iter().all(|&(r, a)| {
+                    let fits_both = column(j).all(|(r, a)| {
                         let alone = activity[r] + removal[r];
                         mended += usize::from(!fits(r, alone));
                         fits(r, alone + a)
@@ -982,7 +929,7 @@ impl Core {
                         break;
                     }
                 }
-                for &(r, _) in out {
+                for (r, _) in column(i) {
                     removal[r] = 0.0;
                 }
                 if spent > budget {
@@ -999,13 +946,13 @@ impl Core {
             // removal first, then the arrival.
             if step.out != Exchange::NONE {
                 x[step.out] -= 1.0;
-                for &(r, a) in view.column(step.out) {
+                for (r, a) in column(step.out) {
                     activity[r] += -a;
                 }
             }
             if step.into != Exchange::NONE {
                 x[step.into] += 1.0;
-                for &(r, a) in view.column(step.into) {
+                for (r, a) in column(step.into) {
                     activity[r] += a;
                 }
             }
@@ -1551,7 +1498,7 @@ impl BranchBoundSolver {
         {
             return;
         }
-        if !core.exchange(&work.candidate, &mut work.exchange, cx.stop) {
+        if !core.exchange(cx.lp.matrix(), &work.candidate, &mut work.exchange, cx.stop) {
             return;
         }
         if let Some(better) = core.feasible_expansion(&work.exchange.x, cx.model) {
@@ -2759,6 +2706,7 @@ mod tests {
         let capped = (lp.rows.iter().zip(&uncapped.rows))
             .filter(|(a, b)| a.terms != b.terms)
             .count();
+        let matrix = RevisedLp::from_problem(&lp).unwrap();
         let core = Core::full(lp, &model);
         let vars = model.variables();
         let indicators: Vec<usize> = model.indicators().iter().map(|ic| ic.indicator.0).collect();
@@ -2766,7 +2714,7 @@ mod tests {
         let mut work = ExchangeWork::default();
         let mut moved = 0;
         for start in feasible {
-            if !core.exchange(start, &mut work, &Deadline::none()) {
+            if !core.exchange(matrix.matrix(), start, &mut work, &Deadline::none()) {
                 continue;
             }
             assert!(!free, "seed {seed}: moved while an indicator is free");
@@ -2785,7 +2733,7 @@ mod tests {
             );
             // Past the work cap, a search picks up where the last one
             // stopped; where it stops moving, no unit move improves.
-            while core.exchange(&end, &mut work, &Deadline::none()) {
+            while core.exchange(matrix.matrix(), &end, &mut work, &Deadline::none()) {
                 end = core.expand(&work.x);
             }
             assert_eq!(

@@ -301,6 +301,12 @@ impl RevisedLp {
         self.matrix.nnz()
     }
 
+    /// The constraint matrix: structural columns, then one logical column
+    /// per row.
+    pub(crate) fn matrix(&self) -> &CscMatrix {
+        &self.matrix
+    }
+
     /// Solve with the given structural bounds, optional warm-start basis and
     /// pivot rules: [`RevisedLp::solve_with`] on a fresh workspace.
     pub fn solve(

@@ -497,6 +497,17 @@ enum Guard {
     When(usize, f64),
 }
 
+impl Guard {
+    /// True when the row binds the core assignment `x`.
+    fn binds(self, x: &[f64]) -> bool {
+        match self {
+            Guard::Always => true,
+            Guard::Never => false,
+            Guard::When(k, value) => x[k] == value,
+        }
+    }
+}
+
 /// One core LP row as the incumbent pre-check reads it.
 #[derive(Clone, Copy)]
 struct RowScreen {
@@ -675,33 +686,18 @@ impl Core {
     /// rejects every `x` this rejects. Inactive big-M rows are skipped: with
     /// a capped big-M they can cut off points the model allows.
     fn rejects(&self, x: &[f64]) -> bool {
-        self.lp
-            .rows
-            .iter()
-            .zip(&self.screens)
-            .enumerate()
-            .any(|(r, (row, screen))| {
-                if !self.row_active(r, x) {
-                    return false;
-                }
-                let (mut lhs, mut size) = (0.0, 0.0);
-                for &(k, coeff) in &row.terms {
-                    let term = coeff * x[k];
-                    lhs += term;
-                    size += term.abs();
-                }
-                excess(row, lhs) > FEAS_TOL + screen.rel * (size + screen.scale + FEAS_TOL)
-            })
-    }
-
-    /// True when row `r` of the core LP binds the candidate `x`: a model
-    /// constraint, or a big-M row whose indicator sits at its active value.
-    fn row_active(&self, r: usize, x: &[f64]) -> bool {
-        match self.screens[r].guard {
-            Guard::Always => true,
-            Guard::Never => false,
-            Guard::When(k, value) => x[k] == value,
-        }
+        self.lp.rows.iter().zip(&self.screens).any(|(row, screen)| {
+            if !screen.guard.binds(x) {
+                return false;
+            }
+            let (mut lhs, mut size) = (0.0, 0.0);
+            for &(k, coeff) in &row.terms {
+                let term = coeff * x[k];
+                lhs += term;
+                size += term.abs();
+            }
+            excess(row, lhs) > FEAS_TOL + screen.rel * (size + screen.scale + FEAS_TOL)
+        })
     }
 
     /// The model-shaped assignment behind the core candidate `x` when the
@@ -770,9 +766,9 @@ struct Exchange {
 impl Exchange {
     const NONE: usize = usize::MAX;
 
-    /// The better of two moves: the lower `delta`, then the lower `out`,
-    /// then the lower `into`, so the search's path is a function of the
-    /// model alone.
+    /// True when this move is better than `other`: the lower `delta`, then
+    /// the lower `out`, then the lower `into`, so the search's path is a
+    /// function of the model alone. Any improving move beats none.
     fn beats(&self, other: &Option<Exchange>) -> bool {
         match other {
             None => self.delta < 0.0,
@@ -838,10 +834,10 @@ impl Core {
         x.extend_from_slice(start);
         activity.clear();
         allowed.clear();
-        for (r, row) in self.lp.rows.iter().enumerate() {
+        for (row, screen) in self.lp.rows.iter().zip(&self.screens) {
             let lhs: f64 = row.terms.iter().map(|&(k, coeff)| coeff * x[k]).sum();
             activity.push(lhs);
-            allowed.push(if self.row_active(r, x) {
+            allowed.push(if screen.guard.binds(x) {
                 excess(row, lhs).max(0.0)
             } else {
                 f64::INFINITY

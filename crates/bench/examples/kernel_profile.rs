@@ -1,10 +1,9 @@
 //! Quick profiling harness for the solver kernel (the sparse revised
 //! simplex under branch-and-bound): prints node/iteration counts and
 //! wall-clock so solver changes can be attributed (fewer iterations vs
-//! cheaper iterations) without waiting for the full criterion run.
+//! cheaper iterations).
 //!
-//! Two models are solved: the Portfolio SAA model that the `lp_backend`
-//! criterion group of `benches/kernels.rs` also solves, and a 2 000-tuple
+//! Two models are solved: a Portfolio SAA model and a 2 000-tuple
 //! Galaxy model on which the search restarts its LP on ever smaller cores.
 //!
 //! The first four stdout fields (`status= obj= nodes= lp_iters=`) are

@@ -19,8 +19,7 @@
 //! at reduced scale.
 //!
 //! Speed is measured by the `perf_ledger` binary instead (see its README);
-//! criterion micro-benchmarks (`cargo bench -p spq-bench`) cover the
-//! kernels.
+//! the `kernel_profile` example probes the solver kernel.
 //!
 //! A bad command line is fatal (exit code 2) rather than silently running a
 //! different experiment; `--trace <path>` (or `SPQ_TRACE`) records phase

@@ -250,25 +250,7 @@ impl<'a> Instance<'a> {
     /// alone. In every case the values are bit-identical to serial
     /// generation.
     pub fn optimization_matrix(&self, column: &str, m: usize) -> Result<Arc<ScenarioMatrix>> {
-        if let Some(values) = self.invariant_values.get(column) {
-            return Ok(Arc::new(ScenarioMatrix::broadcast(values, m)));
-        }
-        match &self.options.scenario_cache {
-            Some(cache) => Ok(cache.sparse_matrix_range(
-                &self.opt_gen,
-                self.relation,
-                column,
-                &self.silp.tuples,
-                0..m,
-            )?),
-            None => Ok(Arc::new(self.opt_gen.realize_sparse_matrix_range(
-                self.relation,
-                column,
-                &self.silp.tuples,
-                0..m,
-                0,
-            )?)),
-        }
+        self.window(&self.opt_gen, column, None, 0..m)
     }
 
     /// Realize validation scenarios of a stochastic column for the given
@@ -298,7 +280,7 @@ impl<'a> Instance<'a> {
     /// row — so that, when [`SpqOptions::scenario_cache`] is set, the row is
     /// memoized under its tuple alone and shared by every package that
     /// contains the tuple; without a cache it is generated for this call
-    /// alone — bit-identically either way. The block itself is realized
+    /// alone — bit-identically either way. A one-row block is realized
     /// serially; the validator parallelizes across blocks.
     pub fn validation_matrix(
         &self,
@@ -306,30 +288,47 @@ impl<'a> Instance<'a> {
         positions: &[usize],
         scenarios: std::ops::Range<usize>,
     ) -> Result<Arc<ScenarioMatrix>> {
+        self.window(&self.val_gen, column, Some(positions), scenarios)
+    }
+
+    /// A scenario window of `column` from `generator`'s stream over the
+    /// candidate `positions` (every candidate when `None`): a broadcast of
+    /// the probed values for a scenario-invariant column, else the shared
+    /// scenario cache's block when one is set, else a block realized for
+    /// this call alone.
+    fn window(
+        &self,
+        generator: &ScenarioGenerator,
+        column: &str,
+        positions: Option<&[usize]>,
+        scenarios: std::ops::Range<usize>,
+    ) -> Result<Arc<ScenarioMatrix>> {
         if let Some(values) = self.invariant_values.get(column) {
-            let picked: Vec<f64> = positions.iter().map(|&p| values[p]).collect();
+            let picked: Cow<'_, [f64]> = match positions {
+                Some(positions) => positions.iter().map(|&p| values[p]).collect(),
+                None => Cow::Borrowed(values),
+            };
             return Ok(Arc::new(ScenarioMatrix::broadcast(
                 &picked,
                 scenarios.len(),
             )));
         }
-        let tuples: Vec<usize> = positions.iter().map(|&p| self.silp.tuples[p]).collect();
-        match &self.options.scenario_cache {
-            Some(cache) => Ok(cache.sparse_matrix_range(
-                &self.val_gen,
+        let tuples: Cow<'_, [usize]> = match positions {
+            Some(positions) => positions.iter().map(|&p| self.silp.tuples[p]).collect(),
+            None => Cow::Borrowed(&self.silp.tuples),
+        };
+        Ok(match &self.options.scenario_cache {
+            Some(cache) => {
+                cache.sparse_matrix_range(generator, self.relation, column, &tuples, scenarios)?
+            }
+            None => Arc::new(generator.realize_sparse_matrix_range(
                 self.relation,
                 column,
                 &tuples,
                 scenarios,
+                0,
             )?),
-            None => Ok(Arc::new(self.val_gen.realize_sparse_matrix_range(
-                self.relation,
-                column,
-                &tuples,
-                scenarios,
-                1,
-            )?)),
-        }
+        })
     }
 
     /// (min, max) sampled value of the objective's stochastic column, if the
@@ -384,38 +383,15 @@ impl<'a> Instance<'a> {
         if self.num_vars() == 0 {
             return Ok(None);
         }
-        // Moment prefilter: a scenario-invariant objective column realizes
-        // to the probed values in every scenario, so its bounds need no
-        // sampling at all.
-        if let Some(values) = self.invariant_values.get(&column) {
-            let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
-            let hi = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            return Ok((lo.is_finite() && hi.is_finite()).then_some((lo, hi)));
-        }
         // Sample a modest number of validation scenarios across all candidate
         // tuples to bound realized values (assumption A1 of Appendix B; the
         // paper likewise derives possibly loose bounds from min/max scenario
         // values). At 10k+ candidates this block costs more than preparing
         // the instance did, so it goes through the shared scenario cache when
         // one is configured: repeated or concurrent evaluations of the same
-        // query sample it once.
+        // query sample it once. A scenario-invariant column draws nothing.
         let samples = 64.min(self.options.validation_scenarios.max(1));
-        let matrix = match &self.options.scenario_cache {
-            Some(cache) => cache.sparse_matrix_range(
-                &self.val_gen,
-                self.relation,
-                &column,
-                &self.silp.tuples,
-                0..samples,
-            )?,
-            None => Arc::new(self.val_gen.realize_sparse_matrix_range(
-                self.relation,
-                &column,
-                &self.silp.tuples,
-                0..samples,
-                0,
-            )?),
-        };
+        let matrix = self.window(&self.val_gen, &column, None, 0..samples)?;
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         for j in 0..matrix.num_scenarios() {

@@ -83,10 +83,6 @@ pub struct SpqOptions {
     /// Scenarios per realized block in the out-of-sample validator (the
     /// streaming granularity of [`crate::validation`]).
     pub validation_block: usize,
-    /// Worker threads for the validator's block loop; `0` picks
-    /// automatically (honoring `SPQ_VALIDATION_THREADS`). Results are
-    /// bit-identical for every value.
-    pub validation_threads: usize,
     /// Initial number of summaries (the paper's `Z`).
     pub initial_summaries: usize,
     /// User-specified approximation error bound `ε`. `f64::INFINITY` accepts
@@ -135,7 +131,6 @@ impl Default for SpqOptions {
             validation_scenarios: 10_000,
             expectation_scenarios: 1000,
             validation_block: crate::validation::DEFAULT_BLOCK_SCENARIOS,
-            validation_threads: 0,
             initial_summaries: 1,
             epsilon: f64::INFINITY,
             solver: SolverOptions::default(),
@@ -172,7 +167,7 @@ impl SpqOptions {
         ValidationOptions {
             m_hat: self.validation_scenarios,
             block_scenarios: self.validation_block,
-            threads: self.validation_threads,
+            threads: 0,
             early_stop: EarlyStop::Hoeffding {
                 delta: crate::validation::DEFAULT_HOEFFDING_DELTA,
             },

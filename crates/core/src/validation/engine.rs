@@ -14,8 +14,8 @@ use super::{required_successes, ConstraintValidation, EarlyStop, ValidationOptio
 use crate::instance::Instance;
 use crate::silp::{ConstraintKind, SilpObjective};
 use crate::Result;
+use spq_mcdb::workers;
 use spq_solver::Sense;
-use std::num::NonZeroUsize;
 
 /// First stage of the adaptive escalation: early-stop checks happen at
 /// `INITIAL_STAGE · 2^k` scenario milestones. Irrelevant under
@@ -24,16 +24,6 @@ const INITIAL_STAGE: usize = 1024;
 
 /// Comparison tolerance when scoring an inner constraint against a scenario.
 const SCORE_TOL: f64 = 1e-9;
-
-/// Cells below which the automatic policy stays serial (mirrors
-/// `spq_mcdb`'s threshold for matrix generation).
-const PARALLEL_CELL_THRESHOLD: usize = 1 << 14;
-
-/// Hard cap on worker threads, whatever the caller (or a network client,
-/// via the service's `validate` op) asks for. Results are bit-identical at
-/// any count, so capping can never change a report — it only bounds OS
-/// thread creation.
-const MAX_THREADS: usize = 64;
 
 /// One satisfaction-counting target.
 struct Target {
@@ -74,33 +64,6 @@ pub(super) struct ScanResult {
     pub scenarios_used: usize,
     pub early_stopped: bool,
     pub interrupted: bool,
-}
-
-/// Resolve the worker count: an explicit request wins, then the
-/// `SPQ_VALIDATION_THREADS` environment override, then the automatic policy
-/// (serial below [`PARALLEL_CELL_THRESHOLD`] cells, the machine's
-/// parallelism above). Always clamped to the number of blocks.
-fn effective_threads(requested: usize, cells: usize, blocks: usize) -> usize {
-    let resolved = if requested > 0 {
-        requested
-    } else {
-        match std::env::var("SPQ_VALIDATION_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            Some(n) if n > 0 => n,
-            _ => {
-                if cells < PARALLEL_CELL_THRESHOLD {
-                    1
-                } else {
-                    std::thread::available_parallelism()
-                        .map(NonZeroUsize::get)
-                        .unwrap_or(1)
-                }
-            }
-        }
-    };
-    resolved.clamp(1, blocks.max(1)).min(MAX_THREADS)
 }
 
 /// Per-column scan outcome: satisfaction counts parallel to the target
@@ -207,7 +170,7 @@ fn scan_column(
         }
         out
     };
-    let threads = effective_threads(options.threads, m * support.len(), blocks.len());
+    let threads = workers(options.threads, m * support.len(), blocks.len());
     let honor = options.honor_deadline;
     if threads == 1 {
         return scan_blocks(instance, column, support, weights, &blocks, specs, honor);

@@ -123,10 +123,10 @@ pub struct ValidationOptions {
     pub m_hat: usize,
     /// Scenarios per realized block (the streaming granularity).
     pub block_scenarios: usize,
-    /// Worker threads for the block loop. `0` picks automatically (serial
-    /// for small requests, the machine's parallelism otherwise), honoring a
-    /// `SPQ_VALIDATION_THREADS` override from the environment. Results are
-    /// bit-identical for every value.
+    /// Worker threads for the block loop, resolved by [`spq_mcdb::workers`]
+    /// over the blocks: `0` picks automatically (serial for small requests,
+    /// the machine's parallelism otherwise). Results are bit-identical for
+    /// every value.
     pub threads: usize,
     /// Early-stop policy for adaptive `M̂` escalation.
     pub early_stop: EarlyStop,
@@ -241,14 +241,14 @@ impl ValidationReport {
 /// Validate a candidate package `x` (multiplicities over the candidate
 /// tuples) against the **full** budget of `m_hat` out-of-sample scenarios.
 ///
-/// Block size and worker count come from the instance's
-/// [`crate::SpqOptions`]; the verdict and every reported fraction are
-/// bit-identical for any thread count. `m_hat == 0` is an error.
+/// Block size comes from the instance's [`crate::SpqOptions`] and the worker
+/// count from the automatic policy; the verdict and every reported fraction
+/// are bit-identical for any thread count. `m_hat == 0` is an error.
 pub fn validate(instance: &Instance<'_>, x: &[f64], m_hat: usize) -> Result<ValidationReport> {
     let opts = ValidationOptions {
         m_hat,
         block_scenarios: instance.options.validation_block,
-        threads: instance.options.validation_threads,
+        threads: 0,
         early_stop: EarlyStop::Full,
         honor_deadline: true,
     };

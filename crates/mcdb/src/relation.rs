@@ -389,11 +389,6 @@ impl RelationBuilder {
         self
     }
 
-    /// Append one row of values for the declared streaming columns.
-    pub fn append_row(self, row: Vec<Value>) -> Self {
-        self.append_rows(std::iter::once(row))
-    }
-
     /// Append rows for the declared streaming columns. Each row must have
     /// exactly one value per [`Self::declare_deterministic`] call, in
     /// declaration order. On disk storage, full chunks are spilled as they
@@ -880,7 +875,7 @@ mod tests {
         // Arity mismatches are descriptive errors.
         let err = RelationBuilder::new("s")
             .declare_deterministic("id")
-            .append_row(vec![Value::Int(1), Value::Int(2)])
+            .append_rows(std::iter::once(vec![Value::Int(1), Value::Int(2)]))
             .build()
             .unwrap_err();
         assert_eq!(

@@ -32,9 +32,16 @@ use std::num::NonZeroUsize;
 // exact work counter of this layer, independent of any cache above it.
 static CELLS_REALIZED: Named<Counter> = Named::new("spq_scenario_cells_realized", Counter::new());
 
-/// Number of `(tuple, scenario)` cells above which dense/sparse generation
-/// fans out across threads. Below this, thread spawn overhead dominates.
-const PARALLEL_CELL_THRESHOLD: usize = 1 << 14;
+/// Number of `(tuple, scenario)` cells from which the automatic policy of
+/// [`workers`] fans out across threads. Below this, thread spawn overhead
+/// dominates.
+pub const PARALLEL_CELL_THRESHOLD: usize = 1 << 14;
+
+/// Hard cap on the workers of one fan-out, whatever the caller (or a network
+/// client, via the service's `validate` op) asks for. Results are
+/// bit-identical at any count, so the cap never changes a value; it only
+/// bounds OS thread creation.
+pub const MAX_WORKERS: usize = 64;
 
 /// Target cells per [`crate::vg::VgFunction::realize_block`] kernel call:
 /// tuples are tiled so one dispatch covers roughly this many cells, keeping
@@ -68,16 +75,20 @@ fn transpose_tuple_major(flat: Vec<f64>, n: usize, m: usize) -> Vec<f64> {
     data
 }
 
-/// Worker count for a request of `cells` total realizations over `tuples`
-/// tuples: 1 for small requests, otherwise up to the machine's parallelism.
-fn auto_threads(cells: usize, tuples: usize) -> usize {
-    if cells < PARALLEL_CELL_THRESHOLD || tuples < 2 {
-        return 1;
-    }
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(tuples)
+/// The worker count of one fan-out over `units` independent work units
+/// (tuples for realization, scenario blocks for the validator) covering
+/// `cells` `(tuple, scenario)` cells. `requested > 0` wins; `0` is the
+/// automatic policy: serial below [`PARALLEL_CELL_THRESHOLD`] cells, the
+/// machine's parallelism from there. Either way the count is clamped to
+/// `1..=units` and to [`MAX_WORKERS`]. Per-cell seeding makes every result
+/// bit-identical for any count, so this is pure policy.
+pub fn workers(requested: usize, cells: usize, units: usize) -> usize {
+    let resolved = match requested {
+        0 if cells < PARALLEL_CELL_THRESHOLD => 1,
+        0 => std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
+        n => n,
+    };
+    resolved.clamp(1, units.max(1)).min(MAX_WORKERS)
 }
 
 /// A dense matrix of realizations: `M` scenarios over `N` tuples for one
@@ -211,7 +222,8 @@ impl ScenarioGenerator {
     }
 
     /// Realize `tuples × scenarios` into a flat tuple-major buffer
-    /// (`out[ti * m + jj]`), chunking tuples across `threads` workers.
+    /// (`out[ti * m + jj]`), chunking tuples across `threads` workers
+    /// (resolved by [`workers`]).
     /// Because every cell derives its RNG from the counter-based key, the
     /// result is bit-identical for any thread count and any tile split.
     fn realize_flat(
@@ -227,7 +239,6 @@ impl ScenarioGenerator {
             return out;
         }
         CELLS_REALIZED.add(out.len() as u64);
-        let threads = threads.clamp(1, tuples.len());
         if threads == 1 {
             self.realize_tiles(sc, tuples, scenarios, &mut out);
             return out;
@@ -284,12 +295,7 @@ impl ScenarioGenerator {
     ) -> ScenarioMatrix {
         let n = tuples.len();
         let m = scenarios.len();
-        let threads = if threads == 0 {
-            auto_threads(n * m, n)
-        } else {
-            threads
-        };
-        let flat = self.realize_flat(sc, tuples, scenarios, threads);
+        let flat = self.realize_flat(sc, tuples, scenarios, workers(threads, n * m, n));
         ScenarioMatrix {
             n_tuples: n,
             data: transpose_tuple_major(flat, n, m),
@@ -311,7 +317,7 @@ impl ScenarioGenerator {
             return Ok(vec![(0.0, 0.0); tuples.len()]);
         }
         let sc = relation.stochastic_column(column)?;
-        let threads = auto_threads(tuples.len() * m, tuples.len());
+        let threads = workers(0, tuples.len() * m, tuples.len());
         let flat = self.realize_flat(sc, tuples, 0..m, threads);
         Ok(flat
             .chunks_exact(m)
@@ -461,6 +467,18 @@ mod tests {
         let empty = ScenarioMatrix::from_rows::<Vec<f64>>(0, &[]);
         assert_eq!(empty.num_scenarios(), 0);
         assert_eq!(empty.num_tuples(), 0);
+    }
+
+    #[test]
+    fn worker_count_follows_one_table() {
+        let t = PARALLEL_CELL_THRESHOLD;
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        assert_eq!(workers(0, t - 1, 8), 1);
+        assert_eq!(workers(0, t, 1), 1);
+        assert_eq!(workers(0, t, 8), cores.min(8));
+        assert_eq!(workers(5, 0, 3), 3);
+        assert_eq!(workers(1000, 0, 1000), MAX_WORKERS);
+        assert_eq!(MAX_WORKERS, 64);
     }
 
     #[test]

@@ -25,11 +25,11 @@ fn build_relation(n: usize, storage: StorageOptions) -> Relation {
         let price = 40.0 + (i % 97) as f64 * 1.25;
         prices.push(price);
         volatilities.push(0.1 + (i % 11) as f64 * 0.03);
-        builder = builder.append_row(vec![
+        builder = builder.append_rows(std::iter::once(vec![
             Value::Int(i as i64),
             Value::Text(format!("T{:05}", i % 301)),
             Value::Float(price),
-        ]);
+        ]));
     }
     let drifts = vec![0.05; n];
     let horizons = vec![5u32; n];

@@ -425,20 +425,13 @@ impl SpqService {
         deadline: Deadline,
     ) -> Result<ValidateResponse, Refusal> {
         refuse_queued(&deadline)?;
-        let mut options = self.request_options(request.seed, deadline.clone());
-        match request.threads {
-            // Client-supplied: clamp to the machine's parallelism so one
-            // request cannot spawn an unbounded number of OS threads
-            // (reports are bit-identical at any count, so clamping never
-            // changes the answer). `0` keeps the automatic policy.
-            Some(threads) if threads > 0 => {
-                let cap = std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1);
-                options.validation_threads = threads.min(cap);
-            }
-            _ => {}
-        }
+        let options = self.request_options(request.seed, deadline.clone());
+        // Client-supplied: clamp to the machine's parallelism so one request
+        // cannot spawn an unbounded number of OS threads (reports are
+        // bit-identical at any count, so clamping never changes the answer).
+        // Absent or `0` keeps the automatic policy.
+        let cap = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let threads = request.threads.unwrap_or(0).min(cap);
         let m_hat = request
             .validation_scenarios
             .unwrap_or(options.validation_scenarios);
@@ -460,7 +453,7 @@ impl SpqService {
         let vopts = ValidationOptions {
             m_hat,
             block_scenarios: instance.options.validation_block,
-            threads: instance.options.validation_threads,
+            threads,
             // Final answers default to a full pass; clients opt in to
             // adaptive verdicts explicitly.
             early_stop: request.early_stop.unwrap_or(EarlyStop::Full),

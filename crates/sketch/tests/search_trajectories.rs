@@ -7,8 +7,8 @@
 //! and scenarios, branch-and-bound nodes, simplex pivots, the largest model —
 //! and the returned package (multiplicities, objective bits, verdict) are
 //! asserted exactly, so a refactor of the optimize–validate machinery that
-//! moves any of them fails here. Execution is deterministic at every
-//! validator thread count, so the pins hold at any `SPQ_VALIDATION_THREADS`.
+//! moves any of them fails here. Execution is deterministic at every worker
+//! count, so the pins hold on any machine.
 
 use spq_core::{Algorithm, EvaluationResult, SketchOptions, SpqEngine, SpqOptions};
 use spq_workloads::{build_workload, WorkloadKind};

@@ -1,7 +1,7 @@
 //! Storage-tier conformance for the full SketchRefine pipeline: the package
 //! a query returns must not depend on where the relation's deterministic
-//! columns live (memory vs chunked disk files), on the chunk size, or on the
-//! validator's worker count. The hierarchical partitioner reads block
+//! columns live (memory vs chunked disk files) or on the chunk size. The
+//! hierarchical partitioner reads block
 //! summaries and pages straddled blocks, but its output — and therefore the
 //! final refined package — is defined purely by tuple values.
 
@@ -9,8 +9,8 @@ use spq_core::{Algorithm, SketchOptions, SpqEngine, SpqOptions};
 use spq_mcdb::StorageOptions;
 use spq_workloads::{build_workload, build_workload_with, WorkloadKind};
 
-fn engine(validation_threads: usize) -> SpqEngine {
-    let mut options = SpqOptions {
+fn engine() -> SpqEngine {
+    SpqEngine::new(SpqOptions {
         initial_scenarios: 15,
         validation_scenarios: 400,
         sketch: SketchOptions {
@@ -18,21 +18,19 @@ fn engine(validation_threads: usize) -> SpqEngine {
             ..SketchOptions::default()
         },
         ..SpqOptions::for_tests()
-    };
-    options.validation_threads = validation_threads;
-    SpqEngine::new(options)
+    })
 }
 
 #[test]
-fn sketch_refine_packages_are_identical_across_tiers_chunk_sizes_and_threads() {
+fn sketch_refine_packages_are_identical_across_tiers_and_chunk_sizes() {
     spq_sketch::install();
     let scale = 600;
     let seed = 13;
     let memory = build_workload(WorkloadKind::Portfolio, scale, seed);
     let query = memory.query(1).to_string();
 
-    // Reference: in-memory relation, serial validation.
-    let reference = engine(1)
+    // Reference: in-memory relation.
+    let reference = engine()
         .evaluate(&memory.relation, &query, Algorithm::SketchRefine)
         .unwrap();
     assert!(reference.feasible, "stats: {:?}", reference.stats);
@@ -49,25 +47,23 @@ fn sketch_refine_packages_are_identical_across_tiers_chunk_sizes_and_threads() {
         .expect("disk-backed workload");
         assert_eq!(disk.relation.storage_kind(), "disk");
         assert_eq!(disk.relation.fingerprint(), memory.relation.fingerprint());
-        for threads in [1usize, 8] {
-            let result = engine(threads)
-                .evaluate(&disk.relation, &query, Algorithm::SketchRefine)
-                .unwrap();
-            assert!(result.feasible, "chunk_rows={chunk_rows} threads={threads}");
-            let package = result.package.unwrap();
-            assert_eq!(
-                package.multiplicities, reference.multiplicities,
-                "package differs at chunk_rows={chunk_rows} threads={threads}"
-            );
-            assert_eq!(
-                package.objective_estimate, reference.objective_estimate,
-                "objective differs at chunk_rows={chunk_rows} threads={threads}"
-            );
-            assert_eq!(
-                package.validation.objective_estimate, reference.validation.objective_estimate,
-                "validation differs at chunk_rows={chunk_rows} threads={threads}"
-            );
-        }
+        let result = engine()
+            .evaluate(&disk.relation, &query, Algorithm::SketchRefine)
+            .unwrap();
+        assert!(result.feasible, "chunk_rows={chunk_rows}");
+        let package = result.package.unwrap();
+        assert_eq!(
+            package.multiplicities, reference.multiplicities,
+            "package differs at chunk_rows={chunk_rows}"
+        );
+        assert_eq!(
+            package.objective_estimate, reference.objective_estimate,
+            "objective differs at chunk_rows={chunk_rows}"
+        );
+        assert_eq!(
+            package.validation.objective_estimate, reference.validation.objective_estimate,
+            "validation differs at chunk_rows={chunk_rows}"
+        );
     }
     let _ = std::fs::remove_dir_all(dir);
 }

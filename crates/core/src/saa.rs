@@ -17,7 +17,7 @@
 
 use crate::instance::Instance;
 use crate::package::EvaluationStats;
-use crate::silp::{ConstraintKind, SilpObjective};
+use crate::silp::{CoeffSource, ConstraintKind, SilpObjective};
 use crate::Result;
 use spq_solver::{solve_full, Basis, Model, Sense, SolveStatus, SolverOptions, VarId, VarType};
 
@@ -138,13 +138,7 @@ pub fn build_model(
     let floors = instance.multiplicity_floors();
     let mut x_vars = Vec::with_capacity(n);
     for i in 0..n {
-        let x = model.add_var(
-            format!("x{i}"),
-            VarType::Integer,
-            floors[i],
-            bounds[i],
-            obj_coeffs[i],
-        );
+        let x = model.add_var(VarType::Integer, floors[i], bounds[i], obj_coeffs[i]);
         x_vars.push(x);
     }
 
@@ -153,13 +147,14 @@ pub fn build_model(
         match c.kind {
             ConstraintKind::Probabilistic { .. } => continue,
             ConstraintKind::Deterministic | ConstraintKind::Expectation => {
-                let coeffs = instance.coefficients(&c.coeff)?;
-                let terms: Vec<(VarId, f64)> = x_vars
-                    .iter()
-                    .zip(coeffs.iter())
-                    .filter(|(_, &co)| co != 0.0)
-                    .map(|(x, &co)| (*x, co))
-                    .collect();
+                let terms = match c.coeff {
+                    // `COUNT(*)` and other constants: no n-long row to read.
+                    CoeffSource::Constant(co) if co != 0.0 => {
+                        x_vars.iter().map(|x| (*x, co)).collect()
+                    }
+                    CoeffSource::Constant(_) => Vec::new(),
+                    _ => row_terms(&x_vars, &instance.coefficients(&c.coeff)?),
+                };
                 model.add_constraint(format!("{}_{ci}", c.name), terms, c.sense, c.rhs);
             }
         }
@@ -171,19 +166,8 @@ pub fn build_model(
         let c = &silp.constraints[block.constraint_index];
         let mut ys = Vec::with_capacity(block.rows.len());
         for (j, row) in block.rows.iter().enumerate() {
-            let y = model.add_var(
-                format!("y_{}_{j}", block.constraint_index),
-                VarType::Binary,
-                0.0,
-                1.0,
-                0.0,
-            );
-            let terms: Vec<(VarId, f64)> = x_vars
-                .iter()
-                .zip(row)
-                .filter(|(_, &co)| co != 0.0)
-                .map(|(x, &co)| (*x, co))
-                .collect();
+            let y = model.add_var(VarType::Binary, 0.0, 1.0, 0.0);
+            let terms = row_terms(&x_vars, row);
             model.add_indicator(format!("{}_row{j}", c.name), y, true, terms, c.sense, c.rhs);
             ys.push(y);
         }
@@ -206,13 +190,8 @@ pub fn build_model(
             1.0 / ob.rows.len() as f64
         };
         for (j, row) in ob.rows.iter().enumerate() {
-            let y = model.add_var(format!("yobj_{j}"), VarType::Binary, 0.0, 1.0, weight);
-            let terms: Vec<(VarId, f64)> = x_vars
-                .iter()
-                .zip(row)
-                .filter(|(_, &co)| co != 0.0)
-                .map(|(x, &co)| (*x, co))
-                .collect();
+            let y = model.add_var(VarType::Binary, 0.0, 1.0, weight);
+            let terms = row_terms(&x_vars, row);
             model.add_indicator(
                 format!("obj_row{j}"),
                 y,
@@ -231,6 +210,20 @@ pub fn build_model(
         indicator_vars,
         objective_indicators,
     })
+}
+
+/// The `(x_i, row[i])` terms of a row's non-zero coefficients, in one
+/// allocation of exactly their number.
+fn row_terms(x_vars: &[VarId], row: &[f64]) -> Vec<(VarId, f64)> {
+    let mut terms = Vec::with_capacity(row.iter().filter(|&&co| co != 0.0).count());
+    terms.extend(
+        x_vars
+            .iter()
+            .zip(row)
+            .filter(|(_, &co)| co != 0.0)
+            .map(|(x, &co)| (*x, co)),
+    );
+    terms
 }
 
 /// Formulate the full SAA `SAA_{Q,M}` with `m` optimization scenarios

@@ -14,6 +14,13 @@
 //! acceleration (Section 5.5) keeps the previous solution feasible by using
 //! the anti-conservative aggregate (max instead of min) for tuples that
 //! appear in the previous solution.
+//!
+//! Cost: the previous solution's support `S` (its tuples with `x_i > 0`) is
+//! collected once per call of [`build_summaries`]. Scoring a partition of
+//! `P` scenarios reads `P·|S|` values, not `P·N`; a summary over `G`
+//! chosen scenarios makes one tuple-wise min (or max) pass of `N` values
+//! per chosen scenario plus `|S|` reads for the acceleration rule, and
+//! allocates the row, the scores and the chosen set.
 
 use spq_mcdb::ScenarioMatrix;
 use spq_solver::Sense;
@@ -61,9 +68,10 @@ pub fn build_summaries(
     partitions: &[Vec<usize>],
     spec: &SummarySpec<'_>,
 ) -> Vec<Vec<f64>> {
+    let support = support(scenarios.num_tuples(), spec.previous_solution);
     partitions
         .iter()
-        .map(|partition| summarize_partition(scenarios, partition, spec))
+        .map(|partition| summarize(scenarios, partition, spec, &support))
         .collect()
 }
 
@@ -73,87 +81,102 @@ pub fn summarize_partition(
     partition: &[usize],
     spec: &SummarySpec<'_>,
 ) -> Vec<f64> {
+    let support = support(scenarios.num_tuples(), spec.previous_solution);
+    summarize(scenarios, partition, spec, &support)
+}
+
+/// The previous solution's support: `(i, x_i)` for every tuple `i` below
+/// both `n` and the solution's length with `x_i > 0`, in ascending `i`.
+fn support(n: usize, previous_solution: Option<&[f64]>) -> Vec<(usize, f64)> {
+    previous_solution.map_or_else(Vec::new, |prev| {
+        prev.iter()
+            .take(n)
+            .copied()
+            .enumerate()
+            .filter(|&(_, x)| x > 0.0)
+            .collect()
+    })
+}
+
+/// The α-summary of one partition, given the previous solution's
+/// [`support`].
+fn summarize(
+    scenarios: &ScenarioMatrix,
+    partition: &[usize],
+    spec: &SummarySpec<'_>,
+    support: &[(usize, f64)],
+) -> Vec<f64> {
     let n = scenarios.num_tuples();
     if partition.is_empty() || n == 0 {
         return vec![0.0; n];
     }
-    let chosen = select_g(scenarios, partition, spec);
+    let chosen = select_g(scenarios, partition, spec, support);
     let conservative_is_min = spec.sense == Sense::Ge;
-
-    let mut summary = vec![
-        if conservative_is_min {
-            f64::INFINITY
-        } else {
-            f64::NEG_INFINITY
-        };
-        n
-    ];
-    let mut anti = vec![
-        if conservative_is_min {
-            f64::NEG_INFINITY
-        } else {
-            f64::INFINITY
-        };
-        n
-    ];
-    for &j in &chosen {
-        let row = scenarios.scenario(j);
-        for i in 0..n {
-            if conservative_is_min {
-                summary[i] = summary[i].min(row[i]);
-                anti[i] = anti[i].max(row[i]);
-            } else {
-                summary[i] = summary[i].max(row[i]);
-                anti[i] = anti[i].min(row[i]);
-            }
-        }
-    }
+    let (start, anti_start) = if conservative_is_min {
+        (f64::INFINITY, f64::NEG_INFINITY)
+    } else {
+        (f64::NEG_INFINITY, f64::INFINITY)
+    };
 
     // Convergence acceleration: for tuples in the previous solution, use the
     // anti-conservative aggregate so the previous solution stays feasible for
-    // the next CSA problem (Section 5.5).
-    if spec.accelerate {
-        if let Some(prev) = spec.previous_solution {
-            for i in 0..n {
-                if prev.get(i).copied().unwrap_or(0.0) > 0.0 {
-                    summary[i] = anti[i];
-                }
+    // the next CSA problem (Section 5.5). Only those tuples need it.
+    let accelerated = if spec.accelerate { support } else { &[] };
+    let mut summary = vec![start; n];
+    let mut anti = vec![anti_start; accelerated.len()];
+    for &j in &chosen {
+        let row = scenarios.scenario(j);
+        if conservative_is_min {
+            for (s, &v) in summary.iter_mut().zip(row) {
+                *s = s.min(v);
+            }
+            for (a, &(i, _)) in anti.iter_mut().zip(accelerated) {
+                *a = a.max(row[i]);
+            }
+        } else {
+            for (s, &v) in summary.iter_mut().zip(row) {
+                *s = s.max(v);
+            }
+            for (a, &(i, _)) in anti.iter_mut().zip(accelerated) {
+                *a = a.min(row[i]);
             }
         }
+    }
+    for (&a, &(i, _)) in anti.iter().zip(accelerated) {
+        summary[i] = a;
     }
     summary
 }
 
 /// Greedily select `G_z(α)` — the `⌈α·|partition|⌉` scenarios whose summary
-/// is most likely to keep the previous solution feasible (Section 5.3).
-fn select_g(scenarios: &ScenarioMatrix, partition: &[usize], spec: &SummarySpec<'_>) -> Vec<usize> {
+/// is most likely to keep the previous solution feasible (Section 5.3). A
+/// scenario's score is its sum over the previous solution's `support`.
+fn select_g(
+    scenarios: &ScenarioMatrix,
+    partition: &[usize],
+    spec: &SummarySpec<'_>,
+    support: &[(usize, f64)],
+) -> Vec<usize> {
     let count = ((spec.alpha * partition.len() as f64).ceil() as usize).clamp(1, partition.len());
-    match spec.previous_solution {
-        None => partition.iter().copied().take(count).collect(),
-        Some(prev) => {
-            let mut scored: Vec<(f64, usize)> = partition
-                .iter()
-                .map(|&j| {
-                    let row = scenarios.scenario(j);
-                    let score: f64 = row
-                        .iter()
-                        .zip(prev)
-                        .filter(|(_, &x)| x > 0.0)
-                        .map(|(s, &x)| s * x)
-                        .sum();
-                    (score, j)
-                })
-                .collect();
-            // For a `>=` inner constraint, keep the scenarios with the highest
-            // scores (they impose the weakest minimum); for `<=`, the lowest.
-            if spec.sense == Sense::Ge {
-                scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-            } else {
-                scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-            }
-            scored.into_iter().take(count).map(|(_, j)| j).collect()
-        }
+    if spec.previous_solution.is_none() {
+        return partition.iter().copied().take(count).collect();
     }
+    let mut scored: Vec<(f64, usize)> = partition
+        .iter()
+        .map(|&j| {
+            let row = scenarios.scenario(j);
+            let score: f64 = support.iter().map(|&(i, x)| row[i] * x).sum();
+            (score, j)
+        })
+        .collect();
+    // For a `>=` inner constraint, keep the scenarios with the highest
+    // scores (they impose the weakest minimum); for `<=`, the lowest.
+    if spec.sense == Sense::Ge {
+        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+    } else {
+        scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+    }
+    scored.into_iter().take(count).map(|(_, j)| j).collect()
 }
 
 /// Count how many scenarios of `scenarios` a solution `x` satisfies for an
@@ -177,6 +200,193 @@ pub fn count_satisfied_scenarios(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The dense rule the support-sized code replaced, kept as its
+    /// reference: every tuple is scored and aggregated, and the
+    /// anti-conservative aggregate is kept for all `n` tuples.
+    mod dense {
+        use super::*;
+
+        pub fn summarize_partition(
+            scenarios: &ScenarioMatrix,
+            partition: &[usize],
+            spec: &SummarySpec<'_>,
+        ) -> Vec<f64> {
+            let n = scenarios.num_tuples();
+            if partition.is_empty() || n == 0 {
+                return vec![0.0; n];
+            }
+            let chosen = select_g(scenarios, partition, spec);
+            let conservative_is_min = spec.sense == Sense::Ge;
+            let (start, anti_start) = if conservative_is_min {
+                (f64::INFINITY, f64::NEG_INFINITY)
+            } else {
+                (f64::NEG_INFINITY, f64::INFINITY)
+            };
+            let mut summary = vec![start; n];
+            let mut anti = vec![anti_start; n];
+            for &j in &chosen {
+                let row = scenarios.scenario(j);
+                for i in 0..n {
+                    if conservative_is_min {
+                        summary[i] = summary[i].min(row[i]);
+                        anti[i] = anti[i].max(row[i]);
+                    } else {
+                        summary[i] = summary[i].max(row[i]);
+                        anti[i] = anti[i].min(row[i]);
+                    }
+                }
+            }
+            if spec.accelerate {
+                if let Some(prev) = spec.previous_solution {
+                    for i in 0..n {
+                        if prev.get(i).copied().unwrap_or(0.0) > 0.0 {
+                            summary[i] = anti[i];
+                        }
+                    }
+                }
+            }
+            summary
+        }
+
+        pub fn select_g(
+            scenarios: &ScenarioMatrix,
+            partition: &[usize],
+            spec: &SummarySpec<'_>,
+        ) -> Vec<usize> {
+            let count =
+                ((spec.alpha * partition.len() as f64).ceil() as usize).clamp(1, partition.len());
+            match spec.previous_solution {
+                None => partition.iter().copied().take(count).collect(),
+                Some(prev) => {
+                    let mut scored: Vec<(f64, usize)> = partition
+                        .iter()
+                        .map(|&j| {
+                            let row = scenarios.scenario(j);
+                            let score: f64 = row
+                                .iter()
+                                .zip(prev)
+                                .filter(|(_, &x)| x > 0.0)
+                                .map(|(s, &x)| s * x)
+                                .sum();
+                            (score, j)
+                        })
+                        .collect();
+                    if spec.sense == Sense::Ge {
+                        scored.sort_by(|a, b| {
+                            b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal)
+                        });
+                    } else {
+                        scored.sort_by(|a, b| {
+                            a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal)
+                        });
+                    }
+                    scored.into_iter().take(count).map(|(_, j)| j).collect()
+                }
+            }
+        }
+    }
+
+    /// A splitmix64 stream for the equivalence inputs.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, k: usize) -> usize {
+            (self.next() % k as u64) as usize
+        }
+
+        /// One of `pool`, or (one time in three) a fresh value in `[-3, 3)`.
+        fn value(&mut self, pool: &[f64]) -> f64 {
+            if self.below(3) == 0 {
+                (self.next() >> 11) as f64 / (1u64 << 53) as f64 * 6.0 - 3.0
+            } else {
+                pool[self.below(pool.len())]
+            }
+        }
+    }
+
+    fn bits(row: &[f64]) -> Vec<u64> {
+        row.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Support-sized scoring and aggregation reproduce the dense rule
+        /// bit for bit: the same chosen scenarios and the same rows.
+        #[test]
+        fn support_sized_summaries_equal_the_dense_rule(
+            seed in any::<u64>(),
+            shape in (1usize..41, 0usize..61, 1usize..5),
+            flags in (any::<bool>(), any::<bool>(), 0u32..4, 0u32..3),
+            alpha_gap in 0.0f64..1.0,
+        ) {
+            let (m, n, z) = shape;
+            let (ge, accelerate, prev_kind, matrix_kind) = flags;
+            let mut g = Gen(seed);
+            let values = [-2.0, -1.0, -0.5, -0.0, 0.0, 0.1, 0.2, 0.3, 0.7, 1.0, 3.25];
+            // Independent entries, or every scenario a shuffle of one row:
+            // then scores add the same terms in different orders, so ties
+            // and last-bit differences decide the ranking.
+            let base: Vec<f64> = (0..n).map(|_| g.value(&values)).collect();
+            let rows: Vec<Vec<f64>> = (0..m)
+                .map(|_| {
+                    if matrix_kind == 0 {
+                        return (0..n).map(|_| g.value(&values)).collect();
+                    }
+                    let mut row = base.clone();
+                    for i in (1..n).rev() {
+                        row.swap(i, g.below(i + 1));
+                    }
+                    row
+                })
+                .collect();
+            let scenarios = ScenarioMatrix::from_rows(n, &rows);
+            // No previous solution, or one shorter than, as long as or
+            // longer than `n` with zero, negative and fractional entries
+            // (all 1 for the second kind of shuffled matrix, so that every
+            // score sums the same terms).
+            let weights = [0.0, -0.0, -1.0, -0.25, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0];
+            let len = match prev_kind {
+                1 => g.below(n + 1),
+                2 => n,
+                _ => n + 1 + g.below(5),
+            };
+            let prev: Vec<f64> = (0..len)
+                .map(|_| if matrix_kind == 2 { 1.0 } else { g.value(&weights) })
+                .collect();
+            let spec = SummarySpec {
+                alpha: 1.0 - alpha_gap,
+                sense: if ge { Sense::Ge } else { Sense::Le },
+                previous_solution: (prev_kind != 0).then_some(prev.as_slice()),
+                accelerate,
+            };
+            let partitions = partition_scenarios(m, z);
+            let support = support(n, spec.previous_solution);
+            let summaries = build_summaries(&scenarios, &partitions, &spec);
+            for (partition, summary) in partitions.iter().zip(&summaries) {
+                prop_assert_eq!(
+                    select_g(&scenarios, partition, &spec, &support),
+                    dense::select_g(&scenarios, partition, &spec)
+                );
+                let reference = dense::summarize_partition(&scenarios, partition, &spec);
+                prop_assert_eq!(bits(summary), bits(&reference));
+                prop_assert_eq!(
+                    bits(&summarize_partition(&scenarios, partition, &spec)),
+                    bits(&reference)
+                );
+            }
+        }
+    }
 
     fn matrix(rows: Vec<Vec<f64>>) -> ScenarioMatrix {
         let n = rows.first().map(|r| r.len()).unwrap_or(0);

@@ -63,7 +63,7 @@ pub use error::McdbError;
 pub use expectation::ExpectationEstimator;
 pub use memo::{Lookup, Memo, MemoStats};
 pub use relation::{Relation, RelationBuilder, StochasticColumn};
-pub use scenario::{workers, ScenarioGenerator, ScenarioMatrix};
+pub use scenario::{available_cores, workers, ScenarioGenerator, ScenarioMatrix};
 pub use schema::{ColumnDef, ColumnKind, Schema};
 pub use store::{ScenarioStore, StoreStats};
 pub use value::Value;

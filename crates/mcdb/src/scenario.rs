@@ -26,6 +26,7 @@ use crate::seed::{column_prefix, Stream};
 use crate::Result;
 use spq_obs::metrics::{Counter, Named};
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 // Every `(tuple, scenario)` cell a VG kernel was asked to draw, whoever asked
 // (an algorithm, the validator, the ε certificate, a feature fallback): the
@@ -75,17 +76,26 @@ fn transpose_tuple_major(flat: Vec<f64>, n: usize, m: usize) -> Vec<f64> {
     data
 }
 
+/// The machine's parallelism, read once per process: on Linux every
+/// `std::thread::available_parallelism` call re-reads the cgroup CPU quota,
+/// which is too slow for a per-request path. A changed quota therefore takes
+/// effect after a restart.
+pub fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
 /// The worker count of one fan-out over `units` independent work units
 /// (tuples for realization, scenario blocks for the validator) covering
 /// `cells` `(tuple, scenario)` cells. `requested > 0` wins; `0` is the
-/// automatic policy: serial below [`PARALLEL_CELL_THRESHOLD`] cells, the
-/// machine's parallelism from there. Either way the count is clamped to
+/// automatic policy: serial below [`PARALLEL_CELL_THRESHOLD`] cells,
+/// [`available_cores`] from there. Either way the count is clamped to
 /// `1..=units` and to [`MAX_WORKERS`]. Per-cell seeding makes every result
 /// bit-identical for any count, so this is pure policy.
 pub fn workers(requested: usize, cells: usize, units: usize) -> usize {
     let resolved = match requested {
         0 if cells < PARALLEL_CELL_THRESHOLD => 1,
-        0 => std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
+        0 => available_cores(),
         n => n,
     };
     resolved.clamp(1, units.max(1)).min(MAX_WORKERS)

@@ -430,8 +430,10 @@ impl SpqService {
         // cannot spawn an unbounded number of OS threads (reports are
         // bit-identical at any count, so clamping never changes the answer).
         // Absent or `0` keeps the automatic policy.
-        let cap = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let threads = request.threads.unwrap_or(0).min(cap);
+        let threads = request
+            .threads
+            .unwrap_or(0)
+            .min(spq_mcdb::available_cores());
         let m_hat = request
             .validation_scenarios
             .unwrap_or(options.validation_scenarios);

@@ -1778,7 +1778,7 @@ mod tests {
         let mut m = Model::minimize();
         let vars: Vec<_> = order
             .iter()
-            .map(|&i| m.add_var(format!("x{i}"), VarType::Integer, 0.0, upper(i), mean(i)))
+            .map(|&i| m.add_var(VarType::Integer, 0.0, upper(i), mean(i)))
             .collect();
         let count: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
         m.add_constraint("count_lo", count.clone(), Sense::Ge, 5.0);
@@ -1842,7 +1842,7 @@ mod tests {
             .map(|i| {
                 let w = 3.0 + 4.0 * unit(i, 5);
                 let v = w * (1.0 + 0.02 * unit(i, 23));
-                (m.add_var(format!("x{i}"), VarType::Integer, 0.0, 4.0, v), w)
+                (m.add_var(VarType::Integer, 0.0, 4.0, v), w)
             })
             .collect();
         m.add_constraint("cap", vars, Sense::Le, 61.3);
@@ -1970,9 +1970,9 @@ mod tests {
         // against rhs 1.5 that is M = 4.5 for `>=` and M = 8.5 for `<=`.
         let build = |sense: Sense, active_value: bool| {
             let mut m = Model::minimize();
-            let x0 = m.add_var("x0", VarType::Integer, 0.0, 4.0, 1.0);
-            let x1 = m.add_var("x1", VarType::Continuous, -2.0, 3.0, 1.0);
-            let y = m.add_var("y", VarType::Binary, 0.0, 1.0, 0.0);
+            let x0 = m.add_var(VarType::Integer, 0.0, 4.0, 1.0);
+            let x1 = m.add_var(VarType::Continuous, -2.0, 3.0, 1.0);
+            let y = m.add_var(VarType::Binary, 0.0, 1.0, 0.0);
             m.add_indicator(
                 "ind",
                 y,
@@ -2009,8 +2009,8 @@ mod tests {
             ..opts()
         };
         let mut m = Model::minimize();
-        let x = m.add_var("x", VarType::Integer, -9.0, 9.0, 1.0);
-        let y = m.add_var("y", VarType::Binary, 0.0, 1.0, 0.0);
+        let x = m.add_var(VarType::Integer, -9.0, 9.0, 1.0);
+        let y = m.add_var(VarType::Binary, 0.0, 1.0, 0.0);
         m.add_indicator("ind", y, true, vec![(x, 1.0)], Sense::Eq, 4.0);
         let rows = BranchBoundSolver::new(capped).build_lp(&m, 1.0).rows;
         assert_eq!(rows[0].terms, [(0, 1.0), (1, 2.0)]);
@@ -2024,9 +2024,9 @@ mod tests {
         // max 10a + 13b + 7c s.t. 3a + 4b + 2c <= 9, binary.
         // Best: a + b + c = 3 -> weight 9, value 30.
         let mut m = Model::maximize();
-        let a = m.add_var("a", VarType::Binary, 0.0, 1.0, 10.0);
-        let b = m.add_var("b", VarType::Binary, 0.0, 1.0, 13.0);
-        let c = m.add_var("c", VarType::Binary, 0.0, 1.0, 7.0);
+        let a = m.add_var(VarType::Binary, 0.0, 1.0, 10.0);
+        let b = m.add_var(VarType::Binary, 0.0, 1.0, 13.0);
+        let c = m.add_var(VarType::Binary, 0.0, 1.0, 7.0);
         m.add_constraint("w", vec![(a, 3.0), (b, 4.0), (c, 2.0)], Sense::Le, 9.0);
         let res = solve_full(&m, &opts()).unwrap();
         assert_eq!(res.status, SolveStatus::Optimal);
@@ -2038,7 +2038,7 @@ mod tests {
     fn integer_rounding_differs_from_lp() {
         // max x s.t. 2x <= 7, x integer: LP gives 3.5, MILP must give 3.
         let mut m = Model::maximize();
-        let x = m.add_var("x", VarType::Integer, 0.0, 100.0, 1.0);
+        let x = m.add_var(VarType::Integer, 0.0, 100.0, 1.0);
         m.add_constraint("c", vec![(x, 2.0)], Sense::Le, 7.0);
         let sol = solve(&m, &opts()).unwrap();
         assert_eq!(sol.value(x).round(), 3.0);
@@ -2048,8 +2048,8 @@ mod tests {
     #[test]
     fn doc_example() {
         let mut model = Model::maximize();
-        let a = model.add_var("a", VarType::Integer, 0.0, 3.0, 3.0);
-        let b = model.add_var("b", VarType::Integer, 0.0, 3.0, 2.0);
+        let a = model.add_var(VarType::Integer, 0.0, 3.0, 3.0);
+        let b = model.add_var(VarType::Integer, 0.0, 3.0, 2.0);
         model.add_constraint("cap", vec![(a, 1.0), (b, 1.0)], Sense::Le, 4.0);
         let solution = solve(&model, &opts()).unwrap();
         assert_eq!(solution.value(a).round(), 3.0);
@@ -2060,8 +2060,8 @@ mod tests {
     fn minimization_with_ge_constraints() {
         // min 4x + 3y s.t. 2x + y >= 10, x + 3y >= 15, integer.
         let mut m = Model::minimize();
-        let x = m.add_var("x", VarType::Integer, 0.0, 100.0, 4.0);
-        let y = m.add_var("y", VarType::Integer, 0.0, 100.0, 3.0);
+        let x = m.add_var(VarType::Integer, 0.0, 100.0, 4.0);
+        let y = m.add_var(VarType::Integer, 0.0, 100.0, 3.0);
         m.add_constraint("c1", vec![(x, 2.0), (y, 1.0)], Sense::Ge, 10.0);
         m.add_constraint("c2", vec![(x, 1.0), (y, 3.0)], Sense::Ge, 15.0);
         let res = solve_full(&m, &opts()).unwrap();
@@ -2075,7 +2075,7 @@ mod tests {
     #[test]
     fn infeasible_milp() {
         let mut m = Model::minimize();
-        let x = m.add_var("x", VarType::Integer, 0.0, 5.0, 1.0);
+        let x = m.add_var(VarType::Integer, 0.0, 5.0, 1.0);
         m.add_constraint("c1", vec![(x, 1.0)], Sense::Ge, 10.0);
         let res = solve_full(&m, &opts()).unwrap();
         assert_eq!(res.status, SolveStatus::Infeasible);
@@ -2086,7 +2086,7 @@ mod tests {
     #[test]
     fn unbounded_milp() {
         let mut m = Model::maximize();
-        let x = m.add_var("x", VarType::Integer, 0.0, f64::INFINITY, 1.0);
+        let x = m.add_var(VarType::Integer, 0.0, f64::INFINITY, 1.0);
         m.add_constraint("c", vec![(x, 1.0)], Sense::Ge, 0.0);
         let res = solve_full(&m, &opts()).unwrap();
         assert_eq!(res.status, SolveStatus::Unbounded);
@@ -2097,8 +2097,8 @@ mod tests {
         // Choose y to maximize profit, but y = 1 forces x <= 2.
         // max 5x + 10y, x <= 2 when y = 1, x <= 8 always, x integer in [0, 8].
         let mut m = Model::maximize();
-        let x = m.add_var("x", VarType::Integer, 0.0, 8.0, 5.0);
-        let y = m.add_var("y", VarType::Binary, 0.0, 1.0, 10.0);
+        let x = m.add_var(VarType::Integer, 0.0, 8.0, 5.0);
+        let y = m.add_var(VarType::Binary, 0.0, 1.0, 10.0);
         m.add_indicator("ind", y, true, vec![(x, 1.0)], Sense::Le, 2.0);
         let sol = solve(&m, &opts()).unwrap();
         // Options: y=1, x=2 -> 20; y=0, x=8 -> 40. Optimal picks y=0.
@@ -2113,12 +2113,12 @@ mod tests {
         // y_j = 1 => a*x1 + b*x2 >= v_j; require at least 2 of 3 satisfied.
         // Minimize x1 + x2.
         let mut m = Model::minimize();
-        let x1 = m.add_var("x1", VarType::Integer, 0.0, 10.0, 1.0);
-        let x2 = m.add_var("x2", VarType::Integer, 0.0, 10.0, 1.0);
+        let x1 = m.add_var(VarType::Integer, 0.0, 10.0, 1.0);
+        let x2 = m.add_var(VarType::Integer, 0.0, 10.0, 1.0);
         let mut ys = Vec::new();
         let scenarios = [(1.0, 0.0, 3.0), (0.0, 1.0, 2.0), (1.0, 1.0, 8.0)];
         for (j, (a, b, v)) in scenarios.iter().enumerate() {
-            let y = m.add_var(format!("y{j}"), VarType::Binary, 0.0, 1.0, 0.0);
+            let y = m.add_var(VarType::Binary, 0.0, 1.0, 0.0);
             m.add_indicator(
                 format!("ind{j}"),
                 y,
@@ -2149,8 +2149,8 @@ mod tests {
         // y = 0 forces x >= 5; maximize -x so we want x small; y's cost makes
         // y = 0 attractive, but then x must be >= 5.
         let mut m = Model::minimize();
-        let x = m.add_var("x", VarType::Integer, 0.0, 10.0, 1.0);
-        let y = m.add_var("y", VarType::Binary, 0.0, 1.0, 3.0);
+        let x = m.add_var(VarType::Integer, 0.0, 10.0, 1.0);
+        let y = m.add_var(VarType::Binary, 0.0, 1.0, 3.0);
         m.add_indicator("ind", y, false, vec![(x, 1.0)], Sense::Ge, 5.0);
         let sol = solve(&m, &opts()).unwrap();
         // Option A: y=0 -> x>=5, cost 5. Option B: y=1 -> x=0, cost 3.
@@ -2163,8 +2163,8 @@ mod tests {
     fn indicator_equality_constraint() {
         // y = 1 => x = 4. Maximize y + 0.01x.
         let mut m = Model::maximize();
-        let x = m.add_var("x", VarType::Integer, 0.0, 10.0, 0.01);
-        let y = m.add_var("y", VarType::Binary, 0.0, 1.0, 1.0);
+        let x = m.add_var(VarType::Integer, 0.0, 10.0, 0.01);
+        let y = m.add_var(VarType::Binary, 0.0, 1.0, 1.0);
         m.add_indicator("eq", y, true, vec![(x, 1.0)], Sense::Eq, 4.0);
         let sol = solve(&m, &opts()).unwrap();
         assert_eq!(sol.value(y).round(), 1.0);
@@ -2178,15 +2178,7 @@ mod tests {
         // cannot finish.
         let mut m = Model::maximize();
         let vars: Vec<_> = (0..12)
-            .map(|i| {
-                m.add_var(
-                    format!("x{i}"),
-                    VarType::Binary,
-                    0.0,
-                    1.0,
-                    (i % 5) as f64 + 1.0,
-                )
-            })
+            .map(|i| m.add_var(VarType::Binary, 0.0, 1.0, (i % 5) as f64 + 1.0))
             .collect();
         m.add_constraint(
             "cap",
@@ -2227,8 +2219,8 @@ mod tests {
     fn equality_constrained_integer_problem() {
         // x + y = 7, x - y <= 1, minimize x.
         let mut m = Model::minimize();
-        let x = m.add_var("x", VarType::Integer, 0.0, 10.0, 1.0);
-        let y = m.add_var("y", VarType::Integer, 0.0, 10.0, 0.0);
+        let x = m.add_var(VarType::Integer, 0.0, 10.0, 1.0);
+        let y = m.add_var(VarType::Integer, 0.0, 10.0, 0.0);
         m.add_constraint("sum", vec![(x, 1.0), (y, 1.0)], Sense::Eq, 7.0);
         m.add_constraint("diff", vec![(x, 1.0), (y, -1.0)], Sense::Le, 1.0);
         let sol = solve(&m, &opts()).unwrap();
@@ -2243,7 +2235,7 @@ mod tests {
         // its shape, and a cap at the estimate must solve it.
         let mut m = Model::maximize();
         let vars: Vec<_> = (0..2000)
-            .map(|i| m.add_var(format!("x{i}"), VarType::Integer, 0.0, 5.0, 1.0))
+            .map(|_| m.add_var(VarType::Integer, 0.0, 5.0, 1.0))
             .collect();
         m.add_constraint(
             "cap",
@@ -2320,15 +2312,7 @@ mod tests {
         // returned basis: statuses and objectives must stay correct.
         let mut m = Model::maximize();
         let vars: Vec<_> = (0..8)
-            .map(|i| {
-                m.add_var(
-                    format!("x{i}"),
-                    VarType::Integer,
-                    0.0,
-                    3.0,
-                    (i % 4) as f64 + 1.0,
-                )
-            })
+            .map(|i| m.add_var(VarType::Integer, 0.0, 3.0, (i % 4) as f64 + 1.0))
             .collect();
         m.add_constraint(
             "w",
@@ -2361,8 +2345,8 @@ mod tests {
     fn continuous_and_integer_mix() {
         // max 2x + 3z, x integer <= 4, z continuous <= 2.5, x + z <= 5.
         let mut m = Model::maximize();
-        let x = m.add_var("x", VarType::Integer, 0.0, 4.0, 2.0);
-        let z = m.add_var("z", VarType::Continuous, 0.0, 2.5, 3.0);
+        let x = m.add_var(VarType::Integer, 0.0, 4.0, 2.0);
+        let z = m.add_var(VarType::Continuous, 0.0, 2.5, 3.0);
         m.add_constraint("c", vec![(x, 1.0), (z, 1.0)], Sense::Le, 5.0);
         let sol = solve(&m, &opts()).unwrap();
         // For fixed x, z = min(2.5, 5 - x); the best integer choice is x = 3,
@@ -2375,8 +2359,8 @@ mod tests {
     #[test]
     fn best_bound_brackets_optimum_for_minimization() {
         let mut m = Model::minimize();
-        let x = m.add_var("x", VarType::Integer, 0.0, 10.0, 3.0);
-        let y = m.add_var("y", VarType::Integer, 0.0, 10.0, 2.0);
+        let x = m.add_var(VarType::Integer, 0.0, 10.0, 3.0);
+        let y = m.add_var(VarType::Integer, 0.0, 10.0, 2.0);
         m.add_constraint("c", vec![(x, 1.0), (y, 1.0)], Sense::Ge, 7.0);
         let res = solve_full(&m, &opts()).unwrap();
         let sol = res.solution.unwrap();
@@ -2418,7 +2402,7 @@ mod tests {
         let mut m = Model::minimize();
         let n = g.int(2, 8) as usize;
         let x: Vec<VarId> = (0..n)
-            .map(|i| {
+            .map(|_| {
                 let lo = g.int(-2, 2) as f64;
                 let hi = lo + g.int(1, 5) as f64;
                 let kind = if g.int(0, 4) == 0 {
@@ -2426,7 +2410,7 @@ mod tests {
                 } else {
                     VarType::Integer
                 };
-                m.add_var(format!("x{i}"), kind, lo, hi, g.int(-3, 4) as f64)
+                m.add_var(kind, lo, hi, g.int(-3, 4) as f64)
             })
             .collect();
         let terms = |g: &mut Gen| -> Vec<(VarId, f64)> {
@@ -2442,7 +2426,7 @@ mod tests {
             m.add_constraint(format!("c{r}"), t, sense, rhs);
         }
         for k in 0..g.int(1, 4) {
-            let y = m.add_var(format!("y{k}"), VarType::Binary, 0.0, 1.0, 0.0);
+            let y = m.add_var(VarType::Binary, 0.0, 1.0, 0.0);
             let (t, sense, rhs) = (terms(g), g.sense(), g.int(-6, 8) as f64);
             m.add_indicator(format!("ind{k}"), y, g.coin(), t, sense, rhs);
         }
@@ -2533,15 +2517,7 @@ mod tests {
         let mut m = Model::minimize();
         let n = g.int(3, 11) as usize;
         let x: Vec<VarId> = (0..n)
-            .map(|i| {
-                m.add_var(
-                    format!("x{i}"),
-                    VarType::Integer,
-                    0.0,
-                    3.0,
-                    g.int(-2, 9) as f64,
-                )
-            })
+            .map(|_| m.add_var(VarType::Integer, 0.0, 3.0, g.int(-2, 9) as f64))
             .collect();
         let lo = g.int(0, 3) as f64;
         let hi = lo + g.int(1, 4) as f64;
@@ -2590,7 +2566,7 @@ mod tests {
             let (active, reward) = (g.coin(), g.int(1, 6) as f64);
             let cost = if active { -reward } else { reward };
             let (ylo, yhi) = [(0.0, 1.0), (0.0, 0.0), (1.0, 1.0)][g.int(0, 3) as usize];
-            let y = m.add_var(format!("y{r}"), VarType::Binary, ylo, yhi, cost);
+            let y = m.add_var(VarType::Binary, ylo, yhi, cost);
             m.add_indicator(format!("d{r}"), y, active, terms, sense, rhs);
             indicator_values.push(if ylo == yhi {
                 vec![ylo]
@@ -2793,15 +2769,7 @@ mod tests {
     fn chained_model(n: usize) -> Model {
         let mut m = Model::maximize();
         let vars: Vec<_> = (0..n)
-            .map(|i| {
-                m.add_var(
-                    format!("x{i}"),
-                    VarType::Integer,
-                    0.0,
-                    10.0,
-                    1.0 + (i % 7) as f64,
-                )
-            })
+            .map(|i| m.add_var(VarType::Integer, 0.0, 10.0, 1.0 + (i % 7) as f64))
             .collect();
         for i in 0..n - 1 {
             m.add_constraint(

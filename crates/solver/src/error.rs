@@ -9,8 +9,8 @@ pub enum SolverError {
     UnknownVariable(usize),
     /// A variable was declared with an empty domain (lower bound > upper bound).
     EmptyDomain {
-        /// Variable name.
-        name: String,
+        /// Index of the variable, shown as `x{var}`.
+        var: usize,
         /// Declared lower bound.
         lower: f64,
         /// Declared upper bound.
@@ -48,8 +48,8 @@ impl fmt::Display for SolverError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SolverError::UnknownVariable(id) => write!(f, "unknown variable id {id}"),
-            SolverError::EmptyDomain { name, lower, upper } => {
-                write!(f, "variable `{name}` has empty domain [{lower}, {upper}]")
+            SolverError::EmptyDomain { var, lower, upper } => {
+                write!(f, "variable x{var} has empty domain [{lower}, {upper}]")
             }
             SolverError::NotANumber(what) => write!(f, "{what} is NaN"),
             SolverError::EmptyModel => write!(f, "model has no variables"),
@@ -77,7 +77,7 @@ mod tests {
     #[test]
     fn messages_are_informative() {
         let e = SolverError::EmptyDomain {
-            name: "x3".into(),
+            var: 3,
             lower: 2.0,
             upper: 1.0,
         };

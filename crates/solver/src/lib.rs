@@ -28,8 +28,8 @@
 //!
 //! // maximize 3a + 2b  s.t.  a + b <= 4, a <= 3, b <= 3, a,b integer
 //! let mut model = Model::maximize();
-//! let a = model.add_var("a", VarType::Integer, 0.0, 3.0, 3.0);
-//! let b = model.add_var("b", VarType::Integer, 0.0, 3.0, 2.0);
+//! let a = model.add_var(VarType::Integer, 0.0, 3.0, 3.0);
+//! let b = model.add_var(VarType::Integer, 0.0, 3.0, 2.0);
 //! model.add_constraint("cap", vec![(a, 1.0), (b, 1.0)], Sense::Le, 4.0);
 //! let solution = spq_solver::solve(&model, &SolverOptions::default()).unwrap();
 //! assert_eq!(solution.value(a).round() as i64, 3);

@@ -26,11 +26,10 @@ pub enum VarType {
     Binary,
 }
 
-/// A decision variable.
+/// A decision variable. It has no name: diagnostics call the variable of
+/// `VarId(i)` `xi`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Variable {
-    /// Human-readable name (used in diagnostics).
-    pub name: String,
     /// Domain type.
     pub vtype: VarType,
     /// Lower bound (may be `-inf`).
@@ -207,21 +206,13 @@ impl Model {
     }
 
     /// Add a variable and return its id.
-    pub fn add_var(
-        &mut self,
-        name: impl Into<String>,
-        vtype: VarType,
-        lower: f64,
-        upper: f64,
-        objective: f64,
-    ) -> VarId {
+    pub fn add_var(&mut self, vtype: VarType, lower: f64, upper: f64, objective: f64) -> VarId {
         let (lower, upper) = match vtype {
             VarType::Binary => (lower.max(0.0), upper.min(1.0)),
             _ => (lower, upper),
         };
         let id = VarId(self.variables.len());
         self.variables.push(Variable {
-            name: name.into(),
             vtype,
             lower,
             upper,
@@ -318,13 +309,13 @@ impl Model {
         if self.variables.is_empty() {
             return Err(SolverError::EmptyModel);
         }
-        for v in &self.variables {
+        for (i, v) in self.variables.iter().enumerate() {
             if v.lower.is_nan() || v.upper.is_nan() || v.objective.is_nan() {
-                return Err(SolverError::NotANumber(format!("variable `{}`", v.name)));
+                return Err(SolverError::NotANumber(format!("variable x{i}")));
             }
             if v.lower > v.upper {
                 return Err(SolverError::EmptyDomain {
-                    name: v.name.clone(),
+                    var: i,
                     lower: v.lower,
                     upper: v.upper,
                 });
@@ -340,7 +331,7 @@ impl Model {
                 }
                 if c.is_nan() {
                     return Err(SolverError::NotANumber(format!(
-                        "coefficient of variable {} in `{name}`",
+                        "coefficient of x{} in `{name}`",
                         v.0
                     )));
                 }
@@ -420,8 +411,8 @@ mod tests {
 
     fn simple_model() -> (Model, VarId, VarId) {
         let mut m = Model::minimize();
-        let x = m.add_var("x", VarType::Integer, 0.0, 10.0, 1.0);
-        let y = m.add_var("y", VarType::Continuous, 0.0, f64::INFINITY, 2.0);
+        let x = m.add_var(VarType::Integer, 0.0, 10.0, 1.0);
+        let y = m.add_var(VarType::Continuous, 0.0, f64::INFINITY, 2.0);
         m.add_constraint("c0", vec![(x, 1.0), (y, 1.0)], Sense::Ge, 3.0);
         (m, x, y)
     }
@@ -455,7 +446,6 @@ mod tests {
         assert_eq!((m.constraints().len(), m.indicators().len()), (1, 1));
         assert_eq!(m.num_coefficients(), 2 + 2);
         assert_eq!(m.objective_value(&[1.0, 2.0]), 5.0);
-        assert_eq!(m.variables()[x.0].name, "x");
         assert_eq!(m.constraints().len(), 1);
         assert_eq!(m.indicators().len(), 1);
         assert_eq!(x.index(), 0);
@@ -464,7 +454,7 @@ mod tests {
     #[test]
     fn binary_bounds_are_clamped() {
         let mut m = Model::minimize();
-        let b = m.add_var("b", VarType::Binary, -5.0, 9.0, 0.0);
+        let b = m.add_var(VarType::Binary, -5.0, 9.0, 0.0);
         assert_eq!(m.variables()[b.0].lower, 0.0);
         assert_eq!(m.variables()[b.0].upper, 1.0);
         assert!(m.variables()[b.0].is_integral());
@@ -479,14 +469,14 @@ mod tests {
         assert_eq!(empty.validate().unwrap_err(), SolverError::EmptyModel);
 
         let mut bad = Model::minimize();
-        bad.add_var("x", VarType::Continuous, 3.0, 1.0, 0.0);
+        bad.add_var(VarType::Continuous, 3.0, 1.0, 0.0);
         assert!(matches!(
             bad.validate().unwrap_err(),
             SolverError::EmptyDomain { .. }
         ));
 
         let mut nan = Model::minimize();
-        let v = nan.add_var("x", VarType::Continuous, 0.0, 1.0, 0.0);
+        let v = nan.add_var(VarType::Continuous, 0.0, 1.0, 0.0);
         nan.add_constraint("c", vec![(v, f64::NAN)], Sense::Le, 1.0);
         assert!(matches!(
             nan.validate().unwrap_err(),
@@ -494,7 +484,7 @@ mod tests {
         ));
 
         let mut dangling = Model::minimize();
-        dangling.add_var("x", VarType::Continuous, 0.0, 1.0, 0.0);
+        dangling.add_var(VarType::Continuous, 0.0, 1.0, 0.0);
         dangling.add_constraint("c", vec![(VarId(7), 1.0)], Sense::Le, 1.0);
         assert_eq!(
             dangling.validate().unwrap_err(),
@@ -519,8 +509,8 @@ mod tests {
     #[test]
     fn indicator_active_on_zero() {
         let mut m = Model::minimize();
-        let b = m.add_var("b", VarType::Binary, 0.0, 1.0, 0.0);
-        let x = m.add_var("x", VarType::Continuous, 0.0, 10.0, 0.0);
+        let b = m.add_var(VarType::Binary, 0.0, 1.0, 0.0);
+        let x = m.add_var(VarType::Continuous, 0.0, 10.0, 0.0);
         m.add_indicator("ind0", b, false, vec![(x, 1.0)], Sense::Le, 1.0);
         assert!(!m.is_feasible(&[0.0, 5.0], 1e-9)); // b=0 activates x <= 1
         assert!(m.is_feasible(&[1.0, 5.0], 1e-9));

@@ -19,8 +19,8 @@ fn assert_close(a: f64, b: f64) {
 #[test]
 fn production_lp_optimum() {
     let mut model = Model::maximize();
-    let x = model.add_var("x", VarType::Continuous, 0.0, f64::INFINITY, 3.0);
-    let y = model.add_var("y", VarType::Continuous, 0.0, f64::INFINITY, 5.0);
+    let x = model.add_var(VarType::Continuous, 0.0, f64::INFINITY, 3.0);
+    let y = model.add_var(VarType::Continuous, 0.0, f64::INFINITY, 5.0);
     model.add_constraint("plant1", vec![(x, 1.0)], Sense::Le, 4.0);
     model.add_constraint("plant2", vec![(y, 2.0)], Sense::Le, 12.0);
     model.add_constraint("plant3", vec![(x, 3.0), (y, 2.0)], Sense::Le, 18.0);
@@ -35,8 +35,8 @@ fn production_lp_optimum() {
 #[test]
 fn degenerate_vertex_lp() {
     let mut model = Model::minimize();
-    let x = model.add_var("x", VarType::Continuous, 0.0, f64::INFINITY, 0.0);
-    let y = model.add_var("y", VarType::Continuous, 0.0, f64::INFINITY, -1.0);
+    let x = model.add_var(VarType::Continuous, 0.0, f64::INFINITY, 0.0);
+    let y = model.add_var(VarType::Continuous, 0.0, f64::INFINITY, -1.0);
     model.add_constraint("c1", vec![(x, 1.0), (y, 1.0)], Sense::Le, 2.0);
     model.add_constraint("c2", vec![(x, -1.0), (y, 1.0)], Sense::Le, 2.0);
     model.add_constraint("c3", vec![(y, 1.0)], Sense::Le, 2.0);
@@ -52,9 +52,9 @@ fn degenerate_vertex_lp() {
 #[test]
 fn knapsack_where_lp_rounding_fails() {
     let mut model = Model::maximize();
-    let a = model.add_var("a", VarType::Binary, 0.0, 1.0, 6.0);
-    let b = model.add_var("b", VarType::Binary, 0.0, 1.0, 5.0);
-    let c = model.add_var("c", VarType::Binary, 0.0, 1.0, 5.0);
+    let a = model.add_var(VarType::Binary, 0.0, 1.0, 6.0);
+    let b = model.add_var(VarType::Binary, 0.0, 1.0, 5.0);
+    let c = model.add_var(VarType::Binary, 0.0, 1.0, 5.0);
     model.add_constraint("cap", vec![(a, 4.0), (b, 3.0), (c, 3.0)], Sense::Le, 6.0);
     let result = solve_full(&model, &opts()).unwrap();
     assert_eq!(result.status, SolveStatus::Optimal);
@@ -72,8 +72,8 @@ fn knapsack_where_lp_rounding_fails() {
 #[test]
 fn mixed_integer_covering() {
     let mut model = Model::minimize();
-    let n = model.add_var("n", VarType::Integer, 0.0, 10.0, 7.0);
-    let w = model.add_var("w", VarType::Continuous, 0.0, 4.0, 2.0);
+    let n = model.add_var(VarType::Integer, 0.0, 10.0, 7.0);
+    let w = model.add_var(VarType::Continuous, 0.0, 4.0, 2.0);
     model.add_constraint("cover", vec![(n, 5.0), (w, 1.0)], Sense::Ge, 12.0);
     let result = solve_full(&model, &opts()).unwrap();
     assert_eq!(result.status, SolveStatus::Optimal);
@@ -95,8 +95,7 @@ fn exact_cardinality_selection() {
     let mut model = Model::maximize();
     let vars: Vec<_> = values
         .iter()
-        .enumerate()
-        .map(|(i, &v)| model.add_var(format!("x{i}"), VarType::Binary, 0.0, 1.0, v))
+        .map(|&v| model.add_var(VarType::Binary, 0.0, 1.0, v))
         .collect();
     model.add_constraint(
         "count",
@@ -133,8 +132,8 @@ fn exact_cardinality_selection() {
 #[test]
 fn fixed_charge_indicator() {
     let mut model = Model::maximize();
-    let units = model.add_var("units", VarType::Continuous, 0.0, 10.0, 3.0);
-    let open = model.add_var("open", VarType::Binary, 0.0, 1.0, -12.0);
+    let units = model.add_var(VarType::Continuous, 0.0, 10.0, 3.0);
+    let open = model.add_var(VarType::Binary, 0.0, 1.0, -12.0);
     model.add_indicator("closed", open, false, vec![(units, 1.0)], Sense::Le, 0.0);
     let result = solve_full(&model, &opts()).unwrap();
     assert_eq!(result.status, SolveStatus::Optimal);

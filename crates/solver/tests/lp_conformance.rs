@@ -198,7 +198,6 @@ proptest! {
         let vars: Vec<_> = (0..n)
             .map(|i| {
                 model.add_var(
-                    format!("x{i}"),
                     VarType::Integer,
                     0.0,
                     f64::from(ub),
@@ -321,8 +320,8 @@ fn known_degenerate_lp_terminates_under_explicit_bland_switch() {
     // (optimum 2 at the vertex (1, 1)) must terminate even when the
     // switchover is forced to the very first iteration.
     let mut model = Model::maximize();
-    let x = model.add_var("x", VarType::Continuous, 0.0, 10.0, 1.0);
-    let y = model.add_var("y", VarType::Continuous, 0.0, 10.0, 1.0);
+    let x = model.add_var(VarType::Continuous, 0.0, 10.0, 1.0);
+    let y = model.add_var(VarType::Continuous, 0.0, 10.0, 1.0);
     model.add_constraint("a", vec![(x, 1.0)], Sense::Le, 1.0);
     model.add_constraint("b", vec![(y, 1.0)], Sense::Le, 1.0);
     model.add_constraint("c", vec![(x, 1.0), (y, 1.0)], Sense::Le, 2.0);
@@ -346,15 +345,7 @@ fn warm_start_cross_check_on_escalating_model() {
         let scale = 1.0 + 0.1 * step as f64;
         let mut model = Model::maximize();
         let vars: Vec<_> = (0..6)
-            .map(|i| {
-                model.add_var(
-                    format!("x{i}"),
-                    VarType::Integer,
-                    0.0,
-                    3.0,
-                    scale * ((i % 3) as f64 + 1.0),
-                )
-            })
+            .map(|i| model.add_var(VarType::Integer, 0.0, 3.0, scale * ((i % 3) as f64 + 1.0)))
             .collect();
         model.add_constraint(
             "w",

@@ -247,14 +247,14 @@ fn galaxy_shaped_model(n: usize, target: f64) -> Model {
     let mean = |i: usize| 14.0 + 8.0 * unit(i, 0);
     let mut m = Model::minimize();
     let vars: Vec<_> = (0..n)
-        .map(|i| m.add_var(format!("x{i}"), VarType::Integer, 0.0, 3.0, mean(i)))
+        .map(|i| m.add_var(VarType::Integer, 0.0, 3.0, mean(i)))
         .collect();
     let count: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
     m.add_constraint("count_lo", count.clone(), Sense::Ge, 5.0);
     m.add_constraint("count_hi", count, Sense::Le, 10.0);
     let ys: Vec<_> = (0..2u32)
         .map(|s| {
-            let y = m.add_var(format!("y{s}"), VarType::Binary, 0.0, 1.0, 0.0);
+            let y = m.add_var(VarType::Binary, 0.0, 1.0, 0.0);
             let draw = vars
                 .iter()
                 .enumerate()

@@ -91,7 +91,7 @@ pub fn to_standard_form(lp: &LpProblem) -> Result<StandardForm, SolverError> {
         }
         if lo > hi {
             return Err(SolverError::EmptyDomain {
-                name: format!("x{i}"),
+                var: i,
                 lower: lo,
                 upper: hi,
             });

@@ -126,7 +126,7 @@ proptest! {
         let n = weights.len().min(values.len());
         let mut model = Model::maximize();
         let vars: Vec<_> = (0..n)
-            .map(|i| model.add_var(format!("x{i}"), VarType::Integer, 0.0, 3.0, values[i]))
+            .map(|i| model.add_var(VarType::Integer, 0.0, 3.0, values[i]))
             .collect();
         model.add_constraint(
             "cap",

@@ -117,8 +117,7 @@ proptest! {
         let mut model = Model::maximize();
         let vars: Vec<_> = values
             .iter()
-            .enumerate()
-            .map(|(i, &v)| model.add_var(format!("x{i}"), VarType::Integer, 0.0, f64::from(upper), v))
+            .map(|&v| model.add_var(VarType::Integer, 0.0, f64::from(upper), v))
             .collect();
         for (w, cap) in weights.iter().zip(&capacities) {
             model.add_constraint(
@@ -157,8 +156,7 @@ proptest! {
         let mut model = Model::maximize();
         let vars: Vec<_> = values
             .iter()
-            .enumerate()
-            .map(|(i, &v)| model.add_var(format!("x{i}"), VarType::Integer, 0.0, 2.0, v))
+            .map(|&v| model.add_var(VarType::Integer, 0.0, 2.0, v))
             .collect();
         let rows: Vec<Vec<f64>> = scenario_rows
             .iter()
@@ -166,7 +164,7 @@ proptest! {
             .collect();
         let mut indicators = Vec::new();
         for (j, row) in rows.iter().enumerate() {
-            let y = model.add_var(format!("y{j}"), VarType::Binary, 0.0, 1.0, 0.0);
+            let y = model.add_var(VarType::Binary, 0.0, 1.0, 0.0);
             model.add_indicator(
                 format!("ind{j}"),
                 y,
@@ -238,10 +236,7 @@ fn core_reducing_search_matches_brute_force() {
             let mut model = Model::maximize();
             let items: Vec<_> = values
                 .iter()
-                .enumerate()
-                .map(|(i, &v)| {
-                    model.add_var(format!("x{i}"), VarType::Integer, 0.0, f64::from(multiplicity), v)
-                })
+                .map(|&v| model.add_var(VarType::Integer, 0.0, f64::from(multiplicity), v))
                 .collect();
             let mut upper = vec![multiplicity; n];
             for (row, fill) in weight_rows.iter().zip(&fill) {
@@ -258,7 +253,7 @@ fn core_reducing_search_matches_brute_force() {
                 // Active on 0: leaving y at 0 avoids the charge and imposes it.
                 let active_value = j % 2 == 0;
                 let objective = if active_value { *reward } else { -*reward };
-                let y = model.add_var(format!("y{j}"), VarType::Binary, 0.0, 1.0, objective);
+                let y = model.add_var(VarType::Binary, 0.0, 1.0, objective);
                 model.add_indicator(
                     format!("ind{j}"),
                     y,
